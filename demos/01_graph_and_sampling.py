@@ -1,8 +1,8 @@
 """Loading a knowledge graph and sampling from it.
 
 Builds a toy movie graph from raw string triples, loads it through the
-vocabulary/adjacency pipeline, then shows the two samplers the model is
-built on: fixed-size neighbor bags and multi-hop ripple bags.
+vocabulary/CSR-edge pipeline, then shows the two kinds of draw the model
+is built on: fixed-size neighbor bags and multi-hop ripple bags.
 """
 
 import os
@@ -38,10 +38,10 @@ print("entity vocabulary (first-appearance order):")
 for name, idx in list(kg.entity_vocab.items())[:6]:
     print(f"  {idx:2d}  {name}")
 
-# Adjacency is undirected by default, so an actor node reaches its movies.
+# Edges are undirected by default, so an actor node reaches its movies.
 pacino = kg.entity_vocab["Al Pacino"]
 print("\nneighbors of 'Al Pacino':")
-for rel, ent in kg.adjacency[pacino]:
+for rel, ent in kg.neighbors(pacino):
     print(f"  --{kg.relation_names[rel]}--> {kg.entity_names[ent]}")
 
 # Fixed-size neighbor bags: always n_e pairs, duplicates allowed.

@@ -21,7 +21,6 @@ from .kg import (
     KnowledgeGraph,
     NeighborSample,
     RippleSet,
-    Triple,
     build_ripple_set,
     load_item_map,
     load_kg,
@@ -65,7 +64,6 @@ __all__ = [
     "NeighborSample",
     "ParamStore",
     "RippleSet",
-    "Triple",
     "acc",
     "assemble_batch",
     "auc",

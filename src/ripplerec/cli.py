@@ -276,6 +276,7 @@ def cmd_train(cfg):
     meta = {
         "best_epoch": result.best_epoch,
         "diverged": result.diverged,
+        "skipped_users": result.skipped_users,
         "entity_vocab_sha256": _read_kv(os.path.join(cfg.out, "prep_meta.txt"))["entity_vocab_sha256"],
     }
     _save_snapshot(cfg.out, result.params, cfg, meta)

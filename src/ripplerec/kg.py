@@ -1,10 +1,14 @@
 """Knowledge-graph triple store and all fixed-size stochastic sampling.
 
 Triples are ingested from TSV, indexed through first-appearance
-vocabularies, deduplicated, and exposed through a per-entity adjacency
-index.  Two samplers are built on top of it: with-replacement neighbor
-bags of a fixed size, and per-user multi-hop ripple bags whose hop-k
-heads always lie among the hop-(k-1) tails.
+vocabularies, deduplicated, and exposed through one compressed sparse
+row (CSR) layout: entity ``e``'s outgoing (relation, neighbor) edges are
+``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
+One vectorized sampler, :func:`sample_children`, draws fixed-size
+with-replacement neighbor bags for a whole array of entities with a
+single gather; :func:`sample_neighbors` is its one-entity call.  Per-user
+multi-hop ripple bags (:func:`build_ripple_set`) draw from CSR ranges,
+and their hop-k heads always lie among the hop-(k-1) tails.
 
 A loaded :class:`KnowledgeGraph` is immutable and safe for unrestricted
 concurrent reads.  Samplers take an explicit ``numpy`` generator handle;
@@ -34,27 +38,22 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class Triple:
-    head: int
-    relation: int
-    tail: int
-
-
 @dataclass
 class KnowledgeGraph:
-    """Immutable triple store with vocabularies and adjacency index.
+    """Immutable triple store with vocabularies and a CSR edge index.
 
-    ``adjacency[e]`` is an ``(degree, 2)`` int array of (relation,
-    neighbor) pairs, sorted by (relation, neighbor) for determinism.
-    Entity and relation indices are dense and assigned in first-appearance
-    file order.
+    Entity ``e`` owns edges ``indptr[e]`` to ``indptr[e + 1]`` of the
+    parallel arrays ``rel`` and ``nbr``; within an entity, edges are
+    sorted by (relation, neighbor) for determinism.  Entity and relation
+    indices are dense and assigned in first-appearance file order.
     """
 
     num_entities: int
     num_relations: int
     triples: np.ndarray  # (n, 3) int array of (head, relation, tail)
-    adjacency: list[np.ndarray]
+    indptr: np.ndarray  # (num_entities + 1,) edge offsets
+    rel: np.ndarray  # (num_edges,) relation of each edge
+    nbr: np.ndarray  # (num_edges,) neighbor entity of each edge
     entity_vocab: dict[str, int]
     relation_vocab: dict[str, int]
     undirected: bool = True
@@ -62,10 +61,15 @@ class KnowledgeGraph:
     relation_names: list[str] = field(default_factory=list)
 
     def degree(self, entity):
-        return len(self.adjacency[entity])
+        return int(self.indptr[entity + 1] - self.indptr[entity])
 
     def total_degree(self):
-        return sum(len(a) for a in self.adjacency)
+        return int(self.indptr[-1])
+
+    def neighbors(self, entity):
+        """``(degree, 2)`` array of one entity's (relation, neighbor) edges."""
+        lo, hi = self.indptr[entity], self.indptr[entity + 1]
+        return np.stack((self.rel[lo:hi], self.nbr[lo:hi]), axis=1)
 
 
 @dataclass
@@ -100,8 +104,8 @@ def load_kg(path, undirected=True):
     """Load a TSV triple file (``head<TAB>relation<TAB>tail``, UTF-8).
 
     Vocabularies assign indices in first-appearance order, duplicate
-    triples are stored once, and the adjacency index gains an inverse
-    (tail, relation, head) entry per triple when ``undirected`` is set
+    triples are stored once, and the CSR edge index gains an inverse
+    (tail, relation, head) edge per triple when ``undirected`` is set
     (self-loops are not doubled).
     """
     entity_vocab: dict[str, int] = {}
@@ -140,24 +144,26 @@ def load_kg(path, undirected=True):
 
     num_entities = len(entity_names)
     num_relations = len(relation_names)
-    adj_lists: list[list[tuple[int, int]]] = [[] for _ in range(num_entities)]
-    for h, r, t in triples:
-        adj_lists[h].append((r, t))
-        if undirected and h != t:
-            adj_lists[t].append((r, h))
-    adjacency = []
-    for pairs in adj_lists:
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-        else:
-            arr = np.empty((0, 2), dtype=np.int64)
-        adjacency.append(arr)
+    triple_arr = np.array(triples, dtype=np.int64)
+    src, rel, dst = triple_arr.T
+    if undirected:
+        inv = src != dst  # self-loops are not doubled
+        src, rel, dst = (
+            np.concatenate((src, dst[inv])),
+            np.concatenate((rel, rel[inv])),
+            np.concatenate((dst, src[inv])),
+        )
+    order = np.lexsort((dst, rel, src))
+    indptr = np.zeros(num_entities + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_entities), out=indptr[1:])
 
     kg = KnowledgeGraph(
         num_entities=num_entities,
         num_relations=num_relations,
-        triples=np.array(triples, dtype=np.int64),
-        adjacency=adjacency,
+        triples=triple_arr,
+        indptr=indptr,
+        rel=rel[order],
+        nbr=dst[order],
         entity_vocab=entity_vocab,
         relation_vocab=relation_vocab,
         undirected=undirected,
@@ -172,40 +178,48 @@ def load_kg(path, undirected=True):
     return kg
 
 
-def sample_neighbors(kg, entity, n_e, rng):
-    """Uniform with-replacement draw of ``n_e`` (relation, neighbor) pairs.
+def sample_children(kg, ents, n_e, rng):
+    """Uniform with-replacement draw of ``n_e`` edges for every entity of ``ents``.
 
-    An entity with empty adjacency yields ``n_e`` sentinel self-loops
-    (NULL_RELATION, entity) so downstream shapes stay fixed.
+    Returns (relations, neighbors), each of shape ``ents.shape + (n_e,)``.
+    An entity without edges yields ``n_e`` sentinel self-loops
+    (NULL_RELATION, entity) so downstream shapes stay fixed.  The draws,
+    and the generator state they leave, are those of one
+    ``rng.integers(0, degree, size=n_e)`` call per entity with edges, in
+    row-major order: an array ``high`` draws row by row, and a ``high``
+    of 1 (an edgeless entity's stand-in) consumes nothing.
     """
+    ents = np.asarray(ents, dtype=np.int64)
+    flat = ents.reshape(-1)
+    start = kg.indptr[flat]
+    deg = kg.indptr[flat + 1] - start
+    picks = start[:, None] + rng.integers(0, np.maximum(deg, 1)[:, None], size=(flat.size, n_e))
+    dead = deg == 0
+    picks[dead] = 0  # any valid edge; overwritten by the pad below
+    rels = kg.rel[picks]
+    nbrs = kg.nbr[picks]
+    rels[dead] = NULL_RELATION
+    nbrs[dead] = flat[dead, None]
+    shape = ents.shape + (n_e,)
+    return rels.reshape(shape), nbrs.reshape(shape)
+
+
+def sample_neighbors(kg, entity, n_e, rng):
+    """Uniform with-replacement draw of ``n_e`` (relation, neighbor) pairs of one entity."""
     if n_e < 1:
         raise ValueError("n_e must be >= 1")
-    adj = kg.adjacency[entity]
-    if len(adj) == 0:
-        return NeighborSample(
-            center=entity,
-            relations=np.full(n_e, NULL_RELATION, dtype=np.int64),
-            entities=np.full(n_e, entity, dtype=np.int64),
-        )
-    picks = rng.integers(0, len(adj), size=n_e)
-    chosen = adj[picks]
-    return NeighborSample(center=entity, relations=chosen[:, 0].copy(), entities=chosen[:, 1].copy())
+    rels, nbrs = sample_children(kg, [entity], n_e, rng)
+    return NeighborSample(center=entity, relations=rels[0], entities=nbrs[0])
 
 
 def _frontier_pool(kg, entities):
-    """All (head, relation, tail) rows whose head is in ``entities``."""
-    blocks = []
-    for e in sorted(set(int(x) for x in entities)):
-        adj = kg.adjacency[e]
-        if len(adj):
-            block = np.empty((len(adj), 3), dtype=np.int64)
-            block[:, 0] = e
-            block[:, 1] = adj[:, 0]
-            block[:, 2] = adj[:, 1]
-            blocks.append(block)
-    if not blocks:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(blocks, axis=0)
+    """All (head, relation, tail) rows whose head is in ``entities``, by head."""
+    heads = np.unique(np.asarray(entities, dtype=np.int64))
+    start = kg.indptr[heads]
+    deg = kg.indptr[heads + 1] - start
+    # edge index of every pool row: each head's CSR range, back to back
+    edges = np.arange(deg.sum()) + np.repeat(start - (np.cumsum(deg) - deg), deg)
+    return np.stack((np.repeat(heads, deg), kg.rel[edges], kg.nbr[edges]), axis=1)
 
 
 def build_ripple_set(kg, seeds, hops, n_p, rng, user=-1):

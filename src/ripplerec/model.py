@@ -31,7 +31,7 @@ import numpy as np
 
 from . import metrics
 from .core import ParamStore, sigmoid, softmax, xavier_uniform
-from .kg import NULL_RELATION, build_ripple_set
+from .kg import NULL_RELATION, build_ripple_set, sample_children
 
 logger = logging.getLogger(__name__)
 
@@ -143,33 +143,14 @@ class BatchBags:
         return len(self.users)
 
 
-def _sample_children(kg, ents, n_e, rng):
-    """With-replacement child draw for every entity of a flat array."""
-    flat = ents.reshape(-1)
-    rels = np.empty((flat.size, n_e), dtype=np.int64)
-    out = np.empty((flat.size, n_e), dtype=np.int64)
-    for i, e in enumerate(flat):
-        adj = kg.adjacency[e]
-        deg = len(adj)
-        if deg == 0:
-            rels[i] = NULL_RELATION
-            out[i] = e
-        else:
-            picks = rng.integers(0, deg, size=n_e)
-            rels[i] = adj[picks, 0]
-            out[i] = adj[picks, 1]
-    shape = ents.shape + (n_e,)
-    return rels.reshape(shape[0], -1), out.reshape(shape[0], -1)
-
-
 def sample_item_trees(kg, v_idx, conv_layers, n_e, rng):
     """Receptive-field tree around each candidate entity, depth ``conv_layers``."""
     ents = [np.asarray(v_idx, dtype=np.int64).reshape(-1, 1)]
     rels = [None]
     for _ in range(conv_layers):
-        r, e = _sample_children(kg, ents[-1], n_e, rng)
-        rels.append(r)
-        ents.append(e)
+        r, e = sample_children(kg, ents[-1], n_e, rng)
+        rels.append(r.reshape(len(r), -1))
+        ents.append(e.reshape(len(e), -1))
     return ents, rels
 
 
@@ -583,17 +564,31 @@ class FitResult:
     best_epoch: int
     test_report: metrics.MetricReport | None
     diverged: bool = False
+    skipped_users: int = 0  # users without a ripple set; their train rows are dropped
 
 
 def build_ripple_sets(dataset, kg, hp, seed):
-    """One ripple set per user with train history, seeded entities from items."""
+    """One ripple set per user with train history, seeded entities from items.
+
+    A user whose seed entities have no outgoing triples (reachable on a
+    directed graph) gets no ripple set; such users are skipped and
+    counted in a warning.  The check precedes any draw, so the other
+    users' bags do not depend on them.
+    """
     if dataset.item_entities is None:
         raise ValueError("dataset has no item -> entity mapping; run prep first")
     rng = np.random.default_rng([seed, 17])
+    degrees = np.diff(kg.indptr)
     out = {}
+    dead_ends = 0
     for user in sorted(dataset.user_history):
         seeds = dataset.item_entities[dataset.user_history[user]]
+        if len(seeds) and not degrees[seeds].any():
+            dead_ends += 1
+            continue
         out[user] = build_ripple_set(kg, seeds, hp.hops, hp.ripple_size, rng, user=user)
+    if dead_ends:
+        logger.warning("%d users skipped: seed entities have no outgoing triples", dead_ends)
     return out
 
 
@@ -601,12 +596,27 @@ def fit(dataset, kg, hp, seed=0, eval_train=False, log_every=None):
     """Minibatch training with per-epoch validation and best-snapshot selection.
 
     Ripple sets are built once per run (``resample_ripple`` rebuilds them
-    each epoch); neighbor trees are drawn fresh per batch.  Divergence
-    aborts the run and returns the last good snapshot with ``diverged``
-    set.  Single-threaded and deterministic for a fixed seed.
+    each epoch); neighbor trees are drawn fresh per batch.  Train rows of
+    users without a ripple set are dropped and the users counted in
+    ``skipped_users``.  Divergence aborts the run and returns the last
+    good snapshot with ``diverged`` set.  Single-threaded and
+    deterministic for a fixed seed.
     """
     params = init_params(kg.num_entities, kg.num_relations, hp, seed=seed, num_users=dataset.num_users)
-    ripple_sets = {} if hp.user_table else build_ripple_sets(dataset, kg, hp, seed)
+    train = dataset.train
+    skipped_users = 0
+    if hp.user_table:
+        ripple_sets = {}
+    else:
+        ripple_sets = build_ripple_sets(dataset, kg, hp, seed)
+        skipped_users = len(dataset.user_history) - len(ripple_sets)
+        if skipped_users:
+            keep = np.isin(train[:, 0], list(ripple_sets))
+            logger.warning("dropped %d train rows of %d users without a ripple set",
+                           int((~keep).sum()), skipped_users)
+            train = train[keep]
+            if len(train) == 0:
+                raise ValueError("no train rows left: every user lacks a ripple set")
     history: list[dict] = []
     best = params.copy()
     best_auc = -np.inf
@@ -614,7 +624,6 @@ def fit(dataset, kg, hp, seed=0, eval_train=False, log_every=None):
     diverged = False
     stale = 0
 
-    train = dataset.train
     for epoch in range(1, hp.epochs + 1):
         if hp.resample_ripple and not hp.user_table and epoch > 1:
             ripple_sets = build_ripple_sets(dataset, kg, hp, seed + epoch)
@@ -676,4 +685,4 @@ def fit(dataset, kg, hp, seed=0, eval_train=False, log_every=None):
             seed=seed * 1000 + 999, split="test",
         )
     return FitResult(params=final, history=history, best_epoch=best_epoch,
-                     test_report=test_report, diverged=diverged)
+                     test_report=test_report, diverged=diverged, skipped_users=skipped_users)

@@ -8,9 +8,11 @@ from ripplerec.kg import (
     load_item_map,
     load_kg,
     read_vocab,
+    sample_children,
     sample_neighbors,
     write_vocab,
 )
+from ripplerec.model import sample_item_trees
 
 from conftest import write_kg
 
@@ -23,7 +25,7 @@ class TestLoadKg:
         assert kg.num_relations == 1
         r, a, c = kg.relation_vocab["r"], kg.entity_vocab["a"], kg.entity_vocab["c"]
         b = kg.entity_vocab["b"]
-        assert [tuple(row) for row in kg.adjacency[b]] == [(r, a), (r, c)]
+        assert [tuple(row) for row in kg.neighbors(b)] == [(r, a), (r, c)]
 
     def test_first_appearance_vocab_order(self, tmp_path):
         path = write_kg(tmp_path / "kg.tsv", [("x", "r2", "y"), ("y", "r1", "x"), ("z", "r2", "x")])
@@ -61,7 +63,7 @@ class TestLoadKg:
         rows = [("a", "r2", "c"), ("a", "r1", "b"), ("a", "r1", "a0"), ("a", "r2", "b")]
         path = write_kg(tmp_path / "kg.tsv", rows)
         kg = load_kg(path, undirected=False)
-        adj = kg.adjacency[kg.entity_vocab["a"]]
+        adj = kg.neighbors(kg.entity_vocab["a"])
         assert [tuple(p) for p in adj] == sorted(tuple(p) for p in adj)
 
 
@@ -165,7 +167,7 @@ class TestBuildRippleSet:
             reachable = set()
             tails = set()
             for e in frontier:
-                for rel, t in kg.adjacency[e]:
+                for rel, t in kg.neighbors(e):
                     reachable.add((e, int(rel), int(t)))
                     tails.add(int(t))
             support = {tuple(row) for row in bag}
@@ -197,6 +199,125 @@ class TestBuildRippleSet:
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
         with pytest.raises(ValueError, match="no outgoing"):
             build_ripple_set(kg, [kg.entity_vocab["b"]], 1, 2, np.random.default_rng(0))
+
+
+def _brute_adjacency(kg):
+    """Per-entity sorted (relation, neighbor) lists, straight from the triples."""
+    adj = [[] for _ in range(kg.num_entities)]
+    for h, r, t in kg.triples.tolist():
+        adj[h].append((r, t))
+        if kg.undirected and h != t:
+            adj[t].append((r, h))
+    return [sorted(pairs) for pairs in adj]
+
+
+def _reference_children(adj, ents, n_e, rng):
+    """Per-entity draw loop that the vectorized sampler must match draw for draw."""
+    flat = np.asarray(ents).reshape(-1)
+    rels = np.empty((flat.size, n_e), dtype=np.int64)
+    out = np.empty((flat.size, n_e), dtype=np.int64)
+    for i, e in enumerate(flat):
+        pairs = np.array(adj[e], dtype=np.int64).reshape(-1, 2)
+        if len(pairs) == 0:
+            rels[i] = NULL_RELATION
+            out[i] = e
+        else:
+            picks = rng.integers(0, len(pairs), size=n_e)
+            rels[i] = pairs[picks, 0]
+            out[i] = pairs[picks, 1]
+    return rels, out
+
+
+def _reference_ripple(adj, seeds, hops, n_p, rng):
+    """Per-entity frontier loop that ``build_ripple_set`` must match draw for draw."""
+    bags = []
+    frontier = seeds
+    for _ in range(hops):
+        pool = [(e, r, t) for e in sorted(set(int(x) for x in frontier)) for r, t in adj[e]]
+        pool = np.array(pool, dtype=np.int64).reshape(-1, 3)
+        if len(pool) == 0:
+            pool = bags[-1]
+        bag = pool[rng.integers(0, len(pool), size=n_p)]
+        bags.append(bag)
+        frontier = bag[:, 2]
+    return bags
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(params=[(seed, undirected) for seed in range(3) for undirected in (False, True)],
+                ids=lambda p: f"seed{p[0]}-{'undirected' if p[1] else 'directed'}")
+def random_kg(request, tmp_path):
+    """Random graph with duplicate lines, a triple and its reverse, self-loops and dead ends."""
+    seed, undirected = request.param
+    rng = np.random.default_rng(seed)
+    rows = [(f"e{rng.integers(12)}", f"r{rng.integers(3)}", f"e{rng.integers(20)}") for _ in range(40)]
+    rows += [("e1", "r0", "e2"), ("e2", "r0", "e1"), ("e1", "r0", "e2"), ("e3", "r1", "e3"),
+             ("e0", "r2", "sink0"), ("e5", "r1", "sink1")]
+    kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=undirected)
+    if not undirected:
+        assert kg.degree(kg.entity_vocab["sink0"]) == 0
+    return kg
+
+
+class TestCsrOracle:
+    """The CSR layout and vectorized samplers against per-entity reference loops."""
+
+    def test_neighbors_match_brute_force(self, random_kg):
+        adj = _brute_adjacency(random_kg)
+        for e in range(random_kg.num_entities):
+            assert [tuple(p) for p in random_kg.neighbors(e).tolist()] == adj[e]
+            assert random_kg.degree(e) == len(adj[e])
+        assert random_kg.total_degree() == sum(len(a) for a in adj)
+
+    def test_sample_children_stream(self, random_kg):
+        adj = _brute_adjacency(random_kg)
+        ents = np.random.default_rng(1).integers(0, random_kg.num_entities, size=(7, 5))
+        ents[3, 2] = random_kg.entity_vocab["sink0"]  # no edges when directed: the pad path
+        rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+        rels, nbrs = sample_children(random_kg, ents, 4, rng)
+        want_rels, want_nbrs = _reference_children(adj, ents, 4, ref_rng)
+        assert _same_bytes(rels, want_rels.reshape(7, 5, 4))
+        assert _same_bytes(nbrs, want_nbrs.reshape(7, 5, 4))
+        assert rng.random() == ref_rng.random()
+
+    def test_sample_neighbors_stream(self, random_kg):
+        adj = _brute_adjacency(random_kg)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for e in range(random_kg.num_entities):
+            sample = sample_neighbors(random_kg, e, 3, rng)
+            want_rels, want_nbrs = _reference_children(adj, [e], 3, ref_rng)
+            assert _same_bytes(sample.relations, want_rels[0])
+            assert _same_bytes(sample.entities, want_nbrs[0])
+        assert rng.random() == ref_rng.random()
+
+    def test_sample_item_trees_stream(self, random_kg):
+        adj = _brute_adjacency(random_kg)
+        v_idx = np.arange(random_kg.num_entities)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        ents, rels = sample_item_trees(random_kg, v_idx, 2, 3, rng)
+        want_ents = [v_idx.reshape(-1, 1)]
+        for depth in (1, 2):
+            r, e = _reference_children(adj, want_ents[-1], 3, ref_rng)
+            assert _same_bytes(rels[depth], r.reshape(len(v_idx), -1))
+            want_ents.append(e.reshape(len(v_idx), -1))
+            assert _same_bytes(ents[depth], want_ents[-1])
+        assert rng.random() == ref_rng.random()
+
+    def test_build_ripple_set_stream(self, random_kg):
+        adj = _brute_adjacency(random_kg)
+        live = [e for e in range(random_kg.num_entities) if adj[e]]
+        pick = np.random.default_rng(3)
+        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+        for _ in range(10):
+            seeds = pick.choice(random_kg.num_entities, size=3).tolist() + [int(pick.choice(live))]
+            ripple = build_ripple_set(random_kg, seeds, 3, 5, rng)
+            want = _reference_ripple(adj, seeds, 3, 5, ref_rng)
+            for got_bag, want_bag in zip(ripple.hops, want):
+                assert _same_bytes(got_bag, want_bag)
+        assert rng.random() == ref_rng.random()
 
 
 class TestVocabAndItemMap:

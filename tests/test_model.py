@@ -501,3 +501,43 @@ class TestFit:
         result = fit(dataset, kg, self._hp(optimizer="sgd", lr=0.1, epochs=3), seed=0)
         losses = [row["train_loss"] for row in result.history]
         assert losses[-1] < losses[0]
+
+    def test_dead_end_user_skipped_not_fatal(self, tmp_path, caplog):
+        # directed graph: items 0-3 lie on m0..m3, which have outgoing triples;
+        # items 4-5 lie on d0/d1, which only ever appear as tails
+        rows = [(f"m{k}", "genre", f"g{k % 2}") for k in range(4)]
+        rows += [("g0", "sim", "g1"), ("g1", "sim", "g0"), ("g0", "has", "d0"), ("g1", "has", "d1")]
+        kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
+        item_entities = np.array([kg.entity_vocab[e] for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
+        # user 0 sorts first: had its ripple build drawn anything, every
+        # later user's bags would shift
+        train = np.array([(0, 4, 1), (0, 0, 0), (0, 5, 1), (0, 1, 0),
+                          (1, 0, 1), (1, 4, 0), (1, 1, 1), (1, 5, 0),
+                          (2, 2, 1), (2, 0, 0), (2, 3, 1), (2, 1, 0)])
+        held_out = np.array([(0, 4, 1), (0, 2, 0), (1, 2, 1), (1, 3, 0), (2, 1, 1), (2, 5, 0)])
+        dataset = rr.InteractionDataset(
+            num_users=3, num_items=6, train=train, validation=held_out, test=held_out,
+            user_history={0: np.array([4, 5]), 1: np.array([0, 1]), 2: np.array([2, 3])},
+            item_entities=item_entities,
+        )
+        hp = self._hp(ripple_size=4, neighbor_size=2, batch_size=4, epochs=2)
+
+        with caplog.at_level("WARNING"):
+            ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        assert sorted(ripple_sets) == [1, 2]
+        assert "1 users skipped" in caplog.text
+        rng = np.random.default_rng([0, 17])
+        for user in (1, 2):
+            expected = rr.build_ripple_set(kg, item_entities[dataset.user_history[user]], hp.hops,
+                                           hp.ripple_size, rng, user=user)
+            for got, want in zip(ripple_sets[user].hops, expected.hops):
+                assert got.tobytes() == want.tobytes()
+
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            result = fit(dataset, kg, hp, seed=0)
+        assert result.skipped_users == 1
+        assert "dropped 4 train rows of 1 users" in caplog.text
+        assert len(result.history) == 2
+        assert result.test_report.skipped == 2
+        assert result.test_report.n_examples == 4
