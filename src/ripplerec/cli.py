@@ -304,6 +304,26 @@ def _hyperparams_from_manifest(manifest, fallback):
     return model.Hyperparams(**kwargs)
 
 
+def _check_snapshot(path, params, graph, dataset, hp):
+    """Raise ValueError unless the snapshot holds the tensors ``hp`` implies.
+
+    Names, shapes (for this graph and user count) and dtype must all
+    match; the message names the first offending tensor.
+    """
+    dtype = np.dtype(hp.dtype)
+    expected = model.param_shapes(graph.num_entities, graph.num_relations, hp, dataset.num_users)
+    for name, shape in expected.items():
+        if name not in params.values:
+            raise ValueError(f"{path}: tensor {name!r} is missing (expected shape {shape}, {dtype})")
+        found = params.values[name]
+        if found.shape != shape or found.dtype != dtype:
+            raise ValueError(f"{path}: tensor {name!r} expected shape {shape}, {dtype}; "
+                             f"found shape {found.shape}, {found.dtype}")
+    extra = sorted(set(params.values) - set(expected))
+    if extra:
+        raise ValueError(f"{path}: unexpected tensors {extra} for the manifest's hyperparameters")
+
+
 def cmd_eval(cfg, split):
     graph, dataset = load_prep(cfg)
     snap = os.path.join(cfg.out, "model.npz")
@@ -314,6 +334,7 @@ def cmd_eval(cfg, split):
     # score with the hyperparameters the snapshot was trained with, not
     # whatever the current config happens to say
     hp = _hyperparams_from_manifest(manifest, cfg)
+    _check_snapshot(snap, params, graph, dataset, hp)
     train_seed = int(manifest.get("seed", cfg.seed))
     ripple_sets = {} if hp.user_table else model.build_ripple_sets(dataset, graph, hp, train_seed)
     report = metrics.evaluate(

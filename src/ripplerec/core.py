@@ -66,16 +66,6 @@ def xavier_uniform(shape, rng, dtype=np.float64):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def xavier_bound(shape):
-    """The Xavier-uniform bound used by :func:`xavier_uniform` for ``shape``."""
-    shape = tuple(shape)
-    if len(shape) == 1:
-        fan_in = fan_out = shape[0]
-    else:
-        fan_in, fan_out = shape[-2], shape[-1]
-    return np.sqrt(6.0 / (fan_in + fan_out))
-
-
 class ParamStore:
     """Named tensors, each with a value buffer and a same-shape gradient slot.
 
@@ -127,11 +117,6 @@ class ParamStore:
         for name, v in self.values.items():
             out.add(name, v.copy())
         return out
-
-    def load_values(self, other):
-        """Overwrite values in place from another store with identical shapes."""
-        for name, v in self.values.items():
-            v[...] = other.values[name]
 
     def check_finite(self, what="values"):
         source = self.values if what == "values" else self.grads
@@ -229,7 +214,11 @@ def save_params(path, params):
 
 
 def load_params(path):
-    """Load a snapshot written by :func:`save_params` into a new ParamStore."""
+    """Load a snapshot written by :func:`save_params` into a new ParamStore.
+
+    Every tensor must have the first tensor's dtype (a store has one);
+    a snapshot that mixes dtypes raises ValueError naming the tensor.
+    """
     with np.load(path, allow_pickle=False) as data:
         if "__magic__" not in data or str(data["__magic__"]) != SNAPSHOT_MAGIC:
             raise ValueError(f"{path} is not a ripplerec parameter snapshot")
@@ -237,5 +226,9 @@ def load_params(path):
         first = data[names[0]] if names else np.zeros(0)
         store = ParamStore(dtype=first.dtype if names else np.float64)
         for name in names:
-            store.add(name, data[name])
+            value = data[name]
+            if value.dtype != store.dtype:
+                raise ValueError(f"{path}: tensor {name!r} is {value.dtype}, "
+                                 f"but {names[0]!r} is {store.dtype}")
+            store.add(name, value)
     return store

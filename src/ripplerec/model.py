@@ -20,6 +20,15 @@ and static, so gradients are derived per operation against a retained
 frozen parameters are pure functions of (params, sampled bags) and safe
 to run concurrently; gradient accumulation and updates are single
 writer.
+
+The hop algebra works per (example, relation), not per bag row: since
+(R_r h) . v = h . (R_r^T v), one GEMM gives R_r^T v for every example
+and relation, and each bag row gathers its own.  The backward reduces
+S[b, r] = sum of g_score * h over the rows of example b with relation r
+(one sparse product per hop), after which the candidate and
+``relation_mat`` gradients are one GEMM each.  Every ``entity_emb`` gradient row of a
+batch (hop heads and tails, tree levels, candidates) is collected as an
+(index, rows) pair and scattered once at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import metrics
 from .core import ParamStore, sigmoid, softmax, xavier_uniform
@@ -96,30 +106,44 @@ class Hyperparams:
         return np.float64 if self.precision == "f64" else np.float32
 
 
-def init_params(num_entities, num_relations, hp, seed=0, num_users=0):
-    """Xavier-uniform parameter store for the given graph sizes.
+def param_shapes(num_entities, num_relations, hp, num_users=0):
+    """Name -> shape of every tensor of the model, in creation order.
 
-    Tensors: ``entity_emb`` (E, d), ``relation_mat`` (R, d, d) for hop
-    attention, ``relation_vec`` (R, d) for taste scores, ``fusion_w``
-    (1 or H, d, d), ``conv_w``/``conv_b`` per item layer, and
-    ``user_emb`` (U, d) only under ``user_table``.  Biases start at
-    zero; everything else within the Xavier bound.
+    ``entity_emb`` (E, d), ``relation_mat`` (R, d, d) for hop attention,
+    ``relation_vec`` (R, d) for taste scores, ``fusion_w`` (1 or H, d, d),
+    ``conv_w``/``conv_b`` per item layer, and ``user_emb`` (U, d) only
+    under ``user_table``.
     """
-    rng = np.random.default_rng([seed, 11])
     d = hp.embed_dim
-    params = ParamStore(dtype=hp.dtype)
-    params.add("entity_emb", xavier_uniform((num_entities, d), rng, hp.dtype))
-    params.add("relation_mat", xavier_uniform((num_relations, d, d), rng, hp.dtype))
-    params.add("relation_vec", xavier_uniform((num_relations, d), rng, hp.dtype))
-    n_fusion = hp.hops if hp.fusion == "recursive" else 1
-    params.add("fusion_w", xavier_uniform((n_fusion, d, d), rng, hp.dtype))
+    shapes = {
+        "entity_emb": (num_entities, d),
+        "relation_mat": (num_relations, d, d),
+        "relation_vec": (num_relations, d),
+        "fusion_w": (hp.hops if hp.fusion == "recursive" else 1, d, d),
+    }
     if hp.conv_layers >= 1:
-        params.add("conv_w", xavier_uniform((hp.conv_layers, d, d), rng, hp.dtype))
-        params.add("conv_b", np.zeros((hp.conv_layers, d), dtype=hp.dtype))
+        shapes["conv_w"] = (hp.conv_layers, d, d)
+        shapes["conv_b"] = (hp.conv_layers, d)
     if hp.user_table:
-        if num_users < 1:
-            raise ValueError("user_table requires num_users")
-        params.add("user_emb", xavier_uniform((num_users, d), rng, hp.dtype))
+        shapes["user_emb"] = (num_users, d)
+    return shapes
+
+
+def init_params(num_entities, num_relations, hp, seed=0, num_users=0):
+    """Xavier-uniform parameter store with the tensors of :func:`param_shapes`.
+
+    Biases (``conv_b``) start at zero; everything else within the Xavier
+    bound.
+    """
+    if hp.user_table and num_users < 1:
+        raise ValueError("user_table requires num_users")
+    rng = np.random.default_rng([seed, 11])
+    params = ParamStore(dtype=hp.dtype)
+    for name, shape in param_shapes(num_entities, num_relations, hp, num_users).items():
+        if name == "conv_b":
+            params.add(name, np.zeros(shape, dtype=hp.dtype))
+        else:
+            params.add(name, xavier_uniform(shape, rng, hp.dtype))
     return params
 
 
@@ -184,7 +208,7 @@ class ForwardTrace:
 
     v: np.ndarray  # (B, d) candidate embeddings
     hop_attn: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p)
-    hop_scores_rh: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p, d): R_r h
+    hop_rt_v: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p, d): R_r^T v
     hop_resp: list[np.ndarray] = field(default_factory=list)  # per hop (B, d)
     fusion_in: np.ndarray | None = None  # shared variant: sum_k O_k + v
     rec_in: list[np.ndarray] = field(default_factory=list)  # recursive variant inputs per hop
@@ -198,52 +222,27 @@ class ForwardTrace:
     yhat: np.ndarray | None = None  # (B,)
 
 
-def _relation_groups(rel_idx):
-    """Stable sort of flat relation indices into contiguous segments.
+def _relation_transpose_apply(rel_mat, v):
+    """R_r^T v for every row of ``v`` (B, d) and every relation: (B, R, d)."""
+    n_rel, d, _ = rel_mat.shape
+    return (v @ rel_mat.transpose(1, 0, 2).reshape(d, n_rel * d)).reshape(len(v), n_rel, d)
 
-    Returns (order, segment starts, segment ends, segment relation ids).
-    One pass of sorting replaces a boolean mask per relation, which
-    matters for graphs with many relation types.
+
+def _hop_forward(params, bag, rt_v_all, trace):
+    """Attention response of one ripple hop against the candidates.
+
+    ``rt_v_all`` is :func:`_relation_transpose_apply` of the candidates;
+    triple (h, r, t) of example b scores h . rt_v_all[b, r].
     """
-    order = np.argsort(rel_idx, kind="stable")
-    sorted_idx = rel_idx[order]
-    cuts = np.flatnonzero(np.diff(sorted_idx)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [len(sorted_idx)]))
-    return order, starts, ends, sorted_idx[starts]
-
-
-def _relation_matmul(rel_mat, rel_idx, vectors, transpose=False):
-    """Apply per-row relation matrices to vectors, grouped by relation.
-
-    ``vectors`` has shape (..., d) and ``rel_idx`` the matching (...)
-    shape; returns R_r v (or R_r^T v).  Grouping avoids materializing a
-    (..., d, d) gather of the matrix table.
-    """
-    flat_idx = rel_idx.reshape(-1)
-    flat_vec = vectors.reshape(-1, vectors.shape[-1])
-    order, starts, ends, rels = _relation_groups(flat_idx)
-    sorted_vec = flat_vec[order]
-    out_sorted = np.empty_like(sorted_vec)
-    for start, end, r in zip(starts, ends, rels):
-        mat = rel_mat[r]
-        out_sorted[start:end] = sorted_vec[start:end] @ (mat if transpose else mat.T)
-    out = np.empty_like(flat_vec)
-    out[order] = out_sorted
-    return out.reshape(vectors.shape)
-
-
-def _hop_forward(params, bag, v, trace):
-    """Attention response of one ripple hop against the candidates."""
     ent = params.values["entity_emb"]
     heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
-    h_vec = ent[heads]  # (B, n_p, d)
-    rh = _relation_matmul(params.values["relation_mat"], rels, h_vec)
-    scores = np.einsum("bnd,bd->bn", rh, v)
+    # 2-D gather: a relation id >= R raises instead of reading another example's row
+    rt_v = rt_v_all[np.arange(len(bag))[:, None], rels]  # (B, n_p, d)
+    scores = np.einsum("bnd,bnd->bn", ent[heads], rt_v)
     attn = softmax(scores)
     resp = np.einsum("bn,bnd->bd", attn, ent[tails])
     trace.hop_attn.append(attn)
-    trace.hop_scores_rh.append(rh)
+    trace.hop_rt_v.append(rt_v)
     trace.hop_resp.append(resp)
     return resp
 
@@ -253,7 +252,8 @@ def _user_forward(params, bags, hp, trace):
         trace.u_rep = params.values["user_emb"][bags.users]
         return trace.u_rep
     v = trace.v
-    responses = [_hop_forward(params, bags.hop_bags[k], v, trace) for k in range(hp.hops)]
+    rt_v_all = _relation_transpose_apply(params.values["relation_mat"], v)
+    responses = [_hop_forward(params, bags.hop_bags[k], rt_v_all, trace) for k in range(hp.hops)]
     w = params.values["fusion_w"]
     if hp.fusion == "shared":
         fused_in = np.sum(responses, axis=0) + v
@@ -337,45 +337,41 @@ def batch_loss(params, bags, hp, trace=None, mean=True):
 def _scatter_rows(grad, idx, contrib):
     """Accumulate contribution rows into grad rows (duplicate indices sum).
 
-    One bincount per embedding column beats ufunc.at by a wide margin at
-    training batch sizes.
+    One sparse product: a CSC matrix with a single 1 per column, in the
+    row of ``grad`` that column's contribution goes to, times the stacked
+    contributions.  Rows no index names receive exactly zero.
     """
     flat_idx = idx.reshape(-1)
     flat = contrib.reshape(-1, contrib.shape[-1])
-    for j in range(flat.shape[1]):
-        grad[:, j] += np.bincount(flat_idx, weights=flat[:, j], minlength=grad.shape[0])
+    n = len(flat_idx)
+    onehot = sparse.csc_matrix((np.ones(n, dtype=flat.dtype), flat_idx, np.arange(n + 1)),
+                               shape=(grad.shape[0], n))
+    grad += onehot @ flat
 
 
-def _hop_backward(params, bag, v, trace, k, g_resp, grads, g_v):
+def _hop_backward(params, bag, trace, k, g_resp, s, ent_rows):
+    """Backward of one hop.
+
+    Appends the hop's ``entity_emb`` rows (tails, heads) to ``ent_rows``
+    and adds g_score * h of each bag row into ``s`` (B * R, d) at row
+    b * R + r, leaving the candidate and relation gradients to the caller.
+    """
     ent = params.values["entity_emb"]
-    rel_mat = params.values["relation_mat"]
     heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
     attn = trace.hop_attn[k]
-    rh = trace.hop_scores_rh[k]
-    t_vec = ent[tails]
-    h_vec = ent[heads]
 
     # resp = sum_n attn_n * t_n
-    g_attn = np.einsum("bd,bnd->bn", g_resp, t_vec)
-    _scatter_rows(grads["entity_emb"], tails, attn[..., None] * g_resp[:, None, :])
+    g_attn = np.einsum("bd,bnd->bn", g_resp, ent[tails])
+    ent_rows.append((tails, attn[..., None] * g_resp[:, None, :]))
     # softmax jacobian within the bag
     g_scores = attn * (g_attn - np.sum(attn * g_attn, axis=-1, keepdims=True))
-    # score_n = (R_r h_n) . v
-    g_v += np.einsum("bn,bnd->bd", g_scores, rh)
-    rt_v = _relation_matmul(rel_mat, rels, np.broadcast_to(v[:, None, :], h_vec.shape), transpose=True)
-    _scatter_rows(grads["entity_emb"], heads, g_scores[..., None] * rt_v)
-    flat_rel = rels.reshape(-1)
-    order, starts, ends, present = _relation_groups(flat_rel)
-    gs_sorted = g_scores.reshape(-1)[order]
-    h_sorted = h_vec.reshape(-1, h_vec.shape[-1])[order]
-    v_sorted = np.broadcast_to(v[:, None, :], h_vec.shape).reshape(-1, v.shape[-1])[order]
-    for start, end, r in zip(starts, ends, present):
-        grads["relation_mat"][r] += np.einsum(
-            "m,mi,mj->ij", gs_sorted[start:end], v_sorted[start:end], h_sorted[start:end]
-        )
+    # score_n = h_n . (R_r^T v)
+    ent_rows.append((heads, g_scores[..., None] * trace.hop_rt_v[k]))
+    n_rel = params.values["relation_mat"].shape[0]
+    _scatter_rows(s, np.arange(len(bag))[:, None] * n_rel + rels, g_scores[..., None] * ent[heads])
 
 
-def _user_backward(params, bags, hp, trace, g_u, grads, g_v):
+def _user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
     if hp.user_table:
         _scatter_rows(grads["user_emb"], bags.users, g_u)
         return
@@ -394,11 +390,20 @@ def _user_backward(params, bags, hp, trace, g_u, grads, g_v):
             g_in = g_carry @ w[k]
             hop_grads[k] = g_in
             g_carry = g_in
+    rel_mat = params.values["relation_mat"]
+    n_rel, d, _ = rel_mat.shape
+    v = trace.v
+    # S[b, r]: sum of g_score * h over the bag rows of example b with relation r, all hops
+    s = np.zeros((len(v) * n_rel, d), dtype=v.dtype)
     for k in range(hp.hops):
-        _hop_backward(params, bags.hop_bags[k], trace.v, trace, k, hop_grads[k], grads, g_v)
+        _hop_backward(params, bags.hop_bags[k], trace, k, hop_grads[k], s, ent_rows)
+    s = s.reshape(len(v), n_rel * d)
+    # score = v . (R_r h): dv = sum_r R_r S[b, r], dR_r = sum_b v_b S[b, r]^T
+    g_v += s @ rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d)
+    grads["relation_mat"] += (v.T @ s).reshape(d, n_rel, d).transpose(1, 0, 2)
 
 
-def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u):
+def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows):
     if hp.conv_layers == 0:
         g_v += g_i
         return
@@ -419,7 +424,7 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u):
         grads["conv_w"][level] += np.einsum("bni,bnj->ij", g_pre, trace.tree_in[level])
         grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
         g_mixed = g_pre @ conv_w[level]
-        _scatter_rows(grads["entity_emb"], bags.tree_ents[level], g_mixed)
+        ent_rows.append((bags.tree_ents[level], g_mixed))
 
         b, n = bags.tree_ents[level].shape
         child_rel = bags.tree_rels[level + 1].reshape(b, n, n_e)
@@ -443,7 +448,7 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u):
             ).reshape(-1, u.shape[-1])
             _scatter_rows(grads["relation_vec"], flat_rel[keep], contrib[keep])
         g_z = g_child_z.reshape(b, n * n_e, -1)
-    _scatter_rows(grads["entity_emb"], bags.tree_ents[depth], g_z)
+    ent_rows.append((bags.tree_ents[depth], g_z))
 
 
 def forward_backward(params, bags, hp, mean=True):
@@ -479,10 +484,15 @@ def forward_backward(params, bags, hp, mean=True):
     g_u = g_logit[:, None] * trace.i_rep
     g_i = g_logit[:, None] * trace.u_rep
     g_v = np.zeros_like(trace.v)
+    ent_rows = []  # (index, rows) pairs of every entity_emb gradient, scattered once
     # item side first: it also feeds gradient into u (taste scores)
-    _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u)
-    _user_backward(params, bags, hp, trace, g_u, grads, g_v)
-    _scatter_rows(grads["entity_emb"], bags.v_idx, g_v)
+    _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows)
+    _user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows)
+    ent_rows.append((bags.v_idx, g_v))
+    d = g_v.shape[-1]
+    _scatter_rows(grads["entity_emb"],
+                  np.concatenate([idx.reshape(-1) for idx, _ in ent_rows]),
+                  np.concatenate([rows.reshape(-1, d) for _, rows in ent_rows]))
     params.add_l2_grads(hp.l2_weight)
     return loss, trace
 
@@ -500,7 +510,8 @@ def hop_response(params, bag, candidate_v):
     """Attention weights and response of one hop bag against one candidate."""
     bag = np.asarray(bag, dtype=np.int64).reshape(1, -1, 3)
     trace = ForwardTrace(v=np.asarray(candidate_v, dtype=params.dtype).reshape(1, -1))
-    resp = _hop_forward(params, bag, trace.v, trace)
+    rt_v_all = _relation_transpose_apply(params.values["relation_mat"], trace.v)
+    resp = _hop_forward(params, bag, rt_v_all, trace)
     return trace.hop_attn[0][0], resp[0]
 
 
@@ -508,7 +519,8 @@ def user_representation(params, ripple, candidate_v, hp):
     """Ripple-derived user representation against one candidate embedding."""
     v = np.asarray(candidate_v, dtype=params.dtype).reshape(1, -1)
     trace = ForwardTrace(v=v)
-    responses = [_hop_forward(params, bag.reshape(1, -1, 3), v, trace) for bag in ripple.hops]
+    rt_v_all = _relation_transpose_apply(params.values["relation_mat"], v)
+    responses = [_hop_forward(params, bag.reshape(1, -1, 3), rt_v_all, trace) for bag in ripple.hops]
     w = params.values["fusion_w"]
     if hp.fusion == "shared":
         return ((np.sum(responses, axis=0) + v) @ w[0].T)[0]

@@ -1,6 +1,8 @@
 import csv
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from ripplerec.cli import (
@@ -46,6 +48,32 @@ def workdir(tmp_path_factory, request):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture(scope="module")
+def untrained_run(workdir, tmp_path_factory):
+    """Prep artifacts plus an epochs=0 (f64) snapshot and manifest."""
+    out = tmp_path_factory.mktemp("snap") / "run"
+    assert run_cli("prep", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out) == 0
+    assert run_cli("train", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out,
+                   "--set", "epochs=0") == 0
+    return out
+
+
+def _to_f32(arrays, names):
+    for name in names:
+        arrays[name] = arrays[name].astype(np.float32)
+
+
+# (defect, edit of the snapshot's arrays, text stderr must contain)
+SNAPSHOT_DEFECTS = [
+    ("dropped_tensor", lambda a: a.pop("relation_vec"), ["'relation_vec'", "missing"]),
+    ("relation_mat_shape", lambda a: a.update(relation_mat=a["relation_mat"][:, :2]),
+     ["'relation_mat'", "expected shape", "found shape", ", 2, 4)"]),
+    ("dtype", lambda a: _to_f32(a, [k for k in a if k != "__magic__"]),
+     ["'entity_emb'", "float64", "float32"]),
+    ("mixed_dtype", lambda a: _to_f32(a, ["fusion_w"]), ["'fusion_w'", "float32"]),
+]
 
 
 class TestConfig:
@@ -139,6 +167,25 @@ class TestTrainEvalSweep:
         rc = run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5,
                      "--split", "test", "--set", "conv_layers=3", "--set", "embed_dim=16")
         assert rc == 0
+
+    @pytest.mark.parametrize("edit, expect", [d[1:] for d in SNAPSHOT_DEFECTS],
+                             ids=[d[0] for d in SNAPSHOT_DEFECTS])
+    def test_eval_rejects_mismatched_snapshot(self, workdir, untrained_run, tmp_path, capsys,
+                                              edit, expect):
+        out = tmp_path / "run"
+        shutil.copytree(untrained_run, out)
+        with np.load(out / "model.npz", allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        edit(arrays)
+        with open(out / "model.npz", "wb") as fh:
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        rc = run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED, err
+        for text in expect:
+            assert text in err, (text, err)
+        assert not (out / "eval_test.csv").exists()
 
     def test_eval_before_train_exit_2(self, workdir, tmp_path):
         out = tmp_path / "fresh"

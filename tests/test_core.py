@@ -10,7 +10,6 @@ from ripplerec.core import (
     save_params,
     sigmoid,
     softmax,
-    xavier_bound,
     xavier_uniform,
 )
 
@@ -74,10 +73,14 @@ class TestXavier:
         rng = np.random.default_rng(0)
         for shape in [(50, 8), (12, 8, 8), (64,)]:
             arr = xavier_uniform(shape, rng)
-            assert np.abs(arr).max() <= xavier_bound(shape)
+            fan_in, fan_out = (shape[0], shape[0]) if len(shape) == 1 else shape[-2:]
+            assert np.abs(arr).max() <= math.sqrt(6.0 / (fan_in + fan_out))
 
     def test_bound_formula(self):
-        assert xavier_bound((10, 20)) == pytest.approx(math.sqrt(6 / 30))
+        # 200 draws for (10, 20) fill Uniform(-b, b) with b = sqrt(6 / 30)
+        bound = math.sqrt(6 / 30)
+        arr = xavier_uniform((10, 20), np.random.default_rng(1))
+        assert 0.99 * bound <= np.abs(arr).max() <= bound
 
 
 def _store(**tensors):

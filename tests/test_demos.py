@@ -9,8 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 03 trains for several epochs and is left to manual runs
-QUICK_DEMOS = ["01_graph_and_sampling.py", "02_forward_pass_anatomy.py", "04_cli_and_sweeps.py"]
+QUICK_DEMOS = ["01_graph_and_sampling.py", "02_forward_pass_anatomy.py", "03_train_on_synthetic.py",
+               "04_cli_and_sweeps.py"]
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)

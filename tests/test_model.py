@@ -7,6 +7,7 @@ import ripplerec as rr
 import ripplerec.model
 from ripplerec.core import ParamStore, finite_diff_check
 from ripplerec.kg import NULL_RELATION, NeighborSample, RippleSet
+from ripplerec.synthetic import SyntheticSpec, generate
 from ripplerec.model import (
     BatchBags,
     Hyperparams,
@@ -418,6 +419,192 @@ class TestForwardBackward:
         err = finite_diff_check(lambda p: batch_loss(p, bags, hp), params,
                                 max_coords=8, rng=np.random.default_rng(1))
         assert err < 1e-4
+
+
+# -- reference user side: per-row relation products grouped by relation ---------
+# The hop algebra before it moved to one R_r^T v per (example, relation);
+# the oracle tests swap these in for the model's user side.
+
+
+def _ref_relation_groups(rel_idx):
+    order = np.argsort(rel_idx, kind="stable")
+    sorted_idx = rel_idx[order]
+    cuts = np.flatnonzero(np.diff(sorted_idx)) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [len(sorted_idx)]))
+    return order, starts, ends, sorted_idx[starts]
+
+
+def _ref_relation_matmul(rel_mat, rel_idx, vectors, transpose=False):
+    flat_idx = rel_idx.reshape(-1)
+    flat_vec = vectors.reshape(-1, vectors.shape[-1])
+    order, starts, ends, rels = _ref_relation_groups(flat_idx)
+    sorted_vec = flat_vec[order]
+    out_sorted = np.empty_like(sorted_vec)
+    for start, end, r in zip(starts, ends, rels):
+        mat = rel_mat[r]
+        out_sorted[start:end] = sorted_vec[start:end] @ (mat if transpose else mat.T)
+    out = np.empty_like(flat_vec)
+    out[order] = out_sorted
+    return out.reshape(vectors.shape)
+
+
+def _ref_scatter_rows(grad, idx, contrib):
+    np.add.at(grad, idx.reshape(-1), contrib.reshape(-1, contrib.shape[-1]))
+
+
+def _ref_hop_forward(params, bag, v, trace):
+    ent = params.values["entity_emb"]
+    heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
+    rh = _ref_relation_matmul(params.values["relation_mat"], rels, ent[heads])
+    attn = ripplerec.model.softmax(np.einsum("bnd,bd->bn", rh, v))
+    resp = np.einsum("bn,bnd->bd", attn, ent[tails])
+    trace.hop_attn.append(attn)
+    trace.ref_rh.append(rh)
+    trace.hop_resp.append(resp)
+    return resp
+
+
+def _ref_hop_backward(params, bag, v, trace, k, g_resp, grads, g_v):
+    ent = params.values["entity_emb"]
+    rel_mat = params.values["relation_mat"]
+    heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
+    attn = trace.hop_attn[k]
+    rh = trace.ref_rh[k]
+    h_vec = ent[heads]
+    g_attn = np.einsum("bd,bnd->bn", g_resp, ent[tails])
+    _ref_scatter_rows(grads["entity_emb"], tails, attn[..., None] * g_resp[:, None, :])
+    g_scores = attn * (g_attn - np.sum(attn * g_attn, axis=-1, keepdims=True))
+    g_v += np.einsum("bn,bnd->bd", g_scores, rh)
+    rt_v = _ref_relation_matmul(rel_mat, rels, np.broadcast_to(v[:, None, :], h_vec.shape), transpose=True)
+    _ref_scatter_rows(grads["entity_emb"], heads, g_scores[..., None] * rt_v)
+    order, starts, ends, present = _ref_relation_groups(rels.reshape(-1))
+    gs_sorted = g_scores.reshape(-1)[order]
+    h_sorted = h_vec.reshape(-1, h_vec.shape[-1])[order]
+    v_sorted = np.broadcast_to(v[:, None, :], h_vec.shape).reshape(-1, v.shape[-1])[order]
+    for start, end, r in zip(starts, ends, present):
+        grads["relation_mat"][r] += np.einsum(
+            "m,mi,mj->ij", gs_sorted[start:end], v_sorted[start:end], h_sorted[start:end]
+        )
+
+
+def _ref_user_forward(params, bags, hp, trace):
+    v = trace.v
+    trace.ref_rh = []
+    responses = [_ref_hop_forward(params, bags.hop_bags[k], v, trace) for k in range(hp.hops)]
+    w = params.values["fusion_w"]
+    if hp.fusion == "shared":
+        trace.fusion_in = np.sum(responses, axis=0) + v
+        trace.u_rep = trace.fusion_in @ w[0].T
+    else:
+        carry = np.zeros_like(v)
+        for k in range(hp.hops):
+            trace.rec_in.append(carry + responses[k])
+            carry = trace.rec_in[k] @ w[k].T
+        trace.u_rep = carry + v
+    return trace.u_rep
+
+
+def _ref_user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
+    w = params.values["fusion_w"]
+    if hp.fusion == "shared":
+        grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
+        hop_grads = [g_u @ w[0]] * hp.hops
+        g_v += hop_grads[0]
+    else:
+        g_v += g_u
+        g_carry = g_u
+        hop_grads = [None] * hp.hops
+        for k in range(hp.hops - 1, -1, -1):
+            grads["fusion_w"][k] += np.einsum("bi,bj->ij", g_carry, trace.rec_in[k])
+            g_carry = hop_grads[k] = g_carry @ w[k]
+    for k in range(hp.hops):
+        _ref_hop_backward(params, bags.hop_bags[k], trace.v, trace, k, hop_grads[k], grads, g_v)
+
+
+@pytest.fixture(scope="module")
+def many_relation_data(tmp_path_factory):
+    spec = SyntheticSpec(num_users=60, num_items=96, num_entities=192, clusters=16, seed=5)
+    paths = generate(spec, str(tmp_path_factory.mktemp("rel16")))
+    kg = rr.load_kg(paths.kg)
+    item_map = rr.load_item_map(paths.item_map, kg)
+    return kg, rr.build_dataset(rr.binarize(paths.ratings, 4.0, item_map), seed=5)
+
+
+class TestFusedBackwardOracle:
+    @pytest.mark.parametrize("fusion", ["shared", "recursive"])
+    def test_gradients_match_per_relation_reference(self, many_relation_data, fusion, monkeypatch):
+        kg, dataset = many_relation_data
+        hp = hp64(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, fusion=fusion, l2_weight=0.0)
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        bags = assemble_batch(dataset.train[:64], kg, ripple_sets, hp, dataset.item_entities,
+                              np.random.default_rng(1))
+        present = np.unique(np.concatenate([bag[..., 1].reshape(-1) for bag in bags.hop_bags]))
+        assert len(present) >= 8, "fixture too small: too few relations in the hop bags"
+        params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
+
+        def run():
+            params.zero_grads()
+            loss, trace = forward_backward(params, bags, hp)
+            return loss, trace, {name: g.copy() for name, g in params.grads.items()}
+
+        loss, trace, got = run()
+        monkeypatch.setattr(ripplerec.model, "_user_forward", _ref_user_forward)
+        monkeypatch.setattr(ripplerec.model, "_user_backward", _ref_user_backward)
+        ref_loss, ref_trace, want = run()
+        assert len(ref_trace.ref_rh) == hp.hops  # the reference path ran
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(trace.yhat, ref_trace.yhat, rtol=1e-12)
+        for name in want:
+            assert np.any(want[name] != 0.0), name
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_rows_matches_add_at(self, dtype):
+        rng = np.random.default_rng(0)
+        idx = rng.integers(0, 40, size=(30, 7))  # 210 rows into 40 of 50: duplicates and untouched rows
+        contrib = rng.normal(size=(30, 7, 5)).astype(dtype)
+        got = np.zeros((50, 5), dtype=dtype)
+        want = np.zeros((50, 5), dtype=dtype)
+        for _ in range(2):  # accumulates into what is there
+            ripplerec.model._scatter_rows(got, idx, contrib)
+            _ref_scatter_rows(want, idx, contrib)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12)
+        untouched = sorted(set(range(50)) - set(idx.reshape(-1).tolist()))
+        assert len(untouched) >= 10
+        np.testing.assert_array_equal(got[untouched], 0.0)
+
+    def test_out_of_range_hop_relation_raises(self, tiny_data):
+        hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1)
+        params, bags = _tiny_batch(tiny_data, hp, n=4)
+        # relation R in example 0: a flat b * R + r key would read example 1's relation 0
+        bags.hop_bags[0][0, 0, 1] = params.values["relation_mat"].shape[0]
+        with pytest.raises(IndexError):
+            forward(params, bags, hp)
+
+
+class TestPrecisionAgreement:
+    @pytest.mark.parametrize("variant", [
+        dict(),
+        dict(fusion="recursive"),
+        dict(user_table=True),
+        dict(conv_layers=0),
+    ])
+    def test_f32_forward_matches_f64(self, mid_data, variant):
+        kg, dataset = mid_data
+        yhat = {}
+        for precision in ("f32", "f64"):
+            kw = dict(hops=2, ripple_size=16, neighbor_size=4, conv_layers=2, precision=precision)
+            hp = Hyperparams(**{**kw, **variant})
+            ripple_sets = {} if hp.user_table else rr.build_ripple_sets(dataset, kg, hp, seed=4)
+            bags = assemble_batch(dataset.train[:256], kg, ripple_sets, hp, dataset.item_entities,
+                                  np.random.default_rng(4))
+            params = init_params(kg.num_entities, kg.num_relations, hp, seed=4,
+                                 num_users=dataset.num_users)
+            yhat[precision] = forward(params, bags, hp).yhat
+        assert yhat["f32"].dtype == np.float32 and yhat["f64"].dtype == np.float64
+        assert np.max(np.abs(yhat["f32"].astype(np.float64) - yhat["f64"])) <= 1e-5
 
 
 class TestFit:
