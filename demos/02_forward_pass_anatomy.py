@@ -1,39 +1,27 @@
 """Anatomy of one prediction, with handcrafted parameters.
 
-Walks the computation graph one stage at a time on a 2-dimensional toy
-setup: hop attention over ripple triples, fusion into the user
+Builds a one-example batch by hand on a 2-dimensional toy setup, runs
+the model's forward pass once, and walks the stages it keeps in its
+trace: hop attention over ripple triples, fusion into the user
 representation, relation-scored neighbor aggregation on the item side,
 and the final logistic score.
 """
 
-import os
-import tempfile
-
 import numpy as np
 
 import ripplerec as rr
-from ripplerec.kg import NeighborSample, RippleSet
-from ripplerec.model import (
-    Hyperparams,
-    hop_response,
-    item_representation,
-    neighbor_aggregate,
-    predict_ctr,
-    relation_score,
-    user_representation,
-)
 
-hp = Hyperparams(embed_dim=2, hops=1, ripple_size=2, neighbor_size=2, conv_layers=1)
+hp = rr.Hyperparams(embed_dim=2, hops=1, ripple_size=2, neighbor_size=2, conv_layers=1)
 params = rr.init_params(num_entities=6, num_relations=2, hp=hp, seed=0)
 
 # Overwrite the random initialization with legible numbers.
 params.values["entity_emb"][...] = [
     [1.0, 0.0],   # 0: head of the first ripple triple
-    [1.0, 1.0],   # 1: its tail
+    [1.0, 1.0],   # 1: its tail, and a neighbor of the candidate
     [0.0, 1.0],   # 2: head of the second triple
     [3.0, 5.0],   # 3: its tail
     [0.5, 0.25],  # 4: candidate item entity
-    [0.2, 0.8],   # 5: a neighbor of the candidate
+    [0.2, 0.8],   # 5: another neighbor of the candidate
 ]
 params.values["relation_mat"][0] = np.eye(2)
 params.values["relation_vec"][...] = [[2.0, 0.0], [0.0, 2.0]]
@@ -41,38 +29,31 @@ params.values["fusion_w"][0] = np.eye(2)
 params.values["conv_w"][0] = np.eye(2)
 params.values["conv_b"][0] = 0.0
 
-v = params.values["entity_emb"][4]
-print("candidate embedding v:", v)
+# One example, frozen by hand: the user's ripple bag (one hop of two
+# triples) and the candidate's neighbor tree (two children of entity 4).
+bags = rr.BatchBags(
+    users=np.array([0]), items=np.array([0]), labels=np.array([1]),
+    v_idx=np.array([4]),
+    hop_bags=[np.array([[(0, 0, 1), (2, 0, 3)]])],  # (head, relation, tail)
+    tree_ents=[np.array([[4]]), np.array([[1, 5]])],
+    tree_rels=[None, np.array([[0, 1]])],
+)
+trace = rr.forward(params, bags, hp)
+print("candidate embedding v:", trace.v[0])
 
 # 1) Hop attention: each triple is scored by (R_r h) . v, softmaxed per bag.
-bag = [(0, 0, 1), (2, 0, 3)]
-attn, response = hop_response(params, bag, v)
-print("\nhop attention over the bag:", np.round(attn, 4))
-print("hop response (weighted tail sum):", np.round(response, 4))
+print("\nhop attention over the bag:", np.round(trace.hop_attn[0][0], 4))
+print("hop response (weighted tail sum):", np.round(trace.hop_resp[0][0], 4))
 
 # 2) Fusion: hop responses plus the candidate, through one learned map.
-ripple = RippleSet(user=0, hops=[np.array(bag)])
-u = user_representation(params, ripple, v, hp)
+u = trace.u_rep[0]
 print("\nuser representation o = W(sum of hop responses + v):", np.round(u, 4))
 
 # 3) Item side: neighbors weighted by how much this user cares about each relation.
-print("\ntaste score for relation 0:", relation_score(params, u, 0))
-print("taste score for relation 1:", relation_score(params, u, 1))
-sample = NeighborSample(center=4, relations=np.array([0, 1]), entities=np.array([1, 5]))
-agg = neighbor_aggregate(params, u, sample)
-print("neighbor aggregate:", np.round(agg, 4))
+print("\ntaste scores o . r for relations 0 and 1:", np.round(params.values["relation_vec"] @ u, 4))
+print("neighbor attention (softmax of the taste scores):", np.round(trace.tree_alpha[0][0, 0], 4))
+print("own embedding + neighbor aggregate:", np.round(trace.tree_in[0][0, 0], 4))
+print("item representation (tanh of the conv layer):", np.round(trace.i_rep[0], 4))
 
-# 4) Full item representation needs a graph to sample its tree from.
-workdir = tempfile.mkdtemp(prefix="ripplerec-demo-")
-kg_path = os.path.join(workdir, "kg.tsv")
-with open(kg_path, "w", encoding="utf-8") as fh:
-    fh.write("item\tr0\tattribute\n")
-kg = rr.load_kg(kg_path)
-item = item_representation(params, kg.entity_vocab["item"], u, kg, hp, np.random.default_rng(0))
-print("\nitem representation (tanh-squashed conv over sampled tree):", np.round(item, 4))
-
-# 5) The prediction is the logistic of the inner product.
-print("predicted interaction probability:", round(predict_ctr(u, item), 4))
-
-# Orthogonal representations always land exactly on 0.5.
-print("orthogonal sanity check:", predict_ctr(np.array([1.0, 0.0]), np.array([0.0, 9.0])))
+# 4) The prediction is the logistic of the inner product.
+print("\npredicted interaction probability:", round(float(trace.yhat[0]), 4))

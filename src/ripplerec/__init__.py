@@ -38,14 +38,8 @@ from .model import (
     fit,
     forward,
     forward_backward,
-    hop_response,
     init_params,
-    item_representation,
-    neighbor_aggregate,
-    predict_ctr,
-    relation_score,
     score_batch,
-    user_representation,
 )
 
 __version__ = "0.1.0"
@@ -77,19 +71,13 @@ __all__ = [
     "fit",
     "forward",
     "forward_backward",
-    "hop_response",
     "init_params",
-    "item_representation",
     "load_item_map",
     "load_kg",
-    "neighbor_aggregate",
     "negative_sample",
-    "predict_ctr",
-    "relation_score",
     "sample_neighbors",
     "score_batch",
     "sigmoid",
     "softmax",
     "split",
-    "user_representation",
 ]

@@ -8,13 +8,18 @@ Subcommands::
     ripplerec sweep --config cfg.txt --set sweep_param=ripple_size --set sweep_values=8,16,32,64
 
 Configs are ``key = value`` text files; any key can be overridden on the
-command line with ``--set``.  All outputs are CSV/TSV plus key = value
+command line with ``--set``.  Keys are flat: paths, prep and sweep
+settings are :class:`RunConfig` fields, and every
+:class:`~ripplerec.model.Hyperparams` field is a key of the same name,
+held in ``RunConfig.hp``.  All outputs are CSV/TSV plus key = value
 manifests, deterministic for a fixed seed.  Exit codes: 2 missing input
-file, 3 malformed data, 4 training divergence.
+file, 3 malformed data (with ``file:line`` where a line is at fault), 4
+training divergence.
 
 Five-run averaging uses seeds base..base+4; sweep cells are independent
 and each cell's CSV row is traceable to a manifest (config hash + seed)
-written beside the results.
+written beside the results; a cell whose value Hyperparams rejects is
+an NA row without one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import hashlib
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,7 +46,7 @@ EXIT_DIVERGED = 4
 
 @dataclass
 class RunConfig:
-    """Flat bag of every knob a run can take; see Hyperparams for semantics."""
+    """Every knob of a run: paths, prep and sweep settings, and ``hp``."""
 
     kg: str = ""
     ratings: str = ""
@@ -51,33 +56,19 @@ class RunConfig:
     threshold: float = 4.0
     undirected: bool = True
     ratios: tuple = (0.6, 0.2, 0.2)
-    embed_dim: int = 8
-    hops: int = 2
-    ripple_size: int = 32
-    neighbor_size: int = 8
-    conv_layers: int = 1
-    l2_weight: float = 1e-7
-    lr: float = 1e-2
-    batch_size: int = 1024
-    epochs: int = 20
-    acc_threshold: float = 0.5
-    patience: int = 5
-    user_table: bool = False
-    fusion: str = "shared"
-    loss_variant: str = "bce"
-    resample_ripple: bool = False
-    precision: str = "f32"
-    optimizer: str = "adam"
+    hp: model.Hyperparams = field(default_factory=model.Hyperparams)
     sweep_param: str = ""
     sweep_values: tuple = ()
     sweep_seeds: int = 5
 
-    def hyperparams(self):
-        names = {f.name for f in fields(model.Hyperparams)}
-        return model.Hyperparams(**{k: v for k, v in asdict(self).items() if k in names})
+    def flat(self):
+        """Key -> value under the names configs and manifests use: ``hp`` spliced in."""
+        out = asdict(self)
+        out.update(out.pop("hp"))
+        return out
 
     def digest(self):
-        text = "\n".join(f"{k}={v}" for k, v in sorted(asdict(self).items()))
+        text = "\n".join(f"{k}={v}" for k, v in sorted(self.flat().items()))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -101,7 +92,7 @@ def _coerce(name, raw, current):
 
 
 def parse_config_file(path, cfg):
-    with open(path, encoding="utf-8") as fh:
+    with kgmod.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -114,9 +105,18 @@ def parse_config_file(path, cfg):
 
 
 def _apply(cfg, key, raw, where="--set"):
-    if not hasattr(cfg, key):
+    """Set one flat key from its text; a Hyperparams key replaces ``cfg.hp``."""
+    flat = cfg.flat()
+    if key not in flat:
         raise ValueError(f"{where}: unknown config key {key!r}")
-    setattr(cfg, key, _coerce(key, raw, getattr(cfg, key)))
+    try:
+        value = _coerce(key, raw, flat[key])
+        if hasattr(cfg.hp, key):
+            cfg.hp = replace(cfg.hp, **{key: value})
+        else:
+            setattr(cfg, key, value)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def build_config(args):
@@ -145,7 +145,7 @@ def _write_kv(path, mapping):
 
 def _read_kv(path):
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with kgmod.open_text(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or "=" not in line:
@@ -222,11 +222,14 @@ def cmd_prep(cfg):
 
 
 def load_prep(cfg):
-    """Rebuild (kg, dataset) from prep artifacts in ``cfg.out``."""
+    """Rebuild (kg, dataset, prep meta) from prep artifacts in ``cfg.out``."""
     meta_path = os.path.join(cfg.out, "prep_meta.txt")
     if not os.path.exists(meta_path):
         raise FileNotFoundError(meta_path)
     meta = _read_kv(meta_path)
+    for key in ("num_users", "num_items", "kg", "undirected", "entity_vocab_sha256", "relation_vocab_sha256"):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: missing key {key!r} (truncated, or not written by prep)")
     graph = kgmod.load_kg(meta["kg"], undirected=meta["undirected"] == "True")
     for name, key in (("entity_vocab.tsv", "entity_vocab_sha256"), ("relation_vocab.tsv", "relation_vocab_sha256")):
         path = os.path.join(cfg.out, name)
@@ -241,7 +244,7 @@ def load_prep(cfg):
         num_items=int(meta["num_items"]),
         item_entities=item_entities,
     )
-    return graph, dataset
+    return graph, dataset, meta
 
 
 # -- train / eval -----------------------------------------------------------------
@@ -263,21 +266,20 @@ def _save_snapshot(out_dir, params, cfg, meta):
     save_params(tmp, params)
     os.replace(tmp, snap)
     manifest = {"config_digest": cfg.digest(), "seed": cfg.seed}
-    manifest.update({k: v for k, v in asdict(cfg).items() if k not in ("sweep_param", "sweep_values", "sweep_seeds")})
+    manifest.update({k: v for k, v in cfg.flat().items() if k not in ("sweep_param", "sweep_values", "sweep_seeds")})
     manifest.update(meta)
     _write_kv(os.path.join(out_dir, "model.manifest.txt"), manifest)
     return snap
 
 
 def cmd_train(cfg):
-    graph, dataset = load_prep(cfg)
-    hp = cfg.hyperparams()
-    result = model.fit(dataset, graph, hp, seed=cfg.seed)
+    graph, dataset, prep_meta = load_prep(cfg)
+    result = model.fit(dataset, graph, cfg.hp, seed=cfg.seed)
     meta = {
         "best_epoch": result.best_epoch,
         "diverged": result.diverged,
         "skipped_users": result.skipped_users,
-        "entity_vocab_sha256": _read_kv(os.path.join(cfg.out, "prep_meta.txt"))["entity_vocab_sha256"],
+        "entity_vocab_sha256": prep_meta["entity_vocab_sha256"],
     }
     _save_snapshot(cfg.out, result.params, cfg, meta)
     _write_epoch_log(os.path.join(cfg.out, "epochs.csv"), result.history)
@@ -294,14 +296,10 @@ def cmd_train(cfg):
 
 def _hyperparams_from_manifest(manifest, fallback):
     """Rebuild the training-time Hyperparams recorded next to a snapshot."""
-    probe = RunConfig()
-    kwargs = {}
-    for f in fields(model.Hyperparams):
-        if f.name in manifest:
-            kwargs[f.name] = _coerce(f.name, manifest[f.name], getattr(probe, f.name, f.default))
-    if not kwargs:
-        return fallback.hyperparams()
-    return model.Hyperparams(**kwargs)
+    defaults = model.Hyperparams()
+    kwargs = {f.name: _coerce(f.name, manifest[f.name], getattr(defaults, f.name))
+              for f in fields(defaults) if f.name in manifest}
+    return model.Hyperparams(**kwargs) if kwargs else fallback
 
 
 def _check_snapshot(path, params, graph, dataset, hp):
@@ -325,7 +323,7 @@ def _check_snapshot(path, params, graph, dataset, hp):
 
 
 def cmd_eval(cfg, split):
-    graph, dataset = load_prep(cfg)
+    graph, dataset, _ = load_prep(cfg)
     snap = os.path.join(cfg.out, "model.npz")
     if not os.path.exists(snap):
         raise FileNotFoundError(snap)
@@ -333,7 +331,7 @@ def cmd_eval(cfg, split):
     params = load_params(snap)
     # score with the hyperparameters the snapshot was trained with, not
     # whatever the current config happens to say
-    hp = _hyperparams_from_manifest(manifest, cfg)
+    hp = _hyperparams_from_manifest(manifest, cfg.hp)
     _check_snapshot(snap, params, graph, dataset, hp)
     train_seed = int(manifest.get("seed", cfg.seed))
     ripple_sets = {} if hp.user_table else model.build_ripple_sets(dataset, graph, hp, train_seed)
@@ -353,26 +351,25 @@ def cmd_eval(cfg, split):
 
 
 def cmd_sweep(cfg):
-    if not cfg.sweep_param:
-        raise ValueError("sweep requires sweep_param (and sweep_values)")
+    if cfg.sweep_param not in cfg.flat():
+        raise ValueError(f"sweep requires sweep_param naming a config key, got {cfg.sweep_param!r}")
     if not cfg.sweep_values:
         raise ValueError("sweep_values must be nonempty")
-    graph, dataset = load_prep(cfg)
+    graph, dataset, _ = load_prep(cfg)
     os.makedirs(os.path.join(cfg.out, "cells"), exist_ok=True)
     seeds = [cfg.seed + i for i in range(cfg.sweep_seeds)]
     rows = []
     for raw_value in cfg.sweep_values:
         for seed in seeds:
-            cell_cfg = RunConfig(**asdict(cfg))
-            _apply(cell_cfg, cfg.sweep_param, raw_value, where="sweep cell")
-            cell_cfg.seed = seed
+            cell_cfg = replace(cfg, seed=seed)
             cell_name = f"{cfg.sweep_param}={raw_value}_seed{seed}"
-            _write_kv(os.path.join(cfg.out, "cells", cell_name + ".manifest.txt"),
-                      {"config_digest": cell_cfg.digest(), "seed": seed,
-                       cfg.sweep_param: raw_value})
             try:
-                hp = cell_cfg.hyperparams()
-                result = model.fit(dataset, graph, hp, seed=seed)
+                # a value Hyperparams rejects fails this cell only (no manifest, NA row)
+                _apply(cell_cfg, cfg.sweep_param, raw_value, where="sweep cell")
+                _write_kv(os.path.join(cfg.out, "cells", cell_name + ".manifest.txt"),
+                          {"config_digest": cell_cfg.digest(), "seed": seed,
+                           cfg.sweep_param: raw_value})
+                result = model.fit(dataset, graph, cell_cfg.hp, seed=seed)
                 if result.diverged or result.test_report is None:
                     raise FloatingPointError("diverged")
                 rows.append((raw_value, seed, f"{result.test_report.auc:.6f}", f"{result.test_report.acc:.6f}"))
@@ -431,7 +428,7 @@ def main(argv=None):
     except FileNotFoundError as err:
         print(f"error: missing file: {err}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (kgmod.ParseError, ValueError) as err:
+    except ValueError as err:  # kg.ParseError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MALFORMED
     except FloatingPointError as err:

@@ -97,9 +97,6 @@ class ParamStore:
         for g in self.grads.values():
             g.fill(0.0)
 
-    def num_params(self):
-        return sum(v.size for v in self.values.values())
-
     def l2_penalty(self):
         """Sum of squared values over every tensor."""
         return float(sum(np.sum(v * v) for v in self.values.values()))
@@ -118,11 +115,10 @@ class ParamStore:
             out.add(name, v.copy())
         return out
 
-    def check_finite(self, what="values"):
-        source = self.values if what == "values" else self.grads
-        for name, arr in source.items():
+    def check_finite_grads(self):
+        for name, arr in self.grads.items():
             if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite {what} in tensor {name!r}")
+                raise FloatingPointError(f"non-finite grads in tensor {name!r}")
 
     # -- optimizers ---------------------------------------------------------
 
@@ -132,7 +128,7 @@ class ParamStore:
         Gradients are zeroed afterwards.  Raises if any gradient is
         non-finite, naming the offending tensor.
         """
-        self.check_finite("grads")
+        self.check_finite_grads()
         b1, b2 = betas
         self._adam_t += 1
         t = self._adam_t
@@ -154,7 +150,7 @@ class ParamStore:
 
     def sgd_step(self, lr):
         """Plain gradient descent; provided as an alternative to Adam."""
-        self.check_finite("grads")
+        self.check_finite_grads()
         for name, v in self.values.items():
             v -= lr * self.grads[name]
         self.zero_grads()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import ParseError
+from .kg import ParseError, read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -94,36 +94,29 @@ def binarize(ratings_path, threshold, item_to_entity):
     seen: set[tuple[int, int]] = set()
     n_rows = n_below = n_unmapped = 0
 
-    with open(ratings_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise ParseError(ratings_path, lineno, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
-            raw_user, raw_item, raw_rating = fields[0], fields[1], fields[2]
-            try:
-                rating = float(raw_rating)
-            except ValueError:
-                raise ParseError(ratings_path, lineno, f"non-numeric rating {raw_rating!r}") from None
-            n_rows += 1
-            if raw_item not in item_index:
-                n_unmapped += 1
-                continue
-            if rating < threshold:
-                n_below += 1
-                continue
-            u = user_index.get(raw_user)
-            if u is None:
-                u = len(user_names)
-                user_index[raw_user] = u
-                user_names.append(raw_user)
-            key = (u, item_index[raw_item])
-            if key in seen:
-                continue
-            seen.add(key)
-            positives.append(key)
+    for lineno, fields in read_tsv(ratings_path, 3, 4):
+        raw_user, raw_item, raw_rating = fields[0], fields[1], fields[2]
+        try:
+            rating = float(raw_rating)
+        except ValueError:
+            raise ParseError(ratings_path, lineno, f"non-numeric rating {raw_rating!r}") from None
+        n_rows += 1
+        if raw_item not in item_index:
+            n_unmapped += 1
+            continue
+        if rating < threshold:
+            n_below += 1
+            continue
+        u = user_index.get(raw_user)
+        if u is None:
+            u = len(user_names)
+            user_index[raw_user] = u
+            user_names.append(raw_user)
+        key = (u, item_index[raw_item])
+        if key in seen:
+            continue
+        seen.add(key)
+        positives.append(key)
     if n_rows == 0:
         raise ValueError(f"{ratings_path}: no rating rows found")
 
@@ -180,6 +173,15 @@ def _partition_counts(n, ratios):
     return counts
 
 
+def _user_history(train):
+    """Ripple seeds: each user's positive train items, users in first-appearance order."""
+    history: dict[int, list[int]] = {}
+    for u, item, label in train:
+        if label == 1:
+            history.setdefault(int(u), []).append(int(item))
+    return {u: np.array(items, dtype=np.int64) for u, items in history.items()}
+
+
 def split(interactions, ratios=(0.6, 0.2, 0.2), seed=0, num_users=None, num_items=None, group_size=1):
     """Globally shuffle records with ``seed``, then partition contiguously.
 
@@ -209,18 +211,13 @@ def split(interactions, ratios=(0.6, 0.2, 0.2), seed=0, num_users=None, num_item
         num_users = int(records[:, 0].max()) + 1
     if num_items is None:
         num_items = int(records[:, 1].max()) + 1
-    history: dict[int, list[int]] = {}
-    for u, item, label in train:
-        if label == 1:
-            history.setdefault(int(u), []).append(int(item))
-    user_history = {u: np.array(items, dtype=np.int64) for u, items in history.items()}
     return InteractionDataset(
         num_users=num_users,
         num_items=num_items,
         train=train,
         validation=validation,
         test=test,
-        user_history=user_history,
+        user_history=_user_history(train),
     )
 
 
@@ -264,16 +261,13 @@ def write_split(path, records):
 
 
 def read_split(path):
+    """Inverse of :func:`write_split`: an ``(n, 3)`` int array."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+    for lineno, fields in read_tsv(path, 3):
+        try:
             records.append([int(fields[0]), int(fields[1]), int(fields[2])])
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer field in {fields}") from None
     if not records:
         return np.empty((0, 3), dtype=np.int64)
     return np.array(records, dtype=np.int64)
@@ -282,18 +276,12 @@ def read_split(path):
 def dataset_from_files(train_path, validation_path, test_path, num_users, num_items, item_entities=None):
     """Rebuild an :class:`InteractionDataset` from emitted split files."""
     train = read_split(train_path)
-    validation = read_split(validation_path)
-    test = read_split(test_path)
-    history: dict[int, list[int]] = {}
-    for u, item, label in train:
-        if label == 1:
-            history.setdefault(int(u), []).append(int(item))
     return InteractionDataset(
         num_users=num_users,
         num_items=num_items,
         train=train,
-        validation=validation,
-        test=test,
-        user_history={u: np.array(v, dtype=np.int64) for u, v in history.items()},
+        validation=read_split(validation_path),
+        test=read_split(test_path),
+        user_history=_user_history(train),
         item_entities=item_entities,
     )

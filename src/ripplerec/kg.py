@@ -18,6 +18,7 @@ concurrent sampling requires independent generator instances.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,45 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = path
         self.lineno = lineno
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading.
+
+    A byte sequence that does not decode raises :class:`ParseError`
+    naming the first line that holds one.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        # the decoder works on whole chunks, so find the line by rereading
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise ParseError(path, lineno, f"not valid UTF-8 ({err.reason})") from None
+
+
+def read_tsv(path, *arity):
+    """Yield ``(lineno, fields)`` for every non-empty line of a UTF-8 TSV file.
+
+    A line whose field count is not one of ``arity`` raises
+    :class:`ParseError`, as does a byte that does not decode.
+    """
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) not in arity:
+                expected = " or ".join(str(n) for n in arity)
+                raise ParseError(path, lineno, f"expected {expected} tab-separated fields, got {len(fields)}")
+            yield lineno, fields
 
 
 @dataclass
@@ -123,22 +163,15 @@ def load_kg(path, undirected=True):
             names.append(raw)
         return idx
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-            h = intern(entity_vocab, entity_names, fields[0])
-            r = intern(relation_vocab, relation_names, fields[1])
-            t = intern(entity_vocab, entity_names, fields[2])
-            key = (h, r, t)
-            if key in seen:
-                continue
-            seen.add(key)
-            triples.append(key)
+    for _, (raw_h, raw_r, raw_t) in read_tsv(path, 3):
+        h = intern(entity_vocab, entity_names, raw_h)
+        r = intern(relation_vocab, relation_names, raw_r)
+        t = intern(entity_vocab, entity_names, raw_t)
+        key = (h, r, t)
+        if key in seen:
+            continue
+        seen.add(key)
+        triples.append(key)
     if not triples:
         raise ValueError(f"{path}: no triples found")
 
@@ -261,20 +294,12 @@ def load_item_map(path, kg):
     """
     mapping: dict[str, int] = {}
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, lineno, f"expected 2 tab-separated fields, got {len(fields)}")
-            raw_item, raw_entity = fields
-            idx = kg.entity_vocab.get(raw_entity)
-            if idx is None:
-                skipped += 1
-                continue
-            mapping[raw_item] = idx
+    for _, (raw_item, raw_entity) in read_tsv(path, 2):
+        idx = kg.entity_vocab.get(raw_entity)
+        if idx is None:
+            skipped += 1
+            continue
+        mapping[raw_item] = idx
     if skipped:
         logger.warning("%s: %d item map rows referenced unknown entities", path, skipped)
     return mapping
@@ -290,13 +315,9 @@ def write_vocab(path, names):
 def read_vocab(path):
     """Inverse of :func:`write_vocab`; returns the dict raw_id -> index."""
     vocab = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, lineno, f"expected 2 tab-separated fields, got {len(fields)}")
-            vocab[fields[0]] = int(fields[1])
+    for lineno, (raw, idx) in read_tsv(path, 2):
+        try:
+            vocab[raw] = int(idx)
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer index {idx!r}") from None
     return vocab

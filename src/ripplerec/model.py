@@ -14,12 +14,15 @@ layer).  Depth 0 disables the item side (the candidate embedding is
 used raw); ``user_table`` replaces the ripple path with a plain learned
 user embedding.  Either switch yields the single-side ablations.
 
-Prediction is the logistic of o . i.  The computation graph is small
-and static, so gradients are derived per operation against a retained
-:class:`ForwardTrace` instead of running autodiff.  Forward passes over
-frozen parameters are pure functions of (params, sampled bags) and safe
-to run concurrently; gradient accumulation and updates are single
-writer.
+Prediction is the logistic of o . i.  There is one forward path:
+:func:`forward` scores a whole :class:`BatchBags` (one example is a
+batch of one) and keeps every stage -- hop attention and responses, the
+user representation, tree attention, the item representation and the
+prediction -- in its :class:`ForwardTrace`.  The computation graph is
+small and static, so gradients are derived per operation against that
+trace instead of running autodiff.  Forward passes over frozen
+parameters are pure functions of (params, sampled bags) and safe to run
+concurrently; gradient accumulation and updates are single writer.
 
 The hop algebra works per (example, relation), not per bag row: since
 (R_r h) . v = h . (R_r^T v), one GEMM gives R_r^T v for every example
@@ -56,9 +59,8 @@ class Hyperparams:
     enhancement (ablation).  ``fusion`` selects how hop responses merge:
     ``"shared"`` applies one map to their sum plus the candidate,
     ``"recursive"`` chains per-hop maps and adds the candidate at the
-    end.  ``loss_variant="flipped"`` subtracts the negative-sample
-    cross-entropy instead of adding it; it exists for inspection only
-    and is not a trainable objective.
+    end.  ``precision`` is ``"f32"`` by default; finite-difference
+    gradient checks need ``"f64"``.
     """
 
     embed_dim: int = 8
@@ -74,9 +76,8 @@ class Hyperparams:
     patience: int = 5
     user_table: bool = False
     fusion: str = "shared"
-    loss_variant: str = "bce"
     resample_ripple: bool = False
-    precision: str = "f64"
+    precision: str = "f32"
     optimizer: str = "adam"
 
     def __post_init__(self):
@@ -94,8 +95,6 @@ class Hyperparams:
             raise ValueError("lr must be > 0")
         if self.fusion not in ("shared", "recursive"):
             raise ValueError(f"unknown fusion variant {self.fusion!r}")
-        if self.loss_variant not in ("bce", "flipped"):
-            raise ValueError(f"unknown loss variant {self.loss_variant!r}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.optimizer not in ("adam", "sgd"):
@@ -325,8 +324,6 @@ def batch_loss(params, bags, hp, trace=None, mean=True):
     y = bags.labels
     p = np.clip(trace.yhat, PROB_CLAMP, 1.0 - PROB_CLAMP)
     ce = -(y * np.log(p) + (1 - y) * np.log1p(-p))
-    if hp.loss_variant == "flipped":
-        ce = np.where(y == 1, ce, -ce)
     data = ce.mean() if mean else ce.sum()
     return float(data + hp.l2_weight * params.l2_penalty())
 
@@ -477,8 +474,6 @@ def forward_backward(params, bags, hp, mean=True):
     scale = 1.0 / bags.size if mean else 1.0
     inside = (trace.yhat > PROB_CLAMP) & (trace.yhat < 1.0 - PROB_CLAMP)
     g_logit = (trace.yhat - y) * scale * inside
-    if hp.loss_variant == "flipped":
-        g_logit = np.where(y == 1, g_logit, -g_logit)
 
     grads = params.grads
     g_u = g_logit[:, None] * trace.i_rep
@@ -501,69 +496,6 @@ def score_batch(params, records, kg, ripple_sets, hp, item_entities, rng):
     """Predicted interaction probabilities for (user, item, ...) records."""
     bags = assemble_batch(records, kg, ripple_sets, hp, item_entities, rng)
     return forward(params, bags, hp).yhat
-
-
-# -- single-example operations -------------------------------------------------
-
-
-def hop_response(params, bag, candidate_v):
-    """Attention weights and response of one hop bag against one candidate."""
-    bag = np.asarray(bag, dtype=np.int64).reshape(1, -1, 3)
-    trace = ForwardTrace(v=np.asarray(candidate_v, dtype=params.dtype).reshape(1, -1))
-    rt_v_all = _relation_transpose_apply(params.values["relation_mat"], trace.v)
-    resp = _hop_forward(params, bag, rt_v_all, trace)
-    return trace.hop_attn[0][0], resp[0]
-
-
-def user_representation(params, ripple, candidate_v, hp):
-    """Ripple-derived user representation against one candidate embedding."""
-    v = np.asarray(candidate_v, dtype=params.dtype).reshape(1, -1)
-    trace = ForwardTrace(v=v)
-    rt_v_all = _relation_transpose_apply(params.values["relation_mat"], v)
-    responses = [_hop_forward(params, bag.reshape(1, -1, 3), rt_v_all, trace) for bag in ripple.hops]
-    w = params.values["fusion_w"]
-    if hp.fusion == "shared":
-        return ((np.sum(responses, axis=0) + v) @ w[0].T)[0]
-    carry = np.zeros_like(v)
-    for k, resp in enumerate(responses):
-        carry = (carry + resp) @ w[k].T
-    return (carry + v)[0]
-
-
-def relation_score(params, u_rep, relation):
-    """Taste score of a user representation for one relation; 0 for the pad."""
-    if relation == NULL_RELATION:
-        return 0.0
-    return float(np.dot(u_rep, params.values["relation_vec"][relation]))
-
-
-def neighbor_aggregate(params, u_rep, sample):
-    """Softmax-weighted neighbor embedding sum for one sampled entity."""
-    u_rep = np.asarray(u_rep, dtype=params.dtype)
-    scores = np.array([relation_score(params, u_rep, int(r)) for r in sample.relations])
-    weights = softmax(scores)
-    return weights @ params.values["entity_emb"][sample.entities]
-
-
-def item_representation(params, item_entity, u_rep, kg, hp, rng):
-    """Layered neighbor-convolution representation of one item entity."""
-    if hp.conv_layers == 0:
-        return params.values["entity_emb"][item_entity].copy()
-    v_idx = np.array([item_entity], dtype=np.int64)
-    ents, rels = sample_item_trees(kg, v_idx, hp.conv_layers, hp.neighbor_size, rng)
-    bags = BatchBags(
-        users=np.zeros(1, dtype=np.int64), items=np.zeros(1, dtype=np.int64),
-        labels=np.zeros(1, dtype=np.int64), v_idx=v_idx,
-        hop_bags=[], tree_ents=ents, tree_rels=rels,
-    )
-    trace = ForwardTrace(v=params.values["entity_emb"][v_idx])
-    trace.u_rep = np.asarray(u_rep, dtype=params.dtype).reshape(1, -1)
-    return _item_forward(params, bags, hp, trace)[0]
-
-
-def predict_ctr(u_rep, i_rep):
-    """Interaction probability: logistic of the representations' inner product."""
-    return float(sigmoid(float(np.dot(u_rep, i_rep))))
 
 
 # -- training loop ---------------------------------------------------------
@@ -604,7 +536,7 @@ def build_ripple_sets(dataset, kg, hp, seed):
     return out
 
 
-def fit(dataset, kg, hp, seed=0, eval_train=False, log_every=None):
+def fit(dataset, kg, hp, seed=0, eval_train=False):
     """Minibatch training with per-epoch validation and best-snapshot selection.
 
     Ripple sets are built once per run (``resample_ripple`` rebuilds them
@@ -627,8 +559,8 @@ def fit(dataset, kg, hp, seed=0, eval_train=False, log_every=None):
             logger.warning("dropped %d train rows of %d users without a ripple set",
                            int((~keep).sum()), skipped_users)
             train = train[keep]
-            if len(train) == 0:
-                raise ValueError("no train rows left: every user lacks a ripple set")
+    if len(train) == 0:
+        raise ValueError("no train rows (empty train split, or every user lacks a ripple set)")
     history: list[dict] = []
     best = params.copy()
     best_auc = -np.inf
@@ -673,8 +605,6 @@ def fit(dataset, kg, hp, seed=0, eval_train=False, log_every=None):
             )
             row["train_auc"] = tr.auc
         history.append(row)
-        if log_every and epoch % log_every == 0:
-            logger.info("epoch %d: loss %.4f, val auc %.4f", epoch, train_loss, val.auc)
 
         if val.auc > best_auc:
             best_auc = val.auc

@@ -50,8 +50,31 @@ def chain_kg(tmp_path):
 
 
 def make_params(hp, num_entities, num_relations, **overrides):
-    """Handcrafted parameter store for closed-form forward checks."""
-    params = rr.init_params(num_entities, num_relations, hp, seed=0)
+    """Handcrafted parameter store for closed-form forward checks.
+
+    Under ``user_table`` it holds one user row, which pins the user
+    representation.
+    """
+    params = rr.init_params(num_entities, num_relations, hp, seed=0, num_users=1)
     for name, value in overrides.items():
         params.values[name][...] = np.asarray(value, dtype=params.dtype)
     return params
+
+
+def one_example(v_idx, hop_bags=(), tree=None):
+    """A one-example BatchBags (user 0) for hand oracles on ``rr.forward``.
+
+    ``hop_bags`` holds one list of (head, relation, tail) rows per hop.
+    ``tree`` is a (tree_ents, tree_rels) pair with a batch axis of one, as
+    ``sample_item_trees`` returns it; without it the tree is the
+    candidate alone, which ``conv_layers=0`` needs.
+    """
+    v = np.array([v_idx], dtype=np.int64)
+    tree_ents, tree_rels = tree if tree is not None else ([v.reshape(1, 1)], [None])
+    return rr.BatchBags(
+        users=np.zeros(1, dtype=np.int64), items=np.zeros(1, dtype=np.int64),
+        labels=np.zeros(1, dtype=np.int64), v_idx=v,
+        hop_bags=[np.asarray(bag, dtype=np.int64).reshape(1, -1, 3) for bag in hop_bags],
+        tree_ents=[np.asarray(e, dtype=np.int64) for e in tree_ents],
+        tree_rels=[None if r is None else np.asarray(r, dtype=np.int64) for r in tree_rels],
+    )

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import os
 import shutil
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,9 +12,14 @@ from ripplerec.cli import (
     EXIT_MALFORMED,
     EXIT_MISSING_FILE,
     RunConfig,
+    _hyperparams_from_manifest,
+    _read_kv,
+    _save_snapshot,
+    build_config,
     main,
     parse_config_file,
 )
+from ripplerec.model import Hyperparams, init_params
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +101,31 @@ class TestConfig:
     def test_digest_changes_with_config(self):
         a, b = RunConfig(seed=1), RunConfig(seed=2)
         assert a.digest() != b.digest()
+
+    def test_hyperparams_have_one_source(self, tmp_path):
+        hp_names = [f.name for f in fields(Hyperparams)]
+        assert not set(hp_names) & {f.name for f in fields(RunConfig)}
+        assert Hyperparams().precision == RunConfig().hp.precision == "f32"
+        # every field off its default, so a key that is dropped on the way shows
+        hp = Hyperparams(embed_dim=3, hops=3, ripple_size=5, neighbor_size=3, conv_layers=2,
+                         l2_weight=1e-5, lr=0.03, batch_size=17, epochs=2, acc_threshold=0.4,
+                         patience=1, user_table=True, fusion="recursive", resample_ripple=True,
+                         precision="f64", optimizer="sgd")
+        assert [n for n in hp_names if getattr(hp, n) == getattr(Hyperparams(), n)] == []
+        lines = [f"{k} = {v}" for k, v in asdict(hp).items()]
+
+        path = tmp_path / "c.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        from_file = parse_config_file(str(path), RunConfig()).hp
+        args = argparse.Namespace(config=None, set=[line.replace(" = ", "=") for line in lines],
+                                  seed=None, out=None)
+        from_set = build_config(args).hp
+        cfg = RunConfig(hp=hp)
+        params = init_params(4, 2, hp, num_users=2)
+        _save_snapshot(str(tmp_path), params, cfg, {})
+        manifest = _read_kv(str(tmp_path / "model.manifest.txt"))
+        from_manifest = _hyperparams_from_manifest(manifest, RunConfig().hp)
+        assert from_file == from_set == from_manifest == hp
 
 
 class TestPrep:
@@ -263,3 +295,93 @@ class TestTrainEvalSweep:
         for line in ("embed_dim = 8", "ripple_size = 64", "neighbor_size = 8",
                      "l2_weight = 1e-07", "lr = 0.01", "hops = 2"):
             assert line in manifest, line
+
+
+# -- malformed inputs ---------------------------------------------------------------
+# Each defect edits one input's bytes and returns them with the number of
+# the line it broke (None when no single line is at fault).
+
+
+def _no_separators(data, sep):
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace(sep, " ")
+    return "".join(lines).encode("utf-8"), 2
+
+
+def _cut_mid_line(data, sep):
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    lines[-1] = lines[-1][:lines[-1].index(sep)]
+    return "".join(lines).encode("utf-8"), len(lines)
+
+
+def _not_utf8(data, sep):
+    first, rest = data.split(b"\n", 1)
+    return first + b"\n\xff" + rest, 2
+
+
+def _empty(data, sep):
+    return b"", None
+
+
+def _not_integer(data, sep):
+    first, rest = data.split(b"\n", 1)
+    return first + b"\nx\t" + rest.split(b"\t", 1)[1], 2
+
+
+DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8": _not_utf8,
+           "empty": _empty, "not_integer": _not_integer}
+DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
+
+# (input, defect, exit code, text stderr must hold); {path} is the edited
+# file and {line} the line the defect broke
+INPUT_DEFECTS = [
+    (name, defect, EXIT_MALFORMED, "{path}:{line}:")
+    for name in ("kg", "ratings", "item_map", "config", "train")
+    for defect in ("wrong_arity", "truncated", "not_utf8")
+] + [
+    ("kg", "empty", EXIT_MALFORMED, "{path}: no triples"),
+    ("ratings", "empty", EXIT_MALFORMED, "{path}: no rating rows"),
+    ("item_map", "empty", EXIT_MALFORMED, "{path}: no item maps"),
+    ("config", "empty", 0, ""),  # every key at its default, paths from --set
+    ("train", "empty", EXIT_MALFORMED, "no train rows"),
+    ("train", "not_integer", EXIT_MALFORMED, "{path}:{line}: non-integer"),
+    ("prep_meta", "wrong_arity", EXIT_MALFORMED, "{path}: missing key 'num_items'"),
+    ("prep_meta", "truncated", EXIT_MALFORMED, "{path}: missing key 'relation_vocab_sha256'"),
+    ("prep_meta", "not_utf8", EXIT_MALFORMED, "{path}:{line}:"),
+    ("prep_meta", "empty", EXIT_MALFORMED, "{path}: missing key 'num_users'"),
+]
+
+
+def _reader_of(name, workdir, untrained_run, tmp_path):
+    """Copy of input ``name``, its field separator, and the CLI arguments that read it."""
+    data = workdir / "data"
+    if name in DATA_FILES:
+        path = tmp_path / DATA_FILES[name]
+        shutil.copy(data / DATA_FILES[name], path)
+        return path, "\t", ["prep", "--config", workdir / "cfg.txt", "--out", tmp_path / "run",
+                             "--set", f"{name}={path}"]
+    if name == "config":
+        path = tmp_path / "cfg.txt"
+        path.write_text("threshold = 4\nembed_dim = 4\nprecision = f64\n", encoding="utf-8")
+        paths = [arg for key, file in DATA_FILES.items() for arg in ("--set", f"{key}={data / file}")]
+        return path, "=", ["prep", "--config", path, "--out", tmp_path / "run"] + paths
+    out = tmp_path / "run"
+    shutil.copytree(untrained_run, out)
+    if name == "train":
+        return out / "train.tsv", "\t", ["train", "--config", workdir / "cfg.txt", "--out", out]
+    return out / "prep_meta.txt", "=", ["train", "--config", workdir / "cfg.txt", "--out", out]
+
+
+@pytest.mark.parametrize("name, defect, code, expect", INPUT_DEFECTS,
+                         ids=[f"{case[0]}-{case[1]}" for case in INPUT_DEFECTS])
+def test_malformed_input_exit_code_and_location(workdir, untrained_run, tmp_path, capsys,
+                                                name, defect, code, expect):
+    path, sep, argv = _reader_of(name, workdir, untrained_run, tmp_path)
+    data, line = DEFECTS[defect](path.read_bytes(), sep)
+    path.write_bytes(data)
+    capsys.readouterr()
+    rc = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert expect.format(path=path, line=line) in err, err
+    assert "Traceback" not in err

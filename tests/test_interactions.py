@@ -5,6 +5,7 @@ from ripplerec.interactions import (
     Interaction,
     binarize,
     build_dataset,
+    dataset_from_files,
     negative_sample,
     read_split,
     split,
@@ -188,3 +189,11 @@ class TestBuildDataset:
         path = tmp_path / "train.tsv"
         write_split(path, ds.train)
         np.testing.assert_array_equal(read_split(path), ds.train)
+        for name in ("validation", "test"):
+            write_split(tmp_path / f"{name}.tsv", ds.split_named(name))
+        rebuilt = dataset_from_files(path, tmp_path / "validation.tsv", tmp_path / "test.tsv",
+                                     ds.num_users, ds.num_items)
+        assert list(rebuilt.user_history) == list(ds.user_history)
+        for user, items in ds.user_history.items():
+            assert rebuilt.user_history[user].dtype == items.dtype
+            np.testing.assert_array_equal(rebuilt.user_history[user], items)

@@ -6,7 +6,7 @@ import pytest
 import ripplerec as rr
 import ripplerec.model
 from ripplerec.core import ParamStore, finite_diff_check
-from ripplerec.kg import NULL_RELATION, NeighborSample, RippleSet
+from ripplerec.kg import NULL_RELATION
 from ripplerec.synthetic import SyntheticSpec, generate
 from ripplerec.model import (
     BatchBags,
@@ -16,16 +16,10 @@ from ripplerec.model import (
     fit,
     forward,
     forward_backward,
-    hop_response,
     init_params,
-    item_representation,
-    neighbor_aggregate,
-    predict_ctr,
-    relation_score,
-    user_representation,
 )
 
-from conftest import make_params, write_kg
+from conftest import make_params, one_example, write_kg
 
 
 def hp64(**kw):
@@ -37,7 +31,7 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [
         dict(embed_dim=0), dict(hops=0), dict(ripple_size=0), dict(neighbor_size=0),
         dict(conv_layers=-1), dict(l2_weight=-1.0), dict(lr=0.0),
-        dict(fusion="nope"), dict(loss_variant="nope"), dict(precision="f16"),
+        dict(fusion="nope"), dict(precision="f16"),
         dict(optimizer="lbfgs"),
     ])
     def test_invalid_rejected(self, bad):
@@ -48,13 +42,20 @@ class TestHyperparams:
         assert Hyperparams(conv_layers=0).conv_layers == 0
 
 
+def _hop(params, bag, v_idx):
+    """Attention weights and response of one hop bag against candidate ``v_idx``."""
+    hp = hp64(embed_dim=params.values["entity_emb"].shape[1], hops=1, conv_layers=0)
+    trace = forward(params, one_example(v_idx, hop_bags=[bag]), hp)
+    return trace.hop_attn[0][0], trace.hop_resp[0][0]
+
+
 class TestHopResponse:
     def test_singleton_identity(self):
         hp = hp64(embed_dim=2)
         params = make_params(hp, 3, 1,
                              entity_emb=[[1.0, 0.0], [4.0, -2.0], [0.0, 0.0]],
                              relation_mat=[np.eye(2)])
-        attn, resp = hop_response(params, [(0, 0, 1)], [1.0, 0.0])
+        attn, resp = _hop(params, [(0, 0, 1)], 0)  # v = entity 0 = (1, 0)
         np.testing.assert_allclose(attn, [1.0])
         np.testing.assert_allclose(resp, [4.0, -2.0])
 
@@ -64,7 +65,7 @@ class TestHopResponse:
         params = make_params(hp, 4, 1,
                              entity_emb=[[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [3.0, 5.0]],
                              relation_mat=[np.eye(2)])
-        attn, resp = hop_response(params, [(0, 0, 1), (2, 0, 3)], [1.0, 0.0])
+        attn, resp = _hop(params, [(0, 0, 1), (2, 0, 3)], 0)  # v = entity 0 = (1, 0)
         np.testing.assert_allclose(attn, [0.7310585786300049, 0.2689414213699951], rtol=1e-12)
         np.testing.assert_allclose(resp, [1.5378828427399902, 2.0757656854799804], rtol=1e-12)
 
@@ -76,128 +77,153 @@ class TestHopResponse:
         heads = rng.normal(size=(5, 3))
         tails = rng.normal(size=(5, 3))
         shifted = heads + 2.5 * v
-        table = np.vstack([heads, tails])
-        table_shifted = np.vstack([shifted, tails])
+        table = np.vstack([heads, tails, v])
+        table_shifted = np.vstack([shifted, tails, v])
         bag = [(i, 0, 5 + i) for i in range(5)]
-        p1 = make_params(hp, 10, 1, entity_emb=table, relation_mat=[np.eye(3)])
-        p2 = make_params(hp, 10, 1, entity_emb=table_shifted, relation_mat=[np.eye(3)])
-        a1, _ = hop_response(p1, bag, v)
-        a2, _ = hop_response(p2, bag, v)
+        p1 = make_params(hp, 11, 1, entity_emb=table, relation_mat=[np.eye(3)])
+        p2 = make_params(hp, 11, 1, entity_emb=table_shifted, relation_mat=[np.eye(3)])
+        a1, _ = _hop(p1, bag, 10)
+        a2, _ = _hop(p2, bag, 10)
         np.testing.assert_allclose(a1, a2, atol=1e-9)
         assert a1.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUserRepresentation:
     def test_identity_fusion_single_triple(self):
-        hp = hp64(embed_dim=2, hops=1)
-        params = make_params(hp, 2, 1,
-                             entity_emb=[[9.0, 9.0], [2.0, -1.0]],
+        hp = hp64(embed_dim=2, hops=1, conv_layers=0)
+        params = make_params(hp, 3, 1,
+                             entity_emb=[[9.0, 9.0], [2.0, -1.0], [0.5, 0.25]],
                              relation_mat=[np.eye(2)],
                              fusion_w=[np.eye(2)])
-        ripple = RippleSet(user=0, hops=[np.array([[0, 0, 1]])])
-        v = np.array([0.5, 0.25])
-        out = user_representation(params, ripple, v, hp)
+        out = forward(params, one_example(2, hop_bags=[[(0, 0, 1)]]), hp).u_rep[0]
         np.testing.assert_allclose(out, [2.5, -0.75])  # t + v
 
     def test_zero_fusion_annihilates(self):
-        hp = hp64(embed_dim=2, hops=1)
-        params = make_params(hp, 2, 1, fusion_w=[np.zeros((2, 2))])
-        ripple = RippleSet(user=0, hops=[np.array([[0, 0, 1]])])
-        out = user_representation(params, ripple, np.array([3.0, 4.0]), hp)
+        hp = hp64(embed_dim=2, hops=1, conv_layers=0)
+        params = make_params(hp, 3, 1, fusion_w=[np.zeros((2, 2))])
+        params.values["entity_emb"][2] = [3.0, 4.0]
+        out = forward(params, one_example(2, hop_bags=[[(0, 0, 1)]]), hp).u_rep[0]
         np.testing.assert_allclose(out, 0.0)
 
     def test_two_hop_chain_closed_form(self):
         # chain bags are singletons, so attention is 1 and o = W (t1 + t2 + v)
         rng = np.random.default_rng(1)
-        hp = hp64(embed_dim=3, hops=2)
+        hp = hp64(embed_dim=3, hops=2, conv_layers=0)
         table = rng.normal(size=(3, 3))
         w = rng.normal(size=(3, 3))
-        params = make_params(hp, 3, 1, entity_emb=table,
-                             relation_mat=[np.eye(3)], fusion_w=[w])
-        ripple = RippleSet(user=0, hops=[np.array([[0, 0, 1]]), np.array([[1, 0, 2]])])
         v = rng.normal(size=3)
-        out = user_representation(params, ripple, v, hp)
+        params = make_params(hp, 4, 1, entity_emb=np.vstack([table, v]),
+                             relation_mat=[np.eye(3)], fusion_w=[w])
+        out = forward(params, one_example(3, hop_bags=[[(0, 0, 1)], [(1, 0, 2)]]), hp).u_rep[0]
         np.testing.assert_allclose(out, w @ (table[1] + table[2] + v), rtol=1e-12)
 
 
+def _one_level(u, relation_vec, child_rels, child_ents, entity_emb):
+    """Forward trace of candidate 0 over one tree level of the given children.
+
+    The user representation is pinned to ``u`` through ``user_table``;
+    ``relation_vec=None`` keeps the random initialization.
+    """
+    hp = hp64(embed_dim=len(u), user_table=True, conv_layers=1, neighbor_size=len(child_rels))
+    overrides = dict(entity_emb=entity_emb, user_emb=[u])
+    if relation_vec is not None:
+        overrides["relation_vec"] = relation_vec
+    params = make_params(hp, len(entity_emb), len(relation_vec or [0]), **overrides)
+    tree = ([[[0]], [child_ents]], [None, [child_rels]])
+    return forward(params, one_example(0, tree=tree), hp)
+
+
+def _score_gap(u, relation_vec, rel_a, rel_b):
+    """Taste score of ``rel_a`` minus that of ``rel_b``, from forward's tree attention.
+
+    The score of relation r is u . relation_vec[r] (0 for the
+    NULL_RELATION pad); two children's attention weights are in the ratio
+    of the exponentials of their scores.
+    """
+    trace = _one_level(u, relation_vec, [rel_a, rel_b], [1, 2], np.zeros((3, len(u))))
+    alpha = trace.tree_alpha[0][0, 0]
+    return math.log(alpha[0] / alpha[1])
+
+
 class TestRelationScore:
+    # against the NULL_RELATION pad, whose score is 0, the gap is the score itself
     def test_dot_product(self):
-        hp = hp64(embed_dim=2)
-        params = make_params(hp, 1, 1, relation_vec=[[3.0, 4.0]])
-        assert relation_score(params, np.array([1.0, 2.0]), 0) == 11.0
+        assert _score_gap([1.0, 2.0], [[3.0, 4.0]], 0, NULL_RELATION) == pytest.approx(11.0, rel=1e-12)
 
     def test_zero_vector(self):
-        hp = hp64(embed_dim=2)
-        params = make_params(hp, 1, 1, relation_vec=[[0.0, 0.0]])
-        assert relation_score(params, np.array([5.0, -2.0]), 0) == 0.0
+        assert _score_gap([5.0, -2.0], [[0.0, 0.0]], 0, NULL_RELATION) == 0.0
 
     def test_orthogonal(self):
-        hp = hp64(embed_dim=2)
-        params = make_params(hp, 1, 1, relation_vec=[[0.0, 1.0]])
-        assert relation_score(params, np.array([7.0, 0.0]), 0) == 0.0
+        assert _score_gap([7.0, 0.0], [[0.0, 1.0]], 0, NULL_RELATION) == 0.0
 
     def test_null_relation_sentinel_fixed_zero(self):
-        hp = hp64(embed_dim=2)
-        params = make_params(hp, 1, 1, relation_vec=[[100.0, 100.0]])
-        assert relation_score(params, np.array([1.0, 1.0]), NULL_RELATION) == 0.0
+        # against relation 0 (score 200): were the pad read as a relation, it would score 200 too
+        gap = _score_gap([1.0, 1.0], [[100.0, 100.0]], NULL_RELATION, 0)
+        assert gap + 200.0 == pytest.approx(0.0, abs=1e-9)
+
+
+def _children_aggregate(u, relation_vec, child_rels, child_ents, entity_emb):
+    """Softmax-weighted sum of the children's embeddings, read from forward's trace.
+
+    The centre (entity 0) has a zero embedding, so the pre-affine tree
+    input ``own + aggregate`` is the aggregate alone.
+    """
+    assert not np.any(entity_emb[0])
+    return _one_level(u, relation_vec, child_rels, child_ents, entity_emb).tree_in[0][0, 0]
 
 
 class TestNeighborAggregate:
     def test_padded_singleton_returns_embedding(self):
-        hp = hp64(embed_dim=2)
-        params = make_params(hp, 3, 1, entity_emb=[[0, 0], [6.0, -3.0], [0, 0]])
-        sample = NeighborSample(center=0, relations=np.zeros(4, dtype=int), entities=np.full(4, 1))
-        out = neighbor_aggregate(params, np.array([0.2, 0.9]), sample)
+        out = _children_aggregate([0.2, 0.9], None, [0, 0, 0, 0], [1, 1, 1, 1],
+                                  np.array([[0, 0], [6.0, -3.0], [0, 0]]))
         np.testing.assert_allclose(out, [6.0, -3.0], rtol=1e-12)
 
     def test_equal_scores_average(self):
-        hp = hp64(embed_dim=2)
-        params = make_params(hp, 3, 1,
-                             entity_emb=[[0, 0], [2.0, 0.0], [0.0, 4.0]],
-                             relation_vec=[[0.0, 0.0]])
-        sample = NeighborSample(center=0, relations=np.zeros(2, dtype=int), entities=np.array([1, 2]))
-        out = neighbor_aggregate(params, np.array([1.0, 1.0]), sample)
+        out = _children_aggregate([1.0, 1.0], [[0.0, 0.0]], [0, 0], [1, 2],
+                                  np.array([[0, 0], [2.0, 0.0], [0.0, 4.0]]))
         np.testing.assert_allclose(out, [1.0, 2.0])
 
     def test_log2_score_gap_gives_thirds(self):
-        hp = hp64(embed_dim=1)
-        params = make_params(hp, 3, 2,
-                             entity_emb=[[0.0], [3.0], [9.0]],
-                             relation_vec=[[math.log(2.0)], [0.0]])
-        sample = NeighborSample(center=0, relations=np.array([0, 1]), entities=np.array([1, 2]))
-        out = neighbor_aggregate(params, np.array([1.0]), sample)
+        out = _children_aggregate([1.0], [[math.log(2.0)], [0.0]], [0, 1], [1, 2],
+                                  np.array([[0.0], [3.0], [9.0]]))
         np.testing.assert_allclose(out, [(2 / 3) * 3.0 + (1 / 3) * 9.0], rtol=1e-12)
+
+
+def _item_rep(params, kg, center, hp, rng):
+    """Item representation of ``center`` over a tree sampled from ``kg``, user pinned by ``user_emb``."""
+    tree = ripplerec.model.sample_item_trees(kg, np.array([center]), hp.conv_layers, hp.neighbor_size, rng)
+    return forward(params, one_example(center, tree=tree), hp).i_rep[0]
 
 
 class TestItemRepresentation:
     def test_single_layer_identity_is_tanh_of_sum(self, tmp_path):
         kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
-        hp = hp64(embed_dim=2, conv_layers=1, neighbor_size=3)
+        hp = hp64(embed_dim=2, conv_layers=1, neighbor_size=3, user_table=True)
         v = np.array([0.3, -0.2])
         n = np.array([0.5, 0.9])
         params = make_params(hp, 2, 1,
-                             entity_emb=np.vstack([v, n]),
+                             entity_emb=np.vstack([v, n]), user_emb=[[1.0, 1.0]],
                              conv_w=[np.eye(2)], conv_b=[np.zeros(2)])
-        out = item_representation(params, kg.entity_vocab["a"], np.array([1.0, 1.0]),
-                                  kg, hp, np.random.default_rng(0))
+        out = _item_rep(params, kg, kg.entity_vocab["a"], hp, np.random.default_rng(0))
         np.testing.assert_allclose(out, np.tanh(v + n), rtol=1e-12)
 
     def test_zero_weights_zero_output(self, tmp_path):
         kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
-        hp = hp64(embed_dim=2, conv_layers=1, neighbor_size=2)
-        params = make_params(hp, 2, 1, conv_w=[np.zeros((2, 2))], conv_b=[np.zeros(2)])
-        out = item_representation(params, 0, np.ones(2), kg, hp, np.random.default_rng(0))
+        hp = hp64(embed_dim=2, conv_layers=1, neighbor_size=2, user_table=True)
+        params = make_params(hp, 2, 1, user_emb=[np.ones(2)],
+                             conv_w=[np.zeros((2, 2))], conv_b=[np.zeros(2)])
+        out = _item_rep(params, kg, 0, hp, np.random.default_rng(0))
         np.testing.assert_allclose(out, 0.0)
 
     def test_layers_zero_passes_raw_embedding(self, chain_kg):
-        hp = hp64(embed_dim=8, conv_layers=0)
-        params = init_params(chain_kg.num_entities, chain_kg.num_relations, hp, seed=0)
-        out = item_representation(params, 1, np.ones(8), chain_kg, hp, np.random.default_rng(0))
+        hp = hp64(embed_dim=8, conv_layers=0, user_table=True)
+        params = make_params(hp, chain_kg.num_entities, chain_kg.num_relations, user_emb=[np.ones(8)])
+        out = _item_rep(params, chain_kg, 1, hp, np.random.default_rng(0))
         np.testing.assert_array_equal(out, params.values["entity_emb"][1])
 
     def test_two_layer_scalar_chain_matches_recursion_oracle(self, tmp_path):
         kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", [("e0", "r0", "e1"), ("e1", "r1", "e2")]))
-        hp = hp64(embed_dim=1, conv_layers=2, neighbor_size=2)
+        hp = hp64(embed_dim=1, conv_layers=2, neighbor_size=2, user_table=True)
         emb = [0.1, 0.2, -0.3]
         rvec = [0.5, -0.4]
         w = [0.8, 1.2]
@@ -207,7 +233,8 @@ class TestItemRepresentation:
                              entity_emb=[[x] for x in emb],
                              relation_vec=[[x] for x in rvec],
                              conv_w=[[[w[0]]], [[w[1]]]],
-                             conv_b=[[b[0]], [b[1]]])
+                             conv_b=[[b[0]], [b[1]]],
+                             user_emb=[[u]])
         center = kg.entity_vocab["e0"]
         ents, rels = ripplerec.model.sample_item_trees(kg, np.array([center]), 2, 2,
                                                        np.random.default_rng(5))
@@ -233,26 +260,28 @@ class TestItemRepresentation:
             return math.tanh(pre) if depth == 0 else max(pre, 0.0)
 
         expected = rep(0, 0)
-        bags = BatchBags(users=np.zeros(1, dtype=int), items=np.zeros(1, dtype=int),
-                         labels=np.zeros(1, dtype=int), v_idx=np.array([center]),
-                         hop_bags=[], tree_ents=ents, tree_rels=rels)
-        trace = ripplerec.model.ForwardTrace(v=params.values["entity_emb"][[center]])
-        trace.u_rep = np.array([[u]])
-        out = ripplerec.model._item_forward(params, bags, hp, trace)
+        out = forward(params, one_example(center, tree=(ents, rels)), hp).i_rep
         assert out[0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def _ctr(u, i):
+    """Predicted probability for user representation ``u`` and item representation ``i``."""
+    hp = hp64(embed_dim=len(u), user_table=True, conv_layers=0)
+    params = make_params(hp, 1, 1, entity_emb=[i], user_emb=[u])
+    return forward(params, one_example(0), hp).yhat[0]
 
 
 class TestPredictCtr:
     def test_orthogonal_is_half(self):
-        assert predict_ctr(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.5
+        assert _ctr(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.5
 
     def test_log3_is_three_quarters(self):
-        assert predict_ctr(np.array([math.log(3.0)]), np.array([1.0])) == pytest.approx(0.75, abs=1e-12)
+        assert _ctr(np.array([math.log(3.0)]), np.array([1.0])) == pytest.approx(0.75, abs=1e-12)
 
     def test_negation_flips(self):
         u = np.array([0.4, -1.2])
         i = np.array([0.9, 0.3])
-        assert predict_ctr(-u, i) == pytest.approx(1.0 - predict_ctr(u, i), abs=1e-12)
+        assert _ctr(-u, i) == pytest.approx(1.0 - _ctr(u, i), abs=1e-12)
 
 
 def _mf_bags(labels):
@@ -291,13 +320,6 @@ class TestLoss:
         store = ParamStore()
         store.add("theta", np.array(2.0))
         assert store.l2_penalty() == 4.0
-
-    def test_flipped_variant_subtracts_negative_terms(self):
-        hp_std = hp64(user_table=True, conv_layers=0, l2_weight=0.0)
-        hp_flip = hp64(user_table=True, conv_layers=0, l2_weight=0.0, loss_variant="flipped")
-        params = init_params(2, 1, hp_std, seed=0, num_users=1)
-        bags = _mf_bags([0])
-        assert batch_loss(params, bags, hp_flip) == pytest.approx(-batch_loss(params, bags, hp_std), rel=1e-12)
 
     def test_empty_batch_rejected(self, tiny_data):
         kg, dataset = tiny_data
@@ -396,7 +418,6 @@ class TestForwardBackward:
         dict(fusion="recursive"),
         dict(user_table=True),
         dict(conv_layers=0),
-        dict(loss_variant="flipped"),
         dict(l2_weight=1e-3),
     ])
     def test_gradients_match_finite_differences(self, tiny_data, variant):
