@@ -46,9 +46,9 @@ for rel, ent in kg.neighbors(pacino):
 
 # Fixed-size neighbor bags: always n_e pairs, duplicates allowed.
 rng = np.random.default_rng(0)
-sample = rr.sample_neighbors(kg, pacino, n_e=5, rng=rng)
+(rels,), (ents,) = rr.sample_children(kg, [pacino], n_e=5, rng=rng)
 print("\none 5-neighbor sample (with replacement):")
-for rel, ent in zip(sample.relations, sample.entities):
+for rel, ent in zip(rels, ents):
     print(f"  --{kg.relation_names[rel]}--> {kg.entity_names[ent]}")
 
 # Ripple bags: hop-k heads always come from hop-(k-1) tails.

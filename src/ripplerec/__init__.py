@@ -9,7 +9,6 @@ sampling, on a small numpy kernel with hand-derived gradients.
 from .core import ParamStore, finite_diff_check, sigmoid, softmax
 from .interactions import (
     BinarizeResult,
-    Interaction,
     InteractionDataset,
     binarize,
     build_dataset,
@@ -19,12 +18,11 @@ from .interactions import (
 from .kg import (
     NULL_RELATION,
     KnowledgeGraph,
-    NeighborSample,
     RippleSet,
     build_ripple_set,
     load_item_map,
     load_kg,
-    sample_neighbors,
+    sample_children,
 )
 from .metrics import MetricReport, acc, auc, evaluate
 from .model import (
@@ -50,12 +48,10 @@ __all__ = [
     "FitResult",
     "ForwardTrace",
     "Hyperparams",
-    "Interaction",
     "InteractionDataset",
     "KnowledgeGraph",
     "MetricReport",
     "NULL_RELATION",
-    "NeighborSample",
     "ParamStore",
     "RippleSet",
     "acc",
@@ -75,7 +71,7 @@ __all__ = [
     "load_item_map",
     "load_kg",
     "negative_sample",
-    "sample_neighbors",
+    "sample_children",
     "score_batch",
     "sigmoid",
     "softmax",

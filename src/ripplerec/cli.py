@@ -146,10 +146,12 @@ def _write_kv(path, mapping):
 def _read_kv(path):
     out = {}
     with kgmod.open_text(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or "=" not in line:
+            if not line:
                 continue
+            if "=" not in line:
+                raise kgmod.ParseError(path, lineno, "expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             out[key] = value
     return out
@@ -191,11 +193,10 @@ def cmd_prep(cfg):
             fh.write(f"{item}\t{entity}\n")
 
     no_history = dataset.num_users - len(dataset.user_history)
-    n_pos = sum(len(v) for v in (binarized.per_user()).values())
     report_lines = [
         f"users\t{dataset.num_users}",
         f"items\t{dataset.num_items}",
-        f"interactions\t{n_pos}",
+        f"interactions\t{len(binarized.positives)}",
         f"knowledge graph triples\t{len(graph.triples)}",
         "",
         f"rating rows read\t{binarized.n_rows}",
@@ -235,14 +236,18 @@ def load_prep(cfg):
         path = os.path.join(cfg.out, name)
         if _sha256(path) != meta[key]:
             raise ValueError(f"{path} does not match the prep-time vocabulary (KG file changed?)")
-    item_entities = np.loadtxt(os.path.join(cfg.out, "item_entities.tsv"), dtype=np.int64, ndmin=2)[:, 1]
+    num_items = int(meta["num_items"])
+    item_path = os.path.join(cfg.out, "item_entities.tsv")
+    item_entities = kgmod.read_int_tsv(item_path, (("item", num_items), ("entity", graph.num_entities)))
+    if not np.array_equal(item_entities[:, 0], np.arange(num_items)):
+        raise ValueError(f"{item_path}: expected one row per item, items 0..{num_items - 1} in order")
     dataset = interactions.dataset_from_files(
         os.path.join(cfg.out, "train.tsv"),
         os.path.join(cfg.out, "validation.tsv"),
         os.path.join(cfg.out, "test.tsv"),
         num_users=int(meta["num_users"]),
-        num_items=int(meta["num_items"]),
-        item_entities=item_entities,
+        num_items=num_items,
+        item_entities=item_entities[:, 1],
     )
     return graph, dataset, meta
 

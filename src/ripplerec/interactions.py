@@ -7,10 +7,14 @@ single-threaded by contract: the same seed reproduces byte-identical
 artifacts.  The resulting dataset is immutable and safe for concurrent
 reads.
 
-Splits are stored as ``(n, 3)`` int arrays with columns (user, item,
-label).  The pipeline assigns each positive and its sampled negative to
-the same split, so per-user label balance is exact everywhere, and
-ripple seeds (``user_history``) come from train positives only.
+Records are int arrays from end to end: :func:`binarize` yields
+``(n, 2)`` (user, item) positives, :func:`negative_sample` the matching
+``(n, 3)`` (user, item, 0) rows, and :func:`build_dataset` interleaves
+the two into the ``(2n, 3)`` (user, item, label) array that
+:func:`split` partitions and :func:`write_split` emits.  Each positive
+and its sampled negative land in the same split, so per-user label
+balance is exact everywhere, and ripple seeds (``user_history``) come
+from train positives only.
 """
 
 from __future__ import annotations
@@ -20,23 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import ParseError, read_tsv
+from .kg import ParseError, read_int_tsv, read_tsv
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Interaction:
-    user: int
-    item: int
-    label: int
 
 
 @dataclass
 class BinarizeResult:
     """Positives plus the vocabularies and drop statistics behind them."""
 
-    positives: list[tuple[int, int]]  # (user index, item index), label-1 rows
+    positives: np.ndarray  # (n, 2) int64 of (user index, item index), label-1 rows in file order
     user_names: list[str]
     item_names: list[str]
     item_entities: np.ndarray  # item index -> KG entity index
@@ -51,13 +48,6 @@ class BinarizeResult:
     @property
     def num_items(self):
         return len(self.item_names)
-
-    def per_user(self):
-        """Positives grouped by user, in file order."""
-        grouped: dict[int, list[int]] = {}
-        for u, i in self.positives:
-            grouped.setdefault(u, []).append(i)
-        return grouped
 
 
 @dataclass
@@ -125,7 +115,7 @@ def binarize(ratings_path, threshold, item_to_entity):
         ratings_path, n_rows, len(positives), n_below, n_unmapped,
     )
     return BinarizeResult(
-        positives=positives,
+        positives=np.array(positives, dtype=np.int64).reshape(-1, 2),
         user_names=user_names,
         item_names=item_names,
         item_entities=item_entities,
@@ -138,18 +128,25 @@ def binarize(ratings_path, threshold, item_to_entity):
 def negative_sample(positives, num_items, rng):
     """Draw per-user negatives at a 1:1 ratio with the positives.
 
-    ``positives`` maps user -> positive item indices.  For each user
-    with T positives, T distinct items are drawn uniformly from the
-    items that user never interacted with (label 0).  If that pool is
-    smaller than T the draw falls back to with-replacement and a
-    warning is logged.
+    ``positives`` is an ``(n, 2)`` array of (user, item) rows sorted by
+    user.  For each user with T positives, in ascending user order, T
+    distinct items are drawn uniformly from the items that user never
+    interacted with.  If that pool is smaller than T the draw falls back
+    to with-replacement and a warning is logged.  Returns the ``(n, 3)``
+    (user, item, 0) rows, row k holding the negative drawn for row k of
+    ``positives``.
     """
-    out: list[Interaction] = []
+    positives = np.asarray(positives, dtype=np.int64)
+    if np.any(np.diff(positives[:, 0]) < 0):
+        raise ValueError("positives must be sorted by user")
+    users, starts = np.unique(positives[:, 0], return_index=True)
+    ends = np.append(starts[1:], len(positives))
+    negatives = np.zeros((len(positives), 3), dtype=np.int64)
+    negatives[:, 0] = positives[:, 0]
     all_items = np.arange(num_items, dtype=np.int64)
-    for user in sorted(positives):
-        pos = np.unique(np.asarray(positives[user], dtype=np.int64))
-        t = len(positives[user])
-        pool = np.setdiff1d(all_items, pos, assume_unique=True)
+    for user, lo, hi in zip(users.tolist(), starts, ends):
+        t = hi - lo
+        pool = np.setdiff1d(all_items, np.unique(positives[lo:hi, 1]), assume_unique=True)
         if len(pool) == 0:
             raise ValueError(f"user {user}: no unobserved items to sample negatives from")
         if len(pool) < t:
@@ -160,8 +157,8 @@ def negative_sample(positives, num_items, rng):
             draws = pool[rng.integers(0, len(pool), size=t)]
         else:
             draws = rng.choice(pool, size=t, replace=False)
-        out.extend(Interaction(user=user, item=int(item), label=0) for item in draws)
-    return out
+        negatives[lo:hi, 1] = draws
+    return negatives
 
 
 def _partition_counts(n, ratios):
@@ -182,7 +179,7 @@ def _user_history(train):
     return {u: np.array(items, dtype=np.int64) for u, items in history.items()}
 
 
-def split(interactions, ratios=(0.6, 0.2, 0.2), seed=0, num_users=None, num_items=None, group_size=1):
+def split(records, ratios=(0.6, 0.2, 0.2), seed=0, num_users=None, num_items=None, group_size=1):
     """Globally shuffle records with ``seed``, then partition contiguously.
 
     Rounding floors every split and assigns the remainder to train.
@@ -190,10 +187,7 @@ def split(interactions, ratios=(0.6, 0.2, 0.2), seed=0, num_users=None, num_item
     pipeline uses it to keep each positive next to its negative so that
     per-user label balance stays exact within every split.
     """
-    records = np.asarray(
-        [(i.user, i.item, i.label) for i in interactions] if not isinstance(interactions, np.ndarray) else interactions,
-        dtype=np.int64,
-    )
+    records = np.asarray(records, dtype=np.int64)
     if len(records) == 0:
         raise ValueError("cannot split an empty interaction list")
     if len(records) % group_size != 0:
@@ -230,17 +224,11 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
     match ``ratios`` within rounding.
     """
     rng = np.random.default_rng(seed)
-    per_user = binarized.per_user()
-    negatives = negative_sample(per_user, binarized.num_items, rng)
-
-    neg_by_user: dict[int, list[Interaction]] = {}
-    for rec in negatives:
-        neg_by_user.setdefault(rec.user, []).append(rec)
-    paired: list[Interaction] = []
-    for user in sorted(per_user):
-        for item, neg in zip(per_user[user], neg_by_user[user]):
-            paired.append(Interaction(user=user, item=item, label=1))
-            paired.append(neg)
+    grouped = binarized.positives[np.argsort(binarized.positives[:, 0], kind="stable")]
+    paired = np.empty((2 * len(grouped), 3), dtype=np.int64)
+    paired[0::2, :2] = grouped
+    paired[0::2, 2] = 1
+    paired[1::2] = negative_sample(grouped, binarized.num_items, rng)
     dataset = split(
         paired,
         ratios=ratios,
@@ -260,28 +248,20 @@ def write_split(path, records):
             fh.write(f"{u}\t{item}\t{label}\n")
 
 
-def read_split(path):
-    """Inverse of :func:`write_split`: an ``(n, 3)`` int array."""
-    records = []
-    for lineno, fields in read_tsv(path, 3):
-        try:
-            records.append([int(fields[0]), int(fields[1]), int(fields[2])])
-        except ValueError:
-            raise ParseError(path, lineno, f"non-integer field in {fields}") from None
-    if not records:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.array(records, dtype=np.int64)
+def read_split(path, num_users, num_items):
+    """Inverse of :func:`write_split`: an ``(n, 3)`` int array, every field in range."""
+    return read_int_tsv(path, (("user", num_users), ("item", num_items), ("label", 2)))
 
 
 def dataset_from_files(train_path, validation_path, test_path, num_users, num_items, item_entities=None):
     """Rebuild an :class:`InteractionDataset` from emitted split files."""
-    train = read_split(train_path)
+    train = read_split(train_path, num_users, num_items)
     return InteractionDataset(
         num_users=num_users,
         num_items=num_items,
         train=train,
-        validation=read_split(validation_path),
-        test=read_split(test_path),
+        validation=read_split(validation_path, num_users, num_items),
+        test=read_split(test_path, num_users, num_items),
         user_history=_user_history(train),
         item_entities=item_entities,
     )

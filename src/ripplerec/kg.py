@@ -6,9 +6,9 @@ row (CSR) layout: entity ``e``'s outgoing (relation, neighbor) edges are
 ``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
 One vectorized sampler, :func:`sample_children`, draws fixed-size
 with-replacement neighbor bags for a whole array of entities with a
-single gather; :func:`sample_neighbors` is its one-entity call.  Per-user
-multi-hop ripple bags (:func:`build_ripple_set`) draw from CSR ranges,
-and their hop-k heads always lie among the hop-(k-1) tails.
+single gather.  Per-user multi-hop ripple bags (:func:`build_ripple_set`)
+draw from CSR ranges, and their hop-k heads always lie among the
+hop-(k-1) tails.
 
 A loaded :class:`KnowledgeGraph` is immutable and safe for unrestricted
 concurrent reads.  Samplers take an explicit ``numpy`` generator handle;
@@ -78,6 +78,26 @@ def read_tsv(path, *arity):
             yield lineno, fields
 
 
+def read_int_tsv(path, columns):
+    """``(n, len(columns))`` int64 array of a TSV file of non-negative integers.
+
+    ``columns`` holds one ``(name, high)`` pair per field; the field must
+    lie in ``[0, high)``.  A non-integer or out-of-range field raises
+    :class:`ParseError` naming its line.
+    """
+    rows = []
+    for lineno, fields in read_tsv(path, len(columns)):
+        try:
+            row = [int(f) for f in fields]
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer field in {fields}") from None
+        for value, (name, high) in zip(row, columns):
+            if not 0 <= value < high:
+                raise ParseError(path, lineno, f"{name} {value} outside [0, {high})")
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, len(columns))
+
+
 @dataclass
 class KnowledgeGraph:
     """Immutable triple store with vocabularies and a CSR edge index.
@@ -110,18 +130,6 @@ class KnowledgeGraph:
         """``(degree, 2)`` array of one entity's (relation, neighbor) edges."""
         lo, hi = self.indptr[entity], self.indptr[entity + 1]
         return np.stack((self.rel[lo:hi], self.nbr[lo:hi]), axis=1)
-
-
-@dataclass
-class NeighborSample:
-    """Fixed-size with-replacement draw from one entity's adjacency."""
-
-    center: int
-    relations: np.ndarray  # (n_e,)
-    entities: np.ndarray  # (n_e,)
-
-    def __len__(self):
-        return len(self.relations)
 
 
 @dataclass
@@ -222,6 +230,8 @@ def sample_children(kg, ents, n_e, rng):
     row-major order: an array ``high`` draws row by row, and a ``high``
     of 1 (an edgeless entity's stand-in) consumes nothing.
     """
+    if n_e < 1:
+        raise ValueError("n_e must be >= 1")
     ents = np.asarray(ents, dtype=np.int64)
     flat = ents.reshape(-1)
     start = kg.indptr[flat]
@@ -235,14 +245,6 @@ def sample_children(kg, ents, n_e, rng):
     nbrs[dead] = flat[dead, None]
     shape = ents.shape + (n_e,)
     return rels.reshape(shape), nbrs.reshape(shape)
-
-
-def sample_neighbors(kg, entity, n_e, rng):
-    """Uniform with-replacement draw of ``n_e`` (relation, neighbor) pairs of one entity."""
-    if n_e < 1:
-        raise ValueError("n_e must be >= 1")
-    rels, nbrs = sample_children(kg, [entity], n_e, rng)
-    return NeighborSample(center=entity, relations=rels[0], entities=nbrs[0])
 
 
 def _frontier_pool(kg, entities):

@@ -20,7 +20,7 @@ import pytest
 
 import ripplerec as rr
 from ripplerec.core import finite_diff_check, sigmoid, softmax
-from ripplerec.kg import build_ripple_set, sample_neighbors
+from ripplerec.kg import build_ripple_set, sample_children
 from ripplerec.metrics import auc
 from ripplerec.model import Hyperparams, assemble_batch, batch_loss, fit, forward_backward, init_params
 
@@ -164,18 +164,18 @@ def test_sampling_invariants(tiny_data):
         for trial in range(50):
             entity = int(rng.integers(0, kg.num_entities))
             n_e = int(rng.integers(1, 20))
-            sample = sample_neighbors(kg, entity, n_e, rng)
-            assert len(sample) == n_e
+            rels, nbrs = sample_children(kg, [entity], n_e, rng)
+            assert rels.shape == nbrs.shape == (1, n_e)
 
         for seed in (1, 7, 42):
             seeds = dataset.item_entities[dataset.user_history[users[0]]]
             a = build_ripple_set(kg, seeds, 3, 16, np.random.default_rng(seed))
             b = build_ripple_set(kg, seeds, 3, 16, np.random.default_rng(seed))
             assert all(x.tobytes() == y.tobytes() for x, y in zip(a.hops, b.hops))
-            sa = sample_neighbors(kg, 3, 9, np.random.default_rng(seed))
-            sb = sample_neighbors(kg, 3, 9, np.random.default_rng(seed))
-            assert sa.entities.tobytes() == sb.entities.tobytes()
-            assert sa.relations.tobytes() == sb.relations.tobytes()
+            ra, ea = sample_children(kg, [3], 9, np.random.default_rng(seed))
+            rb, eb = sample_children(kg, [3], 9, np.random.default_rng(seed))
+            assert ea.tobytes() == eb.tobytes()
+            assert ra.tobytes() == rb.tobytes()
 
 
 def test_softmax_sigmoid_numeric_suite():

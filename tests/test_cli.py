@@ -328,15 +328,33 @@ def _not_integer(data, sep):
     return first + b"\nx\t" + rest.split(b"\t", 1)[1], 2
 
 
+def _set_field(col, value):
+    """Defect that sets field ``col`` of line 2 to ``value``."""
+    def defect(data, sep):
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        parts = lines[1].rstrip("\n").split(sep)
+        parts[col] = value
+        lines[1] = sep.join(parts) + "\n"
+        return "".join(lines).encode("utf-8"), 2
+    return defect
+
+
 DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8": _not_utf8,
-           "empty": _empty, "not_integer": _not_integer}
+           "empty": _empty, "not_integer": _not_integer,
+           "user_999": _set_field(0, "999"), "user_-1": _set_field(0, "-1"),
+           "item_999": _set_field(1, "999"), "item_-1": _set_field(1, "-1"),
+           "label_2": _set_field(2, "2"), "entity_999": _set_field(1, "999")}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
+# prep and train artifacts: (file, field separator, the command that reads it)
+RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
+             "test": ("test.tsv", "\t", "eval"), "item_entities": ("item_entities.tsv", "\t", "eval"),
+             "manifest": ("model.manifest.txt", "=", "eval")}
 
 # (input, defect, exit code, text stderr must hold); {path} is the edited
 # file and {line} the line the defect broke
 INPUT_DEFECTS = [
     (name, defect, EXIT_MALFORMED, "{path}:{line}:")
-    for name in ("kg", "ratings", "item_map", "config", "train")
+    for name in ("kg", "ratings", "item_map", "config", "train", "item_entities")
     for defect in ("wrong_arity", "truncated", "not_utf8")
 ] + [
     ("kg", "empty", EXIT_MALFORMED, "{path}: no triples"),
@@ -345,10 +363,19 @@ INPUT_DEFECTS = [
     ("config", "empty", 0, ""),  # every key at its default, paths from --set
     ("train", "empty", EXIT_MALFORMED, "no train rows"),
     ("train", "not_integer", EXIT_MALFORMED, "{path}:{line}: non-integer"),
-    ("prep_meta", "wrong_arity", EXIT_MALFORMED, "{path}: missing key 'num_items'"),
-    ("prep_meta", "truncated", EXIT_MALFORMED, "{path}: missing key 'relation_vocab_sha256'"),
+    ("prep_meta", "wrong_arity", EXIT_MALFORMED, "{path}:{line}: expected 'key = value'"),
+    ("prep_meta", "truncated", EXIT_MALFORMED, "{path}:{line}: expected 'key = value'"),
     ("prep_meta", "not_utf8", EXIT_MALFORMED, "{path}:{line}:"),
     ("prep_meta", "empty", EXIT_MALFORMED, "{path}: missing key 'num_users'"),
+    ("manifest", "wrong_arity", EXIT_MALFORMED, "{path}:{line}: expected 'key = value'"),
+    ("test", "user_999", EXIT_MALFORMED, "{path}:{line}: user 999 outside"),
+    ("test", "user_-1", EXIT_MALFORMED, "{path}:{line}: user -1 outside"),
+    ("test", "item_999", EXIT_MALFORMED, "{path}:{line}: item 999 outside"),
+    ("test", "item_-1", EXIT_MALFORMED, "{path}:{line}: item -1 outside"),
+    ("test", "label_2", EXIT_MALFORMED, "{path}:{line}: label 2 outside"),
+    ("item_entities", "entity_999", EXIT_MALFORMED, "{path}:{line}: entity 999 outside"),
+    ("item_entities", "not_integer", EXIT_MALFORMED, "{path}:{line}: non-integer"),
+    ("item_entities", "empty", EXIT_MALFORMED, "{path}: expected one row per item"),
 ]
 
 
@@ -367,9 +394,8 @@ def _reader_of(name, workdir, untrained_run, tmp_path):
         return path, "=", ["prep", "--config", path, "--out", tmp_path / "run"] + paths
     out = tmp_path / "run"
     shutil.copytree(untrained_run, out)
-    if name == "train":
-        return out / "train.tsv", "\t", ["train", "--config", workdir / "cfg.txt", "--out", out]
-    return out / "prep_meta.txt", "=", ["train", "--config", workdir / "cfg.txt", "--out", out]
+    file, sep, command = RUN_FILES[name]
+    return out / file, sep, [command, "--config", workdir / "cfg.txt", "--out", out]
 
 
 @pytest.mark.parametrize("name, defect, code, expect", INPUT_DEFECTS,

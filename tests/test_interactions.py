@@ -1,8 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from ripplerec.interactions import (
-    Interaction,
     binarize,
     build_dataset,
     dataset_from_files,
@@ -28,18 +29,18 @@ class TestBinarize:
     def test_threshold_rule(self, tmp_path):
         path = write_ratings(tmp_path / "r.tsv", [("u1", "i1", 5)])
         result = binarize(path, 4.0, ITEM_MAP)
-        assert result.positives == [(0, 1)]
+        assert result.positives.tolist() == [[0, 1]]
 
     def test_below_threshold_dropped_not_negative(self, tmp_path):
         path = write_ratings(tmp_path / "r.tsv", [("u1", "i2", 3), ("u1", "i1", 5)])
         result = binarize(path, 4.0, ITEM_MAP)
-        assert result.positives == [(0, 1)]
+        assert result.positives.tolist() == [[0, 1]]
         assert result.n_below_threshold == 1
 
     def test_unmapped_items_dropped_and_counted(self, tmp_path):
         path = write_ratings(tmp_path / "r.tsv", [("u1", "idontexist", 5), ("u1", "i0", 5)])
         result = binarize(path, 4.0, ITEM_MAP)
-        assert result.positives == [(0, 0)]
+        assert result.positives.tolist() == [[0, 0]]
         assert result.n_unmapped == 1
 
     def test_item_vocab_covers_unrated_items(self, tmp_path):
@@ -50,7 +51,7 @@ class TestBinarize:
 
     def test_timestamp_column_accepted(self, tmp_path):
         path = write_ratings(tmp_path / "r.tsv", [("u1", "i0", 5, 123456)])
-        assert binarize(path, 4.0, ITEM_MAP).positives == [(0, 0)]
+        assert binarize(path, 4.0, ITEM_MAP).positives.tolist() == [[0, 0]]
 
     def test_non_numeric_rating_reports_lineno(self, tmp_path):
         path = write_ratings(tmp_path / "r.tsv", [("u1", "i0", 5), ("u2", "i1", "bad")])
@@ -64,38 +65,43 @@ class TestBinarize:
             binarize(str(path), 4.0, ITEM_MAP)
 
 
+def user_rows(positives):
+    """(user, item) rows from a user -> items mapping, users in the given order."""
+    return np.array([(u, i) for u, items in positives.items() for i in items], dtype=np.int64).reshape(-1, 2)
+
+
 class TestNegativeSample:
     def test_exact_count_and_disjoint(self):
-        positives = {0: [1, 2, 3]}
+        positives = user_rows({0: [1, 2, 3]})
         negatives = negative_sample(positives, 100, np.random.default_rng(0))
         assert len(negatives) == 3
-        items = {n.item for n in negatives}
+        items = set(negatives[:, 1].tolist())
         assert len(items) == 3  # distinct
         assert items.isdisjoint({1, 2, 3})
-        assert all(n.label == 0 for n in negatives)
+        assert np.all(negatives[:, 2] == 0)
 
     def test_seed_determinism(self):
-        positives = {0: [1, 2], 3: [4, 5, 6]}
+        positives = user_rows({0: [1, 2], 3: [4, 5, 6]})
         a = negative_sample(positives, 50, np.random.default_rng(9))
         b = negative_sample(positives, 50, np.random.default_rng(9))
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_small_pool_falls_back_with_warning(self, caplog):
         # 6 items, user holds 5 positives: pool is a singleton but 5 draws are needed
-        positives = {0: [0, 1, 2, 3, 4]}
+        positives = user_rows({0: [0, 1, 2, 3, 4]})
         with caplog.at_level("WARNING"):
             negatives = negative_sample(positives, 6, np.random.default_rng(0))
         assert "with replacement" in caplog.text
-        assert [n.item for n in negatives] == [5] * 5
+        assert negatives[:, 1].tolist() == [5] * 5
 
     def test_no_pool_rejected(self):
         with pytest.raises(ValueError):
-            negative_sample({0: [0, 1]}, 2, np.random.default_rng(0))
+            negative_sample(user_rows({0: [0, 1]}), 2, np.random.default_rng(0))
 
 
 class TestSplit:
     def _records(self, n):
-        return [Interaction(user=i % 3, item=i, label=i % 2) for i in range(n)]
+        return np.array([(i % 3, i, i % 2) for i in range(n)], dtype=np.int64).reshape(-1, 3)
 
     def test_ten_records_6_2_2(self):
         ds = split(self._records(10), seed=0)
@@ -111,11 +117,11 @@ class TestSplit:
         def keys(arr):
             return {tuple(row) for row in arr}
         assert keys(ds.train).isdisjoint(keys(ds.test))
-        assert keys(ds.train) | keys(ds.validation) | keys(ds.test) == {(r.user, r.item, r.label) for r in records}
+        assert keys(ds.train) | keys(ds.validation) | keys(ds.test) == {tuple(r) for r in records}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            split([], seed=0)
+            split(np.empty((0, 3), dtype=np.int64), seed=0)
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -167,7 +173,7 @@ class TestBuildDataset:
 
     def test_negatives_never_collide_with_any_positive_of_user(self, tmp_path):
         binarized = self._binarized(tmp_path)
-        all_pos = {(u, i) for u, i in binarized.positives}
+        all_pos = {(int(u), int(i)) for u, i in binarized.positives}
         ds = build_dataset(binarized, seed=5)
         for name in ("train", "validation", "test"):
             for u, i, l in ds.split_named(name):
@@ -188,7 +194,7 @@ class TestBuildDataset:
         ds = build_dataset(self._binarized(tmp_path), seed=5)
         path = tmp_path / "train.tsv"
         write_split(path, ds.train)
-        np.testing.assert_array_equal(read_split(path), ds.train)
+        np.testing.assert_array_equal(read_split(path, ds.num_users, ds.num_items), ds.train)
         for name in ("validation", "test"):
             write_split(tmp_path / f"{name}.tsv", ds.split_named(name))
         rebuilt = dataset_from_files(path, tmp_path / "validation.tsv", tmp_path / "test.tsv",
@@ -197,3 +203,88 @@ class TestBuildDataset:
         for user, items in ds.user_history.items():
             assert rebuilt.user_history[user].dtype == items.dtype
             np.testing.assert_array_equal(rebuilt.user_history[user], items)
+
+
+# -- reference: the object-based prep path that the array path replaced ---------------
+
+
+@dataclass(frozen=True)
+class _Interaction:
+    user: int
+    item: int
+    label: int
+
+
+def _reference_negative_sample(positives, num_items, rng):
+    out = []
+    all_items = np.arange(num_items, dtype=np.int64)
+    for user in sorted(positives):
+        pos = np.unique(np.asarray(positives[user], dtype=np.int64))
+        t = len(positives[user])
+        pool = np.setdiff1d(all_items, pos, assume_unique=True)
+        if len(pool) == 0:
+            raise ValueError(f"user {user}: no unobserved items to sample negatives from")
+        if len(pool) < t:
+            draws = pool[rng.integers(0, len(pool), size=t)]
+        else:
+            draws = rng.choice(pool, size=t, replace=False)
+        out.extend(_Interaction(user=user, item=int(item), label=0) for item in draws)
+    return out
+
+
+def _reference_build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
+    rng = np.random.default_rng(seed)
+    per_user = {}
+    for u, i in binarized.positives.tolist():
+        per_user.setdefault(u, []).append(i)
+    negatives = _reference_negative_sample(per_user, binarized.num_items, rng)
+    neg_by_user = {}
+    for rec in negatives:
+        neg_by_user.setdefault(rec.user, []).append(rec)
+    paired = []
+    for user in sorted(per_user):
+        for item, neg in zip(per_user[user], neg_by_user[user]):
+            paired.append(_Interaction(user=user, item=item, label=1))
+            paired.append(neg)
+    records = np.asarray([(i.user, i.item, i.label) for i in paired], dtype=np.int64)
+    dataset = split(records, ratios=ratios, seed=seed, num_users=binarized.num_users,
+                    num_items=binarized.num_items, group_size=2)
+    return dataset, rng
+
+
+class TestArrayPrepOracle:
+    """The array prep path draws, pairs and splits exactly as the object path did."""
+
+    def _binarized(self, tmp_path, seed):
+        # ratings in shuffled file order, so users interleave and grouping matters;
+        # user "dense" rates 7 of 8 items: its pool (1) is smaller than its positives
+        rng = np.random.default_rng(seed)
+        rows = [(f"u{u}", f"i{item}", 5) for u in range(9)
+                for item in rng.choice(8, size=int(rng.integers(1, 5)), replace=False)]
+        rows += [("dense", f"i{item}", 5) for item in range(7)]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        path = write_ratings(tmp_path / f"r{seed}.tsv", rows)
+        return binarize(path, 4.0, {f"i{k}": 100 + k for k in range(8)})
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 17])
+    def test_matches_object_path(self, tmp_path, caplog, seed):
+        binarized = self._binarized(tmp_path, seed)
+        with caplog.at_level("WARNING"):
+            got = build_dataset(binarized, seed=seed)
+        assert "with replacement" in caplog.text
+        want, want_rng = _reference_build_dataset(binarized, seed=seed)
+        for name in ("train", "validation", "test"):
+            a, b = got.split_named(name), want.split_named(name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert list(got.user_history) == list(want.user_history)
+        for user, items in want.user_history.items():
+            assert got.user_history[user].tobytes() == items.tobytes()
+
+        # the negative draws leave the generator where the object path left it;
+        # positives not sorted by user are refused rather than regrouped
+        order = np.argsort(binarized.positives[:, 0], kind="stable")
+        rng = np.random.default_rng(seed)
+        negative_sample(binarized.positives[order], binarized.num_items, rng)
+        assert rng.random() == want_rng.random()
+        with pytest.raises(ValueError, match="sorted by user"):
+            negative_sample(binarized.positives, binarized.num_items, np.random.default_rng(seed))

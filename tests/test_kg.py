@@ -9,7 +9,6 @@ from ripplerec.kg import (
     load_kg,
     read_vocab,
     sample_children,
-    sample_neighbors,
     write_vocab,
 )
 from ripplerec.model import sample_item_trees
@@ -68,20 +67,22 @@ class TestLoadKg:
 
 
 class TestSampleNeighbors:
+    """One entity's bag: ``sample_children`` on a one-entity array."""
+
     def test_singleton_with_replacement(self, chain_kg):
         kg = chain_kg
         a = kg.entity_vocab["a"]
-        sample = sample_neighbors(kg, a, 4, np.random.default_rng(0))
-        assert len(sample) == 4
-        assert set(sample.entities.tolist()) == {kg.entity_vocab["b"]}
-        assert set(sample.relations.tolist()) == {kg.relation_vocab["r"]}
+        (rels,), (nbrs,) = sample_children(kg, [a], 4, np.random.default_rng(0))
+        assert len(rels) == len(nbrs) == 4
+        assert set(nbrs.tolist()) == {kg.entity_vocab["b"]}
+        assert set(rels.tolist()) == {kg.relation_vocab["r"]}
 
     def test_seed_determinism(self, chain_kg):
         b = chain_kg.entity_vocab["b"]
-        s1 = sample_neighbors(chain_kg, b, 8, np.random.default_rng(11))
-        s2 = sample_neighbors(chain_kg, b, 8, np.random.default_rng(11))
-        np.testing.assert_array_equal(s1.entities, s2.entities)
-        np.testing.assert_array_equal(s1.relations, s2.relations)
+        r1, e1 = sample_children(chain_kg, [b], 8, np.random.default_rng(11))
+        r2, e2 = sample_children(chain_kg, [b], 8, np.random.default_rng(11))
+        np.testing.assert_array_equal(e1, e2)
+        np.testing.assert_array_equal(r1, r2)
 
     def test_uniformity_over_degree_8(self, tmp_path):
         rows = [("hub", "r", f"n{i}") for i in range(8)]
@@ -91,8 +92,8 @@ class TestSampleNeighbors:
         n_draws = 10_000
         counts = np.zeros(8)
         for _ in range(n_draws):
-            sample = sample_neighbors(kg, hub, 8, rng)
-            for e in sample.entities:
+            _, (nbrs,) = sample_children(kg, [hub], 8, rng)
+            for e in nbrs:
                 counts[e - 1] += 1
         # each slot is an independent uniform draw over 8 neighbors
         total = n_draws * 8
@@ -103,13 +104,13 @@ class TestSampleNeighbors:
     def test_isolated_entity_padded_with_self_loops(self, tmp_path):
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
         b = kg.entity_vocab["b"]  # no outgoing edges in directed mode
-        sample = sample_neighbors(kg, b, 3, np.random.default_rng(0))
-        assert np.all(sample.relations == NULL_RELATION)
-        assert np.all(sample.entities == b)
+        rels, nbrs = sample_children(kg, [b], 3, np.random.default_rng(0))
+        assert np.all(rels == NULL_RELATION)
+        assert np.all(nbrs == b)
 
     def test_invalid_size_rejected(self, chain_kg):
         with pytest.raises(ValueError):
-            sample_neighbors(chain_kg, 0, 0, np.random.default_rng(0))
+            sample_children(chain_kg, [0], 0, np.random.default_rng(0))
 
 
 class TestBuildRippleSet:
@@ -284,13 +285,14 @@ class TestCsrOracle:
         assert rng.random() == ref_rng.random()
 
     def test_sample_neighbors_stream(self, random_kg):
+        """One-entity calls of ``sample_children``, entity after entity, on one generator."""
         adj = _brute_adjacency(random_kg)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for e in range(random_kg.num_entities):
-            sample = sample_neighbors(random_kg, e, 3, rng)
+            rels, nbrs = sample_children(random_kg, [e], 3, rng)
             want_rels, want_nbrs = _reference_children(adj, [e], 3, ref_rng)
-            assert _same_bytes(sample.relations, want_rels[0])
-            assert _same_bytes(sample.entities, want_nbrs[0])
+            assert _same_bytes(rels, want_rels)
+            assert _same_bytes(nbrs, want_nbrs)
         assert rng.random() == ref_rng.random()
 
     def test_sample_item_trees_stream(self, random_kg):
