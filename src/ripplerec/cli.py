@@ -222,6 +222,13 @@ def cmd_prep(cfg):
     return 0
 
 
+def _meta_int(meta, key, path):
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise ValueError(f"{path}: {key} = {meta[key]!r} is not an integer") from None
+
+
 def load_prep(cfg):
     """Rebuild (kg, dataset, prep meta) from prep artifacts in ``cfg.out``."""
     meta_path = os.path.join(cfg.out, "prep_meta.txt")
@@ -236,7 +243,7 @@ def load_prep(cfg):
         path = os.path.join(cfg.out, name)
         if _sha256(path) != meta[key]:
             raise ValueError(f"{path} does not match the prep-time vocabulary (KG file changed?)")
-    num_items = int(meta["num_items"])
+    num_users, num_items = (_meta_int(meta, key, meta_path) for key in ("num_users", "num_items"))
     item_path = os.path.join(cfg.out, "item_entities.tsv")
     item_entities = kgmod.read_int_tsv(item_path, (("item", num_items), ("entity", graph.num_entities)))
     if not np.array_equal(item_entities[:, 0], np.arange(num_items)):
@@ -245,7 +252,7 @@ def load_prep(cfg):
         os.path.join(cfg.out, "train.tsv"),
         os.path.join(cfg.out, "validation.tsv"),
         os.path.join(cfg.out, "test.tsv"),
-        num_users=int(meta["num_users"]),
+        num_users=num_users,
         num_items=num_items,
         item_entities=item_entities[:, 1],
     )

@@ -26,12 +26,17 @@ concurrently; gradient accumulation and updates are single writer.
 
 The hop algebra works per (example, relation), not per bag row: since
 (R_r h) . v = h . (R_r^T v), one GEMM gives R_r^T v for every example
-and relation, and each bag row gathers its own.  The backward reduces
+and relation, and each bag row takes its own at flat key b * R + r.
+Every backward term is a weight per bag row times a row of a small
+source -- a per-example gradient, R_r^T v, or the embedding table
+itself -- so no per-row gradient array is built: each term is an entry
+of one sparse (COO) matrix times that source.  The backward reduces
 S[b, r] = sum of g_score * h over the rows of example b with relation r
-(one sparse product per hop), after which the candidate and
-``relation_mat`` gradients are one GEMM each.  Every ``entity_emb`` gradient row of a
-batch (hop heads and tails, tree levels, candidates) is collected as an
-(index, rows) pair and scattered once at the end.
+(one sparse product with ``entity_emb`` per hop), after which the
+candidate and ``relation_mat`` gradients are one GEMM each.  Every
+``entity_emb`` gradient term of a batch (hop heads and tails, tree
+levels, candidates) is collected and summed by one sparse product over
+the stacked sources at the end.
 """
 
 from __future__ import annotations
@@ -206,8 +211,8 @@ class ForwardTrace:
     """Intermediates retained for the hand-derived backward pass."""
 
     v: np.ndarray  # (B, d) candidate embeddings
+    rt_v_all: np.ndarray | None = None  # (B, R, d): R_r^T v per example and relation
     hop_attn: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p)
-    hop_rt_v: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p, d): R_r^T v
     hop_resp: list[np.ndarray] = field(default_factory=list)  # per hop (B, d)
     fusion_in: np.ndarray | None = None  # shared variant: sum_k O_k + v
     rec_in: list[np.ndarray] = field(default_factory=list)  # recursive variant inputs per hop
@@ -227,6 +232,19 @@ def _relation_transpose_apply(rel_mat, v):
     return (v @ rel_mat.transpose(1, 0, 2).reshape(d, n_rel * d)).reshape(len(v), n_rel, d)
 
 
+def _relation_keys(rels, n_rel):
+    """Flat key b * R + r of each bag row's (example, relation) pair, (B, n_p).
+
+    A relation outside [0, R) raises ``IndexError``: as a flat key it
+    would read another example's row (r >= R) or wrap to relation R - 1
+    (r < 0, e.g. ``NULL_RELATION``).
+    """
+    out_of_range = (rels < 0) | (rels >= n_rel)
+    if np.any(out_of_range):
+        raise IndexError(f"hop relation {rels[out_of_range][0]} outside [0, {n_rel})")
+    return np.arange(len(rels))[:, None] * n_rel + rels
+
+
 def _hop_forward(params, bag, rt_v_all, trace):
     """Attention response of one ripple hop against the candidates.
 
@@ -235,24 +253,23 @@ def _hop_forward(params, bag, rt_v_all, trace):
     """
     ent = params.values["entity_emb"]
     heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
-    # 2-D gather: a relation id >= R raises instead of reading another example's row
-    rt_v = rt_v_all[np.arange(len(bag))[:, None], rels]  # (B, n_p, d)
-    scores = np.einsum("bnd,bnd->bn", ent[heads], rt_v)
+    keys = _relation_keys(rels, rt_v_all.shape[1])
+    rt_v_rows = rt_v_all.reshape(-1, rt_v_all.shape[-1])
+    scores = np.einsum("bnd,bnd->bn", ent.take(heads, axis=0), rt_v_rows.take(keys, axis=0))
     attn = softmax(scores)
-    resp = np.einsum("bn,bnd->bd", attn, ent[tails])
+    resp = np.einsum("bn,bnd->bd", attn, ent.take(tails, axis=0))
     trace.hop_attn.append(attn)
-    trace.hop_rt_v.append(rt_v)
     trace.hop_resp.append(resp)
     return resp
 
 
 def _user_forward(params, bags, hp, trace):
     if hp.user_table:
-        trace.u_rep = params.values["user_emb"][bags.users]
+        trace.u_rep = params.values["user_emb"].take(bags.users, axis=0)
         return trace.u_rep
     v = trace.v
-    rt_v_all = _relation_transpose_apply(params.values["relation_mat"], v)
-    responses = [_hop_forward(params, bags.hop_bags[k], rt_v_all, trace) for k in range(hp.hops)]
+    trace.rt_v_all = _relation_transpose_apply(params.values["relation_mat"], v)
+    responses = [_hop_forward(params, bags.hop_bags[k], trace.rt_v_all, trace) for k in range(hp.hops)]
     w = params.values["fusion_w"]
     if hp.fusion == "shared":
         fused_in = np.sum(responses, axis=0) + v
@@ -281,7 +298,7 @@ def _item_forward(params, bags, hp, trace):
     n_e = hp.neighbor_size
 
     z = [None] * (depth + 1)
-    z[depth] = ent[bags.tree_ents[depth]]
+    z[depth] = ent.take(bags.tree_ents[depth], axis=0)
     trace.tree_alpha = [None] * depth
     trace.tree_in = [None] * depth
     trace.tree_pre = [None] * depth
@@ -291,11 +308,11 @@ def _item_forward(params, bags, hp, trace):
         child_z = z[level + 1].reshape(b, n, n_e, -1)
         pad = child_rel == NULL_RELATION
         safe_rel = np.where(pad, 0, child_rel)
-        scores = np.einsum("bd,bncd->bnc", u, rel_vec[safe_rel])
+        scores = np.einsum("bd,bncd->bnc", u, rel_vec.take(safe_rel, axis=0))
         scores = np.where(pad, 0.0, scores)
         alpha = softmax(scores)
         agg = np.einsum("bnc,bncd->bnd", alpha, child_z)
-        own = ent[bags.tree_ents[level]]
+        own = ent.take(bags.tree_ents[level], axis=0)
         mixed = own + agg
         pre = mixed @ conv_w[level].T + conv_b[level]
         z[level] = np.tanh(pre) if level == 0 else np.maximum(pre, 0.0)
@@ -309,7 +326,7 @@ def _item_forward(params, bags, hp, trace):
 
 def forward(params, bags, hp):
     """Full forward pass over frozen bags; returns a populated trace."""
-    trace = ForwardTrace(v=params.values["entity_emb"][bags.v_idx])
+    trace = ForwardTrace(v=params.values["entity_emb"].take(bags.v_idx, axis=0))
     _user_forward(params, bags, hp, trace)
     _item_forward(params, bags, hp, trace)
     trace.logit = np.einsum("bd,bd->b", trace.i_rep, trace.u_rep)
@@ -331,46 +348,84 @@ def batch_loss(params, bags, hp, trace=None, mean=True):
 # -- backward ------------------------------------------------------------------
 
 
-def _scatter_rows(grad, idx, contrib):
-    """Accumulate contribution rows into grad rows (duplicate indices sum).
+def _add_rows(grad, rows, cols, weights, src):
+    """grad[rows[i]] += weights[i] * src[cols[i]] for every entry i, in entry order.
 
-    One sparse product: a CSC matrix with a single 1 per column, in the
-    row of ``grad`` that column's contribution goes to, times the stacked
-    contributions.  Rows no index names receive exactly zero.
+    ``cols`` broadcasts against ``weights``; ``rows`` holds as many
+    entries.  One sparse product: a COO matrix holding weight i at
+    (rows[i], cols[i]) times the source table ``src``.  Duplicate rows
+    sum; rows no entry names receive exactly zero.
     """
-    flat_idx = idx.reshape(-1)
-    flat = contrib.reshape(-1, contrib.shape[-1])
-    n = len(flat_idx)
-    onehot = sparse.csc_matrix((np.ones(n, dtype=flat.dtype), flat_idx, np.arange(n + 1)),
-                               shape=(grad.shape[0], n))
-    grad += onehot @ flat
+    cols = np.broadcast_to(cols, weights.shape)
+    coo = sparse.coo_array((weights.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
+                           shape=(grad.shape[0], src.shape[0]))
+    grad += coo @ src
 
 
-def _hop_backward(params, bag, trace, k, g_resp, s, ent_rows):
+class _RowTerms:
+    """The ``entity_emb`` gradient of a batch as weighted rows of small sources.
+
+    Backward stages stack the tables their terms read with
+    :meth:`source` and add (row, column, weight) entries with
+    :meth:`add`; :meth:`scatter` sums every entry into the gradient with
+    one :func:`_add_rows`, in the order added.  Sources are read at
+    :meth:`scatter`, so they must not change after they are stacked.
+    """
+
+    def __init__(self):
+        self.sources = []
+        self.entries = []
+        self.size = 0
+
+    def source(self, src):
+        """Stack the rows of ``src`` (..., d); returns the column of its first row."""
+        flat = src.reshape(-1, src.shape[-1])
+        self.sources.append(flat)
+        self.size += len(flat)
+        return self.size - len(flat)
+
+    def add(self, rows, cols, weights):
+        """Entries as :func:`_add_rows` takes them, ``cols`` counted in the stack."""
+        self.entries.append((rows, np.broadcast_to(cols, weights.shape), weights))
+
+    def add_unit(self, rows, src):
+        """Row i of ``src`` (rows.shape + (d,)) into rows[i]; returns its columns."""
+        cols = self.source(src) + np.arange(rows.size).reshape(rows.shape)
+        self.add(rows, cols, np.ones(rows.shape, dtype=src.dtype))
+        return cols
+
+    def scatter(self, grad):
+        rows, cols, weights = (np.concatenate([entry[i].reshape(-1) for entry in self.entries])
+                               for i in range(3))
+        _add_rows(grad, rows, cols, weights, np.concatenate(self.sources))
+
+
+def _hop_backward(params, bag, trace, k, g_resp, s, terms, rt_col):
     """Backward of one hop.
 
-    Appends the hop's ``entity_emb`` rows (tails, heads) to ``ent_rows``
-    and adds g_score * h of each bag row into ``s`` (B * R, d) at row
-    b * R + r, leaving the candidate and relation gradients to the caller.
+    Adds the hop's ``entity_emb`` terms (tails, then heads against the
+    R_r^T v rows stacked at column ``rt_col``) to ``terms`` and
+    g_score * h of each bag row into ``s`` (B * R, d) at row b * R + r,
+    leaving the candidate and relation gradients to the caller.
     """
     ent = params.values["entity_emb"]
     heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
+    keys = _relation_keys(rels, params.values["relation_mat"].shape[0])
     attn = trace.hop_attn[k]
 
     # resp = sum_n attn_n * t_n
-    g_attn = np.einsum("bd,bnd->bn", g_resp, ent[tails])
-    ent_rows.append((tails, attn[..., None] * g_resp[:, None, :]))
+    g_attn = np.einsum("bd,bnd->bn", g_resp, ent.take(tails, axis=0))
+    terms.add(tails, terms.source(g_resp) + np.arange(len(bag))[:, None], attn)
     # softmax jacobian within the bag
     g_scores = attn * (g_attn - np.sum(attn * g_attn, axis=-1, keepdims=True))
-    # score_n = h_n . (R_r^T v)
-    ent_rows.append((heads, g_scores[..., None] * trace.hop_rt_v[k]))
-    n_rel = params.values["relation_mat"].shape[0]
-    _scatter_rows(s, np.arange(len(bag))[:, None] * n_rel + rels, g_scores[..., None] * ent[heads])
+    # score_n = h_n . (R_r^T v)[b, r]
+    terms.add(heads, rt_col + keys, g_scores)
+    _add_rows(s, keys, heads, g_scores, ent)
 
 
-def _user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
+def _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms):
     if hp.user_table:
-        _scatter_rows(grads["user_emb"], bags.users, g_u)
+        _add_rows(grads["user_emb"], bags.users, np.arange(len(g_u)), np.ones(len(g_u), g_u.dtype), g_u)
         return
     w = params.values["fusion_w"]
     if hp.fusion == "shared":
@@ -392,15 +447,16 @@ def _user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
     v = trace.v
     # S[b, r]: sum of g_score * h over the bag rows of example b with relation r, all hops
     s = np.zeros((len(v) * n_rel, d), dtype=v.dtype)
+    rt_col = terms.source(trace.rt_v_all)
     for k in range(hp.hops):
-        _hop_backward(params, bags.hop_bags[k], trace, k, hop_grads[k], s, ent_rows)
+        _hop_backward(params, bags.hop_bags[k], trace, k, hop_grads[k], s, terms, rt_col)
     s = s.reshape(len(v), n_rel * d)
     # score = v . (R_r h): dv = sum_r R_r S[b, r], dR_r = sum_b v_b S[b, r]^T
     g_v += s @ rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d)
     grads["relation_mat"] += (v.T @ s).reshape(d, n_rel, d).transpose(1, 0, 2)
 
 
-def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows):
+def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
     if hp.conv_layers == 0:
         g_v += g_i
         return
@@ -421,7 +477,7 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows):
         grads["conv_w"][level] += np.einsum("bni,bnj->ij", g_pre, trace.tree_in[level])
         grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
         g_mixed = g_pre @ conv_w[level]
-        ent_rows.append((bags.tree_ents[level], g_mixed))
+        node_cols = terms.add_unit(bags.tree_ents[level], g_mixed)
 
         b, n = bags.tree_ents[level].shape
         child_rel = bags.tree_rels[level + 1].reshape(b, n, n_e)
@@ -430,22 +486,31 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows):
         safe_rel = np.where(pad, 0, child_rel)
         alpha = trace.tree_alpha[level]
 
-        g_child_z = alpha[..., None] * g_mixed[:, :, None, :]
         g_alpha = np.einsum("bnd,bncd->bnc", g_mixed, child_z)
         g_scores = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=-1, keepdims=True))
         g_scores = np.where(pad, 0.0, g_scores)
         # score = u . rel_vec[r]
-        g_u += np.einsum("bnc,bncd->bd", g_scores, rel_vec[safe_rel])
-        flat_rel = safe_rel.reshape(-1)
-        flat_gs = g_scores.reshape(-1)
-        keep = flat_gs != 0.0
-        if np.any(keep):
-            contrib = flat_gs[:, None] * np.broadcast_to(
-                u[:, None, None, :], (b, n, n_e, u.shape[-1])
-            ).reshape(-1, u.shape[-1])
-            _scatter_rows(grads["relation_vec"], flat_rel[keep], contrib[keep])
-        g_z = g_child_z.reshape(b, n * n_e, -1)
-    ent_rows.append((bags.tree_ents[depth], g_z))
+        g_u += np.einsum("bnc,bncd->bd", g_scores, rel_vec.take(safe_rel, axis=0))
+        _add_rows(grads["relation_vec"], safe_rel, np.arange(b)[:, None, None], g_scores, u)
+        # child c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
+        if level + 1 < depth:
+            g_z = (alpha[..., None] * g_mixed[:, :, None, :]).reshape(b, n * n_e, -1)
+        else:
+            terms.add(bags.tree_ents[depth], node_cols[..., None], alpha)
+
+
+def _backward(params, bags, hp, trace, g_logit):
+    """Gradients of the batch into ``params.grads`` from dloss/dlogit."""
+    grads = params.grads
+    g_u = g_logit[:, None] * trace.i_rep
+    g_i = g_logit[:, None] * trace.u_rep
+    g_v = np.zeros_like(trace.v)
+    terms = _RowTerms()
+    # item side first: it also feeds gradient into u (taste scores)
+    _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms)
+    _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms)
+    terms.add_unit(bags.v_idx, g_v)
+    terms.scatter(grads["entity_emb"])
 
 
 def forward_backward(params, bags, hp, mean=True):
@@ -473,21 +538,7 @@ def forward_backward(params, bags, hp, mean=True):
     y = bags.labels.astype(trace.yhat.dtype)
     scale = 1.0 / bags.size if mean else 1.0
     inside = (trace.yhat > PROB_CLAMP) & (trace.yhat < 1.0 - PROB_CLAMP)
-    g_logit = (trace.yhat - y) * scale * inside
-
-    grads = params.grads
-    g_u = g_logit[:, None] * trace.i_rep
-    g_i = g_logit[:, None] * trace.u_rep
-    g_v = np.zeros_like(trace.v)
-    ent_rows = []  # (index, rows) pairs of every entity_emb gradient, scattered once
-    # item side first: it also feeds gradient into u (taste scores)
-    _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows)
-    _user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows)
-    ent_rows.append((bags.v_idx, g_v))
-    d = g_v.shape[-1]
-    _scatter_rows(grads["entity_emb"],
-                  np.concatenate([idx.reshape(-1) for idx, _ in ent_rows]),
-                  np.concatenate([rows.reshape(-1, d) for _, rows in ent_rows]))
+    _backward(params, bags, hp, trace, (trace.yhat - y) * scale * inside)
     params.add_l2_grads(hp.l2_weight)
     return loss, trace
 

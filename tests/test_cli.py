@@ -343,7 +343,8 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "empty": _empty, "not_integer": _not_integer,
            "user_999": _set_field(0, "999"), "user_-1": _set_field(0, "-1"),
            "item_999": _set_field(1, "999"), "item_-1": _set_field(1, "-1"),
-           "label_2": _set_field(2, "2"), "entity_999": _set_field(1, "999")}
+           "label_2": _set_field(2, "2"), "entity_999": _set_field(1, "999"),
+           "num_items_1OO": _set_field(1, " 1OO")}  # line 2 of prep_meta.txt is num_items
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
@@ -367,6 +368,7 @@ INPUT_DEFECTS = [
     ("prep_meta", "truncated", EXIT_MALFORMED, "{path}:{line}: expected 'key = value'"),
     ("prep_meta", "not_utf8", EXIT_MALFORMED, "{path}:{line}:"),
     ("prep_meta", "empty", EXIT_MALFORMED, "{path}: missing key 'num_users'"),
+    ("prep_meta", "num_items_1OO", EXIT_MALFORMED, "{path}: num_items = '1OO' is not an integer"),
     ("manifest", "wrong_arity", EXIT_MALFORMED, "{path}:{line}: expected 'key = value'"),
     ("test", "user_999", EXIT_MALFORMED, "{path}:{line}: user 999 outside"),
     ("test", "user_-1", EXIT_MALFORMED, "{path}:{line}: user -1 outside"),

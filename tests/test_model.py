@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import ripplerec as rr
 import ripplerec.model
@@ -543,6 +544,118 @@ def _ref_user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
         _ref_hop_backward(params, bags.hop_bags[k], trace.v, trace, k, hop_grads[k], grads, g_v)
 
 
+# -- reference backward: materialized gradient rows ----------------------------
+# The backward before it moved to weighted rows of small sources: every
+# term is built as a (rows, d) array of gradient rows and scattered with a
+# one-hot CSC product, the entity terms concatenated into one scatter.  The
+# bit-exactness tests swap it in for the model's backward.
+
+
+def _rows_scatter(grad, idx, contrib):
+    flat_idx = idx.reshape(-1)
+    flat = contrib.reshape(-1, contrib.shape[-1])
+    n = len(flat_idx)
+    onehot = sparse.csc_matrix((np.ones(n, dtype=flat.dtype), flat_idx, np.arange(n + 1)),
+                               shape=(grad.shape[0], n))
+    grad += onehot @ flat
+
+
+def _rows_hop_backward(params, bag, trace, k, g_resp, s, ent_rows):
+    ent = params.values["entity_emb"]
+    heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
+    attn = trace.hop_attn[k]
+    rt_v = trace.rt_v_all[np.arange(len(bag))[:, None], rels]
+    g_attn = np.einsum("bd,bnd->bn", g_resp, ent[tails])
+    ent_rows.append((tails, attn[..., None] * g_resp[:, None, :]))
+    g_scores = attn * (g_attn - np.sum(attn * g_attn, axis=-1, keepdims=True))
+    ent_rows.append((heads, g_scores[..., None] * rt_v))
+    n_rel = params.values["relation_mat"].shape[0]
+    _rows_scatter(s, np.arange(len(bag))[:, None] * n_rel + rels, g_scores[..., None] * ent[heads])
+
+
+def _rows_user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
+    if hp.user_table:
+        _rows_scatter(grads["user_emb"], bags.users, g_u)
+        return
+    w = params.values["fusion_w"]
+    if hp.fusion == "shared":
+        grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
+        g_fused = g_u @ w[0]
+        g_v += g_fused
+        hop_grads = [g_fused] * hp.hops
+    else:
+        g_v += g_u
+        g_carry = g_u
+        hop_grads = [None] * hp.hops
+        for k in range(hp.hops - 1, -1, -1):
+            grads["fusion_w"][k] += np.einsum("bi,bj->ij", g_carry, trace.rec_in[k])
+            g_carry = hop_grads[k] = g_carry @ w[k]
+    rel_mat = params.values["relation_mat"]
+    n_rel, d, _ = rel_mat.shape
+    v = trace.v
+    s = np.zeros((len(v) * n_rel, d), dtype=v.dtype)
+    for k in range(hp.hops):
+        _rows_hop_backward(params, bags.hop_bags[k], trace, k, hop_grads[k], s, ent_rows)
+    s = s.reshape(len(v), n_rel * d)
+    g_v += s @ rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d)
+    grads["relation_mat"] += (v.T @ s).reshape(d, n_rel, d).transpose(1, 0, 2)
+
+
+def _rows_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows):
+    if hp.conv_layers == 0:
+        g_v += g_i
+        return
+    rel_vec = params.values["relation_vec"]
+    conv_w = params.values["conv_w"]
+    u = trace.u_rep
+    n_e = hp.neighbor_size
+    g_z = g_i[:, None, :]
+    for level in range(hp.conv_layers):
+        z_here = trace.tree_z[level]
+        pre = trace.tree_pre[level]
+        g_pre = g_z * (1.0 - z_here * z_here) if level == 0 else g_z * (pre > 0.0)
+        grads["conv_w"][level] += np.einsum("bni,bnj->ij", g_pre, trace.tree_in[level])
+        grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
+        g_mixed = g_pre @ conv_w[level]
+        ent_rows.append((bags.tree_ents[level], g_mixed))
+        b, n = bags.tree_ents[level].shape
+        child_rel = bags.tree_rels[level + 1].reshape(b, n, n_e)
+        child_z = trace.tree_z[level + 1].reshape(b, n, n_e, -1)
+        pad = child_rel == NULL_RELATION
+        safe_rel = np.where(pad, 0, child_rel)
+        alpha = trace.tree_alpha[level]
+        g_child_z = alpha[..., None] * g_mixed[:, :, None, :]
+        g_alpha = np.einsum("bnd,bncd->bnc", g_mixed, child_z)
+        g_scores = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=-1, keepdims=True))
+        g_scores = np.where(pad, 0.0, g_scores)
+        g_u += np.einsum("bnc,bncd->bd", g_scores, rel_vec[safe_rel])
+        flat_rel = safe_rel.reshape(-1)
+        flat_gs = g_scores.reshape(-1)
+        keep = flat_gs != 0.0
+        if np.any(keep):
+            contrib = flat_gs[:, None] * np.broadcast_to(
+                u[:, None, None, :], (b, n, n_e, u.shape[-1])
+            ).reshape(-1, u.shape[-1])
+            _rows_scatter(grads["relation_vec"], flat_rel[keep], contrib[keep])
+        g_z = g_child_z.reshape(b, n * n_e, -1)
+    ent_rows.append((bags.tree_ents[hp.conv_layers], g_z))
+
+
+def _rows_backward(params, bags, hp, trace, g_logit):
+    grads = params.grads
+    g_u = g_logit[:, None] * trace.i_rep
+    g_i = g_logit[:, None] * trace.u_rep
+    g_v = np.zeros_like(trace.v)
+    ent_rows = []
+    _rows_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows)
+    _rows_user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows)
+    ent_rows.append((bags.v_idx, g_v))
+    d = g_v.shape[-1]
+    _rows_scatter(grads["entity_emb"],
+                  np.concatenate([idx.reshape(-1) for idx, _ in ent_rows]),
+                  np.concatenate([rows.reshape(-1, d) for _, rows in ent_rows]))
+
+
 @pytest.fixture(scope="module")
 def many_relation_data(tmp_path_factory):
     spec = SyntheticSpec(num_users=60, num_items=96, num_entities=192, clusters=16, seed=5)
@@ -580,28 +693,68 @@ class TestFusedBackwardOracle:
             assert np.any(want[name] != 0.0), name
             np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", [
+        dict(),
+        dict(fusion="recursive"),
+        dict(user_table=True),
+        dict(conv_layers=0),
+        dict(conv_layers=1),
+    ], ids=["shared", "recursive", "user_table", "conv0", "conv1"])
+    def test_gradients_bit_identical_to_materialized_rows(self, many_relation_data, variant, precision,
+                                                           monkeypatch):
+        kg, dataset = many_relation_data
+        kw = dict(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0, precision=precision)
+        hp = Hyperparams(**{**kw, **variant})
+        ripple_sets = {} if hp.user_table else rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        bags = assemble_batch(dataset.train[:64], kg, ripple_sets, hp, dataset.item_entities,
+                              np.random.default_rng(1))
+        params = init_params(kg.num_entities, kg.num_relations, hp, seed=0, num_users=dataset.num_users)
+
+        def run():
+            params.zero_grads()
+            forward_backward(params, bags, hp)
+            return {name: g.copy() for name, g in params.grads.items()}
+
+        got = run()
+        calls = []
+        monkeypatch.setattr(ripplerec.model, "_backward",
+                            lambda *args: calls.append(1) or _rows_backward(*args))
+        want = run()
+        assert calls, "the reference backward did not run"
+        assert np.any(want["entity_emb"] != 0.0)
+        for name in want:
+            assert got[name].dtype == hp.dtype, name
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+            assert got[name].tobytes() == want[name].tobytes(), name  # signed zeros too
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scatter_rows_matches_add_at(self, dtype):
         rng = np.random.default_rng(0)
-        idx = rng.integers(0, 40, size=(30, 7))  # 210 rows into 40 of 50: duplicates and untouched rows
-        contrib = rng.normal(size=(30, 7, 5)).astype(dtype)
+        rows = rng.integers(0, 40, size=(30, 7))  # 210 entries into 40 of 50 rows: duplicates and untouched rows
+        cols = rng.integers(0, 12, size=(30, 7))  # each of 12 source rows read many times
+        weights = rng.normal(size=(30, 7)).astype(dtype)
+        src = rng.normal(size=(12, 5)).astype(dtype)
         got = np.zeros((50, 5), dtype=dtype)
         want = np.zeros((50, 5), dtype=dtype)
         for _ in range(2):  # accumulates into what is there
-            ripplerec.model._scatter_rows(got, idx, contrib)
-            _ref_scatter_rows(want, idx, contrib)
+            ripplerec.model._add_rows(got, rows, cols, weights, src)
+            _ref_scatter_rows(want, rows, weights[..., None] * src[cols])
         assert got.dtype == dtype
         np.testing.assert_allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12)
-        untouched = sorted(set(range(50)) - set(idx.reshape(-1).tolist()))
+        untouched = sorted(set(range(50)) - set(rows.reshape(-1).tolist()))
         assert len(untouched) >= 10
         np.testing.assert_array_equal(got[untouched], 0.0)
 
-    def test_out_of_range_hop_relation_raises(self, tiny_data):
+    @pytest.mark.parametrize("bad", ["R", NULL_RELATION])
+    def test_out_of_range_hop_relation_raises(self, tiny_data, bad):
         hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1)
         params, bags = _tiny_batch(tiny_data, hp, n=4)
-        # relation R in example 0: a flat b * R + r key would read example 1's relation 0
-        bags.hop_bags[0][0, 0, 1] = params.values["relation_mat"].shape[0]
-        with pytest.raises(IndexError):
+        n_rel = params.values["relation_mat"].shape[0]
+        # in example 0, at flat key b * R + r, relation R would read example 1's
+        # relation 0 and relation -1 would wrap to relation R - 1
+        bags.hop_bags[0][0, 0, 1] = n_rel if bad == "R" else bad
+        with pytest.raises(IndexError, match="outside"):
             forward(params, bags, hp)
 
 
