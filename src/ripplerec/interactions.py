@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .kg import ParseError, read_int_tsv, read_tsv
+from .kg import ParseError, intern_names, read_int_tsv, read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -78,44 +79,32 @@ def binarize(ratings_path, threshold, item_to_entity):
     item_index = {raw: i for i, raw in enumerate(item_names)}
     item_entities = np.array([item_to_entity[raw] for raw in item_names], dtype=np.int64)
 
-    user_index: dict[str, int] = {}
-    user_names: list[str] = []
-    positives: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    n_rows = n_below = n_unmapped = 0
-
-    for lineno, fields in read_tsv(ratings_path, 3, 4):
-        raw_user, raw_item, raw_rating = fields[0], fields[1], fields[2]
-        try:
-            rating = float(raw_rating)
-        except ValueError:
-            raise ParseError(ratings_path, lineno, f"non-numeric rating {raw_rating!r}") from None
-        n_rows += 1
-        if raw_item not in item_index:
-            n_unmapped += 1
-            continue
-        if rating < threshold:
-            n_below += 1
-            continue
-        u = user_index.get(raw_user)
-        if u is None:
-            u = len(user_names)
-            user_index[raw_user] = u
-            user_names.append(raw_user)
-        key = (u, item_index[raw_item])
-        if key in seen:
-            continue
-        seen.add(key)
-        positives.append(key)
+    linenos, fields = read_tsv(ratings_path, 3, 4)
+    n_rows = len(fields)
     if n_rows == 0:
         raise ValueError(f"{ratings_path}: no rating rows found")
+    ratings = np.empty(n_rows)
+    for k, (lineno, raw_rating) in enumerate(zip(linenos.tolist(), fields[:, 2].tolist())):
+        try:
+            ratings[k] = float(raw_rating)
+        except ValueError:
+            raise ParseError(ratings_path, lineno, f"non-numeric rating {raw_rating!r}") from None
+    items = np.fromiter(map(item_index.get, fields[:, 1], repeat(-1)), dtype=np.int64, count=n_rows)
+    mapped = items >= 0
+    below = mapped & (ratings < threshold)
+    positive = mapped & ~below  # a NaN rating is not below the threshold
+    user_names, _, users = intern_names(fields[positive, 0])
+    pairs = np.stack((users, items[positive]), axis=1)
+    _, kept = np.unique(users * len(item_names) + pairs[:, 1], return_index=True)
+    positives = pairs[np.sort(kept)]  # each (user, item) pair at its first row
+    n_below, n_unmapped = int(below.sum()), int((~mapped).sum())
 
     logger.info(
         "binarized %s: %d rows -> %d positives (%d below threshold, %d unmapped items)",
         ratings_path, n_rows, len(positives), n_below, n_unmapped,
     )
     return BinarizeResult(
-        positives=np.array(positives, dtype=np.int64).reshape(-1, 2),
+        positives=positives,
         user_names=user_names,
         item_names=item_names,
         item_entities=item_entities,
@@ -172,11 +161,14 @@ def _partition_counts(n, ratios):
 
 def _user_history(train):
     """Ripple seeds: each user's positive train items, users in first-appearance order."""
-    history: dict[int, list[int]] = {}
-    for u, item, label in train:
-        if label == 1:
-            history.setdefault(int(u), []).append(int(item))
-    return {u: np.array(items, dtype=np.int64) for u, items in history.items()}
+    positives = np.asarray(train, dtype=np.int64).reshape(-1, 3)
+    positives = positives[positives[:, 2] == 1]
+    order = np.argsort(positives[:, 0], kind="stable")  # by user, file order within a user
+    users = positives[order, 0]
+    starts = np.flatnonzero(np.diff(users, prepend=-1))  # where each user begins; ids are >= 0
+    items = np.split(positives[order, 1], starts[1:])
+    # a user's first row in sorted order is their first row in the file
+    return {int(users[starts[g]]): items[g] for g in np.argsort(order[starts])}
 
 
 def split(records, ratios=(0.6, 0.2, 0.2), seed=0, num_users=None, num_items=None, group_size=1):

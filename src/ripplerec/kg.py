@@ -1,9 +1,15 @@
 """Knowledge-graph triple store and all fixed-size stochastic sampling.
 
-Triples are ingested from TSV, indexed through first-appearance
-vocabularies, deduplicated, and exposed through one compressed sparse
-row (CSR) layout: entity ``e``'s outgoing (relation, neighbor) edges are
-``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
+Every TSV input goes through one byte-level scanner: the file is read
+and decoded once, line breaks follow text mode (``\n``, ``\r\n`` and a
+lone ``\r``; a blank line is skipped but counted), and numpy finds the
+tabs and line breaks and checks every line's field count from them.
+Triples are indexed through first-appearance vocabularies, deduplicated
+on packed (head, relation, tail) keys, and exposed through one
+compressed sparse row (CSR) layout built from one sort of packed
+(source, relation, neighbor) keys: entity ``e``'s outgoing (relation,
+neighbor) edges are ``rel[indptr[e]:indptr[e + 1]]`` and
+``nbr[indptr[e]:indptr[e + 1]]``.
 One vectorized sampler, :func:`sample_children`, draws fixed-size
 with-replacement neighbor bags for a whole array of entities with a
 single gather.  Per-user multi-hop ripple bags (:func:`build_ripple_set`)
@@ -17,9 +23,10 @@ concurrent sampling requires independent generator instances.
 
 from __future__ import annotations
 
+import io
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,63 +46,120 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@contextmanager
-def open_text(path):
-    """Open a UTF-8 text file for reading.
-
-    A byte sequence that does not decode raises :class:`ParseError`
-    naming the first line that holds one.
-    """
+def _decode(path, data):
+    """``data`` as text; a byte that does not decode raises :class:`ParseError` naming its line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
-        # the decoder works on whole chunks, so find the line by rereading
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
+        head = data[:err.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(path, lineno, f"not valid UTF-8 ({err.reason})") from None
 
 
-def read_tsv(path, *arity):
-    """Yield ``(lineno, fields)`` for every non-empty line of a UTF-8 TSV file.
+def _read_text(path):
+    """A UTF-8 file's text with every line break turned into ``"\n"``, as text mode reads it."""
+    with open(path, "rb") as fh:
+        text = _decode(path, fh.read())
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
-    A line whose field count is not one of ``arity`` raises
+
+def open_text(path):
+    """A UTF-8 text file as a line iterator, for use in a ``with`` statement.
+
+    A byte sequence that does not decode raises :class:`ParseError`
+    naming the line that holds it.
+    """
+    return io.StringIO(_read_text(path))
+
+
+class _Scan(NamedTuple):
+    text: str  # the file's text, every line "\n"-terminated
+    buf: np.ndarray  # the UTF-8 bytes of ``text``
+    ends: np.ndarray  # byte offset of the tab or newline that ends each field
+    linenos: np.ndarray  # 1-based number of every non-blank line
+    first: np.ndarray  # index into ``ends`` of every non-blank line's first field
+
+
+def _scan(path, arity):
+    """Locate every field of a UTF-8 TSV file and check each line's field count.
+
+    A non-blank line whose field count is not in ``arity`` raises
     :class:`ParseError`, as does a byte that does not decode.
     """
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in arity:
-                expected = " or ".join(str(n) for n in arity)
-                raise ParseError(path, lineno, f"expected {expected} tab-separated fields, got {len(fields)}")
-            yield lineno, fields
+    text = _read_text(path)
+    if text and not text.endswith("\n"):
+        text += "\n"
+    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
+    last = np.flatnonzero(buf[ends] == ord("\n"))  # each line's last field
+    first = np.zeros_like(last)
+    first[1:] = last[:-1] + 1
+    counts = last - first + 1
+    # a blank line's newline follows the previous one; for line 1, buf[-1] (a newline) stands in
+    blank = buf[ends[last] - 1] == ord("\n")
+    bad = ~blank & ~np.isin(counts, arity)
+    if bad.any():
+        i = int(np.argmax(bad))
+        expected = " or ".join(str(n) for n in arity)
+        raise ParseError(path, i + 1, f"expected {expected} tab-separated fields, got {counts[i]}")
+    lines = np.flatnonzero(~blank)
+    return _Scan(text, buf, ends, lines + 1, first[lines])
+
+
+def read_tsv(path, *arity):
+    """Line numbers and leading fields of every non-blank line of a UTF-8 TSV file.
+
+    Returns ``(linenos, fields)``: ``fields`` is an ``(n, min(arity))``
+    object array of the first ``min(arity)`` str fields of each line.  A
+    line whose field count is not one of ``arity`` raises
+    :class:`ParseError`, as does a byte that does not decode.
+    """
+    text, _, _, linenos, first = _scan(path, arity)
+    # one entry per field in file order: entry i is the field that ends at ends[i]
+    flat = np.array(text.replace("\n", "\t").split("\t"), dtype=object)
+    return linenos, flat[first[:, None] + np.arange(min(arity))]
 
 
 def read_int_tsv(path, columns):
     """``(n, len(columns))`` int64 array of a TSV file of non-negative integers.
 
     ``columns`` holds one ``(name, high)`` pair per field; the field must
-    lie in ``[0, high)``.  A non-integer or out-of-range field raises
-    :class:`ParseError` naming its line.
+    lie in ``[0, high)``.  A field is an integer when it is ASCII digits
+    with an optional leading ``-``.  The first line holding a non-integer
+    or out-of-range field raises :class:`ParseError`.
     """
-    rows = []
-    for lineno, fields in read_tsv(path, len(columns)):
-        try:
-            row = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(path, lineno, f"non-integer field in {fields}") from None
-        for value, (name, high) in zip(row, columns):
-            if not 0 <= value < high:
-                raise ParseError(path, lineno, f"{name} {value} outside [0, {high})")
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(-1, len(columns))
+    scan = _scan(path, (len(columns),))
+    buf = scan.buf
+    index = scan.first[:, None] + np.arange(len(columns))
+    end = scan.ends[index]
+    start = scan.ends[index - 1] + 1
+    start[index == 0] = 0
+    neg = buf[start] == ord("-")
+    lo = start + neg
+    nondigit = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
+    is_int = (end > lo) & (np.searchsorted(nondigit, lo) == np.searchsorted(nondigit, end))
+    # a nonzero digit more than 19 places from the end makes the value >= 10**19
+    nonzero = np.flatnonzero((buf > ord("0")) & (buf <= ord("9")))
+    big = np.searchsorted(nonzero, lo) < np.searchsorted(nonzero, end - 19)
+    width = np.where(is_int, end - lo, 0)
+    value = np.zeros(end.shape, dtype=np.uint64)  # the last 19 digits, < 2**64
+    for j in range(min(int(width.max(initial=0)), 19)):
+        digit = buf.take(end - 1 - j, mode="clip").astype(np.uint64) - ord("0")
+        value += np.where(j < width, digit * 10**j, 0)
+    high = np.array([h for _, h in columns], dtype=np.uint64)
+    bad = ~is_int | big | (value >= high) | (neg & (value > 0))
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        lineno = int(scan.linenos[i])
+        fields = buf[start[i, 0]:end[i, -1]].tobytes().decode("utf-8").split("\t")
+        if not is_int[i].all():
+            raise ParseError(path, lineno, f"non-integer field in {fields}")
+        c = int(np.argmax(bad[i]))
+        name, high_c = columns[c]
+        raise ParseError(path, lineno, f"{name} {int(fields[c])} outside [0, {high_c})")
+    return value.astype(np.int64)
 
 
 @dataclass
@@ -148,53 +212,47 @@ class RippleSet:
         return len(self.hops)
 
 
+def intern_names(raw):
+    """First-appearance vocabulary of the str array ``raw``: (names, name -> index, indices)."""
+    unique = dict.fromkeys(raw)
+    # fresh copies: a kept field string would pin the memory of the dead ones around it
+    names = "\t".join(unique).split("\t") if unique else []
+    vocab = {name: i for i, name in enumerate(names)}
+    return names, vocab, np.fromiter(map(vocab.__getitem__, raw), dtype=np.int64, count=len(raw))
+
+
 def load_kg(path, undirected=True):
     """Load a TSV triple file (``head<TAB>relation<TAB>tail``, UTF-8).
 
     Vocabularies assign indices in first-appearance order, duplicate
-    triples are stored once, and the CSR edge index gains an inverse
-    (tail, relation, head) edge per triple when ``undirected`` is set
-    (self-loops are not doubled).
+    triples are stored once (at their first line), and the CSR edge
+    index gains an inverse (tail, relation, head) edge per triple when
+    ``undirected`` is set (self-loops are not doubled).
     """
-    entity_vocab: dict[str, int] = {}
-    relation_vocab: dict[str, int] = {}
-    entity_names: list[str] = []
-    relation_names: list[str] = []
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-
-    def intern(vocab, names, raw):
-        idx = vocab.get(raw)
-        if idx is None:
-            idx = len(names)
-            vocab[raw] = idx
-            names.append(raw)
-        return idx
-
-    for _, (raw_h, raw_r, raw_t) in read_tsv(path, 3):
-        h = intern(entity_vocab, entity_names, raw_h)
-        r = intern(relation_vocab, relation_names, raw_r)
-        t = intern(entity_vocab, entity_names, raw_t)
-        key = (h, r, t)
-        if key in seen:
-            continue
-        seen.add(key)
-        triples.append(key)
-    if not triples:
+    _, fields = read_tsv(path, 3)
+    if len(fields) == 0:
         raise ValueError(f"{path}: no triples found")
+    entity_names, entity_vocab, ent = intern_names(fields[:, ::2].ravel())
+    relation_names, relation_vocab, rels = intern_names(fields[:, 1])
+    num_entities, num_relations = len(entity_names), len(relation_names)
+    if num_entities**2 * num_relations >= 2**63:
+        raise ValueError(f"{path}: {num_entities} entities and {num_relations} relations overflow int64 triple keys")
 
-    num_entities = len(entity_names)
-    num_relations = len(relation_names)
-    triple_arr = np.array(triples, dtype=np.int64)
-    src, rel, dst = triple_arr.T
+    def pack(src, rel, dst):
+        return (src * num_relations + rel) * num_entities + dst
+
+    keys = pack(ent[0::2], rels, ent[1::2])
+    _, kept = np.unique(keys, return_index=True)
+    kept.sort()  # each distinct triple at its first line
+    h, r, t = ent[0::2][kept], rels[kept], ent[1::2][kept]
+    triple_arr = np.stack((h, r, t), axis=1)
+    edge_keys = keys[kept]
     if undirected:
-        inv = src != dst  # self-loops are not doubled
-        src, rel, dst = (
-            np.concatenate((src, dst[inv])),
-            np.concatenate((rel, rel[inv])),
-            np.concatenate((dst, src[inv])),
-        )
-    order = np.lexsort((dst, rel, src))
+        inv = h != t  # self-loops are not doubled
+        edge_keys = np.concatenate((edge_keys, pack(t[inv], r[inv], h[inv])))
+    edge_keys.sort()  # by (source, relation, neighbor)
+    src, rest = np.divmod(edge_keys, num_relations * num_entities)
+    rel, nbr = np.divmod(rest, num_entities)
     indptr = np.zeros(num_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_entities), out=indptr[1:])
 
@@ -203,8 +261,8 @@ def load_kg(path, undirected=True):
         num_relations=num_relations,
         triples=triple_arr,
         indptr=indptr,
-        rel=rel[order],
-        nbr=dst[order],
+        rel=rel,
+        nbr=nbr,
         entity_vocab=entity_vocab,
         relation_vocab=relation_vocab,
         undirected=undirected,
@@ -212,8 +270,8 @@ def load_kg(path, undirected=True):
         relation_names=relation_names,
     )
     logger.info(
-        "loaded %s: %d entities, %d relations, %d triples (%s)",
-        path, num_entities, num_relations, len(triples),
+        "loaded %s: %d entities, %d relations, %d triples (%d duplicates dropped, %s)",
+        path, num_entities, num_relations, len(triple_arr), len(keys) - len(triple_arr),
         "undirected" if undirected else "directed",
     )
     return kg
@@ -296,7 +354,8 @@ def load_item_map(path, kg):
     """
     mapping: dict[str, int] = {}
     skipped = 0
-    for _, (raw_item, raw_entity) in read_tsv(path, 2):
+    _, fields = read_tsv(path, 2)
+    for raw_item, raw_entity in fields.tolist():
         idx = kg.entity_vocab.get(raw_entity)
         if idx is None:
             skipped += 1
@@ -317,7 +376,8 @@ def write_vocab(path, names):
 def read_vocab(path):
     """Inverse of :func:`write_vocab`; returns the dict raw_id -> index."""
     vocab = {}
-    for lineno, (raw, idx) in read_tsv(path, 2):
+    linenos, fields = read_tsv(path, 2)
+    for lineno, (raw, idx) in zip(linenos.tolist(), fields.tolist()):
         try:
             vocab[raw] = int(idx)
         except ValueError:

@@ -344,7 +344,10 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "user_999": _set_field(0, "999"), "user_-1": _set_field(0, "-1"),
            "item_999": _set_field(1, "999"), "item_-1": _set_field(1, "-1"),
            "label_2": _set_field(2, "2"), "entity_999": _set_field(1, "999"),
-           "num_items_1OO": _set_field(1, " 1OO")}  # line 2 of prep_meta.txt is num_items
+           "num_items_1OO": _set_field(1, " 1OO"),  # line 2 of prep_meta.txt is num_items
+           "user_20_digits": _set_field(0, "9" * 20), "user_+5": _set_field(0, "+5"),
+           "user_1_0": _set_field(0, "1_0"), "item_space_5": _set_field(1, " 5"),
+           "item_arabic_3": _set_field(1, "\u0663")}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
@@ -375,6 +378,12 @@ INPUT_DEFECTS = [
     ("test", "item_999", EXIT_MALFORMED, "{path}:{line}: item 999 outside"),
     ("test", "item_-1", EXIT_MALFORMED, "{path}:{line}: item -1 outside"),
     ("test", "label_2", EXIT_MALFORMED, "{path}:{line}: label 2 outside"),
+    ("test", "user_20_digits", EXIT_MALFORMED, "{path}:{line}: user 99999999999999999999 outside [0, "),
+    # forms int() accepts that prep never writes: only ASCII digits and a leading '-' parse
+    ("test", "user_+5", EXIT_MALFORMED, "{path}:{line}: non-integer field"),
+    ("test", "user_1_0", EXIT_MALFORMED, "{path}:{line}: non-integer field"),
+    ("test", "item_space_5", EXIT_MALFORMED, "{path}:{line}: non-integer field"),
+    ("test", "item_arabic_3", EXIT_MALFORMED, "{path}:{line}: non-integer field"),
     ("item_entities", "entity_999", EXIT_MALFORMED, "{path}:{line}: entity 999 outside"),
     ("item_entities", "not_integer", EXIT_MALFORMED, "{path}:{line}: non-integer"),
     ("item_entities", "empty", EXIT_MALFORMED, "{path}: expected one row per item"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ripplerec.interactions import (
+    _user_history,
     binarize,
     build_dataset,
     dataset_from_files,
@@ -62,6 +63,21 @@ class TestBinarize:
         path = tmp_path / "r.tsv"
         path.write_text("u1\ti0\n", encoding="utf-8")
         with pytest.raises(ParseError, match=":1:"):
+            binarize(str(path), 4.0, ITEM_MAP)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr_match_lf(self, tmp_path, newline):
+        rows = [("u1", "i1", 5), ("u2", "i0", 4, 99), ("u1", "i3", 2), ("u 3", "i2", 5), ("u1", "i1", 5)]
+        lf = binarize(write_ratings(tmp_path / "lf.tsv", rows), 4.0, ITEM_MAP)
+        path = tmp_path / "r.tsv"
+        text = "".join("\t".join(str(x) for x in row) + "\n" for row in rows)
+        path.write_bytes(("\n" + text.replace("\n", "\n\n")).replace("\n", newline).rstrip(newline).encode("utf-8"))
+        got = binarize(str(path), 4.0, ITEM_MAP)
+        assert got.positives.tolist() == lf.positives.tolist() == [[0, 1], [1, 0], [2, 2]]
+        assert got.user_names == lf.user_names == ["u1", "u2", "u 3"]
+        assert (got.n_rows, got.n_below_threshold, got.n_unmapped) == (5, 1, 0)
+        path.write_bytes(path.read_bytes() + (newline + "u1\ti0\tbad").encode("utf-8"))
+        with pytest.raises(ParseError, match=r"r\.tsv:11: non-numeric rating 'bad'"):
             binarize(str(path), 4.0, ITEM_MAP)
 
 
@@ -134,6 +150,74 @@ class TestSplit:
         for user, items in ds.user_history.items():
             for item in items:
                 assert (user, int(item)) in train_pos
+
+
+def _reference_binarize(path, threshold, item_to_entity):
+    """The per-row ``binarize`` loop that the array version replaced: (positives, user_names, counts)."""
+    item_index = {raw: i for i, raw in enumerate(item_to_entity)}
+    user_index, positives, seen = {}, [], set()
+    n_rows = n_below = n_unmapped = 0
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                continue
+            raw_user, raw_item, rating = fields[0], fields[1], float(fields[2])
+            n_rows += 1
+            if raw_item not in item_index:
+                n_unmapped += 1
+                continue
+            if rating < threshold:
+                n_below += 1
+                continue
+            key = (user_index.setdefault(raw_user, len(user_index)), item_index[raw_item])
+            if key not in seen:
+                seen.add(key)
+                positives.append(key)
+    return positives, list(user_index), (n_rows, n_below, n_unmapped)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_binarize_matches_row_loop(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    ratings = ["5", "4", "4.0", "3.99", "1", "nan", "inf", "-inf", " 4 ", "4e0"]
+    rows = []
+    for _ in range(int(rng.integers(1, 200))):
+        row = [f"u{rng.integers(12)}", f"i{rng.integers(6)}", ratings[rng.integers(len(ratings))]]
+        rows.append("\t".join(row + ["17"] * int(rng.integers(2))))
+    path = tmp_path / "r.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    threshold = [4.0, 100.0][seed % 2]  # 100: no positives at all
+    got = binarize(str(path), threshold, ITEM_MAP)
+    positives, user_names, counts = _reference_binarize(path, threshold, ITEM_MAP)
+    assert got.positives.dtype == np.int64 and got.positives.shape == (len(positives), 2)
+    assert got.positives.tolist() == [list(p) for p in positives]
+    assert got.user_names == user_names
+    assert (got.n_rows, got.n_below_threshold, got.n_unmapped) == counts
+
+
+def _reference_user_history(train):
+    """The per-row loop that ``_user_history`` replaced."""
+    history = {}
+    for u, item, label in train:
+        if label == 1:
+            history.setdefault(int(u), []).append(int(item))
+    return {u: np.array(items, dtype=np.int64) for u, items in history.items()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_user_history_matches_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 300))
+    # users 0..9 carry both labels; users 10..14 only negatives
+    train = np.stack((rng.integers(0, 15, n), rng.integers(0, 50, n), rng.integers(0, 2, n)), axis=1)
+    train[train[:, 0] >= 10, 2] = 0
+    got, want = _user_history(train), _reference_user_history(train)
+    assert list(got) == list(want)
+    assert all(type(u) is int for u in got)
+    for user, items in want.items():
+        assert got[user].dtype == np.int64
+        assert got[user].tolist() == items.tolist()
 
 
 class TestBuildDataset:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ripplerec.kg import (
     build_ripple_set,
     load_item_map,
     load_kg,
+    read_int_tsv,
     read_vocab,
     sample_children,
     write_vocab,
@@ -339,3 +342,213 @@ class TestVocabAndItemMap:
         path.write_text("just-one-field\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_item_map(str(path), chain_kg)
+
+
+# -- text-mode reading rules, pinned against the line-loop reader --------------------
+
+
+def _reference_load_kg(path, undirected):
+    """The line-by-line ``load_kg`` that the byte-level scanner replaced.
+
+    Returns (entity_names, relation_names, triples, indptr, rel, nbr).
+    """
+    entity_vocab, relation_vocab = {}, {}
+    triples, seen = [], set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+            h = entity_vocab.setdefault(fields[0], len(entity_vocab))
+            r = relation_vocab.setdefault(fields[1], len(relation_vocab))
+            t = entity_vocab.setdefault(fields[2], len(entity_vocab))
+            if (h, r, t) not in seen:
+                seen.add((h, r, t))
+                triples.append((h, r, t))
+    triple_arr = np.array(triples, dtype=np.int64)
+    src, rel, dst = triple_arr.T
+    if undirected:
+        inv = src != dst
+        src, rel, dst = (np.concatenate((src, dst[inv])), np.concatenate((rel, rel[inv])),
+                         np.concatenate((dst, src[inv])))
+    order = np.lexsort((dst, rel, src))
+    indptr = np.zeros(len(entity_vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(entity_vocab)), out=indptr[1:])
+    return list(entity_vocab), list(relation_vocab), triple_arr, indptr, rel[order], dst[order]
+
+
+def _assert_kg_equals(kg, want):
+    names, relations, triples, indptr, rel, nbr = want
+    assert kg.entity_names == names
+    assert kg.relation_names == relations
+    assert list(kg.entity_vocab.items()) == [(n, i) for i, n in enumerate(names)]
+    assert list(kg.relation_vocab.items()) == [(n, i) for i, n in enumerate(relations)]
+    for got, expected in ((kg.triples, triples), (kg.indptr, indptr), (kg.rel, rel), (kg.nbr, nbr)):
+        assert _same_bytes(got, expected)
+        assert got.flags.c_contiguous
+
+
+def _kg_text(rows, newline="\n"):
+    return "".join(f"{h}\t{r}\t{t}{newline}" for h, r, t in rows)
+
+
+KG_ROWS = [("a", "r", "b"), ("b", "s", "c"), ("c", "r", "c"), ("a", "r", "b"), ("c", "s", "a")]
+
+
+class TestTextModeReading:
+    """Line breaks, blank lines and names as ``open(path, encoding="utf-8")`` reads them."""
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr_match_lf(self, tmp_path, newline, undirected):
+        path = tmp_path / "kg.tsv"
+        path.write_bytes(_kg_text(KG_ROWS, newline).encode("utf-8"))
+        lf = write_kg(tmp_path / "lf.tsv", KG_ROWS)
+        _assert_kg_equals(load_kg(str(path), undirected), _reference_load_kg(lf, undirected))
+
+    def test_no_final_newline(self, tmp_path):
+        path = tmp_path / "kg.tsv"
+        path.write_bytes(_kg_text(KG_ROWS).rstrip("\n").encode("utf-8"))
+        _assert_kg_equals(load_kg(str(path)), _reference_load_kg(write_kg(tmp_path / "lf.tsv", KG_ROWS), True))
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "kg.tsv"
+        text = "\na\tr\tb\n\n\r\nb\ts\tc\r\rc\tr\tc"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_kg_equals(load_kg(str(path)), _reference_load_kg(write_kg(tmp_path / "lf.tsv", KG_ROWS[:3]), True))
+        # lines: 1 "", 2 a-r-b, 3 "", 4 "" (CRLF), 5 b-s-c, 6 "" (CR CR), 7 c-r-c, 8 the bad one
+        path.write_bytes((text + "\noops\tonly-two\n").encode("utf-8"))
+        with pytest.raises(ParseError, match=r"kg\.tsv:8: expected 3 tab-separated fields, got 2$"):
+            load_kg(str(path))
+
+    def test_non_ascii_and_edge_spaces_kept(self, tmp_path):
+        rows = [("Café", "rel ation", " a"), ("a ", "日本", "a"), (" a", "rel ation", "Ωmega")]
+        kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
+        assert kg.entity_names == ["Café", " a", "a ", "a", "Ωmega"]
+        assert kg.relation_names == ["rel ation", "日本"]
+        assert kg.triples.tolist() == [[0, 0, 1], [2, 1, 3], [1, 0, 4]]
+
+    def test_other_unicode_breaks_are_name_characters(self, tmp_path):
+        # str.splitlines would break on these; a text-mode file does not
+        names = ["a\x0bb", "c\x0cd", "e\x1cf", "g\x85h", "i j"]
+        rows = [(names[i], "r", names[i + 1]) for i in range(4)]
+        kg = load_kg(write_kg(tmp_path / "kg.tsv", rows))
+        assert kg.entity_names == names
+
+    def test_trailing_nul_is_part_of_the_name(self, tmp_path):
+        rows = [("a", "r", "a\x00"), ("a\x00", "r\x00", "b"), ("a", "r", "b"), ("a", "r\x00", "b")]
+        kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
+        assert kg.entity_names == ["a", "a\x00", "b"]
+        assert kg.relation_names == ["r", "r\x00"]
+        assert kg.triples.tolist() == [[0, 0, 1], [1, 1, 2], [0, 0, 2], [0, 1, 2]]
+
+    def test_undirected_self_loops_and_duplicates(self, tmp_path):
+        rows = [("a", "r", "b"), ("c", "r", "c"), ("a", "r", "b"), ("b", "r", "a"), ("c", "r", "c"), ("a", "s", "a")]
+        kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=True)
+        assert kg.triples.tolist() == [[0, 0, 1], [2, 0, 2], [1, 0, 0], [0, 1, 0]]
+        # a triple and its reverse give two equal edges; self-loops are not doubled
+        assert kg.indptr.tolist() == [0, 3, 5, 6]
+        assert kg.rel.tolist() == [0, 0, 1, 0, 0, 0]
+        assert kg.nbr.tolist() == [1, 1, 0, 0, 0, 2]
+
+    def test_log_counts_dropped_duplicates(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="ripplerec.kg"):
+            load_kg(write_kg(tmp_path / "kg.tsv", KG_ROWS + [("c", "r", "c")]))
+        assert "4 triples (2 duplicates dropped, undirected)" in caplog.text
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_not_utf8_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "kg.tsv"
+        # past the first 8 KiB, so a reader that decodes in chunks must still count from the start
+        head = _kg_text([(f"e{i}", "r", f"e{i + 1}") for i in range(2000)], newline).encode("utf-8")
+        path.write_bytes(head + b"x\tr\t\xff\n")
+        with pytest.raises(ParseError, match=r"kg\.tsv:2001: not valid UTF-8"):
+            load_kg(str(path))
+
+
+_NAME_POOL = ["a", "a\x00", " a", "a ", "b", "Café", "日本", "x\x0cy", "﻿z", "7", "long-" * 9]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_load_kg_matches_line_loop(tmp_path, seed):
+    """Random graphs with duplicates, mixed line breaks and blank lines, against the line loop."""
+    rng = np.random.default_rng(seed)
+    n_names = int(rng.integers(3, len(_NAME_POOL) + 1))
+    pool = _NAME_POOL[:n_names] + [f"e{i}" for i in range(int(rng.integers(0, 30)))]
+    n_rel = int(rng.integers(1, 5))
+    lines = []
+    for _ in range(int(rng.integers(1, 120))):
+        h, t = rng.choice(len(pool), size=2)
+        lines.append(f"{pool[h]}\tr{rng.integers(n_rel)}\t{pool[t]}")
+        if rng.random() < 0.1:
+            lines.append("")
+        if rng.random() < 0.2:
+            lines.append(lines[int(rng.integers(len(lines)))])  # duplicate or blank line
+    breaks = ["\n", "\r\n", "\r"]
+    text = "".join(line + breaks[rng.integers(3)] for line in lines)
+    if rng.random() < 0.5:
+        text = text.rstrip("\r\n")
+    if "\t" not in text:
+        text += "a\tr0\tb\n"
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    for undirected in (False, True):
+        _assert_kg_equals(load_kg(str(path), undirected), _reference_load_kg(str(path), undirected))
+    # the same file with one line cut to two fields: same line number and message
+    cut = text.replace("\tr0\t", "\t", 1) if "\tr0\t" in text else text + "bad\tline\n"
+    path.write_bytes(cut.encode("utf-8"))
+    with pytest.raises(ParseError) as want:
+        _reference_load_kg(str(path), True)
+    with pytest.raises(ParseError) as got:
+        load_kg(str(path))
+    assert str(got.value) == str(want.value)
+
+
+class TestReadIntTsv:
+    COLUMNS = (("user", 10), ("item", 20))
+
+    def _read(self, tmp_path, data):
+        path = tmp_path / "ints.tsv"
+        path.write_bytes(data.encode("utf-8"))
+        return read_int_tsv(str(path), self.COLUMNS)
+
+    @pytest.mark.parametrize("data", ["1\t2\n3\t4\n", "1\t2\r\n3\t4\r\n", "1\t2\r3\t4\r", "1\t2\n3\t4",
+                                      "\n1\t2\n\r\n\n3\t4\n\n", "01\t002\n3\t-0\n", "0000000000000000000000001\t2\n3\t4"])
+    def test_formats(self, tmp_path, data):
+        got = self._read(tmp_path, data)
+        want = [[1, 2], [3, 4]] if "-0" not in data else [[1, 2], [3, 0]]
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_empty(self, tmp_path):
+        got = self._read(tmp_path, "\n\n")
+        assert got.dtype == np.int64 and got.shape == (0, 2)
+
+    @pytest.mark.parametrize("data, message", [
+        ("1\t2\n\n3\t99999999999999999999\n", ":3: item 99999999999999999999 outside [0, 20)"),
+        ("1\t2\n123456789012345678901234567890\t3\n", ":2: user 123456789012345678901234567890 outside [0, 10)"),
+        ("1\t2\n9223372036854775808\t3\n", ":2: user 9223372036854775808 outside [0, 10)"),
+        ("100000000000000000000000000001\t3\n", ":1: user 100000000000000000000000000001 outside [0, 10)"),
+        ("1\t18446744073709551617\n", ":1: item 18446744073709551617 outside [0, 20)"),
+        ("1\t2\n-1\t3\n", ":2: user -1 outside [0, 10)"),
+        ("1\t-99999999999999999999\n", ":1: item -99999999999999999999 outside [0, 20)"),
+        ("10\t2\n", ":1: user 10 outside [0, 10)"),
+        ("1\t20\n", ":1: item 20 outside [0, 20)"),
+        ("1\t2\r\n1\tx\r\n", ":2: non-integer field in ['1', 'x']"),
+        ("11\tx\n", ":1: non-integer field in ['11', 'x']"),
+        ("1\t\n", ":1: non-integer field in ['1', '']"),
+        ("-\t1\n", ":1: non-integer field in ['-', '1']"),
+        ("1\t2\t3\n", ":1: expected 2 tab-separated fields, got 3"),
+    ])
+    def test_errors_name_line_and_field(self, tmp_path, data, message):
+        with pytest.raises(ParseError) as err:
+            self._read(tmp_path, data)
+        assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize("field", ["+5", " 5", "5 ", "1_0", "٣", "５"])
+    def test_only_ascii_digits_are_integers(self, tmp_path, field):
+        # int() accepts these; prep never writes them
+        with pytest.raises(ParseError, match=":1: non-integer field"):
+            self._read(tmp_path, f"{field}\t1\n")
