@@ -239,10 +239,13 @@ def load_prep(cfg):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r} (truncated, or not written by prep)")
     graph = kgmod.load_kg(meta["kg"], undirected=meta["undirected"] == "True")
-    for name, key in (("entity_vocab.tsv", "entity_vocab_sha256"), ("relation_vocab.tsv", "relation_vocab_sha256")):
-        path = os.path.join(cfg.out, name)
-        if _sha256(path) != meta[key]:
+    for kind, names in (("entity", graph.entity_names), ("relation", graph.relation_names)):
+        path = os.path.join(cfg.out, f"{kind}_vocab.tsv")
+        if _sha256(path) != meta[f"{kind}_vocab_sha256"]:
             raise ValueError(f"{path} does not match the prep-time vocabulary (KG file changed?)")
+        if hashlib.sha256(kgmod.vocab_bytes(names)).hexdigest() != meta[f"{kind}_vocab_sha256"]:
+            raise ValueError(f"{meta['kg']}: {kind} vocabulary differs from {path} written by prep "
+                             "(KG file changed since prep?)")
     num_users, num_items = (_meta_int(meta, key, meta_path) for key in ("num_users", "num_items"))
     item_path = os.path.join(cfg.out, "item_entities.tsv")
     item_entities = kgmod.read_int_tsv(item_path, (("item", num_items), ("entity", graph.num_entities)))

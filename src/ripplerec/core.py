@@ -125,13 +125,17 @@ class ParamStore:
     def adam_step(self, lr, betas=(ADAM_BETA1, ADAM_BETA2), eps=ADAM_EPS):
         """Bias-corrected Adam update from the current gradient buffers.
 
-        Gradients are zeroed afterwards.  Raises if any gradient is
-        non-finite, naming the offending tensor.
+        Every term is computed in place in two scratch arrays per tensor,
+        in the order of m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
+        v -= lr (m / c1) / (sqrt(s / c2) + eps).  Gradients are zeroed
+        afterwards.  Raises if any gradient is non-finite, naming the
+        offending tensor.
         """
         self.check_finite_grads()
         b1, b2 = betas
         self._adam_t += 1
         t = self._adam_t
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for name, v in self.values.items():
             g = self.grads[name]
             if name not in self._adam_m:
@@ -139,13 +143,20 @@ class ParamStore:
                 self._adam_v[name] = np.zeros_like(v)
             m = self._adam_m[name]
             s = self._adam_v[name]
+            a = np.multiply(g, 1.0 - b1)
             m *= b1
-            m += (1.0 - b1) * g
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - b2
             s *= b2
-            s += (1.0 - b2) * (g * g)
-            m_hat = m / (1.0 - b1 ** t)
-            s_hat = s / (1.0 - b2 ** t)
-            v -= lr * m_hat / (np.sqrt(s_hat) + eps)
+            s += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            b = np.divide(s, c2)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            v -= a
         self.zero_grads()
 
     def sgd_step(self, lr):

@@ -14,7 +14,8 @@ One vectorized sampler, :func:`sample_children`, draws fixed-size
 with-replacement neighbor bags for a whole array of entities with a
 single gather.  Per-user multi-hop ripple bags (:func:`build_ripple_set`)
 draw from CSR ranges, and their hop-k heads always lie among the
-hop-(k-1) tails.
+hop-(k-1) tails; a :class:`RippleTable` holds every user's bags in one
+array.
 
 A loaded :class:`KnowledgeGraph` is immutable and safe for unrestricted
 concurrent reads.  Samplers take an explicit ``numpy`` generator handle;
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import io
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -212,6 +214,50 @@ class RippleSet:
         return len(self.hops)
 
 
+class RippleTable(Mapping):
+    """Every user's hop bags in one array, read as a mapping user -> :class:`RippleSet`.
+
+    ``bags`` is a ``(hops, num_users, n_p, 3)`` int array: ``bags[k, u]``
+    is user ``u``'s hop-k bag.  ``has`` is the ``(num_users,)`` bool
+    mask of users that own a ripple set; the other users' rows are zero
+    and no key of the mapping.  Keys iterate in ascending user order,
+    and a looked-up set's hops are views of ``bags``.  Both arrays are
+    made read-only.
+    """
+
+    def __init__(self, bags, has):
+        bags.flags.writeable = False
+        has.flags.writeable = False
+        self.bags = bags
+        self.has = has
+        self._users = np.flatnonzero(has)
+
+    def __getitem__(self, user):
+        if user not in self:
+            raise KeyError(user)
+        return RippleSet(user=int(user), hops=list(self.bags[:, user]))
+
+    def __contains__(self, user):
+        return isinstance(user, (int, np.integer)) and 0 <= user < len(self.has) and bool(self.has[user])
+
+    def __iter__(self):
+        return iter(self._users.tolist())
+
+    def __len__(self):
+        return len(self._users)
+
+    def take(self, users):
+        """Hop bags of ``users`` (B,), shape ``(hops, B, n_p, 3)``.
+
+        Raises ``KeyError`` naming the first user without a ripple set.
+        """
+        known = (users >= 0) & (users < len(self.has))
+        known[known] = self.has[users[known]]
+        if not known.all():
+            raise KeyError(int(users[np.argmin(known)]))
+        return self.bags.take(users, axis=1)
+
+
 def intern_names(raw):
     """First-appearance vocabulary of the str array ``raw``: (names, name -> index, indices)."""
     unique = dict.fromkeys(raw)
@@ -366,11 +412,15 @@ def load_item_map(path, kg):
     return mapping
 
 
+def vocab_bytes(names):
+    """The bytes of :func:`write_vocab`'s file for ``names``."""
+    return "".join(f"{raw}\t{idx}\n" for idx, raw in enumerate(names)).encode("utf-8")
+
+
 def write_vocab(path, names):
     """Emit a vocabulary audit file: ``raw_id<TAB>index``, one row per index."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx, raw in enumerate(names):
-            fh.write(f"{raw}\t{idx}\n")
+    with open(path, "wb") as fh:
+        fh.write(vocab_bytes(names))
 
 
 def read_vocab(path):

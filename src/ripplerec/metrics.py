@@ -65,8 +65,10 @@ def acc(scores, labels, threshold=0.5):
 def evaluate(params, records, kg, ripple_sets, hp, item_entities, seed=0, split="test", batch_size=4096):
     """Score every (user, item) of a split with the full forward pass.
 
-    ``records`` is an (n, 3) array of (user, item, label).  Users absent
-    from ``ripple_sets`` are skipped and counted in the report.  The
+    ``records`` is an (n, 3) array of (user, item, label).  Users that
+    are no key of ``ripple_sets`` (the ripple table of
+    :func:`~ripplerec.model.build_ripple_sets`) are found with one
+    ``np.isin`` over its keys, skipped and counted in the report.  The
     neighbor trees drawn while scoring derive from ``seed``, so the
     report is reproducible.
     """
@@ -78,7 +80,7 @@ def evaluate(params, records, kg, ripple_sets, hp, item_entities, seed=0, split=
     if hp.user_table:
         keep = np.ones(len(records), dtype=bool)
     else:
-        keep = np.array([int(u) in ripple_sets for u in records[:, 0]])
+        keep = np.isin(records[:, 0], list(ripple_sets))
     skipped = int((~keep).sum())
     kept = records[keep]
     if len(kept) == 0:

@@ -4,7 +4,9 @@ User side: attention over per-hop ripple bags.  Each bag triple
 (h, r, t) is scored by (R_r h) . v against the candidate embedding v,
 softmax-normalized within its bag, and the tails are summed into a hop
 response; hop responses fuse with the candidate through a learned map
-into the user representation o.
+into the user representation o.  Every user's bags sit in one ripple
+table (:func:`build_ripple_sets`), and a batch reads all of its hop
+bags with one take from it.
 
 Item side: relation-scored neighbor convolution.  Sampled neighbors of
 the item entity are weighted by softmax over o . r_e (a per-relation
@@ -49,7 +51,7 @@ from scipy import sparse
 
 from . import metrics
 from .core import ParamStore, sigmoid, softmax, xavier_uniform
-from .kg import NULL_RELATION, build_ripple_set, sample_children
+from .kg import NULL_RELATION, RippleTable, build_ripple_set, sample_children
 
 logger = logging.getLogger(__name__)
 
@@ -183,7 +185,13 @@ def sample_item_trees(kg, v_idx, conv_layers, n_e, rng):
 
 
 def assemble_batch(records, kg, ripple_sets, hp, item_entities, rng):
-    """Freeze ripple bags and neighbor trees for a batch of (user, item, label)."""
+    """Freeze ripple bags and neighbor trees for a batch of (user, item, label).
+
+    ``ripple_sets`` is the :class:`~ripplerec.kg.RippleTable` of
+    :func:`build_ripple_sets` (unread under ``user_table``); every hop
+    bag of the batch is one take from it.  A user without a ripple set
+    raises ``KeyError`` naming the first such user.
+    """
     records = np.asarray(records)
     if len(records) == 0:
         raise ValueError("cannot assemble an empty batch")
@@ -191,11 +199,7 @@ def assemble_batch(records, kg, ripple_sets, hp, item_entities, rng):
     items = records[:, 1].astype(np.int64)
     labels = records[:, 2].astype(np.int64)
     v_idx = np.asarray(item_entities, dtype=np.int64)[items]
-    hop_bags = []
-    if not hp.user_table:
-        for k in range(hp.hops):
-            bag = np.stack([ripple_sets[int(u)].hops[k] for u in users], axis=0)
-            hop_bags.append(bag)
+    hop_bags = [] if hp.user_table else list(ripple_sets.take(users))
     tree_ents, tree_rels = sample_item_trees(kg, v_idx, hp.conv_layers, hp.neighbor_size, rng)
     return BatchBags(
         users=users, items=items, labels=labels, v_idx=v_idx,
@@ -565,7 +569,9 @@ class FitResult:
 def build_ripple_sets(dataset, kg, hp, seed):
     """One ripple set per user with train history, seeded entities from items.
 
-    A user whose seed entities have no outgoing triples (reachable on a
+    Returns a :class:`~ripplerec.kg.RippleTable` over ``dataset.num_users``
+    users, filled user by user in ascending order from one generator.  A
+    user whose seed entities have no outgoing triples (reachable on a
     directed graph) gets no ripple set; such users are skipped and
     counted in a warning.  The check precedes any draw, so the other
     users' bags do not depend on them.
@@ -574,17 +580,18 @@ def build_ripple_sets(dataset, kg, hp, seed):
         raise ValueError("dataset has no item -> entity mapping; run prep first")
     rng = np.random.default_rng([seed, 17])
     degrees = np.diff(kg.indptr)
-    out = {}
-    dead_ends = 0
+    bags = np.zeros((hp.hops, dataset.num_users, hp.ripple_size, 3), dtype=np.int64)
+    has = np.zeros(dataset.num_users, dtype=bool)
     for user in sorted(dataset.user_history):
         seeds = dataset.item_entities[dataset.user_history[user]]
         if len(seeds) and not degrees[seeds].any():
-            dead_ends += 1
             continue
-        out[user] = build_ripple_set(kg, seeds, hp.hops, hp.ripple_size, rng, user=user)
+        bags[:, user] = build_ripple_set(kg, seeds, hp.hops, hp.ripple_size, rng, user=user).hops
+        has[user] = True
+    dead_ends = len(dataset.user_history) - int(has.sum())
     if dead_ends:
         logger.warning("%d users skipped: seed entities have no outgoing triples", dead_ends)
-    return out
+    return RippleTable(bags, has)
 
 
 def fit(dataset, kg, hp, seed=0, eval_train=False):

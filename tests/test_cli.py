@@ -233,6 +233,24 @@ class TestTrainEvalSweep:
         rc = run_cli("train", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out)
         assert rc == EXIT_MALFORMED
 
+    def test_reordered_kg_after_train_detected(self, workdir, tmp_path, capsys):
+        # same triples in reverse order: the vocabulary files still match
+        # their checksums, but the reloaded graph numbers its entities anew
+        kg = tmp_path / "kg.tsv"
+        shutil.copy(workdir / "data" / "kg.tsv", kg)
+        out = tmp_path / "run"
+        argv = ["--config", workdir / "cfg.txt", "--seed", 5, "--out", out, "--set", f"kg={kg}"]
+        assert run_cli("prep", *argv) == 0
+        assert run_cli("train", *argv, "--set", "epochs=1") == 0
+        lines = kg.read_text(encoding="utf-8").splitlines(keepends=True)
+        kg.write_text("".join(reversed(lines)), encoding="utf-8")
+        capsys.readouterr()
+        rc = run_cli("eval", *argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED, err
+        assert f"{kg}: entity vocabulary differs from {out / 'entity_vocab.tsv'}" in err, err
+        assert "Traceback" not in err
+
     def test_divergence_exit_4(self, workdir, tmp_path, monkeypatch):
         import ripplerec.model as model_mod
 

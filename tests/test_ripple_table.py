@@ -1,0 +1,182 @@
+"""The per-user ripple sets a run builds, and the hop bags a batch reads from them.
+
+The oracles are local copies of the dict-of-``RippleSet`` builder and
+the per-example ``np.stack`` batch assembly that the one-table layout
+replaced; the table must reproduce them bit for bit.
+"""
+
+from collections.abc import MutableMapping
+
+import numpy as np
+import pytest
+
+import ripplerec as rr
+import ripplerec.model
+from ripplerec.kg import RippleTable, build_ripple_set
+from ripplerec.metrics import evaluate
+from ripplerec.model import Hyperparams, assemble_batch
+
+from conftest import write_kg
+
+
+def _dict_build_ripple_sets(dataset, kg, hp, seed):
+    """One ``RippleSet`` per user in a dict, dead-end users left out."""
+    rng = np.random.default_rng([seed, 17])
+    degrees = np.diff(kg.indptr)
+    out = {}
+    for user in sorted(dataset.user_history):
+        seeds = dataset.item_entities[dataset.user_history[user]]
+        if len(seeds) and not degrees[seeds].any():
+            continue
+        out[user] = build_ripple_set(kg, seeds, hp.hops, hp.ripple_size, rng, user=user)
+    return out
+
+
+def _stacked_hop_bags(ripple_sets, users, hops):
+    """Per hop, the bags of ``users`` stacked one example at a time: (B, n_p, 3)."""
+    return [np.stack([ripple_sets[int(u)].hops[k] for u in users], axis=0) for k in range(hops)]
+
+
+def _random_case(tmp_path, seed, directed):
+    """A random graph, dataset and hyperparameters.
+
+    On a directed graph the upper half of the entities only ever appears
+    as a tail, and user 0's history lies there alone, so user 0 is a
+    dead end and gets no ripple set; the last user's one item has
+    outgoing triples.
+    """
+    rng = np.random.default_rng(seed)
+    num_entities = int(rng.integers(8, 20))
+    num_relations = int(rng.integers(1, 4))
+    n_triples = int(rng.integers(10, 40))
+    head_high = num_entities // 2 if directed else num_entities
+    rows = [(f"e{rng.integers(head_high)}", f"r{rng.integers(num_relations)}", f"e{rng.integers(num_entities)}")
+            for _ in range(n_triples)]
+    rows += [("e0", "r0", "x0"), ("e1", "r0", "x1")]  # two tails with no outgoing triple when directed
+    kg = rr.load_kg(write_kg(tmp_path / f"kg{seed}.tsv", rows), undirected=not directed)
+    degrees = np.diff(kg.indptr)
+
+    num_users = int(rng.integers(6, 12))
+    num_items = int(rng.integers(6, 12))
+    item_entities = rng.integers(0, kg.num_entities, size=num_items)
+    if directed:
+        dead = np.flatnonzero(degrees == 0)
+        live = np.flatnonzero(degrees > 0)
+        item_entities[:2] = dead[:2]
+        item_entities[2] = live[0]
+    history = {}  # filled in random order: the builder must visit users sorted
+    for user in rng.permutation(num_users).tolist():
+        if user != 0 and rng.random() < 0.25:
+            continue  # no train history
+        history[user] = np.unique(rng.integers(0, num_items, size=int(rng.integers(1, 5))))
+    if directed:
+        history[0] = np.array([0, 1])
+        history[num_users - 1] = np.array([2])
+    users = np.array(sorted(history))
+    records = np.stack([rng.choice(users, 40), rng.integers(0, num_items, 40), rng.integers(0, 2, 40)], axis=1)
+    dataset = rr.InteractionDataset(
+        num_users=num_users, num_items=num_items, train=records, validation=records, test=records,
+        user_history=history, item_entities=item_entities,
+    )
+    hp = Hyperparams(hops=int(rng.integers(1, 4)), ripple_size=int(rng.integers(1, 6)),
+                     neighbor_size=2, conv_layers=1)
+    return kg, dataset, hp
+
+
+def _dead_end_case(tmp_path):
+    """The directed graph of the dead-end fit test: user 0 has no ripple set."""
+    rows = [(f"m{k}", "genre", f"g{k % 2}") for k in range(4)]
+    rows += [("g0", "sim", "g1"), ("g1", "sim", "g0"), ("g0", "has", "d0"), ("g1", "has", "d1")]
+    kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
+    item_entities = np.array([kg.entity_vocab[e] for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
+    records = np.array([(0, 4, 1), (0, 2, 0), (1, 2, 1), (1, 3, 0), (2, 1, 1), (2, 5, 0)])
+    dataset = rr.InteractionDataset(
+        num_users=3, num_items=6, train=records, validation=records, test=records,
+        user_history={0: np.array([4, 5]), 1: np.array([0, 1]), 2: np.array([2, 3])},
+        item_entities=item_entities,
+    )
+    return kg, dataset, Hyperparams(hops=2, ripple_size=4, neighbor_size=2)
+
+
+CASES = [(seed, directed) for seed in range(6) for directed in (False, True)]
+
+
+@pytest.mark.parametrize("seed,directed", CASES, ids=[f"{s}-{'directed' if d else 'undirected'}" for s, d in CASES])
+def test_hop_bags_match_dict_oracle(tmp_path, seed, directed):
+    kg, dataset, hp = _random_case(tmp_path, seed, directed)
+    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=seed)
+    oracle = _dict_build_ripple_sets(dataset, kg, hp, seed)
+    assert list(ripple_sets) == list(oracle)
+    if directed:
+        assert 0 not in ripple_sets
+    for user, want in oracle.items():
+        got = ripple_sets[user].hops
+        assert len(got) == len(want.hops) == hp.hops
+        for g, w in zip(got, want.hops):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    batch = dataset.train[np.isin(dataset.train[:, 0], list(oracle))]
+    assert len(batch) > 0
+    bags = assemble_batch(batch, kg, ripple_sets, hp, dataset.item_entities, np.random.default_rng(seed))
+    want = _stacked_hop_bags(oracle, batch[:, 0], hp.hops)
+    assert len(bags.hop_bags) == hp.hops
+    for got, w in zip(bags.hop_bags, want):
+        assert (got.dtype, got.shape, got.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+@pytest.mark.parametrize("user", [0, 3, -1])
+def test_batch_user_without_ripple_set_raises_key_error(tmp_path, user):
+    kg, dataset, hp = _dead_end_case(tmp_path)
+    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+    batch = np.array([(1, 0, 1), (user, 4, 1), (2, 1, 0), (0, 5, 1)])
+    with pytest.raises(KeyError) as err:
+        assemble_batch(batch, kg, ripple_sets, hp, dataset.item_entities, np.random.default_rng(0))
+    assert err.value.args == (user,)
+
+
+def test_evaluate_skip_count_same_for_table_and_dict(tmp_path, monkeypatch):
+    kg, dataset, hp = _dead_end_case(tmp_path)
+    params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0)
+    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+    real = evaluate(params, dataset.test, kg, ripple_sets, hp, dataset.item_entities, seed=1)
+    assert (real.skipped, real.n_examples) == (2, 4)
+
+    monkeypatch.setattr(ripplerec.model, "score_batch", lambda params, records, *a: np.full(len(records), 0.5))
+    plain = {u: ripple_sets[u] for u in ripple_sets}
+    reports = [evaluate(None, dataset.test, kg, sets, hp, dataset.item_entities, seed=1)
+               for sets in (ripple_sets, plain)]
+    assert [(r.skipped, r.n_examples) for r in reports] == [(2, 4), (2, 4)]
+
+
+def test_mapping_semantics(tmp_path):
+    kg, dataset, hp = _dead_end_case(tmp_path)
+    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+    assert len(ripple_sets) == 2
+    assert list(ripple_sets) == sorted(ripple_sets) == [1, 2]
+    assert list(ripple_sets.keys()) == [1, 2]
+    assert 1 in ripple_sets and np.int64(2) in ripple_sets
+    for absent in (0, 3, -1, np.int64(0), "1", 1.5, None):
+        assert absent not in ripple_sets
+    for absent in (0, 3, -1):
+        with pytest.raises(KeyError):
+            ripple_sets[absent]
+    assert ripple_sets.get(0) is None
+    # the reads a tracer makes of the built sets
+    assert sum(len(rs.hops) for rs in ripple_sets.values()) == 2 * hp.hops
+    assert [rs.hops[0].shape for _, rs in ripple_sets.items()] == [(hp.ripple_size, 3)] * 2
+
+
+def test_table_layout_and_read_only(tmp_path):
+    kg, dataset, hp = _dead_end_case(tmp_path)
+    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+    assert isinstance(ripple_sets, RippleTable) and not isinstance(ripple_sets, MutableMapping)
+    assert ripple_sets.bags.shape == (hp.hops, dataset.num_users, hp.ripple_size, 3)
+    assert ripple_sets.bags.dtype == np.int64
+    assert ripple_sets.has.tolist() == [False, True, True]
+    assert not ripple_sets.bags[:, 0].any()
+    with pytest.raises(TypeError):
+        ripple_sets[0] = ripple_sets[1]
+    with pytest.raises(ValueError, match="read-only"):
+        ripple_sets[1].hops[0][0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        ripple_sets.has[0] = True
