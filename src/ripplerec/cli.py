@@ -222,7 +222,15 @@ def cmd_prep(cfg):
     return 0
 
 
+def _require(meta, keys, path):
+    """Raise ValueError naming the first of ``keys`` that the key = value file at ``path`` lacks."""
+    for key in keys:
+        if key not in meta:
+            raise ValueError(f"{path}: missing key {key!r} (truncated, or not written by ripplerec)")
+
+
 def _meta_int(meta, key, path):
+    _require(meta, [key], path)
     try:
         return int(meta[key])
     except ValueError:
@@ -235,9 +243,8 @@ def load_prep(cfg):
     if not os.path.exists(meta_path):
         raise FileNotFoundError(meta_path)
     meta = _read_kv(meta_path)
-    for key in ("num_users", "num_items", "kg", "undirected", "entity_vocab_sha256", "relation_vocab_sha256"):
-        if key not in meta:
-            raise ValueError(f"{meta_path}: missing key {key!r} (truncated, or not written by prep)")
+    _require(meta, ("num_users", "num_items", "kg", "undirected", "entity_vocab_sha256", "relation_vocab_sha256"),
+             meta_path)
     graph = kgmod.load_kg(meta["kg"], undirected=meta["undirected"] == "True")
     for kind, names in (("entity", graph.entity_names), ("relation", graph.relation_names)):
         path = os.path.join(cfg.out, f"{kind}_vocab.tsv")
@@ -309,12 +316,16 @@ def cmd_train(cfg):
     return 0
 
 
-def _hyperparams_from_manifest(manifest, fallback):
-    """Rebuild the training-time Hyperparams recorded next to a snapshot."""
+def _hyperparams_from_manifest(manifest, path):
+    """Rebuild the training-time Hyperparams recorded in the manifest at ``path``.
+
+    Every field must be recorded: a default in place of a missing one
+    would score the snapshot under hyperparameters it was not trained with.
+    """
+    names = [f.name for f in fields(model.Hyperparams)]
+    _require(manifest, names, path)
     defaults = model.Hyperparams()
-    kwargs = {f.name: _coerce(f.name, manifest[f.name], getattr(defaults, f.name))
-              for f in fields(defaults) if f.name in manifest}
-    return model.Hyperparams(**kwargs) if kwargs else fallback
+    return model.Hyperparams(**{name: _coerce(name, manifest[name], getattr(defaults, name)) for name in names})
 
 
 def _check_snapshot(path, params, graph, dataset, hp):
@@ -342,14 +353,14 @@ def cmd_eval(cfg, split):
     snap = os.path.join(cfg.out, "model.npz")
     if not os.path.exists(snap):
         raise FileNotFoundError(snap)
-    manifest = _read_kv(os.path.join(cfg.out, "model.manifest.txt"))
+    manifest_path = os.path.join(cfg.out, "model.manifest.txt")
+    manifest = _read_kv(manifest_path)
     params = load_params(snap)
-    # score with the hyperparameters the snapshot was trained with, not
-    # whatever the current config happens to say
-    hp = _hyperparams_from_manifest(manifest, cfg.hp)
+    # score with the hyperparameters and ripple seed the snapshot was
+    # trained with, not whatever the current config happens to say
+    hp = _hyperparams_from_manifest(manifest, manifest_path)
     _check_snapshot(snap, params, graph, dataset, hp)
-    train_seed = int(manifest.get("seed", cfg.seed))
-    ripple_sets = {} if hp.user_table else model.build_ripple_sets(dataset, graph, hp, train_seed)
+    ripple_sets = model.build_ripple_sets(dataset, graph, hp, _meta_int(manifest, "seed", manifest_path))
     report = metrics.evaluate(
         params, dataset.split_named(split), graph, ripple_sets, hp,
         dataset.item_entities, seed=cfg.seed, split=split,

@@ -218,8 +218,8 @@ class RippleTable(Mapping):
     """Every user's hop bags in one array, read as a mapping user -> :class:`RippleSet`.
 
     ``bags`` is a ``(hops, num_users, n_p, 3)`` int array: ``bags[k, u]``
-    is user ``u``'s hop-k bag.  ``has`` is the ``(num_users,)`` bool
-    mask of users that own a ripple set; the other users' rows are zero
+    is user ``u``'s hop-k bag (zero hops under ``user_table``).  ``has``
+    masks the users :meth:`known` accepts; the other users' rows are zero
     and no key of the mapping.  Keys iterate in ascending user order,
     and a looked-up set's hops are views of ``bags``.  Both arrays are
     made read-only.
@@ -246,13 +246,18 @@ class RippleTable(Mapping):
     def __len__(self):
         return len(self._users)
 
+    def known(self, users):
+        """Bool mask of the int array ``users`` (B,) that ``has`` marks; out-of-range users are unknown."""
+        known = (users >= 0) & (users < len(self.has))
+        known[known] = self.has[users[known]]
+        return known
+
     def take(self, users):
         """Hop bags of ``users`` (B,), shape ``(hops, B, n_p, 3)``.
 
-        Raises ``KeyError`` naming the first user without a ripple set.
+        Raises ``KeyError`` naming the first user :meth:`known` rejects.
         """
-        known = (users >= 0) & (users < len(self.has))
-        known[known] = self.has[users[known]]
+        known = self.known(users)
         if not known.all():
             raise KeyError(int(users[np.argmin(known)]))
         return self.bags.take(users, axis=1)

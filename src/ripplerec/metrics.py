@@ -6,8 +6,8 @@ count of correctly ordered positive/negative pairs with ties worth one
 half.  ACC thresholds scores at a fixed cut.
 
 Scoring a split is read-only over frozen parameters; examples whose user
-has no train history (hence no ripple set) are skipped and counted, not
-silently dropped.
+the ripple table does not know (no train history, hence no ripple set,
+or out of range) are skipped and counted, not silently dropped.
 """
 
 from __future__ import annotations
@@ -66,21 +66,17 @@ def evaluate(params, records, kg, ripple_sets, hp, item_entities, seed=0, split=
     """Score every (user, item) of a split with the full forward pass.
 
     ``records`` is an (n, 3) array of (user, item, label).  Users that
-    are no key of ``ripple_sets`` (the ripple table of
-    :func:`~ripplerec.model.build_ripple_sets`) are found with one
-    ``np.isin`` over its keys, skipped and counted in the report.  The
-    neighbor trees drawn while scoring derive from ``seed``, so the
-    report is reproducible.
+    ``ripple_sets`` (the :class:`~ripplerec.kg.RippleTable` of
+    :func:`~ripplerec.model.build_ripple_sets`) does not know are
+    skipped and counted in the report.  The neighbor trees drawn while
+    scoring derive from ``seed``, so the report is reproducible.
     """
     from . import model  # local import; model imports this module for fit()
 
     records = np.asarray(records)
     if len(records) == 0:
         raise ValueError(f"cannot evaluate an empty {split} split")
-    if hp.user_table:
-        keep = np.ones(len(records), dtype=bool)
-    else:
-        keep = np.isin(records[:, 0], list(ripple_sets))
+    keep = ripple_sets.known(records[:, 0])
     skipped = int((~keep).sum())
     kept = records[keep]
     if len(kept) == 0:

@@ -188,8 +188,8 @@ def assemble_batch(records, kg, ripple_sets, hp, item_entities, rng):
     """Freeze ripple bags and neighbor trees for a batch of (user, item, label).
 
     ``ripple_sets`` is the :class:`~ripplerec.kg.RippleTable` of
-    :func:`build_ripple_sets` (unread under ``user_table``); every hop
-    bag of the batch is one take from it.  A user without a ripple set
+    :func:`build_ripple_sets`; every hop bag of the batch (none under
+    ``user_table``) is one take from it.  A user the table does not know
     raises ``KeyError`` naming the first such user.
     """
     records = np.asarray(records)
@@ -199,7 +199,7 @@ def assemble_batch(records, kg, ripple_sets, hp, item_entities, rng):
     items = records[:, 1].astype(np.int64)
     labels = records[:, 2].astype(np.int64)
     v_idx = np.asarray(item_entities, dtype=np.int64)[items]
-    hop_bags = [] if hp.user_table else list(ripple_sets.take(users))
+    hop_bags = list(ripple_sets.take(users))
     tree_ents, tree_rels = sample_item_trees(kg, v_idx, hp.conv_layers, hp.neighbor_size, rng)
     return BatchBags(
         users=users, items=items, labels=labels, v_idx=v_idx,
@@ -563,7 +563,7 @@ class FitResult:
     best_epoch: int
     test_report: metrics.MetricReport | None
     diverged: bool = False
-    skipped_users: int = 0  # users without a ripple set; their train rows are dropped
+    skipped_users: int = 0  # distinct users whose train rows were dropped (unknown to the ripple table)
 
 
 def build_ripple_sets(dataset, kg, hp, seed):
@@ -572,12 +572,16 @@ def build_ripple_sets(dataset, kg, hp, seed):
     Returns a :class:`~ripplerec.kg.RippleTable` over ``dataset.num_users``
     users, filled user by user in ascending order from one generator.  A
     user whose seed entities have no outgoing triples (reachable on a
-    directed graph) gets no ripple set; such users are skipped and
-    counted in a warning.  The check precedes any draw, so the other
-    users' bags do not depend on them.
+    directed graph) gets no ripple set and is counted in a warning; the
+    check precedes any draw, so the other users' bags do not depend on
+    it.  Under ``user_table`` the table has zero hops, knows every user
+    and draws no random number.
     """
     if dataset.item_entities is None:
         raise ValueError("dataset has no item -> entity mapping; run prep first")
+    if hp.user_table:
+        return RippleTable(np.zeros((0, dataset.num_users, hp.ripple_size, 3), dtype=np.int64),
+                           np.ones(dataset.num_users, dtype=bool))
     rng = np.random.default_rng([seed, 17])
     degrees = np.diff(kg.indptr)
     bags = np.zeros((hp.hops, dataset.num_users, hp.ripple_size, 3), dtype=np.int64)
@@ -599,24 +603,19 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
 
     Ripple sets are built once per run (``resample_ripple`` rebuilds them
     each epoch); neighbor trees are drawn fresh per batch.  Train rows of
-    users without a ripple set are dropped and the users counted in
-    ``skipped_users``.  Divergence aborts the run and returns the last
-    good snapshot with ``diverged`` set.  Single-threaded and
-    deterministic for a fixed seed.
+    users the table does not know (``RippleTable.known``) are dropped,
+    and ``skipped_users`` counts those users.  Divergence aborts the run
+    and returns the last good snapshot with ``diverged`` set.
+    Single-threaded and deterministic for a fixed seed.
     """
     params = init_params(kg.num_entities, kg.num_relations, hp, seed=seed, num_users=dataset.num_users)
-    train = dataset.train
-    skipped_users = 0
-    if hp.user_table:
-        ripple_sets = {}
-    else:
-        ripple_sets = build_ripple_sets(dataset, kg, hp, seed)
-        skipped_users = len(dataset.user_history) - len(ripple_sets)
-        if skipped_users:
-            keep = np.isin(train[:, 0], list(ripple_sets))
-            logger.warning("dropped %d train rows of %d users without a ripple set",
-                           int((~keep).sum()), skipped_users)
-            train = train[keep]
+    ripple_sets = build_ripple_sets(dataset, kg, hp, seed)
+    keep = ripple_sets.known(dataset.train[:, 0])
+    train = dataset.train[keep]
+    skipped_users = len(np.unique(dataset.train[~keep, 0]))
+    if not keep.all():
+        logger.warning("dropped %d train rows of %d users without a ripple set",
+                       int((~keep).sum()), skipped_users)
     if len(train) == 0:
         raise ValueError("no train rows (empty train split, or every user lacks a ripple set)")
     history: list[dict] = []
@@ -627,7 +626,7 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
     stale = 0
 
     for epoch in range(1, hp.epochs + 1):
-        if hp.resample_ripple and not hp.user_table and epoch > 1:
+        if hp.resample_ripple and epoch > 1:
             ripple_sets = build_ripple_sets(dataset, kg, hp, seed + epoch)
         order = np.random.default_rng([seed, 2, epoch]).permutation(len(train))
         shuffled = train[order]

@@ -124,7 +124,7 @@ class TestConfig:
         params = init_params(4, 2, hp, num_users=2)
         _save_snapshot(str(tmp_path), params, cfg, {})
         manifest = _read_kv(str(tmp_path / "model.manifest.txt"))
-        from_manifest = _hyperparams_from_manifest(manifest, RunConfig().hp)
+        from_manifest = _hyperparams_from_manifest(manifest, "model.manifest.txt")
         assert from_file == from_set == from_manifest == hp
 
 
@@ -251,6 +251,21 @@ class TestTrainEvalSweep:
         assert f"{kg}: entity vocabulary differs from {out / 'entity_vocab.tsv'}" in err, err
         assert "Traceback" not in err
 
+    def test_user_without_train_positive_skipped_not_fatal(self, workdir, untrained_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(untrained_run, out)
+        train = out / "train.tsv"
+        lines = train.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if line.split("\t")[0] != "0" or line.split("\t")[2] != "1\n"]
+        assert len(kept) < len(lines) and any(line.startswith("0\t") for line in kept)
+        train.write_text("".join(kept), encoding="utf-8")
+        capsys.readouterr()
+        rc = run_cli("train", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out, "--set", "epochs=1")
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        assert "Traceback" not in err
+        assert "skipped_users = 1\n" in (out / "model.manifest.txt").read_text(encoding="utf-8")
+
     def test_divergence_exit_4(self, workdir, tmp_path, monkeypatch):
         import ripplerec.model as model_mod
 
@@ -357,6 +372,14 @@ def _set_field(col, value):
     return defect
 
 
+def _drop_key(key):
+    """Defect that removes the ``key = value`` line of a key = value file."""
+    def defect(data, sep):
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        return "".join(line for line in lines if line.split(sep, 1)[0].strip() != key).encode("utf-8"), None
+    return defect
+
+
 DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8": _not_utf8,
            "empty": _empty, "not_integer": _not_integer,
            "user_999": _set_field(0, "999"), "user_-1": _set_field(0, "-1"),
@@ -365,7 +388,8 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "num_items_1OO": _set_field(1, " 1OO"),  # line 2 of prep_meta.txt is num_items
            "user_20_digits": _set_field(0, "9" * 20), "user_+5": _set_field(0, "+5"),
            "user_1_0": _set_field(0, "1_0"), "item_space_5": _set_field(1, " 5"),
-           "item_arabic_3": _set_field(1, "\u0663")}
+           "item_arabic_3": _set_field(1, "\u0663"),
+           "no_hops": _drop_key("hops"), "seed_x": _set_field(1, " x")}  # line 2 of a manifest is seed
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
@@ -391,6 +415,10 @@ INPUT_DEFECTS = [
     ("prep_meta", "empty", EXIT_MALFORMED, "{path}: missing key 'num_users'"),
     ("prep_meta", "num_items_1OO", EXIT_MALFORMED, "{path}: num_items = '1OO' is not an integer"),
     ("manifest", "wrong_arity", EXIT_MALFORMED, "{path}:{line}: expected 'key = value'"),
+    # every hyperparameter and the seed must be recorded; none falls back to the config
+    ("manifest", "empty", EXIT_MALFORMED, "{path}: missing key 'embed_dim'"),
+    ("manifest", "no_hops", EXIT_MALFORMED, "{path}: missing key 'hops'"),
+    ("manifest", "seed_x", EXIT_MALFORMED, "{path}: seed = 'x' is not an integer"),
     ("test", "user_999", EXIT_MALFORMED, "{path}:{line}: user 999 outside"),
     ("test", "user_-1", EXIT_MALFORMED, "{path}:{line}: user -1 outside"),
     ("test", "item_999", EXIT_MALFORMED, "{path}:{line}: item 999 outside"),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import ripplerec as rr
 import ripplerec.model
+from ripplerec.kg import RippleTable
 from ripplerec.metrics import MetricReport, acc, auc, evaluate
 from ripplerec.model import Hyperparams
 
@@ -101,7 +103,8 @@ class TestEvaluate:
             return np.asarray(records)[:, 2].astype(float)
 
         monkeypatch.setattr(ripplerec.model, "score_batch", oracle)
-        report = evaluate(None, dataset.test, kg, {}, hp, dataset.item_entities, seed=1)
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        report = evaluate(None, dataset.test, kg, ripple_sets, hp, dataset.item_entities, seed=1)
         assert report.auc == 1.0
         assert report.acc == 1.0
 
@@ -114,16 +117,34 @@ class TestEvaluate:
 
         monkeypatch.setattr(ripplerec.model, "score_batch", oracle)
         users = np.unique(dataset.test[:, 0])
-        ripple_like = {int(u): object() for u in users if u != users[0]}
-        report = evaluate(None, dataset.test, kg, ripple_like, hp, dataset.item_entities, seed=1)
+        has = np.ones(dataset.num_users, dtype=bool)
+        has[users[0]] = False
+        table = RippleTable(np.zeros((hp.hops, dataset.num_users, 1, 3), dtype=np.int64), has)
+        report = evaluate(None, dataset.test, kg, table, hp, dataset.item_entities, seed=1)
         dropped = int((dataset.test[:, 0] == users[0]).sum())
         assert report.skipped == dropped
         assert report.n_examples == len(dataset.test) - dropped
 
+    @pytest.mark.parametrize("user_table", [False, True], ids=["ripple", "user_table"])
+    def test_out_of_range_users_skipped_and_counted(self, tiny_data, user_table):
+        kg, dataset = tiny_data
+        hp = Hyperparams(embed_dim=4, hops=1, ripple_size=4, neighbor_size=2, user_table=user_table,
+                         precision="f64")
+        params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0, num_users=dataset.num_users)
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        base = evaluate(params, dataset.test, kg, ripple_sets, hp, dataset.item_entities, seed=1)
+        strays = np.array([(-1, 0, 1), (dataset.num_users, 1, 0)])
+        report = evaluate(params, np.concatenate([dataset.test, strays]), kg, ripple_sets, hp,
+                          dataset.item_entities, seed=1)
+        assert (report.skipped, report.n_examples) == (base.skipped + 2, base.n_examples)
+        assert (report.auc, report.acc) == (base.auc, base.acc)
+
     def test_empty_split_rejected(self, tiny_data):
         kg, dataset = tiny_data
+        hp = Hyperparams()
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
         with pytest.raises(ValueError):
-            evaluate(None, np.empty((0, 3), dtype=int), kg, {}, Hyperparams(), dataset.item_entities)
+            evaluate(None, np.empty((0, 3), dtype=int), kg, ripple_sets, hp, dataset.item_entities)
 
     def test_csv_row_format(self):
         report = MetricReport(split="test", auc=0.91234567, acc=0.85, n_examples=100, skipped=3, seed=9)
@@ -131,8 +152,6 @@ class TestEvaluate:
         assert MetricReport.CSV_HEADER.split(",") == ["split", "auc", "acc", "n", "skipped", "seed"]
 
     def test_deterministic_given_seed_and_multi_batch_path(self, tiny_data):
-        import ripplerec as rr
-
         kg, dataset = tiny_data
         hp = Hyperparams(embed_dim=4, hops=1, ripple_size=4, neighbor_size=2, precision="f64")
         params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -324,14 +325,15 @@ class TestLoss:
 
     def test_empty_batch_rejected(self, tiny_data):
         kg, dataset = tiny_data
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp64(), seed=0)
         with pytest.raises(ValueError, match="empty"):
-            rr.assemble_batch(np.empty((0, 3), dtype=int), kg, {}, hp64(),
+            rr.assemble_batch(np.empty((0, 3), dtype=int), kg, ripple_sets, hp64(),
                               dataset.item_entities, np.random.default_rng(0))
 
 
 def _tiny_batch(tiny_data, hp, n=12, seed=2):
     kg, dataset = tiny_data
-    ripple_sets = {} if hp.user_table else rr.build_ripple_sets(dataset, kg, hp, seed=seed)
+    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=seed)
     rng = np.random.default_rng(seed)
     bags = assemble_batch(dataset.train[:n], kg, ripple_sets, hp, dataset.item_entities, rng)
     params = init_params(kg.num_entities, kg.num_relations, hp, seed=seed, num_users=dataset.num_users)
@@ -706,7 +708,7 @@ class TestFusedBackwardOracle:
         kg, dataset = many_relation_data
         kw = dict(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0, precision=precision)
         hp = Hyperparams(**{**kw, **variant})
-        ripple_sets = {} if hp.user_table else rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
         bags = assemble_batch(dataset.train[:64], kg, ripple_sets, hp, dataset.item_entities,
                               np.random.default_rng(1))
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0, num_users=dataset.num_users)
@@ -771,7 +773,7 @@ class TestPrecisionAgreement:
         for precision in ("f32", "f64"):
             kw = dict(hops=2, ripple_size=16, neighbor_size=4, conv_layers=2, precision=precision)
             hp = Hyperparams(**{**kw, **variant})
-            ripple_sets = {} if hp.user_table else rr.build_ripple_sets(dataset, kg, hp, seed=4)
+            ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=4)
             bags = assemble_batch(dataset.train[:256], kg, ripple_sets, hp, dataset.item_entities,
                                   np.random.default_rng(4))
             params = init_params(kg.num_entities, kg.num_relations, hp, seed=4,
@@ -862,6 +864,20 @@ class TestFit:
         result = fit(dataset, kg, self._hp(optimizer="sgd", lr=0.1, epochs=3), seed=0)
         losses = [row["train_loss"] for row in result.history]
         assert losses[-1] < losses[0]
+
+    def test_user_without_train_positive_skipped_not_fatal(self, tiny_data, caplog):
+        # user 0 keeps only its label-0 train rows: no ripple seeds, so no ripple set
+        kg, dataset = tiny_data
+        train = dataset.train[(dataset.train[:, 0] != 0) | (dataset.train[:, 2] == 0)]
+        dropped = int((train[:, 0] == 0).sum())
+        assert dropped > 0
+        history = {user: items for user, items in dataset.user_history.items() if user != 0}
+        degenerate = dataclasses.replace(dataset, train=train, user_history=history)
+        with caplog.at_level("WARNING"):
+            result = fit(degenerate, kg, self._hp(epochs=1), seed=0)
+        assert result.skipped_users == 1
+        assert f"dropped {dropped} train rows of 1 users" in caplog.text
+        assert len(result.history) == 1
 
     def test_dead_end_user_skipped_not_fatal(self, tmp_path, caplog):
         # directed graph: items 0-3 lie on m0..m3, which have outgoing triples;

@@ -5,6 +5,7 @@ the per-example ``np.stack`` batch assembly that the one-table layout
 replaced; the table must reproduce them bit for bit.
 """
 
+import dataclasses
 from collections.abc import MutableMapping
 
 import numpy as np
@@ -142,10 +143,34 @@ def test_evaluate_skip_count_same_for_table_and_dict(tmp_path, monkeypatch):
     assert (real.skipped, real.n_examples) == (2, 4)
 
     monkeypatch.setattr(ripplerec.model, "score_batch", lambda params, records, *a: np.full(len(records), 0.5))
-    plain = {u: ripple_sets[u] for u in ripple_sets}
-    reports = [evaluate(None, dataset.test, kg, sets, hp, dataset.item_entities, seed=1)
-               for sets in (ripple_sets, plain)]
-    assert [(r.skipped, r.n_examples) for r in reports] == [(2, 4), (2, 4)]
+    report = evaluate(None, dataset.test, kg, ripple_sets, hp, dataset.item_entities, seed=1)
+    assert (report.skipped, report.n_examples) == (2, 4)
+
+
+@pytest.mark.parametrize("user_table", [False, True], ids=["ripple", "user_table"])
+@pytest.mark.parametrize("user", [-1, 0, 1, 3])
+def test_known_agrees_with_take(tmp_path, monkeypatch, user_table, user):
+    """``known`` is the one test of scorable users: ``take`` succeeds exactly where it holds.
+
+    User 0 is the dead end, 3 is ``num_users``; under ``user_table`` the
+    zero-hop table knows every user in range, and building it draws no
+    random number.
+    """
+    kg, dataset, hp = _dead_end_case(tmp_path)
+    hp = dataclasses.replace(hp, user_table=user_table)
+    if user_table:
+        monkeypatch.setattr(ripplerec.model.np.random, "default_rng", None)
+    table = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+    assert table.bags.shape == (0 if user_table else hp.hops, dataset.num_users, hp.ripple_size, 3)
+    expected = {-1: False, 0: user_table, 1: True, 3: False}[user]
+    users = np.array([user])
+    assert table.known(users).tolist() == [expected]
+    if expected:
+        assert table.take(users).shape == (table.bags.shape[0], 1, hp.ripple_size, 3)
+    else:
+        with pytest.raises(KeyError) as err:
+            table.take(users)
+        assert err.value.args == (user,)
 
 
 def test_mapping_semantics(tmp_path):
