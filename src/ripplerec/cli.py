@@ -12,9 +12,11 @@ command line with ``--set``.  Keys are flat: paths, prep and sweep
 settings are :class:`RunConfig` fields, and every
 :class:`~ripplerec.model.Hyperparams` field is a key of the same name,
 held in ``RunConfig.hp``.  All outputs are CSV/TSV plus key = value
-manifests, deterministic for a fixed seed.  Exit codes: 2 missing input
-file, 3 malformed data (with ``file:line`` where a line is at fault), 4
-training divergence.
+manifests, deterministic for a fixed seed.  Configs, ``prep_meta.txt``
+and manifests go through one line reader, and their values parse as
+config values do, so a bad one names its file and key.  Exit codes: 2
+missing input file, 3 malformed data (with ``file:line`` where a line
+is at fault), 4 training divergence.
 
 Five-run averaging uses seeds base..base+4; sweep cells are independent
 and each cell's CSV row is traceable to a manifest (config hash + seed)
@@ -73,34 +75,44 @@ class RunConfig:
 
 
 def _coerce(name, raw, current):
+    """``raw`` as a value of ``current``'s type; one that does not parse raises ValueError naming ``name``."""
     if isinstance(current, bool):
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+        raise ValueError(f"{name} = {raw!r} is not a boolean")
     if isinstance(current, tuple):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if name == "ratios":
-            return tuple(float(p) for p in parts)
-        return tuple(parts)
-    return raw
+        parts = tuple(p.strip() for p in raw.split(",") if p.strip())
+        return tuple(_coerce(name, p, 0.0) for p in parts) if name == "ratios" else parts
+    try:
+        return type(current)(raw)  # int, float or str
+    except ValueError:
+        kind = "an integer" if isinstance(current, int) else "a number"
+        raise ValueError(f"{name} = {raw!r} is not {kind}") from None
+
+
+def _kv_lines(path, comments=False):
+    """Stripped ``(lineno, key, value)`` of every non-blank line of a ``key = value`` file.
+
+    ``comments`` (config files only; a manifest's path may hold a ``#``)
+    cuts each line at its first ``#``.  A line without ``=`` or a byte
+    that does not decode raises :class:`~ripplerec.kg.ParseError`.
+    """
+    for lineno, line in enumerate(kgmod.read_text(path).split("\n"), start=1):
+        if comments:
+            line = line.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if "=" not in line:
+            raise kgmod.ParseError(path, lineno, "expected 'key = value'")
+        key, value = line.split("=", 1)
+        yield lineno, key.strip(), value.strip()
 
 
 def parse_config_file(path, cfg):
-    with kgmod.open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            _apply(cfg, key, raw, where=f"{path}:{lineno}")
+    for lineno, key, raw in _kv_lines(path, comments=True):
+        _apply(cfg, key, raw, where=f"{path}:{lineno}")
     return cfg
 
 
@@ -144,17 +156,7 @@ def _write_kv(path, mapping):
 
 
 def _read_kv(path):
-    out = {}
-    with kgmod.open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise kgmod.ParseError(path, lineno, "expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
-    return out
+    return {key: value for _, key, value in _kv_lines(path)}
 
 
 def _sha256(path):
@@ -229,12 +231,13 @@ def _require(meta, keys, path):
             raise ValueError(f"{path}: missing key {key!r} (truncated, or not written by ripplerec)")
 
 
-def _meta_int(meta, key, path):
+def _meta_value(meta, key, path, current):
+    """``meta[key]`` of the key = value file at ``path``, coerced to ``current``'s type like a config value."""
     _require(meta, [key], path)
     try:
-        return int(meta[key])
-    except ValueError:
-        raise ValueError(f"{path}: {key} = {meta[key]!r} is not an integer") from None
+        return _coerce(key, meta[key], current)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def load_prep(cfg):
@@ -245,7 +248,7 @@ def load_prep(cfg):
     meta = _read_kv(meta_path)
     _require(meta, ("num_users", "num_items", "kg", "undirected", "entity_vocab_sha256", "relation_vocab_sha256"),
              meta_path)
-    graph = kgmod.load_kg(meta["kg"], undirected=meta["undirected"] == "True")
+    graph = kgmod.load_kg(meta["kg"], undirected=_meta_value(meta, "undirected", meta_path, True))
     for kind, names in (("entity", graph.entity_names), ("relation", graph.relation_names)):
         path = os.path.join(cfg.out, f"{kind}_vocab.tsv")
         if _sha256(path) != meta[f"{kind}_vocab_sha256"]:
@@ -253,7 +256,7 @@ def load_prep(cfg):
         if hashlib.sha256(kgmod.vocab_bytes(names)).hexdigest() != meta[f"{kind}_vocab_sha256"]:
             raise ValueError(f"{meta['kg']}: {kind} vocabulary differs from {path} written by prep "
                              "(KG file changed since prep?)")
-    num_users, num_items = (_meta_int(meta, key, meta_path) for key in ("num_users", "num_items"))
+    num_users, num_items = (_meta_value(meta, key, meta_path, 0) for key in ("num_users", "num_items"))
     item_path = os.path.join(cfg.out, "item_entities.tsv")
     item_entities = kgmod.read_int_tsv(item_path, (("item", num_items), ("entity", graph.num_entities)))
     if not np.array_equal(item_entities[:, 0], np.arange(num_items)):
@@ -321,11 +324,14 @@ def _hyperparams_from_manifest(manifest, path):
 
     Every field must be recorded: a default in place of a missing one
     would score the snapshot under hyperparameters it was not trained with.
+    Values parse as config values do, so an error names ``path`` and the key.
     """
     names = [f.name for f in fields(model.Hyperparams)]
     _require(manifest, names, path)
-    defaults = model.Hyperparams()
-    return model.Hyperparams(**{name: _coerce(name, manifest[name], getattr(defaults, name)) for name in names})
+    cfg = RunConfig()
+    for name in names:
+        _apply(cfg, name, manifest[name], where=path)
+    return cfg.hp
 
 
 def _check_snapshot(path, params, graph, dataset, hp):
@@ -360,7 +366,7 @@ def cmd_eval(cfg, split):
     # trained with, not whatever the current config happens to say
     hp = _hyperparams_from_manifest(manifest, manifest_path)
     _check_snapshot(snap, params, graph, dataset, hp)
-    ripple_sets = model.build_ripple_sets(dataset, graph, hp, _meta_int(manifest, "seed", manifest_path))
+    ripple_sets = model.build_ripple_sets(dataset, graph, hp, _meta_value(manifest, "seed", manifest_path, 0))
     report = metrics.evaluate(
         params, dataset.split_named(split), graph, ripple_sets, hp,
         dataset.item_entities, seed=cfg.seed, split=split,

@@ -2,8 +2,8 @@
 
 Everything the model needs from a tensor library, and nothing more:
 stable softmax/sigmoid, a named-parameter store with gradient slots,
-Adam (and plain SGD) updates, Xavier initialization, a central
-finite-difference gradient checker, and bit-exact snapshot IO.
+the Adam update, Xavier initialization, a central finite-difference
+gradient checker, and bit-exact snapshot IO.
 
 Gradients are hand-derived in :mod:`ripplerec.model`; this module only
 owns the buffers and the update rules.  A frozen ``ParamStore`` is safe
@@ -120,11 +120,12 @@ class ParamStore:
             if not np.all(np.isfinite(arr)):
                 raise FloatingPointError(f"non-finite grads in tensor {name!r}")
 
-    # -- optimizers ---------------------------------------------------------
+    # -- optimizer ----------------------------------------------------------
 
-    def adam_step(self, lr, betas=(ADAM_BETA1, ADAM_BETA2), eps=ADAM_EPS):
+    def adam_step(self, lr):
         """Bias-corrected Adam update from the current gradient buffers.
 
+        b1, b2 and eps are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
         Every term is computed in place in two scratch arrays per tensor,
         in the order of m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
         v -= lr (m / c1) / (sqrt(s / c2) + eps).  Gradients are zeroed
@@ -132,7 +133,7 @@ class ParamStore:
         offending tensor.
         """
         self.check_finite_grads()
-        b1, b2 = betas
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         self._adam_t += 1
         t = self._adam_t
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
@@ -157,13 +158,6 @@ class ParamStore:
             b += eps
             a /= b
             v -= a
-        self.zero_grads()
-
-    def sgd_step(self, lr):
-        """Plain gradient descent; provided as an alternative to Adam."""
-        self.check_finite_grads()
-        for name, v in self.values.items():
-            v -= lr * self.grads[name]
         self.zero_grads()
 
 

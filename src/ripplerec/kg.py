@@ -1,9 +1,10 @@
 """Knowledge-graph triple store and all fixed-size stochastic sampling.
 
 Every TSV input goes through one byte-level scanner: the file is read
-and decoded once, line breaks follow text mode (``\n``, ``\r\n`` and a
-lone ``\r``; a blank line is skipped but counted), and numpy finds the
-tabs and line breaks and checks every line's field count from them.
+and decoded once (:func:`read_text`, which also reads the CLI's
+``key = value`` files), line breaks follow text mode (``\n``, ``\r\n``
+and a lone ``\r``; a blank line is skipped but counted), and numpy finds
+the tabs and line breaks and checks every line's field count from them.
 Triples are indexed through first-appearance vocabularies, deduplicated
 on packed (head, relation, tail) keys, and exposed through one
 compressed sparse row (CSR) layout built from one sort of packed
@@ -24,7 +25,6 @@ concurrent sampling requires independent generator instances.
 
 from __future__ import annotations
 
-import io
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -58,22 +58,17 @@ def _decode(path, data):
         raise ParseError(path, lineno, f"not valid UTF-8 ({err.reason})") from None
 
 
-def _read_text(path):
-    """A UTF-8 file's text with every line break turned into ``"\n"``, as text mode reads it."""
+def read_text(path):
+    """A UTF-8 file's text with every line break turned into ``"\n"``, as text mode reads it.
+
+    A byte sequence that does not decode raises :class:`ParseError`
+    naming the line that holds it.
+    """
     with open(path, "rb") as fh:
         text = _decode(path, fh.read())
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
-
-
-def open_text(path):
-    """A UTF-8 text file as a line iterator, for use in a ``with`` statement.
-
-    A byte sequence that does not decode raises :class:`ParseError`
-    naming the line that holds it.
-    """
-    return io.StringIO(_read_text(path))
 
 
 class _Scan(NamedTuple):
@@ -90,7 +85,7 @@ def _scan(path, arity):
     A non-blank line whose field count is not in ``arity`` raises
     :class:`ParseError`, as does a byte that does not decode.
     """
-    text = _read_text(path)
+    text = read_text(path)
     if text and not text.endswith("\n"):
         text += "\n"
     buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)

@@ -67,7 +67,8 @@ class Hyperparams:
     ``"shared"`` applies one map to their sum plus the candidate,
     ``"recursive"`` chains per-hop maps and adds the candidate at the
     end.  ``precision`` is ``"f32"`` by default; finite-difference
-    gradient checks need ``"f64"``.
+    gradient checks need ``"f64"``.  Training always uses Adam at ``lr``
+    and samples ripple sets once per run.
     """
 
     embed_dim: int = 8
@@ -83,9 +84,7 @@ class Hyperparams:
     patience: int = 5
     user_table: bool = False
     fusion: str = "shared"
-    resample_ripple: bool = False
     precision: str = "f32"
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.embed_dim < 1:
@@ -104,8 +103,6 @@ class Hyperparams:
             raise ValueError(f"unknown fusion variant {self.fusion!r}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     @property
     def dtype(self):
@@ -601,8 +598,8 @@ def build_ripple_sets(dataset, kg, hp, seed):
 def fit(dataset, kg, hp, seed=0, eval_train=False):
     """Minibatch training with per-epoch validation and best-snapshot selection.
 
-    Ripple sets are built once per run (``resample_ripple`` rebuilds them
-    each epoch); neighbor trees are drawn fresh per batch.  Train rows of
+    Ripple sets are built once per run; neighbor trees are drawn fresh
+    per batch, and every batch ends in one Adam step.  Train rows of
     users the table does not know (``RippleTable.known``) are dropped,
     and ``skipped_users`` counts those users.  Divergence aborts the run
     and returns the last good snapshot with ``diverged`` set.
@@ -626,8 +623,6 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
     stale = 0
 
     for epoch in range(1, hp.epochs + 1):
-        if hp.resample_ripple and epoch > 1:
-            ripple_sets = build_ripple_sets(dataset, kg, hp, seed + epoch)
         order = np.random.default_rng([seed, 2, epoch]).permutation(len(train))
         shuffled = train[order]
         total = 0.0
@@ -638,10 +633,7 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
                 bags = assemble_batch(batch, kg, ripple_sets, hp, dataset.item_entities, rng)
                 loss, _ = forward_backward(params, bags, hp)
                 total += loss * len(batch)
-                if hp.optimizer == "adam":
-                    params.adam_step(hp.lr)
-                else:
-                    params.sgd_step(hp.lr)
+                params.adam_step(hp.lr)
         except FloatingPointError as err:
             logger.error("epoch %d diverged: %s", epoch, err)
             diverged = True

@@ -98,6 +98,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(str(path), RunConfig())
 
+    @pytest.mark.parametrize("via", ["config", "set"])
+    @pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("resample_ripple", "False")])
+    def test_removed_training_keys_rejected(self, tmp_path, capsys, key, value, via):
+        # training is always Adam over ripple sets sampled once per run
+        path = tmp_path / "c.txt"
+        path.write_text(f"{key} = {value}\n" if via == "config" else "", encoding="utf-8")
+        argv = ["train", "--config", path, "--out", tmp_path / "run"]
+        if via == "set":
+            argv += ["--set", f"{key}={value}"]
+        capsys.readouterr()
+        assert run_cli(*argv) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r}" in err, err
+
     def test_digest_changes_with_config(self):
         a, b = RunConfig(seed=1), RunConfig(seed=2)
         assert a.digest() != b.digest()
@@ -109,8 +123,7 @@ class TestConfig:
         # every field off its default, so a key that is dropped on the way shows
         hp = Hyperparams(embed_dim=3, hops=3, ripple_size=5, neighbor_size=3, conv_layers=2,
                          l2_weight=1e-5, lr=0.03, batch_size=17, epochs=2, acc_threshold=0.4,
-                         patience=1, user_table=True, fusion="recursive", resample_ripple=True,
-                         precision="f64", optimizer="sgd")
+                         patience=1, user_table=True, fusion="recursive", precision="f64")
         assert [n for n in hp_names if getattr(hp, n) == getattr(Hyperparams(), n)] == []
         lines = [f"{k} = {v}" for k, v in asdict(hp).items()]
 
@@ -218,6 +231,22 @@ class TestTrainEvalSweep:
         for text in expect:
             assert text in err, (text, err)
         assert not (out / "eval_test.csv").exists()
+
+    def test_manifest_with_removed_training_keys_evaluates_the_same(self, workdir, untrained_run, tmp_path):
+        # manifests written while `optimizer` and `resample_ripple` were
+        # Hyperparams fields hold them after `precision` and `fusion`
+        rows = []
+        for after in ({}, {"fusion": "resample_ripple = False\n", "precision": "optimizer = adam\n"}):
+            out = tmp_path / f"run{len(rows)}"
+            shutil.copytree(untrained_run, out)
+            manifest = out / "model.manifest.txt"
+            lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+            text = "".join(line + after.get(line.split(" = ")[0], "") for line in lines)
+            assert all(extra in text for extra in after.values())
+            manifest.write_text(text, encoding="utf-8")
+            assert run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out) == 0
+            rows.append((out / "eval_test.csv").read_bytes())
+        assert rows[0] == rows[1]
 
     def test_eval_before_train_exit_2(self, workdir, tmp_path):
         out = tmp_path / "fresh"
@@ -380,6 +409,15 @@ def _drop_key(key):
     return defect
 
 
+def _set_key(key, value):
+    """Defect that sets the value of the ``key = value`` line of a key = value file."""
+    def defect(data, sep):
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        return "".join(f"{key} = {value}\n" if line.split(sep, 1)[0].strip() == key else line
+                       for line in lines).encode("utf-8"), None
+    return defect
+
+
 DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8": _not_utf8,
            "empty": _empty, "not_integer": _not_integer,
            "user_999": _set_field(0, "999"), "user_-1": _set_field(0, "-1"),
@@ -389,7 +427,9 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "user_20_digits": _set_field(0, "9" * 20), "user_+5": _set_field(0, "+5"),
            "user_1_0": _set_field(0, "1_0"), "item_space_5": _set_field(1, " 5"),
            "item_arabic_3": _set_field(1, "\u0663"),
-           "no_hops": _drop_key("hops"), "seed_x": _set_field(1, " x")}  # line 2 of a manifest is seed
+           "no_hops": _drop_key("hops"), "seed_x": _set_field(1, " x"),  # line 2 of a manifest is seed
+           "hops_two": _set_key("hops", "two"), "hops_0": _set_key("hops", "0"),
+           "undirected_maybe": _set_key("undirected", "maybe")}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
@@ -414,11 +454,15 @@ INPUT_DEFECTS = [
     ("prep_meta", "not_utf8", EXIT_MALFORMED, "{path}:{line}:"),
     ("prep_meta", "empty", EXIT_MALFORMED, "{path}: missing key 'num_users'"),
     ("prep_meta", "num_items_1OO", EXIT_MALFORMED, "{path}: num_items = '1OO' is not an integer"),
+    ("prep_meta", "undirected_maybe", EXIT_MALFORMED, "{path}: undirected = 'maybe' is not a boolean"),
     ("manifest", "wrong_arity", EXIT_MALFORMED, "{path}:{line}: expected 'key = value'"),
     # every hyperparameter and the seed must be recorded; none falls back to the config
     ("manifest", "empty", EXIT_MALFORMED, "{path}: missing key 'embed_dim'"),
     ("manifest", "no_hops", EXIT_MALFORMED, "{path}: missing key 'hops'"),
     ("manifest", "seed_x", EXIT_MALFORMED, "{path}: seed = 'x' is not an integer"),
+    # a hyperparameter value is read as a config value is, and its error names the manifest
+    ("manifest", "hops_two", EXIT_MALFORMED, "{path}: hops = 'two' is not an integer"),
+    ("manifest", "hops_0", EXIT_MALFORMED, "{path}: hops must be >= 1"),
     ("test", "user_999", EXIT_MALFORMED, "{path}:{line}: user 999 outside"),
     ("test", "user_-1", EXIT_MALFORMED, "{path}:{line}: user -1 outside"),
     ("test", "item_999", EXIT_MALFORMED, "{path}:{line}: item 999 outside"),

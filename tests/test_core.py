@@ -166,12 +166,6 @@ class TestAdam:
                 assert got._adam_v[name].tobytes() == s[name].tobytes(), (t, name)
                 assert not got.grads[name].any()
 
-    def test_sgd_step(self):
-        store = _store(w=np.array([1.0]))
-        store.grads["w"][0] = 0.5
-        store.sgd_step(lr=0.2)
-        assert store.values["w"][0] == pytest.approx(0.9)
-
 
 class TestFiniteDiff:
     def test_quadratic_exact(self):
