@@ -51,16 +51,21 @@ print("\none 5-neighbor sample (with replacement):")
 for rel, ent in zip(rels, ents):
     print(f"  --{kg.relation_names[rel]}--> {kg.entity_names[ent]}")
 
-# Ripple bags: hop-k heads always come from hop-(k-1) tails.
+# Ripple bags: hop-k heads always come from hop-(k-1) tails.  The builder
+# draws every user's bags at once from (user, seed entity) pairs; here one
+# user, row 0 of the table, is seeded by "Heat".
 heat = kg.entity_vocab["Heat"]
-ripple = rr.build_ripple_set(kg, seeds=[heat], hops=2, n_p=4, rng=rng, user=0)
-for k, bag in enumerate(ripple.hops, start=1):
+
+
+def ripple_bags(rng):
+    return rr.build_ripple_table(kg, users=[0], seeds=[heat], num_users=1, hops=2, n_p=4, rng=rng).bags[:, 0]
+
+
+for k, bag in enumerate(ripple_bags(rng), start=1):
     print(f"\nhop {k} bag (exactly {len(bag)} triples):")
     for h, r, t in bag:
         print(f"  {kg.entity_names[h]} --{kg.relation_names[r]}--> {kg.entity_names[t]}")
 
 # Same seed, same bags: the samplers are deterministic given the generator.
-again = rr.build_ripple_set(kg, seeds=[heat], hops=2, n_p=4, rng=np.random.default_rng(1), user=0)
-twice = rr.build_ripple_set(kg, seeds=[heat], hops=2, n_p=4, rng=np.random.default_rng(1), user=0)
-assert all(a.tobytes() == b.tobytes() for a, b in zip(again.hops, twice.hops))
+assert ripple_bags(np.random.default_rng(1)).tobytes() == ripple_bags(np.random.default_rng(1)).tobytes()
 print("\nsame generator seed twice -> byte-identical ripple bags")

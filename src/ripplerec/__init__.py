@@ -19,7 +19,7 @@ from .kg import (
     NULL_RELATION,
     KnowledgeGraph,
     RippleSet,
-    build_ripple_set,
+    build_ripple_table,
     load_item_map,
     load_kg,
     sample_children,
@@ -60,8 +60,8 @@ __all__ = [
     "batch_loss",
     "binarize",
     "build_dataset",
-    "build_ripple_set",
     "build_ripple_sets",
+    "build_ripple_table",
     "evaluate",
     "finite_diff_check",
     "fit",

@@ -167,6 +167,10 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _table_sha256(table):
+    return hashlib.sha256(table.bags.tobytes() + table.has.tobytes()).hexdigest()
+
+
 # -- prep -----------------------------------------------------------------------
 
 
@@ -305,6 +309,8 @@ def cmd_train(cfg):
         "diverged": result.diverged,
         "skipped_users": result.skipped_users,
         "entity_vocab_sha256": prep_meta["entity_vocab_sha256"],
+        "relation_vocab_sha256": prep_meta["relation_vocab_sha256"],
+        "ripple_table_sha256": _table_sha256(result.ripple_table),
     }
     _save_snapshot(cfg.out, result.params, cfg, meta)
     _write_epoch_log(os.path.join(cfg.out, "epochs.csv"), result.history)
@@ -355,18 +361,28 @@ def _check_snapshot(path, params, graph, dataset, hp):
 
 
 def cmd_eval(cfg, split):
-    graph, dataset, _ = load_prep(cfg)
+    graph, dataset, prep_meta = load_prep(cfg)
     snap = os.path.join(cfg.out, "model.npz")
     if not os.path.exists(snap):
         raise FileNotFoundError(snap)
     manifest_path = os.path.join(cfg.out, "model.manifest.txt")
     manifest = _read_kv(manifest_path)
     params = load_params(snap)
-    # score with the hyperparameters and ripple seed the snapshot was
-    # trained with, not whatever the current config happens to say
+    # score with the hyperparameters, ripple seed, graph numbering and ripple bags the snapshot
+    # was trained with, not whatever the current config or a later prep happens to say
     hp = _hyperparams_from_manifest(manifest, manifest_path)
+    if "ripple_table_sha256" not in manifest:
+        raise ValueError(f"{manifest_path}: missing key 'ripple_table_sha256' (trained before the hop-by-hop "
+                         "ripple builder, whose bags differ); retrain the snapshot")
+    for key in ("entity_vocab_sha256", "relation_vocab_sha256"):
+        if _meta_value(manifest, key, manifest_path, "") != prep_meta[key]:
+            raise ValueError(f"{manifest_path}: {key} differs from {os.path.join(cfg.out, 'prep_meta.txt')} "
+                             "(prep re-run since train?); retrain the snapshot")
     _check_snapshot(snap, params, graph, dataset, hp)
     ripple_sets = model.build_ripple_sets(dataset, graph, hp, _meta_value(manifest, "seed", manifest_path, 0))
+    if _table_sha256(ripple_sets) != manifest["ripple_table_sha256"]:
+        raise ValueError(f"{manifest_path}: ripple_table_sha256 does not match the ripple table rebuilt "
+                         f"from the train split in {cfg.out}; retrain the snapshot")
     report = metrics.evaluate(
         params, dataset.split_named(split), graph, ripple_sets, hp,
         dataset.item_entities, seed=cfg.seed, split=split,

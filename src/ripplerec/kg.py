@@ -11,12 +11,11 @@ compressed sparse row (CSR) layout built from one sort of packed
 (source, relation, neighbor) keys: entity ``e``'s outgoing (relation,
 neighbor) edges are ``rel[indptr[e]:indptr[e + 1]]`` and
 ``nbr[indptr[e]:indptr[e + 1]]``.
-One vectorized sampler, :func:`sample_children`, draws fixed-size
-with-replacement neighbor bags for a whole array of entities with a
-single gather.  Per-user multi-hop ripple bags (:func:`build_ripple_set`)
-draw from CSR ranges, and their hop-k heads always lie among the
-hop-(k-1) tails; a :class:`RippleTable` holds every user's bags in one
-array.
+Both samplers draw uniformly with replacement from CSR ranges:
+:func:`sample_children` fixed-size neighbor bags for a whole array of
+entities, and :func:`build_ripple_table` every user's multi-hop ripple
+bags, one draw per hop for all users, into one :class:`RippleTable`
+array; a user's hop-k heads always lie among its hop-(k-1) tails.
 
 A loaded :class:`KnowledgeGraph` is immutable and safe for unrestricted
 concurrent reads.  Samplers take an explicit ``numpy`` generator handle;
@@ -204,20 +203,16 @@ class RippleSet:
     user: int
     hops: list[np.ndarray]
 
-    @property
-    def n_hops(self):
-        return len(self.hops)
-
 
 class RippleTable(Mapping):
-    """Every user's hop bags in one array, read as a mapping user -> :class:`RippleSet`.
+    """Every user's hop bags in one array, as :func:`build_ripple_table` draws them.
 
     ``bags`` is a ``(hops, num_users, n_p, 3)`` int array: ``bags[k, u]``
     is user ``u``'s hop-k bag (zero hops under ``user_table``).  ``has``
-    masks the users :meth:`known` accepts; the other users' rows are zero
-    and no key of the mapping.  Keys iterate in ascending user order,
-    and a looked-up set's hops are views of ``bags``.  Both arrays are
-    made read-only.
+    masks the users :meth:`known` accepts; the other rows are zero.  Both
+    arrays are read-only; a snapshot's manifest checksums their bytes.
+    The table reads as a mapping user -> :class:`RippleSet` over ``has``,
+    ascending, whose hops are views of ``bags``.
     """
 
     def __init__(self, bags, has):
@@ -225,7 +220,6 @@ class RippleTable(Mapping):
         has.flags.writeable = False
         self.bags = bags
         self.has = has
-        self._users = np.flatnonzero(has)
 
     def __getitem__(self, user):
         if user not in self:
@@ -236,10 +230,10 @@ class RippleTable(Mapping):
         return isinstance(user, (int, np.integer)) and 0 <= user < len(self.has) and bool(self.has[user])
 
     def __iter__(self):
-        return iter(self._users.tolist())
+        return iter(np.flatnonzero(self.has).tolist())
 
     def __len__(self):
-        return len(self._users)
+        return int(self.has.sum())
 
     def known(self, users):
         """Bool mask of the int array ``users`` (B,) that ``has`` marks; out-of-range users are unknown."""
@@ -351,45 +345,49 @@ def sample_children(kg, ents, n_e, rng):
     return rels.reshape(shape), nbrs.reshape(shape)
 
 
-def _frontier_pool(kg, entities):
-    """All (head, relation, tail) rows whose head is in ``entities``, by head."""
-    heads = np.unique(np.asarray(entities, dtype=np.int64))
-    start = kg.indptr[heads]
-    deg = kg.indptr[heads + 1] - start
-    # edge index of every pool row: each head's CSR range, back to back
-    edges = np.arange(deg.sum()) + np.repeat(start - (np.cumsum(deg) - deg), deg)
-    return np.stack((np.repeat(heads, deg), kg.rel[edges], kg.nbr[edges]), axis=1)
+def build_ripple_table(kg, users, seeds, num_users, hops, n_p, rng):
+    """:class:`RippleTable` of ``hops`` bags of exactly ``n_p`` triples per user, rippling out of its seeds.
 
-
-def build_ripple_set(kg, seeds, hops, n_p, rng, user=-1):
-    """Sample ``hops`` bags of exactly ``n_p`` triples rippling out of ``seeds``.
-
-    Each hop draws uniformly with replacement from all triples whose head
-    lies among the previous hop's tails (hop 1: among the seeds).  A hop
-    whose frontier has no outgoing triples is backfilled by resampling
-    the previous hop's bag, with a warning.
+    ``users`` and ``seeds`` are parallel arrays of (user, seed entity)
+    pairs, users in [0, ``num_users``).  Hop k draws uniformly with
+    replacement from every triple whose head is among the user's hop-(k-1)
+    tails (hop 1: its seeds), heads ascending, each head's CSR edges in
+    order; an empty pool resamples the previous bag, with an "empty
+    frontier" warning.  Users whose seeds have no outgoing triples get no
+    bags and draw nothing.  Each hop is one ``rng.integers`` call over the
+    others, ascending, each drawing as ``rng.integers(0, size, n_p)`` would.
     """
-    if hops < 1:
-        raise ValueError("hops must be >= 1")
-    if n_p < 1:
-        raise ValueError("n_p must be >= 1")
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError(f"user {user}: no seed entities (no mappable history)")
-    bags: list[np.ndarray] = []
-    frontier = seeds
+    if hops < 1 or n_p < 1:
+        raise ValueError("hops and n_p must be >= 1")
+    num_entities = kg.num_entities
+    degrees = np.diff(kg.indptr)
+    # each user's distinct frontier entities, as packed user * E + entity keys sorted by user
+    frontier = np.unique(np.asarray(users, dtype=np.int64) * num_entities + np.asarray(seeds, dtype=np.int64))
+    owner, heads = np.divmod(frontier, num_entities)
+    has = np.zeros(num_users, dtype=bool)
+    has[owner[degrees[heads] > 0]] = True
+    dead_ends = np.count_nonzero(np.diff(owner, prepend=-1)) - int(has.sum())
+    if dead_ends:
+        logger.warning("%d users skipped: seed entities have no outgoing triples", dead_ends)
+    live = np.flatnonzero(has)
+    owner, heads = owner[has[owner]], heads[has[owner]]
+    bags = np.zeros((hops, num_users, n_p, 3), dtype=np.int64)
     for k in range(hops):
-        pool = _frontier_pool(kg, frontier)
-        if len(pool) == 0:
-            if not bags:
-                raise ValueError(f"user {user}: seed entities have no outgoing triples")
+        # the hop's pools back to back: head j's edges are rows offset[j]:offset[j + 1]
+        offset = np.concatenate(([0], np.cumsum(degrees[heads])))
+        start = offset[np.searchsorted(owner, live)]  # each user's heads are contiguous
+        size = np.diff(start, append=offset[-1])
+        empty = size == 0
+        picks = rng.integers(0, np.where(empty, n_p, size)[:, None], size=(len(live), n_p))
+        rows = start[~empty, None] + picks[~empty]
+        j = np.searchsorted(offset, rows, side="right") - 1
+        edges = kg.indptr[heads[j]] + rows - offset[j]
+        bags[k, live[~empty]] = np.stack((heads[j], kg.rel[edges], kg.nbr[edges]), axis=-1)
+        for user in live[empty].tolist():
             logger.warning("user %d: empty frontier at hop %d; resampling previous hop", user, k + 1)
-            pool = bags[-1]
-        picks = rng.integers(0, len(pool), size=n_p)
-        bag = pool[picks].copy()
-        bags.append(bag)
-        frontier = bag[:, 2]
-    return RippleSet(user=user, hops=bags)
+        bags[k, live[empty]] = np.take_along_axis(bags[k - 1, live[empty]], picks[empty, :, None], axis=1)
+        owner, heads = np.divmod(np.unique(live[:, None] * num_entities + bags[k, live, :, 2]), num_entities)
+    return RippleTable(bags, has)
 
 
 def load_item_map(path, kg):
@@ -422,14 +420,3 @@ def write_vocab(path, names):
     with open(path, "wb") as fh:
         fh.write(vocab_bytes(names))
 
-
-def read_vocab(path):
-    """Inverse of :func:`write_vocab`; returns the dict raw_id -> index."""
-    vocab = {}
-    linenos, fields = read_tsv(path, 2)
-    for lineno, (raw, idx) in zip(linenos.tolist(), fields.tolist()):
-        try:
-            vocab[raw] = int(idx)
-        except ValueError:
-            raise ParseError(path, lineno, f"non-integer index {idx!r}") from None
-    return vocab

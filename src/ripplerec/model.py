@@ -51,7 +51,7 @@ from scipy import sparse
 
 from . import metrics
 from .core import ParamStore, sigmoid, softmax, xavier_uniform
-from .kg import NULL_RELATION, RippleTable, build_ripple_set, sample_children
+from .kg import NULL_RELATION, RippleTable, build_ripple_table, sample_children
 
 logger = logging.getLogger(__name__)
 
@@ -555,44 +555,34 @@ def score_batch(params, records, kg, ripple_sets, hp, item_entities, rng):
 
 @dataclass
 class FitResult:
+    """What :func:`fit` returns: the best-validation parameters, and the ripple table they trained on."""
+
     params: ParamStore
     history: list[dict]
     best_epoch: int
     test_report: metrics.MetricReport | None
+    ripple_table: RippleTable
     diverged: bool = False
     skipped_users: int = 0  # distinct users whose train rows were dropped (unknown to the ripple table)
 
 
 def build_ripple_sets(dataset, kg, hp, seed):
-    """One ripple set per user with train history, seeded entities from items.
+    """The run's :class:`~ripplerec.kg.RippleTable`, seeded by the entities of each user's train history.
 
-    Returns a :class:`~ripplerec.kg.RippleTable` over ``dataset.num_users``
-    users, filled user by user in ascending order from one generator.  A
-    user whose seed entities have no outgoing triples (reachable on a
-    directed graph) gets no ripple set and is counted in a warning; the
-    check precedes any draw, so the other users' bags do not depend on
-    it.  Under ``user_table`` the table has zero hops, knows every user
-    and draws no random number.
+    :func:`~ripplerec.kg.build_ripple_table` draws it from a generator
+    seeded by ``seed``.  Under ``user_table`` the table has zero hops,
+    knows every user and draws no random number.
     """
     if dataset.item_entities is None:
         raise ValueError("dataset has no item -> entity mapping; run prep first")
     if hp.user_table:
         return RippleTable(np.zeros((0, dataset.num_users, hp.ripple_size, 3), dtype=np.int64),
                            np.ones(dataset.num_users, dtype=bool))
-    rng = np.random.default_rng([seed, 17])
-    degrees = np.diff(kg.indptr)
-    bags = np.zeros((hp.hops, dataset.num_users, hp.ripple_size, 3), dtype=np.int64)
-    has = np.zeros(dataset.num_users, dtype=bool)
-    for user in sorted(dataset.user_history):
-        seeds = dataset.item_entities[dataset.user_history[user]]
-        if len(seeds) and not degrees[seeds].any():
-            continue
-        bags[:, user] = build_ripple_set(kg, seeds, hp.hops, hp.ripple_size, rng, user=user).hops
-        has[user] = True
-    dead_ends = len(dataset.user_history) - int(has.sum())
-    if dead_ends:
-        logger.warning("%d users skipped: seed entities have no outgoing triples", dead_ends)
-    return RippleTable(bags, has)
+    history = dataset.user_history
+    users = np.repeat(np.fromiter(history, np.int64, len(history)), [len(items) for items in history.values()])
+    items = np.concatenate([np.zeros(0, dtype=np.int64), *history.values()])
+    return build_ripple_table(kg, users, dataset.item_entities[items], dataset.num_users,
+                              hp.hops, hp.ripple_size, np.random.default_rng([seed, 17]))
 
 
 def fit(dataset, kg, hp, seed=0, eval_train=False):
@@ -675,5 +665,5 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
             final, dataset.test, kg, ripple_sets, hp, dataset.item_entities,
             seed=seed * 1000 + 999, split="test",
         )
-    return FitResult(params=final, history=history, best_epoch=best_epoch,
-                     test_report=test_report, diverged=diverged, skipped_users=skipped_users)
+    return FitResult(params=final, history=history, best_epoch=best_epoch, test_report=test_report,
+                     ripple_table=ripple_sets, diverged=diverged, skipped_users=skipped_users)

@@ -42,6 +42,39 @@ def write_kg(path, rows):
     return str(path)
 
 
+def adjacency(kg):
+    """Per-entity sorted (relation, neighbor) lists, straight from the triples."""
+    adj = [[] for _ in range(kg.num_entities)]
+    for h, r, t in kg.triples.tolist():
+        adj[h].append((r, t))
+        if kg.undirected and h != t:
+            adj[t].append((r, h))
+    return [sorted(pairs) for pairs in adj]
+
+
+def reference_ripple_bags(adj, seeds_by_user, hops, n_p, rng):
+    """Hop by hop, then user by user: the draws ``build_ripple_table`` must match.
+
+    ``seeds_by_user`` maps user -> seed entities.  Returns user -> list
+    of ``(n_p, 3)`` hop bags over the users whose seeds have an edge;
+    the others draw nothing.  A user's pool is every (head, relation,
+    tail) row with its head among the previous hop's tails, heads
+    ascending; an empty pool is replaced by the previous bag.
+    """
+    frontier = {user: seeds for user, seeds in sorted(seeds_by_user.items())
+                if any(adj[int(e)] for e in seeds)}
+    bags = {user: [] for user in frontier}
+    for _ in range(hops):
+        for user, heads in frontier.items():
+            pool = [(e, r, t) for e in sorted(set(int(x) for x in heads)) for r, t in adj[e]]
+            pool = np.array(pool, dtype=np.int64).reshape(-1, 3)
+            if len(pool) == 0:
+                pool = bags[user][-1]
+            bags[user].append(pool[rng.integers(0, len(pool), size=n_p)])
+        frontier = {user: bags[user][-1][:, 2] for user in frontier}
+    return bags
+
+
 @pytest.fixture
 def chain_kg(tmp_path):
     """Two-triple chain a -r-> b -r-> c."""

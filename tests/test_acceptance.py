@@ -20,7 +20,7 @@ import pytest
 
 import ripplerec as rr
 from ripplerec.core import finite_diff_check, sigmoid, softmax
-from ripplerec.kg import build_ripple_set, sample_children
+from ripplerec.kg import build_ripple_table, sample_children
 from ripplerec.metrics import auc
 from ripplerec.model import Hyperparams, assemble_batch, batch_loss, fit, forward_backward, init_params
 
@@ -147,19 +147,24 @@ def test_sampling_invariants(tiny_data):
     with criterion("sampling-invariants", budget_s=30):
         kg, dataset = tiny_data
         rng = np.random.default_rng(0)
-        users = list(dataset.user_history)
+        history = dataset.user_history
+        users = np.concatenate([np.full(len(items), user) for user, items in history.items()])
+        seeds = dataset.item_entities[np.concatenate(list(history.values()))]
+
+        def table(hops, n_p, rng):
+            return build_ripple_table(kg, users, seeds, dataset.num_users, hops, n_p, rng)
+
         for trial in range(50):
-            user = users[trial % len(users)]
-            seeds = dataset.item_entities[dataset.user_history[user]]
             n_p = int(rng.integers(1, 40))
             hops = int(rng.integers(1, 4))
-            ripple = build_ripple_set(kg, seeds, hops, n_p, rng, user=user)
-            assert ripple.n_hops == hops
-            frontier = set(int(s) for s in seeds)
-            for bag in ripple.hops:
-                assert bag.shape == (n_p, 3)  # exactly n_p rows, always
-                assert set(bag[:, 0].tolist()) <= frontier
-                frontier = set(bag[:, 2].tolist())
+            ripple = table(hops, n_p, rng)
+            assert ripple.bags.shape == (hops, dataset.num_users, n_p, 3)  # exactly n_p rows, always
+            assert ripple.has.sum() == len(history)
+            for user, items in history.items():
+                frontier = set(dataset.item_entities[items].tolist())
+                for bag in ripple.bags[:, user]:
+                    assert set(bag[:, 0].tolist()) <= frontier
+                    frontier = set(bag[:, 2].tolist())
 
         for trial in range(50):
             entity = int(rng.integers(0, kg.num_entities))
@@ -168,10 +173,9 @@ def test_sampling_invariants(tiny_data):
             assert rels.shape == nbrs.shape == (1, n_e)
 
         for seed in (1, 7, 42):
-            seeds = dataset.item_entities[dataset.user_history[users[0]]]
-            a = build_ripple_set(kg, seeds, 3, 16, np.random.default_rng(seed))
-            b = build_ripple_set(kg, seeds, 3, 16, np.random.default_rng(seed))
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(a.hops, b.hops))
+            a = table(3, 16, np.random.default_rng(seed))
+            b = table(3, 16, np.random.default_rng(seed))
+            assert a.bags.tobytes() == b.bags.tobytes()
             ra, ea = sample_children(kg, [3], 9, np.random.default_rng(seed))
             rb, eb = sample_children(kg, [3], 9, np.random.default_rng(seed))
             assert ea.tobytes() == eb.tobytes()

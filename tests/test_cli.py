@@ -280,6 +280,60 @@ class TestTrainEvalSweep:
         assert f"{kg}: entity vocabulary differs from {out / 'entity_vocab.tsv'}" in err, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("user_table", [False, True], ids=["ripple", "user_table"])
+    def test_prep_rerun_after_train_detected(self, workdir, tmp_path, capsys, user_table):
+        # a later prep into the same directory renumbers the graph consistently
+        # with its own vocabulary files; only the snapshot's manifest remembers
+        # the numbering it was trained on (under user_table no ripple table
+        # depends on it)
+        kg = tmp_path / "kg.tsv"
+        shutil.copy(workdir / "data" / "kg.tsv", kg)
+        out = tmp_path / "run"
+        argv = ["--config", workdir / "cfg.txt", "--seed", 5, "--out", out, "--set", f"kg={kg}",
+                "--set", f"user_table={user_table}"]
+        assert run_cli("prep", *argv) == 0
+        assert run_cli("train", *argv, "--set", "epochs=1") == 0
+        lines = kg.read_text(encoding="utf-8").splitlines(keepends=True)
+        kg.write_text("".join(reversed(lines)), encoding="utf-8")
+        assert run_cli("prep", *argv) == 0
+        capsys.readouterr()
+        rc = run_cli("eval", *argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED, err
+        assert f"{out / 'model.manifest.txt'}: entity_vocab_sha256 differs from {out / 'prep_meta.txt'}" in err, err
+        assert "Traceback" not in err
+        assert not (out / "eval_test.csv").exists()
+
+    @pytest.mark.parametrize("edit, expect", [
+        ("missing", "missing key 'ripple_table_sha256' (trained before the hop-by-hop ripple builder"),
+        ("altered", "ripple_table_sha256 does not match the ripple table rebuilt"),
+        ("train_edited", "ripple_table_sha256 does not match the ripple table rebuilt"),
+    ])
+    def test_eval_checks_the_ripple_table_checksum(self, workdir, untrained_run, tmp_path, capsys, edit, expect):
+        out = tmp_path / "run"
+        shutil.copytree(untrained_run, out)
+        manifest = out / "model.manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        key = [i for i, line in enumerate(lines) if line.startswith("ripple_table_sha256 = ")]
+        assert len(key) == 1
+        if edit == "missing":
+            del lines[key[0]]
+        elif edit == "altered":
+            lines[key[0]] = f"ripple_table_sha256 = {'0' * 64}\n"
+        else:  # the bags the snapshot trained on are no longer what train.tsv seeds
+            train = out / "train.tsv"
+            rows = train.read_text(encoding="utf-8").splitlines(keepends=True)
+            first = next(i for i, row in enumerate(rows) if row.endswith("\t1\n"))
+            train.write_text("".join(rows[:first] + rows[first + 1:]), encoding="utf-8")
+        manifest.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        rc = run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED, err
+        assert f"{manifest}: {expect}" in err, err
+        assert "retrain the snapshot" in err
+        assert not (out / "eval_test.csv").exists()
+
     def test_user_without_train_positive_skipped_not_fatal(self, workdir, untrained_run, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(untrained_run, out)

@@ -6,17 +6,23 @@ import pytest
 from ripplerec.kg import (
     NULL_RELATION,
     ParseError,
-    build_ripple_set,
+    build_ripple_table,
     load_item_map,
     load_kg,
     read_int_tsv,
-    read_vocab,
+    read_tsv,
     sample_children,
     write_vocab,
 )
 from ripplerec.model import sample_item_trees
 
-from conftest import write_kg
+from conftest import adjacency, reference_ripple_bags, write_kg
+
+
+def read_vocab(path):
+    """Inverse of ``write_vocab``: the dict raw_id -> index."""
+    _, fields = read_tsv(path, 2)
+    return {raw: int(idx) for raw, idx in fields.tolist()}
 
 
 class TestLoadKg:
@@ -116,33 +122,47 @@ class TestSampleNeighbors:
             sample_children(chain_kg, [0], 0, np.random.default_rng(0))
 
 
+def _one_user(kg, seeds, hops, n_p, rng):
+    """``(hops, n_p, 3)`` bags of a one-user table seeded by ``seeds``."""
+    table = build_ripple_table(kg, np.zeros(len(seeds), dtype=np.int64), seeds, 1, hops, n_p, rng)
+    assert table.has.tolist() == [True]
+    return table.bags[:, 0]
+
+
+def _history_table(kg, dataset, hops, n_p, rng):
+    """Table of every user with history, and each user's seed entities."""
+    seeds = {user: dataset.item_entities[items] for user, items in dataset.user_history.items()}
+    users = np.concatenate([np.full(len(s), user) for user, s in seeds.items()])
+    table = build_ripple_table(kg, users, np.concatenate(list(seeds.values())), dataset.num_users, hops, n_p, rng)
+    return table, seeds
+
+
 class TestBuildRippleSet:
+    """Per-user ripple bag invariants, checked on tables of ``build_ripple_table``."""
+
     def test_chain_unique_choice(self, tmp_path):
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("e0", "r0", "e1"), ("e1", "r0", "e2")]), undirected=False)
         e0, e1, e2 = (kg.entity_vocab[e] for e in ("e0", "e1", "e2"))
         r0 = kg.relation_vocab["r0"]
-        ripple = build_ripple_set(kg, [e0], hops=2, n_p=1, rng=np.random.default_rng(0))
-        assert [tuple(ripple.hops[0][0])] == [(e0, r0, e1)]
-        assert [tuple(ripple.hops[1][0])] == [(e1, r0, e2)]
+        bags = _one_user(kg, [e0], hops=2, n_p=1, rng=np.random.default_rng(0))
+        assert [tuple(bags[0, 0])] == [(e0, r0, e1)]
+        assert [tuple(bags[1, 0])] == [(e1, r0, e2)]
 
     def test_chain_with_replacement_singleton(self, tmp_path):
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("e0", "r0", "e1"), ("e1", "r0", "e2")]), undirected=False)
         e0 = kg.entity_vocab["e0"]
-        ripple = build_ripple_set(kg, [e0], hops=1, n_p=3, rng=np.random.default_rng(0))
-        assert ripple.hops[0].shape == (3, 3)
-        assert {tuple(row) for row in ripple.hops[0]} == {(e0, 0, kg.entity_vocab["e1"])}
+        bags = _one_user(kg, [e0], hops=1, n_p=3, rng=np.random.default_rng(0))
+        assert bags.shape == (1, 3, 3)
+        assert {tuple(row) for row in bags[0]} == {(e0, 0, kg.entity_vocab["e1"])}
 
     def test_star_uniformity(self, tmp_path):
         rows = [("hub", "r", f"s{i}") for i in range(5)]
         kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
         hub = kg.entity_vocab["hub"]
-        rng = np.random.default_rng(0)
-        n_rebuilds = 10_000
-        counts = np.zeros(5)
-        for _ in range(n_rebuilds):
-            ripple = build_ripple_set(kg, [hub], hops=1, n_p=5, rng=rng)
-            for tail in ripple.hops[0][:, 2]:
-                counts[tail - 1] += 1
+        n_rebuilds = 10_000  # one user each, all in one table
+        table = build_ripple_table(kg, np.arange(n_rebuilds), np.full(n_rebuilds, hub), n_rebuilds,
+                                   hops=1, n_p=5, rng=np.random.default_rng(0))
+        counts = np.bincount(table.bags[0, :, :, 2].ravel() - 1, minlength=5)
         total = n_rebuilds * 5
         p = 1 / 5
         sigma = np.sqrt(total * p * (1 - p))
@@ -150,69 +170,95 @@ class TestBuildRippleSet:
 
     def test_head_containment_across_hops(self, tiny_data):
         kg, dataset = tiny_data
-        rng = np.random.default_rng(5)
-        for user in list(dataset.user_history)[:10]:
-            seeds = dataset.item_entities[dataset.user_history[user]]
-            ripple = build_ripple_set(kg, seeds, hops=3, n_p=8, rng=rng, user=user)
-            prev_tails = set(int(s) for s in seeds)
-            for bag in ripple.hops:
+        table, seeds = _history_table(kg, dataset, 3, 8, np.random.default_rng(5))
+        assert table.has.sum() == len(seeds)
+        for user, user_seeds in seeds.items():
+            prev_tails = set(user_seeds.tolist())
+            for bag in table.bags[:, user]:
                 assert set(bag[:, 0].tolist()) <= prev_tails
                 prev_tails = set(bag[:, 2].tolist())
 
     def test_support_subset_of_bfs_frontier(self, tiny_data):
         kg, dataset = tiny_data
-        rng = np.random.default_rng(9)
-        seeds = dataset.item_entities[dataset.user_history[0]]
-        hops = 3
-        ripple = build_ripple_set(kg, seeds, hops=hops, n_p=16, rng=rng)
-        # brute-force frontier: exhaustive expansion of all triples reachable per hop
-        frontier = set(int(s) for s in seeds)
-        for bag in ripple.hops:
-            reachable = set()
-            tails = set()
-            for e in frontier:
-                for rel, t in kg.neighbors(e):
-                    reachable.add((e, int(rel), int(t)))
-                    tails.add(int(t))
-            support = {tuple(row) for row in bag}
-            assert support <= reachable
-            frontier = tails
+        table, seeds = _history_table(kg, dataset, 3, 16, np.random.default_rng(9))
+        for user in list(seeds)[:10]:
+            # brute-force frontier: exhaustive expansion of all triples reachable per hop
+            frontier = set(seeds[user].tolist())
+            for bag in table.bags[:, user]:
+                reachable = set()
+                tails = set()
+                for e in frontier:
+                    for rel, t in kg.neighbors(e):
+                        reachable.add((e, int(rel), int(t)))
+                        tails.add(int(t))
+                assert {tuple(row) for row in bag.tolist()} <= reachable
+                frontier = tails
 
     def test_byte_exact_reproducibility(self, tiny_data):
         kg, dataset = tiny_data
-        seeds = dataset.item_entities[dataset.user_history[0]]
-        r1 = build_ripple_set(kg, seeds, 2, 16, np.random.default_rng(77))
-        r2 = build_ripple_set(kg, seeds, 2, 16, np.random.default_rng(77))
-        for b1, b2 in zip(r1.hops, r2.hops):
-            assert b1.tobytes() == b2.tobytes()
+        t1, _ = _history_table(kg, dataset, 2, 16, np.random.default_rng(77))
+        t2, _ = _history_table(kg, dataset, 2, 16, np.random.default_rng(77))
+        assert t1.bags.tobytes() == t2.bags.tobytes()
+        assert t1.has.tobytes() == t2.has.tobytes()
 
     def test_empty_frontier_backfills_previous_hop(self, tmp_path, caplog):
-        # directed dead end: e1 has no outgoing triples
-        kg = load_kg(write_kg(tmp_path / "kg.tsv", [("e0", "r0", "e1")]), undirected=False)
-        e0 = kg.entity_vocab["e0"]
-        with caplog.at_level("WARNING"):
-            ripple = build_ripple_set(kg, [e0], hops=2, n_p=4, rng=np.random.default_rng(0))
-        assert "resampling previous hop" in caplog.text
-        np.testing.assert_array_equal(np.unique(ripple.hops[1], axis=0), np.unique(ripple.hops[0], axis=0))
+        # directed dead end: e1 has no outgoing triples; users 0 and 2 reach it, user 1 never does
+        kg = load_kg(write_kg(tmp_path / "kg.tsv", [("e0", "r0", "e1"), ("e2", "r0", "e2")]), undirected=False)
+        e0, e2 = kg.entity_vocab["e0"], kg.entity_vocab["e2"]
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        with caplog.at_level("WARNING", logger="ripplerec.kg"):
+            table = build_ripple_table(kg, [2, 0, 1], [e0, e0, e2], 3, hops=3, n_p=4, rng=rng)
+        backfills = [r.getMessage() for r in caplog.records if "empty frontier" in r.getMessage()]
+        assert backfills == [f"user {u}: empty frontier at hop {k}; resampling previous hop"
+                             for k in (2, 3) for u in (0, 2)]
+        for user in (0, 2):
+            hop1 = np.unique(table.bags[0, user], axis=0)
+            for k in (1, 2):
+                np.testing.assert_array_equal(np.unique(table.bags[k, user], axis=0), hop1)
+        want = reference_ripple_bags(adjacency(kg), {0: [e0], 1: [e2], 2: [e0]}, 3, 4, ref_rng)
+        for user, bags in want.items():
+            assert table.bags[:, user].tobytes() == np.stack(bags).tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_empty_seeds_rejected(self, chain_kg):
-        with pytest.raises(ValueError, match="no seed"):
-            build_ripple_set(chain_kg, [], 2, 4, np.random.default_rng(0))
+        a = chain_kg.entity_vocab["a"]
+        rng, one_rng = np.random.default_rng(0), np.random.default_rng(0)
+        table = build_ripple_table(chain_kg, [1], [a], 3, 2, 4, rng)
+        assert table.has.tolist() == [False, True, False]
+        assert not table.bags[:, [0, 2]].any()
+        with pytest.raises(KeyError):
+            table.take(np.array([0]))
+        assert table.bags[:, 1].tobytes() == _one_user(chain_kg, [a], 2, 4, one_rng).tobytes()
+        assert rng.random() == one_rng.random()
+        empty = build_ripple_table(chain_kg, [], [], 2, 2, 4, rng)
+        assert empty.has.tolist() == [False, False] and empty.bags.shape == (2, 2, 4, 3)
 
-    def test_seed_without_outgoing_triples_rejected(self, tmp_path):
+    def test_seed_without_outgoing_triples_rejected(self, tmp_path, caplog):
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
-        with pytest.raises(ValueError, match="no outgoing"):
-            build_ripple_set(kg, [kg.entity_vocab["b"]], 1, 2, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        with caplog.at_level("WARNING", logger="ripplerec.kg"):
+            table = build_ripple_table(kg, [0], [kg.entity_vocab["b"]], 1, 1, 2, rng)
+        assert "1 users skipped: seed entities have no outgoing triples" in caplog.text
+        assert table.has.tolist() == [False] and not table.bags.any()
+        with pytest.raises(KeyError):
+            table.take(np.array([0]))
+        assert rng.random() == np.random.default_rng(0).random()  # no draw
 
+    def test_dead_end_user_leaves_other_bags_byte_identical(self, tmp_path):
+        rows = [("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a"), ("c", "s", "d"), ("x", "r", "sink")]
+        kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
+        a, c, sink = (kg.entity_vocab[e] for e in ("a", "c", "sink"))
+        without = build_ripple_table(kg, [1, 3, 3], [a, a, c], 4, 3, 5, np.random.default_rng(4))
+        # users 0 and 2 are dead ends, sorting before and between the live users
+        with_dead = build_ripple_table(kg, [2, 1, 0, 3, 3], [sink, a, sink, a, c], 4, 3, 5,
+                                       np.random.default_rng(4))
+        assert with_dead.has.tolist() == without.has.tolist() == [False, True, False, True]
+        assert with_dead.bags.tobytes() == without.bags.tobytes()
 
-def _brute_adjacency(kg):
-    """Per-entity sorted (relation, neighbor) lists, straight from the triples."""
-    adj = [[] for _ in range(kg.num_entities)]
-    for h, r, t in kg.triples.tolist():
-        adj[h].append((r, t))
-        if kg.undirected and h != t:
-            adj[t].append((r, h))
-    return [sorted(pairs) for pairs in adj]
+    @pytest.mark.parametrize("hops, n_p", [(0, 4), (2, 0)])
+    def test_invalid_size_rejected(self, chain_kg, hops, n_p):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            build_ripple_table(chain_kg, [0], [0], 1, hops, n_p, np.random.default_rng(0))
 
 
 def _reference_children(adj, ents, n_e, rng):
@@ -230,21 +276,6 @@ def _reference_children(adj, ents, n_e, rng):
             rels[i] = pairs[picks, 0]
             out[i] = pairs[picks, 1]
     return rels, out
-
-
-def _reference_ripple(adj, seeds, hops, n_p, rng):
-    """Per-entity frontier loop that ``build_ripple_set`` must match draw for draw."""
-    bags = []
-    frontier = seeds
-    for _ in range(hops):
-        pool = [(e, r, t) for e in sorted(set(int(x) for x in frontier)) for r, t in adj[e]]
-        pool = np.array(pool, dtype=np.int64).reshape(-1, 3)
-        if len(pool) == 0:
-            pool = bags[-1]
-        bag = pool[rng.integers(0, len(pool), size=n_p)]
-        bags.append(bag)
-        frontier = bag[:, 2]
-    return bags
 
 
 def _same_bytes(got, want):
@@ -270,14 +301,14 @@ class TestCsrOracle:
     """The CSR layout and vectorized samplers against per-entity reference loops."""
 
     def test_neighbors_match_brute_force(self, random_kg):
-        adj = _brute_adjacency(random_kg)
+        adj = adjacency(random_kg)
         for e in range(random_kg.num_entities):
             assert [tuple(p) for p in random_kg.neighbors(e).tolist()] == adj[e]
             assert random_kg.degree(e) == len(adj[e])
         assert random_kg.total_degree() == sum(len(a) for a in adj)
 
     def test_sample_children_stream(self, random_kg):
-        adj = _brute_adjacency(random_kg)
+        adj = adjacency(random_kg)
         ents = np.random.default_rng(1).integers(0, random_kg.num_entities, size=(7, 5))
         ents[3, 2] = random_kg.entity_vocab["sink0"]  # no edges when directed: the pad path
         rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
@@ -289,7 +320,7 @@ class TestCsrOracle:
 
     def test_sample_neighbors_stream(self, random_kg):
         """One-entity calls of ``sample_children``, entity after entity, on one generator."""
-        adj = _brute_adjacency(random_kg)
+        adj = adjacency(random_kg)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for e in range(random_kg.num_entities):
             rels, nbrs = sample_children(random_kg, [e], 3, rng)
@@ -299,7 +330,7 @@ class TestCsrOracle:
         assert rng.random() == ref_rng.random()
 
     def test_sample_item_trees_stream(self, random_kg):
-        adj = _brute_adjacency(random_kg)
+        adj = adjacency(random_kg)
         v_idx = np.arange(random_kg.num_entities)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         ents, rels = sample_item_trees(random_kg, v_idx, 2, 3, rng)
@@ -312,16 +343,25 @@ class TestCsrOracle:
         assert rng.random() == ref_rng.random()
 
     def test_build_ripple_set_stream(self, random_kg):
-        adj = _brute_adjacency(random_kg)
+        adj = adjacency(random_kg)
         live = [e for e in range(random_kg.num_entities) if adj[e]]
         pick = np.random.default_rng(3)
+        seeds = {user: pick.choice(random_kg.num_entities, size=3).tolist() + [int(pick.choice(live))]
+                 for user in range(10)}
+        seeds[4] = [random_kg.entity_vocab["sink0"]]  # a dead end when directed
+        seeds[7] = [random_kg.entity_vocab["sink1"], random_kg.entity_vocab["sink0"]]
+        del seeds[8]  # no seeds
+        users = np.concatenate([np.full(len(s), user) for user, s in seeds.items()])
         rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
-        for _ in range(10):
-            seeds = pick.choice(random_kg.num_entities, size=3).tolist() + [int(pick.choice(live))]
-            ripple = build_ripple_set(random_kg, seeds, 3, 5, rng)
-            want = _reference_ripple(adj, seeds, 3, 5, ref_rng)
-            for got_bag, want_bag in zip(ripple.hops, want):
-                assert _same_bytes(got_bag, want_bag)
+        order = pick.permutation(len(users))  # pairs in any order
+        table = build_ripple_table(random_kg, users[order], np.concatenate(list(seeds.values()))[order], 11,
+                                   3, 5, rng)
+        want = reference_ripple_bags(adj, seeds, 3, 5, ref_rng)
+        assert table.has.tolist() == [user in want for user in range(11)]
+        assert not random_kg.undirected or len(want) == 9
+        for user in range(11):
+            expected = np.stack(want[user]) if user in want else np.zeros((3, 5, 3), dtype=np.int64)
+            assert _same_bytes(table.bags[:, user], expected)
         assert rng.random() == ref_rng.random()
 
 

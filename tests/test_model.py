@@ -21,7 +21,7 @@ from ripplerec.model import (
     init_params,
 )
 
-from conftest import make_params, one_example, write_kg
+from conftest import adjacency, make_params, one_example, reference_ripple_bags, write_kg
 
 
 def hp64(**kw):
@@ -891,11 +891,12 @@ class TestFit:
             ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
         assert sorted(ripple_sets) == [1, 2]
         assert "1 users skipped" in caplog.text
-        rng = np.random.default_rng([0, 17])
+        seeds = {user: item_entities[items] for user, items in dataset.user_history.items()}
+        expected = reference_ripple_bags(adjacency(kg), seeds, hp.hops, hp.ripple_size,
+                                         np.random.default_rng([0, 17]))
+        assert sorted(expected) == [1, 2]
         for user in (1, 2):
-            expected = rr.build_ripple_set(kg, item_entities[dataset.user_history[user]], hp.hops,
-                                           hp.ripple_size, rng, user=user)
-            for got, want in zip(ripple_sets[user].hops, expected.hops):
+            for got, want in zip(ripple_sets[user].hops, expected[user]):
                 assert got.tobytes() == want.tobytes()
 
         caplog.clear()

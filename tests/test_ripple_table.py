@@ -1,8 +1,9 @@
 """The per-user ripple sets a run builds, and the hop bags a batch reads from them.
 
-The oracles are local copies of the dict-of-``RippleSet`` builder and
-the per-example ``np.stack`` batch assembly that the one-table layout
-replaced; the table must reproduce them bit for bit.
+The oracles are a dict of ``RippleSet`` filled by the hop-by-hop,
+user-by-user reference draw loop, and the per-example ``np.stack``
+batch assembly that the one-table layout replaced; the table must
+reproduce them bit for bit.
 """
 
 import dataclasses
@@ -13,24 +14,18 @@ import pytest
 
 import ripplerec as rr
 import ripplerec.model
-from ripplerec.kg import RippleTable, build_ripple_set
+from ripplerec.kg import RippleSet, RippleTable
 from ripplerec.metrics import evaluate
 from ripplerec.model import Hyperparams, assemble_batch
 
-from conftest import write_kg
+from conftest import adjacency, reference_ripple_bags, write_kg
 
 
 def _dict_build_ripple_sets(dataset, kg, hp, seed):
     """One ``RippleSet`` per user in a dict, dead-end users left out."""
-    rng = np.random.default_rng([seed, 17])
-    degrees = np.diff(kg.indptr)
-    out = {}
-    for user in sorted(dataset.user_history):
-        seeds = dataset.item_entities[dataset.user_history[user]]
-        if len(seeds) and not degrees[seeds].any():
-            continue
-        out[user] = build_ripple_set(kg, seeds, hp.hops, hp.ripple_size, rng, user=user)
-    return out
+    seeds = {user: dataset.item_entities[items] for user, items in dataset.user_history.items()}
+    bags = reference_ripple_bags(adjacency(kg), seeds, hp.hops, hp.ripple_size, np.random.default_rng([seed, 17]))
+    return {user: RippleSet(user=user, hops=hops) for user, hops in bags.items()}
 
 
 def _stacked_hop_bags(ripple_sets, users, hops):
