@@ -345,6 +345,18 @@ def sample_children(kg, ents, n_e, rng):
     return rels.reshape(shape), nbrs.reshape(shape)
 
 
+def _sorted_unique(keys):
+    """The sorted distinct values of the int array ``keys``, flattened, as ``np.unique`` gives them.
+
+    One sort and a neighbour mask: on tens of thousands of keys this is
+    an order of magnitude faster than ``np.unique``.
+    """
+    keys = np.sort(keys, axis=None)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def build_ripple_table(kg, users, seeds, num_users, hops, n_p, rng):
     """:class:`RippleTable` of ``hops`` bags of exactly ``n_p`` triples per user, rippling out of its seeds.
 
@@ -362,7 +374,8 @@ def build_ripple_table(kg, users, seeds, num_users, hops, n_p, rng):
     num_entities = kg.num_entities
     degrees = np.diff(kg.indptr)
     # each user's distinct frontier entities, as packed user * E + entity keys sorted by user
-    frontier = np.unique(np.asarray(users, dtype=np.int64) * num_entities + np.asarray(seeds, dtype=np.int64))
+    frontier = _sorted_unique(np.asarray(users, dtype=np.int64) * num_entities
+                              + np.asarray(seeds, dtype=np.int64))
     owner, heads = np.divmod(frontier, num_entities)
     has = np.zeros(num_users, dtype=bool)
     has[owner[degrees[heads] > 0]] = True
@@ -386,7 +399,8 @@ def build_ripple_table(kg, users, seeds, num_users, hops, n_p, rng):
         for user in live[empty].tolist():
             logger.warning("user %d: empty frontier at hop %d; resampling previous hop", user, k + 1)
         bags[k, live[empty]] = np.take_along_axis(bags[k - 1, live[empty]], picks[empty, :, None], axis=1)
-        owner, heads = np.divmod(np.unique(live[:, None] * num_entities + bags[k, live, :, 2]), num_entities)
+        frontier = _sorted_unique(live[:, None] * num_entities + bags[k, live, :, 2])
+        owner, heads = np.divmod(frontier, num_entities)
     return RippleTable(bags, has)
 
 

@@ -26,19 +26,27 @@ trace instead of running autodiff.  Forward passes over frozen
 parameters are pure functions of (params, sampled bags) and safe to run
 concurrently; gradient accumulation and updates are single writer.
 
-The hop algebra works per (example, relation), not per bag row: since
-(R_r h) . v = h . (R_r^T v), one GEMM gives R_r^T v for every example
-and relation, and each bag row takes its own at flat key b * R + r.
+Both sides work per (example, relation), not per bag row or tree edge.
+On the user side, since (R_r h) . v = h . (R_r^T v), one GEMM gives
+R_r^T v for every example and relation, and each bag row takes its own
+at flat key b * R + r.  On the item side, one GEMM gives the taste
+score o . r_e of every example and relation, and each tree edge takes
+its own at the same flat key (a ``NULL_RELATION`` pad reads relation 0
+and is then set to 0).
+
 Every backward term is a weight per bag row times a row of a small
 source -- a per-example gradient, R_r^T v, or the embedding table
 itself -- so no per-row gradient array is built: each term is an entry
 of one sparse (COO) matrix times that source.  The backward reduces
 S[b, r] = sum of g_score * h over the rows of example b with relation r
 (one sparse product with ``entity_emb`` per hop), after which the
-candidate and ``relation_mat`` gradients are one GEMM each.  Every
-``entity_emb`` gradient term of a batch (hop heads and tails, tree
-levels, candidates) is collected and summed by one sparse product over
-the stacked sources at the end.
+candidate and ``relation_mat`` gradients are one GEMM each.  Likewise
+G[b, r] sums the tree edges' score gradients, pads zeroed, with one
+``bincount`` over their keys, after which the user-representation and
+``relation_vec`` gradients are one GEMM each.  Every ``entity_emb``
+gradient term of a batch (hop heads and tails, tree levels, candidates)
+is collected and summed by one sparse product over the stacked sources
+at the end.
 """
 
 from __future__ import annotations
@@ -213,12 +221,14 @@ class ForwardTrace:
 
     v: np.ndarray  # (B, d) candidate embeddings
     rt_v_all: np.ndarray | None = None  # (B, R, d): R_r^T v per example and relation
+    hop_keys: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p): flat key b * R + r
     hop_attn: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p)
     hop_resp: list[np.ndarray] = field(default_factory=list)  # per hop (B, d)
     fusion_in: np.ndarray | None = None  # shared variant: sum_k O_k + v
     rec_in: list[np.ndarray] = field(default_factory=list)  # recursive variant inputs per hop
     u_rep: np.ndarray | None = None  # (B, d)
     tree_z: list[np.ndarray] = field(default_factory=list)  # per depth (B, n, d) post-activation
+    tree_keys: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n * n_e), pad as r = 0
     tree_alpha: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, n_e)
     tree_in: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) pre-affine
     tree_pre: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) pre-activation
@@ -234,7 +244,7 @@ def _relation_transpose_apply(rel_mat, v):
 
 
 def _relation_keys(rels, n_rel):
-    """Flat key b * R + r of each bag row's (example, relation) pair, (B, n_p).
+    """Flat key b * R + r of each (example, relation) pair in ``rels`` (B, n), (B, n).
 
     A relation outside [0, R) raises ``IndexError``: as a flat key it
     would read another example's row (r >= R) or wrap to relation R - 1
@@ -242,7 +252,7 @@ def _relation_keys(rels, n_rel):
     """
     out_of_range = (rels < 0) | (rels >= n_rel)
     if np.any(out_of_range):
-        raise IndexError(f"hop relation {rels[out_of_range][0]} outside [0, {n_rel})")
+        raise IndexError(f"relation {rels[out_of_range][0]} outside [0, {n_rel})")
     return np.arange(len(rels))[:, None] * n_rel + rels
 
 
@@ -258,7 +268,8 @@ def _hop_forward(params, bag, rt_v_all, trace):
     rt_v_rows = rt_v_all.reshape(-1, rt_v_all.shape[-1])
     scores = np.einsum("bnd,bnd->bn", ent.take(heads, axis=0), rt_v_rows.take(keys, axis=0))
     attn = softmax(scores)
-    resp = np.einsum("bn,bnd->bd", attn, ent.take(tails, axis=0))
+    resp = np.matmul(attn[:, None, :], ent.take(tails, axis=0))[:, 0]
+    trace.hop_keys.append(keys)
     trace.hop_attn.append(attn)
     trace.hop_resp.append(resp)
     return resp
@@ -298,25 +309,28 @@ def _item_forward(params, bags, hp, trace):
     depth = hp.conv_layers
     n_e = hp.neighbor_size
 
+    # taste score u . r_e of every (example, relation), read by each tree edge at flat key b * R + r
+    taste = (u @ rel_vec.T).reshape(-1)
     z = [None] * (depth + 1)
     z[depth] = ent.take(bags.tree_ents[depth], axis=0)
+    trace.tree_keys = [None] * depth
     trace.tree_alpha = [None] * depth
     trace.tree_in = [None] * depth
     trace.tree_pre = [None] * depth
     for level in range(depth - 1, -1, -1):
         b, n = bags.tree_ents[level].shape
-        child_rel = bags.tree_rels[level + 1].reshape(b, n, n_e)
+        child_rel = bags.tree_rels[level + 1].reshape(b, n * n_e)
         child_z = z[level + 1].reshape(b, n, n_e, -1)
         pad = child_rel == NULL_RELATION
-        safe_rel = np.where(pad, 0, child_rel)
-        scores = np.einsum("bd,bncd->bnc", u, rel_vec.take(safe_rel, axis=0))
-        scores = np.where(pad, 0.0, scores)
+        keys = _relation_keys(np.where(pad, 0, child_rel), len(rel_vec))
+        scores = np.where(pad, 0.0, taste.take(keys)).reshape(b, n, n_e)
         alpha = softmax(scores)
-        agg = np.einsum("bnc,bncd->bnd", alpha, child_z)
+        agg = np.matmul(alpha[..., None, :], child_z)[..., 0, :]
         own = ent.take(bags.tree_ents[level], axis=0)
         mixed = own + agg
         pre = mixed @ conv_w[level].T + conv_b[level]
         z[level] = np.tanh(pre) if level == 0 else np.maximum(pre, 0.0)
+        trace.tree_keys[level] = keys
         trace.tree_alpha[level] = alpha
         trace.tree_in[level] = mixed
         trace.tree_pre[level] = pre
@@ -410,12 +424,12 @@ def _hop_backward(params, bag, trace, k, g_resp, s, terms, rt_col):
     leaving the candidate and relation gradients to the caller.
     """
     ent = params.values["entity_emb"]
-    heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
-    keys = _relation_keys(rels, params.values["relation_mat"].shape[0])
+    heads, tails = bag[..., 0], bag[..., 2]
+    keys = trace.hop_keys[k]
     attn = trace.hop_attn[k]
 
     # resp = sum_n attn_n * t_n
-    g_attn = np.einsum("bd,bnd->bn", g_resp, ent.take(tails, axis=0))
+    g_attn = np.matmul(ent.take(tails, axis=0), g_resp[..., None])[..., 0]
     terms.add(tails, terms.source(g_resp) + np.arange(len(bag))[:, None], attn)
     # softmax jacobian within the bag
     g_scores = attn * (g_attn - np.sum(attn * g_attn, axis=-1, keepdims=True))
@@ -430,7 +444,7 @@ def _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms):
         return
     w = params.values["fusion_w"]
     if hp.fusion == "shared":
-        grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
+        grads["fusion_w"][0] += g_u.T @ trace.fusion_in
         g_fused = g_u @ w[0]
         g_v += g_fused
         hop_grads = [g_fused] * hp.hops
@@ -439,7 +453,7 @@ def _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms):
         g_carry = g_u
         hop_grads = [None] * hp.hops
         for k in range(hp.hops - 1, -1, -1):
-            grads["fusion_w"][k] += np.einsum("bi,bj->ij", g_carry, trace.rec_in[k])
+            grads["fusion_w"][k] += g_carry.T @ trace.rec_in[k]
             g_in = g_carry @ w[k]
             hop_grads[k] = g_in
             g_carry = g_in
@@ -466,7 +480,9 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
     u = trace.u_rep
     depth = hp.conv_layers
     n_e = hp.neighbor_size
+    d = u.shape[-1]
 
+    g_score_levels = []
     g_z = g_i[:, None, :]  # gradient w.r.t. z[0] (B, 1, d)
     for level in range(depth):
         z_here = trace.tree_z[level]
@@ -475,29 +491,32 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
             g_pre = g_z * (1.0 - z_here * z_here)
         else:
             g_pre = g_z * (pre > 0.0)
-        grads["conv_w"][level] += np.einsum("bni,bnj->ij", g_pre, trace.tree_in[level])
+        grads["conv_w"][level] += g_pre.reshape(-1, d).T @ trace.tree_in[level].reshape(-1, d)
         grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
         g_mixed = g_pre @ conv_w[level]
         node_cols = terms.add_unit(bags.tree_ents[level], g_mixed)
 
         b, n = bags.tree_ents[level].shape
-        child_rel = bags.tree_rels[level + 1].reshape(b, n, n_e)
         child_z = trace.tree_z[level + 1].reshape(b, n, n_e, -1)
-        pad = child_rel == NULL_RELATION
-        safe_rel = np.where(pad, 0, child_rel)
         alpha = trace.tree_alpha[level]
 
         g_alpha = np.einsum("bnd,bncd->bnc", g_mixed, child_z)
         g_scores = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=-1, keepdims=True))
-        g_scores = np.where(pad, 0.0, g_scores)
-        # score = u . rel_vec[r]
-        g_u += np.einsum("bnc,bncd->bd", g_scores, rel_vec.take(safe_rel, axis=0))
-        _add_rows(grads["relation_vec"], safe_rel, np.arange(b)[:, None, None], g_scores, u)
+        # a pad edge's score is the constant 0; its key reads relation 0, so it must add nothing
+        pad = bags.tree_rels[level + 1].reshape(g_scores.shape) == NULL_RELATION
+        g_score_levels.append(np.where(pad, 0.0, g_scores))
         # child c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
         if level + 1 < depth:
             g_z = (alpha[..., None] * g_mixed[:, :, None, :]).reshape(b, n * n_e, -1)
         else:
             terms.add(bags.tree_ents[depth], node_cols[..., None], alpha)
+    # score = u[b] . rel_vec[r]: G[b, r] sums g_score over every tree edge of example b with relation r
+    n_rel = len(rel_vec)
+    g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in trace.tree_keys]),
+                          weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
+                          minlength=len(u) * n_rel).reshape(len(u), n_rel).astype(u.dtype)
+    g_u += g_taste @ rel_vec
+    grads["relation_vec"] += g_taste.T @ u
 
 
 def _backward(params, bags, hp, trace, g_logit):

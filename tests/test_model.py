@@ -657,6 +657,108 @@ def _rows_backward(params, bags, hp, trace, g_logit):
                   np.concatenate([rows.reshape(-1, d) for _, rows in ent_rows]))
 
 
+# -- reference forward: einsum over gathered rows ------------------------------
+# The hop response and the item side before taste scores moved to one
+# u @ relation_vec^T per (example, relation) and the aggregations to
+# matmul; the forward oracle swaps these in for the model's.
+
+
+def _einsum_hop_forward(params, bag, rt_v_all, trace):
+    ent = params.values["entity_emb"]
+    heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
+    rt_v = rt_v_all[np.arange(len(bag))[:, None], rels]
+    attn = ripplerec.model.softmax(np.einsum("bnd,bnd->bn", ent[heads], rt_v))
+    resp = np.einsum("bn,bnd->bd", attn, ent[tails])
+    trace.hop_attn.append(attn)
+    trace.hop_resp.append(resp)
+    return resp
+
+
+def _einsum_item_forward(params, bags, hp, trace):
+    ent = params.values["entity_emb"]
+    if hp.conv_layers == 0:
+        trace.i_rep = trace.v
+        return trace.i_rep
+    rel_vec = params.values["relation_vec"]
+    conv_w, conv_b = params.values["conv_w"], params.values["conv_b"]
+    n_e = hp.neighbor_size
+    z = ent[bags.tree_ents[hp.conv_layers]]
+    trace.tree_alpha = [None] * hp.conv_layers
+    for level in range(hp.conv_layers - 1, -1, -1):
+        b, n = bags.tree_ents[level].shape
+        child_rel = bags.tree_rels[level + 1].reshape(b, n, n_e)
+        pad = child_rel == NULL_RELATION
+        scores = np.einsum("bd,bncd->bnc", trace.u_rep, rel_vec[np.where(pad, 0, child_rel)])
+        alpha = ripplerec.model.softmax(np.where(pad, 0.0, scores))
+        agg = np.einsum("bnc,bncd->bnd", alpha, z.reshape(b, n, n_e, -1))
+        pre = (ent[bags.tree_ents[level]] + agg) @ conv_w[level].T + conv_b[level]
+        z = np.tanh(pre) if level == 0 else np.maximum(pre, 0.0)
+        trace.tree_alpha[level] = alpha
+    trace.i_rep = z[:, 0, :]
+    return trace.i_rep
+
+
+# Summation order differs from the references; the tolerance is fixed per dtype.
+ORACLE_TOL = {"f32": 1e-5, "f64": 1e-12}
+ORACLE_VARIANTS = [dict(), dict(fusion="recursive"), dict(user_table=True), dict(conv_layers=0),
+                   dict(conv_layers=1)]
+ORACLE_IDS = ["shared", "recursive", "user_table", "conv0", "conv1"]
+
+
+def _assert_oracle_close(got, want, precision, name):
+    tol = ORACLE_TOL[precision]
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max(), err_msg=name)
+
+
+def _oracle_batch(data, variant, precision):
+    kg, dataset = data
+    kw = dict(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0, precision=precision)
+    hp = Hyperparams(**{**kw, **variant})
+    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+    bags = assemble_batch(dataset.train[:64], kg, ripple_sets, hp, dataset.item_entities,
+                          np.random.default_rng(1))
+    params = init_params(kg.num_entities, kg.num_relations, hp, seed=0, num_users=dataset.num_users)
+    return hp, params, bags
+
+
+def _grads_against_rows_backward(params, bags, hp, monkeypatch):
+    """Gradients of the model's backward and of ``_rows_backward`` on the same forward."""
+
+    def run():
+        params.zero_grads()
+        forward_backward(params, bags, hp)
+        return {name: g.copy() for name, g in params.grads.items()}
+
+    got = run()
+    calls = []
+    monkeypatch.setattr(ripplerec.model, "_backward",
+                        lambda *args: calls.append(1) or _rows_backward(*args))
+    want = run()
+    assert calls, "the reference backward did not run"
+    return got, want
+
+
+def _dead_end_data(tmp_path):
+    """The directed graph and dataset of ``TestFit::test_dead_end_user_skipped_not_fatal``.
+
+    d0 and d1 have no outgoing triple, so every tree through them is
+    padded with ``NULL_RELATION`` edges; user 0 has no ripple set.
+    """
+    rows = [(f"m{k}", "genre", f"g{k % 2}") for k in range(4)]
+    rows += [("g0", "sim", "g1"), ("g1", "sim", "g0"), ("g0", "has", "d0"), ("g1", "has", "d1")]
+    kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
+    item_entities = np.array([kg.entity_vocab[e] for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
+    train = np.array([(0, 4, 1), (0, 0, 0), (0, 5, 1), (0, 1, 0),
+                      (1, 0, 1), (1, 4, 0), (1, 1, 1), (1, 5, 0),
+                      (2, 2, 1), (2, 0, 0), (2, 3, 1), (2, 1, 0)])
+    dataset = rr.InteractionDataset(
+        num_users=3, num_items=6, train=train, validation=train[:0], test=train[:0],
+        user_history={0: np.array([4, 5]), 1: np.array([0, 1]), 2: np.array([2, 3])},
+        item_entities=item_entities,
+    )
+    return kg, dataset
+
+
 @pytest.fixture(scope="module")
 def many_relation_data(tmp_path_factory):
     spec = SyntheticSpec(num_users=60, num_items=96, num_entities=192, clusters=16, seed=5)
@@ -695,39 +797,53 @@ class TestFusedBackwardOracle:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("variant", [
-        dict(),
-        dict(fusion="recursive"),
-        dict(user_table=True),
-        dict(conv_layers=0),
-        dict(conv_layers=1),
-    ], ids=["shared", "recursive", "user_table", "conv0", "conv1"])
-    def test_gradients_bit_identical_to_materialized_rows(self, many_relation_data, variant, precision,
-                                                           monkeypatch):
-        kg, dataset = many_relation_data
-        kw = dict(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0, precision=precision)
-        hp = Hyperparams(**{**kw, **variant})
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-        bags = assemble_batch(dataset.train[:64], kg, ripple_sets, hp, dataset.item_entities,
-                              np.random.default_rng(1))
-        params = init_params(kg.num_entities, kg.num_relations, hp, seed=0, num_users=dataset.num_users)
-
-        def run():
-            params.zero_grads()
-            forward_backward(params, bags, hp)
-            return {name: g.copy() for name, g in params.grads.items()}
-
-        got = run()
-        calls = []
-        monkeypatch.setattr(ripplerec.model, "_backward",
-                            lambda *args: calls.append(1) or _rows_backward(*args))
-        want = run()
-        assert calls, "the reference backward did not run"
+    @pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=ORACLE_IDS)
+    def test_gradients_match_materialized_rows(self, many_relation_data, variant, precision, monkeypatch):
+        hp, params, bags = _oracle_batch(many_relation_data, variant, precision)
+        got, want = _grads_against_rows_backward(params, bags, hp, monkeypatch)
         assert np.any(want["entity_emb"] != 0.0)
         for name in want:
             assert got[name].dtype == hp.dtype, name
-            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
-            assert got[name].tobytes() == want[name].tobytes(), name  # signed zeros too
+            _assert_oracle_close(got[name], want[name], precision, name)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_gradients_match_materialized_rows_with_pad_edges(self, tmp_path, precision, monkeypatch):
+        kg, dataset = _dead_end_data(tmp_path)
+        hp = Hyperparams(hops=2, ripple_size=4, neighbor_size=2, conv_layers=2, l2_weight=0.0,
+                         precision=precision)
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        train = dataset.train[ripple_sets.known(dataset.train[:, 0])]
+        bags = assemble_batch(train, kg, ripple_sets, hp, dataset.item_entities, np.random.default_rng(1))
+        assert any(np.any(rels == NULL_RELATION) for rels in bags.tree_rels[1:])
+        # a sampled pad fills all children of a dead end, whose g_scores then cancel
+        # to 0; one pad beside real edges shows whether pads leak into G[b, 0]
+        assert np.all(bags.tree_rels[1][0] != NULL_RELATION)
+        bags.tree_rels[1][0, 0] = NULL_RELATION
+        params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
+        got, want = _grads_against_rows_backward(params, bags, hp, monkeypatch)
+        for name in want:
+            assert np.any(want[name] != 0.0), name
+            _assert_oracle_close(got[name], want[name], precision, name)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=ORACLE_IDS)
+    def test_forward_matches_einsum_reference(self, many_relation_data, variant, precision, monkeypatch):
+        hp, params, bags = _oracle_batch(many_relation_data, variant, precision)
+        got = forward(params, bags, hp)
+        calls = []
+        monkeypatch.setattr(ripplerec.model, "_hop_forward",
+                            lambda *args: calls.append(1) or _einsum_hop_forward(*args))
+        monkeypatch.setattr(ripplerec.model, "_item_forward",
+                            lambda *args: calls.append(1) or _einsum_item_forward(*args))
+        want = forward(params, bags, hp)
+        assert calls, "the reference forward did not run"
+        assert len(got.hop_attn) == len(want.hop_attn) and len(got.tree_alpha) == len(want.tree_alpha)
+        pairs = [("yhat", got.yhat, want.yhat), ("i_rep", got.i_rep, want.i_rep)]
+        pairs += [(f"hop_attn[{k}]", a, b) for k, (a, b) in enumerate(zip(got.hop_attn, want.hop_attn))]
+        pairs += [(f"tree_alpha[{k}]", a, b) for k, (a, b) in enumerate(zip(got.tree_alpha, want.tree_alpha))]
+        for name, a, b in pairs:
+            assert a.dtype == hp.dtype, name
+            _assert_oracle_close(a, b, precision, name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scatter_rows_matches_add_at(self, dtype):
@@ -758,6 +874,17 @@ class TestFusedBackwardOracle:
         with pytest.raises(IndexError, match="outside"):
             forward(params, bags, hp)
 
+    @pytest.mark.parametrize("bad", ["R", -2])
+    def test_out_of_range_tree_relation_raises(self, tiny_data, bad):
+        hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1)
+        params, bags = _tiny_batch(tiny_data, hp, n=4)
+        n_rel = params.values["relation_vec"].shape[0]
+        # at flat key b * R + r, relation R would read example 1's relation 0 and
+        # relation -2 would wrap to relation R - 2
+        bags.tree_rels[1][0, 0] = n_rel if bad == "R" else bad
+        with pytest.raises(IndexError, match="outside"):
+            forward(params, bags, hp)
+
 
 class TestPrecisionAgreement:
     @pytest.mark.parametrize("variant", [
@@ -780,6 +907,23 @@ class TestPrecisionAgreement:
             yhat[precision] = forward(params, bags, hp).yhat
         assert yhat["f32"].dtype == np.float32 and yhat["f64"].dtype == np.float64
         assert np.max(np.abs(yhat["f32"].astype(np.float64) - yhat["f64"])) <= 1e-5
+
+    # Undirected on purpose: on a directed synthetic graph all children of a node
+    # share one relation, the true relation_vec gradient is ~1e-20 and its
+    # relative gap means nothing.
+    @pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=ORACLE_IDS)
+    def test_f32_gradients_match_f64(self, many_relation_data, variant):
+        grads = {}
+        for precision in ("f32", "f64"):
+            hp, params, bags = _oracle_batch(many_relation_data, variant, precision)
+            params.zero_grads()
+            forward_backward(params, bags, hp)
+            grads[precision] = params.grads
+        for name, g64 in grads["f64"].items():
+            g32 = grads["f32"][name]
+            assert g32.dtype == np.float32 and g64.dtype == np.float64, name
+            # a tensor the variant does not use has exactly zero gradient in both
+            assert np.max(np.abs(g32.astype(np.float64) - g64)) <= 1e-4 * np.abs(g64).max(), name
 
 
 class TestFit:
