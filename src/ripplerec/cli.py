@@ -198,7 +198,7 @@ def cmd_prep(cfg):
         for item, entity in enumerate(binarized.item_entities):
             fh.write(f"{item}\t{entity}\n")
 
-    no_history = dataset.num_users - len(dataset.user_history)
+    no_positive = dataset.num_users - len(np.unique(dataset.train[dataset.train[:, 2] == 1, 0]))
     report_lines = [
         f"users\t{dataset.num_users}",
         f"items\t{dataset.num_items}",
@@ -209,7 +209,7 @@ def cmd_prep(cfg):
         f"rows below threshold {cfg.threshold} (dropped as unobserved)\t{binarized.n_below_threshold}",
         f"rows with unmapped items (dropped)\t{binarized.n_unmapped}",
         f"split sizes (train/validation/test)\t{len(dataset.train)}/{len(dataset.validation)}/{len(dataset.test)}",
-        f"users without train positives (excluded from val/test scoring)\t{no_history}",
+        f"users without train positives (excluded from val/test scoring)\t{no_positive}",
         f"seed\t{cfg.seed}",
     ]
     with open(os.path.join(out, "prep_report.txt"), "w", encoding="utf-8") as fh:
@@ -399,10 +399,14 @@ def cmd_eval(cfg, split):
 
 
 def cmd_sweep(cfg):
-    if cfg.sweep_param not in cfg.flat():
-        raise ValueError(f"sweep requires sweep_param naming a config key, got {cfg.sweep_param!r}")
+    # every cell fits on the data prepped once, with the loop's seed: only a
+    # Hyperparams field can change what a cell computes
+    if cfg.sweep_param not in {f.name for f in fields(model.Hyperparams)}:
+        raise ValueError(f"sweep requires sweep_param naming a Hyperparams field, got {cfg.sweep_param!r}")
     if not cfg.sweep_values:
         raise ValueError("sweep_values must be nonempty")
+    if cfg.sweep_seeds < 1:
+        raise ValueError(f"sweep_seeds must be >= 1, got {cfg.sweep_seeds}")
     graph, dataset, _ = load_prep(cfg)
     os.makedirs(os.path.join(cfg.out, "cells"), exist_ok=True)
     seeds = [cfg.seed + i for i in range(cfg.sweep_seeds)]

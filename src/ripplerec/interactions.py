@@ -11,16 +11,18 @@ Records are int arrays from end to end: :func:`binarize` yields
 ``(n, 2)`` (user, item) positives, :func:`negative_sample` the matching
 ``(n, 3)`` (user, item, 0) rows, and :func:`build_dataset` interleaves
 the two into the ``(2n, 3)`` (user, item, label) array that
-:func:`split` partitions and :func:`write_split` emits.  Each positive
-and its sampled negative land in the same split, so per-user label
-balance is exact everywhere, and ripple seeds (``user_history``) come
-from train positives only.
+:func:`split` partitions into three arrays and :func:`write_split`
+emits.  Each positive and its sampled negative land in the same split,
+so per-user label balance is exact everywhere.  An
+:class:`InteractionDataset` holds only what prep writes: the sizes, the
+three splits and the item -> entity map; ripple seeds are read from the
+train split's label-1 rows where the ripple table is built.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -53,13 +55,14 @@ class BinarizeResult:
 
 @dataclass
 class InteractionDataset:
+    """What prep writes: the sizes, the three splits and the item -> entity map."""
+
     num_users: int
     num_items: int
     train: np.ndarray  # (n, 3) of (user, item, label)
     validation: np.ndarray
     test: np.ndarray
-    user_history: dict[int, np.ndarray] = field(default_factory=dict)
-    item_entities: np.ndarray | None = None  # item index -> KG entity index
+    item_entities: np.ndarray  # item index -> KG entity index
 
     def split_named(self, name):
         return {"train": self.train, "validation": self.validation, "test": self.test}[name]
@@ -151,33 +154,25 @@ def negative_sample(positives, num_items, rng):
 
 
 def _partition_counts(n, ratios):
-    """Floor each split's share, assign the remainder to the first (train)."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    """Floor each split's share, assign the remainder to the first (train).
+
+    ``ratios`` must be three shares, each in [0, 1], that sum to 1.
+    """
+    if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must be three shares in [0, 1] that sum to 1, got {ratios}")
     counts = [int(np.floor(n * r)) for r in ratios]
     counts[0] += n - sum(counts)
     return counts
 
 
-def _user_history(train):
-    """Ripple seeds: each user's positive train items, users in first-appearance order."""
-    positives = np.asarray(train, dtype=np.int64).reshape(-1, 3)
-    positives = positives[positives[:, 2] == 1]
-    order = np.argsort(positives[:, 0], kind="stable")  # by user, file order within a user
-    users = positives[order, 0]
-    starts = np.flatnonzero(np.diff(users, prepend=-1))  # where each user begins; ids are >= 0
-    items = np.split(positives[order, 1], starts[1:])
-    # a user's first row in sorted order is their first row in the file
-    return {int(users[starts[g]]): items[g] for g in np.argsort(order[starts])}
-
-
-def split(records, ratios=(0.6, 0.2, 0.2), seed=0, num_users=None, num_items=None, group_size=1):
+def split(records, ratios=(0.6, 0.2, 0.2), seed=0, group_size=1):
     """Globally shuffle records with ``seed``, then partition contiguously.
 
-    Rounding floors every split and assigns the remainder to train.
-    ``group_size=2`` moves consecutive records as one unit; the prep
-    pipeline uses it to keep each positive next to its negative so that
-    per-user label balance stays exact within every split.
+    Returns the ``(train, validation, test)`` arrays.  Rounding floors
+    every split and assigns the remainder to train.  ``group_size=2``
+    moves consecutive records as one unit; the prep pipeline uses it to
+    keep each positive next to its negative so that per-user label
+    balance stays exact within every split.
     """
     records = np.asarray(records, dtype=np.int64)
     if len(records) == 0:
@@ -190,21 +185,7 @@ def split(records, ratios=(0.6, 0.2, 0.2), seed=0, num_users=None, num_items=Non
     units = records.reshape(n_units, group_size, 3)[order]
     counts = _partition_counts(n_units, ratios)
     bounds = np.cumsum([0] + counts)
-    parts = [units[bounds[i]:bounds[i + 1]].reshape(-1, 3) for i in range(3)]
-    train, validation, test = parts
-
-    if num_users is None:
-        num_users = int(records[:, 0].max()) + 1
-    if num_items is None:
-        num_items = int(records[:, 1].max()) + 1
-    return InteractionDataset(
-        num_users=num_users,
-        num_items=num_items,
-        train=train,
-        validation=validation,
-        test=test,
-        user_history=_user_history(train),
-    )
+    return tuple(units[bounds[i]:bounds[i + 1]].reshape(-1, 3) for i in range(3))
 
 
 def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
@@ -221,16 +202,9 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
     paired[0::2, :2] = grouped
     paired[0::2, 2] = 1
     paired[1::2] = negative_sample(grouped, binarized.num_items, rng)
-    dataset = split(
-        paired,
-        ratios=ratios,
-        seed=seed,
-        num_users=binarized.num_users,
-        num_items=binarized.num_items,
-        group_size=2,
-    )
-    dataset.item_entities = binarized.item_entities
-    return dataset
+    train, validation, test = split(paired, ratios=ratios, seed=seed, group_size=2)
+    return InteractionDataset(binarized.num_users, binarized.num_items, train, validation, test,
+                              binarized.item_entities)
 
 
 def write_split(path, records):
@@ -245,15 +219,7 @@ def read_split(path, num_users, num_items):
     return read_int_tsv(path, (("user", num_users), ("item", num_items), ("label", 2)))
 
 
-def dataset_from_files(train_path, validation_path, test_path, num_users, num_items, item_entities=None):
-    """Rebuild an :class:`InteractionDataset` from emitted split files."""
-    train = read_split(train_path, num_users, num_items)
-    return InteractionDataset(
-        num_users=num_users,
-        num_items=num_items,
-        train=train,
-        validation=read_split(validation_path, num_users, num_items),
-        test=read_split(test_path, num_users, num_items),
-        user_history=_user_history(train),
-        item_entities=item_entities,
-    )
+def dataset_from_files(train_path, validation_path, test_path, num_users, num_items, item_entities):
+    """Rebuild an :class:`InteractionDataset` from emitted split files and the item -> entity map."""
+    splits = (read_split(path, num_users, num_items) for path in (train_path, validation_path, test_path))
+    return InteractionDataset(num_users, num_items, *splits, item_entities)

@@ -194,7 +194,7 @@ class KnowledgeGraph:
 
 @dataclass
 class RippleSet:
-    """Per-user hop bags of triples seeded by the user's history.
+    """Per-user hop bags of triples seeded by the user's train positives.
 
     ``hops[k]`` is an ``(n_p, 3)`` int array of (head, relation, tail)
     rows; hop-0 heads are seed entities, hop-k heads are hop-(k-1) tails.

@@ -6,7 +6,7 @@ count of correctly ordered positive/negative pairs with ties worth one
 half.  ACC thresholds scores at a fixed cut.
 
 Scoring a split is read-only over frozen parameters; examples whose user
-the ripple table does not know (no train history, hence no ripple set,
+the ripple table does not know (no train positive, hence no ripple set,
 or out of range) are skipped and counted, not silently dropped.
 """
 
@@ -80,7 +80,7 @@ def evaluate(params, records, kg, ripple_sets, hp, item_entities, seed=0, split=
     skipped = int((~keep).sum())
     kept = records[keep]
     if len(kept) == 0:
-        raise ValueError(f"{split} split has no scorable examples (all users lack train history)")
+        raise ValueError(f"{split} split has no scorable examples (no user has a train positive)")
 
     scores = np.empty(len(kept), dtype=np.float64)
     rng = np.random.default_rng([seed, 60221023])  # fixed stream tag for scoring draws

@@ -586,29 +586,28 @@ class FitResult:
 
 
 def build_ripple_sets(dataset, kg, hp, seed):
-    """The run's :class:`~ripplerec.kg.RippleTable`, seeded by the entities of each user's train history.
+    """The run's :class:`~ripplerec.kg.RippleTable`, seeded by the entities of each user's train positives.
 
-    :func:`~ripplerec.kg.build_ripple_table` draws it from a generator
-    seeded by ``seed``.  Under ``user_table`` the table has zero hops,
-    knows every user and draws no random number.
+    A user's seeds are the items of their label-1 rows in
+    ``dataset.train``, whatever the row order.
+    :func:`~ripplerec.kg.build_ripple_table` draws the table from a
+    generator seeded by ``seed``.  Under ``user_table`` the table has
+    zero hops, knows every user and draws no random number.
     """
-    if dataset.item_entities is None:
-        raise ValueError("dataset has no item -> entity mapping; run prep first")
     if hp.user_table:
         return RippleTable(np.zeros((0, dataset.num_users, hp.ripple_size, 3), dtype=np.int64),
                            np.ones(dataset.num_users, dtype=bool))
-    history = dataset.user_history
-    users = np.repeat(np.fromiter(history, np.int64, len(history)), [len(items) for items in history.values()])
-    items = np.concatenate([np.zeros(0, dtype=np.int64), *history.values()])
-    return build_ripple_table(kg, users, dataset.item_entities[items], dataset.num_users,
+    pos = dataset.train[dataset.train[:, 2] == 1]
+    return build_ripple_table(kg, pos[:, 0], dataset.item_entities[pos[:, 1]], dataset.num_users,
                               hp.hops, hp.ripple_size, np.random.default_rng([seed, 17]))
 
 
 def fit(dataset, kg, hp, seed=0, eval_train=False):
     """Minibatch training with per-epoch validation and best-snapshot selection.
 
-    Ripple sets are built once per run; neighbor trees are drawn fresh
-    per batch, and every batch ends in one Adam step.  Train rows of
+    The ripple table is built once per run from the train split's
+    label-1 rows (:func:`build_ripple_sets`); neighbor trees are drawn
+    fresh per batch, and every batch ends in one Adam step.  Train rows of
     users the table does not know (``RippleTable.known``) are dropped,
     and ``skipped_users`` counts those users.  Divergence aborts the run
     and returns the last good snapshot with ``diverged`` set.

@@ -52,6 +52,18 @@ def adjacency(kg):
     return [sorted(pairs) for pairs in adj]
 
 
+def train_seeds(dataset):
+    """User -> seed entities by a per-row loop over the train rows with label 1.
+
+    Users appear in first-row order, each user's seeds in row order.
+    """
+    items_by_user = {}
+    for user, item, label in dataset.train.tolist():
+        if label == 1:
+            items_by_user.setdefault(user, []).append(item)
+    return {user: dataset.item_entities[np.array(items, dtype=np.int64)] for user, items in items_by_user.items()}
+
+
 def reference_ripple_bags(adj, seeds_by_user, hops, n_p, rng):
     """Hop by hop, then user by user: the draws ``build_ripple_table`` must match.
 

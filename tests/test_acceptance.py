@@ -24,6 +24,8 @@ from ripplerec.kg import build_ripple_table, sample_children
 from ripplerec.metrics import auc
 from ripplerec.model import Hyperparams, assemble_batch, batch_loss, fit, forward_backward, init_params
 
+from conftest import train_seeds
+
 
 @contextlib.contextmanager
 def criterion(name, budget_s=None):
@@ -147,21 +149,21 @@ def test_sampling_invariants(tiny_data):
     with criterion("sampling-invariants", budget_s=30):
         kg, dataset = tiny_data
         rng = np.random.default_rng(0)
-        history = dataset.user_history
-        users = np.concatenate([np.full(len(items), user) for user, items in history.items()])
-        seeds = dataset.item_entities[np.concatenate(list(history.values()))]
+        seeds = train_seeds(dataset)
+        users = np.concatenate([np.full(len(entities), user) for user, entities in seeds.items()])
 
         def table(hops, n_p, rng):
-            return build_ripple_table(kg, users, seeds, dataset.num_users, hops, n_p, rng)
+            return build_ripple_table(kg, users, np.concatenate(list(seeds.values())), dataset.num_users,
+                                      hops, n_p, rng)
 
         for trial in range(50):
             n_p = int(rng.integers(1, 40))
             hops = int(rng.integers(1, 4))
             ripple = table(hops, n_p, rng)
             assert ripple.bags.shape == (hops, dataset.num_users, n_p, 3)  # exactly n_p rows, always
-            assert ripple.has.sum() == len(history)
-            for user, items in history.items():
-                frontier = set(dataset.item_entities[items].tolist())
+            assert ripple.has.sum() == len(seeds)
+            for user, entities in seeds.items():
+                frontier = set(entities.tolist())
                 for bag in ripple.bags[:, user]:
                     assert set(bag[:, 0].tolist()) <= frontier
                     frontier = set(bag[:, 2].tolist())

@@ -173,6 +173,14 @@ class TestPrep:
                      "--set", f"ratings={bad}")
         assert rc == EXIT_MALFORMED
 
+    @pytest.mark.parametrize("ratios", ["0.5,0.5", "1.2,-0.1,-0.1"], ids=["two_shares", "share_outside_0_1"])
+    def test_bad_ratios_exit_3(self, workdir, tmp_path, capsys, ratios):
+        capsys.readouterr()
+        rc = run_cli("prep", "--config", workdir / "cfg.txt", "--out", tmp_path / "r", "--set", f"ratios={ratios}")
+        assert rc == EXIT_MALFORMED
+        assert "split ratios must be three shares in [0, 1] that sum to 1" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "train.tsv").exists()
+
 
 class TestTrainEvalSweep:
     def test_train_writes_snapshot_log_and_report(self, workdir):
@@ -384,6 +392,25 @@ class TestTrainEvalSweep:
     def test_sweep_without_axis_rejected(self, workdir):
         rc = run_cli("sweep", "--config", workdir / "cfg.txt")
         assert rc == EXIT_MALFORMED
+
+    @pytest.mark.parametrize("key", ["seed", "threshold"])
+    def test_sweep_param_outside_hyperparams_rejected(self, workdir, untrained_run, capsys, key):
+        # cells fit on the data prepped once with the loop's seed, so these keys would change nothing
+        capsys.readouterr()
+        rc = run_cli("sweep", "--config", workdir / "cfg.txt", "--seed", 5, "--out", untrained_run,
+                     "--set", f"sweep_param={key}", "--set", "sweep_values=4,8", "--set", "sweep_seeds=1",
+                     "--set", "epochs=1")
+        assert rc == EXIT_MALFORMED
+        assert f"sweep_param naming a Hyperparams field, got {key!r}" in capsys.readouterr().err
+        assert not (untrained_run / "sweep_results.csv").exists()
+
+    def test_sweep_seeds_below_one_rejected(self, workdir, untrained_run, capsys):
+        capsys.readouterr()
+        rc = run_cli("sweep", "--config", workdir / "cfg.txt", "--seed", 5, "--out", untrained_run,
+                     "--set", "sweep_param=neighbor_size", "--set", "sweep_values=2,4", "--set", "sweep_seeds=0")
+        assert rc == EXIT_MALFORMED
+        assert "sweep_seeds must be >= 1, got 0" in capsys.readouterr().err
+        assert not (untrained_run / "sweep_results.csv").exists()
 
     def test_sweep_failed_cell_recorded_as_na(self, workdir):
         # embed_dim=0 fails hyperparameter validation inside its cell only

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ripplerec.interactions import (
-    _user_history,
+    InteractionDataset,
     binarize,
     build_dataset,
     dataset_from_files,
@@ -120,20 +120,18 @@ class TestSplit:
         return np.array([(i % 3, i, i % 2) for i in range(n)], dtype=np.int64).reshape(-1, 3)
 
     def test_ten_records_6_2_2(self):
-        ds = split(self._records(10), seed=0)
-        assert (len(ds.train), len(ds.validation), len(ds.test)) == (6, 2, 2)
+        assert [len(part) for part in split(self._records(10), seed=0)] == [6, 2, 2]
 
     def test_five_records_floor_remainder_to_train(self):
-        ds = split(self._records(5), seed=0)
-        assert (len(ds.train), len(ds.validation), len(ds.test)) == (3, 1, 1)
+        assert [len(part) for part in split(self._records(5), seed=0)] == [3, 1, 1]
 
     def test_partition_disjoint_and_complete(self):
         records = self._records(40)
-        ds = split(records, seed=1)
+        train, validation, test = split(records, seed=1)
         def keys(arr):
             return {tuple(row) for row in arr}
-        assert keys(ds.train).isdisjoint(keys(ds.test))
-        assert keys(ds.train) | keys(ds.validation) | keys(ds.test) == {tuple(r) for r in records}
+        assert keys(train).isdisjoint(keys(test))
+        assert keys(train) | keys(validation) | keys(test) == {tuple(r) for r in records}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -142,14 +140,6 @@ class TestSplit:
     def test_bad_ratios_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             split(self._records(10), ratios=(0.5, 0.2, 0.2), seed=0)
-
-    def test_user_history_from_train_positives_only(self):
-        records = self._records(20)
-        ds = split(records, seed=2)
-        train_pos = {(int(u), int(i)) for u, i, l in ds.train if l == 1}
-        for user, items in ds.user_history.items():
-            for item in items:
-                assert (user, int(item)) in train_pos
 
 
 def _reference_binarize(path, threshold, item_to_entity):
@@ -194,30 +184,6 @@ def test_binarize_matches_row_loop(tmp_path, seed):
     assert got.positives.tolist() == [list(p) for p in positives]
     assert got.user_names == user_names
     assert (got.n_rows, got.n_below_threshold, got.n_unmapped) == counts
-
-
-def _reference_user_history(train):
-    """The per-row loop that ``_user_history`` replaced."""
-    history = {}
-    for u, item, label in train:
-        if label == 1:
-            history.setdefault(int(u), []).append(int(item))
-    return {u: np.array(items, dtype=np.int64) for u, items in history.items()}
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_user_history_matches_row_loop(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(0, 300))
-    # users 0..9 carry both labels; users 10..14 only negatives
-    train = np.stack((rng.integers(0, 15, n), rng.integers(0, 50, n), rng.integers(0, 2, n)), axis=1)
-    train[train[:, 0] >= 10, 2] = 0
-    got, want = _user_history(train), _reference_user_history(train)
-    assert list(got) == list(want)
-    assert all(type(u) is int for u in got)
-    for user, items in want.items():
-        assert got[user].dtype == np.int64
-        assert got[user].tolist() == items.tolist()
 
 
 class TestBuildDataset:
@@ -282,11 +248,11 @@ class TestBuildDataset:
         for name in ("validation", "test"):
             write_split(tmp_path / f"{name}.tsv", ds.split_named(name))
         rebuilt = dataset_from_files(path, tmp_path / "validation.tsv", tmp_path / "test.tsv",
-                                     ds.num_users, ds.num_items)
-        assert list(rebuilt.user_history) == list(ds.user_history)
-        for user, items in ds.user_history.items():
-            assert rebuilt.user_history[user].dtype == items.dtype
-            np.testing.assert_array_equal(rebuilt.user_history[user], items)
+                                     ds.num_users, ds.num_items, ds.item_entities)
+        for name in ("train", "validation", "test"):
+            a, b = rebuilt.split_named(name), ds.split_named(name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert rebuilt.item_entities is ds.item_entities
 
 
 # -- reference: the object-based prep path that the array path replaced ---------------
@@ -331,9 +297,8 @@ def _reference_build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
             paired.append(_Interaction(user=user, item=item, label=1))
             paired.append(neg)
     records = np.asarray([(i.user, i.item, i.label) for i in paired], dtype=np.int64)
-    dataset = split(records, ratios=ratios, seed=seed, num_users=binarized.num_users,
-                    num_items=binarized.num_items, group_size=2)
-    return dataset, rng
+    splits = split(records, ratios=ratios, seed=seed, group_size=2)
+    return InteractionDataset(binarized.num_users, binarized.num_items, *splits, binarized.item_entities), rng
 
 
 class TestArrayPrepOracle:
@@ -360,9 +325,6 @@ class TestArrayPrepOracle:
         for name in ("train", "validation", "test"):
             a, b = got.split_named(name), want.split_named(name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        assert list(got.user_history) == list(want.user_history)
-        for user, items in want.user_history.items():
-            assert got.user_history[user].tobytes() == items.tobytes()
 
         # the negative draws leave the generator where the object path left it;
         # positives not sorted by user are refused rather than regrouped

@@ -16,7 +16,7 @@ from ripplerec.kg import (
 )
 from ripplerec.model import sample_item_trees
 
-from conftest import adjacency, reference_ripple_bags, write_kg
+from conftest import adjacency, reference_ripple_bags, train_seeds, write_kg
 
 
 def read_vocab(path):
@@ -130,8 +130,8 @@ def _one_user(kg, seeds, hops, n_p, rng):
 
 
 def _history_table(kg, dataset, hops, n_p, rng):
-    """Table of every user with history, and each user's seed entities."""
-    seeds = {user: dataset.item_entities[items] for user, items in dataset.user_history.items()}
+    """Table of every user with a train positive, and each user's seed entities."""
+    seeds = train_seeds(dataset)
     users = np.concatenate([np.full(len(s), user) for user, s in seeds.items()])
     table = build_ripple_table(kg, users, np.concatenate(list(seeds.values())), dataset.num_users, hops, n_p, rng)
     return table, seeds

@@ -21,7 +21,7 @@ from ripplerec.model import (
     init_params,
 )
 
-from conftest import adjacency, make_params, one_example, reference_ripple_bags, write_kg
+from conftest import adjacency, make_params, one_example, reference_ripple_bags, train_seeds, write_kg
 
 
 def hp64(**kw):
@@ -753,7 +753,6 @@ def _dead_end_data(tmp_path):
                       (2, 2, 1), (2, 0, 0), (2, 3, 1), (2, 1, 0)])
     dataset = rr.InteractionDataset(
         num_users=3, num_items=6, train=train, validation=train[:0], test=train[:0],
-        user_history={0: np.array([4, 5]), 1: np.array([0, 1]), 2: np.array([2, 3])},
         item_entities=item_entities,
     )
     return kg, dataset
@@ -1003,8 +1002,7 @@ class TestFit:
         train = dataset.train[(dataset.train[:, 0] != 0) | (dataset.train[:, 2] == 0)]
         dropped = int((train[:, 0] == 0).sum())
         assert dropped > 0
-        history = {user: items for user, items in dataset.user_history.items() if user != 0}
-        degenerate = dataclasses.replace(dataset, train=train, user_history=history)
+        degenerate = dataclasses.replace(dataset, train=train)
         with caplog.at_level("WARNING"):
             result = fit(degenerate, kg, self._hp(epochs=1), seed=0)
         assert result.skipped_users == 1
@@ -1026,7 +1024,6 @@ class TestFit:
         held_out = np.array([(0, 4, 1), (0, 2, 0), (1, 2, 1), (1, 3, 0), (2, 1, 1), (2, 5, 0)])
         dataset = rr.InteractionDataset(
             num_users=3, num_items=6, train=train, validation=held_out, test=held_out,
-            user_history={0: np.array([4, 5]), 1: np.array([0, 1]), 2: np.array([2, 3])},
             item_entities=item_entities,
         )
         hp = self._hp(ripple_size=4, neighbor_size=2, batch_size=4, epochs=2)
@@ -1035,8 +1032,7 @@ class TestFit:
             ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
         assert sorted(ripple_sets) == [1, 2]
         assert "1 users skipped" in caplog.text
-        seeds = {user: item_entities[items] for user, items in dataset.user_history.items()}
-        expected = reference_ripple_bags(adjacency(kg), seeds, hp.hops, hp.ripple_size,
+        expected = reference_ripple_bags(adjacency(kg), train_seeds(dataset), hp.hops, hp.ripple_size,
                                          np.random.default_rng([0, 17]))
         assert sorted(expected) == [1, 2]
         for user in (1, 2):

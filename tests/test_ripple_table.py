@@ -18,13 +18,13 @@ from ripplerec.kg import RippleSet, RippleTable
 from ripplerec.metrics import evaluate
 from ripplerec.model import Hyperparams, assemble_batch
 
-from conftest import adjacency, reference_ripple_bags, write_kg
+from conftest import adjacency, reference_ripple_bags, train_seeds, write_kg
 
 
 def _dict_build_ripple_sets(dataset, kg, hp, seed):
     """One ``RippleSet`` per user in a dict, dead-end users left out."""
-    seeds = {user: dataset.item_entities[items] for user, items in dataset.user_history.items()}
-    bags = reference_ripple_bags(adjacency(kg), seeds, hp.hops, hp.ripple_size, np.random.default_rng([seed, 17]))
+    bags = reference_ripple_bags(adjacency(kg), train_seeds(dataset), hp.hops, hp.ripple_size,
+                                 np.random.default_rng([seed, 17]))
     return {user: RippleSet(user=user, hops=hops) for user, hops in bags.items()}
 
 
@@ -37,9 +37,10 @@ def _random_case(tmp_path, seed, directed):
     """A random graph, dataset and hyperparameters.
 
     On a directed graph the upper half of the entities only ever appears
-    as a tail, and user 0's history lies there alone, so user 0 is a
-    dead end and gets no ripple set; the last user's one item has
-    outgoing triples.
+    as a tail, and user 0's train positives lie there alone, so user 0
+    is a dead end and gets no ripple set; the last user's one positive
+    item has outgoing triples.  Validation and test rows carry label 1
+    too, but seed nothing.
     """
     rng = np.random.default_rng(seed)
     num_entities = int(rng.integers(8, 20))
@@ -63,16 +64,18 @@ def _random_case(tmp_path, seed, directed):
     history = {}  # filled in random order: the builder must visit users sorted
     for user in rng.permutation(num_users).tolist():
         if user != 0 and rng.random() < 0.25:
-            continue  # no train history
+            continue  # no train positive
         history[user] = np.unique(rng.integers(0, num_items, size=int(rng.integers(1, 5))))
     if directed:
         history[0] = np.array([0, 1])
         history[num_users - 1] = np.array([2])
     users = np.array(sorted(history))
     records = np.stack([rng.choice(users, 40), rng.integers(0, num_items, 40), rng.integers(0, 2, 40)], axis=1)
+    positives = np.array([(user, item, 1) for user, items in history.items() for item in items])
+    train = np.concatenate([positives, records[records[:, 2] == 0]])
     dataset = rr.InteractionDataset(
-        num_users=num_users, num_items=num_items, train=records, validation=records, test=records,
-        user_history=history, item_entities=item_entities,
+        num_users=num_users, num_items=num_items, train=train, validation=records, test=records,
+        item_entities=item_entities,
     )
     hp = Hyperparams(hops=int(rng.integers(1, 4)), ripple_size=int(rng.integers(1, 6)),
                      neighbor_size=2, conv_layers=1)
@@ -85,10 +88,12 @@ def _dead_end_case(tmp_path):
     rows += [("g0", "sim", "g1"), ("g1", "sim", "g0"), ("g0", "has", "d0"), ("g1", "has", "d1")]
     kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
     item_entities = np.array([kg.entity_vocab[e] for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
-    records = np.array([(0, 4, 1), (0, 2, 0), (1, 2, 1), (1, 3, 0), (2, 1, 1), (2, 5, 0)])
+    train = np.array([(0, 4, 1), (0, 0, 0), (0, 5, 1), (0, 1, 0),
+                      (1, 0, 1), (1, 4, 0), (1, 1, 1), (1, 5, 0),
+                      (2, 2, 1), (2, 0, 0), (2, 3, 1), (2, 1, 0)])
+    held_out = np.array([(0, 4, 1), (0, 2, 0), (1, 2, 1), (1, 3, 0), (2, 1, 1), (2, 5, 0)])
     dataset = rr.InteractionDataset(
-        num_users=3, num_items=6, train=records, validation=records, test=records,
-        user_history={0: np.array([4, 5]), 1: np.array([0, 1]), 2: np.array([2, 3])},
+        num_users=3, num_items=6, train=train, validation=held_out, test=held_out,
         item_entities=item_entities,
     )
     return kg, dataset, Hyperparams(hops=2, ripple_size=4, neighbor_size=2)
@@ -118,6 +123,49 @@ def test_hop_bags_match_dict_oracle(tmp_path, seed, directed):
     assert len(bags.hop_bags) == hp.hops
     for got, w in zip(bags.hop_bags, want):
         assert (got.dtype, got.shape, got.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_build_ripple_sets_matches_row_loop(tmp_path, seed):
+    """Random train splits: the table equals the reference draw from per-row train seeds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 300))
+    # users 0..9 carry both labels; users 10..14 only negatives
+    train = np.stack((rng.integers(0, 15, n), rng.integers(0, 50, n), rng.integers(0, 2, n)), axis=1)
+    train[train[:, 0] >= 10, 2] = 0
+    rows = [(f"e{rng.integers(30)}", f"r{rng.integers(3)}", f"e{rng.integers(30)}") for _ in range(60)]
+    kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=bool(seed % 2))
+    dataset = rr.InteractionDataset(num_users=15, num_items=50, train=train, validation=train[:0],
+                                    test=train[:0], item_entities=rng.integers(0, kg.num_entities, 50))
+    hp = Hyperparams(hops=2, ripple_size=3)
+    table = rr.build_ripple_sets(dataset, kg, hp, seed=seed)
+    want = reference_ripple_bags(adjacency(kg), train_seeds(dataset), hp.hops, hp.ripple_size,
+                                 np.random.default_rng([seed, 17]))
+    assert np.flatnonzero(table.has).tolist() == sorted(want)
+    assert not table.has[10:].any()
+    for user, bags in want.items():
+        assert table.bags[:, user].tobytes() == np.stack(bags).tobytes()
+
+
+def test_table_reads_train_positives_only(tmp_path):
+    """Row order, held-out rows and train negatives leave the table byte-identical; a positive does not."""
+    kg, dataset, hp = _random_case(tmp_path, 3, directed=False)
+
+    def table_bytes(**changes):
+        table = rr.build_ripple_sets(dataclasses.replace(dataset, **changes), kg, hp, seed=3)
+        return table.bags.tobytes() + table.has.tobytes()
+
+    base = table_bytes()
+    train = dataset.train
+    assert table_bytes(train=train[np.random.default_rng(0).permutation(len(train))]) == base
+    assert table_bytes(validation=dataset.validation[:3], test=np.ones_like(dataset.test)) == base
+    negative = np.flatnonzero(train[:, 2] == 0)[0]
+    moved = train.copy()
+    moved[negative, 1] = (moved[negative, 1] + 1) % dataset.num_items
+    assert table_bytes(train=moved) == base
+    relabelled = train.copy()
+    relabelled[np.flatnonzero(train[:, 2] == 1)[0], 2] = 0
+    assert table_bytes(train=relabelled) != base
 
 
 @pytest.mark.parametrize("user", [0, 3, -1])
