@@ -84,7 +84,9 @@ def _coerce(name, raw, current):
         raise ValueError(f"{name} = {raw!r} is not a boolean")
     if isinstance(current, tuple):
         parts = tuple(p.strip() for p in raw.split(",") if p.strip())
-        return tuple(_coerce(name, p, 0.0) for p in parts) if name == "ratios" else parts
+        if name == "ratios":  # checked here, so a bad one fails before prep reads or writes anything
+            return interactions.check_ratios(tuple(_coerce(name, p, 0.0) for p in parts))
+        return parts
     try:
         return type(current)(raw)  # int, float or str
     except ValueError:

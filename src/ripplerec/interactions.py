@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .kg import ParseError, intern_names, read_int_tsv, read_tsv
+from .kg import ParseError, _bounds, _intern, _scan, read_int_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -76,27 +75,34 @@ def binarize(ratings_path, threshold, item_to_entity):
     unobserved.  Items without a KG entity mapping are dropped and
     counted.  The item vocabulary covers every mappable item (rated or
     not) so unrated items can serve as negatives; user indices are
-    assigned at a user's first positive row.
+    assigned at a user's first positive row.  Fields are interned from
+    the file's bytes, so ``float`` runs once per distinct rating string;
+    the first line holding one it rejects raises :class:`ParseError`.
     """
     item_names = list(item_to_entity)
     item_index = {raw: i for i, raw in enumerate(item_names)}
     item_entities = np.array([item_to_entity[raw] for raw in item_names], dtype=np.int64)
 
-    linenos, fields = read_tsv(ratings_path, 3, 4)
-    n_rows = len(fields)
+    scan = _scan(ratings_path, (3, 4))
+    n_rows = len(scan.linenos)
     if n_rows == 0:
         raise ValueError(f"{ratings_path}: no rating rows found")
-    ratings = np.empty(n_rows)
-    for k, (lineno, raw_rating) in enumerate(zip(linenos.tolist(), fields[:, 2].tolist())):
+    start, end = _bounds(scan, (0, 1, 2))
+    raw_ratings, _, rating_ids = _intern(scan.buf, start[:, 2], end[:, 2])
+    values = np.empty(len(raw_ratings))
+    for k, raw_rating in enumerate(raw_ratings):
         try:
-            ratings[k] = float(raw_rating)
+            values[k] = float(raw_rating)
         except ValueError:
-            raise ParseError(ratings_path, lineno, f"non-numeric rating {raw_rating!r}") from None
-    items = np.fromiter(map(item_index.get, fields[:, 1], repeat(-1)), dtype=np.int64, count=n_rows)
+            row = int(np.argmax(rating_ids == k))  # the first line holding it
+            raise ParseError(ratings_path, int(scan.linenos[row]), f"non-numeric rating {raw_rating!r}") from None
+    ratings = values[rating_ids]
+    raw_items, _, item_ids = _intern(scan.buf, start[:, 1], end[:, 1])
+    items = np.array([item_index.get(raw, -1) for raw in raw_items], dtype=np.int64)[item_ids]
     mapped = items >= 0
     below = mapped & (ratings < threshold)
     positive = mapped & ~below  # a NaN rating is not below the threshold
-    user_names, _, users = intern_names(fields[positive, 0])
+    user_names, _, users = _intern(scan.buf, start[positive, 0], end[positive, 0])
     pairs = np.stack((users, items[positive]), axis=1)
     _, kept = np.unique(users * len(item_names) + pairs[:, 1], return_index=True)
     positives = pairs[np.sort(kept)]  # each (user, item) pair at its first row
@@ -135,10 +141,12 @@ def negative_sample(positives, num_items, rng):
     ends = np.append(starts[1:], len(positives))
     negatives = np.zeros((len(positives), 3), dtype=np.int64)
     negatives[:, 0] = positives[:, 0]
-    all_items = np.arange(num_items, dtype=np.int64)
+    unseen = np.ones(num_items, dtype=bool)  # all True between users
     for user, lo, hi in zip(users.tolist(), starts, ends):
         t = hi - lo
-        pool = np.setdiff1d(all_items, np.unique(positives[lo:hi, 1]), assume_unique=True)
+        unseen[positives[lo:hi, 1]] = False
+        pool = np.flatnonzero(unseen)  # ascending
+        unseen[positives[lo:hi, 1]] = True
         if len(pool) == 0:
             raise ValueError(f"user {user}: no unobserved items to sample negatives from")
         if len(pool) < t:
@@ -153,13 +161,16 @@ def negative_sample(positives, num_items, rng):
     return negatives
 
 
-def _partition_counts(n, ratios):
-    """Floor each split's share, assign the remainder to the first (train).
-
-    ``ratios`` must be three shares, each in [0, 1], that sum to 1.
-    """
+def check_ratios(ratios):
+    """``ratios``, if it is three split shares, each in [0, 1], that sum to 1; else ValueError."""
     if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must be three shares in [0, 1] that sum to 1, got {ratios}")
+    return ratios
+
+
+def _partition_counts(n, ratios):
+    """Floor each split's share (checked by :func:`check_ratios`), assign the remainder to the first (train)."""
+    check_ratios(ratios)
     counts = [int(np.floor(n * r)) for r in ratios]
     counts[0] += n - sum(counts)
     return counts

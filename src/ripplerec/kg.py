@@ -5,12 +5,17 @@ and decoded once (:func:`read_text`, which also reads the CLI's
 ``key = value`` files), line breaks follow text mode (``\n``, ``\r\n``
 and a lone ``\r``; a blank line is skipped but counted), and numpy finds
 the tabs and line breaks and checks every line's field count from them.
-Triples are indexed through first-appearance vocabularies, deduplicated
-on packed (head, relation, tail) keys, and exposed through one
-compressed sparse row (CSR) layout built from one sort of packed
-(source, relation, neighbor) keys: entity ``e``'s outgoing (relation,
-neighbor) edges are ``rel[indptr[e]:indptr[e + 1]]`` and
-``nbr[indptr[e]:indptr[e + 1]]``.
+Integer fields are parsed from the scanned bytes (:func:`read_int_tsv`),
+and every text field (KG names, the item map, the users, items and
+ratings of a rating log) goes through one interner, :func:`_intern`,
+which also works on the bytes: it sorts each field as padded 8-byte
+words and decodes only the distinct names, so no input makes a Python
+str per field.  Triples are indexed through those first-appearance
+vocabularies, deduplicated on packed (head, relation, tail) keys, and
+exposed through one compressed sparse row (CSR) layout built from one
+sort of packed (source, relation, neighbor) keys: entity ``e``'s
+outgoing (relation, neighbor) edges are ``rel[indptr[e]:indptr[e + 1]]``
+and ``nbr[indptr[e]:indptr[e + 1]]``.
 Both samplers draw uniformly with replacement from CSR ranges:
 :func:`sample_children` fixed-size neighbor bags for a whole array of
 entities, and :func:`build_ripple_table` every user's multi-hop ripple
@@ -71,8 +76,7 @@ def read_text(path):
 
 
 class _Scan(NamedTuple):
-    text: str  # the file's text, every line "\n"-terminated
-    buf: np.ndarray  # the UTF-8 bytes of ``text``
+    buf: np.ndarray  # the UTF-8 bytes of the file's text, every line "\n"-terminated
     ends: np.ndarray  # byte offset of the tab or newline that ends each field
     linenos: np.ndarray  # 1-based number of every non-blank line
     first: np.ndarray  # index into ``ends`` of every non-blank line's first field
@@ -101,21 +105,60 @@ def _scan(path, arity):
         expected = " or ".join(str(n) for n in arity)
         raise ParseError(path, i + 1, f"expected {expected} tab-separated fields, got {counts[i]}")
     lines = np.flatnonzero(~blank)
-    return _Scan(text, buf, ends, lines + 1, first[lines])
+    return _Scan(buf, ends, lines + 1, first[lines])
 
 
-def read_tsv(path, *arity):
-    """Line numbers and leading fields of every non-blank line of a UTF-8 TSV file.
+def _bounds(scan, columns):
+    """``(start, end)`` byte offsets, each ``(lines, len(columns))``, of fields ``columns`` of every line."""
+    index = scan.first[:, None] + np.asarray(columns)
+    start = scan.ends[index - 1] + 1
+    start[index == 0] = 0
+    return start, scan.ends[index]
 
-    Returns ``(linenos, fields)``: ``fields`` is an ``(n, min(arity))``
-    object array of the first ``min(arity)`` str fields of each line.  A
-    line whose field count is not one of ``arity`` raises
-    :class:`ParseError`, as does a byte that does not decode.
+
+# _PAD[r]: the low bytes of a big-endian word that lie past its first r bytes, all 0xFF
+_PAD = np.array([(2**64 - 1) >> (8 * r) for r in range(8)] + [0], dtype=np.uint64)
+
+
+def _intern(buf, start, end):
+    """First-appearance vocabulary of the fields ``buf[start[i]:end[i]]``: (names, name -> index, indices).
+
+    The same as interning the decoded fields, without a str per field.
+    Each field is padded with 0xFF, a byte UTF-8 never uses, to whole
+    8-byte words, read as big-endian ``uint64`` keys and sorted once
+    among the fields of its word count.  Groups of equal keys rank by
+    their first field, and only the distinct fields are decoded, with
+    one ``decode`` of their tab-joined bytes.  Each field ends at a tab
+    or newline of ``buf``, as :func:`_scan` finds them.
     """
-    text, _, _, linenos, first = _scan(path, arity)
-    # one entry per field in file order: entry i is the field that ends at ends[i]
-    flat = np.array(text.replace("\n", "\t").split("\t"), dtype=object)
-    return linenos, flat[first[:, None] + np.arange(min(arity))]
+    padded = np.concatenate((buf, np.zeros(8, dtype=np.uint8)))
+    words = np.ndarray((len(buf) + 1,), dtype=">u8", buffer=padded, strides=(1,))  # the word at every byte
+    width = end - start
+    nwords = np.maximum((width + 7) // 8, 1)
+    labels = np.empty(len(start), dtype=np.int64)
+    firsts = [np.zeros(0, dtype=np.int64)]
+    for k in np.flatnonzero(np.bincount(nwords)).tolist():
+        rows = np.flatnonzero(nwords == k)
+        keys = [words[start[rows] + 8 * j] | _PAD[np.clip(width[rows] - 8 * j, 0, 8)] for j in range(k)]
+        order = np.argsort(keys[0]) if k == 1 else np.lexsort(keys[::-1])
+        new = np.zeros(len(rows), dtype=bool)
+        new[0] = True
+        for key in keys:
+            key = key[order]
+            new[1:] |= key[1:] != key[:-1]
+        labels[rows[order]] = sum(map(len, firsts)) + np.cumsum(new) - 1
+        firsts.append(np.minimum.reduceat(rows[order], np.flatnonzero(new)))
+    first = np.concatenate(firsts)
+    rank = np.argsort(first)
+    index = np.empty(len(rank), dtype=np.int64)
+    index[rank] = np.arange(len(rank))
+    # the distinct fields, each with the byte that ends it, back to back; then tab for every end
+    lo, size = start[first[rank]], width[first[rank]] + 1
+    stop = np.cumsum(size)
+    joined = buf[np.repeat(lo - stop + size, size) + np.arange(stop[-1] if len(stop) else 0)]
+    joined[stop - 1] = ord("\t")
+    names = joined.tobytes().decode("utf-8").split("\t")[:-1]
+    return names, dict(zip(names, range(len(names)))), index[labels]
 
 
 def read_int_tsv(path, columns):
@@ -128,10 +171,7 @@ def read_int_tsv(path, columns):
     """
     scan = _scan(path, (len(columns),))
     buf = scan.buf
-    index = scan.first[:, None] + np.arange(len(columns))
-    end = scan.ends[index]
-    start = scan.ends[index - 1] + 1
-    start[index == 0] = 0
+    start, end = _bounds(scan, range(len(columns)))
     neg = buf[start] == ord("-")
     lo = start + neg
     nondigit = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
@@ -252,15 +292,6 @@ class RippleTable(Mapping):
         return self.bags.take(users, axis=1)
 
 
-def intern_names(raw):
-    """First-appearance vocabulary of the str array ``raw``: (names, name -> index, indices)."""
-    unique = dict.fromkeys(raw)
-    # fresh copies: a kept field string would pin the memory of the dead ones around it
-    names = "\t".join(unique).split("\t") if unique else []
-    vocab = {name: i for i, name in enumerate(names)}
-    return names, vocab, np.fromiter(map(vocab.__getitem__, raw), dtype=np.int64, count=len(raw))
-
-
 def load_kg(path, undirected=True):
     """Load a TSV triple file (``head<TAB>relation<TAB>tail``, UTF-8).
 
@@ -269,11 +300,12 @@ def load_kg(path, undirected=True):
     index gains an inverse (tail, relation, head) edge per triple when
     ``undirected`` is set (self-loops are not doubled).
     """
-    _, fields = read_tsv(path, 3)
-    if len(fields) == 0:
+    scan = _scan(path, (3,))
+    if len(scan.linenos) == 0:
         raise ValueError(f"{path}: no triples found")
-    entity_names, entity_vocab, ent = intern_names(fields[:, ::2].ravel())
-    relation_names, relation_vocab, rels = intern_names(fields[:, 1])
+    start, end = _bounds(scan, (0, 1, 2))
+    entity_names, entity_vocab, ent = _intern(scan.buf, start[:, ::2].ravel(), end[:, ::2].ravel())
+    relation_names, relation_vocab, rels = _intern(scan.buf, start[:, 1], end[:, 1])
     num_entities, num_relations = len(entity_names), len(relation_names)
     if num_entities**2 * num_relations >= 2**63:
         raise ValueError(f"{path}: {num_entities} entities and {num_relations} relations overflow int64 triple keys")
@@ -407,21 +439,29 @@ def build_ripple_table(kg, users, seeds, num_users, hops, n_p, rng):
 def load_item_map(path, kg):
     """Map raw item ids to KG entity indices from a TSV ``item<TAB>entity`` file.
 
-    Rows whose entity is absent from the KG vocabulary are skipped; the
-    returned dict only contains resolvable items.
+    Rows whose entity is absent from the KG vocabulary are skipped and
+    counted in a warning; the returned dict, in first-appearance order,
+    only contains resolvable items.  A repeated row is stored once; an
+    item listed again with another entity raises :class:`ParseError`
+    naming the later line.
     """
-    mapping: dict[str, int] = {}
-    skipped = 0
-    _, fields = read_tsv(path, 2)
-    for raw_item, raw_entity in fields.tolist():
-        idx = kg.entity_vocab.get(raw_entity)
-        if idx is None:
-            skipped += 1
-            continue
-        mapping[raw_item] = idx
+    scan = _scan(path, (2,))
+    start, end = _bounds(scan, (0, 1))
+    item_names, _, items = _intern(scan.buf, start[:, 0], end[:, 0])
+    entity_names, _, entities = _intern(scan.buf, start[:, 1], end[:, 1])
+    _, first_row = np.unique(items, return_index=True)
+    item_entity = entities[first_row]  # each item's entity at its first row
+    clash = np.flatnonzero(entities != item_entity[items])
+    if len(clash):
+        i = clash[0]
+        item, earlier, later = item_names[items[i]], entity_names[item_entity[items[i]]], entity_names[entities[i]]
+        raise ParseError(path, int(scan.linenos[i]),
+                         f"item {item!r} maps to entity {later!r}, but an earlier line maps it to {earlier!r}")
+    lookup = np.array([kg.entity_vocab.get(name, -1) for name in entity_names], dtype=np.int64)[item_entity]
+    skipped = int(np.count_nonzero(lookup[items] < 0))
     if skipped:
         logger.warning("%s: %d item map rows referenced unknown entities", path, skipped)
-    return mapping
+    return {name: idx for name, idx in zip(item_names, lookup.tolist()) if idx >= 0}
 
 
 def vocab_bytes(names):

@@ -181,6 +181,20 @@ class TestPrep:
         assert "split ratios must be three shares in [0, 1] that sum to 1" in capsys.readouterr().err
         assert not (tmp_path / "r" / "train.tsv").exists()
 
+    @pytest.mark.parametrize("where", ["set", "config"])
+    def test_bad_ratios_rejected_before_out_is_made(self, workdir, tmp_path, capsys, where):
+        config = tmp_path / "cfg.txt"
+        text = (workdir / "cfg.txt").read_text(encoding="utf-8")
+        config.write_text(text + ("ratios = 0.5, 0.5\n" if where == "config" else ""), encoding="utf-8")
+        extra = ["--set", "ratios=0.5,0.5"] if where == "set" else []
+        capsys.readouterr()
+        rc = run_cli("prep", "--config", config, "--out", tmp_path / "never", *extra)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED
+        where_text = "--set" if where == "set" else f"{config}:{len(text.splitlines()) + 1}"
+        assert f"{where_text}: split ratios must be three shares in [0, 1] that sum to 1" in err
+        assert not (tmp_path / "never").exists()
+
 
 class TestTrainEvalSweep:
     def test_train_writes_snapshot_log_and_report(self, workdir):
@@ -510,7 +524,8 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "item_arabic_3": _set_field(1, "\u0663"),
            "no_hops": _drop_key("hops"), "seed_x": _set_field(1, " x"),  # line 2 of a manifest is seed
            "hops_two": _set_key("hops", "two"), "hops_0": _set_key("hops", "0"),
-           "undirected_maybe": _set_key("undirected", "maybe")}
+           "undirected_maybe": _set_key("undirected", "maybe"),
+           "item_i0_again": _set_field(0, "i0")}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
@@ -527,6 +542,8 @@ INPUT_DEFECTS = [
     ("kg", "empty", EXIT_MALFORMED, "{path}: no triples"),
     ("ratings", "empty", EXIT_MALFORMED, "{path}: no rating rows"),
     ("item_map", "empty", EXIT_MALFORMED, "{path}: no item maps"),
+    # line 1 maps i0 to e0; an item's entities must agree
+    ("item_map", "item_i0_again", EXIT_MALFORMED, "{path}:{line}: item 'i0' maps to entity 'e1', but an earlier"),
     ("config", "empty", 0, ""),  # every key at its default, paths from --set
     ("train", "empty", EXIT_MALFORMED, "no train rows"),
     ("train", "not_integer", EXIT_MALFORMED, "{path}:{line}: non-integer"),

@@ -6,11 +6,11 @@ import pytest
 from ripplerec.kg import (
     NULL_RELATION,
     ParseError,
+    _intern,
     build_ripple_table,
     load_item_map,
     load_kg,
     read_int_tsv,
-    read_tsv,
     sample_children,
     write_vocab,
 )
@@ -21,8 +21,9 @@ from conftest import adjacency, reference_ripple_bags, train_seeds, write_kg
 
 def read_vocab(path):
     """Inverse of ``write_vocab``: the dict raw_id -> index."""
-    _, fields = read_tsv(path, 2)
-    return {raw: int(idx) for raw, idx in fields.tolist()}
+    with open(path, "rb") as fh:
+        lines = fh.read().decode("utf-8").split("\n")[:-1]  # names may hold other line breaks
+    return {raw: int(idx) for raw, idx in (line.split("\t") for line in lines)}
 
 
 class TestLoadKg:
@@ -377,11 +378,99 @@ class TestVocabAndItemMap:
         mapping = load_item_map(str(path), chain_kg)
         assert mapping == {"i0": chain_kg.entity_vocab["a"]}
 
+    def test_item_map_repeats_stored_once_in_first_appearance_order(self, tmp_path, chain_kg):
+        path = tmp_path / "map.tsv"
+        path.write_text("i2\tc\ni0\ta\ni2\tc\ni1\tmissing\ni0\ta\ni1\tmissing\n", encoding="utf-8")
+        mapping = load_item_map(str(path), chain_kg)
+        assert list(mapping.items()) == [("i2", chain_kg.entity_vocab["c"]), ("i0", chain_kg.entity_vocab["a"])]
+
+    @pytest.mark.parametrize("later", ["b", "missing"])
+    def test_item_map_conflicting_rows_rejected(self, tmp_path, chain_kg, later):
+        path = tmp_path / "map.tsv"
+        path.write_text(f"i0\ta\ni1\tb\ni1\tb\n\ni0\t{later}\ni1\tc\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_item_map(str(path), chain_kg)
+        assert str(err.value) == f"{path}:5: item 'i0' maps to entity '{later}', but an earlier line maps it to 'a'"
+
     def test_item_map_malformed_rejected(self, tmp_path, chain_kg):
         path = tmp_path / "map.tsv"
         path.write_text("just-one-field\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_item_map(str(path), chain_kg)
+
+
+# -- the byte-level interner, pinned against dict.fromkeys ---------------------------
+
+
+def _intern_lines(fields):
+    """:func:`_intern` over ``fields`` written one per line, as a scanned file holds them."""
+    buf = np.frombuffer("".join(f + "\n" for f in fields).encode("utf-8"), dtype=np.uint8)
+    end = np.flatnonzero(buf == ord("\n"))
+    start = np.concatenate(([0], end[:-1] + 1)).astype(np.int64)
+    return buf, start, end
+
+
+def _fromkeys_oracle(fields):
+    names = list(dict.fromkeys(fields))
+    vocab = {name: i for i, name in enumerate(names)}
+    return names, vocab, [vocab[f] for f in fields]
+
+
+def _assert_interned(got, fields):
+    names, vocab, ids = _fromkeys_oracle(fields)
+    assert got[0] == names
+    assert list(got[1].items()) == list(vocab.items())
+    assert got[2].dtype == np.int64 and got[2].tolist() == ids
+
+
+# every width on either side of the 8-byte word boundaries
+WIDTHS = (0, 1, 7, 8, 9, 16, 17, 45)
+
+
+def _name_pool(rng):
+    pool = []
+    for width in WIDTHS:
+        base = "".join(chr(c) for c in rng.integers(ord("a"), ord("z") + 1, size=width))
+        pool.append(base)
+        if width:
+            pool.append(base[:-1] + ("z" if base[-1] != "z" else "y"))  # differs in its last byte only
+            pool.append(base[:-1] + "\x00")  # NUL as the last byte
+            pool.append("\x00" * width)
+            pool.append("\ufeff" + base[3:])  # BOM (3 bytes) in front: the same width in bytes
+            pool.append(base[:-2] + "é")  # two-byte character at the end
+        pool.append(base + " ")  # trailing space: one byte wider
+        pool.append(base + "  ")
+        pool.append("日本" + base)
+    return pool
+
+
+class TestIntern:
+    def test_pool_covers_every_width(self):
+        widths = {len(name.encode("utf-8")) for name in _name_pool(np.random.default_rng(0))}
+        assert set(WIDTHS) <= widths
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dict_fromkeys(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = _name_pool(rng)
+        fields = [pool[k] for k in rng.integers(len(pool), size=int(rng.integers(1, 400)))]
+        buf, start, end = _intern_lines(fields)
+        _assert_interned(_intern(buf, start, end), fields)
+        # any subset of the fields, in any order
+        pick = rng.permutation(len(fields))[:int(rng.integers(0, len(fields) + 1))]
+        _assert_interned(_intern(buf, start[pick], end[pick]), [fields[k] for k in pick])
+
+    @pytest.mark.parametrize("fields", [
+        [""], ["", "", "a", ""], ["a", "a\x00", "a\x00\x00", "a"], ["abcdefgh", "abcdefg", "abcdefgh "],
+        ["\ufeffa", "a", "\ufeffa"], ["x" * 45, "x" * 44 + "y", "x" * 45],
+    ], ids=["one_empty", "empty_first_later", "trailing_nul", "word_boundary", "bom", "wide"])
+    def test_edge_cases(self, fields):
+        _assert_interned(_intern(*_intern_lines(fields)), fields)
+
+    def test_no_fields(self):
+        names, vocab, ids = _intern(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64),
+                                    np.zeros(0, dtype=np.int64))
+        assert names == [] and vocab == {} and ids.dtype == np.int64 and ids.shape == (0,)
 
 
 # -- text-mode reading rules, pinned against the line-loop reader --------------------
