@@ -196,9 +196,9 @@ def cmd_prep(cfg):
     kgmod.write_vocab(os.path.join(out, "relation_vocab.tsv"), graph.relation_names)
     kgmod.write_vocab(os.path.join(out, "user_vocab.tsv"), binarized.user_names)
     kgmod.write_vocab(os.path.join(out, "item_vocab.tsv"), binarized.item_names)
+    entities = np.asarray(binarized.item_entities).tolist()
     with open(os.path.join(out, "item_entities.tsv"), "w", encoding="utf-8") as fh:
-        for item, entity in enumerate(binarized.item_entities):
-            fh.write(f"{item}\t{entity}\n")
+        fh.write("".join(map("{}\t{}\n".format, range(len(entities)), entities)))
 
     no_positive = dataset.num_users - len(np.unique(dataset.train[dataset.train[:, 2] == 1, 0]))
     report_lines = [

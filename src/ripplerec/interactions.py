@@ -220,9 +220,9 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
 
 def write_split(path, records):
     """Emit one split as TSV ``user<TAB>item<TAB>label``."""
+    text = "".join(map("{}\t{}\t{}\n".format, *np.asarray(records).reshape(-1, 3).T.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        for u, item, label in records:
-            fh.write(f"{u}\t{item}\t{label}\n")
+        fh.write(text)
 
 
 def read_split(path, num_users, num_items):

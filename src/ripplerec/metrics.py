@@ -70,6 +70,10 @@ def evaluate(params, records, kg, ripple_sets, hp, item_entities, seed=0, split=
     :func:`~ripplerec.model.build_ripple_sets`) does not know are
     skipped and counted in the report.  The neighbor trees drawn while
     scoring derive from ``seed``, so the report is reproducible.
+    ``batch_size`` only groups the rows whose trees are drawn together
+    (and so fixes the draw order); the forward itself runs in slices of
+    :data:`~ripplerec.model.SCORE_ROWS` rows inside
+    :func:`~ripplerec.model.score_batch`.
     """
     from . import model  # local import; model imports this module for fit()
 

@@ -64,6 +64,7 @@ from .kg import NULL_RELATION, RippleTable, build_ripple_table, sample_children
 logger = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-7  # predictions are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] inside the loss
+SCORE_ROWS = 1024  # examples per forward in score_batch: its per-row arrays stay cache sized
 
 
 @dataclass
@@ -176,6 +177,18 @@ class BatchBags:
     @property
     def size(self):
         return len(self.users)
+
+    def rows(self, lo, hi):
+        """Examples ``lo:hi`` of the batch as views of these arrays (basic slicing, no copy).
+
+        Every field keeps its layout; ``tree_rels[0]`` stays ``None``.
+        """
+        return BatchBags(
+            users=self.users[lo:hi], items=self.items[lo:hi], labels=self.labels[lo:hi],
+            v_idx=self.v_idx[lo:hi], hop_bags=[bag[lo:hi] for bag in self.hop_bags],
+            tree_ents=[ents[lo:hi] for ents in self.tree_ents],
+            tree_rels=[None if rels is None else rels[lo:hi] for rels in self.tree_rels],
+        )
 
 
 def sample_item_trees(kg, v_idx, conv_layers, n_e, rng):
@@ -564,9 +577,21 @@ def forward_backward(params, bags, hp, mean=True):
 
 
 def score_batch(params, records, kg, ripple_sets, hp, item_entities, rng):
-    """Predicted interaction probabilities for (user, item, ...) records."""
+    """Predicted interaction probabilities for (user, item, ...) records.
+
+    All of ``records`` is assembled at once, so the tree draws and
+    ``rng``'s stream do not depend on how the forward is cut.  The
+    forward then runs over consecutive slices of at most
+    :data:`SCORE_ROWS` examples (:meth:`BatchBags.rows`), so its
+    per-row arrays stay cache sized; each example's score is the same
+    as from one forward over the whole batch.
+    """
     bags = assemble_batch(records, kg, ripple_sets, hp, item_entities, rng)
-    return forward(params, bags, hp).yhat
+    yhat = np.empty(bags.size, dtype=params.values["entity_emb"].dtype)
+    for lo in range(0, bags.size, SCORE_ROWS):
+        hi = lo + SCORE_ROWS
+        yhat[lo:hi] = forward(params, bags.rows(lo, hi), hp).yhat
+    return yhat
 
 
 # -- training loop ---------------------------------------------------------
@@ -611,8 +636,13 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
     users the table does not know (``RippleTable.known``) are dropped,
     and ``skipped_users`` counts those users.  Divergence aborts the run
     and returns the last good snapshot with ``diverged`` set.
-    Single-threaded and deterministic for a fixed seed.
+    Single-threaded and deterministic for a fixed seed.  An empty
+    validation split is rejected before any training when
+    ``hp.epochs >= 1``, since each epoch ends by scoring it.
     """
+    if hp.epochs >= 1 and len(dataset.validation) == 0:
+        raise ValueError("empty validation split: every epoch is selected on it "
+                         "(give validation a share in ratios, or train with epochs = 0)")
     params = init_params(kg.num_entities, kg.num_relations, hp, seed=seed, num_users=dataset.num_users)
     ripple_sets = build_ripple_sets(dataset, kg, hp, seed)
     keep = ripple_sets.known(dataset.train[:, 0])

@@ -220,6 +220,27 @@ class TestTrainEvalSweep:
         assert rows == [["epoch", "train_loss", "val_auc", "val_acc"]]
         assert (out / "model.npz").exists()
 
+    def test_empty_validation_split_rejected_before_training(self, workdir, tmp_path, capsys, monkeypatch):
+        import ripplerec.model as model_mod
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("forward_backward ran before the empty validation split was rejected")
+
+        out = tmp_path / "no_val"
+        assert run_cli("prep", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out,
+                       "--set", "ratios=1,0,0") == 0
+        assert (out / "validation.tsv").read_bytes() == b""
+        monkeypatch.setattr(model_mod, "forward_backward", no_step)
+        capsys.readouterr()
+        rc = run_cli("train", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED
+        assert "empty validation split" in err and "ratios" in err
+        assert "Traceback" not in err
+        # with no epoch there is nothing to select, so an empty validation split is fine
+        assert run_cli("train", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out,
+                       "--set", "epochs=0") == 0
+
     def test_eval_writes_metric_row(self, workdir):
         assert run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5,
                        "--split", "validation") == 0

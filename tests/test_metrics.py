@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import ripplerec as rr
 import ripplerec.model
 from ripplerec.kg import RippleTable
 from ripplerec.metrics import MetricReport, acc, auc, evaluate
-from ripplerec.model import Hyperparams
+from ripplerec.model import SCORE_ROWS, Hyperparams
 
 
 def pairwise_auc(scores, labels):
@@ -164,3 +166,28 @@ class TestEvaluate:
                          batch_size=16, **kwargs)
         assert small.n_examples == a.n_examples
         assert 0.0 <= small.auc <= 1.0
+
+    def test_peak_memory_bounded_by_one_train_step(self, tiny_data):
+        # A forward over all 4 * SCORE_ROWS rows at once peaked at 3.2x one
+        # SCORE_ROWS-row train step here; forward slices of SCORE_ROWS rows
+        # peak at 1.36x, the rest being the draw group's own bags and trees.
+        kg, dataset = tiny_data
+        hp = Hyperparams(embed_dim=16, hops=2, ripple_size=32, neighbor_size=8, conv_layers=2)
+        params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0)
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        records = np.resize(dataset.train, (4 * SCORE_ROWS, 3))
+        bags = ripplerec.model.assemble_batch(records[:SCORE_ROWS], kg, ripple_sets, hp, dataset.item_entities,
+                                              np.random.default_rng(1))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        params.zero_grads()
+        step = peak(lambda: ripplerec.model.forward_backward(params, bags, hp))
+        scoring = peak(lambda: evaluate(params, records, kg, ripple_sets, hp, dataset.item_entities, seed=1))
+        assert scoring < 2.0 * step, f"evaluate peaked at {scoring / step:.2f}x one train step"

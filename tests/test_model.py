@@ -11,6 +11,7 @@ from ripplerec.core import ParamStore, finite_diff_check
 from ripplerec.kg import NULL_RELATION
 from ripplerec.synthetic import SyntheticSpec, generate
 from ripplerec.model import (
+    SCORE_ROWS,
     BatchBags,
     Hyperparams,
     assemble_batch,
@@ -19,6 +20,7 @@ from ripplerec.model import (
     forward,
     forward_backward,
     init_params,
+    score_batch,
 )
 
 from conftest import adjacency, make_params, one_example, reference_ripple_bags, train_seeds, write_kg
@@ -923,6 +925,53 @@ class TestPrecisionAgreement:
             assert g32.dtype == np.float32 and g64.dtype == np.float64, name
             # a tensor the variant does not use has exactly zero gradient in both
             assert np.max(np.abs(g32.astype(np.float64) - g64)) <= 1e-4 * np.abs(g64).max(), name
+
+
+SLICE_VARIANTS = [dict(conv_layers=0), dict(conv_layers=1), dict(conv_layers=2), dict(user_table=True),
+                  dict(fusion="recursive")]
+SLICE_IDS = ["conv0", "conv1", "conv2", "user_table", "recursive"]
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize("n", [1, SCORE_ROWS, 2 * SCORE_ROWS + 3], ids=["one", "score_rows", "two_and_3"])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", SLICE_VARIANTS, ids=SLICE_IDS)
+    def test_sliced_scores_equal_one_forward(self, tiny_data, variant, precision, n):
+        kg, dataset = tiny_data
+        kw = dict(hops=2, ripple_size=8, neighbor_size=4, conv_layers=2, precision=precision)
+        hp = Hyperparams(**{**kw, **variant})
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=6)
+        params = init_params(kg.num_entities, kg.num_relations, hp, seed=6, num_users=dataset.num_users)
+        records = np.resize(dataset.train, (n, 3))
+        rng_sliced, rng_whole = np.random.default_rng(9), np.random.default_rng(9)
+        got = score_batch(params, records, kg, ripple_sets, hp, dataset.item_entities, rng_sliced)
+        bags = assemble_batch(records, kg, ripple_sets, hp, dataset.item_entities, rng_whole)
+        want = forward(params, bags, hp).yhat
+        assert got.dtype == want.dtype == hp.dtype
+        assert got.shape == want.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert rng_sliced.bit_generator.state == rng_whole.bit_generator.state
+
+    def test_rows_are_views(self, tiny_data):
+        kg, dataset = tiny_data
+        hp = hp64(hops=2, ripple_size=8, neighbor_size=4, conv_layers=2)
+        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=6)
+        bags = assemble_batch(dataset.train[:40], kg, ripple_sets, hp, dataset.item_entities,
+                              np.random.default_rng(9))
+        part = bags.rows(5, 17)
+        assert part.size == 12
+        pairs = [(part.users, bags.users), (part.items, bags.items), (part.labels, bags.labels),
+                 (part.v_idx, bags.v_idx)]
+        pairs += list(zip(part.hop_bags, bags.hop_bags))
+        pairs += list(zip(part.tree_ents, bags.tree_ents))
+        pairs += list(zip(part.tree_rels[1:], bags.tree_rels[1:]))
+        assert len(pairs) == 4 + hp.hops + 2 * hp.conv_layers + 1
+        for view, parent in pairs:
+            assert np.shares_memory(view, parent)
+            assert view.base is not None
+            np.testing.assert_array_equal(view, parent[5:17])
+        assert part.tree_rels[0] is None
+        assert len(part.tree_rels) == len(bags.tree_rels)
 
 
 class TestFit:
