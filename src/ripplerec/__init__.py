@@ -7,17 +7,9 @@ sampling, on a small numpy kernel with hand-derived gradients.
 """
 
 from .core import ParamStore, finite_diff_check, sigmoid, softmax
-from .interactions import (
-    BinarizeResult,
-    InteractionDataset,
-    binarize,
-    build_dataset,
-    negative_sample,
-    split,
-)
+from .interactions import InteractionDataset, binarize, build_dataset
 from .kg import (
     NULL_RELATION,
-    KnowledgeGraph,
     RippleSet,
     build_ripple_table,
     load_item_map,
@@ -27,11 +19,10 @@ from .kg import (
 from .metrics import MetricReport, acc, auc, evaluate
 from .model import (
     BatchBags,
-    FitResult,
-    ForwardTrace,
     Hyperparams,
     assemble_batch,
     batch_loss,
+    build_neighbor_table,
     build_ripple_sets,
     fit,
     forward,
@@ -44,12 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchBags",
-    "BinarizeResult",
-    "FitResult",
-    "ForwardTrace",
     "Hyperparams",
     "InteractionDataset",
-    "KnowledgeGraph",
     "MetricReport",
     "NULL_RELATION",
     "ParamStore",
@@ -60,6 +47,7 @@ __all__ = [
     "batch_loss",
     "binarize",
     "build_dataset",
+    "build_neighbor_table",
     "build_ripple_sets",
     "build_ripple_table",
     "evaluate",
@@ -70,10 +58,8 @@ __all__ = [
     "init_params",
     "load_item_map",
     "load_kg",
-    "negative_sample",
     "sample_children",
     "score_batch",
     "sigmoid",
     "softmax",
-    "split",
 ]

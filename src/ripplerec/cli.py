@@ -169,8 +169,8 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _table_sha256(table):
-    return hashlib.sha256(table.bags.tobytes() + table.has.tobytes()).hexdigest()
+def _table_sha256(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
 # -- prep -----------------------------------------------------------------------
@@ -312,7 +312,8 @@ def cmd_train(cfg):
         "skipped_users": result.skipped_users,
         "entity_vocab_sha256": prep_meta["entity_vocab_sha256"],
         "relation_vocab_sha256": prep_meta["relation_vocab_sha256"],
-        "ripple_table_sha256": _table_sha256(result.ripple_table),
+        "ripple_table_sha256": _table_sha256(result.ripple_table.bags, result.ripple_table.has),
+        "neighbor_table_sha256": _table_sha256(result.neighbor_table.rel, result.neighbor_table.nbr),
     }
     _save_snapshot(cfg.out, result.params, cfg, meta)
     _write_epoch_log(os.path.join(cfg.out, "epochs.csv"), result.history)
@@ -370,25 +371,30 @@ def cmd_eval(cfg, split):
     manifest_path = os.path.join(cfg.out, "model.manifest.txt")
     manifest = _read_kv(manifest_path)
     params = load_params(snap)
-    # score with the hyperparameters, ripple seed, graph numbering and ripple bags the snapshot
-    # was trained with, not whatever the current config or a later prep happens to say
+    # score with the hyperparameters, run seed, graph numbering, ripple bags and neighbor table the
+    # snapshot was trained with, not whatever the current config or a later prep happens to say
     hp = _hyperparams_from_manifest(manifest, manifest_path)
-    if "ripple_table_sha256" not in manifest:
-        raise ValueError(f"{manifest_path}: missing key 'ripple_table_sha256' (trained before the hop-by-hop "
-                         "ripple builder, whose bags differ); retrain the snapshot")
+    for key, since in (("ripple_table_sha256", "the hop-by-hop ripple builder, whose bags differ"),
+                       ("neighbor_table_sha256", "the per-run neighbor table, whose trees differ")):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: missing key {key!r} (trained before {since}); retrain the snapshot")
     for key in ("entity_vocab_sha256", "relation_vocab_sha256"):
         if _meta_value(manifest, key, manifest_path, "") != prep_meta[key]:
             raise ValueError(f"{manifest_path}: {key} differs from {os.path.join(cfg.out, 'prep_meta.txt')} "
                              "(prep re-run since train?); retrain the snapshot")
     _check_snapshot(snap, params, graph, dataset, hp)
-    ripple_sets = model.build_ripple_sets(dataset, graph, hp, _meta_value(manifest, "seed", manifest_path, 0))
-    if _table_sha256(ripple_sets) != manifest["ripple_table_sha256"]:
+    seed = _meta_value(manifest, "seed", manifest_path, 0)
+    ripple_sets = model.build_ripple_sets(dataset, graph, hp, seed)
+    if _table_sha256(ripple_sets.bags, ripple_sets.has) != manifest["ripple_table_sha256"]:
         raise ValueError(f"{manifest_path}: ripple_table_sha256 does not match the ripple table rebuilt "
                          f"from the train split in {cfg.out}; retrain the snapshot")
-    report = metrics.evaluate(
-        params, dataset.split_named(split), graph, ripple_sets, hp,
-        dataset.item_entities, seed=cfg.seed, split=split,
-    )
+    neighbors = model.build_neighbor_table(graph, hp, seed)
+    if _table_sha256(neighbors.rel, neighbors.nbr) != manifest["neighbor_table_sha256"]:
+        raise ValueError(f"{manifest_path}: neighbor_table_sha256 does not match the neighbor table rebuilt "
+                         f"from {prep_meta['kg']}; retrain the snapshot")
+    report = metrics.evaluate(params, dataset.split_named(split), neighbors, ripple_sets, hp,
+                              dataset.item_entities, split=split)
+    report.seed = seed  # the run seed that drew both tables; scoring itself draws nothing
     path = os.path.join(cfg.out, f"eval_{split}.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(metrics.MetricReport.CSV_HEADER + "\n")

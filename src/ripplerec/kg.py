@@ -18,9 +18,10 @@ outgoing (relation, neighbor) edges are ``rel[indptr[e]:indptr[e + 1]]``
 and ``nbr[indptr[e]:indptr[e + 1]]``.
 Both samplers draw uniformly with replacement from CSR ranges:
 :func:`sample_children` fixed-size neighbor bags for a whole array of
-entities, and :func:`build_ripple_table` every user's multi-hop ripple
-bags, one draw per hop for all users, into one :class:`RippleTable`
-array; a user's hop-k heads always lie among its hop-(k-1) tails.
+entities (every entity at once gives a run's :class:`NeighborTable`),
+and :func:`build_ripple_table` every user's multi-hop ripple bags, one
+draw per hop for all users, into one :class:`RippleTable` array; a
+user's hop-k heads always lie among its hop-(k-1) tails.
 
 A loaded :class:`KnowledgeGraph` is immutable and safe for unrestricted
 concurrent reads.  Samplers take an explicit ``numpy`` generator handle;
@@ -290,6 +291,22 @@ class RippleTable(Mapping):
         if not known.all():
             raise KeyError(int(users[np.argmin(known)]))
         return self.bags.take(users, axis=1)
+
+
+class NeighborTable:
+    """``n_e`` sampled (relation, neighbor) edges of every entity, drawn once per run.
+
+    ``rel`` and ``nbr`` are read-only ``(num_entities, n_e)`` int arrays:
+    row ``e`` is :func:`sample_children` of entity ``e`` (``n_e``
+    ``NULL_RELATION`` self-loops for an entity without edges).  A
+    snapshot's manifest checksums their bytes.
+    """
+
+    def __init__(self, rel, nbr):
+        rel.flags.writeable = False
+        nbr.flags.writeable = False
+        self.rel = rel
+        self.nbr = nbr
 
 
 def load_kg(path, undirected=True):

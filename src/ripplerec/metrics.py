@@ -62,18 +62,16 @@ def acc(scores, labels, threshold=0.5):
     return float(np.mean(predictions == labels))
 
 
-def evaluate(params, records, kg, ripple_sets, hp, item_entities, seed=0, split="test", batch_size=4096):
+def evaluate(params, records, table, ripple_sets, hp, item_entities, split="test"):
     """Score every (user, item) of a split with the full forward pass.
 
-    ``records`` is an (n, 3) array of (user, item, label).  Users that
-    ``ripple_sets`` (the :class:`~ripplerec.kg.RippleTable` of
-    :func:`~ripplerec.model.build_ripple_sets`) does not know are
-    skipped and counted in the report.  The neighbor trees drawn while
-    scoring derive from ``seed``, so the report is reproducible.
-    ``batch_size`` only groups the rows whose trees are drawn together
-    (and so fixes the draw order); the forward itself runs in slices of
-    :data:`~ripplerec.model.SCORE_ROWS` rows inside
-    :func:`~ripplerec.model.score_batch`.
+    ``records`` is an (n, 3) array of (user, item, label).  ``table`` and
+    ``ripple_sets`` are the run's :class:`~ripplerec.kg.NeighborTable`
+    and :class:`~ripplerec.kg.RippleTable`; users the ripple table does
+    not know are skipped and counted in the report.  Scoring draws no
+    random number, so the report depends only on the parameters, the two
+    tables and the records.  The report's ``seed`` is left at 0 for the
+    caller to fill in with the run's.
     """
     from . import model  # local import; model imports this module for fit()
 
@@ -86,18 +84,11 @@ def evaluate(params, records, kg, ripple_sets, hp, item_entities, seed=0, split=
     if len(kept) == 0:
         raise ValueError(f"{split} split has no scorable examples (no user has a train positive)")
 
-    scores = np.empty(len(kept), dtype=np.float64)
-    rng = np.random.default_rng([seed, 60221023])  # fixed stream tag for scoring draws
-    for start in range(0, len(kept), batch_size):
-        batch = kept[start:start + batch_size]
-        scores[start:start + len(batch)] = model.score_batch(
-            params, batch, kg, ripple_sets, hp, item_entities, rng,
-        )
+    scores = model.score_batch(params, kept, table, ripple_sets, hp, item_entities)
     return MetricReport(
         split=split,
         auc=auc(scores, kept[:, 2]),
         acc=acc(scores, kept[:, 2], threshold=hp.acc_threshold),
         n_examples=int(len(kept)),
         skipped=skipped,
-        seed=seed,
     )

@@ -9,12 +9,14 @@ table (:func:`build_ripple_sets`), and a batch reads all of its hop
 bags with one take from it.
 
 Item side: relation-scored neighbor convolution.  Sampled neighbors of
-the item entity are weighted by softmax over o . r_e (a per-relation
-taste score), aggregated, mixed with the node's own embedding through a
-per-layer affine map, and squashed (rectifier inside, tanh at the final
-layer).  Depth 0 disables the item side (the candidate embedding is
-used raw); ``user_table`` replaces the ripple path with a plain learned
-user embedding.  Either switch yields the single-side ablations.
+the item entity (rows of the run's neighbor table,
+:func:`build_neighbor_table`, so every tree is a few takes) are
+weighted by softmax over o . r_e (a per-relation taste score),
+aggregated, mixed with the node's own embedding through a per-layer
+affine map, and squashed (rectifier inside, tanh at the final layer).
+Depth 0 disables the item side (the candidate embedding is used raw);
+``user_table`` replaces the ripple path with a plain learned user
+embedding.  Either switch yields the single-side ablations.
 
 Prediction is the logistic of o . i.  There is one forward path:
 :func:`forward` scores a whole :class:`BatchBags` (one example is a
@@ -25,6 +27,8 @@ small and static, so gradients are derived per operation against that
 trace instead of running autodiff.  Forward passes over frozen
 parameters are pure functions of (params, sampled bags) and safe to run
 concurrently; gradient accumulation and updates are single writer.
+Assembling a batch reads the run's two tables and draws no random
+number.
 
 Both sides work per (example, relation), not per bag row or tree edge.
 On the user side, since (R_r h) . v = h . (R_r^T v), one GEMM gives
@@ -59,7 +63,7 @@ from scipy import sparse
 
 from . import metrics
 from .core import ParamStore, sigmoid, softmax, xavier_uniform
-from .kg import NULL_RELATION, RippleTable, build_ripple_table, sample_children
+from .kg import NULL_RELATION, NeighborTable, RippleTable, build_ripple_table, sample_children
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +81,7 @@ class Hyperparams:
     ``"recursive"`` chains per-hop maps and adds the candidate at the
     end.  ``precision`` is ``"f32"`` by default; finite-difference
     gradient checks need ``"f64"``.  Training always uses Adam at ``lr``
-    and samples ripple sets once per run.
+    and draws the ripple and neighbor tables once per run.
     """
 
     embed_dim: int = 8
@@ -164,7 +168,7 @@ def init_params(num_entities, num_relations, hp, seed=0, num_users=0):
 
 @dataclass
 class BatchBags:
-    """All stochastic structure for one batch, frozen before the forward pass."""
+    """All sampled structure for one batch, frozen before the forward pass."""
 
     users: np.ndarray  # (B,)
     items: np.ndarray  # (B,)
@@ -178,47 +182,46 @@ class BatchBags:
     def size(self):
         return len(self.users)
 
-    def rows(self, lo, hi):
-        """Examples ``lo:hi`` of the batch as views of these arrays (basic slicing, no copy).
 
-        Every field keeps its layout; ``tree_rels[0]`` stays ``None``.
-        """
-        return BatchBags(
-            users=self.users[lo:hi], items=self.items[lo:hi], labels=self.labels[lo:hi],
-            v_idx=self.v_idx[lo:hi], hop_bags=[bag[lo:hi] for bag in self.hop_bags],
-            tree_ents=[ents[lo:hi] for ents in self.tree_ents],
-            tree_rels=[None if rels is None else rels[lo:hi] for rels in self.tree_rels],
-        )
+def sample_item_trees(table, v_idx, conv_layers):
+    """Receptive-field tree around each candidate entity, depth ``conv_layers``.
 
-
-def sample_item_trees(kg, v_idx, conv_layers, n_e, rng):
-    """Receptive-field tree around each candidate entity, depth ``conv_layers``."""
+    Each level is one take of the previous level's rows from the
+    :class:`~ripplerec.kg.NeighborTable` ``table``, so an entity has
+    the same children wherever it appears.
+    """
     ents = [np.asarray(v_idx, dtype=np.int64).reshape(-1, 1)]
     rels = [None]
     for _ in range(conv_layers):
-        r, e = sample_children(kg, ents[-1], n_e, rng)
-        rels.append(r.reshape(len(r), -1))
-        ents.append(e.reshape(len(e), -1))
+        rels.append(table.rel.take(ents[-1], axis=0).reshape(len(ents[0]), -1))
+        ents.append(table.nbr.take(ents[-1], axis=0).reshape(len(ents[0]), -1))
     return ents, rels
 
 
-def assemble_batch(records, kg, ripple_sets, hp, item_entities, rng):
+def assemble_batch(records, table, ripple_sets, hp, item_entities):
     """Freeze ripple bags and neighbor trees for a batch of (user, item, label).
 
-    ``ripple_sets`` is the :class:`~ripplerec.kg.RippleTable` of
-    :func:`build_ripple_sets`; every hop bag of the batch (none under
-    ``user_table``) is one take from it.  A user the table does not know
-    raises ``KeyError`` naming the first such user.
+    ``table`` is the :class:`~ripplerec.kg.NeighborTable` of
+    :func:`build_neighbor_table`, whose width must be
+    ``hp.neighbor_size``; ``ripple_sets`` is the
+    :class:`~ripplerec.kg.RippleTable` of :func:`build_ripple_sets`.
+    Every tree level and every hop bag of the batch (none under
+    ``user_table``) is one take, so assembly draws no random number.  A
+    user the ripple table does not know raises ``KeyError`` naming the
+    first such user.
     """
     records = np.asarray(records)
     if len(records) == 0:
         raise ValueError("cannot assemble an empty batch")
+    if table.rel.shape[1] != hp.neighbor_size:
+        raise ValueError(f"neighbor table holds {table.rel.shape[1]} edges per entity, "
+                         f"neighbor_size is {hp.neighbor_size}")
     users = records[:, 0].astype(np.int64)
     items = records[:, 1].astype(np.int64)
     labels = records[:, 2].astype(np.int64)
     v_idx = np.asarray(item_entities, dtype=np.int64)[items]
     hop_bags = list(ripple_sets.take(users))
-    tree_ents, tree_rels = sample_item_trees(kg, v_idx, hp.conv_layers, hp.neighbor_size, rng)
+    tree_ents, tree_rels = sample_item_trees(table, v_idx, hp.conv_layers)
     return BatchBags(
         users=users, items=items, labels=labels, v_idx=v_idx,
         hop_bags=hop_bags, tree_ents=tree_ents, tree_rels=tree_rels,
@@ -250,10 +253,22 @@ class ForwardTrace:
     yhat: np.ndarray | None = None  # (B,)
 
 
+def _rows_matmul(a, b):
+    """``a @ b`` for a 2-D ``a`` of one row per example; a row's result does not depend on the row count.
+
+    numpy hands a one-row product to BLAS gemv, which rounds differently
+    from the gemm that every larger batch takes, so a lone row is doubled
+    and its first copy kept.
+    """
+    if len(a) == 1:
+        return (np.concatenate((a, a)) @ b)[:1]
+    return a @ b
+
+
 def _relation_transpose_apply(rel_mat, v):
     """R_r^T v for every row of ``v`` (B, d) and every relation: (B, R, d)."""
     n_rel, d, _ = rel_mat.shape
-    return (v @ rel_mat.transpose(1, 0, 2).reshape(d, n_rel * d)).reshape(len(v), n_rel, d)
+    return _rows_matmul(v, rel_mat.transpose(1, 0, 2).reshape(d, n_rel * d)).reshape(len(v), n_rel, d)
 
 
 def _relation_keys(rels, n_rel):
@@ -299,13 +314,13 @@ def _user_forward(params, bags, hp, trace):
     if hp.fusion == "shared":
         fused_in = np.sum(responses, axis=0) + v
         trace.fusion_in = fused_in
-        trace.u_rep = fused_in @ w[0].T
+        trace.u_rep = _rows_matmul(fused_in, w[0].T)
     else:
         carry = np.zeros_like(v)
         for k in range(hp.hops):
             rec_in = carry + responses[k]
             trace.rec_in.append(rec_in)
-            carry = rec_in @ w[k].T
+            carry = _rows_matmul(rec_in, w[k].T)
         trace.u_rep = carry + v
     return trace.u_rep
 
@@ -323,7 +338,7 @@ def _item_forward(params, bags, hp, trace):
     n_e = hp.neighbor_size
 
     # taste score u . r_e of every (example, relation), read by each tree edge at flat key b * R + r
-    taste = (u @ rel_vec.T).reshape(-1)
+    taste = _rows_matmul(u, rel_vec.T).reshape(-1)
     z = [None] * (depth + 1)
     z[depth] = ent.take(bags.tree_ents[depth], axis=0)
     trace.tree_keys = [None] * depth
@@ -576,21 +591,21 @@ def forward_backward(params, bags, hp, mean=True):
     return loss, trace
 
 
-def score_batch(params, records, kg, ripple_sets, hp, item_entities, rng):
+def score_batch(params, records, table, ripple_sets, hp, item_entities):
     """Predicted interaction probabilities for (user, item, ...) records.
 
-    All of ``records`` is assembled at once, so the tree draws and
-    ``rng``'s stream do not depend on how the forward is cut.  The
-    forward then runs over consecutive slices of at most
-    :data:`SCORE_ROWS` examples (:meth:`BatchBags.rows`), so its
-    per-row arrays stay cache sized; each example's score is the same
-    as from one forward over the whole batch.
+    Assembly and the forward run over consecutive slices of at most
+    :data:`SCORE_ROWS` examples, so the per-row arrays stay cache sized.
+    Bags are takes from the run's tables, so each example's score is the
+    same as from one forward over all of ``records``, however they are cut.
     """
-    bags = assemble_batch(records, kg, ripple_sets, hp, item_entities, rng)
-    yhat = np.empty(bags.size, dtype=params.values["entity_emb"].dtype)
-    for lo in range(0, bags.size, SCORE_ROWS):
-        hi = lo + SCORE_ROWS
-        yhat[lo:hi] = forward(params, bags.rows(lo, hi), hp).yhat
+    records = np.asarray(records)
+    if len(records) == 0:
+        raise ValueError("cannot score an empty batch")
+    yhat = np.empty(len(records), dtype=params.values["entity_emb"].dtype)
+    for lo in range(0, len(records), SCORE_ROWS):
+        bags = assemble_batch(records[lo:lo + SCORE_ROWS], table, ripple_sets, hp, item_entities)
+        yhat[lo:lo + SCORE_ROWS] = forward(params, bags, hp).yhat
     return yhat
 
 
@@ -599,13 +614,14 @@ def score_batch(params, records, kg, ripple_sets, hp, item_entities, rng):
 
 @dataclass
 class FitResult:
-    """What :func:`fit` returns: the best-validation parameters, and the ripple table they trained on."""
+    """What :func:`fit` returns: the best-validation parameters, and the two tables they trained on."""
 
     params: ParamStore
     history: list[dict]
     best_epoch: int
     test_report: metrics.MetricReport | None
     ripple_table: RippleTable
+    neighbor_table: NeighborTable
     diverged: bool = False
     skipped_users: int = 0  # distinct users whose train rows were dropped (unknown to the ripple table)
 
@@ -627,24 +643,41 @@ def build_ripple_sets(dataset, kg, hp, seed):
                               hp.hops, hp.ripple_size, np.random.default_rng([seed, 17]))
 
 
+def build_neighbor_table(kg, hp, seed):
+    """The run's :class:`~ripplerec.kg.NeighborTable`: ``hp.neighbor_size`` edges of every entity.
+
+    One :func:`~ripplerec.kg.sample_children` over all entities, from a
+    generator seeded by ``seed``.  It is built in every mode (also with
+    ``conv_layers = 0``, where no tree reads it), so a run has one path.
+    """
+    rels, nbrs = sample_children(kg, np.arange(kg.num_entities), hp.neighbor_size,
+                                 np.random.default_rng([seed, 19]))
+    return NeighborTable(rels, nbrs)
+
+
 def fit(dataset, kg, hp, seed=0, eval_train=False):
     """Minibatch training with per-epoch validation and best-snapshot selection.
 
-    The ripple table is built once per run from the train split's
-    label-1 rows (:func:`build_ripple_sets`); neighbor trees are drawn
-    fresh per batch, and every batch ends in one Adam step.  Train rows of
-    users the table does not know (``RippleTable.known``) are dropped,
-    and ``skipped_users`` counts those users.  Divergence aborts the run
-    and returns the last good snapshot with ``diverged`` set.
-    Single-threaded and deterministic for a fixed seed.  An empty
-    validation split is rejected before any training when
-    ``hp.epochs >= 1``, since each epoch ends by scoring it.
+    The ripple table (from the train split's label-1 rows,
+    :func:`build_ripple_sets`) and the neighbor table
+    (:func:`build_neighbor_table`) are built once per run; every batch
+    and every scoring pass takes its bags and trees from them, and every
+    batch ends in one Adam step.  Train rows of users the ripple table
+    does not know (``RippleTable.known``) are dropped, and
+    ``skipped_users`` counts those users.  Divergence aborts the run and
+    returns the last good snapshot with ``diverged`` set.
+    Single-threaded and deterministic for a fixed seed.  When
+    ``hp.epochs >= 1``, a validation split that is empty, or none of
+    whose users the ripple table knows, is rejected before any
+    training, since each epoch ends by scoring it.  The test report's
+    ``seed`` is the run's.
     """
     if hp.epochs >= 1 and len(dataset.validation) == 0:
         raise ValueError("empty validation split: every epoch is selected on it "
                          "(give validation a share in ratios, or train with epochs = 0)")
     params = init_params(kg.num_entities, kg.num_relations, hp, seed=seed, num_users=dataset.num_users)
     ripple_sets = build_ripple_sets(dataset, kg, hp, seed)
+    neighbors = build_neighbor_table(kg, hp, seed)
     keep = ripple_sets.known(dataset.train[:, 0])
     train = dataset.train[keep]
     skipped_users = len(np.unique(dataset.train[~keep, 0]))
@@ -653,6 +686,9 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
                        int((~keep).sum()), skipped_users)
     if len(train) == 0:
         raise ValueError("no train rows (empty train split, or every user lacks a ripple set)")
+    if hp.epochs >= 1 and not ripple_sets.known(dataset.validation[:, 0]).any():
+        raise ValueError("validation split has no scorable examples: the ripple table knows none of its users "
+                         "(each needs a train positive whose entity has an outgoing triple)")
     history: list[dict] = []
     best = params.copy()
     best_auc = -np.inf
@@ -667,8 +703,7 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
         try:
             for start in range(0, len(shuffled), hp.batch_size):
                 batch = shuffled[start:start + hp.batch_size]
-                rng = np.random.default_rng([seed, 3, epoch, start])
-                bags = assemble_batch(batch, kg, ripple_sets, hp, dataset.item_entities, rng)
+                bags = assemble_batch(batch, neighbors, ripple_sets, hp, dataset.item_entities)
                 loss, _ = forward_backward(params, bags, hp)
                 total += loss * len(batch)
                 params.adam_step(hp.lr)
@@ -679,17 +714,12 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
         train_loss = total / len(shuffled)
 
         row = {"epoch": epoch, "train_loss": train_loss}
-        val = metrics.evaluate(
-            params, dataset.validation, kg, ripple_sets, hp, dataset.item_entities,
-            seed=seed * 1000 + epoch, split="validation",
-        )
+        val = metrics.evaluate(params, dataset.validation, neighbors, ripple_sets, hp, dataset.item_entities,
+                               split="validation")
         row["val_auc"] = val.auc
         row["val_acc"] = val.acc
         if eval_train:
-            tr = metrics.evaluate(
-                params, train, kg, ripple_sets, hp, dataset.item_entities,
-                seed=seed * 1000 + epoch, split="train",
-            )
+            tr = metrics.evaluate(params, train, neighbors, ripple_sets, hp, dataset.item_entities, split="train")
             row["train_auc"] = tr.auc
         history.append(row)
 
@@ -709,9 +739,9 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
     final = best
     test_report = None
     if len(dataset.test):
-        test_report = metrics.evaluate(
-            final, dataset.test, kg, ripple_sets, hp, dataset.item_entities,
-            seed=seed * 1000 + 999, split="test",
-        )
+        test_report = metrics.evaluate(final, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities,
+                                       split="test")
+        test_report.seed = seed
     return FitResult(params=final, history=history, best_epoch=best_epoch, test_report=test_report,
-                     ripple_table=ripple_sets, diverged=diverged, skipped_users=skipped_users)
+                     ripple_table=ripple_sets, neighbor_table=neighbors, diverged=diverged,
+                     skipped_users=skipped_users)

@@ -35,6 +35,11 @@ def mid_data(mid_files):
     return kg, dataset
 
 
+def tables(kg, dataset, hp, seed=0):
+    """A run's (neighbor table, ripple table) for ``seed``, built as ``fit`` builds them."""
+    return rr.build_neighbor_table(kg, hp, seed), rr.build_ripple_sets(dataset, kg, hp, seed)
+
+
 def write_kg(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for h, r, t in rows:

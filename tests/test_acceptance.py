@@ -25,7 +25,7 @@ from ripplerec.kg import build_ripple_table, sample_children
 from ripplerec.metrics import auc
 from ripplerec.model import Hyperparams, assemble_batch, batch_loss, fit, forward_backward, init_params
 
-from conftest import train_seeds
+from conftest import tables, train_seeds
 
 
 @contextlib.contextmanager
@@ -48,9 +48,7 @@ def test_gradient_correctness(tiny_data):
         kg, dataset = tiny_data
         hp = Hyperparams(embed_dim=8, hops=2, ripple_size=4, neighbor_size=2,
                          conv_layers=2, l2_weight=1e-4, precision="f64")
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-        bags = assemble_batch(dataset.train[:8], kg, ripple_sets, hp,
-                              dataset.item_entities, np.random.default_rng(0))
+        bags = assemble_batch(dataset.train[:8], *tables(kg, dataset, hp), hp, dataset.item_entities)
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
         params.zero_grads()
         forward_backward(params, bags, hp)
@@ -113,12 +111,10 @@ def test_synthetic_generalization(mid_data):
         result = fit(dataset, kg, hp, seed=0)
         assert result.test_report.auc >= 0.85, f"test AUC {result.test_report.auc:.4f}"
 
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-        rng = np.random.default_rng(123)
-        scores = rr.score_batch(result.params, dataset.test, kg, ripple_sets, hp,
-                                dataset.item_entities, rng)
+        scores = rr.score_batch(result.params, dataset.test, result.neighbor_table, result.ripple_table, hp,
+                                dataset.item_entities)
         labels = dataset.test[:, 2].copy()
-        rng.shuffle(labels)
+        np.random.default_rng(123).shuffle(labels)
         control = auc(scores, labels)
         assert abs(control - 0.5) <= 0.05, f"shuffled-label AUC {control:.4f}"
 

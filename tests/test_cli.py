@@ -377,6 +377,41 @@ class TestTrainEvalSweep:
         assert "retrain the snapshot" in err
         assert not (out / "eval_test.csv").exists()
 
+    @pytest.mark.parametrize("edit, expect", [
+        ("missing", "missing key 'neighbor_table_sha256' (trained before the per-run neighbor table"),
+        ("altered", "neighbor_table_sha256 does not match the neighbor table rebuilt"),
+    ])
+    def test_eval_checks_the_neighbor_table_checksum(self, workdir, untrained_run, tmp_path, capsys, edit, expect):
+        out = tmp_path / "run"
+        shutil.copytree(untrained_run, out)
+        manifest = out / "model.manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        key = [i for i, line in enumerate(lines) if line.startswith("neighbor_table_sha256 = ")]
+        assert len(key) == 1
+        if edit == "missing":
+            del lines[key[0]]
+        else:
+            lines[key[0]] = f"neighbor_table_sha256 = {'0' * 64}\n"
+        manifest.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        rc = run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED, err
+        assert f"{manifest}: {expect}" in err, err
+        assert "retrain the snapshot" in err
+        assert not (out / "eval_test.csv").exists()
+
+    def test_eval_scores_do_not_depend_on_the_eval_seed(self, workdir, untrained_run, tmp_path):
+        # both tables come from the manifest's run seed, and scoring draws nothing
+        rows = []
+        for seed in (5, 6):
+            out = tmp_path / f"seed{seed}"
+            shutil.copytree(untrained_run, out)
+            assert run_cli("eval", "--config", workdir / "cfg.txt", "--seed", seed, "--out", out) == 0
+            rows.append((out / "eval_test.csv").read_text(encoding="utf-8").splitlines()[1].split(","))
+        assert rows[0] == rows[1]
+        assert rows[0][5] == "5"  # the seed column holds the run seed that drew both tables
+
     def test_user_without_train_positive_skipped_not_fatal(self, workdir, untrained_run, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(untrained_run, out)

@@ -14,7 +14,7 @@ from ripplerec.kg import (
     sample_children,
     write_vocab,
 )
-from ripplerec.model import sample_item_trees
+from ripplerec.model import Hyperparams, build_neighbor_table, sample_item_trees
 
 from conftest import adjacency, reference_ripple_bags, train_seeds, write_kg
 
@@ -117,6 +117,16 @@ class TestSampleNeighbors:
         rels, nbrs = sample_children(kg, [b], 3, np.random.default_rng(0))
         assert np.all(rels == NULL_RELATION)
         assert np.all(nbrs == b)
+
+    def test_neighbor_table_pads_edgeless_entities(self, tmp_path):
+        kg = load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
+        table = build_neighbor_table(kg, Hyperparams(neighbor_size=3), seed=0)
+        a, b = kg.entity_vocab["a"], kg.entity_vocab["b"]  # b has no outgoing edge in directed mode
+        assert table.rel.shape == table.nbr.shape == (kg.num_entities, 3)
+        assert table.rel[b].tolist() == [NULL_RELATION] * 3 and table.nbr[b].tolist() == [b] * 3
+        assert table.rel[a].tolist() == [kg.relation_vocab["r"]] * 3 and table.nbr[a].tolist() == [b] * 3
+        with pytest.raises(ValueError, match="read-only"):
+            table.nbr[b, 0] = a
 
     def test_invalid_size_rejected(self, chain_kg):
         with pytest.raises(ValueError):
@@ -331,17 +341,21 @@ class TestCsrOracle:
         assert rng.random() == ref_rng.random()
 
     def test_sample_item_trees_stream(self, random_kg):
+        """The run's table is the per-entity draw loop over every entity; each tree node reads its row."""
         adj = adjacency(random_kg)
-        v_idx = np.arange(random_kg.num_entities)
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        ents, rels = sample_item_trees(random_kg, v_idx, 2, 3, rng)
-        want_ents = [v_idx.reshape(-1, 1)]
+        table = build_neighbor_table(random_kg, Hyperparams(neighbor_size=3), seed=5)
+        want_rels, want_nbrs = _reference_children(adj, np.arange(random_kg.num_entities), 3,
+                                                   np.random.default_rng([5, 19]))
+        assert _same_bytes(table.rel, want_rels) and _same_bytes(table.nbr, want_nbrs)
+        v_idx = np.random.default_rng(1).integers(0, random_kg.num_entities, size=9)
+        ents, rels = sample_item_trees(table, v_idx, 2)
+        assert rels[0] is None and _same_bytes(ents[0], v_idx.reshape(-1, 1))
         for depth in (1, 2):
-            r, e = _reference_children(adj, want_ents[-1], 3, ref_rng)
-            assert _same_bytes(rels[depth], r.reshape(len(v_idx), -1))
-            want_ents.append(e.reshape(len(v_idx), -1))
-            assert _same_bytes(ents[depth], want_ents[-1])
-        assert rng.random() == ref_rng.random()
+            parents = ents[depth - 1]
+            want_r = [[r for e in row for r in want_rels[e]] for row in parents.tolist()]
+            want_e = [[c for e in row for c in want_nbrs[e]] for row in parents.tolist()]
+            assert _same_bytes(rels[depth], np.array(want_r, dtype=np.int64))
+            assert _same_bytes(ents[depth], np.array(want_e, dtype=np.int64))
 
     def test_build_ripple_set_stream(self, random_kg):
         adj = adjacency(random_kg)

@@ -9,6 +9,8 @@ from ripplerec.kg import RippleTable
 from ripplerec.metrics import MetricReport, acc, auc, evaluate
 from ripplerec.model import SCORE_ROWS, Hyperparams
 
+from conftest import tables
+
 
 def pairwise_auc(scores, labels):
     """Quadratic oracle: fraction of correctly ordered (pos, neg) pairs, ties half."""
@@ -105,8 +107,7 @@ class TestEvaluate:
             return np.asarray(records)[:, 2].astype(float)
 
         monkeypatch.setattr(ripplerec.model, "score_batch", oracle)
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-        report = evaluate(None, dataset.test, kg, ripple_sets, hp, dataset.item_entities, seed=1)
+        report = evaluate(None, dataset.test, *tables(kg, dataset, hp), hp, dataset.item_entities)
         assert report.auc == 1.0
         assert report.acc == 1.0
 
@@ -122,7 +123,7 @@ class TestEvaluate:
         has = np.ones(dataset.num_users, dtype=bool)
         has[users[0]] = False
         table = RippleTable(np.zeros((hp.hops, dataset.num_users, 1, 3), dtype=np.int64), has)
-        report = evaluate(None, dataset.test, kg, table, hp, dataset.item_entities, seed=1)
+        report = evaluate(None, dataset.test, rr.build_neighbor_table(kg, hp, 0), table, hp, dataset.item_entities)
         dropped = int((dataset.test[:, 0] == users[0]).sum())
         assert report.skipped == dropped
         assert report.n_examples == len(dataset.test) - dropped
@@ -133,51 +134,48 @@ class TestEvaluate:
         hp = Hyperparams(embed_dim=4, hops=1, ripple_size=4, neighbor_size=2, user_table=user_table,
                          precision="f64")
         params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0, num_users=dataset.num_users)
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-        base = evaluate(params, dataset.test, kg, ripple_sets, hp, dataset.item_entities, seed=1)
+        neighbors, ripple_sets = tables(kg, dataset, hp)
+        base = evaluate(params, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities)
         strays = np.array([(-1, 0, 1), (dataset.num_users, 1, 0)])
-        report = evaluate(params, np.concatenate([dataset.test, strays]), kg, ripple_sets, hp,
-                          dataset.item_entities, seed=1)
+        report = evaluate(params, np.concatenate([dataset.test, strays]), neighbors, ripple_sets, hp,
+                          dataset.item_entities)
         assert (report.skipped, report.n_examples) == (base.skipped + 2, base.n_examples)
         assert (report.auc, report.acc) == (base.auc, base.acc)
 
     def test_empty_split_rejected(self, tiny_data):
         kg, dataset = tiny_data
         hp = Hyperparams()
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
         with pytest.raises(ValueError):
-            evaluate(None, np.empty((0, 3), dtype=int), kg, ripple_sets, hp, dataset.item_entities)
+            evaluate(None, np.empty((0, 3), dtype=int), *tables(kg, dataset, hp), hp, dataset.item_entities)
 
     def test_csv_row_format(self):
         report = MetricReport(split="test", auc=0.91234567, acc=0.85, n_examples=100, skipped=3, seed=9)
         assert report.to_csv_row() == "test,0.912346,0.850000,100,3,9"
         assert MetricReport.CSV_HEADER.split(",") == ["split", "auc", "acc", "n", "skipped", "seed"]
 
-    def test_deterministic_given_seed_and_multi_batch_path(self, tiny_data):
+    def test_deterministic_given_seed_and_multi_batch_path(self, tiny_data, monkeypatch):
+        # the tables of one run seed fix every score: scoring draws nothing, and slicing changes nothing
         kg, dataset = tiny_data
         hp = Hyperparams(embed_dim=4, hops=1, ripple_size=4, neighbor_size=2, precision="f64")
         params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0)
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-        kwargs = dict(seed=21, split="test")
-        a = evaluate(params, dataset.test, kg, ripple_sets, hp, dataset.item_entities, **kwargs)
-        b = evaluate(params, dataset.test, kg, ripple_sets, hp, dataset.item_entities, **kwargs)
-        assert (a.auc, a.acc) == (b.auc, b.acc)
-        small = evaluate(params, dataset.test, kg, ripple_sets, hp, dataset.item_entities,
-                         batch_size=16, **kwargs)
-        assert small.n_examples == a.n_examples
-        assert 0.0 <= small.auc <= 1.0
+        a = evaluate(params, dataset.test, *tables(kg, dataset, hp, 21), hp, dataset.item_entities)
+        b = evaluate(params, dataset.test, *tables(kg, dataset, hp, 21), hp, dataset.item_entities)
+        assert a == b and a.seed == 0
+        monkeypatch.setattr(ripplerec.model, "SCORE_ROWS", 16)
+        assert len(dataset.test) > 16
+        assert evaluate(params, dataset.test, *tables(kg, dataset, hp, 21), hp, dataset.item_entities) == a
 
     def test_peak_memory_bounded_by_one_train_step(self, tiny_data):
         # A forward over all 4 * SCORE_ROWS rows at once peaked at 3.2x one
-        # SCORE_ROWS-row train step here; forward slices of SCORE_ROWS rows
-        # peak at 1.36x, the rest being the draw group's own bags and trees.
+        # SCORE_ROWS-row train step here; forward slices over one 4096-row
+        # draw group peaked at 1.36x.  Assembling per slice leaves one
+        # slice's bags and trees alive.
         kg, dataset = tiny_data
         hp = Hyperparams(embed_dim=16, hops=2, ripple_size=32, neighbor_size=8, conv_layers=2)
         params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0)
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        neighbors, ripple_sets = tables(kg, dataset, hp)
         records = np.resize(dataset.train, (4 * SCORE_ROWS, 3))
-        bags = ripplerec.model.assemble_batch(records[:SCORE_ROWS], kg, ripple_sets, hp, dataset.item_entities,
-                                              np.random.default_rng(1))
+        bags = ripplerec.model.assemble_batch(records[:SCORE_ROWS], neighbors, ripple_sets, hp, dataset.item_entities)
 
         def peak(run):
             tracemalloc.start()
@@ -189,5 +187,5 @@ class TestEvaluate:
 
         params.zero_grads()
         step = peak(lambda: ripplerec.model.forward_backward(params, bags, hp))
-        scoring = peak(lambda: evaluate(params, records, kg, ripple_sets, hp, dataset.item_entities, seed=1))
+        scoring = peak(lambda: evaluate(params, records, neighbors, ripple_sets, hp, dataset.item_entities))
         assert scoring < 2.0 * step, f"evaluate peaked at {scoring / step:.2f}x one train step"

@@ -9,6 +9,7 @@ import ripplerec as rr
 import ripplerec.model
 from ripplerec.core import ParamStore, finite_diff_check
 from ripplerec.kg import NULL_RELATION
+from ripplerec.metrics import evaluate
 from ripplerec.synthetic import SyntheticSpec, generate
 from ripplerec.model import (
     SCORE_ROWS,
@@ -23,7 +24,7 @@ from ripplerec.model import (
     score_batch,
 )
 
-from conftest import adjacency, make_params, one_example, reference_ripple_bags, train_seeds, write_kg
+from conftest import adjacency, make_params, one_example, reference_ripple_bags, tables, train_seeds, write_kg
 
 
 def hp64(**kw):
@@ -192,9 +193,9 @@ class TestNeighborAggregate:
         np.testing.assert_allclose(out, [(2 / 3) * 3.0 + (1 / 3) * 9.0], rtol=1e-12)
 
 
-def _item_rep(params, kg, center, hp, rng):
-    """Item representation of ``center`` over a tree sampled from ``kg``, user pinned by ``user_emb``."""
-    tree = ripplerec.model.sample_item_trees(kg, np.array([center]), hp.conv_layers, hp.neighbor_size, rng)
+def _item_rep(params, kg, center, hp):
+    """Item representation of ``center`` over its tree in ``kg``'s neighbor table, user pinned by ``user_emb``."""
+    tree = ripplerec.model.sample_item_trees(rr.build_neighbor_table(kg, hp, 0), np.array([center]), hp.conv_layers)
     return forward(params, one_example(center, tree=tree), hp).i_rep[0]
 
 
@@ -207,7 +208,7 @@ class TestItemRepresentation:
         params = make_params(hp, 2, 1,
                              entity_emb=np.vstack([v, n]), user_emb=[[1.0, 1.0]],
                              conv_w=[np.eye(2)], conv_b=[np.zeros(2)])
-        out = _item_rep(params, kg, kg.entity_vocab["a"], hp, np.random.default_rng(0))
+        out = _item_rep(params, kg, kg.entity_vocab["a"], hp)
         np.testing.assert_allclose(out, np.tanh(v + n), rtol=1e-12)
 
     def test_zero_weights_zero_output(self, tmp_path):
@@ -215,13 +216,13 @@ class TestItemRepresentation:
         hp = hp64(embed_dim=2, conv_layers=1, neighbor_size=2, user_table=True)
         params = make_params(hp, 2, 1, user_emb=[np.ones(2)],
                              conv_w=[np.zeros((2, 2))], conv_b=[np.zeros(2)])
-        out = _item_rep(params, kg, 0, hp, np.random.default_rng(0))
+        out = _item_rep(params, kg, 0, hp)
         np.testing.assert_allclose(out, 0.0)
 
     def test_layers_zero_passes_raw_embedding(self, chain_kg):
         hp = hp64(embed_dim=8, conv_layers=0, user_table=True)
         params = make_params(hp, chain_kg.num_entities, chain_kg.num_relations, user_emb=[np.ones(8)])
-        out = _item_rep(params, chain_kg, 1, hp, np.random.default_rng(0))
+        out = _item_rep(params, chain_kg, 1, hp)
         np.testing.assert_array_equal(out, params.values["entity_emb"][1])
 
     def test_two_layer_scalar_chain_matches_recursion_oracle(self, tmp_path):
@@ -239,8 +240,7 @@ class TestItemRepresentation:
                              conv_b=[[b[0]], [b[1]]],
                              user_emb=[[u]])
         center = kg.entity_vocab["e0"]
-        ents, rels = ripplerec.model.sample_item_trees(kg, np.array([center]), 2, 2,
-                                                       np.random.default_rng(5))
+        ents, rels = ripplerec.model.sample_item_trees(rr.build_neighbor_table(kg, hp, 5), np.array([center]), 2)
 
         # independent scalar recursion over the same sampled tree (pure python)
         def softmax_py(scores):
@@ -326,17 +326,19 @@ class TestLoss:
 
     def test_empty_batch_rejected(self, tiny_data):
         kg, dataset = tiny_data
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp64(), seed=0)
         with pytest.raises(ValueError, match="empty"):
-            rr.assemble_batch(np.empty((0, 3), dtype=int), kg, ripple_sets, hp64(),
-                              dataset.item_entities, np.random.default_rng(0))
+            rr.assemble_batch(np.empty((0, 3), dtype=int), *tables(kg, dataset, hp64()), hp64(), dataset.item_entities)
+
+    def test_neighbor_table_of_another_width_rejected(self, tiny_data):
+        kg, dataset = tiny_data
+        neighbors, ripple_sets = tables(kg, dataset, hp64(neighbor_size=4))
+        with pytest.raises(ValueError, match="4 edges per entity, neighbor_size is 8"):
+            rr.assemble_batch(dataset.train[:4], neighbors, ripple_sets, hp64(neighbor_size=8), dataset.item_entities)
 
 
 def _tiny_batch(tiny_data, hp, n=12, seed=2):
     kg, dataset = tiny_data
-    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=seed)
-    rng = np.random.default_rng(seed)
-    bags = assemble_batch(dataset.train[:n], kg, ripple_sets, hp, dataset.item_entities, rng)
+    bags = assemble_batch(dataset.train[:n], *tables(kg, dataset, hp, seed), hp, dataset.item_entities)
     params = init_params(kg.num_entities, kg.num_relations, hp, seed=seed, num_users=dataset.num_users)
     return params, bags
 
@@ -356,10 +358,8 @@ class TestForwardBackward:
         # linearity of the sum-reduced gradient, with the sampled bags held fixed
         hp = hp64(hops=2, ripple_size=4, neighbor_size=2, conv_layers=1, l2_weight=0.0)
         kg, dataset = tiny_data
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
-        rng = np.random.default_rng(3)
-        single = assemble_batch(dataset.train[:1], kg, ripple_sets, hp, dataset.item_entities, rng)
+        single = assemble_batch(dataset.train[:1], *tables(kg, dataset, hp), hp, dataset.item_entities)
 
         def tile(arr):
             return np.concatenate([arr, arr], axis=0)
@@ -716,9 +716,7 @@ def _oracle_batch(data, variant, precision):
     kg, dataset = data
     kw = dict(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0, precision=precision)
     hp = Hyperparams(**{**kw, **variant})
-    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-    bags = assemble_batch(dataset.train[:64], kg, ripple_sets, hp, dataset.item_entities,
-                          np.random.default_rng(1))
+    bags = assemble_batch(dataset.train[:64], *tables(kg, dataset, hp), hp, dataset.item_entities)
     params = init_params(kg.num_entities, kg.num_relations, hp, seed=0, num_users=dataset.num_users)
     return hp, params, bags
 
@@ -774,9 +772,11 @@ class TestFusedBackwardOracle:
     def test_gradients_match_per_relation_reference(self, many_relation_data, fusion, monkeypatch):
         kg, dataset = many_relation_data
         hp = hp64(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, fusion=fusion, l2_weight=0.0)
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-        bags = assemble_batch(dataset.train[:64], kg, ripple_sets, hp, dataset.item_entities,
-                              np.random.default_rng(1))
+        # the neighbor table of seed 3: in seed 0's, every node with a relation-1 edge has only
+        # relation-1 children, so relation 1's taste gradient is exactly 0 and both sides return
+        # rounding noise of 1e-20, whose relative gap means nothing (see the check below)
+        bags = assemble_batch(dataset.train[:64], rr.build_neighbor_table(kg, hp, 3),
+                              rr.build_ripple_sets(dataset, kg, hp, 0), hp, dataset.item_entities)
         present = np.unique(np.concatenate([bag[..., 1].reshape(-1) for bag in bags.hop_bags]))
         assert len(present) >= 8, "fixture too small: too few relations in the hop bags"
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
@@ -793,6 +793,8 @@ class TestFusedBackwardOracle:
         assert len(ref_trace.ref_rh) == hp.hops  # the reference path ran
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         np.testing.assert_allclose(trace.yhat, ref_trace.yhat, rtol=1e-12)
+        taste_rows = np.abs(want["relation_vec"]).max(axis=1)
+        assert np.all(taste_rows > 1e-12 * taste_rows.max()), "a relation's taste gradient is degenerate"
         for name in want:
             assert np.any(want[name] != 0.0), name
             np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
@@ -812,9 +814,9 @@ class TestFusedBackwardOracle:
         kg, dataset = _dead_end_data(tmp_path)
         hp = Hyperparams(hops=2, ripple_size=4, neighbor_size=2, conv_layers=2, l2_weight=0.0,
                          precision=precision)
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
+        neighbors, ripple_sets = tables(kg, dataset, hp)
         train = dataset.train[ripple_sets.known(dataset.train[:, 0])]
-        bags = assemble_batch(train, kg, ripple_sets, hp, dataset.item_entities, np.random.default_rng(1))
+        bags = assemble_batch(train, neighbors, ripple_sets, hp, dataset.item_entities)
         assert any(np.any(rels == NULL_RELATION) for rels in bags.tree_rels[1:])
         # a sampled pad fills all children of a dead end, whose g_scores then cancel
         # to 0; one pad beside real edges shows whether pads leak into G[b, 0]
@@ -900,9 +902,7 @@ class TestPrecisionAgreement:
         for precision in ("f32", "f64"):
             kw = dict(hops=2, ripple_size=16, neighbor_size=4, conv_layers=2, precision=precision)
             hp = Hyperparams(**{**kw, **variant})
-            ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=4)
-            bags = assemble_batch(dataset.train[:256], kg, ripple_sets, hp, dataset.item_entities,
-                                  np.random.default_rng(4))
+            bags = assemble_batch(dataset.train[:256], *tables(kg, dataset, hp, 4), hp, dataset.item_entities)
             params = init_params(kg.num_entities, kg.num_relations, hp, seed=4,
                                  num_users=dataset.num_users)
             yhat[precision] = forward(params, bags, hp).yhat
@@ -940,38 +940,34 @@ class TestScoreBatch:
         kg, dataset = tiny_data
         kw = dict(hops=2, ripple_size=8, neighbor_size=4, conv_layers=2, precision=precision)
         hp = Hyperparams(**{**kw, **variant})
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=6)
+        neighbors, ripple_sets = tables(kg, dataset, hp, 6)
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=6, num_users=dataset.num_users)
         records = np.resize(dataset.train, (n, 3))
-        rng_sliced, rng_whole = np.random.default_rng(9), np.random.default_rng(9)
-        got = score_batch(params, records, kg, ripple_sets, hp, dataset.item_entities, rng_sliced)
-        bags = assemble_batch(records, kg, ripple_sets, hp, dataset.item_entities, rng_whole)
+        got = score_batch(params, records, neighbors, ripple_sets, hp, dataset.item_entities)
+        bags = assemble_batch(records, neighbors, ripple_sets, hp, dataset.item_entities)
         want = forward(params, bags, hp).yhat
         assert got.dtype == want.dtype == hp.dtype
         assert got.shape == want.shape == (n,)
         assert got.tobytes() == want.tobytes()
-        assert rng_sliced.bit_generator.state == rng_whole.bit_generator.state
 
-    def test_rows_are_views(self, tiny_data):
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", SLICE_VARIANTS, ids=SLICE_IDS)
+    def test_same_bytes_for_any_score_rows(self, tiny_data, variant, precision, monkeypatch):
+        """``score_batch`` and ``evaluate`` do not depend on how the rows are cut."""
         kg, dataset = tiny_data
-        hp = hp64(hops=2, ripple_size=8, neighbor_size=4, conv_layers=2)
-        ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=6)
-        bags = assemble_batch(dataset.train[:40], kg, ripple_sets, hp, dataset.item_entities,
-                              np.random.default_rng(9))
-        part = bags.rows(5, 17)
-        assert part.size == 12
-        pairs = [(part.users, bags.users), (part.items, bags.items), (part.labels, bags.labels),
-                 (part.v_idx, bags.v_idx)]
-        pairs += list(zip(part.hop_bags, bags.hop_bags))
-        pairs += list(zip(part.tree_ents, bags.tree_ents))
-        pairs += list(zip(part.tree_rels[1:], bags.tree_rels[1:]))
-        assert len(pairs) == 4 + hp.hops + 2 * hp.conv_layers + 1
-        for view, parent in pairs:
-            assert np.shares_memory(view, parent)
-            assert view.base is not None
-            np.testing.assert_array_equal(view, parent[5:17])
-        assert part.tree_rels[0] is None
-        assert len(part.tree_rels) == len(bags.tree_rels)
+        kw = dict(hops=2, ripple_size=8, neighbor_size=4, conv_layers=2, precision=precision)
+        hp = Hyperparams(**{**kw, **variant})
+        neighbors, ripple_sets = tables(kg, dataset, hp, 6)
+        params = init_params(kg.num_entities, kg.num_relations, hp, seed=6, num_users=dataset.num_users)
+        records = dataset.test[ripple_sets.known(dataset.test[:, 0])]
+        assert len(records) > 7
+        outputs = []
+        for rows in (1, 7, 1024):
+            monkeypatch.setattr(ripplerec.model, "SCORE_ROWS", rows)
+            scores = score_batch(params, records, neighbors, ripple_sets, hp, dataset.item_entities)
+            report = evaluate(params, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities)
+            outputs.append((scores.dtype, scores.tobytes(), report))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestFit:
@@ -1057,6 +1053,20 @@ class TestFit:
         assert result.skipped_users == 1
         assert f"dropped {dropped} train rows of 1 users" in caplog.text
         assert len(result.history) == 1
+
+    def test_unknown_validation_users_rejected_before_training(self, tiny_data, monkeypatch):
+        # validation holds only user 0, and user 0 keeps no train positive: no ripple set to score it with
+        kg, dataset = tiny_data
+        train = dataset.train[(dataset.train[:, 0] != 0) | (dataset.train[:, 2] == 0)]
+        validation = dataset.validation[dataset.validation[:, 0] == 0]
+        assert len(validation) > 0
+        steps = []
+        monkeypatch.setattr(ripplerec.model, "forward_backward", lambda *args, **kwargs: steps.append(1))
+        unscorable = dataclasses.replace(dataset, train=train, validation=validation)
+        with pytest.raises(ValueError, match="validation split has no scorable examples"):
+            fit(unscorable, kg, self._hp(epochs=1), seed=1)
+        assert steps == []
+        fit(unscorable, kg, self._hp(epochs=0), seed=1)  # no epoch, nothing to select on
 
     def test_dead_end_user_skipped_not_fatal(self, tmp_path, caplog):
         # directed graph: items 0-3 lie on m0..m3, which have outgoing triples;

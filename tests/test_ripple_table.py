@@ -18,7 +18,7 @@ from ripplerec.kg import RippleSet, RippleTable
 from ripplerec.metrics import evaluate
 from ripplerec.model import Hyperparams, assemble_batch
 
-from conftest import adjacency, reference_ripple_bags, train_seeds, write_kg
+from conftest import adjacency, reference_ripple_bags, tables, train_seeds, write_kg
 
 
 def _dict_build_ripple_sets(dataset, kg, hp, seed):
@@ -118,7 +118,7 @@ def test_hop_bags_match_dict_oracle(tmp_path, seed, directed):
 
     batch = dataset.train[np.isin(dataset.train[:, 0], list(oracle))]
     assert len(batch) > 0
-    bags = assemble_batch(batch, kg, ripple_sets, hp, dataset.item_entities, np.random.default_rng(seed))
+    bags = assemble_batch(batch, rr.build_neighbor_table(kg, hp, seed), ripple_sets, hp, dataset.item_entities)
     want = _stacked_hop_bags(oracle, batch[:, 0], hp.hops)
     assert len(bags.hop_bags) == hp.hops
     for got, w in zip(bags.hop_bags, want):
@@ -171,22 +171,21 @@ def test_table_reads_train_positives_only(tmp_path):
 @pytest.mark.parametrize("user", [0, 3, -1])
 def test_batch_user_without_ripple_set_raises_key_error(tmp_path, user):
     kg, dataset, hp = _dead_end_case(tmp_path)
-    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
     batch = np.array([(1, 0, 1), (user, 4, 1), (2, 1, 0), (0, 5, 1)])
     with pytest.raises(KeyError) as err:
-        assemble_batch(batch, kg, ripple_sets, hp, dataset.item_entities, np.random.default_rng(0))
+        assemble_batch(batch, *tables(kg, dataset, hp), hp, dataset.item_entities)
     assert err.value.args == (user,)
 
 
 def test_evaluate_skip_count_same_for_table_and_dict(tmp_path, monkeypatch):
     kg, dataset, hp = _dead_end_case(tmp_path)
     params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0)
-    ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-    real = evaluate(params, dataset.test, kg, ripple_sets, hp, dataset.item_entities, seed=1)
+    neighbors, ripple_sets = tables(kg, dataset, hp)
+    real = evaluate(params, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities)
     assert (real.skipped, real.n_examples) == (2, 4)
 
     monkeypatch.setattr(ripplerec.model, "score_batch", lambda params, records, *a: np.full(len(records), 0.5))
-    report = evaluate(None, dataset.test, kg, ripple_sets, hp, dataset.item_entities, seed=1)
+    report = evaluate(None, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities)
     assert (report.skipped, report.n_examples) == (2, 4)
 
 
