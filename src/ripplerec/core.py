@@ -21,18 +21,77 @@ ADAM_EPS = 1e-8
 SNAPSHOT_MAGIC = "ripplerec-params-v1"
 
 
+LANES = 8  # numpy's pairwise sum keeps 8 partial sums
+NUMPY_SUM_MIN_ROW = 16  # rows at least this long are summed by numpy, which is faster there
+
+
+def _lane_fold(op, x):
+    """``op`` folded over the last axis in numpy's pairwise-sum order, as whole-array ops.
+
+    numpy reduces a short last axis one row at a time; here each step is
+    one elementwise ``op`` over every row.  A row of fewer than 8 entries
+    is folded in sequence.  Otherwise lane j folds a_j, a_{j+8}, ... over
+    the first n - n % 8 entries, the lanes combine as
+    ((r0 op r1) op (r2 op r3)) op ((r4 op r5) op (r6 op r7)), and the
+    tail is folded in after them, in sequence.
+    """
+    n = x.shape[-1]
+    if n < LANES:
+        acc = x[..., :1].copy()
+        tail = range(1, n)
+    else:
+        body = n - n % LANES
+        acc = x[..., :LANES].copy()
+        for i in range(LANES, body, LANES):
+            op(acc, x[..., i:i + LANES], out=acc)
+        while acc.shape[-1] > 1:
+            acc = op(acc[..., 0::2], acc[..., 1::2])
+        tail = range(body, n)
+    for j in tail:
+        op(acc, x[..., j:j + 1], out=acc)
+    return acc
+
+
+def _last_axis_max(x):
+    """``x.max(axis=-1, keepdims=True)``, 8 lanes at a time.
+
+    Max is exact in any order, so the bytes are numpy's, but for a row
+    whose maximum is a tie of +0.0 and -0.0: numpy returns the zero its
+    SIMD lanes meet last, which varies by CPU, and this either zero.
+    """
+    return _lane_fold(np.maximum, x)
+
+
+def _last_axis_sum(x):
+    """``x.sum(axis=-1, keepdims=True)`` byte for byte on a contiguous last axis.
+
+    numpy adds a row's pairwise sum (:func:`_lane_fold`'s order up to
+    128 entries) to its identity 0.0, so a row of -0.0 sums to +0.0.
+    Rows of ``NUMPY_SUM_MIN_ROW`` or more entries go to numpy itself.
+    """
+    if x.shape[-1] >= NUMPY_SUM_MIN_ROW:
+        return x.sum(axis=-1, keepdims=True)
+    acc = _lane_fold(np.add, x)
+    acc += 0.0
+    return acc
+
+
 def softmax(scores):
     """Softmax over the last axis, computed with a max shift for stability.
 
     Accepts any nonempty array of finite scores.  Output entries are
-    positive and sum to 1 along the last axis.
+    positive and sum to 1 along the last axis.  The max and the sum are
+    :func:`_last_axis_max` and :func:`_last_axis_sum`, which equal
+    numpy's ``max`` and ``sum`` over a contiguous last axis byte for
+    byte (up to the sign of a zero maximum, which the shift does not
+    see), so the output is that of the plain numpy expression.
     """
     scores = np.asarray(scores)
     if scores.size == 0:
         raise ValueError("softmax of an empty score array is undefined")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted = scores - _last_axis_max(scores)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _last_axis_sum(e)
 
 
 def sigmoid(x):

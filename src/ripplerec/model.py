@@ -34,9 +34,10 @@ Both sides work per (example, relation), not per bag row or tree edge.
 On the user side, since (R_r h) . v = h . (R_r^T v), one GEMM gives
 R_r^T v for every example and relation, and each bag row takes its own
 at flat key b * R + r.  On the item side, one GEMM gives the taste
-score o . r_e of every example and relation, and each tree edge takes
-its own at the same flat key (a ``NULL_RELATION`` pad reads relation 0
-and is then set to 0).
+score o . r_e of every example and relation, laid out (B, R + 1) with
+relation r at column r + 1 and column 0 held at 0, and each tree edge
+takes its own at flat key b * (R + 1) + r + 1, so a ``NULL_RELATION``
+pad reads the zero column.
 
 Every backward term is a weight per bag row times a row of a small
 source -- a per-example gradient, R_r^T v, or the embedding table
@@ -45,12 +46,12 @@ of one sparse (COO) matrix times that source.  The backward reduces
 S[b, r] = sum of g_score * h over the rows of example b with relation r
 (one sparse product with ``entity_emb`` per hop), after which the
 candidate and ``relation_mat`` gradients are one GEMM each.  Likewise
-G[b, r] sums the tree edges' score gradients, pads zeroed, with one
-``bincount`` over their keys, after which the user-representation and
-``relation_vec`` gradients are one GEMM each.  Every ``entity_emb``
-gradient term of a batch (hop heads and tails, tree levels, candidates)
-is collected and summed by one sparse product over the stacked sources
-at the end.
+G[b, r] sums the tree edges' score gradients with one ``bincount``
+over their keys, whose pad column is then dropped, after which the
+user-representation and ``relation_vec`` gradients are one GEMM each.
+Every ``entity_emb`` gradient term of a batch (hop heads and tails,
+tree levels, candidates) is collected and summed by one sparse product
+over the stacked sources at the end.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy as np
 from scipy import sparse
 
 from . import metrics
-from .core import ParamStore, sigmoid, softmax, xavier_uniform
+from .core import ParamStore, _last_axis_sum, sigmoid, softmax, xavier_uniform
 from .kg import NULL_RELATION, NeighborTable, RippleTable, build_ripple_table, sample_children
 
 logger = logging.getLogger(__name__)
@@ -244,7 +245,7 @@ class ForwardTrace:
     rec_in: list[np.ndarray] = field(default_factory=list)  # recursive variant inputs per hop
     u_rep: np.ndarray | None = None  # (B, d)
     tree_z: list[np.ndarray] = field(default_factory=list)  # per depth (B, n, d) post-activation
-    tree_keys: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n * n_e), pad as r = 0
+    tree_keys: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n * n_e), b * (R + 1) + r + 1
     tree_alpha: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, n_e)
     tree_in: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) pre-affine
     tree_pre: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) pre-activation
@@ -271,17 +272,18 @@ def _relation_transpose_apply(rel_mat, v):
     return _rows_matmul(v, rel_mat.transpose(1, 0, 2).reshape(d, n_rel * d)).reshape(len(v), n_rel, d)
 
 
-def _relation_keys(rels, n_rel):
-    """Flat key b * R + r of each (example, relation) pair in ``rels`` (B, n), (B, n).
+def _relation_keys(rels, n_rel, lo=0):
+    """Flat key b * (R - lo) + r - lo of each (example, relation) pair in ``rels`` (B, n), (B, n).
 
-    A relation outside [0, R) raises ``IndexError``: as a flat key it
-    would read another example's row (r >= R) or wrap to relation R - 1
-    (r < 0, e.g. ``NULL_RELATION``).
+    ``lo`` is the lowest relation the row of an example holds a column
+    for.  A relation outside [lo, R) raises ``IndexError``: as a flat key
+    it would read another example's row (r >= R) or wrap to the end of
+    the row before (r < lo, e.g. ``NULL_RELATION`` on the user side).
     """
-    out_of_range = (rels < 0) | (rels >= n_rel)
-    if np.any(out_of_range):
-        raise IndexError(f"relation {rels[out_of_range][0]} outside [0, {n_rel})")
-    return np.arange(len(rels))[:, None] * n_rel + rels
+    low, high = rels.min(), rels.max()
+    if low < lo or high >= n_rel:
+        raise IndexError(f"relation {low if low < lo else high} outside [{lo}, {n_rel})")
+    return (np.arange(len(rels)) * (n_rel - lo) - lo)[:, None] + rels
 
 
 def _hop_forward(params, bag, rt_v_all, trace):
@@ -337,8 +339,10 @@ def _item_forward(params, bags, hp, trace):
     depth = hp.conv_layers
     n_e = hp.neighbor_size
 
-    # taste score u . r_e of every (example, relation), read by each tree edge at flat key b * R + r
-    taste = _rows_matmul(u, rel_vec.T).reshape(-1)
+    # taste score u . r_e of every (example, relation) at column r + 1; column 0 is a pad edge's score, 0
+    taste = np.zeros((len(u), len(rel_vec) + 1), dtype=u.dtype)
+    taste[:, 1:] = _rows_matmul(u, rel_vec.T)
+    taste = taste.reshape(-1)
     z = [None] * (depth + 1)
     z[depth] = ent.take(bags.tree_ents[depth], axis=0)
     trace.tree_keys = [None] * depth
@@ -347,12 +351,9 @@ def _item_forward(params, bags, hp, trace):
     trace.tree_pre = [None] * depth
     for level in range(depth - 1, -1, -1):
         b, n = bags.tree_ents[level].shape
-        child_rel = bags.tree_rels[level + 1].reshape(b, n * n_e)
         child_z = z[level + 1].reshape(b, n, n_e, -1)
-        pad = child_rel == NULL_RELATION
-        keys = _relation_keys(np.where(pad, 0, child_rel), len(rel_vec))
-        scores = np.where(pad, 0.0, taste.take(keys)).reshape(b, n, n_e)
-        alpha = softmax(scores)
+        keys = _relation_keys(bags.tree_rels[level + 1].reshape(b, n * n_e), len(rel_vec), NULL_RELATION)
+        alpha = softmax(taste.take(keys).reshape(b, n, n_e))
         agg = np.matmul(alpha[..., None, :], child_z)[..., 0, :]
         own = ent.take(bags.tree_ents[level], axis=0)
         mixed = own + agg
@@ -460,7 +461,7 @@ def _hop_backward(params, bag, trace, k, g_resp, s, terms, rt_col):
     g_attn = np.matmul(ent.take(tails, axis=0), g_resp[..., None])[..., 0]
     terms.add(tails, terms.source(g_resp) + np.arange(len(bag))[:, None], attn)
     # softmax jacobian within the bag
-    g_scores = attn * (g_attn - np.sum(attn * g_attn, axis=-1, keepdims=True))
+    g_scores = attn * (g_attn - _last_axis_sum(attn * g_attn))
     # score_n = h_n . (R_r^T v)[b, r]
     terms.add(heads, rt_col + keys, g_scores)
     _add_rows(s, keys, heads, g_scores, ent)
@@ -529,20 +530,18 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
         alpha = trace.tree_alpha[level]
 
         g_alpha = np.einsum("bnd,bncd->bnc", g_mixed, child_z)
-        g_scores = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=-1, keepdims=True))
-        # a pad edge's score is the constant 0; its key reads relation 0, so it must add nothing
-        pad = bags.tree_rels[level + 1].reshape(g_scores.shape) == NULL_RELATION
-        g_score_levels.append(np.where(pad, 0.0, g_scores))
+        g_score_levels.append(alpha * (g_alpha - _last_axis_sum(alpha * g_alpha)))
         # child c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
         if level + 1 < depth:
             g_z = (alpha[..., None] * g_mixed[:, :, None, :]).reshape(b, n * n_e, -1)
         else:
             terms.add(bags.tree_ents[depth], node_cols[..., None], alpha)
-    # score = u[b] . rel_vec[r]: G[b, r] sums g_score over every tree edge of example b with relation r
+    # score = u[b] . rel_vec[r]: G[b, r] sums g_score over every tree edge of example b with relation r;
+    # pad edges land in column 0, whose score is the constant 0, and are dropped
     n_rel = len(rel_vec)
     g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in trace.tree_keys]),
                           weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
-                          minlength=len(u) * n_rel).reshape(len(u), n_rel).astype(u.dtype)
+                          minlength=len(u) * (n_rel + 1)).reshape(len(u), n_rel + 1)[:, 1:].astype(u.dtype)
     g_u += g_taste @ rel_vec
     grads["relation_vec"] += g_taste.T @ u
 

@@ -5,6 +5,8 @@ import pytest
 
 from ripplerec.core import (
     ParamStore,
+    _last_axis_max,
+    _last_axis_sum,
     finite_diff_check,
     load_params,
     save_params,
@@ -49,6 +51,119 @@ class TestSoftmax:
     def test_last_axis_batched(self):
         out = softmax(np.zeros((4, 3, 5)))
         np.testing.assert_allclose(out.sum(-1), 1.0, atol=1e-12)
+
+
+def _pairwise_row(op, row):
+    """numpy's pairwise sum order for one row, one scalar ``op`` at a time.
+
+    Below 8 entries in sequence; up to 128, lanes r_j = a_j op a_{j+8}
+    op ... over the first n - n % 8 entries, combined as
+    ((r0 op r1) op (r2 op r3)) op ((r4 op r5) op (r6 op r7)), then the
+    tail in sequence; longer rows split at the multiple of 8 nearest
+    below half and fold both halves.
+    """
+    n = len(row)
+    if n < 8:
+        acc = row[0]
+        for a in row[1:]:
+            acc = op(acc, a)
+        return acc
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return op(_pairwise_row(op, row[:half]), _pairwise_row(op, row[half:]))
+    body = n - n % 8
+    r = list(row[:8])
+    for i in range(8, body):
+        r[i % 8] = op(r[i % 8], row[i])
+    acc = op(op(op(r[0], r[1]), op(r[2], r[3])), op(op(r[4], r[5]), op(r[6], r[7])))
+    for a in row[body:]:
+        acc = op(acc, a)
+    return acc
+
+
+def _row_sum(row):
+    """numpy's sum of one row: its pairwise sum added to the identity 0.0."""
+    return row.dtype.type(0.0) + _pairwise_row(np.add, row)
+
+
+def _special_rows(lead, n, dtype, rng):
+    """``lead + (n,)`` normal scores; flat rows 1-5 hold -0.0, only -0.0, NaN, +-inf and mixed +-0.0."""
+    x = rng.normal(scale=10.0, size=lead + (n,)).astype(dtype)
+    rows = x.reshape(-1, n)
+    for i, row in enumerate(rows):
+        kind = i % 6
+        if kind == 1:
+            row[rng.random(n) < 0.5] = -0.0
+        elif kind == 2:
+            row[:] = -0.0
+        elif kind == 3:
+            row[rng.integers(n)] = np.nan
+        elif kind == 4:
+            at = rng.permutation(n)
+            row[at[0]] = np.inf
+            row[at[1:2]] = -np.inf
+        elif kind == 5:
+            row[:] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    return x
+
+
+def _zero_tie(x, row_max):
+    """Rows whose maximum is 0 and that hold both +0.0 and -0.0."""
+    zero = x == 0.0
+    return ((row_max == 0.0) & np.any(zero & np.signbit(x), axis=-1, keepdims=True)
+            & np.any(zero & ~np.signbit(x), axis=-1, keepdims=True))
+
+
+ROW_LENGTHS = list(range(1, 137)) + [200, 256]
+
+
+class TestLastAxisKernels:
+    """The softmax reductions equal numpy's by bytes on a contiguous last axis."""
+
+    @pytest.mark.parametrize("lead", [(), (7,), (5, 3)], ids=["row", "7_rows", "5x3_rows"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_numpy_and_pairwise_order(self, dtype, lead):
+        rng = np.random.default_rng(len(lead))
+        for n in ROW_LENGTHS:
+            x = _special_rows(lead, n, dtype, rng)
+            with np.errstate(invalid="ignore"):
+                got_max, got_sum = _last_axis_max(x), _last_axis_sum(x)
+                oracles = [
+                    ("max", got_max, x.max(axis=-1, keepdims=True)),
+                    ("sum", got_sum, x.sum(axis=-1, keepdims=True)),
+                    ("max order", got_max, np.array([_pairwise_row(np.maximum, row) for row in x.reshape(-1, n)],
+                                                    dtype=dtype).reshape(lead + (1,))),
+                    ("sum order", got_sum, np.array([_row_sum(row) for row in x.reshape(-1, n)],
+                                                    dtype=dtype).reshape(lead + (1,))),
+                ]
+            for name, got, want in oracles:
+                assert got.dtype == want.dtype and got.shape == want.shape, (name, n)
+                if name == "max":
+                    # numpy's max of a row whose maximum is both +0.0 and -0.0 returns the zero
+                    # its SIMD lanes meet last, which varies by CPU; softmax does not see the sign
+                    np.testing.assert_array_equal(got, want)
+                    tie = _zero_tie(x, want)
+                    got, want = got[~tie], want[~tie]
+                assert got.tobytes() == want.tobytes(), f"{name}, n={n}: {got.reshape(-1)} != {want.reshape(-1)}"
+
+    def test_special_rows_cover_every_kind(self):
+        x = _special_rows((5, 3), 9, np.float64, np.random.default_rng(0))
+        rows = x.reshape(-1, 9)
+        assert np.signbit(rows[2]).all() and (rows[2] == 0.0).all()
+        assert np.isnan(rows[3]).any() and np.isposinf(rows[4]).any() and np.isneginf(rows[4]).any()
+        assert np.signbit(rows[5]).any() and (~np.signbit(rows[5])).any() and (rows[5] == 0.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_same_bytes_as_numpy_expression(self, dtype):
+        rng = np.random.default_rng(3)
+        cases = [rng.normal(scale=4.0, size=(64, 8, 8)).astype(dtype)]
+        cases += [_special_rows((5, 3), n, dtype, rng) for n in (1, 2, 4, 7, 8, 9, 17, 32, 64, 200)]
+        for scores in cases:
+            with np.errstate(invalid="ignore"):
+                e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+                want = e / e.sum(axis=-1, keepdims=True)
+                got = softmax(scores)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), scores.shape
 
 
 class TestSigmoid:

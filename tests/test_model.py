@@ -882,11 +882,121 @@ class TestFusedBackwardOracle:
         hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1)
         params, bags = _tiny_batch(tiny_data, hp, n=4)
         n_rel = params.values["relation_vec"].shape[0]
-        # at flat key b * R + r, relation R would read example 1's relation 0 and
-        # relation -2 would wrap to relation R - 2
+        # at flat key b * (R + 1) + r + 1, relation R would read example 1's pad column
+        # and relation -2 would wrap to the last example's relation R - 1
         bags.tree_rels[1][0, 0] = n_rel if bad == "R" else bad
         with pytest.raises(IndexError, match="outside"):
             forward(params, bags, hp)
+
+
+# -- reference item side: pads masked with np.where -----------------------------
+# Before pads read a zero taste column, a tree edge's key was b * R + r with a pad
+# read as relation 0, np.where set a pad's score to 0 and its score gradient to 0
+# before the bincount, and softmax was the plain numpy expression.
+
+
+def _numpy_softmax(scores):
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _where_item_forward(params, bags, hp, trace):
+    ent = params.values["entity_emb"]
+    rel_vec = params.values["relation_vec"]
+    conv_w, conv_b = params.values["conv_w"], params.values["conv_b"]
+    depth, n_e, n_rel = hp.conv_layers, hp.neighbor_size, len(rel_vec)
+    taste = ripplerec.model._rows_matmul(trace.u_rep, rel_vec.T).reshape(-1)
+    z = [None] * (depth + 1)
+    z[depth] = ent.take(bags.tree_ents[depth], axis=0)
+    trace.tree_keys, trace.tree_alpha, trace.tree_in, trace.tree_pre = ([None] * depth for _ in range(4))
+    for level in range(depth - 1, -1, -1):
+        b, n = bags.tree_ents[level].shape
+        child_rel = bags.tree_rels[level + 1].reshape(b, n * n_e)
+        pad = child_rel == NULL_RELATION
+        keys = np.arange(b)[:, None] * n_rel + np.where(pad, 0, child_rel)
+        alpha = _numpy_softmax(np.where(pad, 0.0, taste.take(keys)).reshape(b, n, n_e))
+        mixed = ent.take(bags.tree_ents[level], axis=0) + np.matmul(
+            alpha[..., None, :], z[level + 1].reshape(b, n, n_e, -1))[..., 0, :]
+        pre = mixed @ conv_w[level].T + conv_b[level]
+        z[level] = np.tanh(pre) if level == 0 else np.maximum(pre, 0.0)
+        trace.tree_keys[level], trace.tree_alpha[level] = keys, alpha
+        trace.tree_in[level], trace.tree_pre[level] = mixed, pre
+    trace.tree_z = z
+    trace.i_rep = z[0][:, 0, :]
+    return trace.i_rep
+
+
+def _where_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
+    rel_vec = params.values["relation_vec"]
+    conv_w = params.values["conv_w"]
+    u = trace.u_rep
+    depth, n_e, d = hp.conv_layers, hp.neighbor_size, u.shape[-1]
+    g_score_levels = []
+    g_z = g_i[:, None, :]
+    for level in range(depth):
+        z_here, pre = trace.tree_z[level], trace.tree_pre[level]
+        g_pre = g_z * (1.0 - z_here * z_here) if level == 0 else g_z * (pre > 0.0)
+        grads["conv_w"][level] += g_pre.reshape(-1, d).T @ trace.tree_in[level].reshape(-1, d)
+        grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
+        g_mixed = g_pre @ conv_w[level]
+        node_cols = terms.add_unit(bags.tree_ents[level], g_mixed)
+        b, n = bags.tree_ents[level].shape
+        alpha = trace.tree_alpha[level]
+        g_alpha = np.einsum("bnd,bncd->bnc", g_mixed, trace.tree_z[level + 1].reshape(b, n, n_e, -1))
+        g_scores = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=-1, keepdims=True))
+        pad = bags.tree_rels[level + 1].reshape(g_scores.shape) == NULL_RELATION
+        g_score_levels.append(np.where(pad, 0.0, g_scores))
+        if level + 1 < depth:
+            g_z = (alpha[..., None] * g_mixed[:, :, None, :]).reshape(b, n * n_e, -1)
+        else:
+            terms.add(bags.tree_ents[depth], node_cols[..., None], alpha)
+    n_rel = len(rel_vec)
+    g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in trace.tree_keys]),
+                          weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
+                          minlength=len(u) * n_rel).reshape(len(u), n_rel).astype(u.dtype)
+    g_u += g_taste @ rel_vec
+    grads["relation_vec"] += g_taste.T @ u
+
+
+class TestPadColumn:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("conv_layers", [1, 2])
+    def test_same_bytes_as_where_masked_pads(self, tmp_path, conv_layers, precision, monkeypatch):
+        kg, dataset = _dead_end_data(tmp_path)
+        hp = Hyperparams(hops=2, ripple_size=4, neighbor_size=4, conv_layers=conv_layers, l2_weight=0.0,
+                         precision=precision)
+        neighbors, ripple_sets = tables(kg, dataset, hp)
+        train = dataset.train[ripple_sets.known(dataset.train[:, 0])]
+        bags = assemble_batch(train, neighbors, ripple_sets, hp, dataset.item_entities)
+        # the table pads only the edges of a dead end, so its pads fill whole child rows;
+        # a pad in every second row of real edges puts pads beside real edges too
+        for rels in bags.tree_rels[1:]:
+            rows = rels.reshape(-1, hp.neighbor_size)
+            full = (rows == NULL_RELATION).all(axis=1)
+            assert full.any() and not full.all()
+            rows[np.flatnonzero(~full)[::2], 0] = NULL_RELATION
+        edges = np.concatenate([rels.reshape(-1) for rels in bags.tree_rels[1:]])
+        assert np.mean(edges == NULL_RELATION) >= 0.2
+        params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
+
+        def run():
+            yhat = forward(params, bags, hp).yhat
+            params.zero_grads()
+            forward_backward(params, bags, hp)
+            return yhat, {name: g.copy() for name, g in params.grads.items()}
+
+        got_yhat, got = run()
+        calls = []
+        monkeypatch.setattr(ripplerec.model, "_item_forward",
+                            lambda *args: calls.append(1) or _where_item_forward(*args))
+        monkeypatch.setattr(ripplerec.model, "_item_backward",
+                            lambda *args: calls.append(1) or _where_item_backward(*args))
+        want_yhat, want = run()
+        assert len(calls) == 3, "the reference item side did not run"
+        assert got_yhat.dtype == want_yhat.dtype and got_yhat.tobytes() == want_yhat.tobytes()
+        for name in want:
+            assert np.any(want[name] != 0.0), name
+            assert got[name].dtype == want[name].dtype and got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestPrecisionAgreement:
