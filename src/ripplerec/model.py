@@ -70,6 +70,7 @@ logger = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-7  # predictions are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] inside the loss
 SCORE_ROWS = 1024  # examples per forward in score_batch: its per-row arrays stay cache sized
+INDEX_LIMIT = 2**31  # sparse entry indices are int32 below this row or column count, int64 from it
 
 
 @dataclass
@@ -430,7 +431,7 @@ class _RowTerms:
 
     def add(self, rows, cols, weights):
         """Entries as :func:`_add_rows` takes them, ``cols`` counted in the stack."""
-        self.entries.append((rows, np.broadcast_to(cols, weights.shape), weights))
+        self.entries.append((rows, cols, weights))
 
     def add_unit(self, rows, src):
         """Row i of ``src`` (rows.shape + (d,)) into rows[i]; returns its columns."""
@@ -439,8 +440,23 @@ class _RowTerms:
         return cols
 
     def scatter(self, grad):
-        rows, cols, weights = (np.concatenate([entry[i].reshape(-1) for entry in self.entries])
-                               for i in range(3))
+        """Every entry into ``grad``: one index array each for rows and columns, written in place.
+
+        The indices are int32, the type scipy would convert them to,
+        unless the row or column count reaches :data:`INDEX_LIMIT`.
+        """
+        size = sum(weights.size for _, _, weights in self.entries)
+        index = np.int64 if max(len(grad), self.size) >= INDEX_LIMIT else np.int32
+        rows = np.empty(size, dtype=index)
+        cols = np.empty(size, dtype=index)
+        weights = np.empty(size, dtype=np.result_type(*(entry[2] for entry in self.entries)))
+        lo = 0
+        for entry_rows, entry_cols, entry_weights in self.entries:
+            hi = lo + entry_weights.size
+            rows[lo:hi].reshape(entry_rows.shape)[...] = entry_rows
+            cols[lo:hi].reshape(entry_weights.shape)[...] = entry_cols
+            weights[lo:hi].reshape(entry_weights.shape)[...] = entry_weights
+            lo = hi
         _add_rows(grad, rows, cols, weights, np.concatenate(self.sources))
 
 
@@ -568,7 +584,9 @@ def forward_backward(params, bags, hp, mean=True):
     weight, untouched embedding rows keep exactly zero gradient.  The
     item-side contribution of the user representation (taste scores) is
     chained back through the ripple path, so the user and item sides
-    train jointly.
+    train jointly.  The returned trace holds the batch's gathered rows
+    (every tree level's embeddings, hop keys and attention), so a
+    training loop should drop it before its next batch.
     """
     trace = forward(params, bags, hp)
     bad = ~np.isfinite(trace.yhat)
@@ -703,7 +721,7 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
             for start in range(0, len(shuffled), hp.batch_size):
                 batch = shuffled[start:start + hp.batch_size]
                 bags = assemble_batch(batch, neighbors, ripple_sets, hp, dataset.item_entities)
-                loss, _ = forward_backward(params, bags, hp)
+                loss = forward_backward(params, bags, hp)[0]  # the trace dies here, before the next step
                 total += loss * len(batch)
                 params.adam_step(hp.lr)
         except FloatingPointError as err:

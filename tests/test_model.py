@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -958,26 +959,31 @@ def _where_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
     grads["relation_vec"] += g_taste.T @ u
 
 
+def _pad_heavy_batch(tmp_path, conv_layers, precision):
+    """The train rows of the dead-end directed graph, at least 20% of their tree edges pads."""
+    kg, dataset = _dead_end_data(tmp_path)
+    hp = Hyperparams(hops=2, ripple_size=4, neighbor_size=4, conv_layers=conv_layers, l2_weight=0.0,
+                     precision=precision)
+    neighbors, ripple_sets = tables(kg, dataset, hp)
+    train = dataset.train[ripple_sets.known(dataset.train[:, 0])]
+    bags = assemble_batch(train, neighbors, ripple_sets, hp, dataset.item_entities)
+    # the table pads only the edges of a dead end, so its pads fill whole child rows;
+    # a pad in every second row of real edges puts pads beside real edges too
+    for rels in bags.tree_rels[1:]:
+        rows = rels.reshape(-1, hp.neighbor_size)
+        full = (rows == NULL_RELATION).all(axis=1)
+        assert full.any() and not full.all()
+        rows[np.flatnonzero(~full)[::2], 0] = NULL_RELATION
+    edges = np.concatenate([rels.reshape(-1) for rels in bags.tree_rels[1:]])
+    assert np.mean(edges == NULL_RELATION) >= 0.2
+    return hp, init_params(kg.num_entities, kg.num_relations, hp, seed=0), bags
+
+
 class TestPadColumn:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("conv_layers", [1, 2])
     def test_same_bytes_as_where_masked_pads(self, tmp_path, conv_layers, precision, monkeypatch):
-        kg, dataset = _dead_end_data(tmp_path)
-        hp = Hyperparams(hops=2, ripple_size=4, neighbor_size=4, conv_layers=conv_layers, l2_weight=0.0,
-                         precision=precision)
-        neighbors, ripple_sets = tables(kg, dataset, hp)
-        train = dataset.train[ripple_sets.known(dataset.train[:, 0])]
-        bags = assemble_batch(train, neighbors, ripple_sets, hp, dataset.item_entities)
-        # the table pads only the edges of a dead end, so its pads fill whole child rows;
-        # a pad in every second row of real edges puts pads beside real edges too
-        for rels in bags.tree_rels[1:]:
-            rows = rels.reshape(-1, hp.neighbor_size)
-            full = (rows == NULL_RELATION).all(axis=1)
-            assert full.any() and not full.all()
-            rows[np.flatnonzero(~full)[::2], 0] = NULL_RELATION
-        edges = np.concatenate([rels.reshape(-1) for rels in bags.tree_rels[1:]])
-        assert np.mean(edges == NULL_RELATION) >= 0.2
-        params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
+        hp, params, bags = _pad_heavy_batch(tmp_path, conv_layers, precision)
 
         def run():
             yhat = forward(params, bags, hp).yhat
@@ -1080,6 +1086,79 @@ class TestScoreBatch:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+# -- reference entity scatter: entries flattened and concatenated ---------------
+# Before the entries were written into one preallocated int32 array each,
+# scatter flattened every entry (a copy for each broadcast or strided one),
+# concatenated them as int64 and left the int32 conversion to scipy.
+
+
+def _concatenating_scatter(terms, grad):
+    rows = np.concatenate([r.reshape(-1) for r, _, _ in terms.entries])
+    cols = np.concatenate([np.broadcast_to(c, w.shape).reshape(-1) for _, c, w in terms.entries])
+    weights = np.concatenate([w.reshape(-1) for _, _, w in terms.entries])
+    ripplerec.model._add_rows(grad, rows, cols, weights, np.concatenate(terms.sources))
+
+
+def _grads(params, bags, hp):
+    params.zero_grads()
+    forward_backward(params, bags, hp)
+    return {name: g.copy() for name, g in params.grads.items()}
+
+
+class TestRowTermsScatter:
+    def _assert_same_bytes_as_concatenating(self, params, bags, hp, monkeypatch):
+        got = _grads(params, bags, hp)
+        calls = []
+        monkeypatch.setattr(ripplerec.model._RowTerms, "scatter",
+                            lambda terms, grad: calls.append(1) or _concatenating_scatter(terms, grad))
+        want = _grads(params, bags, hp)
+        assert calls, "the reference scatter did not run"
+        assert np.any(want["entity_emb"] != 0.0)
+        for name in want:
+            assert got[name].dtype == want[name].dtype and got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", SLICE_VARIANTS, ids=SLICE_IDS)
+    def test_same_bytes_as_concatenating(self, many_relation_data, variant, precision, monkeypatch):
+        hp, params, bags = _oracle_batch(many_relation_data, variant, precision)
+        self._assert_same_bytes_as_concatenating(params, bags, hp, monkeypatch)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("conv_layers", [1, 2])
+    def test_same_bytes_as_concatenating_with_pad_edges(self, tmp_path, conv_layers, precision, monkeypatch):
+        hp, params, bags = _pad_heavy_batch(tmp_path, conv_layers, precision)
+        self._assert_same_bytes_as_concatenating(params, bags, hp, monkeypatch)
+
+    # 4 examples stack fewer source rows than the 192 entities; 64 examples stack more
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_indices_int32_below_the_limit_int64_from_it(self, many_relation_data, n, monkeypatch):
+        kg, dataset = many_relation_data
+        hp = hp64(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0)
+        bags = assemble_batch(dataset.train[:n], *tables(kg, dataset, hp), hp, dataset.item_entities)
+        params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
+        real_add_rows = ripplerec.model._add_rows
+        seen = []
+
+        def recording_add_rows(grad, rows, cols, weights, src):
+            if grad is params.grads["entity_emb"]:
+                seen.append((rows.dtype, cols.dtype, len(grad), len(src)))
+            real_add_rows(grad, rows, cols, weights, src)
+
+        monkeypatch.setattr(ripplerec.model, "_add_rows", recording_add_rows)
+        want = _grads(params, bags, hp)
+        (rows_dtype, cols_dtype, grad_rows, src_rows), = seen
+        assert rows_dtype == cols_dtype == np.int32
+        assert (grad_rows > src_rows) == (n == 4)
+        # the larger of the two counts reaching the limit switches both index arrays to int64
+        for limit, index in ((max(grad_rows, src_rows) + 1, np.int32), (max(grad_rows, src_rows), np.int64)):
+            seen.clear()
+            monkeypatch.setattr(ripplerec.model, "INDEX_LIMIT", limit)
+            got = _grads(params, bags, hp)
+            assert seen[0][:2] == (index, index), limit
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (limit, name)
+
+
 class TestFit:
     def _hp(self, **kw):
         base = dict(embed_dim=4, hops=2, ripple_size=8, neighbor_size=4, conv_layers=1,
@@ -1095,6 +1174,31 @@ class TestFit:
         assert r1.history == r2.history
         for name in r1.params.values:
             np.testing.assert_array_equal(r1.params.values[name], r2.params.values[name])
+
+    def test_holds_at_most_one_step_trace(self, tiny_data, monkeypatch):
+        kg, dataset = tiny_data
+        real_forward_backward = ripplerec.model.forward_backward
+        real_evaluate = ripplerec.metrics.evaluate
+        traces = []  # a weak reference to every trace forward_backward returned
+        alive_at_step = []  # per call: traces still alive when it starts
+        alive_at_evaluate = []
+
+        def recording_forward_backward(*args, **kw):
+            alive_at_step.append(sum(ref() is not None for ref in traces))
+            loss, trace = real_forward_backward(*args, **kw)
+            traces.append(weakref.ref(trace))
+            return loss, trace
+
+        def recording_evaluate(*args, **kw):
+            alive_at_evaluate.append(sum(ref() is not None for ref in traces))
+            return real_evaluate(*args, **kw)
+
+        monkeypatch.setattr(ripplerec.model, "forward_backward", recording_forward_backward)
+        monkeypatch.setattr(ripplerec.metrics, "evaluate", recording_evaluate)
+        fit(dataset, kg, self._hp(batch_size=16, epochs=2), seed=3, eval_train=True)
+        assert len(alive_at_step) > 2 * 2 and len(alive_at_evaluate) == 2 * 2 + 1  # val and train per epoch, test
+        assert alive_at_step == [0] * len(alive_at_step), "a step started while an earlier trace was alive"
+        assert alive_at_evaluate == [0] * len(alive_at_evaluate), "evaluate ran while a step's trace was alive"
 
     def test_zero_epochs_snapshot_of_initialization(self, tiny_data):
         kg, dataset = tiny_data
