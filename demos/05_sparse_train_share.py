@@ -5,11 +5,12 @@ of the train rows of the planted-signal data of the acceptance suite,
 with its hyperparameters, and prints a markdown table of test AUC (mean
 and sample standard deviation over the seeds) for the README.  Seed s
 keeps the same seeded subsample of train rows for every variant, drawn
-as in ``test_dual_side_helps_most_when_sparse``.  Every variant is
-scored over the test rows of users the full model's ripple table knows:
+as in ``test_dual_side_helps_most_when_sparse``.  Every variant trains
+and is scored on the rows of users the full model's ripple table knows:
 at low share some users have no train positive left, so no ripple set,
-and the full and ripple-only reports skip their rows, while the
-conv-only model (a user table) could score them.  It takes about a
+and the full and ripple-only fits drop their train rows and skip their
+test rows, while the conv-only model (a user table) would keep them, so
+it is fit on the train rows the full model kept.  It takes about a
 minute on one core, so the demo smoke test does not run it:
 
     PYTHONPATH=src python demos/05_sparse_train_share.py
@@ -43,13 +44,17 @@ for share in SHARES:
     for seed in SEEDS:
         keep = np.sort(np.random.default_rng([seed, 20]).permutation(len(dataset.train))[:rows])
         subset = dataclasses.replace(dataset, train=dataset.train[keep])
-        test = None  # the test rows the full model's ripple table knows; "full" fits first
+        known = None  # the users the full model's ripple table knows; "full" fits first
         for name, kw in VARIANTS.items():
             hp = rr.Hyperparams(embed_dim=8, hops=2, ripple_size=16, neighbor_size=8, l2_weight=1e-6, lr=1e-2,
                                 batch_size=256, epochs=25, patience=5, precision="f64", **kw)
-            result = rr.fit(subset, kg, hp, seed=seed)
-            if test is None:
-                test = subset.test[result.ripple_table.known(subset.test[:, 0])]
+            data = subset
+            if hp.user_table:  # a user table knows every user: keep only the train rows the full fit kept
+                data = dataclasses.replace(subset, train=subset.train[known(subset.train[:, 0])])
+            result = rr.fit(data, kg, hp, seed=seed)
+            if known is None:
+                known = result.ripple_table.known
+                test = subset.test[known(subset.test[:, 0])]
                 scored.append(len(test))
             report = rr.evaluate(result.params, test, result.neighbor_table, result.ripple_table, hp,
                                  subset.item_entities)

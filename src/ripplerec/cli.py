@@ -44,6 +44,8 @@ logger = logging.getLogger(__name__)
 EXIT_MISSING_FILE = 2
 EXIT_MALFORMED = 3
 EXIT_DIVERGED = 4
+# keys that older manifests record and Hyperparams no longer has, with the one value the model now fixes
+RETIRED_KEYS = {"fusion": "shared", "acc_threshold": 0.5}
 
 
 @dataclass
@@ -333,8 +335,14 @@ def _hyperparams_from_manifest(manifest, path):
 
     Every field must be recorded: a default in place of a missing one
     would score the snapshot under hyperparameters it was not trained with.
-    Values parse as config values do, so an error names ``path`` and the key.
+    For the same reason a :data:`RETIRED_KEYS` key, if recorded, must hold
+    its fixed value.  Values parse as config values do, so an error names
+    ``path`` and the key.
     """
+    for key, fixed in RETIRED_KEYS.items():
+        if key in manifest and _meta_value(manifest, key, path, fixed) != fixed:
+            raise ValueError(f"{path}: {key} = {manifest[key]!r} is no longer supported "
+                             f"(the model fixes {fixed}); retrain the snapshot")
     names = [f.name for f in fields(model.Hyperparams)]
     _require(manifest, names, path)
     cfg = RunConfig()

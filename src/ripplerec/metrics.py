@@ -3,7 +3,7 @@
 AUC is rank-based (Mann-Whitney) with ties resolved by average ranks,
 which makes it equal -- exactly, not approximately -- to the quadratic
 count of correctly ordered positive/negative pairs with ties worth one
-half.  ACC thresholds scores at a fixed cut.
+half.  ACC thresholds scores at 0.5.
 
 Scoring a split is read-only over frozen parameters; examples whose user
 the ripple table does not know (no train positive, hence no ripple set,
@@ -52,13 +52,13 @@ def auc(scores, labels):
     return float(numerator / (n_pos * n_neg))
 
 
-def acc(scores, labels, threshold=0.5):
-    """Fraction of thresholded predictions (score >= threshold) matching labels."""
+def acc(scores, labels):
+    """Fraction of thresholded predictions (score >= 0.5) matching labels."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if len(scores) == 0:
         raise ValueError("ACC of an empty score list is undefined")
-    predictions = (scores >= threshold).astype(labels.dtype)
+    predictions = (scores >= 0.5).astype(labels.dtype)
     return float(np.mean(predictions == labels))
 
 
@@ -88,7 +88,7 @@ def evaluate(params, records, table, ripple_sets, hp, item_entities, split="test
     return MetricReport(
         split=split,
         auc=auc(scores, kept[:, 2]),
-        acc=acc(scores, kept[:, 2], threshold=hp.acc_threshold),
+        acc=acc(scores, kept[:, 2]),
         n_examples=int(len(kept)),
         skipped=skipped,
     )

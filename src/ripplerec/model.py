@@ -3,10 +3,10 @@
 User side: attention over per-hop ripple bags.  Each bag triple
 (h, r, t) is scored by (R_r h) . v against the candidate embedding v,
 softmax-normalized within its bag, and the tails are summed into a hop
-response; hop responses fuse with the candidate through a learned map
-into the user representation o.  Every user's bags sit in one ripple
-table (:func:`build_ripple_sets`), and a batch reads all of its hop
-bags with one take from it.
+response; the sum of the hop responses plus the candidate goes through
+one learned map into the user representation o.  Every user's bags sit
+in one ripple table (:func:`build_ripple_sets`), and a batch reads all
+of its hop bags with one take from it.
 
 Item side: relation-scored neighbor convolution.  Sampled neighbors of
 the item entity (rows of the run's neighbor table,
@@ -78,12 +78,10 @@ class Hyperparams:
     """Model and training knobs.
 
     ``conv_layers`` is the item-side aggregation depth; 0 disables item
-    enhancement (ablation).  ``fusion`` selects how hop responses merge:
-    ``"shared"`` applies one map to their sum plus the candidate,
-    ``"recursive"`` chains per-hop maps and adds the candidate at the
-    end.  ``precision`` is ``"f32"`` by default; finite-difference
-    gradient checks need ``"f64"``.  Training always uses Adam at ``lr``
-    and draws the ripple and neighbor tables once per run.
+    enhancement (ablation).  ``precision`` is ``"f32"`` by default;
+    finite-difference gradient checks need ``"f64"``.  Training always
+    uses Adam at ``lr`` on the batch-mean loss, draws the ripple and
+    neighbor tables once per run, and ACC cuts scores at 0.5.
     """
 
     embed_dim: int = 8
@@ -95,10 +93,8 @@ class Hyperparams:
     lr: float = 1e-2
     batch_size: int = 1024
     epochs: int = 20
-    acc_threshold: float = 0.5
     patience: int = 5
     user_table: bool = False
-    fusion: str = "shared"
     precision: str = "f32"
 
     def __post_init__(self):
@@ -114,8 +110,10 @@ class Hyperparams:
             raise ValueError("l2_weight must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if self.fusion not in ("shared", "recursive"):
-            raise ValueError(f"unknown fusion variant {self.fusion!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0 or self.patience < 0:
+            raise ValueError("epochs and patience must be >= 0")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"unknown precision {self.precision!r}")
 
@@ -128,7 +126,7 @@ def param_shapes(num_entities, num_relations, hp, num_users=0):
     """Name -> shape of every tensor of the model, in creation order.
 
     ``entity_emb`` (E, d), ``relation_mat`` (R, d, d) for hop attention,
-    ``relation_vec`` (R, d) for taste scores, ``fusion_w`` (1 or H, d, d),
+    ``relation_vec`` (R, d) for taste scores, ``fusion_w`` (1, d, d),
     ``conv_w``/``conv_b`` per item layer, and ``user_emb`` (U, d) only
     under ``user_table``.
     """
@@ -137,7 +135,7 @@ def param_shapes(num_entities, num_relations, hp, num_users=0):
         "entity_emb": (num_entities, d),
         "relation_mat": (num_relations, d, d),
         "relation_vec": (num_relations, d),
-        "fusion_w": (hp.hops if hp.fusion == "recursive" else 1, d, d),
+        "fusion_w": (1, d, d),  # kept 3-D: model.npz bytes and earlier snapshots stay valid
     }
     if hp.conv_layers >= 1:
         shapes["conv_w"] = (hp.conv_layers, d, d)
@@ -242,8 +240,7 @@ class ForwardTrace:
     hop_keys: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p): flat key b * R + r
     hop_attn: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p)
     hop_resp: list[np.ndarray] = field(default_factory=list)  # per hop (B, d)
-    fusion_in: np.ndarray | None = None  # shared variant: sum_k O_k + v
-    rec_in: list[np.ndarray] = field(default_factory=list)  # recursive variant inputs per hop
+    fusion_in: np.ndarray | None = None  # sum_k O_k + v
     u_rep: np.ndarray | None = None  # (B, d)
     tree_z: list[np.ndarray] = field(default_factory=list)  # per depth (B, n, d) post-activation
     tree_keys: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n * n_e), b * (R + 1) + r + 1
@@ -313,18 +310,8 @@ def _user_forward(params, bags, hp, trace):
     v = trace.v
     trace.rt_v_all = _relation_transpose_apply(params.values["relation_mat"], v)
     responses = [_hop_forward(params, bags.hop_bags[k], trace.rt_v_all, trace) for k in range(hp.hops)]
-    w = params.values["fusion_w"]
-    if hp.fusion == "shared":
-        fused_in = np.sum(responses, axis=0) + v
-        trace.fusion_in = fused_in
-        trace.u_rep = _rows_matmul(fused_in, w[0].T)
-    else:
-        carry = np.zeros_like(v)
-        for k in range(hp.hops):
-            rec_in = carry + responses[k]
-            trace.rec_in.append(rec_in)
-            carry = _rows_matmul(rec_in, w[k].T)
-        trace.u_rep = carry + v
+    trace.fusion_in = np.sum(responses, axis=0) + v
+    trace.u_rep = _rows_matmul(trace.fusion_in, params.values["fusion_w"][0].T)
     return trace.u_rep
 
 
@@ -379,15 +366,14 @@ def forward(params, bags, hp):
     return trace
 
 
-def batch_loss(params, bags, hp, trace=None, mean=True):
-    """Cross-entropy of the batch plus the L2 penalty over all parameters."""
+def batch_loss(params, bags, hp, trace=None):
+    """Mean cross-entropy of the batch plus the L2 penalty over all parameters."""
     if trace is None:
         trace = forward(params, bags, hp)
     y = bags.labels
     p = np.clip(trace.yhat, PROB_CLAMP, 1.0 - PROB_CLAMP)
     ce = -(y * np.log(p) + (1 - y) * np.log1p(-p))
-    data = ce.mean() if mean else ce.sum()
-    return float(data + hp.l2_weight * params.l2_penalty())
+    return float(ce.mean() + hp.l2_weight * params.l2_penalty())
 
 
 # -- backward ------------------------------------------------------------------
@@ -487,21 +473,9 @@ def _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms):
     if hp.user_table:
         _add_rows(grads["user_emb"], bags.users, np.arange(len(g_u)), np.ones(len(g_u), g_u.dtype), g_u)
         return
-    w = params.values["fusion_w"]
-    if hp.fusion == "shared":
-        grads["fusion_w"][0] += g_u.T @ trace.fusion_in
-        g_fused = g_u @ w[0]
-        g_v += g_fused
-        hop_grads = [g_fused] * hp.hops
-    else:
-        g_v += g_u
-        g_carry = g_u
-        hop_grads = [None] * hp.hops
-        for k in range(hp.hops - 1, -1, -1):
-            grads["fusion_w"][k] += g_carry.T @ trace.rec_in[k]
-            g_in = g_carry @ w[k]
-            hop_grads[k] = g_in
-            g_carry = g_in
+    grads["fusion_w"][0] += g_u.T @ trace.fusion_in
+    g_fused = g_u @ params.values["fusion_w"][0]
+    g_v += g_fused
     rel_mat = params.values["relation_mat"]
     n_rel, d, _ = rel_mat.shape
     v = trace.v
@@ -509,7 +483,7 @@ def _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms):
     s = np.zeros((len(v) * n_rel, d), dtype=v.dtype)
     rt_col = terms.source(trace.rt_v_all)
     for k in range(hp.hops):
-        _hop_backward(params, bags.hop_bags[k], trace, k, hop_grads[k], s, terms, rt_col)
+        _hop_backward(params, bags.hop_bags[k], trace, k, g_fused, s, terms, rt_col)
     s = s.reshape(len(v), n_rel * d)
     # score = v . (R_r h): dv = sum_r R_r S[b, r], dR_r = sum_b v_b S[b, r]^T
     g_v += s @ rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d)
@@ -576,8 +550,8 @@ def _backward(params, bags, hp, trace, g_logit):
     terms.scatter(grads["entity_emb"])
 
 
-def forward_backward(params, bags, hp, mean=True):
-    """Loss of the batch plus analytic gradients into ``params.grads``.
+def forward_backward(params, bags, hp):
+    """Mean loss of the batch plus analytic gradients into ``params.grads``.
 
     Gradient buffers must be zeroed beforehand (they accumulate).  Every
     parameter reached by the batch receives its gradient; with zero L2
@@ -596,14 +570,13 @@ def forward_backward(params, bags, hp, mean=True):
             f"non-finite prediction for batch example {first} "
             f"(user {bags.users[first]}, item {bags.items[first]})"
         )
-    loss = batch_loss(params, bags, hp, trace=trace, mean=mean)
+    loss = batch_loss(params, bags, hp, trace=trace)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite batch loss")
 
     y = bags.labels.astype(trace.yhat.dtype)
-    scale = 1.0 / bags.size if mean else 1.0
     inside = (trace.yhat > PROB_CLAMP) & (trace.yhat < 1.0 - PROB_CLAMP)
-    _backward(params, bags, hp, trace, (trace.yhat - y) * scale * inside)
+    _backward(params, bags, hp, trace, (trace.yhat - y) * (1.0 / bags.size) * inside)
     params.add_l2_grads(hp.l2_weight)
     return loss, trace
 
@@ -672,7 +645,7 @@ def build_neighbor_table(kg, hp, seed):
     return NeighborTable(rels, nbrs)
 
 
-def fit(dataset, kg, hp, seed=0, eval_train=False):
+def fit(dataset, kg, hp, seed=0):
     """Minibatch training with per-epoch validation and best-snapshot selection.
 
     The ripple table (from the train split's label-1 rows,
@@ -730,15 +703,9 @@ def fit(dataset, kg, hp, seed=0, eval_train=False):
             break
         train_loss = total / len(shuffled)
 
-        row = {"epoch": epoch, "train_loss": train_loss}
         val = metrics.evaluate(params, dataset.validation, neighbors, ripple_sets, hp, dataset.item_entities,
                                split="validation")
-        row["val_auc"] = val.auc
-        row["val_acc"] = val.acc
-        if eval_train:
-            tr = metrics.evaluate(params, train, neighbors, ripple_sets, hp, dataset.item_entities, split="train")
-            row["train_auc"] = tr.auc
-        history.append(row)
+        history.append({"epoch": epoch, "train_loss": train_loss, "val_auc": val.auc, "val_acc": val.acc})
 
         if val.auc > best_auc:
             best_auc = val.auc

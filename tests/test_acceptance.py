@@ -88,15 +88,19 @@ def test_auc_oracle_equivalence():
 
 
 def test_overfit_capacity(tiny_data):
-    """The model memorizes the tiny fixture: train AUC >= 0.99 within 200 epochs."""
+    """The model memorizes the tiny fixture: train AUC >= 0.99 within 200 epochs.
+
+    The train split stands in as the validation split, so each epoch's
+    ``val_auc`` scores the train rows ``fit`` trains on.
+    """
     with criterion("overfit-capacity", budget_s=120):
         kg, dataset = tiny_data
         hp = Hyperparams(embed_dim=8, hops=2, ripple_size=16, neighbor_size=4,
                          conv_layers=1, l2_weight=1e-7, lr=1e-2, batch_size=128,
                          epochs=80, patience=0, precision="f64")
-        result = fit(dataset, kg, hp, seed=0, eval_train=True)
-        best_train_auc = max(row["train_auc"] for row in result.history)
-        reached = [row["epoch"] for row in result.history if row["train_auc"] >= 0.99]
+        result = fit(dataclasses.replace(dataset, validation=dataset.train), kg, hp, seed=0)
+        best_train_auc = max(row["val_auc"] for row in result.history)
+        reached = [row["epoch"] for row in result.history if row["val_auc"] >= 0.99]
         assert best_train_auc >= 0.99, f"best train AUC {best_train_auc:.4f}"
         assert reached and reached[0] <= 200
 
@@ -149,10 +153,11 @@ def test_dual_side_helps_most_when_sparse(mid_data):
     calibration seeds (100-123) of the same design: the mean paired gain
     was 0.046 over ripple-only and 0.134 over conv-only, with per-seed
     standard deviations of 0.041 and 0.055, and the lowest mean of four
-    6-seed groups was 0.023 and 0.103.  Every variant is scored over the
-    same test rows: at 20% some users have no train positive left, so no
-    ripple set, and the full and ripple-only reports skip their rows;
-    conv-only is scored over the rows the full model's table knows.
+    6-seed groups was 0.023 and 0.103.  Every variant trains and is
+    scored on the same rows: at 20% some users have no train positive
+    left, so no ripple set, and the full and ripple-only fits drop their
+    train rows and skip their test rows; conv-only is fit and scored on
+    the rows the full model's table knows.
     """
     with criterion("dual-side-sparse"):
         kg, dataset = mid_data
@@ -161,19 +166,21 @@ def test_dual_side_helps_most_when_sparse(mid_data):
             keep = np.sort(np.random.default_rng([seed, 20]).permutation(len(dataset.train))[:len(dataset.train) // 5])
             sparse = dataclasses.replace(dataset, train=dataset.train[keep])
 
-            def fitted(**kw):
+            def fitted(data, **kw):
                 hp = Hyperparams(embed_dim=8, hops=2, ripple_size=16, neighbor_size=8,
                                  l2_weight=1e-6, lr=1e-2, batch_size=256, epochs=25,
                                  patience=5, precision="f64", **kw)
-                return hp, fit(sparse, kg, hp, seed=seed)
+                return hp, fit(data, kg, hp, seed=seed)
 
-            full = fitted(conv_layers=1)[1]
-            test = sparse.test[full.ripple_table.known(sparse.test[:, 0])]
-            hp, conv = fitted(conv_layers=1, user_table=True)
+            full = fitted(sparse, conv_layers=1)[1]
+            known = full.ripple_table.known
+            test = sparse.test[known(sparse.test[:, 0])]
+            hp, conv = fitted(dataclasses.replace(sparse, train=sparse.train[known(sparse.train[:, 0])]),
+                              conv_layers=1, user_table=True)
             conv_only = rr.evaluate(conv.params, test, conv.neighbor_table, conv.ripple_table, hp,
                                     sparse.item_entities)
             assert full.test_report.n_examples == conv_only.n_examples == len(test)
-            gains["ripple-only"].append(full.test_report.auc - fitted(conv_layers=0)[1].test_report.auc)
+            gains["ripple-only"].append(full.test_report.auc - fitted(sparse, conv_layers=0)[1].test_report.auc)
             gains["conv-only"].append(full.test_report.auc - conv_only.auc)
         for side, margin in (("ripple-only", 0.01), ("conv-only", 0.05)):
             gain = float(np.mean(gains[side]))

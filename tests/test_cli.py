@@ -122,8 +122,8 @@ class TestConfig:
         assert Hyperparams().precision == RunConfig().hp.precision == "f32"
         # every field off its default, so a key that is dropped on the way shows
         hp = Hyperparams(embed_dim=3, hops=3, ripple_size=5, neighbor_size=3, conv_layers=2,
-                         l2_weight=1e-5, lr=0.03, batch_size=17, epochs=2, acc_threshold=0.4,
-                         patience=1, user_table=True, fusion="recursive", precision="f64")
+                         l2_weight=1e-5, lr=0.03, batch_size=17, epochs=2, patience=1, user_table=True,
+                         precision="f64")
         assert [n for n in hp_names if getattr(hp, n) == getattr(Hyperparams(), n)] == []
         lines = [f"{k} = {v}" for k, v in asdict(hp).items()]
 
@@ -276,10 +276,14 @@ class TestTrainEvalSweep:
         assert not (out / "eval_test.csv").exists()
 
     def test_manifest_with_removed_training_keys_evaluates_the_same(self, workdir, untrained_run, tmp_path):
-        # manifests written while `optimizer` and `resample_ripple` were
-        # Hyperparams fields hold them after `precision` and `fusion`
+        # manifests written while these keys were Hyperparams fields hold `acc_threshold` after
+        # `epochs` and `fusion` after `user_table`, at the one value the model now fixes; older
+        # ones also hold `resample_ripple` after `fusion` and `optimizer` after `precision`
+        retired = {"epochs": "acc_threshold = 0.5\n", "user_table": "fusion = shared\n"}
+        older = dict(retired, user_table="fusion = shared\nresample_ripple = False\n",
+                     precision="optimizer = adam\n")
         rows = []
-        for after in ({}, {"fusion": "resample_ripple = False\n", "precision": "optimizer = adam\n"}):
+        for after in ({}, retired, older):
             out = tmp_path / f"run{len(rows)}"
             shutil.copytree(untrained_run, out)
             manifest = out / "model.manifest.txt"
@@ -289,7 +293,7 @@ class TestTrainEvalSweep:
             manifest.write_text(text, encoding="utf-8")
             assert run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out) == 0
             rows.append((out / "eval_test.csv").read_bytes())
-        assert rows[0] == rows[1]
+        assert rows[0] == rows[1] == rows[2]
 
     def test_eval_before_train_exit_2(self, workdir, tmp_path):
         out = tmp_path / "fresh"
@@ -552,6 +556,13 @@ def _set_field(col, value):
     return defect
 
 
+def _add_key(key, value):
+    """Defect that adds a ``key = value`` line at the end of a key = value file."""
+    def defect(data, sep):
+        return data + f"{key} = {value}\n".encode("utf-8"), None
+    return defect
+
+
 def _drop_key(key):
     """Defect that removes the ``key = value`` line of a key = value file."""
     def defect(data, sep):
@@ -580,7 +591,8 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "item_arabic_3": _set_field(1, "\u0663"),
            "no_hops": _drop_key("hops"), "seed_x": _set_field(1, " x"),  # line 2 of a manifest is seed
            "hops_two": _set_key("hops", "two"), "hops_0": _set_key("hops", "0"),
-           "undirected_maybe": _set_key("undirected", "maybe"),
+           "undirected_maybe": _set_key("undirected", "maybe"), "batch_size_0": _set_key("batch_size", "0"),
+           "fusion_recursive": _add_key("fusion", "recursive"), "acc_threshold_0.4": _add_key("acc_threshold", "0.4"),
            "item_i0_again": _set_field(0, "i0")}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
@@ -617,6 +629,11 @@ INPUT_DEFECTS = [
     # a hyperparameter value is read as a config value is, and its error names the manifest
     ("manifest", "hops_two", EXIT_MALFORMED, "{path}: hops = 'two' is not an integer"),
     ("manifest", "hops_0", EXIT_MALFORMED, "{path}: hops must be >= 1"),
+    # a key that left Hyperparams is accepted only at the value the model now fixes: a one-hop
+    # recursive snapshot has the tensor shapes of a shared one, so only its manifest tells them apart
+    ("manifest", "fusion_recursive", EXIT_MALFORMED, "{path}: fusion = 'recursive' is no longer supported"),
+    ("manifest", "acc_threshold_0.4", EXIT_MALFORMED, "{path}: acc_threshold = '0.4' is no longer supported"),
+    ("set", "batch_size_0", EXIT_MALFORMED, "--set: batch_size must be >= 1"),
     ("test", "user_999", EXIT_MALFORMED, "{path}:{line}: user 999 outside"),
     ("test", "user_-1", EXIT_MALFORMED, "{path}:{line}: user -1 outside"),
     ("test", "item_999", EXIT_MALFORMED, "{path}:{line}: item 999 outside"),
@@ -642,6 +659,10 @@ def _reader_of(name, workdir, untrained_run, tmp_path):
         shutil.copy(data / DATA_FILES[name], path)
         return path, "\t", ["prep", "--config", workdir / "cfg.txt", "--out", tmp_path / "run",
                              "--set", f"{name}={path}"]
+    if name == "set":  # the file holds one --set argument, passed on by the test
+        path = tmp_path / "set.txt"
+        path.write_text("batch_size = 64\n", encoding="utf-8")
+        return path, "=", ["train", "--config", workdir / "cfg.txt", "--out", tmp_path / "run"]
     if name == "config":
         path = tmp_path / "cfg.txt"
         path.write_text("threshold = 4\nembed_dim = 4\nprecision = f64\n", encoding="utf-8")
@@ -660,6 +681,8 @@ def test_malformed_input_exit_code_and_location(workdir, untrained_run, tmp_path
     path, sep, argv = _reader_of(name, workdir, untrained_run, tmp_path)
     data, line = DEFECTS[defect](path.read_bytes(), sep)
     path.write_bytes(data)
+    if name == "set":
+        argv += ["--set", data.decode("utf-8").strip()]
     capsys.readouterr()
     rc = run_cli(*argv)
     err = capsys.readouterr().err

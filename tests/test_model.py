@@ -37,7 +37,7 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [
         dict(embed_dim=0), dict(hops=0), dict(ripple_size=0), dict(neighbor_size=0),
         dict(conv_layers=-1), dict(l2_weight=-1.0), dict(lr=0.0),
-        dict(fusion="nope"), dict(precision="f16"),
+        dict(batch_size=0), dict(precision="f16"), dict(batch_size=-5), dict(epochs=-1), dict(patience=-1),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -355,8 +355,8 @@ class TestForwardBackward:
             np.testing.assert_allclose(alpha.sum(-1), 1.0, atol=1e-6)
         assert np.all(trace.yhat > 0.0) and np.all(trace.yhat < 1.0)
 
-    def test_duplicate_example_doubles_sum_gradient(self, tiny_data):
-        # linearity of the sum-reduced gradient, with the sampled bags held fixed
+    def test_duplicate_example_leaves_mean_gradient_unchanged(self, tiny_data):
+        # the loss is the batch mean: a batch of one example twice, with the sampled bags held fixed
         hp = hp64(hops=2, ripple_size=4, neighbor_size=2, conv_layers=1, l2_weight=0.0)
         kg, dataset = tiny_data
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
@@ -375,13 +375,13 @@ class TestForwardBackward:
 
         def grads_for(bags):
             params.zero_grads()
-            forward_backward(params, bags, hp, mean=False)
+            forward_backward(params, bags, hp)
             return {k: v.copy() for k, v in params.grads.items()}
 
         g1 = grads_for(single)
         g2 = grads_for(double)
         for name in g1:
-            np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
+            np.testing.assert_allclose(g2[name], g1[name], atol=1e-12)
 
     def test_untouched_rows_zero_gradient_without_l2(self, tiny_data):
         hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1, l2_weight=0.0)
@@ -420,7 +420,7 @@ class TestForwardBackward:
 
     @pytest.mark.parametrize("variant", [
         dict(),
-        dict(fusion="recursive"),
+        dict(hops=1),
         dict(user_table=True),
         dict(conv_layers=0),
         dict(l2_weight=1e-3),
@@ -518,34 +518,17 @@ def _ref_user_forward(params, bags, hp, trace):
     v = trace.v
     trace.ref_rh = []
     responses = [_ref_hop_forward(params, bags.hop_bags[k], v, trace) for k in range(hp.hops)]
-    w = params.values["fusion_w"]
-    if hp.fusion == "shared":
-        trace.fusion_in = np.sum(responses, axis=0) + v
-        trace.u_rep = trace.fusion_in @ w[0].T
-    else:
-        carry = np.zeros_like(v)
-        for k in range(hp.hops):
-            trace.rec_in.append(carry + responses[k])
-            carry = trace.rec_in[k] @ w[k].T
-        trace.u_rep = carry + v
+    trace.fusion_in = np.sum(responses, axis=0) + v
+    trace.u_rep = trace.fusion_in @ params.values["fusion_w"][0].T
     return trace.u_rep
 
 
 def _ref_user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
-    w = params.values["fusion_w"]
-    if hp.fusion == "shared":
-        grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
-        hop_grads = [g_u @ w[0]] * hp.hops
-        g_v += hop_grads[0]
-    else:
-        g_v += g_u
-        g_carry = g_u
-        hop_grads = [None] * hp.hops
-        for k in range(hp.hops - 1, -1, -1):
-            grads["fusion_w"][k] += np.einsum("bi,bj->ij", g_carry, trace.rec_in[k])
-            g_carry = hop_grads[k] = g_carry @ w[k]
+    grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
+    g_fused = g_u @ params.values["fusion_w"][0]
+    g_v += g_fused
     for k in range(hp.hops):
-        _ref_hop_backward(params, bags.hop_bags[k], trace.v, trace, k, hop_grads[k], grads, g_v)
+        _ref_hop_backward(params, bags.hop_bags[k], trace.v, trace, k, g_fused, grads, g_v)
 
 
 # -- reference backward: materialized gradient rows ----------------------------
@@ -581,25 +564,15 @@ def _rows_user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
     if hp.user_table:
         _rows_scatter(grads["user_emb"], bags.users, g_u)
         return
-    w = params.values["fusion_w"]
-    if hp.fusion == "shared":
-        grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
-        g_fused = g_u @ w[0]
-        g_v += g_fused
-        hop_grads = [g_fused] * hp.hops
-    else:
-        g_v += g_u
-        g_carry = g_u
-        hop_grads = [None] * hp.hops
-        for k in range(hp.hops - 1, -1, -1):
-            grads["fusion_w"][k] += np.einsum("bi,bj->ij", g_carry, trace.rec_in[k])
-            g_carry = hop_grads[k] = g_carry @ w[k]
+    grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
+    g_fused = g_u @ params.values["fusion_w"][0]
+    g_v += g_fused
     rel_mat = params.values["relation_mat"]
     n_rel, d, _ = rel_mat.shape
     v = trace.v
     s = np.zeros((len(v) * n_rel, d), dtype=v.dtype)
     for k in range(hp.hops):
-        _rows_hop_backward(params, bags.hop_bags[k], trace, k, hop_grads[k], s, ent_rows)
+        _rows_hop_backward(params, bags.hop_bags[k], trace, k, g_fused, s, ent_rows)
     s = s.reshape(len(v), n_rel * d)
     g_v += s @ rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d)
     grads["relation_mat"] += (v.T @ s).reshape(d, n_rel, d).transpose(1, 0, 2)
@@ -703,9 +676,8 @@ def _einsum_item_forward(params, bags, hp, trace):
 
 # Summation order differs from the references; the tolerance is fixed per dtype.
 ORACLE_TOL = {"f32": 1e-5, "f64": 1e-12}
-ORACLE_VARIANTS = [dict(), dict(fusion="recursive"), dict(user_table=True), dict(conv_layers=0),
-                   dict(conv_layers=1)]
-ORACLE_IDS = ["shared", "recursive", "user_table", "conv0", "conv1"]
+ORACLE_VARIANTS = [dict(), dict(user_table=True), dict(conv_layers=0), dict(conv_layers=1)]
+ORACLE_IDS = ["shared", "user_table", "conv0", "conv1"]
 
 
 def _assert_oracle_close(got, want, precision, name):
@@ -769,10 +741,9 @@ def many_relation_data(tmp_path_factory):
 
 
 class TestFusedBackwardOracle:
-    @pytest.mark.parametrize("fusion", ["shared", "recursive"])
-    def test_gradients_match_per_relation_reference(self, many_relation_data, fusion, monkeypatch):
+    def test_gradients_match_per_relation_reference(self, many_relation_data, monkeypatch):
         kg, dataset = many_relation_data
-        hp = hp64(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, fusion=fusion, l2_weight=0.0)
+        hp = hp64(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0)
         # the neighbor table of seed 3: in seed 0's, every node with a relation-1 edge has only
         # relation-1 children, so relation 1's taste gradient is exactly 0 and both sides return
         # rounding noise of 1e-20, whose relative gap means nothing (see the check below)
@@ -1008,7 +979,7 @@ class TestPadColumn:
 class TestPrecisionAgreement:
     @pytest.mark.parametrize("variant", [
         dict(),
-        dict(fusion="recursive"),
+        dict(hops=1),
         dict(user_table=True),
         dict(conv_layers=0),
     ])
@@ -1043,9 +1014,8 @@ class TestPrecisionAgreement:
             assert np.max(np.abs(g32.astype(np.float64) - g64)) <= 1e-4 * np.abs(g64).max(), name
 
 
-SLICE_VARIANTS = [dict(conv_layers=0), dict(conv_layers=1), dict(conv_layers=2), dict(user_table=True),
-                  dict(fusion="recursive")]
-SLICE_IDS = ["conv0", "conv1", "conv2", "user_table", "recursive"]
+SLICE_VARIANTS = [dict(conv_layers=0), dict(conv_layers=1), dict(conv_layers=2), dict(user_table=True)]
+SLICE_IDS = ["conv0", "conv1", "conv2", "user_table"]
 
 
 class TestScoreBatch:
@@ -1195,8 +1165,8 @@ class TestFit:
 
         monkeypatch.setattr(ripplerec.model, "forward_backward", recording_forward_backward)
         monkeypatch.setattr(ripplerec.metrics, "evaluate", recording_evaluate)
-        fit(dataset, kg, self._hp(batch_size=16, epochs=2), seed=3, eval_train=True)
-        assert len(alive_at_step) > 2 * 2 and len(alive_at_evaluate) == 2 * 2 + 1  # val and train per epoch, test
+        fit(dataset, kg, self._hp(batch_size=16, epochs=2), seed=3)
+        assert len(alive_at_step) > 2 * 2 and len(alive_at_evaluate) == 2 + 1  # val per epoch, test
         assert alive_at_step == [0] * len(alive_at_step), "a step started while an earlier trace was alive"
         assert alive_at_evaluate == [0] * len(alive_at_evaluate), "evaluate ran while a step's trace was alive"
 
@@ -1227,11 +1197,11 @@ class TestFit:
         calls = {"n": 0}
         real = ripplerec.model.forward_backward
 
-        def explode(params, bags, hp, mean=True):
+        def explode(params, bags, hp):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise FloatingPointError("synthetic blowup")
-            return real(params, bags, hp, mean=mean)
+            return real(params, bags, hp)
 
         monkeypatch.setattr(ripplerec.model, "forward_backward", explode)
         result = fit(dataset, kg, self._hp(epochs=5), seed=0)
@@ -1249,11 +1219,6 @@ class TestFit:
         result = fit(dataset, kg, self._hp(precision="f32", epochs=2), seed=0)
         assert result.params.values["entity_emb"].dtype == np.float32
         assert len(result.history) == 2
-
-    def test_recursive_fusion_trains(self, tiny_data):
-        kg, dataset = tiny_data
-        result = fit(dataset, kg, self._hp(fusion="recursive", epochs=3), seed=0)
-        assert np.isfinite(result.history[-1]["train_loss"])
 
     def test_user_without_train_positive_skipped_not_fatal(self, tiny_data, caplog):
         # user 0 keeps only its label-0 train rows: no ripple seeds, so no ripple set
