@@ -9,8 +9,9 @@ as in ``test_dual_side_helps_most_when_sparse``.  Every variant trains
 and is scored on the rows of users the full model's ripple table knows:
 at low share some users have no train positive left, so no ripple set,
 and the full and ripple-only fits drop their train rows and skip their
-test rows, while the conv-only model (a user table) would keep them, so
-it is fit on the train rows the full model kept.  It takes about a
+validation and test rows, while the conv-only model (a user table)
+would keep them, so it is fit and selects its best epoch on the train
+and validation rows the full model kept.  It takes about a
 minute on one core, so the demo smoke test does not run it:
 
     PYTHONPATH=src python demos/05_sparse_train_share.py
@@ -49,8 +50,9 @@ for share in SHARES:
             hp = rr.Hyperparams(embed_dim=8, hops=2, ripple_size=16, neighbor_size=8, l2_weight=1e-6, lr=1e-2,
                                 batch_size=256, epochs=25, patience=5, precision="f64", **kw)
             data = subset
-            if hp.user_table:  # a user table knows every user: keep only the train rows the full fit kept
-                data = dataclasses.replace(subset, train=subset.train[known(subset.train[:, 0])])
+            if hp.user_table:  # a user table knows every user: keep only the rows the full fit kept
+                data = dataclasses.replace(subset, train=subset.train[known(subset.train[:, 0])],
+                                           validation=subset.validation[known(subset.validation[:, 0])])
             result = rr.fit(data, kg, hp, seed=seed)
             if known is None:
                 known = result.ripple_table.known

@@ -2,8 +2,8 @@
 
 Everything the model needs from a tensor library, and nothing more:
 stable softmax/sigmoid, a named-parameter store with gradient slots,
-the Adam update, Xavier initialization, a central finite-difference
-gradient checker, and bit-exact snapshot IO.
+the Adam update with decoupled weight decay, Xavier initialization, a
+central finite-difference gradient checker, and bit-exact snapshot IO.
 
 Gradients are hand-derived in :mod:`ripplerec.model`; this module only
 owns the buffers and the update rules.  A frozen ``ParamStore`` is safe
@@ -128,9 +128,9 @@ def xavier_uniform(shape, rng, dtype=np.float64):
 class ParamStore:
     """Named tensors, each with a value buffer and a same-shape gradient slot.
 
-    Shapes are fixed at creation.  Gradient buffers are zeroed at batch
-    start (``zero_grads``) and again after every optimizer step.  Adam
-    moment buffers are created lazily on the first ``adam_step``.
+    Shapes are fixed at creation.  Gradient buffers start at zero and
+    every ``adam_step`` zeroes them again; the first one creates the
+    Adam moment buffers.
     """
 
     def __init__(self, dtype=np.float64):
@@ -156,17 +156,6 @@ class ParamStore:
         for g in self.grads.values():
             g.fill(0.0)
 
-    def l2_penalty(self):
-        """Sum of squared values over every tensor."""
-        return float(sum(np.sum(v * v) for v in self.values.values()))
-
-    def add_l2_grads(self, weight):
-        """Accumulate d(weight * ||params||^2)/dtheta = 2 * weight * theta."""
-        if weight == 0.0:
-            return
-        for name, v in self.values.items():
-            self.grads[name] += (2.0 * weight) * v
-
     def copy(self):
         """Deep copy of values only (optimizer state is not carried over)."""
         out = ParamStore(dtype=self.dtype)
@@ -181,15 +170,16 @@ class ParamStore:
 
     # -- optimizer ----------------------------------------------------------
 
-    def adam_step(self, lr):
-        """Bias-corrected Adam update from the current gradient buffers.
+    def adam_step(self, lr, decay):
+        """Bias-corrected Adam update with decoupled weight decay ``decay``.
 
         b1, b2 and eps are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
         Every term is computed in place in two scratch arrays per tensor,
         in the order of m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
-        v -= lr (m / c1) / (sqrt(s / c2) + eps).  Gradients are zeroed
-        afterwards.  Raises if any gradient is non-finite, naming the
-        offending tensor.
+        v *= 1 - lr decay (AdamW: the decay bypasses Adam's scaling),
+        v -= lr (m / c1) / (sqrt(s / c2) + eps).  Gradients are
+        zeroed afterwards.  Raises if any gradient is non-finite, naming
+        the offending tensor.
         """
         self.check_finite_grads()
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -216,6 +206,8 @@ class ParamStore:
             np.sqrt(b, out=b)
             b += eps
             a /= b
+            if decay:
+                v *= 1.0 - lr * decay
             v -= a
         self.zero_grads()
 

@@ -80,8 +80,9 @@ class Hyperparams:
     ``conv_layers`` is the item-side aggregation depth; 0 disables item
     enhancement (ablation).  ``precision`` is ``"f32"`` by default;
     finite-difference gradient checks need ``"f64"``.  Training always
-    uses Adam at ``lr`` on the batch-mean loss, draws the ripple and
-    neighbor tables once per run, and ACC cuts scores at 0.5.
+    uses Adam at ``lr`` on the batch-mean cross-entropy, with decoupled
+    weight decay: each step multiplies every tensor by ``1 - lr * l2_weight``.
+    It draws the ripple and neighbor tables once per run; ACC cuts at 0.5.
     """
 
     embed_dim: int = 8
@@ -106,10 +107,12 @@ class Hyperparams:
             raise ValueError("ripple_size and neighbor_size must be >= 1")
         if self.conv_layers < 0:
             raise ValueError("conv_layers must be >= 0 (0 = item enhancement off)")
-        if self.l2_weight < 0:
-            raise ValueError("l2_weight must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not (np.isfinite(self.l2_weight) and self.l2_weight >= 0):
+            raise ValueError("l2_weight must be finite and >= 0")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and > 0")
+        if self.lr * self.l2_weight >= 1:
+            raise ValueError("lr * l2_weight must be < 1: each step multiplies the parameters by 1 - lr * l2_weight")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0 or self.patience < 0:
@@ -367,13 +370,13 @@ def forward(params, bags, hp):
 
 
 def batch_loss(params, bags, hp, trace=None):
-    """Mean cross-entropy of the batch plus the L2 penalty over all parameters."""
+    """Mean clamped cross-entropy of the batch; weight decay acts in the optimizer, not here."""
     if trace is None:
         trace = forward(params, bags, hp)
     y = bags.labels
     p = np.clip(trace.yhat, PROB_CLAMP, 1.0 - PROB_CLAMP)
     ce = -(y * np.log(p) + (1 - y) * np.log1p(-p))
-    return float(ce.mean() + hp.l2_weight * params.l2_penalty())
+    return float(ce.mean())
 
 
 # -- backward ------------------------------------------------------------------
@@ -554,8 +557,8 @@ def forward_backward(params, bags, hp):
     """Mean loss of the batch plus analytic gradients into ``params.grads``.
 
     Gradient buffers must be zeroed beforehand (they accumulate).  Every
-    parameter reached by the batch receives its gradient; with zero L2
-    weight, untouched embedding rows keep exactly zero gradient.  The
+    parameter reached by the batch receives its gradient, and embedding
+    rows the batch does not reach keep exactly zero gradient.  The
     item-side contribution of the user representation (taste scores) is
     chained back through the ripple path, so the user and item sides
     train jointly.  The returned trace holds the batch's gathered rows
@@ -577,7 +580,6 @@ def forward_backward(params, bags, hp):
     y = bags.labels.astype(trace.yhat.dtype)
     inside = (trace.yhat > PROB_CLAMP) & (trace.yhat < 1.0 - PROB_CLAMP)
     _backward(params, bags, hp, trace, (trace.yhat - y) * (1.0 / bags.size) * inside)
-    params.add_l2_grads(hp.l2_weight)
     return loss, trace
 
 
@@ -696,7 +698,7 @@ def fit(dataset, kg, hp, seed=0):
                 bags = assemble_batch(batch, neighbors, ripple_sets, hp, dataset.item_entities)
                 loss = forward_backward(params, bags, hp)[0]  # the trace dies here, before the next step
                 total += loss * len(batch)
-                params.adam_step(hp.lr)
+                params.adam_step(hp.lr, hp.l2_weight)
         except FloatingPointError as err:
             logger.error("epoch %d diverged: %s", epoch, err)
             diverged = True

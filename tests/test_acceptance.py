@@ -156,8 +156,9 @@ def test_dual_side_helps_most_when_sparse(mid_data):
     6-seed groups was 0.023 and 0.103.  Every variant trains and is
     scored on the same rows: at 20% some users have no train positive
     left, so no ripple set, and the full and ripple-only fits drop their
-    train rows and skip their test rows; conv-only is fit and scored on
-    the rows the full model's table knows.
+    train rows and skip their validation and test rows; conv-only is fit,
+    selects its best epoch and is scored on the rows the full model's
+    table knows.
     """
     with criterion("dual-side-sparse"):
         kg, dataset = mid_data
@@ -174,8 +175,12 @@ def test_dual_side_helps_most_when_sparse(mid_data):
 
             full = fitted(sparse, conv_layers=1)[1]
             known = full.ripple_table.known
-            test = sparse.test[known(sparse.test[:, 0])]
-            hp, conv = fitted(dataclasses.replace(sparse, train=sparse.train[known(sparse.train[:, 0])]),
+
+            def kept(rows):
+                return rows[known(rows[:, 0])]
+
+            test = kept(sparse.test)
+            hp, conv = fitted(dataclasses.replace(sparse, train=kept(sparse.train), validation=kept(sparse.validation)),
                               conv_layers=1, user_table=True)
             conv_only = rr.evaluate(conv.params, test, conv.neighbor_table, conv.ripple_table, hp,
                                     sparse.item_entities)

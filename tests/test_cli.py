@@ -563,6 +563,13 @@ def _add_key(key, value):
     return defect
 
 
+def _only_key(key, value):
+    """Defect that replaces a key = value file by the one line ``key = value``."""
+    def defect(data, sep):
+        return f"{key} = {value}\n".encode("utf-8"), None
+    return defect
+
+
 def _drop_key(key):
     """Defect that removes the ``key = value`` line of a key = value file."""
     def defect(data, sep):
@@ -592,6 +599,7 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "no_hops": _drop_key("hops"), "seed_x": _set_field(1, " x"),  # line 2 of a manifest is seed
            "hops_two": _set_key("hops", "two"), "hops_0": _set_key("hops", "0"),
            "undirected_maybe": _set_key("undirected", "maybe"), "batch_size_0": _set_key("batch_size", "0"),
+           "lr_nan": _only_key("lr", "nan"),
            "fusion_recursive": _add_key("fusion", "recursive"), "acc_threshold_0.4": _add_key("acc_threshold", "0.4"),
            "item_i0_again": _set_field(0, "i0")}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
@@ -634,6 +642,7 @@ INPUT_DEFECTS = [
     ("manifest", "fusion_recursive", EXIT_MALFORMED, "{path}: fusion = 'recursive' is no longer supported"),
     ("manifest", "acc_threshold_0.4", EXIT_MALFORMED, "{path}: acc_threshold = '0.4' is no longer supported"),
     ("set", "batch_size_0", EXIT_MALFORMED, "--set: batch_size must be >= 1"),
+    ("set", "lr_nan", EXIT_MALFORMED, "--set: lr must be finite and > 0"),  # nan <= 0 is false
     ("test", "user_999", EXIT_MALFORMED, "{path}:{line}: user 999 outside"),
     ("test", "user_-1", EXIT_MALFORMED, "{path}:{line}: user -1 outside"),
     ("test", "item_999", EXIT_MALFORMED, "{path}:{line}: item 999 outside"),

@@ -208,20 +208,20 @@ def _store(**tensors):
 class TestAdam:
     def test_zero_gradient_no_move(self):
         store = _store(w=np.array([1.0, -2.0, 3.0]))
-        store.adam_step(lr=0.1)
+        store.adam_step(lr=0.1, decay=0.0)
         np.testing.assert_array_equal(store.values["w"], [1.0, -2.0, 3.0])
 
     def test_first_step_magnitude(self):
         store = _store(w=np.array([5.0]))
         store.grads["w"][0] = 0.3
-        store.adam_step(lr=0.01)
+        store.adam_step(lr=0.01, decay=0.0)
         # bias-corrected first step moves by ~lr against the gradient sign
         assert store.values["w"][0] == pytest.approx(5.0 - 0.01, abs=1e-6)
 
     def test_grads_zeroed_after_step(self):
         store = _store(w=np.array([1.0]))
         store.grads["w"][0] = 1.0
-        store.adam_step(lr=0.1)
+        store.adam_step(lr=0.1, decay=0.0)
         assert store.grads["w"][0] == 0.0
 
     def test_deterministic_trajectory(self):
@@ -230,16 +230,35 @@ class TestAdam:
             rng = np.random.default_rng(5)
             for _ in range(20):
                 store.grads["w"][...] = rng.normal(size=4)
-                store.adam_step(lr=0.05)
+                store.adam_step(lr=0.05, decay=0.0)
             return store.values["w"].copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untouched_rows_only_decay(self, dtype):
+        # from zero moments, a row whose gradient stays 0 keeps zero moments, so each
+        # step only multiplies it by 1 - lr * decay, however large the other rows' steps
+        lr, decay, k = 0.03, 0.5, 9
+        rng = np.random.default_rng(3)
+        store = ParamStore(dtype=dtype)
+        store.add("emb", rng.normal(size=(6, 4)))
+        start = store.values["emb"].copy()
+        want = start[0::2].copy()
+        for _ in range(k):
+            store.grads["emb"][1::2] = rng.normal(size=(3, 4))
+            store.adam_step(lr, decay)
+            want *= 1.0 - lr * decay
+        got = store.values["emb"]
+        assert got.dtype == dtype
+        assert got[0::2].tobytes() == want.tobytes()
+        assert not np.allclose(got[1::2], start[1::2] * (1.0 - lr * decay) ** k)
 
     def test_nonfinite_gradient_names_tensor(self):
         store = _store(alpha=np.array([1.0]), beta=np.array([2.0]))
         store.grads["beta"][0] = np.nan
         with pytest.raises(FloatingPointError, match="beta"):
-            store.adam_step(lr=0.1)
+            store.adam_step(lr=0.1, decay=0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_temporary_per_term_update(self, dtype):
@@ -272,7 +291,7 @@ class TestAdam:
                     g[rng.random(len(g)) < 0.5] = 0.0  # rows the batch did not reach
                 got.grads[name][...] = g
                 want.grads[name][...] = g
-            got.adam_step(lr=0.03)
+            got.adam_step(lr=0.03, decay=0.0)
             reference_step(want, m, s, t, lr=0.03)
             for name in init:
                 assert got.values[name].dtype == dtype

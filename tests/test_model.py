@@ -8,7 +8,7 @@ from scipy import sparse
 
 import ripplerec as rr
 import ripplerec.model
-from ripplerec.core import ParamStore, finite_diff_check
+from ripplerec.core import finite_diff_check
 from ripplerec.kg import NULL_RELATION
 from ripplerec.metrics import evaluate
 from ripplerec.synthetic import SyntheticSpec, generate
@@ -38,6 +38,8 @@ class TestHyperparams:
         dict(embed_dim=0), dict(hops=0), dict(ripple_size=0), dict(neighbor_size=0),
         dict(conv_layers=-1), dict(l2_weight=-1.0), dict(lr=0.0),
         dict(batch_size=0), dict(precision="f16"), dict(batch_size=-5), dict(epochs=-1), dict(patience=-1),
+        dict(lr=math.nan), dict(lr=math.inf), dict(l2_weight=math.nan), dict(l2_weight=math.inf),
+        dict(lr=0.5, l2_weight=2.0), dict(lr=1e-2, l2_weight=1e3),  # the per-step decay 1 - lr * l2_weight <= 0
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -308,22 +310,18 @@ class TestLoss:
         bags = _mf_bags([1])
         assert batch_loss(params, bags, hp) == pytest.approx(math.log(2.0), rel=1e-12)
 
-    def test_perfect_predictions_leave_only_l2(self):
-        hp = hp64(user_table=True, conv_layers=0, l2_weight=1.0)
-        params = init_params(2, 1, hp, seed=0, num_users=1)
-        params.values["user_emb"][...] = 0.0
-        params.values["user_emb"][0, 0] = 30.0
-        params.values["entity_emb"][...] = 0.0
-        params.values["entity_emb"][0, 0] = 1.0  # logit +30 for item 0
-        params.values["entity_emb"][1, 0] = -1.0  # logit -30 for item 1
-        bags = _mf_bags([1, 0])
-        loss = batch_loss(params, bags, hp)
-        assert loss == pytest.approx(params.l2_penalty(), abs=1e-4)
-
-    def test_l2_of_single_scalar_two_is_four(self):
-        store = ParamStore()
-        store.add("theta", np.array(2.0))
-        assert store.l2_penalty() == 4.0
+    def test_perfect_predictions_near_zero_at_any_l2_weight(self):
+        # weight decay acts in the optimizer step, so the loss is cross-entropy alone
+        for l2_weight in (0.0, 1.0, 50.0):
+            hp = hp64(user_table=True, conv_layers=0, l2_weight=l2_weight)
+            params = init_params(2, 1, hp, seed=0, num_users=1)
+            params.values["user_emb"][...] = 0.0
+            params.values["user_emb"][0, 0] = 30.0
+            params.values["entity_emb"][...] = 0.0
+            params.values["entity_emb"][0, 0] = 1.0  # logit +30 for item 0
+            params.values["entity_emb"][1, 0] = -1.0  # logit -30 for item 1
+            bags = _mf_bags([1, 0])
+            assert batch_loss(params, bags, hp) == pytest.approx(0.0, abs=1e-4), l2_weight
 
     def test_empty_batch_rejected(self, tiny_data):
         kg, dataset = tiny_data
@@ -383,8 +381,9 @@ class TestForwardBackward:
         for name in g1:
             np.testing.assert_allclose(g2[name], g1[name], atol=1e-12)
 
-    def test_untouched_rows_zero_gradient_without_l2(self, tiny_data):
-        hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1, l2_weight=0.0)
+    @pytest.mark.parametrize("l2_weight", [0.0, 1e-7, 1e-3])
+    def test_untouched_rows_zero_gradient(self, tiny_data, l2_weight):
+        hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1, l2_weight=l2_weight)
         params, bags = _tiny_batch(tiny_data, hp, n=4)
         params.zero_grads()
         forward_backward(params, bags, hp)
