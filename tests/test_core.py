@@ -263,7 +263,7 @@ class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_temporary_per_term_update(self, dtype):
         # the update as one expression per line, every term a new array
-        def reference_step(store, m, s, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        def reference_step(store, m, s, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
             for name, v in store.values.items():
                 g = store.grads[name]
                 m[name] *= b1
@@ -272,33 +272,35 @@ class TestAdam:
                 s[name] += (1.0 - b2) * (g * g)
                 m_hat = m[name] / (1.0 - b1 ** t)
                 s_hat = s[name] / (1.0 - b2 ** t)
+                v *= 1.0 - lr * decay
                 v -= lr * m_hat / (np.sqrt(s_hat) + eps)
                 g.fill(0.0)
 
         rng = np.random.default_rng(7)
         init = {"emb": rng.normal(size=(12, 5)), "bias": rng.normal(size=3), "mat": rng.normal(size=(2, 4, 4))}
-        got = ParamStore(dtype=dtype)
-        want = ParamStore(dtype=dtype)
-        for name, value in init.items():
-            got.add(name, value)
-            want.add(name, value)
-        m = {name: np.zeros_like(v) for name, v in want.values.items()}
-        s = {name: np.zeros_like(v) for name, v in want.values.items()}
-        for t in range(1, 8):
-            for name, v in want.values.items():
-                g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape)
-                if v.ndim > 1:
-                    g[rng.random(len(g)) < 0.5] = 0.0  # rows the batch did not reach
-                got.grads[name][...] = g
-                want.grads[name][...] = g
-            got.adam_step(lr=0.03, decay=0.0)
-            reference_step(want, m, s, t, lr=0.03)
-            for name in init:
-                assert got.values[name].dtype == dtype
-                assert got.values[name].tobytes() == want.values[name].tobytes(), (t, name)
-                assert got._adam_m[name].tobytes() == m[name].tobytes(), (t, name)
-                assert got._adam_v[name].tobytes() == s[name].tobytes(), (t, name)
-                assert not got.grads[name].any()
+        for decay in (0.0, 0.5):
+            got = ParamStore(dtype=dtype)
+            want = ParamStore(dtype=dtype)
+            for name, value in init.items():
+                got.add(name, value)
+                want.add(name, value)
+            m = {name: np.zeros_like(v) for name, v in want.values.items()}
+            s = {name: np.zeros_like(v) for name, v in want.values.items()}
+            for t in range(1, 8):
+                for name, v in want.values.items():
+                    g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape)
+                    if v.ndim > 1:
+                        g[rng.random(len(g)) < 0.5] = 0.0  # rows the batch did not reach
+                    got.grads[name][...] = g
+                    want.grads[name][...] = g
+                got.adam_step(lr=0.03, decay=decay)
+                reference_step(want, m, s, t, lr=0.03, decay=decay)
+                for name in init:
+                    assert got.values[name].dtype == dtype
+                    assert got.values[name].tobytes() == want.values[name].tobytes(), (decay, t, name)
+                    assert got._adam_m[name].tobytes() == m[name].tobytes(), (decay, t, name)
+                    assert got._adam_v[name].tobytes() == s[name].tobytes(), (decay, t, name)
+                    assert not got.grads[name].any()
 
 
 class TestFiniteDiff:

@@ -311,17 +311,18 @@ class TestLoss:
         assert batch_loss(params, bags, hp) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_perfect_predictions_near_zero_at_any_l2_weight(self):
+        hp = hp64(user_table=True, conv_layers=0)
+        params = init_params(2, 1, hp, seed=0, num_users=1)
+        params.values["user_emb"][...] = 0.0
+        params.values["user_emb"][0, 0] = 30.0
+        params.values["entity_emb"][...] = 0.0
+        params.values["entity_emb"][0, 0] = 1.0  # logit +30 for item 0
+        params.values["entity_emb"][1, 0] = -1.0  # logit -30 for item 1
+        bags = _mf_bags([1, 0])
         # weight decay acts in the optimizer step, so the loss is cross-entropy alone
         for l2_weight in (0.0, 1.0, 50.0):
-            hp = hp64(user_table=True, conv_layers=0, l2_weight=l2_weight)
-            params = init_params(2, 1, hp, seed=0, num_users=1)
-            params.values["user_emb"][...] = 0.0
-            params.values["user_emb"][0, 0] = 30.0
-            params.values["entity_emb"][...] = 0.0
-            params.values["entity_emb"][0, 0] = 1.0  # logit +30 for item 0
-            params.values["entity_emb"][1, 0] = -1.0  # logit -30 for item 1
-            bags = _mf_bags([1, 0])
-            assert batch_loss(params, bags, hp) == pytest.approx(0.0, abs=1e-4), l2_weight
+            loss = batch_loss(params, bags, dataclasses.replace(hp, l2_weight=l2_weight))
+            assert loss == pytest.approx(0.0, abs=1e-4), l2_weight
 
     def test_empty_batch_rejected(self, tiny_data):
         kg, dataset = tiny_data
