@@ -31,6 +31,7 @@ import csv
 import hashlib
 import logging
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -115,37 +116,61 @@ def _kv_lines(path, comments=False):
 
 
 def parse_config_file(path, cfg):
-    for lineno, key, raw in _kv_lines(path, comments=True):
-        _apply(cfg, key, raw, where=f"{path}:{lineno}")
+    return _configure(cfg, _config_lines(path))
+
+
+def _config_lines(path):
+    """``(where, key, text)`` of every line of the config file at ``path``."""
+    return [(f"{path}:{lineno}", key, raw) for lineno, key, raw in _kv_lines(path, comments=True)]
+
+
+def _configure(cfg, items):
+    """Set flat keys of ``cfg`` from ``(where, key, text)`` items, in order.
+
+    Hyperparams keys replace ``cfg.hp`` together, after the last item, so
+    a rule over two keys (``lr * l2_weight < 1``) sees both final values
+    whatever order they came in.  Its error names where each key it names
+    was set: ``where: ...`` for one source, ``where (key), ...`` for more.
+    """
+    flat, hp = cfg.flat(), {}
+    for where, key, raw in items:
+        if key not in flat:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        try:
+            value = _coerce(key, raw, flat[key])
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+        if hasattr(cfg.hp, key):
+            hp[key] = value, where
+        else:
+            setattr(cfg, key, value)
+    try:
+        cfg.hp = replace(cfg.hp, **{key: value for key, (value, _) in hp.items()})
+    except ValueError as err:
+        words = set(re.findall(r"\w+", str(err)))
+        sources = {}
+        for key, (_, where) in hp.items():
+            if key in words:
+                sources.setdefault(where, []).append(key)
+        prefix = (next(iter(sources)) if len(sources) == 1 else
+                  ", ".join(f"{where} ({' and '.join(keys)})" for where, keys in sources.items()))
+        raise ValueError(f"{prefix}: {err}") from None
     return cfg
 
 
-def _apply(cfg, key, raw, where="--set"):
-    """Set one flat key from its text; a Hyperparams key replaces ``cfg.hp``."""
-    flat = cfg.flat()
-    if key not in flat:
-        raise ValueError(f"{where}: unknown config key {key!r}")
-    try:
-        value = _coerce(key, raw, flat[key])
-        if hasattr(cfg.hp, key):
-            cfg.hp = replace(cfg.hp, **{key: value})
-        else:
-            setattr(cfg, key, value)
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from None
-
-
 def build_config(args):
-    cfg = RunConfig()
+    """The RunConfig of the config file, then each ``--set``; Hyperparams are checked once, after both."""
+    items = []
     if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(args.config)
-        parse_config_file(args.config, cfg)
+        items += _config_lines(args.config)
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
-        _apply(cfg, key, raw)
+        items.append(("--set", key, raw))
+    cfg = _configure(RunConfig(), items)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -345,10 +370,7 @@ def _hyperparams_from_manifest(manifest, path):
                              f"(the model fixes {fixed}); retrain the snapshot")
     names = [f.name for f in fields(model.Hyperparams)]
     _require(manifest, names, path)
-    cfg = RunConfig()
-    for name in names:
-        _apply(cfg, name, manifest[name], where=path)
-    return cfg.hp
+    return _configure(RunConfig(), [(path, name, manifest[name]) for name in names]).hp
 
 
 def _check_snapshot(path, params, graph, dataset, hp):
@@ -433,7 +455,7 @@ def cmd_sweep(cfg):
             cell_name = f"{cfg.sweep_param}={raw_value}_seed{seed}"
             try:
                 # a value Hyperparams rejects fails this cell only (no manifest, NA row)
-                _apply(cell_cfg, cfg.sweep_param, raw_value, where="sweep cell")
+                _configure(cell_cfg, [("sweep cell", cfg.sweep_param, raw_value)])
                 _write_kv(os.path.join(cfg.out, "cells", cell_name + ".manifest.txt"),
                           {"config_digest": cell_cfg.digest(), "seed": seed,
                            cfg.sweep_param: raw_value})

@@ -3,7 +3,9 @@
 AUC is rank-based (Mann-Whitney) with ties resolved by average ranks,
 which makes it equal -- exactly, not approximately -- to the quadratic
 count of correctly ordered positive/negative pairs with ties worth one
-half.  ACC thresholds scores at 0.5.
+half.  The ranks come from one stable numpy sort: each run of equal
+scores gets the average of the ranks it spans, a half-integer that
+float64 holds exactly.  ACC thresholds scores at 0.5.
 
 Scoring a split is read-only over frozen parameters; examples whose user
 the ripple table does not know (no train positive, hence no ripple set,
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass
@@ -37,8 +38,12 @@ def auc(scores, labels):
     """Probability a random positive outranks a random negative; ties count half.
 
     Computed from average ranks, so the result coincides exactly with
-    the pairwise count (#pos>neg + 0.5 * #ties) / (#pos * #neg).  Raises
-    when either class is absent, since the quantity is undefined there.
+    the pairwise count (#pos>neg + 0.5 * #ties) / (#pos * #neg).  A run
+    of equal scores starting at sorted position ``start`` (0-based) and
+    ``count`` long ranks ``start + (count + 1) / 2``.  ``±inf`` ranks as
+    an ordinary value; any NaN score makes the result NaN, since a NaN
+    has no place in the order.  Raises when either class is absent,
+    since the quantity is undefined there.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -47,7 +52,14 @@ def auc(scores, labels):
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative label")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        return float("nan")
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=len(ordered))
+    ranks = np.empty_like(scores)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     numerator = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(numerator / (n_pos * n_neg))
 

@@ -60,7 +60,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import metrics
 from .core import ParamStore, _last_axis_sum, sigmoid, softmax, xavier_uniform
@@ -390,6 +389,8 @@ def _add_rows(grad, rows, cols, weights, src):
     (rows[i], cols[i]) times the source table ``src``.  Duplicate rows
     sum; rows no entry names receive exactly zero.
     """
+    from scipy import sparse  # here, not at the top: only training scatters, so scoring never loads scipy
+
     cols = np.broadcast_to(cols, weights.shape)
     coo = sparse.coo_array((weights.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
                            shape=(grad.shape[0], src.shape[0]))

@@ -2,6 +2,8 @@ import argparse
 import csv
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -139,6 +141,45 @@ class TestConfig:
         manifest = _read_kv(str(tmp_path / "model.manifest.txt"))
         from_manifest = _hyperparams_from_manifest(manifest, "model.manifest.txt")
         assert from_file == from_set == from_manifest == hp
+
+
+    def test_cross_key_rule_sees_every_set_key(self):
+        # lr * l2_weight < 1 holds for the final values (0.2), not for 200 at the default lr 0.01
+        for order in (["l2_weight=200", "lr=0.001"], ["lr=0.001", "l2_weight=200"]):
+            args = argparse.Namespace(config=None, set=order, seed=None, out=None)
+            assert build_config(args).hp == Hyperparams(lr=0.001, l2_weight=200.0), order
+
+    def test_cross_key_rule_sees_every_config_line(self, tmp_path):
+        expected = Hyperparams(lr=0.001, l2_weight=200.0)
+        path = tmp_path / "c.txt"
+        for text in ("l2_weight = 200\nlr = 0.001\n", "lr = 0.001\nl2_weight = 200\n"):
+            path.write_text(text, encoding="utf-8")
+            assert parse_config_file(str(path), RunConfig()).hp == expected, text
+        # the config file and --set are checked together too
+        path.write_text("l2_weight = 200\n", encoding="utf-8")
+        args = argparse.Namespace(config=str(path), set=["lr=0.001"], seed=None, out=None)
+        assert build_config(args).hp == expected
+
+    def test_cross_key_error_names_each_key_and_its_source(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("lr = 0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("train", "--config", path, "--set", "l2_weight=4", "--out", tmp_path / "run") == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert f"{path}:1 (lr), --set (l2_weight): lr * l2_weight must be < 1" in err, err
+
+
+def test_import_leaves_scipy_unloaded():
+    # AUC ranks in numpy and only a training scatter imports scipy.sparse, so
+    # the CLI and scoring start without either
+    import ripplerec
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ripplerec.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ripplerec, ripplerec.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 class TestPrep:
@@ -294,6 +335,18 @@ class TestTrainEvalSweep:
             assert run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out) == 0
             rows.append((out / "eval_test.csv").read_bytes())
         assert rows[0] == rows[1] == rows[2]
+
+    def test_snapshot_with_cross_key_values_evaluates(self, workdir, untrained_run, tmp_path):
+        # the manifest records l2_weight before lr; read one key at a time, 200 * the default lr
+        # failed the lr * l2_weight rule, so a snapshot trained with valid values could not be scored
+        out = tmp_path / "run"
+        shutil.copytree(untrained_run, out)
+        assert run_cli("train", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out,
+                       "--set", "epochs=0", "--set", "lr=0.001", "--set", "l2_weight=200") == 0
+        manifest = _read_kv(str(out / "model.manifest.txt"))
+        assert (manifest["lr"], manifest["l2_weight"]) == ("0.001", "200.0")
+        assert run_cli("eval", "--config", workdir / "cfg.txt", "--out", out) == 0
+        assert (out / "eval_test.csv").exists()
 
     def test_eval_before_train_exit_2(self, workdir, tmp_path):
         out = tmp_path / "fresh"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,19 +14,16 @@ from conftest import tables
 
 
 def pairwise_auc(scores, labels):
-    """Quadratic oracle: fraction of correctly ordered (pos, neg) pairs, ties half."""
+    """Quadratic oracle: fraction of correctly ordered (pos, neg) pairs, ties half.
+
+    Both counts are integers, so the sum is exact, as a pair-by-pair loop's is.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (len(pos) * len(neg))
+    pos = scores[labels == 1][:, None]
+    neg = scores[labels == 0][None, :]
+    total = float((pos > neg).sum()) + 0.5 * float((pos == neg).sum())
+    return total / (pos.size * neg.size)
 
 
 class TestAuc:
@@ -54,7 +52,18 @@ class TestAuc:
                 labels[0] = 1 - labels[0]
             # quantized scores inject plenty of ties
             scores = np.round(rng.uniform(0, 1, size=n), 2)
-            assert auc(scores, labels) == pairwise_auc(scores, labels)
+            infinite = scores.copy()
+            infinite[rng.uniform(size=n) < 0.1] = np.inf
+            infinite[rng.uniform(size=n) < 0.1] = -np.inf
+            ties_only = rng.integers(0, 3, size=n)
+            f32 = rng.uniform(0, 1, size=n).astype(np.float32)
+            for case in (scores, infinite, ties_only, f32, np.round(f32, 2)):
+                assert auc(case, labels) == pairwise_auc(case, labels)
+
+    def test_nan_score_gives_nan(self):
+        # a NaN has no place in the order, so no pair count is defined
+        assert math.isnan(auc([0.9, np.nan, 0.3, 0.2], [1, 1, 0, 0]))
+        assert math.isnan(auc(np.array([0.1, 0.7, np.nan], dtype=np.float32), [0, 1, 0]))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
@@ -185,6 +194,8 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
 
+        # untraced first: the first step imports scipy.sparse, which is no part of a step's own peak
+        ripplerec.model.forward_backward(params, bags, hp)
         params.zero_grads()
         step = peak(lambda: ripplerec.model.forward_backward(params, bags, hp))
         scoring = peak(lambda: evaluate(params, records, neighbors, ripple_sets, hp, dataset.item_entities))
