@@ -33,13 +33,13 @@ with open(kg_path, "w", encoding="utf-8") as fh:
         fh.write(f"{h}\t{r}\t{t}\n")
 
 kg = rr.load_kg(kg_path, undirected=True)
-print(f"loaded: {kg.num_entities} entities, {kg.num_relations} relations, {len(kg.triples)} triples")
-print("entity vocabulary (first-appearance order):")
-for name, idx in list(kg.entity_vocab.items())[:6]:
+print(f"loaded: {kg.num_entities} entities, {kg.num_relations} relations, {kg.num_triples} triples")
+print("entity vocabulary (first-appearance order; an index is a position in entity_names):")
+for idx, name in enumerate(kg.entity_names[:6]):
     print(f"  {idx:2d}  {name}")
 
 # Edges are undirected by default, so an actor node reaches its movies.
-pacino = kg.entity_vocab["Al Pacino"]
+pacino = kg.entity_names.index("Al Pacino")
 print("\nneighbors of 'Al Pacino':")
 for rel, ent in kg.neighbors(pacino):
     print(f"  --{kg.relation_names[rel]}--> {kg.entity_names[ent]}")
@@ -54,7 +54,7 @@ for rel, ent in zip(rels, ents):
 # Ripple bags: hop-k heads always come from hop-(k-1) tails.  The builder
 # draws every user's bags at once from (user, seed entity) pairs; here one
 # user, row 0 of the table, is seeded by "Heat".
-heat = kg.entity_vocab["Heat"]
+heat = kg.entity_names.index("Heat")
 
 
 def ripple_bags(rng):

@@ -91,10 +91,11 @@ def _coerce(name, raw, current):
             return interactions.check_ratios(tuple(_coerce(name, p, 0.0) for p in parts))
         return parts
     try:
-        return type(current)(raw)  # int, float or str
+        value = type(current)(raw)  # int, float or str
     except ValueError:
         kind = "an integer" if isinstance(current, int) else "a number"
         raise ValueError(f"{name} = {raw!r} is not {kind}") from None
+    return interactions.check_threshold(value) if name == "threshold" else value  # checked as ratios are
 
 
 def _kv_lines(path, comments=False):
@@ -232,7 +233,7 @@ def cmd_prep(cfg):
         f"users\t{dataset.num_users}",
         f"items\t{dataset.num_items}",
         f"interactions\t{len(binarized.positives)}",
-        f"knowledge graph triples\t{len(graph.triples)}",
+        f"knowledge graph triples\t{graph.num_triples}",
         "",
         f"rating rows read\t{binarized.n_rows}",
         f"rows below threshold {cfg.threshold} (dropped as unobserved)\t{binarized.n_below_threshold}",

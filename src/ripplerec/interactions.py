@@ -72,13 +72,16 @@ def binarize(ratings_path, threshold, item_to_entity):
 
     ``ratings_path`` is TSV ``user<TAB>item<TAB>rating[<TAB>timestamp]``.
     Rows rating >= threshold become positives; rows below are dropped as
-    unobserved.  Items without a KG entity mapping are dropped and
-    counted.  The item vocabulary covers every mappable item (rated or
-    not) so unrated items can serve as negatives; user indices are
-    assigned at a user's first positive row.  Fields are interned from
-    the file's bytes, so ``float`` runs once per distinct rating string;
-    the first line holding one it rejects raises :class:`ParseError`.
+    unobserved.  ``threshold`` must be finite (:func:`check_threshold`).
+    Items without a KG entity mapping are dropped and counted.  The item
+    vocabulary covers every mappable item (rated or not) so unrated items
+    can serve as negatives; user indices are assigned at a user's first
+    positive row.  Fields are interned from the file's bytes, so
+    ``float`` runs once per distinct rating string; the first line
+    holding one it rejects, or one that parses to NaN, raises
+    :class:`ParseError`.
     """
+    check_threshold(threshold)
     item_names = list(item_to_entity)
     item_index = {raw: i for i, raw in enumerate(item_names)}
     item_entities = np.array([item_to_entity[raw] for raw in item_names], dtype=np.int64)
@@ -88,21 +91,23 @@ def binarize(ratings_path, threshold, item_to_entity):
     if n_rows == 0:
         raise ValueError(f"{ratings_path}: no rating rows found")
     start, end = _bounds(scan, (0, 1, 2))
-    raw_ratings, _, rating_ids = _intern(scan.buf, start[:, 2], end[:, 2])
+    raw_ratings, rating_ids = _intern(scan.buf, start[:, 2], end[:, 2])
     values = np.empty(len(raw_ratings))
     for k, raw_rating in enumerate(raw_ratings):
         try:
             values[k] = float(raw_rating)
         except ValueError:
+            values[k] = np.nan
+        if np.isnan(values[k]):  # neither >= nor < a threshold, so neither positive nor unobserved
             row = int(np.argmax(rating_ids == k))  # the first line holding it
-            raise ParseError(ratings_path, int(scan.linenos[row]), f"non-numeric rating {raw_rating!r}") from None
+            raise ParseError(ratings_path, int(scan.linenos[row]), f"non-numeric rating {raw_rating!r}")
     ratings = values[rating_ids]
-    raw_items, _, item_ids = _intern(scan.buf, start[:, 1], end[:, 1])
+    raw_items, item_ids = _intern(scan.buf, start[:, 1], end[:, 1])
     items = np.array([item_index.get(raw, -1) for raw in raw_items], dtype=np.int64)[item_ids]
     mapped = items >= 0
     below = mapped & (ratings < threshold)
-    positive = mapped & ~below  # a NaN rating is not below the threshold
-    user_names, _, users = _intern(scan.buf, start[positive, 0], end[positive, 0])
+    positive = mapped & ~below
+    user_names, users = _intern(scan.buf, start[positive, 0], end[positive, 0])
     pairs = np.stack((users, items[positive]), axis=1)
     _, kept = np.unique(users * len(item_names) + pairs[:, 1], return_index=True)
     positives = pairs[np.sort(kept)]  # each (user, item) pair at its first row
@@ -161,6 +166,13 @@ def negative_sample(positives, num_items, rng):
     return negatives
 
 
+def check_threshold(threshold):
+    """``threshold``, if it is a finite number; else ValueError naming it."""
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
+    return threshold
+
+
 def check_ratios(ratios):
     """``ratios``, if it is three split shares, each in [0, 1], that sum to 1; else ValueError."""
     if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
@@ -176,24 +188,21 @@ def _partition_counts(n, ratios):
     return counts
 
 
-def split(records, ratios=(0.6, 0.2, 0.2), seed=0, group_size=1):
-    """Globally shuffle records with ``seed``, then partition contiguously.
+def split(records, ratios=(0.6, 0.2, 0.2), seed=0):
+    """Globally shuffle pairs of records with ``seed``, then partition contiguously.
 
-    Returns the ``(train, validation, test)`` arrays.  Rounding floors
-    every split and assigns the remainder to train.  ``group_size=2``
-    moves consecutive records as one unit; the prep pipeline uses it to
-    keep each positive next to its negative so that per-user label
-    balance stays exact within every split.
+    Returns the ``(train, validation, test)`` arrays.  Records 2k and
+    2k + 1 move as one unit, so each positive stays next to its negative
+    and per-user label balance stays exact within every split.  Rounding
+    floors every split's pair count and assigns the remainder to train.
     """
     records = np.asarray(records, dtype=np.int64)
     if len(records) == 0:
         raise ValueError("cannot split an empty interaction list")
-    if len(records) % group_size != 0:
-        raise ValueError(f"record count {len(records)} is not a multiple of group_size {group_size}")
     rng = np.random.default_rng(seed)
-    n_units = len(records) // group_size
+    n_units = len(records) // 2
     order = rng.permutation(n_units)
-    units = records.reshape(n_units, group_size, 3)[order]
+    units = records.reshape(n_units, 2, 3)[order]
     counts = _partition_counts(n_units, ratios)
     bounds = np.cumsum([0] + counts)
     return tuple(units[bounds[i]:bounds[i + 1]].reshape(-1, 3) for i in range(3))
@@ -213,7 +222,7 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
     paired[0::2, :2] = grouped
     paired[0::2, 2] = 1
     paired[1::2] = negative_sample(grouped, binarized.num_items, rng)
-    train, validation, test = split(paired, ratios=ratios, seed=seed, group_size=2)
+    train, validation, test = split(paired, ratios=ratios, seed=seed)
     return InteractionDataset(binarized.num_users, binarized.num_items, train, validation, test,
                               binarized.item_entities)
 

@@ -1,4 +1,4 @@
-"""Knowledge-graph triple store and all fixed-size stochastic sampling.
+"""Knowledge-graph loading, its one edge layout, and all fixed-size stochastic sampling.
 
 Every TSV input goes through one byte-level scanner: the file is read
 and decoded once (:func:`read_text`, which also reads the CLI's
@@ -11,11 +11,11 @@ ratings of a rating log) goes through one interner, :func:`_intern`,
 which also works on the bytes: it sorts each field as padded 8-byte
 words and decodes only the distinct names, so no input makes a Python
 str per field.  Triples are indexed through those first-appearance
-vocabularies, deduplicated on packed (head, relation, tail) keys, and
-exposed through one compressed sparse row (CSR) layout built from one
-sort of packed (source, relation, neighbor) keys: entity ``e``'s
-outgoing (relation, neighbor) edges are ``rel[indptr[e]:indptr[e + 1]]``
-and ``nbr[indptr[e]:indptr[e + 1]]``.
+vocabularies, held as name lists, deduplicated on packed (head,
+relation, tail) keys, and kept only as one compressed sparse row (CSR)
+layout built from one sort of packed (source, relation, neighbor) keys:
+entity ``e``'s outgoing (relation, neighbor) edges are
+``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
 Both samplers draw uniformly with replacement from CSR ranges:
 :func:`sample_children` fixed-size neighbor bags for a whole array of
 entities (every entity at once gives a run's :class:`NeighborTable`),
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -122,12 +122,13 @@ _PAD = np.array([(2**64 - 1) >> (8 * r) for r in range(8)] + [0], dtype=np.uint6
 
 
 def _intern(buf, start, end):
-    """First-appearance vocabulary of the fields ``buf[start[i]:end[i]]``: (names, name -> index, indices).
+    """First-appearance vocabulary of the fields ``buf[start[i]:end[i]]``: (names, indices).
 
-    The same as interning the decoded fields, without a str per field.
-    Each field is padded with 0xFF, a byte UTF-8 never uses, to whole
-    8-byte words, read as big-endian ``uint64`` keys and sorted once
-    among the fields of its word count.  Groups of equal keys rank by
+    Field ``i`` is ``names[indices[i]]``.  The same as interning the
+    decoded fields, without a str per field and without a name -> index
+    dict.  Each field is padded with 0xFF, a byte UTF-8 never uses, to
+    whole 8-byte words, read as big-endian ``uint64`` keys and sorted
+    once among the fields of its word count.  Groups of equal keys rank by
     their first field, and only the distinct fields are decoded, with
     one ``decode`` of their tab-joined bytes.  Each field ends at a tab
     or newline of ``buf``, as :func:`_scan` finds them.
@@ -159,7 +160,7 @@ def _intern(buf, start, end):
     joined = buf[np.repeat(lo - stop + size, size) + np.arange(stop[-1] if len(stop) else 0)]
     joined[stop - 1] = ord("\t")
     names = joined.tobytes().decode("utf-8").split("\t")[:-1]
-    return names, dict(zip(names, range(len(names)))), index[labels]
+    return names, index[labels]
 
 
 def read_int_tsv(path, columns):
@@ -201,25 +202,24 @@ def read_int_tsv(path, columns):
 
 @dataclass
 class KnowledgeGraph:
-    """Immutable triple store with vocabularies and a CSR edge index.
+    """Immutable graph in one layout: a CSR edge index and the raw ids of its indices.
 
     Entity ``e`` owns edges ``indptr[e]`` to ``indptr[e + 1]`` of the
     parallel arrays ``rel`` and ``nbr``; within an entity, edges are
     sorted by (relation, neighbor) for determinism.  Entity and relation
     indices are dense and assigned in first-appearance file order.
+    ``num_triples`` counts the file's distinct triples.
     """
 
     num_entities: int
     num_relations: int
-    triples: np.ndarray  # (n, 3) int array of (head, relation, tail)
+    num_triples: int
     indptr: np.ndarray  # (num_entities + 1,) edge offsets
     rel: np.ndarray  # (num_edges,) relation of each edge
     nbr: np.ndarray  # (num_edges,) neighbor entity of each edge
-    entity_vocab: dict[str, int]
-    relation_vocab: dict[str, int]
-    undirected: bool = True
-    entity_names: list[str] = field(default_factory=list)
-    relation_names: list[str] = field(default_factory=list)
+    undirected: bool
+    entity_names: list[str]  # entity index -> raw id
+    relation_names: list[str]  # relation index -> raw id
 
     def degree(self, entity):
         return int(self.indptr[entity + 1] - self.indptr[entity])
@@ -312,17 +312,17 @@ class NeighborTable:
 def load_kg(path, undirected=True):
     """Load a TSV triple file (``head<TAB>relation<TAB>tail``, UTF-8).
 
-    Vocabularies assign indices in first-appearance order, duplicate
-    triples are stored once (at their first line), and the CSR edge
-    index gains an inverse (tail, relation, head) edge per triple when
-    ``undirected`` is set (self-loops are not doubled).
+    Vocabularies assign indices in first-appearance order, a duplicate
+    triple counts once, and the CSR edge index gains an inverse (tail,
+    relation, head) edge per triple when ``undirected`` is set
+    (self-loops are not doubled).
     """
     scan = _scan(path, (3,))
     if len(scan.linenos) == 0:
         raise ValueError(f"{path}: no triples found")
     start, end = _bounds(scan, (0, 1, 2))
-    entity_names, entity_vocab, ent = _intern(scan.buf, start[:, ::2].ravel(), end[:, ::2].ravel())
-    relation_names, relation_vocab, rels = _intern(scan.buf, start[:, 1], end[:, 1])
+    entity_names, ent = _intern(scan.buf, start[:, ::2].ravel(), end[:, ::2].ravel())
+    relation_names, rels = _intern(scan.buf, start[:, 1], end[:, 1])
     num_entities, num_relations = len(entity_names), len(relation_names)
     if num_entities**2 * num_relations >= 2**63:
         raise ValueError(f"{path}: {num_entities} entities and {num_relations} relations overflow int64 triple keys")
@@ -331,10 +331,8 @@ def load_kg(path, undirected=True):
         return (src * num_relations + rel) * num_entities + dst
 
     keys = pack(ent[0::2], rels, ent[1::2])
-    _, kept = np.unique(keys, return_index=True)
-    kept.sort()  # each distinct triple at its first line
+    _, kept = np.unique(keys, return_index=True)  # each distinct triple once
     h, r, t = ent[0::2][kept], rels[kept], ent[1::2][kept]
-    triple_arr = np.stack((h, r, t), axis=1)
     edge_keys = keys[kept]
     if undirected:
         inv = h != t  # self-loops are not doubled
@@ -345,24 +343,11 @@ def load_kg(path, undirected=True):
     indptr = np.zeros(num_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_entities), out=indptr[1:])
 
-    kg = KnowledgeGraph(
-        num_entities=num_entities,
-        num_relations=num_relations,
-        triples=triple_arr,
-        indptr=indptr,
-        rel=rel,
-        nbr=nbr,
-        entity_vocab=entity_vocab,
-        relation_vocab=relation_vocab,
-        undirected=undirected,
-        entity_names=entity_names,
-        relation_names=relation_names,
-    )
-    logger.info(
-        "loaded %s: %d entities, %d relations, %d triples (%d duplicates dropped, %s)",
-        path, num_entities, num_relations, len(triple_arr), len(keys) - len(triple_arr),
-        "undirected" if undirected else "directed",
-    )
+    kg = KnowledgeGraph(num_entities, num_relations, len(kept), indptr, rel, nbr, undirected,
+                        entity_names, relation_names)
+    logger.info("loaded %s: %d entities, %d relations, %d triples (%d duplicates dropped, %s)",
+                path, num_entities, num_relations, kg.num_triples, len(keys) - kg.num_triples,
+                "undirected" if undirected else "directed")
     return kg
 
 
@@ -464,8 +449,8 @@ def load_item_map(path, kg):
     """
     scan = _scan(path, (2,))
     start, end = _bounds(scan, (0, 1))
-    item_names, _, items = _intern(scan.buf, start[:, 0], end[:, 0])
-    entity_names, _, entities = _intern(scan.buf, start[:, 1], end[:, 1])
+    item_names, items = _intern(scan.buf, start[:, 0], end[:, 0])
+    entity_names, entities = _intern(scan.buf, start[:, 1], end[:, 1])
     _, first_row = np.unique(items, return_index=True)
     item_entity = entities[first_row]  # each item's entity at its first row
     clash = np.flatnonzero(entities != item_entity[items])
@@ -474,7 +459,8 @@ def load_item_map(path, kg):
         item, earlier, later = item_names[items[i]], entity_names[item_entity[items[i]]], entity_names[entities[i]]
         raise ParseError(path, int(scan.linenos[i]),
                          f"item {item!r} maps to entity {later!r}, but an earlier line maps it to {earlier!r}")
-    lookup = np.array([kg.entity_vocab.get(name, -1) for name in entity_names], dtype=np.int64)[item_entity]
+    entity_index = dict(zip(kg.entity_names, range(kg.num_entities)))
+    lookup = np.array([entity_index.get(name, -1) for name in entity_names], dtype=np.int64)[item_entity]
     skipped = int(np.count_nonzero(lookup[items] < 0))
     if skipped:
         logger.warning("%s: %d item map rows referenced unknown entities", path, skipped)

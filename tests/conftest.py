@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ripplerec as rr
+from ripplerec.kg import ParseError
 from ripplerec.synthetic import SyntheticSpec, generate, tiny_spec
 
 
@@ -47,12 +48,52 @@ def write_kg(path, rows):
     return str(path)
 
 
-def adjacency(kg):
-    """Per-entity sorted (relation, neighbor) lists, straight from the triples."""
-    adj = [[] for _ in range(kg.num_entities)]
-    for h, r, t in kg.triples.tolist():
+def reference_load_kg(path, undirected):
+    """The line-by-line ``load_kg`` that the byte-level scanner replaced.
+
+    Returns (entity_names, relation_names, triples, indptr, rel, nbr),
+    ``triples`` the ``(n, 3)`` distinct (head, relation, tail) rows in
+    first-line order.
+    """
+    entity_vocab, relation_vocab = {}, {}
+    triples, seen = [], set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+            h = entity_vocab.setdefault(fields[0], len(entity_vocab))
+            r = relation_vocab.setdefault(fields[1], len(relation_vocab))
+            t = entity_vocab.setdefault(fields[2], len(entity_vocab))
+            if (h, r, t) not in seen:
+                seen.add((h, r, t))
+                triples.append((h, r, t))
+    triple_arr = np.array(triples, dtype=np.int64)
+    src, rel, dst = triple_arr.T
+    if undirected:
+        inv = src != dst
+        src, rel, dst = (np.concatenate((src, dst[inv])), np.concatenate((rel, rel[inv])),
+                         np.concatenate((dst, src[inv])))
+    order = np.lexsort((dst, rel, src))
+    indptr = np.zeros(len(entity_vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(entity_vocab)), out=indptr[1:])
+    return list(entity_vocab), list(relation_vocab), triple_arr, indptr, rel[order], dst[order]
+
+
+def adjacency(path, undirected):
+    """Per-entity sorted (relation, neighbor) lists of the KG file at ``path``, by :func:`reference_load_kg`.
+
+    Built from the file, never from a loaded graph's CSR arrays, so that
+    it can check them.
+    """
+    names, _, triples, *_ = reference_load_kg(path, undirected)
+    adj = [[] for _ in names]
+    for h, r, t in triples.tolist():
         adj[h].append((r, t))
-        if kg.undirected and h != t:
+        if undirected and h != t:
             adj[t].append((r, h))
     return [sorted(pairs) for pairs in adj]
 

@@ -236,6 +236,16 @@ class TestPrep:
         assert f"{where_text}: split ratios must be three shares in [0, 1] that sum to 1" in err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("threshold", ["nan", "-inf", "inf"])
+    def test_non_finite_threshold_rejected_before_out_is_made(self, workdir, tmp_path, capsys, threshold):
+        # every rating compares false with nan and >= -inf, so either would make every mapped rating a positive
+        capsys.readouterr()
+        rc = run_cli("prep", "--config", workdir / "cfg.txt", "--out", tmp_path / "never",
+                     "--set", f"threshold={threshold}")
+        assert rc == EXIT_MALFORMED
+        assert f"--set: threshold must be a finite number, got {float(threshold)}" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
 
 class TestTrainEvalSweep:
     def test_train_writes_snapshot_log_and_report(self, workdir):
@@ -652,7 +662,8 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "no_hops": _drop_key("hops"), "seed_x": _set_field(1, " x"),  # line 2 of a manifest is seed
            "hops_two": _set_key("hops", "two"), "hops_0": _set_key("hops", "0"),
            "undirected_maybe": _set_key("undirected", "maybe"), "batch_size_0": _set_key("batch_size", "0"),
-           "lr_nan": _only_key("lr", "nan"),
+           "lr_nan": _only_key("lr", "nan"), "threshold_nan": _only_key("threshold", "nan"),
+           "threshold_-inf": _only_key("threshold", "-inf"),
            "fusion_recursive": _add_key("fusion", "recursive"), "acc_threshold_0.4": _add_key("acc_threshold", "0.4"),
            "item_i0_again": _set_field(0, "i0")}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
@@ -696,6 +707,9 @@ INPUT_DEFECTS = [
     ("manifest", "acc_threshold_0.4", EXIT_MALFORMED, "{path}: acc_threshold = '0.4' is no longer supported"),
     ("set", "batch_size_0", EXIT_MALFORMED, "--set: batch_size must be >= 1"),
     ("set", "lr_nan", EXIT_MALFORMED, "--set: lr must be finite and > 0"),  # nan <= 0 is false
+    # a rating is never < nan and never < -inf: either threshold would make every mapped rating a positive
+    ("set", "threshold_nan", EXIT_MALFORMED, "--set: threshold must be a finite number, got nan"),
+    ("set", "threshold_-inf", EXIT_MALFORMED, "--set: threshold must be a finite number, got -inf"),
     ("test", "user_999", EXIT_MALFORMED, "{path}:{line}: user 999 outside"),
     ("test", "user_-1", EXIT_MALFORMED, "{path}:{line}: user -1 outside"),
     ("test", "item_999", EXIT_MALFORMED, "{path}:{line}: item 999 outside"),

@@ -59,6 +59,20 @@ class TestBinarize:
         with pytest.raises(ParseError, match=":2:"):
             binarize(path, 4.0, ITEM_MAP)
 
+    @pytest.mark.parametrize("nan", ["nan", "NaN", "-nan"])
+    def test_nan_rating_reports_its_first_line(self, tmp_path, nan):
+        # NaN >= threshold is false, so a NaN rating is no positive; it is refused, not dropped
+        rows = [("u1", "i0", 5), ("u2", "i1", nan), ("u3", "i2", nan)]
+        path = write_ratings(tmp_path / "r.tsv", rows)
+        with pytest.raises(ParseError, match=f":2: non-numeric rating '{nan}'$"):
+            binarize(path, 4.0, ITEM_MAP)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("-inf"), float("inf")])
+    def test_non_finite_threshold_rejected(self, tmp_path, threshold):
+        path = write_ratings(tmp_path / "r.tsv", [("u1", "i0", 5)])
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            binarize(path, threshold, ITEM_MAP)
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("u1\ti0\n", encoding="utf-8")
@@ -120,10 +134,18 @@ class TestSplit:
         return np.array([(i % 3, i, i % 2) for i in range(n)], dtype=np.int64).reshape(-1, 3)
 
     def test_ten_records_6_2_2(self):
+        # five pairs: 3/1/1
         assert [len(part) for part in split(self._records(10), seed=0)] == [6, 2, 2]
 
-    def test_five_records_floor_remainder_to_train(self):
-        assert [len(part) for part in split(self._records(5), seed=0)] == [3, 1, 1]
+    def test_five_units_floor_remainder_to_train(self):
+        # five pairs in ten records: 2.5, 1.25 and 1.25 pairs floor to 2/1/1, and the fifth pair goes to train
+        assert [len(part) for part in split(self._records(10), seed=0, ratios=(0.5, 0.25, 0.25))] == [6, 2, 2]
+
+    def test_pairs_move_together(self):
+        for part in split(self._records(40), seed=1):
+            assert len(part) % 2 == 0
+            np.testing.assert_array_equal(part[1::2, 1], part[0::2, 1] + 1)  # record 2k + 1 follows 2k
+            assert (part[0::2, 1] % 2 == 0).all()
 
     def test_partition_disjoint_and_complete(self):
         records = self._records(40)
@@ -170,7 +192,7 @@ def _reference_binarize(path, threshold, item_to_entity):
 @pytest.mark.parametrize("seed", range(8))
 def test_binarize_matches_row_loop(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    ratings = ["5", "4", "4.0", "3.99", "1", "nan", "inf", "-inf", " 4 ", "4e0"]
+    ratings = ["5", "4", "4.0", "3.99", "1", "inf", "-inf", " 4 ", "4e0"]
     rows = []
     for _ in range(int(rng.integers(1, 200))):
         row = [f"u{rng.integers(12)}", f"i{rng.integers(6)}", ratings[rng.integers(len(ratings))]]
@@ -297,7 +319,7 @@ def _reference_build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
             paired.append(_Interaction(user=user, item=item, label=1))
             paired.append(neg)
     records = np.asarray([(i.user, i.item, i.label) for i in paired], dtype=np.int64)
-    splits = split(records, ratios=ratios, seed=seed, group_size=2)
+    splits = split(records, ratios=ratios, seed=seed)
     return InteractionDataset(binarized.num_users, binarized.num_items, *splits, binarized.item_entities), rng
 
 

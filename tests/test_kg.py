@@ -16,7 +16,7 @@ from ripplerec.kg import (
 )
 from ripplerec.model import Hyperparams, build_neighbor_table, sample_item_trees
 
-from conftest import adjacency, reference_ripple_bags, train_seeds, write_kg
+from conftest import adjacency, reference_load_kg, reference_ripple_bags, train_seeds, write_kg
 
 
 def read_vocab(path):
@@ -32,8 +32,8 @@ class TestLoadKg:
         kg = load_kg(path, undirected=True)
         assert kg.num_entities == 3
         assert kg.num_relations == 1
-        r, a, c = kg.relation_vocab["r"], kg.entity_vocab["a"], kg.entity_vocab["c"]
-        b = kg.entity_vocab["b"]
+        r, a, c = kg.relation_names.index("r"), kg.entity_names.index("a"), kg.entity_names.index("c")
+        b = kg.entity_names.index("b")
         assert [tuple(row) for row in kg.neighbors(b)] == [(r, a), (r, c)]
 
     def test_first_appearance_vocab_order(self, tmp_path):
@@ -45,8 +45,8 @@ class TestLoadKg:
     def test_duplicates_stored_once(self, tmp_path):
         path = write_kg(tmp_path / "kg.tsv", [("a", "r", "b"), ("a", "r", "b"), ("a", "r", "b")])
         kg = load_kg(path)
-        assert len(kg.triples) == 1
-        assert kg.degree(kg.entity_vocab["a"]) == 1
+        assert kg.num_triples == 1
+        assert kg.degree(kg.entity_names.index("a")) == 1
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "kg.tsv"
@@ -72,7 +72,7 @@ class TestLoadKg:
         rows = [("a", "r2", "c"), ("a", "r1", "b"), ("a", "r1", "a0"), ("a", "r2", "b")]
         path = write_kg(tmp_path / "kg.tsv", rows)
         kg = load_kg(path, undirected=False)
-        adj = kg.neighbors(kg.entity_vocab["a"])
+        adj = kg.neighbors(kg.entity_names.index("a"))
         assert [tuple(p) for p in adj] == sorted(tuple(p) for p in adj)
 
 
@@ -81,14 +81,14 @@ class TestSampleNeighbors:
 
     def test_singleton_with_replacement(self, chain_kg):
         kg = chain_kg
-        a = kg.entity_vocab["a"]
+        a = kg.entity_names.index("a")
         (rels,), (nbrs,) = sample_children(kg, [a], 4, np.random.default_rng(0))
         assert len(rels) == len(nbrs) == 4
-        assert set(nbrs.tolist()) == {kg.entity_vocab["b"]}
-        assert set(rels.tolist()) == {kg.relation_vocab["r"]}
+        assert set(nbrs.tolist()) == {kg.entity_names.index("b")}
+        assert set(rels.tolist()) == {kg.relation_names.index("r")}
 
     def test_seed_determinism(self, chain_kg):
-        b = chain_kg.entity_vocab["b"]
+        b = chain_kg.entity_names.index("b")
         r1, e1 = sample_children(chain_kg, [b], 8, np.random.default_rng(11))
         r2, e2 = sample_children(chain_kg, [b], 8, np.random.default_rng(11))
         np.testing.assert_array_equal(e1, e2)
@@ -97,7 +97,7 @@ class TestSampleNeighbors:
     def test_uniformity_over_degree_8(self, tmp_path):
         rows = [("hub", "r", f"n{i}") for i in range(8)]
         kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
-        hub = kg.entity_vocab["hub"]
+        hub = kg.entity_names.index("hub")
         rng = np.random.default_rng(100)
         n_draws = 10_000
         counts = np.zeros(8)
@@ -113,7 +113,7 @@ class TestSampleNeighbors:
 
     def test_isolated_entity_padded_with_self_loops(self, tmp_path):
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
-        b = kg.entity_vocab["b"]  # no outgoing edges in directed mode
+        b = kg.entity_names.index("b")  # no outgoing edges in directed mode
         rels, nbrs = sample_children(kg, [b], 3, np.random.default_rng(0))
         assert np.all(rels == NULL_RELATION)
         assert np.all(nbrs == b)
@@ -121,10 +121,10 @@ class TestSampleNeighbors:
     def test_neighbor_table_pads_edgeless_entities(self, tmp_path):
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
         table = build_neighbor_table(kg, Hyperparams(neighbor_size=3), seed=0)
-        a, b = kg.entity_vocab["a"], kg.entity_vocab["b"]  # b has no outgoing edge in directed mode
+        a, b = kg.entity_names.index("a"), kg.entity_names.index("b")  # b has no outgoing edge in directed mode
         assert table.rel.shape == table.nbr.shape == (kg.num_entities, 3)
         assert table.rel[b].tolist() == [NULL_RELATION] * 3 and table.nbr[b].tolist() == [b] * 3
-        assert table.rel[a].tolist() == [kg.relation_vocab["r"]] * 3 and table.nbr[a].tolist() == [b] * 3
+        assert table.rel[a].tolist() == [kg.relation_names.index("r")] * 3 and table.nbr[a].tolist() == [b] * 3
         with pytest.raises(ValueError, match="read-only"):
             table.nbr[b, 0] = a
 
@@ -153,23 +153,23 @@ class TestBuildRippleSet:
 
     def test_chain_unique_choice(self, tmp_path):
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("e0", "r0", "e1"), ("e1", "r0", "e2")]), undirected=False)
-        e0, e1, e2 = (kg.entity_vocab[e] for e in ("e0", "e1", "e2"))
-        r0 = kg.relation_vocab["r0"]
+        e0, e1, e2 = (kg.entity_names.index(e) for e in ("e0", "e1", "e2"))
+        r0 = kg.relation_names.index("r0")
         bags = _one_user(kg, [e0], hops=2, n_p=1, rng=np.random.default_rng(0))
         assert [tuple(bags[0, 0])] == [(e0, r0, e1)]
         assert [tuple(bags[1, 0])] == [(e1, r0, e2)]
 
     def test_chain_with_replacement_singleton(self, tmp_path):
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("e0", "r0", "e1"), ("e1", "r0", "e2")]), undirected=False)
-        e0 = kg.entity_vocab["e0"]
+        e0 = kg.entity_names.index("e0")
         bags = _one_user(kg, [e0], hops=1, n_p=3, rng=np.random.default_rng(0))
         assert bags.shape == (1, 3, 3)
-        assert {tuple(row) for row in bags[0]} == {(e0, 0, kg.entity_vocab["e1"])}
+        assert {tuple(row) for row in bags[0]} == {(e0, 0, kg.entity_names.index("e1"))}
 
     def test_star_uniformity(self, tmp_path):
         rows = [("hub", "r", f"s{i}") for i in range(5)]
         kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
-        hub = kg.entity_vocab["hub"]
+        hub = kg.entity_names.index("hub")
         n_rebuilds = 10_000  # one user each, all in one table
         table = build_ripple_table(kg, np.arange(n_rebuilds), np.full(n_rebuilds, hub), n_rebuilds,
                                    hops=1, n_p=5, rng=np.random.default_rng(0))
@@ -215,7 +215,7 @@ class TestBuildRippleSet:
     def test_empty_frontier_backfills_previous_hop(self, tmp_path, caplog):
         # directed dead end: e1 has no outgoing triples; users 0 and 2 reach it, user 1 never does
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("e0", "r0", "e1"), ("e2", "r0", "e2")]), undirected=False)
-        e0, e2 = kg.entity_vocab["e0"], kg.entity_vocab["e2"]
+        e0, e2 = kg.entity_names.index("e0"), kg.entity_names.index("e2")
         rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
         with caplog.at_level("WARNING", logger="ripplerec.kg"):
             table = build_ripple_table(kg, [2, 0, 1], [e0, e0, e2], 3, hops=3, n_p=4, rng=rng)
@@ -226,13 +226,14 @@ class TestBuildRippleSet:
             hop1 = np.unique(table.bags[0, user], axis=0)
             for k in (1, 2):
                 np.testing.assert_array_equal(np.unique(table.bags[k, user], axis=0), hop1)
-        want = reference_ripple_bags(adjacency(kg), {0: [e0], 1: [e2], 2: [e0]}, 3, 4, ref_rng)
+        adj = adjacency(tmp_path / "kg.tsv", undirected=False)
+        want = reference_ripple_bags(adj, {0: [e0], 1: [e2], 2: [e0]}, 3, 4, ref_rng)
         for user, bags in want.items():
             assert table.bags[:, user].tobytes() == np.stack(bags).tobytes()
         assert rng.random() == ref_rng.random()
 
     def test_empty_seeds_rejected(self, chain_kg):
-        a = chain_kg.entity_vocab["a"]
+        a = chain_kg.entity_names.index("a")
         rng, one_rng = np.random.default_rng(0), np.random.default_rng(0)
         table = build_ripple_table(chain_kg, [1], [a], 3, 2, 4, rng)
         assert table.has.tolist() == [False, True, False]
@@ -248,7 +249,7 @@ class TestBuildRippleSet:
         kg = load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b")]), undirected=False)
         rng = np.random.default_rng(0)
         with caplog.at_level("WARNING", logger="ripplerec.kg"):
-            table = build_ripple_table(kg, [0], [kg.entity_vocab["b"]], 1, 1, 2, rng)
+            table = build_ripple_table(kg, [0], [kg.entity_names.index("b")], 1, 1, 2, rng)
         assert "1 users skipped: seed entities have no outgoing triples" in caplog.text
         assert table.has.tolist() == [False] and not table.bags.any()
         with pytest.raises(KeyError):
@@ -258,7 +259,7 @@ class TestBuildRippleSet:
     def test_dead_end_user_leaves_other_bags_byte_identical(self, tmp_path):
         rows = [("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a"), ("c", "s", "d"), ("x", "r", "sink")]
         kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
-        a, c, sink = (kg.entity_vocab[e] for e in ("a", "c", "sink"))
+        a, c, sink = (kg.entity_names.index(e) for e in ("a", "c", "sink"))
         without = build_ripple_table(kg, [1, 3, 3], [a, a, c], 4, 3, 5, np.random.default_rng(4))
         # users 0 and 2 are dead ends, sorting before and between the live users
         with_dead = build_ripple_table(kg, [2, 1, 0, 3, 3], [sink, a, sink, a, c], 4, 3, 5,
@@ -295,59 +296,63 @@ def _same_bytes(got, want):
 
 @pytest.fixture(params=[(seed, undirected) for seed in range(3) for undirected in (False, True)],
                 ids=lambda p: f"seed{p[0]}-{'undirected' if p[1] else 'directed'}")
-def random_kg(request, tmp_path):
-    """Random graph with duplicate lines, a triple and its reverse, self-loops and dead ends."""
+def random_graph(request, tmp_path):
+    """A random graph and its :func:`adjacency` oracle, both read from one file.
+
+    The file holds duplicate lines, a triple and its reverse, self-loops and dead ends.
+    """
     seed, undirected = request.param
     rng = np.random.default_rng(seed)
     rows = [(f"e{rng.integers(12)}", f"r{rng.integers(3)}", f"e{rng.integers(20)}") for _ in range(40)]
     rows += [("e1", "r0", "e2"), ("e2", "r0", "e1"), ("e1", "r0", "e2"), ("e3", "r1", "e3"),
              ("e0", "r2", "sink0"), ("e5", "r1", "sink1")]
-    kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=undirected)
+    path = write_kg(tmp_path / "kg.tsv", rows)
+    kg = load_kg(path, undirected=undirected)
     if not undirected:
-        assert kg.degree(kg.entity_vocab["sink0"]) == 0
-    return kg
+        assert kg.degree(kg.entity_names.index("sink0")) == 0
+    return kg, adjacency(path, undirected)
 
 
 class TestCsrOracle:
     """The CSR layout and vectorized samplers against per-entity reference loops."""
 
-    def test_neighbors_match_brute_force(self, random_kg):
-        adj = adjacency(random_kg)
-        for e in range(random_kg.num_entities):
-            assert [tuple(p) for p in random_kg.neighbors(e).tolist()] == adj[e]
-            assert random_kg.degree(e) == len(adj[e])
-        assert random_kg.total_degree() == sum(len(a) for a in adj)
+    def test_neighbors_match_brute_force(self, random_graph):
+        kg, adj = random_graph
+        for e in range(kg.num_entities):
+            assert [tuple(p) for p in kg.neighbors(e).tolist()] == adj[e]
+            assert kg.degree(e) == len(adj[e])
+        assert kg.total_degree() == sum(len(a) for a in adj)
 
-    def test_sample_children_stream(self, random_kg):
-        adj = adjacency(random_kg)
-        ents = np.random.default_rng(1).integers(0, random_kg.num_entities, size=(7, 5))
-        ents[3, 2] = random_kg.entity_vocab["sink0"]  # no edges when directed: the pad path
+    def test_sample_children_stream(self, random_graph):
+        kg, adj = random_graph
+        ents = np.random.default_rng(1).integers(0, kg.num_entities, size=(7, 5))
+        ents[3, 2] = kg.entity_names.index("sink0")  # no edges when directed: the pad path
         rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
-        rels, nbrs = sample_children(random_kg, ents, 4, rng)
+        rels, nbrs = sample_children(kg, ents, 4, rng)
         want_rels, want_nbrs = _reference_children(adj, ents, 4, ref_rng)
         assert _same_bytes(rels, want_rels.reshape(7, 5, 4))
         assert _same_bytes(nbrs, want_nbrs.reshape(7, 5, 4))
         assert rng.random() == ref_rng.random()
 
-    def test_sample_neighbors_stream(self, random_kg):
+    def test_sample_neighbors_stream(self, random_graph):
         """One-entity calls of ``sample_children``, entity after entity, on one generator."""
-        adj = adjacency(random_kg)
+        kg, adj = random_graph
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        for e in range(random_kg.num_entities):
-            rels, nbrs = sample_children(random_kg, [e], 3, rng)
+        for e in range(kg.num_entities):
+            rels, nbrs = sample_children(kg, [e], 3, rng)
             want_rels, want_nbrs = _reference_children(adj, [e], 3, ref_rng)
             assert _same_bytes(rels, want_rels)
             assert _same_bytes(nbrs, want_nbrs)
         assert rng.random() == ref_rng.random()
 
-    def test_sample_item_trees_stream(self, random_kg):
+    def test_sample_item_trees_stream(self, random_graph):
         """The run's table is the per-entity draw loop over every entity; each tree node reads its row."""
-        adj = adjacency(random_kg)
-        table = build_neighbor_table(random_kg, Hyperparams(neighbor_size=3), seed=5)
-        want_rels, want_nbrs = _reference_children(adj, np.arange(random_kg.num_entities), 3,
+        kg, adj = random_graph
+        table = build_neighbor_table(kg, Hyperparams(neighbor_size=3), seed=5)
+        want_rels, want_nbrs = _reference_children(adj, np.arange(kg.num_entities), 3,
                                                    np.random.default_rng([5, 19]))
         assert _same_bytes(table.rel, want_rels) and _same_bytes(table.nbr, want_nbrs)
-        v_idx = np.random.default_rng(1).integers(0, random_kg.num_entities, size=9)
+        v_idx = np.random.default_rng(1).integers(0, kg.num_entities, size=9)
         ents, rels = sample_item_trees(table, v_idx, 2)
         assert rels[0] is None and _same_bytes(ents[0], v_idx.reshape(-1, 1))
         for depth in (1, 2):
@@ -357,23 +362,23 @@ class TestCsrOracle:
             assert _same_bytes(rels[depth], np.array(want_r, dtype=np.int64))
             assert _same_bytes(ents[depth], np.array(want_e, dtype=np.int64))
 
-    def test_build_ripple_set_stream(self, random_kg):
-        adj = adjacency(random_kg)
-        live = [e for e in range(random_kg.num_entities) if adj[e]]
+    def test_build_ripple_set_stream(self, random_graph):
+        kg, adj = random_graph
+        live = [e for e in range(kg.num_entities) if adj[e]]
         pick = np.random.default_rng(3)
-        seeds = {user: pick.choice(random_kg.num_entities, size=3).tolist() + [int(pick.choice(live))]
+        seeds = {user: pick.choice(kg.num_entities, size=3).tolist() + [int(pick.choice(live))]
                  for user in range(10)}
-        seeds[4] = [random_kg.entity_vocab["sink0"]]  # a dead end when directed
-        seeds[7] = [random_kg.entity_vocab["sink1"], random_kg.entity_vocab["sink0"]]
+        seeds[4] = [kg.entity_names.index("sink0")]  # a dead end when directed
+        seeds[7] = [kg.entity_names.index("sink1"), kg.entity_names.index("sink0")]
         del seeds[8]  # no seeds
         users = np.concatenate([np.full(len(s), user) for user, s in seeds.items()])
         rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
         order = pick.permutation(len(users))  # pairs in any order
-        table = build_ripple_table(random_kg, users[order], np.concatenate(list(seeds.values()))[order], 11,
+        table = build_ripple_table(kg, users[order], np.concatenate(list(seeds.values()))[order], 11,
                                    3, 5, rng)
         want = reference_ripple_bags(adj, seeds, 3, 5, ref_rng)
         assert table.has.tolist() == [user in want for user in range(11)]
-        assert not random_kg.undirected or len(want) == 9
+        assert not kg.undirected or len(want) == 9
         for user in range(11):
             expected = np.stack(want[user]) if user in want else np.zeros((3, 5, 3), dtype=np.int64)
             assert _same_bytes(table.bags[:, user], expected)
@@ -384,19 +389,20 @@ class TestVocabAndItemMap:
     def test_vocab_round_trip(self, tmp_path, chain_kg):
         path = tmp_path / "vocab.tsv"
         write_vocab(path, chain_kg.entity_names)
-        assert read_vocab(path) == chain_kg.entity_vocab
+        assert list(read_vocab(path).items()) == [(name, i) for i, name in enumerate(chain_kg.entity_names)]
 
     def test_item_map_skips_unknown_entities(self, tmp_path, chain_kg):
         path = tmp_path / "map.tsv"
         path.write_text("i0\ta\ni1\tmissing\n", encoding="utf-8")
         mapping = load_item_map(str(path), chain_kg)
-        assert mapping == {"i0": chain_kg.entity_vocab["a"]}
+        assert mapping == {"i0": chain_kg.entity_names.index("a")}
 
     def test_item_map_repeats_stored_once_in_first_appearance_order(self, tmp_path, chain_kg):
         path = tmp_path / "map.tsv"
         path.write_text("i2\tc\ni0\ta\ni2\tc\ni1\tmissing\ni0\ta\ni1\tmissing\n", encoding="utf-8")
         mapping = load_item_map(str(path), chain_kg)
-        assert list(mapping.items()) == [("i2", chain_kg.entity_vocab["c"]), ("i0", chain_kg.entity_vocab["a"])]
+        names = chain_kg.entity_names
+        assert list(mapping.items()) == [("i2", names.index("c")), ("i0", names.index("a"))]
 
     @pytest.mark.parametrize("later", ["b", "missing"])
     def test_item_map_conflicting_rows_rejected(self, tmp_path, chain_kg, later):
@@ -425,16 +431,14 @@ def _intern_lines(fields):
 
 
 def _fromkeys_oracle(fields):
-    names = list(dict.fromkeys(fields))
-    vocab = {name: i for i, name in enumerate(names)}
-    return names, vocab, [vocab[f] for f in fields]
+    vocab = {name: i for i, name in enumerate(dict.fromkeys(fields))}
+    return list(vocab), [vocab[f] for f in fields]
 
 
 def _assert_interned(got, fields):
-    names, vocab, ids = _fromkeys_oracle(fields)
+    names, ids = _fromkeys_oracle(fields)
     assert got[0] == names
-    assert list(got[1].items()) == list(vocab.items())
-    assert got[2].dtype == np.int64 and got[2].tolist() == ids
+    assert got[1].dtype == np.int64 and got[1].tolist() == ids
 
 
 # every width on either side of the 8-byte word boundaries
@@ -482,54 +486,19 @@ class TestIntern:
         _assert_interned(_intern(*_intern_lines(fields)), fields)
 
     def test_no_fields(self):
-        names, vocab, ids = _intern(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64),
-                                    np.zeros(0, dtype=np.int64))
-        assert names == [] and vocab == {} and ids.dtype == np.int64 and ids.shape == (0,)
+        names, ids = _intern(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert names == [] and ids.dtype == np.int64 and ids.shape == (0,)
 
 
 # -- text-mode reading rules, pinned against the line-loop reader --------------------
-
-
-def _reference_load_kg(path, undirected):
-    """The line-by-line ``load_kg`` that the byte-level scanner replaced.
-
-    Returns (entity_names, relation_names, triples, indptr, rel, nbr).
-    """
-    entity_vocab, relation_vocab = {}, {}
-    triples, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-            h = entity_vocab.setdefault(fields[0], len(entity_vocab))
-            r = relation_vocab.setdefault(fields[1], len(relation_vocab))
-            t = entity_vocab.setdefault(fields[2], len(entity_vocab))
-            if (h, r, t) not in seen:
-                seen.add((h, r, t))
-                triples.append((h, r, t))
-    triple_arr = np.array(triples, dtype=np.int64)
-    src, rel, dst = triple_arr.T
-    if undirected:
-        inv = src != dst
-        src, rel, dst = (np.concatenate((src, dst[inv])), np.concatenate((rel, rel[inv])),
-                         np.concatenate((dst, src[inv])))
-    order = np.lexsort((dst, rel, src))
-    indptr = np.zeros(len(entity_vocab) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=len(entity_vocab)), out=indptr[1:])
-    return list(entity_vocab), list(relation_vocab), triple_arr, indptr, rel[order], dst[order]
 
 
 def _assert_kg_equals(kg, want):
     names, relations, triples, indptr, rel, nbr = want
     assert kg.entity_names == names
     assert kg.relation_names == relations
-    assert list(kg.entity_vocab.items()) == [(n, i) for i, n in enumerate(names)]
-    assert list(kg.relation_vocab.items()) == [(n, i) for i, n in enumerate(relations)]
-    for got, expected in ((kg.triples, triples), (kg.indptr, indptr), (kg.rel, rel), (kg.nbr, nbr)):
+    assert kg.num_triples == len(triples)
+    for got, expected in ((kg.indptr, indptr), (kg.rel, rel), (kg.nbr, nbr)):
         assert _same_bytes(got, expected)
         assert got.flags.c_contiguous
 
@@ -550,18 +519,18 @@ class TestTextModeReading:
         path = tmp_path / "kg.tsv"
         path.write_bytes(_kg_text(KG_ROWS, newline).encode("utf-8"))
         lf = write_kg(tmp_path / "lf.tsv", KG_ROWS)
-        _assert_kg_equals(load_kg(str(path), undirected), _reference_load_kg(lf, undirected))
+        _assert_kg_equals(load_kg(str(path), undirected), reference_load_kg(lf, undirected))
 
     def test_no_final_newline(self, tmp_path):
         path = tmp_path / "kg.tsv"
         path.write_bytes(_kg_text(KG_ROWS).rstrip("\n").encode("utf-8"))
-        _assert_kg_equals(load_kg(str(path)), _reference_load_kg(write_kg(tmp_path / "lf.tsv", KG_ROWS), True))
+        _assert_kg_equals(load_kg(str(path)), reference_load_kg(write_kg(tmp_path / "lf.tsv", KG_ROWS), True))
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "kg.tsv"
         text = "\na\tr\tb\n\n\r\nb\ts\tc\r\rc\tr\tc"
         path.write_bytes(text.encode("utf-8"))
-        _assert_kg_equals(load_kg(str(path)), _reference_load_kg(write_kg(tmp_path / "lf.tsv", KG_ROWS[:3]), True))
+        _assert_kg_equals(load_kg(str(path)), reference_load_kg(write_kg(tmp_path / "lf.tsv", KG_ROWS[:3]), True))
         # lines: 1 "", 2 a-r-b, 3 "", 4 "" (CRLF), 5 b-s-c, 6 "" (CR CR), 7 c-r-c, 8 the bad one
         path.write_bytes((text + "\noops\tonly-two\n").encode("utf-8"))
         with pytest.raises(ParseError, match=r"kg\.tsv:8: expected 3 tab-separated fields, got 2$"):
@@ -572,7 +541,8 @@ class TestTextModeReading:
         kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
         assert kg.entity_names == ["Café", " a", "a ", "a", "Ωmega"]
         assert kg.relation_names == ["rel ation", "日本"]
-        assert kg.triples.tolist() == [[0, 0, 1], [2, 1, 3], [1, 0, 4]]
+        assert kg.num_triples == 3
+        assert (kg.indptr.tolist(), kg.rel.tolist(), kg.nbr.tolist()) == ([0, 1, 2, 3, 3, 3], [0, 0, 1], [1, 4, 3])
 
     def test_other_unicode_breaks_are_name_characters(self, tmp_path):
         # str.splitlines would break on these; a text-mode file does not
@@ -586,12 +556,13 @@ class TestTextModeReading:
         kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
         assert kg.entity_names == ["a", "a\x00", "b"]
         assert kg.relation_names == ["r", "r\x00"]
-        assert kg.triples.tolist() == [[0, 0, 1], [1, 1, 2], [0, 0, 2], [0, 1, 2]]
+        assert kg.num_triples == 4
+        assert (kg.indptr.tolist(), kg.rel.tolist(), kg.nbr.tolist()) == ([0, 3, 4, 4], [0, 0, 1, 1], [1, 2, 2, 2])
 
     def test_undirected_self_loops_and_duplicates(self, tmp_path):
         rows = [("a", "r", "b"), ("c", "r", "c"), ("a", "r", "b"), ("b", "r", "a"), ("c", "r", "c"), ("a", "s", "a")]
         kg = load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=True)
-        assert kg.triples.tolist() == [[0, 0, 1], [2, 0, 2], [1, 0, 0], [0, 1, 0]]
+        assert kg.num_triples == 4
         # a triple and its reverse give two equal edges; self-loops are not doubled
         assert kg.indptr.tolist() == [0, 3, 5, 6]
         assert kg.rel.tolist() == [0, 0, 1, 0, 0, 0]
@@ -639,12 +610,12 @@ def test_load_kg_matches_line_loop(tmp_path, seed):
     path = tmp_path / "kg.tsv"
     path.write_bytes(text.encode("utf-8"))
     for undirected in (False, True):
-        _assert_kg_equals(load_kg(str(path), undirected), _reference_load_kg(str(path), undirected))
+        _assert_kg_equals(load_kg(str(path), undirected), reference_load_kg(str(path), undirected))
     # the same file with one line cut to two fields: same line number and message
     cut = text.replace("\tr0\t", "\t", 1) if "\tr0\t" in text else text + "bad\tline\n"
     path.write_bytes(cut.encode("utf-8"))
     with pytest.raises(ParseError) as want:
-        _reference_load_kg(str(path), True)
+        reference_load_kg(str(path), True)
     with pytest.raises(ParseError) as got:
         load_kg(str(path))
     assert str(got.value) == str(want.value)

@@ -211,7 +211,7 @@ class TestItemRepresentation:
         params = make_params(hp, 2, 1,
                              entity_emb=np.vstack([v, n]), user_emb=[[1.0, 1.0]],
                              conv_w=[np.eye(2)], conv_b=[np.zeros(2)])
-        out = _item_rep(params, kg, kg.entity_vocab["a"], hp)
+        out = _item_rep(params, kg, kg.entity_names.index("a"), hp)
         np.testing.assert_allclose(out, np.tanh(v + n), rtol=1e-12)
 
     def test_zero_weights_zero_output(self, tmp_path):
@@ -242,7 +242,7 @@ class TestItemRepresentation:
                              conv_w=[[[w[0]]], [[w[1]]]],
                              conv_b=[[b[0]], [b[1]]],
                              user_emb=[[u]])
-        center = kg.entity_vocab["e0"]
+        center = kg.entity_names.index("e0")
         ents, rels = ripplerec.model.sample_item_trees(rr.build_neighbor_table(kg, hp, 5), np.array([center]), 2)
 
         # independent scalar recursion over the same sampled tree (pure python)
@@ -720,7 +720,7 @@ def _dead_end_data(tmp_path):
     rows = [(f"m{k}", "genre", f"g{k % 2}") for k in range(4)]
     rows += [("g0", "sim", "g1"), ("g1", "sim", "g0"), ("g0", "has", "d0"), ("g1", "has", "d1")]
     kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
-    item_entities = np.array([kg.entity_vocab[e] for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
+    item_entities = np.array([kg.entity_names.index(e) for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
     train = np.array([(0, 4, 1), (0, 0, 0), (0, 5, 1), (0, 1, 0),
                       (1, 0, 1), (1, 4, 0), (1, 1, 1), (1, 5, 0),
                       (2, 2, 1), (2, 0, 0), (2, 3, 1), (2, 1, 0)])
@@ -1253,7 +1253,7 @@ class TestFit:
         rows = [(f"m{k}", "genre", f"g{k % 2}") for k in range(4)]
         rows += [("g0", "sim", "g1"), ("g1", "sim", "g0"), ("g0", "has", "d0"), ("g1", "has", "d1")]
         kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
-        item_entities = np.array([kg.entity_vocab[e] for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
+        item_entities = np.array([kg.entity_names.index(e) for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
         # user 0 sorts first: had its ripple build drawn anything, every
         # later user's bags would shift
         train = np.array([(0, 4, 1), (0, 0, 0), (0, 5, 1), (0, 1, 0),
@@ -1270,8 +1270,8 @@ class TestFit:
             ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
         assert sorted(ripple_sets) == [1, 2]
         assert "1 users skipped" in caplog.text
-        expected = reference_ripple_bags(adjacency(kg), train_seeds(dataset), hp.hops, hp.ripple_size,
-                                         np.random.default_rng([0, 17]))
+        expected = reference_ripple_bags(adjacency(tmp_path / "kg.tsv", undirected=False), train_seeds(dataset),
+                                         hp.hops, hp.ripple_size, np.random.default_rng([0, 17]))
         assert sorted(expected) == [1, 2]
         for user in (1, 2):
             for got, want in zip(ripple_sets[user].hops, expected[user]):

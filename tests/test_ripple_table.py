@@ -21,9 +21,9 @@ from ripplerec.model import Hyperparams, assemble_batch
 from conftest import adjacency, reference_ripple_bags, tables, train_seeds, write_kg
 
 
-def _dict_build_ripple_sets(dataset, kg, hp, seed):
-    """One ``RippleSet`` per user in a dict, dead-end users left out."""
-    bags = reference_ripple_bags(adjacency(kg), train_seeds(dataset), hp.hops, hp.ripple_size,
+def _dict_build_ripple_sets(dataset, adj, hp, seed):
+    """One ``RippleSet`` per user in a dict, dead-end users left out; ``adj`` is the graph's :func:`adjacency`."""
+    bags = reference_ripple_bags(adj, train_seeds(dataset), hp.hops, hp.ripple_size,
                                  np.random.default_rng([seed, 17]))
     return {user: RippleSet(user=user, hops=hops) for user, hops in bags.items()}
 
@@ -87,7 +87,7 @@ def _dead_end_case(tmp_path):
     rows = [(f"m{k}", "genre", f"g{k % 2}") for k in range(4)]
     rows += [("g0", "sim", "g1"), ("g1", "sim", "g0"), ("g0", "has", "d0"), ("g1", "has", "d1")]
     kg = rr.load_kg(write_kg(tmp_path / "kg.tsv", rows), undirected=False)
-    item_entities = np.array([kg.entity_vocab[e] for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
+    item_entities = np.array([kg.entity_names.index(e) for e in ("m0", "m1", "m2", "m3", "d0", "d1")])
     train = np.array([(0, 4, 1), (0, 0, 0), (0, 5, 1), (0, 1, 0),
                       (1, 0, 1), (1, 4, 0), (1, 1, 1), (1, 5, 0),
                       (2, 2, 1), (2, 0, 0), (2, 3, 1), (2, 1, 0)])
@@ -106,7 +106,7 @@ CASES = [(seed, directed) for seed in range(6) for directed in (False, True)]
 def test_hop_bags_match_dict_oracle(tmp_path, seed, directed):
     kg, dataset, hp = _random_case(tmp_path, seed, directed)
     ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=seed)
-    oracle = _dict_build_ripple_sets(dataset, kg, hp, seed)
+    oracle = _dict_build_ripple_sets(dataset, adjacency(tmp_path / f"kg{seed}.tsv", not directed), hp, seed)
     assert list(ripple_sets) == list(oracle)
     if directed:
         assert 0 not in ripple_sets
@@ -139,8 +139,8 @@ def test_build_ripple_sets_matches_row_loop(tmp_path, seed):
                                     test=train[:0], item_entities=rng.integers(0, kg.num_entities, 50))
     hp = Hyperparams(hops=2, ripple_size=3)
     table = rr.build_ripple_sets(dataset, kg, hp, seed=seed)
-    want = reference_ripple_bags(adjacency(kg), train_seeds(dataset), hp.hops, hp.ripple_size,
-                                 np.random.default_rng([seed, 17]))
+    want = reference_ripple_bags(adjacency(tmp_path / "kg.tsv", bool(seed % 2)), train_seeds(dataset), hp.hops,
+                                 hp.ripple_size, np.random.default_rng([seed, 17]))
     assert np.flatnonzero(table.has).tolist() == sorted(want)
     assert not table.has[10:].any()
     for user, bags in want.items():
