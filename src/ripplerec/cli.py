@@ -95,7 +95,8 @@ def _coerce(name, raw, current):
     except ValueError:
         kind = "an integer" if isinstance(current, int) else "a number"
         raise ValueError(f"{name} = {raw!r} is not {kind}") from None
-    return interactions.check_threshold(value) if name == "threshold" else value  # checked as ratios are
+    # checked here as ratios are, so a bad threshold fails before prep reads or writes anything
+    return interactions.check_threshold(value) if name == "threshold" else value
 
 
 def _kv_lines(path, comments=False):

@@ -343,8 +343,9 @@ def load_kg(path, undirected=True):
     indptr = np.zeros(num_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_entities), out=indptr[1:])
 
-    kg = KnowledgeGraph(num_entities, num_relations, len(kept), indptr, rel, nbr, undirected,
-                        entity_names, relation_names)
+    kg = KnowledgeGraph(num_entities=num_entities, num_relations=num_relations, num_triples=len(kept),
+                        indptr=indptr, rel=rel, nbr=nbr, undirected=undirected,
+                        entity_names=entity_names, relation_names=relation_names)
     logger.info("loaded %s: %d entities, %d relations, %d triples (%d duplicates dropped, %s)",
                 path, num_entities, num_relations, kg.num_triples, len(keys) - kg.num_triples,
                 "undirected" if undirected else "directed")
