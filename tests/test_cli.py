@@ -238,7 +238,7 @@ class TestPrep:
 
     @pytest.mark.parametrize("threshold", ["nan", "-inf", "inf"])
     def test_non_finite_threshold_rejected_before_out_is_made(self, workdir, tmp_path, capsys, threshold):
-        # every rating compares false with nan and >= -inf, so either would make every mapped rating a positive
+        # no rating is below nan or -inf, so either would make every mapped rating a positive
         capsys.readouterr()
         rc = run_cli("prep", "--config", workdir / "cfg.txt", "--out", tmp_path / "never",
                      "--set", f"threshold={threshold}")
