@@ -17,6 +17,7 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 16  # elements per block of the Adam step
 
 SNAPSHOT_MAGIC = "ripplerec-params-v1"
 
@@ -174,42 +175,48 @@ class ParamStore:
         """Bias-corrected Adam update with decoupled weight decay ``decay``.
 
         b1, b2 and eps are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
-        Every term is computed in place in two scratch arrays per tensor,
-        in the order of m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
+        Every term is computed in place in two scratch arrays, in the
+        order of m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
         v *= 1 - lr decay (AdamW: the decay bypasses Adam's scaling),
-        v -= lr (m / c1) / (sqrt(s / c2) + eps).  Gradients are
-        zeroed afterwards.  Raises if any gradient is non-finite, naming
-        the offending tensor.
+        v -= lr (m / c1) / (sqrt(s / c2) + eps).  Each tensor is updated
+        in blocks of ``ADAM_BLOCK`` elements, so the scratch arrays stay
+        small and in cache; each term is elementwise, so the bytes do not
+        depend on the block size.  Each gradient block is zeroed after its
+        update.  Raises if any gradient is non-finite, naming the
+        offending tensor.
         """
         self.check_finite_grads()
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         self._adam_t += 1
         t = self._adam_t
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-        for name, v in self.values.items():
-            g = self.grads[name]
+        scratch = np.empty((2, ADAM_BLOCK), dtype=self.dtype)
+        for name, value in self.values.items():
             if name not in self._adam_m:
-                self._adam_m[name] = np.zeros_like(v)
-                self._adam_v[name] = np.zeros_like(v)
-            m = self._adam_m[name]
-            s = self._adam_v[name]
-            a = np.multiply(g, 1.0 - b1)
-            m *= b1
-            m += a
-            np.multiply(g, g, out=a)
-            a *= 1.0 - b2
-            s *= b2
-            s += a
-            np.divide(m, c1, out=a)
-            a *= lr
-            b = np.divide(s, c2)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            if decay:
-                v *= 1.0 - lr * decay
-            v -= a
-        self.zero_grads()
+                self._adam_m[name] = np.zeros_like(value)
+                self._adam_v[name] = np.zeros_like(value)
+            # tensors are C-contiguous (``add`` makes them so), so these are views
+            flat = [x.reshape(-1) for x in (value, self.grads[name], self._adam_m[name], self._adam_v[name])]
+            for lo in range(0, value.size, ADAM_BLOCK):
+                v, g, m, s = (x[lo:lo + ADAM_BLOCK] for x in flat)
+                a, b = scratch[:, :len(v)]
+                np.multiply(g, 1.0 - b1, out=a)
+                m *= b1
+                m += a
+                np.multiply(g, g, out=a)
+                a *= 1.0 - b2
+                s *= b2
+                s += a
+                np.divide(m, c1, out=a)
+                a *= lr
+                np.divide(s, c2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                if decay:
+                    v *= 1.0 - lr * decay
+                v -= a
+                g.fill(0.0)
 
 
 def finite_diff_check(f, params, analytic=None, h=1e-5, max_coords=16, rng=None):

@@ -90,7 +90,7 @@ def binarize(ratings_path, threshold, item_to_entity):
     n_rows = len(scan.linenos)
     if n_rows == 0:
         raise ValueError(f"{ratings_path}: no rating rows found")
-    start, end = _bounds(scan, (0, 1, 2))
+    start, end = _bounds(scan, 3)
     raw_ratings, rating_ids = _intern(scan.buf, start[:, 2], end[:, 2])
     values = np.empty(len(raw_ratings))
     for k, raw_rating in enumerate(raw_ratings):

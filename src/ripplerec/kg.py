@@ -63,24 +63,38 @@ def _decode(path, data):
         raise ParseError(path, lineno, f"not valid UTF-8 ({err.reason})") from None
 
 
+def _read(path):
+    """A UTF-8 file's bytes with every line break turned into ``b"\n"``, as text mode reads it.
+
+    The bytes are only checked as UTF-8, never kept as text: a byte
+    sequence that does not decode raises :class:`ParseError` naming the
+    line that holds it.  In UTF-8 a ``\r`` byte is always a ``"\r"``,
+    so breaks translate on the bytes as on the text.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        _decode(path, data)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
 def read_text(path):
     """A UTF-8 file's text with every line break turned into ``"\n"``, as text mode reads it.
 
     A byte sequence that does not decode raises :class:`ParseError`
     naming the line that holds it.
     """
-    with open(path, "rb") as fh:
-        text = _decode(path, fh.read())
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    return _read(path).decode("utf-8")
 
 
 class _Scan(NamedTuple):
-    buf: np.ndarray  # the UTF-8 bytes of the file's text, every line "\n"-terminated
+    buf: np.ndarray  # the file's UTF-8 bytes, every line "\n"-terminated
     ends: np.ndarray  # byte offset of the tab or newline that ends each field
     linenos: np.ndarray  # 1-based number of every non-blank line
-    first: np.ndarray  # index into ``ends`` of every non-blank line's first field
+    first: np.ndarray | None  # index into ``ends`` of every non-blank line's first field; None when ``arity`` is set
+    arity: int  # the field count of every line when all lines share one and none is blank, else 0
 
 
 def _scan(path, arity):
@@ -89,12 +103,20 @@ def _scan(path, arity):
     A non-blank line whose field count is not in ``arity`` raises
     :class:`ParseError`, as does a byte that does not decode.
     """
-    text = read_text(path)
-    if text and not text.endswith("\n"):
-        text += "\n"
-    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
-    last = np.flatnonzero(buf[ends] == ord("\n"))  # each line's last field
+    data = _read(path)
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    is_end = buf == ord("\t")
+    is_end |= buf == ord("\n")
+    ends = np.flatnonzero(is_end)
+    newline = buf[ends] == ord("\n")
+    num_lines = np.count_nonzero(newline)
+    for n in arity:
+        # every n-th field ends a line and no other does: n fields on every line, none blank
+        if n > 1 and num_lines * n == len(ends) and newline[n - 1::n].all():
+            return _Scan(buf, ends, np.arange(1, num_lines + 1), None, n)
+    last = np.flatnonzero(newline)  # each line's last field
     first = np.zeros_like(last)
     first[1:] = last[:-1] + 1
     counts = last - first + 1
@@ -106,19 +128,30 @@ def _scan(path, arity):
         expected = " or ".join(str(n) for n in arity)
         raise ParseError(path, i + 1, f"expected {expected} tab-separated fields, got {counts[i]}")
     lines = np.flatnonzero(~blank)
-    return _Scan(buf, ends, lines + 1, first[lines])
+    return _Scan(buf, ends, lines + 1, first[lines], 0)
 
 
-def _bounds(scan, columns):
-    """``(start, end)`` byte offsets, each ``(lines, len(columns))``, of fields ``columns`` of every line."""
-    index = scan.first[:, None] + np.asarray(columns)
+def _bounds(scan, count):
+    """``(start, end)`` byte offsets, each ``(lines, count)``, of the first ``count`` fields of every line.
+
+    When every line has ``scan.arity`` fields these are views: a field
+    starts one byte past the previous field's end.
+    """
+    if scan.arity:
+        end = scan.ends.reshape(-1, scan.arity)
+        start = np.empty_like(end)
+        if start.size:
+            start.flat[0] = 0
+            np.add(scan.ends[:-1], 1, out=start.reshape(-1)[1:])
+        return start[:, :count], end[:, :count]
+    index = scan.first[:, None] + np.arange(count)
     start = scan.ends[index - 1] + 1
     start[index == 0] = 0
     return start, scan.ends[index]
 
 
-# _PAD[r]: the low bytes of a big-endian word that lie past its first r bytes, all 0xFF
-_PAD = np.array([(2**64 - 1) >> (8 * r) for r in range(8)] + [0], dtype=np.uint64)
+# _PAD[r]: the word whose first r bytes are 0 and whose others are 0xFF, in native byte order
+_PAD = np.array([[0] * r + [0xFF] * (8 - r) for r in range(9)], dtype=np.uint8).view(np.uint64).ravel()
 
 
 def _intern(buf, start, end):
@@ -127,40 +160,56 @@ def _intern(buf, start, end):
     Field ``i`` is ``names[indices[i]]``.  The same as interning the
     decoded fields, without a str per field and without a name -> index
     dict.  Each field is padded with 0xFF, a byte UTF-8 never uses, to
-    whole 8-byte words, read as big-endian ``uint64`` keys and sorted
-    once among the fields of its word count.  Groups of equal keys rank by
-    their first field, and only the distinct fields are decoded, with
+    whole 8-byte words, read as native-endian ``uint64`` keys (the sort
+    only groups equal keys, so byte order does not matter) and sorted
+    once among the fields of its word count.  Groups of equal keys rank
+    by their first field, and only the distinct fields are decoded, with
     one ``decode`` of their tab-joined bytes.  Each field ends at a tab
     or newline of ``buf``, as :func:`_scan` finds them.
     """
+    start, end = np.ascontiguousarray(start), np.ascontiguousarray(end)
     padded = np.concatenate((buf, np.zeros(8, dtype=np.uint8)))
-    words = np.ndarray((len(buf) + 1,), dtype=">u8", buffer=padded, strides=(1,))  # the word at every byte
+    words = np.ndarray((len(buf) + 1,), dtype=np.uint64, buffer=padded, strides=(1,))  # the word at every byte
     width = end - start
-    nwords = np.maximum((width + 7) // 8, 1)
-    labels = np.empty(len(start), dtype=np.int64)
-    firsts = [np.zeros(0, dtype=np.int64)]
-    for k in np.flatnonzero(np.bincount(nwords)).tolist():
-        rows = np.flatnonzero(nwords == k)
-        keys = [words[start[rows] + 8 * j] | _PAD[np.clip(width[rows] - 8 * j, 0, 8)] for j in range(k)]
-        order = np.argsort(keys[0]) if k == 1 else np.lexsort(keys[::-1])
-        new = np.zeros(len(rows), dtype=bool)
+    last = width - 1  # the index of each field's last word
+    np.maximum(last, 0, out=last)
+    last >>= 3
+    sizes = np.bincount(last)
+    runs, firsts = [], []  # per word count: its fields in key order and each group's size; each group's first field
+    for k in np.flatnonzero(sizes).tolist():
+        rows = None if sizes[k] == len(start) else np.flatnonzero(last == k)
+        at, w = (start, width) if rows is None else (start[rows], width[rows])
+        keys = [words[at + 8 * j] if j else words[at] for j in range(k + 1)]
+        keys[-1] |= _PAD[w - 8 * k]  # only the last word holds bytes past the field
+        del at, w
+        order = np.argsort(keys[0]) if k == 0 else np.lexsort(keys[::-1])
+        new = np.zeros(len(order), dtype=bool)
         new[0] = True
         for key in keys:
             key = key[order]
             new[1:] |= key[1:] != key[:-1]
-        labels[rows[order]] = sum(map(len, firsts)) + np.cumsum(new) - 1
-        firsts.append(np.minimum.reduceat(rows[order], np.flatnonzero(new)))
-    first = np.concatenate(firsts)
+        del keys, key
+        if rows is not None:
+            order = rows[order]
+        heads = np.flatnonzero(new)
+        firsts.append(np.minimum.reduceat(order, heads))
+        runs.append((order, np.diff(heads, append=len(order))))
+    del last
+    first = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.int64)
     rank = np.argsort(first)
-    index = np.empty(len(rank), dtype=np.int64)
-    index[rank] = np.arange(len(rank))
+    index = np.empty(len(first), dtype=np.int64)
+    index[rank] = np.arange(len(first))
+    indices = np.empty(len(start), dtype=np.int64)
+    for order, size in runs:
+        indices[order] = np.repeat(index[:len(size)], size)
+        index = index[len(size):]
     # the distinct fields, each with the byte that ends it, back to back; then tab for every end
     lo, size = start[first[rank]], width[first[rank]] + 1
     stop = np.cumsum(size)
     joined = buf[np.repeat(lo - stop + size, size) + np.arange(stop[-1] if len(stop) else 0)]
     joined[stop - 1] = ord("\t")
     names = joined.tobytes().decode("utf-8").split("\t")[:-1]
-    return names, index[labels]
+    return names, indices
 
 
 def read_int_tsv(path, columns):
@@ -173,14 +222,20 @@ def read_int_tsv(path, columns):
     """
     scan = _scan(path, (len(columns),))
     buf = scan.buf
-    start, end = _bounds(scan, range(len(columns)))
+    start, end = _bounds(scan, len(columns))
     neg = buf[start] == ord("-")
     lo = start + neg
-    nondigit = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
-    is_int = (end > lo) & (np.searchsorted(nondigit, lo) == np.searchsorted(nondigit, end))
+    # before[x]: how many bytes of buf[:x] are not digits; nonzero[x]: how many are digits 1-9
+    count = np.int32 if len(buf) < 2**31 else np.int64
+    before = np.zeros(len(buf) + 1, dtype=count)
+    np.cumsum((buf < ord("0")) | (buf > ord("9")), dtype=count, out=before[1:])
+    is_int = (end > lo) & (before[end] == before[lo])
+    del before
     # a nonzero digit more than 19 places from the end makes the value >= 10**19
-    nonzero = np.flatnonzero((buf > ord("0")) & (buf <= ord("9")))
-    big = np.searchsorted(nonzero, lo) < np.searchsorted(nonzero, end - 19)
+    nonzero = np.zeros(len(buf) + 1, dtype=count)
+    np.cumsum((buf > ord("0")) & (buf <= ord("9")), dtype=count, out=nonzero[1:])
+    big = nonzero[np.maximum(end - 19, lo)] > nonzero[lo]
+    del nonzero
     width = np.where(is_int, end - lo, 0)
     value = np.zeros(end.shape, dtype=np.uint64)  # the last 19 digits, < 2**64
     for j in range(min(int(width.max(initial=0)), 19)):
@@ -320,34 +375,42 @@ def load_kg(path, undirected=True):
     scan = _scan(path, (3,))
     if len(scan.linenos) == 0:
         raise ValueError(f"{path}: no triples found")
-    start, end = _bounds(scan, (0, 1, 2))
-    entity_names, ent = _intern(scan.buf, start[:, ::2].ravel(), end[:, ::2].ravel())
-    relation_names, rels = _intern(scan.buf, start[:, 1], end[:, 1])
+    buf, (start, end) = scan.buf, _bounds(scan, 3)
+    relation_names, rels = _intern(buf, start[:, 1], end[:, 1])
+    heads_tails = start[:, ::2].ravel(), end[:, ::2].ravel()  # the entity fields in file order
+    del scan, start, end  # each array is dropped at its last use, which keeps the traced peak lower
+    entity_names, ent = _intern(buf, *heads_tails)
+    del buf, heads_tails
     num_entities, num_relations = len(entity_names), len(relation_names)
     if num_entities**2 * num_relations >= 2**63:
         raise ValueError(f"{path}: {num_entities} entities and {num_relations} relations overflow int64 triple keys")
 
     def pack(src, rel, dst):
-        return (src * num_relations + rel) * num_entities + dst
+        keys = src * num_relations
+        keys += rel
+        keys *= num_entities
+        keys += dst
+        return keys
 
-    keys = pack(ent[0::2], rels, ent[1::2])
-    _, kept = np.unique(keys, return_index=True)  # each distinct triple once
-    h, r, t = ent[0::2][kept], rels[kept], ent[1::2][kept]
-    edge_keys = keys[kept]
+    num_lines = len(rels)
+    edge_keys = _sorted_unique(pack(ent[0::2], rels, ent[1::2]))  # each distinct triple once
+    num_triples = len(edge_keys)
     if undirected:
+        h, rest = np.divmod(edge_keys, num_relations * num_entities)
+        r, t = np.divmod(rest, num_entities)
         inv = h != t  # self-loops are not doubled
         edge_keys = np.concatenate((edge_keys, pack(t[inv], r[inv], h[inv])))
-    edge_keys.sort()  # by (source, relation, neighbor)
+        edge_keys.sort()  # by (source, relation, neighbor)
     src, rest = np.divmod(edge_keys, num_relations * num_entities)
     rel, nbr = np.divmod(rest, num_entities)
     indptr = np.zeros(num_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_entities), out=indptr[1:])
 
-    kg = KnowledgeGraph(num_entities=num_entities, num_relations=num_relations, num_triples=len(kept),
+    kg = KnowledgeGraph(num_entities=num_entities, num_relations=num_relations, num_triples=num_triples,
                         indptr=indptr, rel=rel, nbr=nbr, undirected=undirected,
                         entity_names=entity_names, relation_names=relation_names)
     logger.info("loaded %s: %d entities, %d relations, %d triples (%d duplicates dropped, %s)",
-                path, num_entities, num_relations, kg.num_triples, len(keys) - kg.num_triples,
+                path, num_entities, num_relations, num_triples, num_lines - num_triples,
                 "undirected" if undirected else "directed")
     return kg
 
@@ -449,7 +512,7 @@ def load_item_map(path, kg):
     naming the later line.
     """
     scan = _scan(path, (2,))
-    start, end = _bounds(scan, (0, 1))
+    start, end = _bounds(scan, 2)
     item_names, items = _intern(scan.buf, start[:, 0], end[:, 0])
     entity_names, entities = _intern(scan.buf, start[:, 1], end[:, 1])
     _, first_row = np.unique(items, return_index=True)

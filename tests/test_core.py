@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ripplerec.core import (
+    ADAM_BLOCK,
     ParamStore,
     _last_axis_max,
     _last_axis_sum,
@@ -262,45 +263,60 @@ class TestAdam:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_temporary_per_term_update(self, dtype):
-        # the update as one expression per line, every term a new array
-        def reference_step(store, m, s, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
-            for name, v in store.values.items():
-                g = store.grads[name]
-                m[name] *= b1
-                m[name] += (1.0 - b1) * g
-                s[name] *= b2
-                s[name] += (1.0 - b2) * (g * g)
-                m_hat = m[name] / (1.0 - b1 ** t)
-                s_hat = s[name] / (1.0 - b2 ** t)
-                v *= 1.0 - lr * decay
-                v -= lr * m_hat / (np.sqrt(s_hat) + eps)
-                g.fill(0.0)
-
         rng = np.random.default_rng(7)
         init = {"emb": rng.normal(size=(12, 5)), "bias": rng.normal(size=3), "mat": rng.normal(size=(2, 4, 4))}
         for decay in (0.0, 0.5):
-            got = ParamStore(dtype=dtype)
-            want = ParamStore(dtype=dtype)
-            for name, value in init.items():
-                got.add(name, value)
-                want.add(name, value)
-            m = {name: np.zeros_like(v) for name, v in want.values.items()}
-            s = {name: np.zeros_like(v) for name, v in want.values.items()}
-            for t in range(1, 8):
-                for name, v in want.values.items():
-                    g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape)
-                    if v.ndim > 1:
-                        g[rng.random(len(g)) < 0.5] = 0.0  # rows the batch did not reach
-                    got.grads[name][...] = g
-                    want.grads[name][...] = g
-                got.adam_step(lr=0.03, decay=decay)
-                reference_step(want, m, s, t, lr=0.03, decay=decay)
-                for name in init:
-                    assert got.values[name].dtype == dtype
-                    assert got.values[name].tobytes() == want.values[name].tobytes(), (decay, t, name)
-                    assert got._adam_m[name].tobytes() == m[name].tobytes(), (decay, t, name)
-                    assert got._adam_v[name].tobytes() == s[name].tobytes(), (decay, t, name)
-                    assert not got.grads[name].any()
+            _assert_steps_match_per_term_update(init, dtype, decay, steps=7, rng=rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_bit_identical_to_per_term_update(self, dtype):
+        # two whole blocks and a ragged third, next to a tensor smaller than one block
+        rng = np.random.default_rng(11)
+        rows = (2 * ADAM_BLOCK + 40) // 8
+        init = {"emb": rng.normal(size=(rows, 8)), "bias": rng.normal(size=5)}
+        assert init["emb"].size % ADAM_BLOCK and init["emb"].size > 2 * ADAM_BLOCK
+        _assert_steps_match_per_term_update(init, dtype, decay=0.5, steps=3, rng=rng)
+
+
+def _reference_adam_step(store, m, s, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
+    """The update as one expression per line, every term a new array."""
+    for name, v in store.values.items():
+        g = store.grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        s[name] *= b2
+        s[name] += (1.0 - b2) * (g * g)
+        m_hat = m[name] / (1.0 - b1 ** t)
+        s_hat = s[name] / (1.0 - b2 ** t)
+        v *= 1.0 - lr * decay
+        v -= lr * m_hat / (np.sqrt(s_hat) + eps)
+        g.fill(0.0)
+
+
+def _assert_steps_match_per_term_update(init, dtype, decay, steps, rng):
+    """``steps`` Adam steps on ``init`` have the bytes of :func:`_reference_adam_step`."""
+    got = ParamStore(dtype=dtype)
+    want = ParamStore(dtype=dtype)
+    for name, value in init.items():
+        got.add(name, value)
+        want.add(name, value)
+    m = {name: np.zeros_like(v) for name, v in want.values.items()}
+    s = {name: np.zeros_like(v) for name, v in want.values.items()}
+    for t in range(1, steps + 1):
+        for name, v in want.values.items():
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape)
+            if v.ndim > 1:
+                g[rng.random(len(g)) < 0.5] = 0.0  # rows the batch did not reach
+            got.grads[name][...] = g
+            want.grads[name][...] = g
+        got.adam_step(lr=0.03, decay=decay)
+        _reference_adam_step(want, m, s, t, lr=0.03, decay=decay)
+        for name in init:
+            assert got.values[name].dtype == dtype
+            assert got.values[name].tobytes() == want.values[name].tobytes(), (decay, t, name)
+            assert got._adam_m[name].tobytes() == m[name].tobytes(), (decay, t, name)
+            assert got._adam_v[name].tobytes() == s[name].tobytes(), (decay, t, name)
+            assert not got.grads[name].any()
 
 
 class TestFiniteDiff:

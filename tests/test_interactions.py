@@ -13,7 +13,7 @@ from ripplerec.interactions import (
     split,
     write_split,
 )
-from ripplerec.kg import ParseError
+from ripplerec.kg import ParseError, _scan
 
 
 def write_ratings(path, rows):
@@ -203,6 +203,22 @@ def test_binarize_matches_row_loop(tmp_path, seed):
     got = binarize(str(path), threshold, ITEM_MAP)
     positives, user_names, counts = _reference_binarize(path, threshold, ITEM_MAP)
     assert got.positives.dtype == np.int64 and got.positives.shape == (len(positives), 2)
+    assert got.positives.tolist() == [list(p) for p in positives]
+    assert got.user_names == user_names
+    assert (got.n_rows, got.n_below_threshold, got.n_unmapped) == counts
+
+
+@pytest.mark.parametrize("fields", [3, 4])
+def test_binarize_one_field_count_matches_row_loop(tmp_path, fields):
+    # every row with the same field count and no blank line: the scanner's reshape path
+    rng = np.random.default_rng(fields)
+    rows = [[f"u{rng.integers(12)}", f"i{rng.integers(6)}", str(rng.integers(1, 6))] + ["17"] * (fields - 3)
+            for _ in range(150)]
+    path = tmp_path / "r.tsv"
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    assert _scan(str(path), (3, 4)).arity == fields
+    got = binarize(str(path), 4.0, ITEM_MAP)
+    positives, user_names, counts = _reference_binarize(path, 4.0, ITEM_MAP)
     assert got.positives.tolist() == [list(p) for p in positives]
     assert got.user_names == user_names
     assert (got.n_rows, got.n_below_threshold, got.n_unmapped) == counts

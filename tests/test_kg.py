@@ -7,6 +7,7 @@ from ripplerec.kg import (
     NULL_RELATION,
     ParseError,
     _intern,
+    _scan,
     build_ripple_table,
     load_item_map,
     load_kg,
@@ -568,6 +569,17 @@ class TestTextModeReading:
         assert kg.rel.tolist() == [0, 0, 1, 0, 0, 0]
         assert kg.nbr.tolist() == [1, 1, 0, 0, 0, 2]
 
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_reverse_pairs_and_self_loop_match_line_loop(self, tmp_path, undirected):
+        # a triple, its reverse (twice), a self-loop and a reverse under another relation
+        rows = [("a", "r", "b"), ("b", "r", "a"), ("c", "r", "c"), ("b", "r", "a"), ("b", "s", "a"), ("a", "s", "c")]
+        path = write_kg(tmp_path / "kg.tsv", rows)
+        kg = load_kg(path, undirected)
+        _assert_kg_equals(kg, reference_load_kg(path, undirected))
+        assert kg.num_triples == 5
+        if undirected:  # a's two r-edges to b: one from a r b, one from the reverse of b r a
+            assert kg.neighbors(0).tolist() == [[0, 1], [0, 1], [1, 1], [1, 2]]
+
     def test_log_counts_dropped_duplicates(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="ripplerec.kg"):
             load_kg(write_kg(tmp_path / "kg.tsv", KG_ROWS + [("c", "r", "c")]))
@@ -588,7 +600,12 @@ _NAME_POOL = ["a", "a\x00", " a", "a ", "b", "Café", "日本", "x\x0cy", "﻿z"
 
 @pytest.mark.parametrize("seed", range(12))
 def test_load_kg_matches_line_loop(tmp_path, seed):
-    """Random graphs with duplicates, mixed line breaks and blank lines, against the line loop."""
+    """Random graphs with duplicates and mixed line breaks, with and without blank lines, against the line loop.
+
+    Without a blank line the scanner takes every field's bounds from one
+    reshape; with one it gathers them line by line.  Both must agree
+    with the line loop.
+    """
     rng = np.random.default_rng(seed)
     n_names = int(rng.integers(3, len(_NAME_POOL) + 1))
     pool = _NAME_POOL[:n_names] + [f"e{i}" for i in range(int(rng.integers(0, 30)))]
@@ -601,16 +618,19 @@ def test_load_kg_matches_line_loop(tmp_path, seed):
             lines.append("")
         if rng.random() < 0.2:
             lines.append(lines[int(rng.integers(len(lines)))])  # duplicate or blank line
+    lines.insert(int(rng.integers(len(lines) + 1)), "")  # at least one blank line
     breaks = ["\n", "\r\n", "\r"]
-    text = "".join(line + breaks[rng.integers(3)] for line in lines)
-    if rng.random() < 0.5:
-        text = text.rstrip("\r\n")
-    if "\t" not in text:
-        text += "a\tr0\tb\n"
+    ends = [breaks[k] for k in rng.integers(3, size=len(lines))]
+    trim = rng.random() < 0.5
     path = tmp_path / "kg.tsv"
-    path.write_bytes(text.encode("utf-8"))
-    for undirected in (False, True):
-        _assert_kg_equals(load_kg(str(path), undirected), reference_load_kg(str(path), undirected))
+    for blank in (True, False):
+        text = "".join(line + end for line, end in zip(lines, ends) if blank or line)
+        if trim:
+            text = text.rstrip("\r\n")
+        path.write_bytes(text.encode("utf-8"))
+        assert _scan(str(path), (3,)).arity == (0 if blank else 3)
+        for undirected in (False, True):
+            _assert_kg_equals(load_kg(str(path), undirected), reference_load_kg(str(path), undirected))
     # the same file with one line cut to two fields: same line number and message
     cut = text.replace("\tr0\t", "\t", 1) if "\tr0\t" in text else text + "bad\tline\n"
     path.write_bytes(cut.encode("utf-8"))
@@ -619,6 +639,17 @@ def test_load_kg_matches_line_loop(tmp_path, seed):
     with pytest.raises(ParseError) as got:
         load_kg(str(path))
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_one_word_names_match_line_loop(tmp_path, undirected):
+    """Every entity name fits one 8-byte word, so one word-count group holds every field."""
+    rng = np.random.default_rng(3)
+    pool = ["", "a", "a\x00", " a", "Café", "日本", "12345678"] + [f"e{i}" for i in range(40)]
+    rows = [(pool[h], f"r{r}", pool[t]) for h, r, t in zip(rng.integers(len(pool), size=300),
+                                                           rng.integers(3, size=300), rng.integers(len(pool), size=300))]
+    path = write_kg(tmp_path / "kg.tsv", rows)
+    _assert_kg_equals(load_kg(path, undirected), reference_load_kg(path, undirected))
 
 
 class TestReadIntTsv:
