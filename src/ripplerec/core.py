@@ -145,7 +145,7 @@ class ParamStore:
     def add(self, name, value):
         if name in self.values:
             raise ValueError(f"parameter {name!r} already exists")
-        arr = np.array(value, dtype=self.dtype)
+        arr = np.array(value, dtype=self.dtype, order="C")  # adam_step updates flat views
         self.values[name] = arr
         self.grads[name] = np.zeros_like(arr)
         return arr
@@ -195,7 +195,7 @@ class ParamStore:
             if name not in self._adam_m:
                 self._adam_m[name] = np.zeros_like(value)
                 self._adam_v[name] = np.zeros_like(value)
-            # tensors are C-contiguous (``add`` makes them so), so these are views
+            # every tensor is C-contiguous (``add`` makes it so), so these are views
             flat = [x.reshape(-1) for x in (value, self.grads[name], self._adam_m[name], self._adam_v[name])]
             for lo in range(0, value.size, ADAM_BLOCK):
                 v, g, m, s = (x[lo:lo + ADAM_BLOCK] for x in flat)

@@ -1,18 +1,20 @@
 """Knowledge-graph loading, its one edge layout, and all fixed-size stochastic sampling.
 
-Every TSV input goes through one byte-level scanner: the file is read
-and decoded once (:func:`read_text`, which also reads the CLI's
-``key = value`` files), line breaks follow text mode (``\n``, ``\r\n``
-and a lone ``\r``; a blank line is skipped but counted), and numpy finds
-the tabs and line breaks and checks every line's field count from them.
+Every TSV input goes through one byte-level scanner: the file's bytes
+are read once and only checked as UTF-8, never kept as text (the CLI's
+``key = value`` files are read the same way, by :func:`read_text`),
+line breaks follow text mode (``\n``, ``\r\n`` and a lone ``\r``; a
+blank line is skipped but counted), and numpy finds the tabs and line
+breaks and checks every line's field count from them.  When every line
+has one field count, each field's bounds come from one reshape.
 Integer fields are parsed from the scanned bytes (:func:`read_int_tsv`),
 and every text field (KG names, the item map, the users, items and
 ratings of a rating log) goes through one interner, :func:`_intern`,
 which also works on the bytes: it sorts each field as padded 8-byte
 words and decodes only the distinct names, so no input makes a Python
 str per field.  Triples are indexed through those first-appearance
-vocabularies, held as name lists, deduplicated on packed (head,
-relation, tail) keys, and kept only as one compressed sparse row (CSR)
+vocabularies, held as name lists, deduplicated by one sort of packed
+(head, relation, tail) keys, and kept only as one compressed sparse row (CSR)
 layout built from one sort of packed (source, relation, neighbor) keys:
 entity ``e``'s outgoing (relation, neighbor) edges are
 ``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
@@ -378,7 +380,7 @@ def load_kg(path, undirected=True):
     buf, (start, end) = scan.buf, _bounds(scan, 3)
     relation_names, rels = _intern(buf, start[:, 1], end[:, 1])
     heads_tails = start[:, ::2].ravel(), end[:, ::2].ravel()  # the entity fields in file order
-    del scan, start, end  # each array is dropped at its last use, which keeps the traced peak lower
+    del scan, start, end  # these and the bytes go at their last use: about 6 MiB off the traced peak
     entity_names, ent = _intern(buf, *heads_tails)
     del buf, heads_tails
     num_entities, num_relations = len(entity_names), len(relation_names)

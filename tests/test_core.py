@@ -277,6 +277,16 @@ class TestAdam:
         assert init["emb"].size % ADAM_BLOCK and init["emb"].size > 2 * ADAM_BLOCK
         _assert_steps_match_per_term_update(init, dtype, decay=0.5, steps=3, rng=rng)
 
+    def test_fortran_ordered_value_steps_like_c_ordered(self):
+        rng = np.random.default_rng(2)
+        value, grad = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        stores = [_store(w=value), _store(w=np.asfortranarray(value))]
+        for store in stores:
+            store.grads["w"][...] = grad
+            store.adam_step(lr=0.1, decay=0.0)
+        assert stores[1].values["w"].tobytes() == stores[0].values["w"].tobytes()
+        assert not np.array_equal(stores[0].values["w"], value)
+
 
 def _reference_adam_step(store, m, s, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
     """The update as one expression per line, every term a new array."""
