@@ -179,8 +179,9 @@ class ParamStore:
         order of m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
         v *= 1 - lr decay (AdamW: the decay bypasses Adam's scaling),
         v -= lr (m / c1) / (sqrt(s / c2) + eps).  Each tensor is updated
-        in blocks of ``ADAM_BLOCK`` elements, so the scratch arrays stay
-        small and in cache; each term is elementwise, so the bytes do not
+        in blocks of ``ADAM_BLOCK`` elements, so the scratch arrays, each
+        one block or the largest tensor if that is smaller, stay small and
+        in cache; each term is elementwise, so the bytes do not
         depend on the block size.  Each gradient block is zeroed after its
         update.  Raises if any gradient is non-finite, naming the
         offending tensor.
@@ -190,16 +191,19 @@ class ParamStore:
         self._adam_t += 1
         t = self._adam_t
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-        scratch = np.empty((2, ADAM_BLOCK), dtype=self.dtype)
+        block = min(ADAM_BLOCK, max((v.size for v in self.values.values()), default=0))
+        scratch = np.empty(2 * block, dtype=self.dtype)
         for name, value in self.values.items():
             if name not in self._adam_m:
                 self._adam_m[name] = np.zeros_like(value)
                 self._adam_v[name] = np.zeros_like(value)
             # every tensor is C-contiguous (``add`` makes it so), so these are views
-            flat = [x.reshape(-1) for x in (value, self.grads[name], self._adam_m[name], self._adam_v[name])]
+            V, G = value.reshape(-1), self.grads[name].reshape(-1)
+            M, S = self._adam_m[name].reshape(-1), self._adam_v[name].reshape(-1)
             for lo in range(0, value.size, ADAM_BLOCK):
-                v, g, m, s = (x[lo:lo + ADAM_BLOCK] for x in flat)
-                a, b = scratch[:, :len(v)]
+                hi = min(lo + ADAM_BLOCK, value.size)
+                v, g, m, s = V[lo:hi], G[lo:hi], M[lo:hi], S[lo:hi]
+                a, b = scratch[:hi - lo], scratch[block:block + hi - lo]
                 np.multiply(g, 1.0 - b1, out=a)
                 m *= b1
                 m += a

@@ -604,7 +604,8 @@ def test_load_kg_matches_line_loop(tmp_path, seed):
 
     Without a blank line the scanner takes every field's bounds from one
     reshape; with one it gathers them line by line.  Both must agree
-    with the line loop.
+    with the line loop, and both, with one line cut to two fields, must
+    raise its error with the same line number.
     """
     rng = np.random.default_rng(seed)
     n_names = int(rng.integers(3, len(_NAME_POOL) + 1))
@@ -631,14 +632,14 @@ def test_load_kg_matches_line_loop(tmp_path, seed):
         assert _scan(str(path), (3,)).arity == (0 if blank else 3)
         for undirected in (False, True):
             _assert_kg_equals(load_kg(str(path), undirected), reference_load_kg(str(path), undirected))
-    # the same file with one line cut to two fields: same line number and message
-    cut = text.replace("\tr0\t", "\t", 1) if "\tr0\t" in text else text + "bad\tline\n"
-    path.write_bytes(cut.encode("utf-8"))
-    with pytest.raises(ParseError) as want:
-        reference_load_kg(str(path), True)
-    with pytest.raises(ParseError) as got:
-        load_kg(str(path))
-    assert str(got.value) == str(want.value)
+        # the same file with one line cut to two fields: same line number and message
+        cut = text.replace("\tr0\t", "\t", 1) if "\tr0\t" in text else text + "bad\tline\n"
+        path.write_bytes(cut.encode("utf-8"))
+        with pytest.raises(ParseError) as want:
+            reference_load_kg(str(path), True)
+        with pytest.raises(ParseError) as got:
+            load_kg(str(path))
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("undirected", [False, True])
