@@ -310,6 +310,14 @@ def load_prep(cfg):
 # -- train / eval -----------------------------------------------------------------
 
 
+def _run_checksums(prep_meta, ripple_table, neighbor_table):
+    """The four sha256 values that identify a run, in manifest order; train records them, load_run checks them."""
+    return {"entity_vocab_sha256": prep_meta["entity_vocab_sha256"],
+            "relation_vocab_sha256": prep_meta["relation_vocab_sha256"],
+            "ripple_table_sha256": _table_sha256(ripple_table.bags, ripple_table.has),
+            "neighbor_table_sha256": _table_sha256(neighbor_table.rel, neighbor_table.nbr)}
+
+
 def _write_epoch_log(path, history):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -320,7 +328,7 @@ def _write_epoch_log(path, history):
 
 
 def _save_snapshot(out_dir, params, cfg, meta):
-    """Snapshot plus manifest, written atomically (write then rename)."""
+    """Write ``model.npz`` atomically (write then rename), then ``model.manifest.txt`` in place."""
     snap = os.path.join(out_dir, "model.npz")
     tmp = snap + ".tmp"
     save_params(tmp, params)
@@ -335,15 +343,8 @@ def _save_snapshot(out_dir, params, cfg, meta):
 def cmd_train(cfg):
     graph, dataset, prep_meta = load_prep(cfg)
     result = model.fit(dataset, graph, cfg.hp, seed=cfg.seed)
-    meta = {
-        "best_epoch": result.best_epoch,
-        "diverged": result.diverged,
-        "skipped_users": result.skipped_users,
-        "entity_vocab_sha256": prep_meta["entity_vocab_sha256"],
-        "relation_vocab_sha256": prep_meta["relation_vocab_sha256"],
-        "ripple_table_sha256": _table_sha256(result.ripple_table.bags, result.ripple_table.has),
-        "neighbor_table_sha256": _table_sha256(result.neighbor_table.rel, result.neighbor_table.nbr),
-    }
+    meta = {"best_epoch": result.best_epoch, "diverged": result.diverged, "skipped_users": result.skipped_users,
+            **_run_checksums(prep_meta, result.ripple_table, result.neighbor_table)}
     _save_snapshot(cfg.out, result.params, cfg, meta)
     _write_epoch_log(os.path.join(cfg.out, "epochs.csv"), result.history)
     if result.test_report is not None:
@@ -375,56 +376,53 @@ def _hyperparams_from_manifest(manifest, path):
     return _configure(RunConfig(), [(path, name, manifest[name]) for name in names]).hp
 
 
-def _check_snapshot(path, params, graph, dataset, hp):
-    """Raise ValueError unless the snapshot holds the tensors ``hp`` implies.
+def load_run(cfg):
+    """``(params, hp, seed, dataset, graph, ripple_table, neighbor_table)`` of the trained run in ``cfg.out``.
 
-    Names, shapes (for this graph and user count) and dtype must all
-    match; the message names the first offending tensor.
+    ``hp`` and the seed are the manifest's, not the current config's, and
+    both tables are rebuilt from them.  After :func:`load_prep`'s checks,
+    each check raises ValueError naming the file at fault, in this order:
+    the manifest's hyperparameters and seed, its :func:`_run_checksums`
+    against ``prep_meta.txt`` and the rebuilt tables, then the snapshot's
+    tensor names, shapes and dtype.
     """
-    dtype = np.dtype(hp.dtype)
-    expected = model.param_shapes(graph.num_entities, graph.num_relations, hp, dataset.num_users)
-    for name, shape in expected.items():
-        if name not in params.values:
-            raise ValueError(f"{path}: tensor {name!r} is missing (expected shape {shape}, {dtype})")
-        found = params.values[name]
-        if found.shape != shape or found.dtype != dtype:
-            raise ValueError(f"{path}: tensor {name!r} expected shape {shape}, {dtype}; "
-                             f"found shape {found.shape}, {found.dtype}")
-    extra = sorted(set(params.values) - set(expected))
-    if extra:
-        raise ValueError(f"{path}: unexpected tensors {extra} for the manifest's hyperparameters")
+    graph, dataset, prep_meta = load_prep(cfg)
+    snap, manifest_path = (os.path.join(cfg.out, name) for name in ("model.npz", "model.manifest.txt"))
+    if not os.path.exists(snap):
+        raise FileNotFoundError(snap)
+    manifest = _read_kv(manifest_path)
+    params = load_params(snap)
+    hp = _hyperparams_from_manifest(manifest, manifest_path)
+    seed = _meta_value(manifest, "seed", manifest_path, 0)
+    ripple_table = model.build_ripple_sets(dataset, graph, hp, seed)
+    neighbor_table = model.build_neighbor_table(graph, hp, seed)
+    # each checksum's (why a manifest may lack it, what a value that differs means)
+    vocab = ("truncated, or not written by ripplerec",
+             f"differs from {os.path.join(cfg.out, 'prep_meta.txt')} (prep re-run since train?)")
+    tables = {"ripple_table_sha256": ("trained before the hop-by-hop ripple builder, whose bags differ",
+                                      f"does not match the ripple table rebuilt from the train split in {cfg.out}"),
+              "neighbor_table_sha256": ("trained before the per-run neighbor table, whose trees differ",
+                                        f"does not match the neighbor table rebuilt from {prep_meta['kg']}")}
+    for key, value in _run_checksums(prep_meta, ripple_table, neighbor_table).items():
+        missing, differs = tables.get(key, vocab)
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: missing key {key!r} ({missing}); retrain the snapshot")
+        if manifest[key] != value:
+            raise ValueError(f"{manifest_path}: {key} {differs}; retrain the snapshot")
+    # each tensor's (shape, dtype), compared as the text the error shows
+    shapes = model.param_shapes(graph.num_entities, graph.num_relations, hp, dataset.num_users)
+    expected = {name: f"shape {shape}, {np.dtype(hp.dtype)}" for name, shape in shapes.items()}
+    found = {name: f"shape {value.shape}, {value.dtype}" for name, value in params.values.items()}
+    for name in [*expected, *sorted(found.keys() - expected.keys())]:
+        want, got = expected.get(name, "none for the manifest's hyperparameters"), found.get(name, "none (missing)")
+        if want != got:
+            raise ValueError(f"{snap}: tensor {name!r} expected {want}; found {got}")
+    return params, hp, seed, dataset, graph, ripple_table, neighbor_table
 
 
 def cmd_eval(cfg, split):
-    graph, dataset, prep_meta = load_prep(cfg)
-    snap = os.path.join(cfg.out, "model.npz")
-    if not os.path.exists(snap):
-        raise FileNotFoundError(snap)
-    manifest_path = os.path.join(cfg.out, "model.manifest.txt")
-    manifest = _read_kv(manifest_path)
-    params = load_params(snap)
-    # score with the hyperparameters, run seed, graph numbering, ripple bags and neighbor table the
-    # snapshot was trained with, not whatever the current config or a later prep happens to say
-    hp = _hyperparams_from_manifest(manifest, manifest_path)
-    for key, since in (("ripple_table_sha256", "the hop-by-hop ripple builder, whose bags differ"),
-                       ("neighbor_table_sha256", "the per-run neighbor table, whose trees differ")):
-        if key not in manifest:
-            raise ValueError(f"{manifest_path}: missing key {key!r} (trained before {since}); retrain the snapshot")
-    for key in ("entity_vocab_sha256", "relation_vocab_sha256"):
-        if _meta_value(manifest, key, manifest_path, "") != prep_meta[key]:
-            raise ValueError(f"{manifest_path}: {key} differs from {os.path.join(cfg.out, 'prep_meta.txt')} "
-                             "(prep re-run since train?); retrain the snapshot")
-    _check_snapshot(snap, params, graph, dataset, hp)
-    seed = _meta_value(manifest, "seed", manifest_path, 0)
-    ripple_sets = model.build_ripple_sets(dataset, graph, hp, seed)
-    if _table_sha256(ripple_sets.bags, ripple_sets.has) != manifest["ripple_table_sha256"]:
-        raise ValueError(f"{manifest_path}: ripple_table_sha256 does not match the ripple table rebuilt "
-                         f"from the train split in {cfg.out}; retrain the snapshot")
-    neighbors = model.build_neighbor_table(graph, hp, seed)
-    if _table_sha256(neighbors.rel, neighbors.nbr) != manifest["neighbor_table_sha256"]:
-        raise ValueError(f"{manifest_path}: neighbor_table_sha256 does not match the neighbor table rebuilt "
-                         f"from {prep_meta['kg']}; retrain the snapshot")
-    report = metrics.evaluate(params, dataset.split_named(split), neighbors, ripple_sets, hp,
+    params, hp, seed, dataset, _, ripple_table, neighbor_table = load_run(cfg)
+    report = metrics.evaluate(params, dataset.split_named(split), neighbor_table, ripple_table, hp,
                               dataset.item_entities, split=split)
     report.seed = seed  # the run seed that drew both tables; scoring itself draws nothing
     path = os.path.join(cfg.out, f"eval_{split}.csv")

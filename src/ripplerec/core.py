@@ -12,6 +12,8 @@ for concurrent reads; updates assume a single writer.
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 
 ADAM_BETA1 = 0.9
@@ -280,18 +282,23 @@ def load_params(path):
     """Load a snapshot written by :func:`save_params` into a new ParamStore.
 
     Every tensor must have the first tensor's dtype (a store has one);
-    a snapshot that mixes dtypes raises ValueError naming the tensor.
+    a snapshot that mixes dtypes raises ValueError naming the tensor.  A
+    file that is no readable ``.npz`` archive (empty, cut short, a failed
+    CRC, not a zip) raises ValueError naming ``path``.
     """
-    with np.load(path, allow_pickle=False) as data:
-        if "__magic__" not in data or str(data["__magic__"]) != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path} is not a ripplerec parameter snapshot")
-        names = [k for k in data.files if k != "__magic__"]
-        first = data[names[0]] if names else np.zeros(0)
-        store = ParamStore(dtype=first.dtype if names else np.float64)
-        for name in names:
-            value = data[name]
-            if value.dtype != store.dtype:
-                raise ValueError(f"{path}: tensor {name!r} is {value.dtype}, "
-                                 f"but {names[0]!r} is {store.dtype}")
-            store.add(name, value)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as err:
+        raise ValueError(f"{path} is not a readable snapshot archive ({type(err).__name__}: {err})") from None
+    if str(arrays.pop("__magic__", "")) != SNAPSHOT_MAGIC:
+        raise ValueError(f"{path} is not a ripplerec parameter snapshot")
+    names = list(arrays)
+    store = ParamStore(dtype=arrays[names[0]].dtype if names else np.float64)
+    for name in names:
+        value = arrays.pop(name)  # each array is dropped as its copy is added
+        if value.dtype != store.dtype:
+            raise ValueError(f"{path}: tensor {name!r} is {value.dtype}, "
+                             f"but {names[0]!r} is {store.dtype}")
+        store.add(name, value)
     return store

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import os
 import shutil
 import subprocess
@@ -17,7 +18,9 @@ from ripplerec.cli import (
     _hyperparams_from_manifest,
     _read_kv,
     _save_snapshot,
+    _table_sha256,
     build_config,
+    load_run,
     main,
     parse_config_file,
 )
@@ -82,6 +85,8 @@ SNAPSHOT_DEFECTS = [
     ("dtype", lambda a: _to_f32(a, [k for k in a if k != "__magic__"]),
      ["'entity_emb'", "float64", "float32"]),
     ("mixed_dtype", lambda a: _to_f32(a, ["fusion_w"]), ["'fusion_w'", "float32"]),
+    # only a user_table run has a user_emb tensor
+    ("extra_tensor", lambda a: a.update(user_emb=np.zeros((2, 4), a["entity_emb"].dtype)), ["'user_emb'"]),
 ]
 
 
@@ -325,6 +330,26 @@ class TestTrainEvalSweep:
         for text in expect:
             assert text in err, (text, err)
         assert not (out / "eval_test.csv").exists()
+
+    def test_load_run_returns_the_trained_run(self, untrained_run):
+        # a config drifted to another architecture: the manifest's hyperparameters win
+        params, hp, seed, dataset, graph, ripple_table, neighbor_table = load_run(
+            RunConfig(out=str(untrained_run), seed=6, hp=Hyperparams(embed_dim=16, conv_layers=3)))
+        manifest = _read_kv(str(untrained_run / "model.manifest.txt"))
+        assert hp == _hyperparams_from_manifest(manifest, "model.manifest.txt") == Hyperparams(
+            embed_dim=4, hops=2, ripple_size=8, neighbor_size=4, conv_layers=1, lr=1e-2, batch_size=64,
+            epochs=0, patience=0, precision="f64")
+        assert seed == int(manifest["seed"]) == 5
+        with np.load(untrained_run / "model.npz", allow_pickle=False) as data:
+            saved = {name: data[name] for name in data.files if name != "__magic__"}
+        assert list(params.values) == list(saved)
+        for name, value in saved.items():
+            assert (params.values[name].dtype, params.values[name].shape) == (value.dtype, value.shape), name
+            assert params.values[name].tobytes() == value.tobytes(), name
+        assert _table_sha256(ripple_table.bags, ripple_table.has) == manifest["ripple_table_sha256"]
+        assert _table_sha256(neighbor_table.rel, neighbor_table.nbr) == manifest["neighbor_table_sha256"]
+        assert params.values["entity_emb"].shape[0] == graph.num_entities
+        assert dataset.num_users == int(_read_kv(str(untrained_run / "prep_meta.txt"))["num_users"])
 
     def test_manifest_with_removed_training_keys_evaluates_the_same(self, workdir, untrained_run, tmp_path):
         # manifests written while these keys were Hyperparams fields hold `acc_threshold` after
@@ -641,6 +666,18 @@ def _drop_key(key):
     return defect
 
 
+def _cut_in_half(data, sep):
+    return data[:len(data) // 2], None
+
+
+def _flip_tensor_byte(data, sep):
+    """Defect that flips one byte of a snapshot's ``entity_emb`` values, so its member fails its CRC-32."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as arrays:
+        values = arrays["entity_emb"].tobytes()
+    at = data.index(values) + len(values) // 2
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:], None
+
+
 def _set_key(key, value):
     """Defect that sets the value of the ``key = value`` line of a key = value file."""
     def defect(data, sep):
@@ -665,12 +702,13 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "lr_nan": _only_key("lr", "nan"), "threshold_nan": _only_key("threshold", "nan"),
            "threshold_-inf": _only_key("threshold", "-inf"),
            "fusion_recursive": _add_key("fusion", "recursive"), "acc_threshold_0.4": _add_key("acc_threshold", "0.4"),
-           "item_i0_again": _set_field(0, "i0")}
+           "item_i0_again": _set_field(0, "i0"), "cut_in_half": _cut_in_half, "crc_flip": _flip_tensor_byte,
+           "text": lambda data, sep: (b"not a snapshot\n", None)}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
              "test": ("test.tsv", "\t", "eval"), "item_entities": ("item_entities.tsv", "\t", "eval"),
-             "manifest": ("model.manifest.txt", "=", "eval")}
+             "manifest": ("model.manifest.txt", "=", "eval"), "model": ("model.npz", None, "eval")}
 
 # (input, defect, exit code, text stderr must hold); {path} is the edited
 # file and {line} the line the defect broke
@@ -724,6 +762,11 @@ INPUT_DEFECTS = [
     ("item_entities", "entity_999", EXIT_MALFORMED, "{path}:{line}: entity 999 outside"),
     ("item_entities", "not_integer", EXIT_MALFORMED, "{path}:{line}: non-integer"),
     ("item_entities", "empty", EXIT_MALFORMED, "{path}: expected one row per item"),
+    # a damaged snapshot names itself, whichever reader of the archive fails
+    ("model", "empty", EXIT_MALFORMED, "{path} is not a readable snapshot archive (EOFError"),
+    ("model", "cut_in_half", EXIT_MALFORMED, "{path} is not a readable snapshot archive (BadZipFile"),
+    ("model", "crc_flip", EXIT_MALFORMED, "{path} is not a readable snapshot archive (BadZipFile: Bad CRC-32"),
+    ("model", "text", EXIT_MALFORMED, "{path} is not a readable snapshot archive (ValueError"),
 ]
 
 
