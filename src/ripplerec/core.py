@@ -284,10 +284,13 @@ def load_params(path):
     Every tensor must have the first tensor's dtype (a store has one);
     a snapshot that mixes dtypes raises ValueError naming the tensor.  A
     file that is no readable ``.npz`` archive (empty, cut short, a failed
-    CRC, not a zip) raises ValueError naming ``path``.
+    CRC, not a zip, a lone ``.npy`` array) raises ValueError naming ``path``.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        data = np.load(path, allow_pickle=False)  # an array, not an archive, when the file is a lone .npy
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"a {data.dtype} array of shape {data.shape}, not an .npz archive")
+        with data:
             arrays = {name: data[name] for name in data.files}
     except (zipfile.BadZipFile, EOFError, ValueError) as err:
         raise ValueError(f"{path} is not a readable snapshot archive ({type(err).__name__}: {err})") from None

@@ -7,15 +7,15 @@ line breaks follow text mode (``\n``, ``\r\n`` and a lone ``\r``; a
 blank line is skipped but counted), and numpy finds the tabs and line
 breaks and checks every line's field count from them.  When every line
 has one field count, each field's bounds come from one reshape.
-Integer fields are parsed from the scanned bytes (:func:`read_int_tsv`),
-and every text field (KG names, the item map, the users, items and
-ratings of a rating log) goes through one interner, :func:`_intern`,
-which also works on the bytes: it sorts each field as padded 8-byte
-words and decodes only the distinct names, so no input makes a Python
-str per field.  Triples are indexed through those first-appearance
-vocabularies, held as name lists, deduplicated by one sort of packed
-(head, relation, tail) keys, and kept only as one compressed sparse row (CSR)
-layout built from one sort of packed (source, relation, neighbor) keys:
+Every field (KG names, the item map, a rating log's users, items and
+ratings, the integers of :func:`read_int_tsv`) goes through one
+interner, :func:`_intern`, over the scanner's one padded buffer: it
+sorts each field as padded 8-byte words and decodes only the distinct
+fields, so no input makes a Python str per field.  Triples are indexed
+through those first-appearance vocabularies, held as name lists,
+deduplicated by one sort of packed (head, relation, tail) keys, and kept
+only as one compressed sparse row (CSR) layout built from one sort of
+packed (source, relation, neighbor) keys:
 entity ``e``'s outgoing (relation, neighbor) edges are
 ``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
 Both samplers draw uniformly with replacement from CSR ranges:
@@ -33,6 +33,7 @@ concurrent sampling requires independent generator instances.
 from __future__ import annotations
 
 import logging
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -92,7 +93,7 @@ def read_text(path):
 
 
 class _Scan(NamedTuple):
-    buf: np.ndarray  # the file's UTF-8 bytes, every line "\n"-terminated
+    buf: np.ndarray  # the file's UTF-8 bytes, every line "\n"-terminated, then 8 zero bytes (see _intern)
     ends: np.ndarray  # byte offset of the tab or newline that ends each field
     linenos: np.ndarray  # 1-based number of every non-blank line
     first: np.ndarray | None  # index into ``ends`` of every non-blank line's first field; None when ``arity`` is set
@@ -103,12 +104,14 @@ def _scan(path, arity):
     """Locate every field of a UTF-8 TSV file and check each line's field count.
 
     A non-blank line whose field count is not in ``arity`` raises
-    :class:`ParseError`, as does a byte that does not decode.
+    :class:`ParseError`, as does a byte that does not decode.  The bytes
+    are copied once, into ``buf`` padded for every :func:`_intern` call.
     """
     data = _read(path)
     if data and not data.endswith(b"\n"):
         data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
+    buf = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    del data
     is_end = buf == ord("\t")
     is_end |= buf == ord("\n")
     ends = np.flatnonzero(is_end)
@@ -122,8 +125,9 @@ def _scan(path, arity):
     first = np.zeros_like(last)
     first[1:] = last[:-1] + 1
     counts = last - first + 1
-    # a blank line's newline follows the previous one; for line 1, buf[-1] (a newline) stands in
+    # a blank line's newline follows the previous one, or opens the file
     blank = buf[ends[last] - 1] == ord("\n")
+    blank[:1] = ends[last[:1]] == 0
     bad = ~blank & ~np.isin(counts, arity)
     if bad.any():
         i = int(np.argmax(bad))
@@ -167,11 +171,11 @@ def _intern(buf, start, end):
     once among the fields of its word count.  Groups of equal keys rank
     by their first field, and only the distinct fields are decoded, with
     one ``decode`` of their tab-joined bytes.  Each field ends at a tab
-    or newline of ``buf``, as :func:`_scan` finds them.
+    or newline of ``buf``, as :func:`_scan` finds them, and ``buf`` holds
+    8 bytes past the last one (:func:`_scan` pads it), so it is never copied.
     """
     start, end = np.ascontiguousarray(start), np.ascontiguousarray(end)
-    padded = np.concatenate((buf, np.zeros(8, dtype=np.uint8)))
-    words = np.ndarray((len(buf) + 1,), dtype=np.uint64, buffer=padded, strides=(1,))  # the word at every byte
+    words = np.ndarray((len(buf) - 7,), dtype=np.uint64, buffer=buf, strides=(1,))  # the word at every byte
     width = end - start
     last = width - 1  # the index of each field's last word
     np.maximum(last, 0, out=last)
@@ -219,42 +223,30 @@ def read_int_tsv(path, columns):
 
     ``columns`` holds one ``(name, high)`` pair per field; the field must
     lie in ``[0, high)``.  A field is an integer when it is ASCII digits
-    with an optional leading ``-``.  The first line holding a non-integer
-    or out-of-range field raises :class:`ParseError`.
+    with an optional leading ``-``; the fields are interned (:func:`_intern`)
+    and each distinct one is parsed once.  The first line holding a
+    non-integer or out-of-range field raises :class:`ParseError`.
     """
     scan = _scan(path, (len(columns),))
-    buf = scan.buf
     start, end = _bounds(scan, len(columns))
-    neg = buf[start] == ord("-")
-    lo = start + neg
-    # before[x]: how many bytes of buf[:x] are not digits; nonzero[x]: how many are digits 1-9
-    count = np.int32 if len(buf) < 2**31 else np.int64
-    before = np.zeros(len(buf) + 1, dtype=count)
-    np.cumsum((buf < ord("0")) | (buf > ord("9")), dtype=count, out=before[1:])
-    is_int = (end > lo) & (before[end] == before[lo])
-    del before
-    # a nonzero digit more than 19 places from the end makes the value >= 10**19
-    nonzero = np.zeros(len(buf) + 1, dtype=count)
-    np.cumsum((buf > ord("0")) & (buf <= ord("9")), dtype=count, out=nonzero[1:])
-    big = nonzero[np.maximum(end - 19, lo)] > nonzero[lo]
-    del nonzero
-    width = np.where(is_int, end - lo, 0)
-    value = np.zeros(end.shape, dtype=np.uint64)  # the last 19 digits, < 2**64
-    for j in range(min(int(width.max(initial=0)), 19)):
-        digit = buf.take(end - 1 - j, mode="clip").astype(np.uint64) - ord("0")
-        value += np.where(j < width, digit * 10**j, 0)
-    high = np.array([h for _, h in columns], dtype=np.uint64)
-    bad = ~is_int | big | (value >= high) | (neg & (value > 0))
+    names, ids = _intern(scan.buf, start.ravel(), end.ravel())
+    ids = ids.reshape(start.shape)
+    # each distinct field's sign and digits without leading zeros; None when it is no integer
+    matches = list(map(re.compile(r"(-?)0*([0-9]+)").fullmatch, names))
+    # not an integer or negative: below every range; int() gets 20 digits at most (more exceed int64, or its 4300 limit)
+    value = np.array([-1 if m is None or m[1] and m[2] != "0" else min(int(m[2][:20]), 2**63 - 1)
+                      for m in matches], dtype=np.int64)[ids]
+    bad = (value < 0) | (value >= np.array([high for _, high in columns], dtype=np.int64))
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
-        lineno = int(scan.linenos[i])
-        fields = buf[start[i, 0]:end[i, -1]].tobytes().decode("utf-8").split("\t")
-        if not is_int[i].all():
-            raise ParseError(path, lineno, f"non-integer field in {fields}")
+        lineno, row = int(scan.linenos[i]), ids[i].tolist()
+        if not all(matches[k] for k in row):
+            raise ParseError(path, lineno, f"non-integer field in {[names[k] for k in row]}")
         c = int(np.argmax(bad[i]))
-        name, high_c = columns[c]
-        raise ParseError(path, lineno, f"{name} {int(fields[c])} outside [0, {high_c})")
-    return value.astype(np.int64)
+        name, high = columns[c]
+        sign, digits = matches[row[c]].groups()
+        raise ParseError(path, lineno, f"{name} {sign * (digits != '0')}{digits} outside [0, {high})")
+    return value
 
 
 @dataclass

@@ -678,6 +678,13 @@ def _flip_tensor_byte(data, sep):
     return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:], None
 
 
+def _npy(data, sep):
+    """Defect that replaces a snapshot by a lone ``.npy`` array, as ``np.save`` writes one."""
+    out = io.BytesIO()
+    np.save(out, np.zeros(3))
+    return out.getvalue(), None
+
+
 def _set_key(key, value):
     """Defect that sets the value of the ``key = value`` line of a key = value file."""
     def defect(data, sep):
@@ -703,7 +710,7 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "threshold_-inf": _only_key("threshold", "-inf"),
            "fusion_recursive": _add_key("fusion", "recursive"), "acc_threshold_0.4": _add_key("acc_threshold", "0.4"),
            "item_i0_again": _set_field(0, "i0"), "cut_in_half": _cut_in_half, "crc_flip": _flip_tensor_byte,
-           "text": lambda data, sep: (b"not a snapshot\n", None)}
+           "text": lambda data, sep: (b"not a snapshot\n", None), "npy": _npy}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
@@ -767,6 +774,7 @@ INPUT_DEFECTS = [
     ("model", "cut_in_half", EXIT_MALFORMED, "{path} is not a readable snapshot archive (BadZipFile"),
     ("model", "crc_flip", EXIT_MALFORMED, "{path} is not a readable snapshot archive (BadZipFile: Bad CRC-32"),
     ("model", "text", EXIT_MALFORMED, "{path} is not a readable snapshot archive (ValueError"),
+    ("model", "npy", EXIT_MALFORMED, "{path} is not a readable snapshot archive (ValueError: a float64 array"),
 ]
 
 

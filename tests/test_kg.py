@@ -424,8 +424,8 @@ class TestVocabAndItemMap:
 
 
 def _intern_lines(fields):
-    """:func:`_intern` over ``fields`` written one per line, as a scanned file holds them."""
-    buf = np.frombuffer("".join(f + "\n" for f in fields).encode("utf-8"), dtype=np.uint8)
+    """:func:`_intern` over ``fields`` written one per line, padded with 8 zero bytes as :func:`_scan` pads a file."""
+    buf = np.frombuffer("".join(f + "\n" for f in fields).encode("utf-8") + bytes(8), dtype=np.uint8)
     end = np.flatnonzero(buf == ord("\n"))
     start = np.concatenate(([0], end[:-1] + 1)).astype(np.int64)
     return buf, start, end
@@ -487,7 +487,7 @@ class TestIntern:
         _assert_interned(_intern(*_intern_lines(fields)), fields)
 
     def test_no_fields(self):
-        names, ids = _intern(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        names, ids = _intern(np.zeros(8, dtype=np.uint8), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         assert names == [] and ids.dtype == np.int64 and ids.shape == (0,)
 
 
@@ -687,6 +687,8 @@ class TestReadIntTsv:
         ("1\t\n", ":1: non-integer field in ['1', '']"),
         ("-\t1\n", ":1: non-integer field in ['-', '1']"),
         ("1\t2\t3\n", ":1: expected 2 tab-separated fields, got 3"),
+        # past int()'s 4300-digit limit for str
+        pytest.param("1\t2\n" + "9" * 5000 + "\t3\n", f":2: user {'9' * 5000} outside [0, 10)", id="user_5000_digits"),
     ])
     def test_errors_name_line_and_field(self, tmp_path, data, message):
         with pytest.raises(ParseError) as err:
@@ -698,3 +700,68 @@ class TestReadIntTsv:
         # int() accepts these; prep never writes them
         with pytest.raises(ParseError, match=":1: non-integer field"):
             self._read(tmp_path, f"{field}\t1\n")
+
+
+def _reference_read_int_tsv(path, columns):
+    """The line loop of :func:`read_int_tsv`: ``int()`` of every field that is ASCII digits after an optional ``-``."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                continue
+            assert len(fields) == len(columns)
+            if not all(field.isascii() and field.removeprefix("-").isdigit() for field in fields):
+                raise ParseError(path, lineno, f"non-integer field in {fields}")
+            for (name, high), field in zip(columns, fields):
+                if not 0 <= int(field) < high:
+                    raise ParseError(path, lineno, f"{name} {int(field)} outside [0, {high})")
+            rows.append([int(field) for field in fields])
+    return rows
+
+
+def _int_field(rng, high, bad):
+    """A field of a column with range ``[0, high)``, in one of several spellings; with ``bad``, now and then wrong."""
+    if bad and rng.random() < 0.03:
+        wrong = [str(high), "-1", str(2**63), "9" * 19, "1" + "0" * 19, str(2**64 + 1), "-" + "9" * 20,
+                 "+5", " 5", "x", "", "-", "٣"]
+        return wrong[rng.integers(len(wrong))]
+    value = str(rng.integers(high))
+    good = [value, value.zfill(int(rng.integers(2, 5))), "-0", "-" + "0" * 19, str(high - 1), value.zfill(19),
+            value.zfill(20)]
+    return good[rng.integers(len(good))]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_read_int_tsv_matches_line_loop(tmp_path, seed):
+    """Random integer files with mixed line breaks, with and without blank lines, against the line loop.
+
+    Even seeds write only in-range fields (leading zeros, ``-0``, 19 and
+    20 digits, ``high - 1``); odd seeds now and then write a field out
+    of range or not an integer, and the error must match the line loop's.
+    """
+    rng = np.random.default_rng(seed)
+    columns = (("user", int(rng.integers(1, 40))), ("item", int(rng.integers(1, 40))), ("label", 2))
+    columns = columns[:int(rng.integers(2, 4))]
+    lines = ["\t".join(_int_field(rng, high, seed % 2) for _, high in columns)
+             for _ in range(int(rng.integers(1, 80)))]
+    for at in sorted(rng.integers(len(lines), size=int(rng.integers(1, 4))), reverse=True):  # each before a row
+        lines.insert(int(at), "")
+    # a blank line ends in "\r\n", so a "\r" before it cannot join its break into one "\r\n"
+    ends = [["\n", "\r\n", "\r"][k] if line else "\r\n" for line, k in zip(lines, rng.integers(3, size=len(lines)))]
+    path = tmp_path / "ints.tsv"
+    for blank in (True, False):
+        text = "".join(line + end for line, end in zip(lines, ends) if blank or line)
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")
+        path.write_bytes(text.encode("utf-8"))
+        assert _scan(str(path), (len(columns),)).arity == (0 if blank else len(columns))
+        try:
+            want = _reference_read_int_tsv(str(path), columns)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                read_int_tsv(str(path), columns)
+            assert str(got.value) == str(err)
+        else:
+            got = read_int_tsv(str(path), columns)
+            assert got.dtype == np.int64 and got.shape == (len(want), len(columns)) and got.tolist() == want
