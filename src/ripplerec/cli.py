@@ -95,6 +95,8 @@ def _coerce(name, raw, current):
     except ValueError:
         kind = "an integer" if isinstance(current, int) else "a number"
         raise ValueError(f"{name} = {raw!r} is not {kind}") from None
+    if name == "seed" and value < 0:  # numpy seeds are non-negative; checked before any work, naming the source
+        raise ValueError(f"seed = {raw!r} must be >= 0")
     # checked here as ratios are, so a bad threshold fails before prep reads or writes anything
     return interactions.check_threshold(value) if name == "threshold" else value
 
@@ -161,7 +163,7 @@ def _configure(cfg, items):
 
 
 def build_config(args):
-    """The RunConfig of the config file, then each ``--set``; Hyperparams are checked once, after both."""
+    """The RunConfig of the config file, each ``--set``, then ``--seed`` and ``--out``, in that order."""
     items = []
     if args.config:
         if not os.path.exists(args.config):
@@ -172,12 +174,8 @@ def build_config(args):
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         items.append(("--set", key, raw))
-    cfg = _configure(RunConfig(), items)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    return cfg
+    items += [(f"--{key}", key, value) for key, value in (("seed", args.seed), ("out", args.out)) if value is not None]
+    return _configure(RunConfig(), items)
 
 
 def _write_kv(path, mapping):
@@ -499,7 +497,7 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None, help="run seed, an integer >= 0")
         p.add_argument("--out", default=None, help="artifact directory")
         if name == "eval":
             p.add_argument("--split", default="test", choices=["train", "validation", "test"])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import ParseError, _bounds, _intern, _scan, read_int_tsv
+from .kg import ParseError, _intern, _scan, read_int_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -86,12 +86,11 @@ def binarize(ratings_path, threshold, item_to_entity):
     item_index = {raw: i for i, raw in enumerate(item_names)}
     item_entities = np.array([item_to_entity[raw] for raw in item_names], dtype=np.int64)
 
-    scan = _scan(ratings_path, (3, 4))
-    n_rows = len(scan.linenos)
+    buf, start, end, linenos, _ = _scan(ratings_path, (3, 4))
+    n_rows = len(linenos)
     if n_rows == 0:
         raise ValueError(f"{ratings_path}: no rating rows found")
-    start, end = _bounds(scan, 3)
-    raw_ratings, rating_ids = _intern(scan.buf, start[:, 2], end[:, 2])
+    raw_ratings, rating_ids = _intern(buf, start[:, 2], end[:, 2])
     values = np.empty(len(raw_ratings))
     for k, raw_rating in enumerate(raw_ratings):
         try:
@@ -100,14 +99,14 @@ def binarize(ratings_path, threshold, item_to_entity):
             values[k] = np.nan
         if np.isnan(values[k]):  # neither >= nor < a threshold, so neither positive nor unobserved
             row = int(np.argmax(rating_ids == k))  # the first line holding it
-            raise ParseError(ratings_path, int(scan.linenos[row]), f"non-numeric rating {raw_rating!r}")
+            raise ParseError(ratings_path, int(linenos[row]), f"non-numeric rating {raw_rating!r}")
     ratings = values[rating_ids]
-    raw_items, item_ids = _intern(scan.buf, start[:, 1], end[:, 1])
+    raw_items, item_ids = _intern(buf, start[:, 1], end[:, 1])
     items = np.array([item_index.get(raw, -1) for raw in raw_items], dtype=np.int64)[item_ids]
     mapped = items >= 0
     below = mapped & (ratings < threshold)
     positive = mapped & ~below
-    user_names, users = _intern(scan.buf, start[positive, 0], end[positive, 0])
+    user_names, users = _intern(buf, start[positive, 0], end[positive, 0])
     pairs = np.stack((users, items[positive]), axis=1)
     _, kept = np.unique(users * len(item_names) + pairs[:, 1], return_index=True)
     positives = pairs[np.sort(kept)]  # each (user, item) pair at its first row

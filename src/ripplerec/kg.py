@@ -5,8 +5,9 @@ are read once and only checked as UTF-8, never kept as text (the CLI's
 ``key = value`` files are read the same way, by :func:`read_text`),
 line breaks follow text mode (``\n``, ``\r\n`` and a lone ``\r``; a
 blank line is skipped but counted), and numpy finds the tabs and line
-breaks and checks every line's field count from them.  When every line
-has one field count, each field's bounds come from one reshape.
+breaks and checks every line's field count from them.  The scanner
+returns the byte bounds of the fields its caller reads: views of one
+reshape when every line has one field count, else gathered per line.
 Every field (KG names, the item map, a rating log's users, items and
 ratings, the integers of :func:`read_int_tsv`) goes through one
 interner, :func:`_intern`, over the scanner's one padded buffer: it
@@ -56,20 +57,11 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def _decode(path, data):
-    """``data`` as text; a byte that does not decode raises :class:`ParseError` naming its line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        head = data[:err.start]
-        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(path, lineno, f"not valid UTF-8 ({err.reason})") from None
-
-
 def _read(path):
     """A UTF-8 file's bytes with every line break turned into ``b"\n"``, as text mode reads it.
 
-    The bytes are only checked as UTF-8, never kept as text: a byte
+    The bytes are only checked as UTF-8 (one decode whose text is
+    dropped; none when they are all ASCII), never kept as text: a byte
     sequence that does not decode raises :class:`ParseError` naming the
     line that holds it.  In UTF-8 a ``\r`` byte is always a ``"\r"``,
     so breaks translate on the bytes as on the text.
@@ -77,7 +69,12 @@ def _read(path):
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
-        _decode(path, data)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            head = data[:err.start]
+            lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ParseError(path, lineno, f"not valid UTF-8 ({err.reason})") from None
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return data
@@ -94,18 +91,21 @@ def read_text(path):
 
 class _Scan(NamedTuple):
     buf: np.ndarray  # the file's UTF-8 bytes, every line "\n"-terminated, then 8 zero bytes (see _intern)
-    ends: np.ndarray  # byte offset of the tab or newline that ends each field
+    start: np.ndarray  # (lines, min(arity)) byte offset of each non-blank line's first fields
+    end: np.ndarray  # (lines, min(arity)) byte offset of the tab or newline that ends each of those fields
     linenos: np.ndarray  # 1-based number of every non-blank line
-    first: np.ndarray | None  # index into ``ends`` of every non-blank line's first field; None when ``arity`` is set
     arity: int  # the field count of every line when all lines share one and none is blank, else 0
 
 
 def _scan(path, arity):
-    """Locate every field of a UTF-8 TSV file and check each line's field count.
+    """Bounds of the first ``min(arity)`` fields of every line of a UTF-8 TSV file, whose field counts it checks.
 
     A non-blank line whose field count is not in ``arity`` raises
     :class:`ParseError`, as does a byte that does not decode.  The bytes
     are copied once, into ``buf`` padded for every :func:`_intern` call.
+    When every line has one field count and none is blank, the bounds
+    are views of one reshape (a field starts one byte past the previous
+    field's end); otherwise they are gathered line by line.
     """
     data = _read(path)
     if data and not data.endswith(b"\n"):
@@ -115,12 +115,16 @@ def _scan(path, arity):
     is_end = buf == ord("\t")
     is_end |= buf == ord("\n")
     ends = np.flatnonzero(is_end)
+    del is_end  # one bool per byte: gone before the gather below
     newline = buf[ends] == ord("\n")
-    num_lines = np.count_nonzero(newline)
+    num_lines, count = np.count_nonzero(newline), min(arity)
     for n in arity:
         # every n-th field ends a line and no other does: n fields on every line, none blank
         if n > 1 and num_lines * n == len(ends) and newline[n - 1::n].all():
-            return _Scan(buf, ends, np.arange(1, num_lines + 1), None, n)
+            start = np.zeros_like(ends)
+            np.add(ends[:-1], 1, out=start[1:])
+            return _Scan(buf, start.reshape(-1, n)[:, :count], ends.reshape(-1, n)[:, :count],
+                         np.arange(1, num_lines + 1), n)
     last = np.flatnonzero(newline)  # each line's last field
     first = np.zeros_like(last)
     first[1:] = last[:-1] + 1
@@ -134,26 +138,10 @@ def _scan(path, arity):
         expected = " or ".join(str(n) for n in arity)
         raise ParseError(path, i + 1, f"expected {expected} tab-separated fields, got {counts[i]}")
     lines = np.flatnonzero(~blank)
-    return _Scan(buf, ends, lines + 1, first[lines], 0)
-
-
-def _bounds(scan, count):
-    """``(start, end)`` byte offsets, each ``(lines, count)``, of the first ``count`` fields of every line.
-
-    When every line has ``scan.arity`` fields these are views: a field
-    starts one byte past the previous field's end.
-    """
-    if scan.arity:
-        end = scan.ends.reshape(-1, scan.arity)
-        start = np.empty_like(end)
-        if start.size:
-            start.flat[0] = 0
-            np.add(scan.ends[:-1], 1, out=start.reshape(-1)[1:])
-        return start[:, :count], end[:, :count]
-    index = scan.first[:, None] + np.arange(count)
-    start = scan.ends[index - 1] + 1
+    index = first[lines, None] + np.arange(count)
+    start = ends[index - 1] + 1
     start[index == 0] = 0
-    return start, scan.ends[index]
+    return _Scan(buf, start, ends[index], lines + 1, 0)
 
 
 # _PAD[r]: the word whose first r bytes are 0 and whose others are 0xFF, in native byte order
@@ -228,9 +216,8 @@ def read_int_tsv(path, columns):
     non-integer or out-of-range field raises :class:`ParseError`.
     """
     scan = _scan(path, (len(columns),))
-    start, end = _bounds(scan, len(columns))
-    names, ids = _intern(scan.buf, start.ravel(), end.ravel())
-    ids = ids.reshape(start.shape)
+    names, ids = _intern(scan.buf, scan.start.ravel(), scan.end.ravel())
+    ids = ids.reshape(scan.start.shape)
     # each distinct field's sign and digits without leading zeros; None when it is no integer
     matches = list(map(re.compile(r"(-?)0*([0-9]+)").fullmatch, names))
     # not an integer or negative: below every range; int() gets 20 digits at most (more exceed int64, or its 4300 limit)
@@ -366,13 +353,12 @@ def load_kg(path, undirected=True):
     relation, head) edge per triple when ``undirected`` is set
     (self-loops are not doubled).
     """
-    scan = _scan(path, (3,))
-    if len(scan.linenos) == 0:
+    buf, start, end = _scan(path, (3,))[:3]
+    if len(start) == 0:
         raise ValueError(f"{path}: no triples found")
-    buf, (start, end) = scan.buf, _bounds(scan, 3)
     relation_names, rels = _intern(buf, start[:, 1], end[:, 1])
     heads_tails = start[:, ::2].ravel(), end[:, ::2].ravel()  # the entity fields in file order
-    del scan, start, end  # these and the bytes go at their last use: about 6 MiB off the traced peak
+    del start, end  # these and the bytes go at their last use: about 6 MiB off the traced peak
     entity_names, ent = _intern(buf, *heads_tails)
     del buf, heads_tails
     num_entities, num_relations = len(entity_names), len(relation_names)
@@ -505,17 +491,16 @@ def load_item_map(path, kg):
     item listed again with another entity raises :class:`ParseError`
     naming the later line.
     """
-    scan = _scan(path, (2,))
-    start, end = _bounds(scan, 2)
-    item_names, items = _intern(scan.buf, start[:, 0], end[:, 0])
-    entity_names, entities = _intern(scan.buf, start[:, 1], end[:, 1])
+    buf, start, end, linenos, _ = _scan(path, (2,))
+    item_names, items = _intern(buf, start[:, 0], end[:, 0])
+    entity_names, entities = _intern(buf, start[:, 1], end[:, 1])
     _, first_row = np.unique(items, return_index=True)
     item_entity = entities[first_row]  # each item's entity at its first row
     clash = np.flatnonzero(entities != item_entity[items])
     if len(clash):
         i = clash[0]
         item, earlier, later = item_names[items[i]], entity_names[item_entity[items[i]]], entity_names[entities[i]]
-        raise ParseError(path, int(scan.linenos[i]),
+        raise ParseError(path, int(linenos[i]),
                          f"item {item!r} maps to entity {later!r}, but an earlier line maps it to {earlier!r}")
     entity_index = dict(zip(kg.entity_names, range(kg.num_entities)))
     lookup = np.array([entity_index.get(name, -1) for name in entity_names], dtype=np.int64)[item_entity]

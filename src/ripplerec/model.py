@@ -659,10 +659,11 @@ def fit(dataset, kg, hp, seed=0):
     does not know (``RippleTable.known``) are dropped, and
     ``skipped_users`` counts those users.  Divergence aborts the run and
     returns the last good snapshot with ``diverged`` set.
-    Single-threaded and deterministic for a fixed seed.  When
-    ``hp.epochs >= 1``, a validation split that is empty, or none of
-    whose users the ripple table knows, is rejected before any
-    training, since each epoch ends by scoring it.  The test report's
+    Single-threaded and deterministic for a fixed seed.  A split the
+    run scores, none of whose users the ripple table knows, is rejected
+    before any training: the validation split when ``hp.epochs >= 1``
+    (each epoch ends by scoring it; an empty one is rejected too), and a
+    nonempty test split (the run ends by scoring it).  The test report's
     ``seed`` is the run's.
     """
     if hp.epochs >= 1 and len(dataset.validation) == 0:
@@ -679,9 +680,12 @@ def fit(dataset, kg, hp, seed=0):
                        int((~keep).sum()), skipped_users)
     if len(train) == 0:
         raise ValueError("no train rows (empty train split, or every user lacks a ripple set)")
-    if hp.epochs >= 1 and not ripple_sets.known(dataset.validation[:, 0]).any():
-        raise ValueError("validation split has no scorable examples: the ripple table knows none of its users "
-                         "(each needs a train positive whose entity has an outgoing triple)")
+    # each split the run scores: validation after every epoch, test once at the end
+    scored = [("validation", dataset.validation)] if hp.epochs >= 1 else []
+    for name, split in scored + [("test", dataset.test)]:
+        if len(split) and not ripple_sets.known(split[:, 0]).any():
+            raise ValueError(f"{name} split has no scorable examples: the ripple table knows none of its users "
+                             "(each needs a train positive whose entity has an outgoing triple)")
     history: list[dict] = []
     best = params.copy()
     best_auc = -np.inf

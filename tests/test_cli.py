@@ -251,6 +251,30 @@ class TestPrep:
         assert f"--set: threshold must be a finite number, got {float(threshold)}" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("command", ["prep", "train"])
+    @pytest.mark.parametrize("where", ["config", "set", "seed"])
+    def test_negative_seed_rejected_naming_its_source(self, workdir, tmp_path, capsys, command, where):
+        # checked with the other keys, before prep makes its output or train loads the prep it reads
+        config = tmp_path / "cfg.txt"
+        text = (workdir / "cfg.txt").read_text(encoding="utf-8")
+        config.write_text(text + ("seed = -1\n" if where == "config" else ""), encoding="utf-8")
+        extra = {"config": [], "set": ["--set", "seed=-1"], "seed": ["--seed", "-1"]}[where]
+        capsys.readouterr()
+        rc = run_cli(command, "--config", config, "--out", tmp_path / "never", *extra)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED, err
+        where_text = {"config": f"{config}:{len(text.splitlines()) + 1}", "set": "--set", "seed": "--seed"}[where]
+        assert f"{where_text}: seed = '-1' must be >= 0" in err
+        assert not (tmp_path / "never").exists()
+
+    def test_non_integer_seed_flag_exits_3(self, workdir, tmp_path, capsys):
+        # --seed is parsed as the config key is: malformed input (3), not argparse's usage error (2)
+        capsys.readouterr()
+        rc = run_cli("prep", "--config", workdir / "cfg.txt", "--out", tmp_path / "never", "--seed", "x")
+        assert rc == EXIT_MALFORMED
+        assert "--seed: seed = 'x' is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
 
 class TestTrainEvalSweep:
     def test_train_writes_snapshot_log_and_report(self, workdir):
@@ -574,6 +598,17 @@ class TestTrainEvalSweep:
         assert "sweep_seeds must be >= 1, got 0" in capsys.readouterr().err
         assert not (untrained_run / "sweep_results.csv").exists()
 
+    def test_sweep_negative_seed_rejected(self, workdir, untrained_run, tmp_path, capsys):
+        # not a sweep of failed cells: the seed is checked before any cell runs
+        out = tmp_path / "run"
+        shutil.copytree(untrained_run, out)
+        capsys.readouterr()
+        rc = run_cli("sweep", "--config", workdir / "cfg.txt", "--seed", -2, "--out", out,
+                     "--set", "sweep_param=neighbor_size", "--set", "sweep_values=2,4", "--set", "sweep_seeds=1")
+        assert rc == EXIT_MALFORMED
+        assert "--seed: seed = '-2' must be >= 0" in capsys.readouterr().err
+        assert not (out / "sweep_results.csv").exists()
+
     def test_sweep_failed_cell_recorded_as_na(self, workdir):
         # embed_dim=0 fails hyperparameter validation inside its cell only
         rc = run_cli("sweep", "--config", workdir / "cfg.txt", "--seed", 5,
@@ -704,6 +739,7 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "user_1_0": _set_field(0, "1_0"), "item_space_5": _set_field(1, " 5"),
            "item_arabic_3": _set_field(1, "\u0663"),
            "no_hops": _drop_key("hops"), "seed_x": _set_field(1, " x"),  # line 2 of a manifest is seed
+           "seed_-1": _set_field(1, " -1"),
            "hops_two": _set_key("hops", "two"), "hops_0": _set_key("hops", "0"),
            "undirected_maybe": _set_key("undirected", "maybe"), "batch_size_0": _set_key("batch_size", "0"),
            "lr_nan": _only_key("lr", "nan"), "threshold_nan": _only_key("threshold", "nan"),
@@ -743,6 +779,7 @@ INPUT_DEFECTS = [
     ("manifest", "empty", EXIT_MALFORMED, "{path}: missing key 'embed_dim'"),
     ("manifest", "no_hops", EXIT_MALFORMED, "{path}: missing key 'hops'"),
     ("manifest", "seed_x", EXIT_MALFORMED, "{path}: seed = 'x' is not an integer"),
+    ("manifest", "seed_-1", EXIT_MALFORMED, "{path}: seed = '-1' must be >= 0"),
     # a hyperparameter value is read as a config value is, and its error names the manifest
     ("manifest", "hops_two", EXIT_MALFORMED, "{path}: hops = 'two' is not an integer"),
     ("manifest", "hops_0", EXIT_MALFORMED, "{path}: hops must be >= 1"),

@@ -642,6 +642,49 @@ def test_load_kg_matches_line_loop(tmp_path, seed):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_scan_bounds_match_line_loop(tmp_path, seed):
+    """``_scan`` on random files of 3, 4 or mixed field counts, with and without blank lines, against a line loop.
+
+    Breaks are ``\\n`` or ``\\r\\n`` and the final one may be missing.
+    Under each arity the file's lines pass, ``buf[start:end]`` holds
+    each non-blank line's first ``min(arity)`` fields, ``linenos``
+    numbers those lines, and ``arity`` is their shared field count (the
+    reshape path) or 0 (the gather path); under the others the first
+    line that fails is named.
+    """
+    rng = np.random.default_rng(seed)
+    counts = [(3,), (4,), (3, 4)][seed % 3]
+    pool = ["", "a", "Café", "日本", "x" * 9, "12345678"]
+    lines = ["\t".join(pool[k] for k in rng.integers(len(pool), size=counts[rng.integers(len(counts))]))
+             for _ in range(int(rng.integers(1, 60)))]
+    for at in rng.integers(len(lines) + 1, size=int(rng.integers(1, 4))):
+        lines.insert(int(at), "")
+    ends = [["\n", "\r\n"][k] for k in rng.integers(2, size=len(lines))]
+    trim = rng.random() < 0.5
+    path = tmp_path / "fields.tsv"
+    for blank in (True, False):
+        text = "".join(line + end for line, end in zip(lines, ends) if blank or line)
+        path.write_bytes((text.rstrip("\r\n") if trim else text).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            rows = [(no, line.rstrip("\n").split("\t")) for no, line in enumerate(fh, start=1)]
+        rows = [(no, fields) for no, fields in rows if fields != [""]]
+        shared = sorted({len(fields) for _, fields in rows})
+        for arity in ((3,), (4,), (3, 4)):
+            bad = [no for no, fields in rows if len(fields) not in arity]
+            if bad:
+                with pytest.raises(ParseError, match=f":{bad[0]}: expected"):
+                    _scan(str(path), arity)
+                continue
+            scan = _scan(str(path), arity)
+            assert scan.start.shape == scan.end.shape == (len(rows), min(arity))
+            got = [[scan.buf[a:b].tobytes().decode("utf-8") for a, b in zip(*bounds)]
+                   for bounds in zip(scan.start.tolist(), scan.end.tolist())]
+            assert got == [fields[:min(arity)] for _, fields in rows]
+            assert scan.linenos.tolist() == [no for no, _ in rows]
+            assert scan.arity == (0 if blank or len(shared) > 1 else shared[0])
+
+
 @pytest.mark.parametrize("undirected", [False, True])
 def test_one_word_names_match_line_loop(tmp_path, undirected):
     """Every entity name fits one 8-byte word, so one word-count group holds every field."""

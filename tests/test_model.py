@@ -1247,6 +1247,20 @@ class TestFit:
         assert steps == []
         fit(unscorable, kg, self._hp(epochs=0), seed=1)  # no epoch, nothing to select on
 
+    @pytest.mark.parametrize("epochs", [1, 0])
+    def test_unknown_test_users_rejected_before_training(self, tiny_data, monkeypatch, epochs):
+        # test holds only user 0, and user 0 keeps no train positive: the run would train, then fail to score it
+        kg, dataset = tiny_data
+        train = dataset.train[(dataset.train[:, 0] != 0) | (dataset.train[:, 2] == 0)]
+        test = dataset.test[dataset.test[:, 0] == 0]
+        assert len(test) > 0
+        steps = []
+        monkeypatch.setattr(ripplerec.model, "forward_backward", lambda *args, **kwargs: steps.append(1))
+        unscorable = dataclasses.replace(dataset, train=train, test=test)
+        with pytest.raises(ValueError, match="test split has no scorable examples: the ripple table knows none"):
+            fit(unscorable, kg, self._hp(epochs=epochs), seed=1)
+        assert steps == []
+
     def test_dead_end_user_skipped_not_fatal(self, tmp_path, caplog):
         # directed graph: items 0-3 lie on m0..m3, which have outgoing triples;
         # items 4-5 lie on d0/d1, which only ever appear as tails
