@@ -197,7 +197,11 @@ def _sha256(path):
 
 
 def _table_sha256(*arrays):
-    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    """sha256 of the arrays' bytes, integer arrays as int64 values, so a checksum does not depend on the index dtype."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update((a.astype(np.int64, copy=False) if a.dtype.kind == "i" else a).tobytes())
+    return digest.hexdigest()
 
 
 # -- prep -----------------------------------------------------------------------

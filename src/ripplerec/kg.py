@@ -19,6 +19,9 @@ only as one compressed sparse row (CSR) layout built from one sort of
 packed (source, relation, neighbor) keys:
 entity ``e``'s outgoing (relation, neighbor) edges are
 ``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
+The CSR arrays, and the two tables sampled from them, hold int32 indices,
+built in int32 rather than cast from int64; a graph whose edge or
+entity count reaches :data:`INDEX_LIMIT` keeps int64.
 Both samplers draw uniformly with replacement from CSR ranges:
 :func:`sample_children` fixed-size neighbor bags for a whole array of
 entities (every entity at once gives a run's :class:`NeighborTable`),
@@ -46,6 +49,8 @@ logger = logging.getLogger(__name__)
 # Reserved relation index used to pad isolated entities with self-loops.
 # Downstream scoring treats it as a fixed zero-score, gradient-free edge.
 NULL_RELATION = -1
+# Index arrays are int32 while the counts they index (edges, entities, sparse rows) stay below this, else int64.
+INDEX_LIMIT = 2**31
 
 
 class ParseError(ValueError):
@@ -244,7 +249,9 @@ class KnowledgeGraph:
     parallel arrays ``rel`` and ``nbr``; within an entity, edges are
     sorted by (relation, neighbor) for determinism.  Entity and relation
     indices are dense and assigned in first-appearance file order.
-    ``num_triples`` counts the file's distinct triples.
+    ``num_triples`` counts the file's distinct triples.  The three arrays
+    are int32, or int64 when the edge or entity count reaches
+    :data:`INDEX_LIMIT`.
     """
 
     num_entities: int
@@ -284,7 +291,8 @@ class RippleSet:
 class RippleTable(Mapping):
     """Every user's hop bags in one array, as :func:`build_ripple_table` draws them.
 
-    ``bags`` is a ``(hops, num_users, n_p, 3)`` int array: ``bags[k, u]``
+    ``bags`` is a ``(hops, num_users, n_p, 3)`` array of the graph's index
+    dtype (int32 below :data:`INDEX_LIMIT`, see :class:`KnowledgeGraph`): ``bags[k, u]``
     is user ``u``'s hop-k bag (zero hops under ``user_table``).  ``has``
     masks the users :meth:`known` accepts; the other rows are zero.  Both
     arrays are read-only; a snapshot's manifest checksums their bytes.
@@ -332,7 +340,8 @@ class RippleTable(Mapping):
 class NeighborTable:
     """``n_e`` sampled (relation, neighbor) edges of every entity, drawn once per run.
 
-    ``rel`` and ``nbr`` are read-only ``(num_entities, n_e)`` int arrays:
+    ``rel`` and ``nbr`` are read-only ``(num_entities, n_e)`` arrays of the
+    graph's index dtype (int32 below :data:`INDEX_LIMIT`):
     row ``e`` is :func:`sample_children` of entity ``e`` (``n_e``
     ``NULL_RELATION`` self-loops for an entity without edges).  A
     snapshot's manifest checksums their bytes.
@@ -382,8 +391,10 @@ def load_kg(path, undirected=True):
         edge_keys = np.concatenate((edge_keys, pack(t[inv], r[inv], h[inv])))
         edge_keys.sort()  # by (source, relation, neighbor)
     src, rest = np.divmod(edge_keys, num_relations * num_entities)
-    rel, nbr = np.divmod(rest, num_entities)
-    indptr = np.zeros(num_entities + 1, dtype=np.int64)
+    index = np.int64 if max(len(src), num_entities) >= INDEX_LIMIT else np.int32
+    rel, nbr = np.empty(len(src), dtype=index), np.empty(len(src), dtype=index)
+    np.divmod(rest, num_entities, out=(rel, nbr))  # written in the index dtype, never held as int64
+    indptr = np.zeros(num_entities + 1, dtype=index)
     np.cumsum(np.bincount(src, minlength=num_entities), out=indptr[1:])
 
     kg = KnowledgeGraph(num_entities=num_entities, num_relations=num_relations, num_triples=num_triples,
@@ -398,7 +409,8 @@ def load_kg(path, undirected=True):
 def sample_children(kg, ents, n_e, rng):
     """Uniform with-replacement draw of ``n_e`` edges for every entity of ``ents``.
 
-    Returns (relations, neighbors), each of shape ``ents.shape + (n_e,)``.
+    Returns (relations, neighbors), each of shape ``ents.shape + (n_e,)``
+    and of the graph's index dtype.
     An entity without edges yields ``n_e`` sentinel self-loops
     (NULL_RELATION, entity) so downstream shapes stay fixed.  The draws,
     and the generator state they leave, are those of one
@@ -462,7 +474,7 @@ def build_ripple_table(kg, users, seeds, num_users, hops, n_p, rng):
         logger.warning("%d users skipped: seed entities have no outgoing triples", dead_ends)
     live = np.flatnonzero(has)
     owner, heads = owner[has[owner]], heads[has[owner]]
-    bags = np.zeros((hops, num_users, n_p, 3), dtype=np.int64)
+    bags = np.zeros((hops, num_users, n_p, 3), dtype=kg.nbr.dtype)
     for k in range(hops):
         # the hop's pools back to back: head j's edges are rows offset[j]:offset[j + 1]
         offset = np.concatenate(([0], np.cumsum(degrees[heads])))

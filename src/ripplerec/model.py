@@ -63,13 +63,12 @@ import numpy as np
 
 from . import metrics
 from .core import ParamStore, _last_axis_sum, sigmoid, softmax, xavier_uniform
-from .kg import NULL_RELATION, NeighborTable, RippleTable, build_ripple_table, sample_children
+from .kg import INDEX_LIMIT, NULL_RELATION, NeighborTable, RippleTable, build_ripple_table, sample_children
 
 logger = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-7  # predictions are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] inside the loss
-SCORE_ROWS = 1024  # examples per forward in score_batch: its per-row arrays stay cache sized
-INDEX_LIMIT = 2**31  # sparse entry indices are int32 below this row or column count, int64 from it
+SCORE_ROWS = 512  # examples per forward in score_batch: a hop gather of 512 x 32 rows of 16 f32 is 1 MiB
 
 
 @dataclass
@@ -266,6 +265,19 @@ def _rows_matmul(a, b):
     return a @ b
 
 
+def _nodes_matmul(a, b):
+    """``a @ b`` for ``a`` (B, n, d) of n tree nodes per example: one flat GEMM when n > 1.
+
+    numpy runs a stacked product as one small GEMM per example; a flat
+    ``(B * n, d)`` GEMM gives the same bytes, faster.  With one node per
+    example numpy hands each row to gemv, which a flat GEMM would round
+    differently (see :func:`_rows_matmul`), so n = 1 keeps the stacked product.
+    """
+    if a.shape[1] == 1:
+        return a @ b
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+
+
 def _relation_transpose_apply(rel_mat, v):
     """R_r^T v for every row of ``v`` (B, d) and every relation: (B, R, d)."""
     n_rel, d, _ = rel_mat.shape
@@ -347,7 +359,7 @@ def _item_forward(params, bags, hp, trace):
         agg = np.matmul(alpha[..., None, :], child_z)[..., 0, :]
         own = ent.take(bags.tree_ents[level], axis=0)
         mixed = own + agg
-        pre = mixed @ conv_w[level].T + conv_b[level]
+        pre = _nodes_matmul(mixed, conv_w[level].T) + conv_b[level]
         z[level] = np.tanh(pre) if level == 0 else np.maximum(pre, 0.0)
         trace.tree_keys[level] = keys
         trace.tree_alpha[level] = alpha
@@ -516,7 +528,7 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
             g_pre = g_z * (pre > 0.0)
         grads["conv_w"][level] += g_pre.reshape(-1, d).T @ trace.tree_in[level].reshape(-1, d)
         grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
-        g_mixed = g_pre @ conv_w[level]
+        g_mixed = _nodes_matmul(g_pre, conv_w[level])
         node_cols = terms.add_unit(bags.tree_ents[level], g_mixed)
 
         b, n = bags.tree_ents[level].shape
@@ -588,7 +600,8 @@ def score_batch(params, records, table, ripple_sets, hp, item_entities):
     """Predicted interaction probabilities for (user, item, ...) records.
 
     Assembly and the forward run over consecutive slices of at most
-    :data:`SCORE_ROWS` examples, so the per-row arrays stay cache sized.
+    :data:`SCORE_ROWS` examples, so each hop gather of a slice stays at
+    1 MiB at the benchmark's sizes (32 rows of 16 f32 per example).
     Bags are takes from the run's tables, so each example's score is the
     same as from one forward over all of ``records``, however they are cut.
     """
@@ -629,7 +642,7 @@ def build_ripple_sets(dataset, kg, hp, seed):
     zero hops, knows every user and draws no random number.
     """
     if hp.user_table:
-        return RippleTable(np.zeros((0, dataset.num_users, hp.ripple_size, 3), dtype=np.int64),
+        return RippleTable(np.zeros((0, dataset.num_users, hp.ripple_size, 3), dtype=kg.nbr.dtype),
                            np.ones(dataset.num_users, dtype=bool))
     pos = dataset.train[dataset.train[:, 2] == 1]
     return build_ripple_table(kg, pos[:, 0], dataset.item_entities[pos[:, 1]], dataset.num_users,

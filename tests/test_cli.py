@@ -375,6 +375,12 @@ class TestTrainEvalSweep:
         assert params.values["entity_emb"].shape[0] == graph.num_entities
         assert dataset.num_users == int(_read_kv(str(untrained_run / "prep_meta.txt"))["num_users"])
 
+    def test_table_checksums_match_int64_tables(self, untrained_run):
+        # the values written for this run while the tables were int64: every snapshot saved then still evaluates
+        manifest = _read_kv(str(untrained_run / "model.manifest.txt"))
+        assert manifest["ripple_table_sha256"] == "aaea013cefac8aa5ae0e89e3397bcf498253cf9ce84bc97f686b4aecd2a25e91"
+        assert manifest["neighbor_table_sha256"] == "241f73a8858113b700d34180e9c0977ec44d686fdce2ea7d7895d98b92784a63"
+
     def test_manifest_with_removed_training_keys_evaluates_the_same(self, workdir, untrained_run, tmp_path):
         # manifests written while these keys were Hyperparams fields hold `acc_threshold` after
         # `epochs` and `fusion` after `user_table`, at the one value the model now fixes; older

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import ripplerec.kg
 from ripplerec.kg import (
     NULL_RELATION,
     ParseError,
@@ -68,6 +69,18 @@ class TestLoadKg:
         undirected = load_kg(path, undirected=True)
         n_self = sum(1 for h, r, t in rows if h == t)
         assert undirected.total_degree() == 2 * directed.total_degree() - n_self
+
+    # a -r-> b -r-> c: 3 entities, and 2 edges directed or 4 undirected
+    @pytest.mark.parametrize("undirected, limit, index", [(False, 3, np.int64), (False, 4, np.int32),
+                                                           (True, 4, np.int64), (True, 5, np.int32)],
+                             ids=["entities-reach", "directed-below", "edges-reach", "undirected-below"])
+    def test_index_dtype_follows_the_limit(self, chain_kg, tmp_path, monkeypatch, undirected, limit, index):
+        monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", limit)
+        kg = load_kg(write_kg(tmp_path / "chain.tsv", [("a", "r", "b"), ("b", "r", "c")]), undirected)
+        assert kg.indptr.dtype == kg.rel.dtype == kg.nbr.dtype == index
+        if undirected:
+            assert kg.indptr.tobytes() == chain_kg.indptr.astype(index).tobytes()
+            assert kg.nbr.tobytes() == chain_kg.nbr.astype(index).tobytes()
 
     def test_adjacency_sorted(self, tmp_path):
         rows = [("a", "r2", "c"), ("a", "r1", "b"), ("a", "r1", "a0"), ("a", "r2", "b")]
@@ -230,7 +243,7 @@ class TestBuildRippleSet:
         adj = adjacency(tmp_path / "kg.tsv", undirected=False)
         want = reference_ripple_bags(adj, {0: [e0], 1: [e2], 2: [e0]}, 3, 4, ref_rng)
         for user, bags in want.items():
-            assert table.bags[:, user].tobytes() == np.stack(bags).tobytes()
+            assert _int32_values(table.bags[:, user], np.stack(bags))
         assert rng.random() == ref_rng.random()
 
     def test_empty_seeds_rejected(self, chain_kg):
@@ -295,6 +308,11 @@ def _same_bytes(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _int32_values(got, want):
+    """``got`` is int32 and holds exactly the values of the int64 oracle ``want``."""
+    return got.dtype == np.int32 and _same_bytes(got.astype(np.int64), want)
+
+
 @pytest.fixture(params=[(seed, undirected) for seed in range(3) for undirected in (False, True)],
                 ids=lambda p: f"seed{p[0]}-{'undirected' if p[1] else 'directed'}")
 def random_graph(request, tmp_path):
@@ -331,8 +349,8 @@ class TestCsrOracle:
         rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
         rels, nbrs = sample_children(kg, ents, 4, rng)
         want_rels, want_nbrs = _reference_children(adj, ents, 4, ref_rng)
-        assert _same_bytes(rels, want_rels.reshape(7, 5, 4))
-        assert _same_bytes(nbrs, want_nbrs.reshape(7, 5, 4))
+        assert _int32_values(rels, want_rels.reshape(7, 5, 4))
+        assert _int32_values(nbrs, want_nbrs.reshape(7, 5, 4))
         assert rng.random() == ref_rng.random()
 
     def test_sample_neighbors_stream(self, random_graph):
@@ -342,8 +360,8 @@ class TestCsrOracle:
         for e in range(kg.num_entities):
             rels, nbrs = sample_children(kg, [e], 3, rng)
             want_rels, want_nbrs = _reference_children(adj, [e], 3, ref_rng)
-            assert _same_bytes(rels, want_rels)
-            assert _same_bytes(nbrs, want_nbrs)
+            assert _int32_values(rels, want_rels)
+            assert _int32_values(nbrs, want_nbrs)
         assert rng.random() == ref_rng.random()
 
     def test_sample_item_trees_stream(self, random_graph):
@@ -352,7 +370,7 @@ class TestCsrOracle:
         table = build_neighbor_table(kg, Hyperparams(neighbor_size=3), seed=5)
         want_rels, want_nbrs = _reference_children(adj, np.arange(kg.num_entities), 3,
                                                    np.random.default_rng([5, 19]))
-        assert _same_bytes(table.rel, want_rels) and _same_bytes(table.nbr, want_nbrs)
+        assert _int32_values(table.rel, want_rels) and _int32_values(table.nbr, want_nbrs)
         v_idx = np.random.default_rng(1).integers(0, kg.num_entities, size=9)
         ents, rels = sample_item_trees(table, v_idx, 2)
         assert rels[0] is None and _same_bytes(ents[0], v_idx.reshape(-1, 1))
@@ -360,8 +378,8 @@ class TestCsrOracle:
             parents = ents[depth - 1]
             want_r = [[r for e in row for r in want_rels[e]] for row in parents.tolist()]
             want_e = [[c for e in row for c in want_nbrs[e]] for row in parents.tolist()]
-            assert _same_bytes(rels[depth], np.array(want_r, dtype=np.int64))
-            assert _same_bytes(ents[depth], np.array(want_e, dtype=np.int64))
+            assert _int32_values(rels[depth], np.array(want_r, dtype=np.int64))
+            assert _int32_values(ents[depth], np.array(want_e, dtype=np.int64))
 
     def test_build_ripple_set_stream(self, random_graph):
         kg, adj = random_graph
@@ -382,7 +400,7 @@ class TestCsrOracle:
         assert not kg.undirected or len(want) == 9
         for user in range(11):
             expected = np.stack(want[user]) if user in want else np.zeros((3, 5, 3), dtype=np.int64)
-            assert _same_bytes(table.bags[:, user], expected)
+            assert _int32_values(table.bags[:, user], expected)
         assert rng.random() == ref_rng.random()
 
 
@@ -500,7 +518,7 @@ def _assert_kg_equals(kg, want):
     assert kg.relation_names == relations
     assert kg.num_triples == len(triples)
     for got, expected in ((kg.indptr, indptr), (kg.rel, rel), (kg.nbr, nbr)):
-        assert _same_bytes(got, expected)
+        assert _int32_values(got, expected)
         assert got.flags.c_contiguous
 
 

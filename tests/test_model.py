@@ -8,6 +8,7 @@ from scipy import sparse
 
 import ripplerec as rr
 import ripplerec.model
+from ripplerec.cli import _table_sha256
 from ripplerec.core import finite_diff_check
 from ripplerec.kg import NULL_RELATION
 from ripplerec.metrics import evaluate
@@ -1145,6 +1146,27 @@ class TestFit:
         for name in r1.params.values:
             np.testing.assert_array_equal(r1.params.values[name], r2.params.values[name])
 
+    def test_int64_fallback_keeps_values_tables_and_fit(self, tiny_files, tiny_data, monkeypatch):
+        """A graph whose edge and entity counts reach ``INDEX_LIMIT`` keeps int64; nothing else changes."""
+        kg32, dataset = tiny_data
+        hp = self._hp(epochs=1)
+        monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", min(kg32.num_entities, kg32.total_degree()))
+        kg64 = rr.load_kg(tiny_files.kg)
+        (neighbors32, ripple32), (neighbors64, ripple64) = tables(kg32, dataset, hp, 4), tables(kg64, dataset, hp, 4)
+        for got, want in ((kg64.indptr, kg32.indptr), (kg64.rel, kg32.rel), (kg64.nbr, kg32.nbr),
+                          (neighbors64.rel, neighbors32.rel), (neighbors64.nbr, neighbors32.nbr),
+                          (ripple64.bags, ripple32.bags)):
+            assert (got.dtype, want.dtype) == (np.int64, np.int32)
+            assert got.tobytes() == want.astype(np.int64).tobytes()
+        r32, r64 = fit(dataset, kg32, hp, seed=4), fit(dataset, kg64, hp, seed=4)
+        assert r64.history == r32.history and len(r64.history) == 1
+        for name in r32.params.values:
+            assert r64.params.values[name].tobytes() == r32.params.values[name].tobytes(), name
+        assert (_table_sha256(r64.ripple_table.bags, r64.ripple_table.has)
+                == _table_sha256(r32.ripple_table.bags, r32.ripple_table.has))
+        assert (_table_sha256(r64.neighbor_table.rel, r64.neighbor_table.nbr)
+                == _table_sha256(r32.neighbor_table.rel, r32.neighbor_table.nbr))
+
     def test_holds_at_most_one_step_trace(self, tiny_data, monkeypatch):
         kg, dataset = tiny_data
         real_forward_backward = ripplerec.model.forward_backward
@@ -1289,7 +1311,7 @@ class TestFit:
         assert sorted(expected) == [1, 2]
         for user in (1, 2):
             for got, want in zip(ripple_sets[user].hops, expected[user]):
-                assert got.tobytes() == want.tobytes()
+                assert got.dtype == np.int32 and got.astype(np.int64).tobytes() == want.tobytes()
 
         caplog.clear()
         with caplog.at_level("WARNING"):

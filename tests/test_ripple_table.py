@@ -114,7 +114,7 @@ def test_hop_bags_match_dict_oracle(tmp_path, seed, directed):
         got = ripple_sets[user].hops
         assert len(got) == len(want.hops) == hp.hops
         for g, w in zip(got, want.hops):
-            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            assert (g.dtype, g.shape, g.astype(np.int64).tobytes()) == (np.int32, w.shape, w.tobytes())
 
     batch = dataset.train[np.isin(dataset.train[:, 0], list(oracle))]
     assert len(batch) > 0
@@ -122,7 +122,7 @@ def test_hop_bags_match_dict_oracle(tmp_path, seed, directed):
     want = _stacked_hop_bags(oracle, batch[:, 0], hp.hops)
     assert len(bags.hop_bags) == hp.hops
     for got, w in zip(bags.hop_bags, want):
-        assert (got.dtype, got.shape, got.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        assert (got.dtype, got.shape, got.astype(np.int64).tobytes()) == (np.int32, w.shape, w.tobytes())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -143,8 +143,9 @@ def test_build_ripple_sets_matches_row_loop(tmp_path, seed):
                                  hp.ripple_size, np.random.default_rng([seed, 17]))
     assert np.flatnonzero(table.has).tolist() == sorted(want)
     assert not table.has[10:].any()
+    assert table.bags.dtype == np.int32
     for user, bags in want.items():
-        assert table.bags[:, user].tobytes() == np.stack(bags).tobytes()
+        assert table.bags[:, user].astype(np.int64).tobytes() == np.stack(bags).tobytes()
 
 
 def test_table_reads_train_positives_only(tmp_path):
@@ -238,7 +239,7 @@ def test_table_layout_and_read_only(tmp_path):
     ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
     assert isinstance(ripple_sets, RippleTable) and not isinstance(ripple_sets, MutableMapping)
     assert ripple_sets.bags.shape == (hp.hops, dataset.num_users, hp.ripple_size, 3)
-    assert ripple_sets.bags.dtype == np.int64
+    assert ripple_sets.bags.dtype == np.int32
     assert ripple_sets.has.tolist() == [False, True, True]
     assert not ripple_sets.bags[:, 0].any()
     with pytest.raises(TypeError):
