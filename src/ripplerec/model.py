@@ -52,6 +52,15 @@ user-representation and ``relation_vec`` gradients are one GEMM each.
 Every ``entity_emb`` gradient term of a batch (hop heads and tails,
 tree levels, candidates) is collected and summed by one sparse product
 over the stacked sources at the end.
+
+Every stage that reads a gather of embedding rows per example (hop
+scores and responses, their attention gradient, the tree aggregation
+and its gradient) runs over blocks of :data:`GATHER_ROWS` examples, so
+one block's gather is alive at a time and the trace keeps no gathered
+rows: the backward gathers the tree's leaf rows again, block by block.
+A blocked op works row by row, so the bytes do not depend on the block
+size; every sum over rows (the sparse products, the ``bincount`` and
+the gradient GEMMs) runs over the whole batch.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ logger = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-7  # predictions are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] inside the loss
 SCORE_ROWS = 512  # examples per forward in score_batch: a hop gather of 512 x 32 rows of 16 f32 is 1 MiB
+GATHER_ROWS = 256  # examples per block of an embedding gather: 256 x 64 leaf rows of 16 f32 is 1 MiB
 
 
 @dataclass
@@ -243,7 +253,7 @@ class ForwardTrace:
     hop_resp: list[np.ndarray] = field(default_factory=list)  # per hop (B, d)
     fusion_in: np.ndarray | None = None  # sum_k O_k + v
     u_rep: np.ndarray | None = None  # (B, d)
-    tree_z: list[np.ndarray] = field(default_factory=list)  # per depth (B, n, d) post-activation
+    tree_z: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) post-activation
     tree_keys: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n * n_e), b * (R + 1) + r + 1
     tree_alpha: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, n_e)
     tree_in: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) pre-affine
@@ -284,6 +294,22 @@ def _relation_transpose_apply(rel_mat, v):
     return _rows_matmul(v, rel_mat.transpose(1, 0, 2).reshape(d, n_rel * d)).reshape(len(v), n_rel, d)
 
 
+def _row_blocked(rows, block):
+    """The ``rows`` rows of ``block(blk)``, called on consecutive slices ``blk`` of at most :data:`GATHER_ROWS`.
+
+    ``block`` computes the rows of its slice row by row, so the bytes do
+    not depend on where the slices are cut, and only one slice's gather
+    is alive at a time.
+    """
+    out = None
+    for lo in range(0, rows, GATHER_ROWS):
+        part = block(slice(lo, lo + GATHER_ROWS))
+        if out is None:
+            out = np.empty((rows,) + part.shape[1:], dtype=part.dtype)
+        out[lo:lo + len(part)] = part
+    return out
+
+
 def _relation_keys(rels, n_rel, lo=0):
     """Flat key b * (R - lo) + r - lo of each (example, relation) pair in ``rels`` (B, n), (B, n).
 
@@ -308,9 +334,9 @@ def _hop_forward(params, bag, rt_v_all, trace):
     heads, rels, tails = bag[..., 0], bag[..., 1], bag[..., 2]
     keys = _relation_keys(rels, rt_v_all.shape[1])
     rt_v_rows = rt_v_all.reshape(-1, rt_v_all.shape[-1])
-    scores = np.einsum("bnd,bnd->bn", ent.take(heads, axis=0), rt_v_rows.take(keys, axis=0))
-    attn = softmax(scores)
-    resp = np.matmul(attn[:, None, :], ent.take(tails, axis=0))[:, 0]
+    attn = _row_blocked(len(bag), lambda blk: softmax(
+        np.einsum("bnd,bnd->bn", ent.take(heads[blk], axis=0), rt_v_rows.take(keys[blk], axis=0))))
+    resp = _row_blocked(len(bag), lambda blk: np.matmul(attn[blk, None, :], ent.take(tails[blk], axis=0))[:, 0])
     trace.hop_keys.append(keys)
     trace.hop_attn.append(attn)
     trace.hop_resp.append(resp)
@@ -329,6 +355,19 @@ def _user_forward(params, bags, hp, trace):
     return trace.u_rep
 
 
+def _child_rows(ent, bags, tree_z, level, blk):
+    """Rows of the children of tree level ``level`` for the examples ``blk``: (b, n, n_e, d).
+
+    Upper levels read their activations in ``tree_z``, which holds
+    levels 0..L-1; the leaves (level L) are gathered from ``ent``.
+    """
+    if level + 1 < len(tree_z):
+        child = tree_z[level + 1][blk]
+    else:
+        child = ent.take(bags.tree_ents[level + 1][blk], axis=0)
+    return child.reshape(len(child), bags.tree_ents[level].shape[1], -1, ent.shape[-1])
+
+
 def _item_forward(params, bags, hp, trace):
     ent = params.values["entity_emb"]
     if hp.conv_layers == 0:
@@ -345,18 +384,17 @@ def _item_forward(params, bags, hp, trace):
     taste = np.zeros((len(u), len(rel_vec) + 1), dtype=u.dtype)
     taste[:, 1:] = _rows_matmul(u, rel_vec.T)
     taste = taste.reshape(-1)
-    z = [None] * (depth + 1)
-    z[depth] = ent.take(bags.tree_ents[depth], axis=0)
+    z = [None] * depth
     trace.tree_keys = [None] * depth
     trace.tree_alpha = [None] * depth
     trace.tree_in = [None] * depth
     trace.tree_pre = [None] * depth
     for level in range(depth - 1, -1, -1):
         b, n = bags.tree_ents[level].shape
-        child_z = z[level + 1].reshape(b, n, n_e, -1)
         keys = _relation_keys(bags.tree_rels[level + 1].reshape(b, n * n_e), len(rel_vec), NULL_RELATION)
         alpha = softmax(taste.take(keys).reshape(b, n, n_e))
-        agg = np.matmul(alpha[..., None, :], child_z)[..., 0, :]
+        agg = _row_blocked(b, lambda blk: np.matmul(alpha[blk, ..., None, :],
+                                                    _child_rows(ent, bags, z, level, blk))[..., 0, :])
         own = ent.take(bags.tree_ents[level], axis=0)
         mixed = own + agg
         pre = _nodes_matmul(mixed, conv_w[level].T) + conv_b[level]
@@ -462,10 +500,11 @@ class _RowTerms:
         _add_rows(grad, rows, cols, weights, np.concatenate(self.sources))
 
 
-def _hop_backward(params, bag, trace, k, g_resp, s, terms, rt_col):
+def _hop_backward(params, bag, trace, k, g_resp, s, terms, rt_col, g_col):
     """Backward of one hop.
 
-    Adds the hop's ``entity_emb`` terms (tails, then heads against the
+    Adds the hop's ``entity_emb`` terms (tails against the rows of
+    ``g_resp`` stacked at column ``g_col``, then heads against the
     R_r^T v rows stacked at column ``rt_col``) to ``terms`` and
     g_score * h of each bag row into ``s`` (B * R, d) at row b * R + r,
     leaving the candidate and relation gradients to the caller.
@@ -476,8 +515,8 @@ def _hop_backward(params, bag, trace, k, g_resp, s, terms, rt_col):
     attn = trace.hop_attn[k]
 
     # resp = sum_n attn_n * t_n
-    g_attn = np.matmul(ent.take(tails, axis=0), g_resp[..., None])[..., 0]
-    terms.add(tails, terms.source(g_resp) + np.arange(len(bag))[:, None], attn)
+    g_attn = _row_blocked(len(bag), lambda blk: np.matmul(ent.take(tails[blk], axis=0), g_resp[blk, :, None])[..., 0])
+    terms.add(tails, g_col + np.arange(len(bag))[:, None], attn)
     # softmax jacobian within the bag
     g_scores = attn * (g_attn - _last_axis_sum(attn * g_attn))
     # score_n = h_n . (R_r^T v)[b, r]
@@ -498,8 +537,9 @@ def _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms):
     # S[b, r]: sum of g_score * h over the bag rows of example b with relation r, all hops
     s = np.zeros((len(v) * n_rel, d), dtype=v.dtype)
     rt_col = terms.source(trace.rt_v_all)
+    g_col = terms.source(g_fused)  # every hop's response gradient is g_fused
     for k in range(hp.hops):
-        _hop_backward(params, bags.hop_bags[k], trace, k, g_fused, s, terms, rt_col)
+        _hop_backward(params, bags.hop_bags[k], trace, k, g_fused, s, terms, rt_col, g_col)
     s = s.reshape(len(v), n_rel * d)
     # score = v . (R_r h): dv = sum_r R_r S[b, r], dR_r = sum_b v_b S[b, r]^T
     g_v += s @ rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d)
@@ -510,6 +550,7 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
     if hp.conv_layers == 0:
         g_v += g_i
         return
+    ent = params.values["entity_emb"]
     rel_vec = params.values["relation_vec"]
     conv_w = params.values["conv_w"]
     u = trace.u_rep
@@ -532,10 +573,10 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
         node_cols = terms.add_unit(bags.tree_ents[level], g_mixed)
 
         b, n = bags.tree_ents[level].shape
-        child_z = trace.tree_z[level + 1].reshape(b, n, n_e, -1)
         alpha = trace.tree_alpha[level]
 
-        g_alpha = np.einsum("bnd,bncd->bnc", g_mixed, child_z)
+        g_alpha = _row_blocked(b, lambda blk: np.einsum("bnd,bncd->bnc", g_mixed[blk],
+                                                        _child_rows(ent, bags, trace.tree_z, level, blk)))
         g_score_levels.append(alpha * (g_alpha - _last_axis_sum(alpha * g_alpha)))
         # child c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
         if level + 1 < depth:
@@ -574,9 +615,9 @@ def forward_backward(params, bags, hp):
     rows the batch does not reach keep exactly zero gradient.  The
     item-side contribution of the user representation (taste scores) is
     chained back through the ripple path, so the user and item sides
-    train jointly.  The returned trace holds the batch's gathered rows
-    (every tree level's embeddings, hop keys and attention), so a
-    training loop should drop it before its next batch.
+    train jointly.  The returned trace holds the batch's per-row state
+    (hop keys and attention, every tree level's activations above the
+    leaves), so a training loop should drop it before its next batch.
     """
     trace = forward(params, bags, hp)
     bad = ~np.isfinite(trace.yhat)

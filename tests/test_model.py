@@ -598,7 +598,9 @@ def _rows_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows)
         ent_rows.append((bags.tree_ents[level], g_mixed))
         b, n = bags.tree_ents[level].shape
         child_rel = bags.tree_rels[level + 1].reshape(b, n, n_e)
-        child_z = trace.tree_z[level + 1].reshape(b, n, n_e, -1)
+        # the trace keeps levels 0..L-1; the leaves are gathered here
+        child_z = (trace.tree_z[level + 1] if level + 1 < hp.conv_layers
+                   else params.values["entity_emb"][bags.tree_ents[level + 1]]).reshape(b, n, n_e, -1)
         pad = child_rel == NULL_RELATION
         safe_rel = np.where(pad, 0, child_rel)
         alpha = trace.tree_alpha[level]
@@ -1054,6 +1056,28 @@ class TestScoreBatch:
             scores = score_batch(params, records, neighbors, ripple_sets, hp, dataset.item_entities)
             report = evaluate(params, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities)
             outputs.append((scores.dtype, scores.tobytes(), report))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", SLICE_VARIANTS, ids=SLICE_IDS)
+    def test_same_bytes_for_any_gather_rows(self, tiny_data, variant, precision, monkeypatch):
+        """Scores and every gradient do not depend on the row blocks the gathers run in."""
+        kg, dataset = tiny_data
+        kw = dict(hops=2, ripple_size=8, neighbor_size=4, conv_layers=2, precision=precision)
+        hp = Hyperparams(**{**kw, **variant})
+        neighbors, ripple_sets = tables(kg, dataset, hp, 6)
+        params = init_params(kg.num_entities, kg.num_relations, hp, seed=6, num_users=dataset.num_users)
+        records = dataset.test[ripple_sets.known(dataset.test[:, 0])]
+        assert len(records) > 7
+        bags = assemble_batch(records, neighbors, ripple_sets, hp, dataset.item_entities)
+        outputs = []
+        for rows in (1, 7, len(records)):
+            monkeypatch.setattr(ripplerec.model, "GATHER_ROWS", rows)
+            scores = score_batch(params, records, neighbors, ripple_sets, hp, dataset.item_entities)
+            grads = _grads(params, bags, hp)
+            assert np.any(grads["entity_emb"] != 0.0)
+            outputs.append((scores.dtype, scores.tobytes(),
+                            {name: (g.dtype, g.tobytes()) for name, g in grads.items()}))
         assert outputs[0] == outputs[1] == outputs[2]
 
 
