@@ -56,8 +56,9 @@ over the stacked sources at the end.
 Every stage that reads a gather of embedding rows per example (hop
 scores and responses, their attention gradient, the tree aggregation
 and its gradient) runs over blocks of :data:`GATHER_ROWS` examples, so
-one block's gather is alive at a time and the trace keeps no gathered
-rows: the backward gathers the tree's leaf rows again, block by block.
+one block's gather is alive at a time and the trace keeps none of
+these gathers: the backward gathers the tree's leaf rows again, block
+by block.
 A blocked op works row by row, so the bytes do not depend on the block
 size; every sum over rows (the sparse products, the ``bincount`` and
 the gradient GEMMs) runs over the whole batch.
