@@ -6,27 +6,18 @@ Both sides train end to end against implicit feedback with 1:1 negative
 sampling, on a small numpy kernel with hand-derived gradients.
 """
 
-from .core import ParamStore, finite_diff_check, sigmoid, softmax
+from .core import ParamStore
 from .interactions import InteractionDataset, binarize, build_dataset
-from .kg import (
-    NULL_RELATION,
-    RippleSet,
-    build_ripple_table,
-    load_item_map,
-    load_kg,
-    sample_children,
-)
-from .metrics import MetricReport, acc, auc, evaluate
+from .kg import build_ripple_table, load_item_map, load_kg, sample_children
+from .metrics import auc, evaluate
 from .model import (
     BatchBags,
     Hyperparams,
     assemble_batch,
-    batch_loss,
     build_neighbor_table,
     build_ripple_sets,
     fit,
     forward,
-    forward_backward,
     init_params,
     score_batch,
 )
@@ -37,29 +28,20 @@ __all__ = [
     "BatchBags",
     "Hyperparams",
     "InteractionDataset",
-    "MetricReport",
-    "NULL_RELATION",
     "ParamStore",
-    "RippleSet",
-    "acc",
     "assemble_batch",
     "auc",
-    "batch_loss",
     "binarize",
     "build_dataset",
     "build_neighbor_table",
     "build_ripple_sets",
     "build_ripple_table",
     "evaluate",
-    "finite_diff_check",
     "fit",
     "forward",
-    "forward_backward",
     "init_params",
     "load_item_map",
     "load_kg",
     "sample_children",
     "score_batch",
-    "sigmoid",
-    "softmax",
 ]

@@ -163,7 +163,7 @@ class ParamStore:
         """Deep copy of values only (optimizer state is not carried over)."""
         out = ParamStore(dtype=self.dtype)
         for name, v in self.values.items():
-            out.add(name, v.copy())
+            out.add(name, v)  # add copies
         return out
 
     def check_finite_grads(self):

@@ -245,20 +245,21 @@ def assemble_batch(records, table, ripple_sets, hp, item_entities):
 
 @dataclass
 class ForwardTrace:
-    """Intermediates retained for the hand-derived backward pass."""
+    """The float state of the forward that the hand-derived backward cannot rebuild.
+
+    The backward recomputes the flat relation keys of hop rows and tree
+    edges from the bags, and gathers the tree's leaf rows again.
+    """
 
     v: np.ndarray  # (B, d) candidate embeddings
     rt_v_all: np.ndarray | None = None  # (B, R, d): R_r^T v per example and relation
-    hop_keys: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p): flat key b * R + r
     hop_attn: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p)
     hop_resp: list[np.ndarray] = field(default_factory=list)  # per hop (B, d)
     fusion_in: np.ndarray | None = None  # sum_k O_k + v
     u_rep: np.ndarray | None = None  # (B, d)
     tree_z: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) post-activation
-    tree_keys: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n * n_e), b * (R + 1) + r + 1
     tree_alpha: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, n_e)
     tree_in: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) pre-affine
-    tree_pre: list[np.ndarray] = field(default_factory=list)  # per depth 0..L-1: (B, n, d) pre-activation
     i_rep: np.ndarray | None = None  # (B, d)
     logit: np.ndarray | None = None  # (B,)
     yhat: np.ndarray | None = None  # (B,)
@@ -338,7 +339,6 @@ def _hop_forward(params, bag, rt_v_all, trace):
     attn = _row_blocked(len(bag), lambda blk: softmax(
         np.einsum("bnd,bnd->bn", ent.take(heads[blk], axis=0), rt_v_rows.take(keys[blk], axis=0))))
     resp = _row_blocked(len(bag), lambda blk: np.matmul(attn[blk, None, :], ent.take(tails[blk], axis=0))[:, 0])
-    trace.hop_keys.append(keys)
     trace.hop_attn.append(attn)
     trace.hop_resp.append(resp)
     return resp
@@ -386,10 +386,8 @@ def _item_forward(params, bags, hp, trace):
     taste[:, 1:] = _rows_matmul(u, rel_vec.T)
     taste = taste.reshape(-1)
     z = [None] * depth
-    trace.tree_keys = [None] * depth
     trace.tree_alpha = [None] * depth
     trace.tree_in = [None] * depth
-    trace.tree_pre = [None] * depth
     for level in range(depth - 1, -1, -1):
         b, n = bags.tree_ents[level].shape
         keys = _relation_keys(bags.tree_rels[level + 1].reshape(b, n * n_e), len(rel_vec), NULL_RELATION)
@@ -400,10 +398,8 @@ def _item_forward(params, bags, hp, trace):
         mixed = own + agg
         pre = _nodes_matmul(mixed, conv_w[level].T) + conv_b[level]
         z[level] = np.tanh(pre) if level == 0 else np.maximum(pre, 0.0)
-        trace.tree_keys[level] = keys
         trace.tree_alpha[level] = alpha
         trace.tree_in[level] = mixed
-        trace.tree_pre[level] = pre
     trace.tree_z = z
     trace.i_rep = z[0][:, 0, :]
     return trace.i_rep
@@ -512,7 +508,7 @@ def _hop_backward(params, bag, trace, k, g_resp, s, terms, rt_col, g_col):
     """
     ent = params.values["entity_emb"]
     heads, tails = bag[..., 0], bag[..., 2]
-    keys = trace.hop_keys[k]
+    keys = _relation_keys(bag[..., 1], trace.rt_v_all.shape[1])
     attn = trace.hop_attn[k]
 
     # resp = sum_n attn_n * t_n
@@ -557,17 +553,18 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
     u = trace.u_rep
     depth = hp.conv_layers
     n_e = hp.neighbor_size
+    n_rel = len(rel_vec)
     d = u.shape[-1]
 
+    key_levels = []
     g_score_levels = []
     g_z = g_i[:, None, :]  # gradient w.r.t. z[0] (B, 1, d)
     for level in range(depth):
         z_here = trace.tree_z[level]
-        pre = trace.tree_pre[level]
         if level == 0:
             g_pre = g_z * (1.0 - z_here * z_here)
         else:
-            g_pre = g_z * (pre > 0.0)
+            g_pre = g_z * (z_here > 0.0)  # max(pre, 0) > 0 exactly where pre > 0, NaN included
         grads["conv_w"][level] += g_pre.reshape(-1, d).T @ trace.tree_in[level].reshape(-1, d)
         grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
         g_mixed = _nodes_matmul(g_pre, conv_w[level])
@@ -575,7 +572,7 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
 
         b, n = bags.tree_ents[level].shape
         alpha = trace.tree_alpha[level]
-
+        key_levels.append(_relation_keys(bags.tree_rels[level + 1].reshape(b, n * n_e), n_rel, NULL_RELATION))
         g_alpha = _row_blocked(b, lambda blk: np.einsum("bnd,bncd->bnc", g_mixed[blk],
                                                         _child_rows(ent, bags, trace.tree_z, level, blk)))
         g_score_levels.append(alpha * (g_alpha - _last_axis_sum(alpha * g_alpha)))
@@ -586,8 +583,7 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
             terms.add(bags.tree_ents[depth], node_cols[..., None], alpha)
     # score = u[b] . rel_vec[r]: G[b, r] sums g_score over every tree edge of example b with relation r;
     # pad edges land in column 0, whose score is the constant 0, and are dropped
-    n_rel = len(rel_vec)
-    g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in trace.tree_keys]),
+    g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in key_levels]),
                           weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
                           minlength=len(u) * (n_rel + 1)).reshape(len(u), n_rel + 1)[:, 1:].astype(u.dtype)
     g_u += g_taste @ rel_vec
@@ -617,8 +613,8 @@ def forward_backward(params, bags, hp):
     item-side contribution of the user representation (taste scores) is
     chained back through the ripple path, so the user and item sides
     train jointly.  The returned trace holds the batch's per-row state
-    (hop keys and attention, every tree level's activations above the
-    leaves), so a training loop should drop it before its next batch.
+    (hop attention, every tree level's activations above the leaves), so
+    a training loop should drop it before its next batch.
     """
     trace = forward(params, bags, hp)
     bad = ~np.isfinite(trace.yhat)

@@ -288,6 +288,37 @@ class TestAdam:
         assert not np.array_equal(stores[0].values["w"], value)
 
 
+class TestCopy:
+    def test_copy_has_same_bytes_own_memory_and_no_optimizer_state(self):
+        rng = np.random.default_rng(4)
+        source = ParamStore(dtype=np.float32)
+        source.add("emb", rng.normal(size=(6, 4)))
+        source.add("bias", rng.normal(size=3))
+        for grad in source.grads.values():
+            grad[...] = rng.normal(size=grad.shape)
+        source.adam_step(lr=0.1, decay=0.5)  # the source now carries Adam moments and a step count
+        for grad in source.grads.values():
+            grad[...] = rng.normal(size=grad.shape)
+        copy = source.copy()
+        fresh = ParamStore(dtype=np.float32)
+        for name, value in source.values.items():
+            fresh.add(name, value)
+        assert copy.dtype == source.dtype and copy.names() == source.names()
+        for name, value in source.values.items():
+            assert copy.values[name].dtype == value.dtype
+            assert copy.values[name].tobytes() == value.tobytes(), name
+            assert not np.shares_memory(copy.values[name], value), name
+            assert not np.shares_memory(copy.grads[name], source.grads[name]), name
+            assert not np.any(copy.grads[name]), name
+        # no Adam state: the copy's first step is a fresh store's first step
+        for store in (copy, fresh):
+            for name, grad in store.grads.items():
+                grad[...] = source.grads[name]
+            store.adam_step(lr=0.1, decay=0.5)
+        for name in source.names():
+            assert copy.values[name].tobytes() == fresh.values[name].tobytes(), name
+
+
 def _reference_adam_step(store, m, s, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
     """The update as one expression per line, every term a new array."""
     for name, v in store.values.items():

@@ -175,10 +175,9 @@ class TestEvaluate:
         assert evaluate(params, dataset.test, *tables(kg, dataset, hp, 21), hp, dataset.item_entities) == a
 
     def test_peak_memory_bounded_by_one_train_step(self, tiny_data):
-        # A forward over all 4 * SCORE_ROWS rows at once peaked at 3.2x one
-        # SCORE_ROWS-row train step here; forward slices over one 4096-row
-        # draw group peaked at 1.36x.  Assembling per slice leaves one
-        # slice's bags and trees alive.
+        # Scoring peaks at 0.82x one SCORE_ROWS-row train step here, and a
+        # forward over all 4 * SCORE_ROWS rows at once would peak at 3.0x.
+        # Assembling per slice leaves one slice's bags and trees alive.
         kg, dataset = tiny_data
         hp = Hyperparams(embed_dim=16, hops=2, ripple_size=32, neighbor_size=8, conv_layers=2)
         params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0)

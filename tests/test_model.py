@@ -584,13 +584,13 @@ def _rows_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows)
         g_v += g_i
         return
     rel_vec = params.values["relation_vec"]
-    conv_w = params.values["conv_w"]
+    conv_w, conv_b = params.values["conv_w"], params.values["conv_b"]
     u = trace.u_rep
     n_e = hp.neighbor_size
     g_z = g_i[:, None, :]
     for level in range(hp.conv_layers):
         z_here = trace.tree_z[level]
-        pre = trace.tree_pre[level]
+        pre = trace.tree_in[level] @ conv_w[level].T + conv_b[level]
         g_pre = g_z * (1.0 - z_here * z_here) if level == 0 else g_z * (pre > 0.0)
         grads["conv_w"][level] += np.einsum("bni,bnj->ij", g_pre, trace.tree_in[level])
         grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
@@ -822,6 +822,20 @@ class TestFusedBackwardOracle:
         for name, a, b in pairs:
             assert a.dtype == hp.dtype, name
             _assert_oracle_close(a, b, precision, name)
+
+    @pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=ORACLE_IDS)
+    def test_trace_holds_only_float_arrays(self, many_relation_data, variant):
+        # the backward rebuilds index arrays from the bags; the trace keeps the float state alone
+        hp, params, bags = _oracle_batch(many_relation_data, variant, "f32")
+        trace = forward(params, bags, hp)
+        held = 0
+        for f in dataclasses.fields(trace):
+            value = getattr(trace, f.name)
+            for k, arr in enumerate(value if isinstance(value, list) else [value]):
+                if arr is not None:
+                    assert isinstance(arr, np.ndarray) and arr.dtype == hp.dtype, f"{f.name}[{k}]"
+                    held += 1
+        assert held >= 5  # v, u_rep, i_rep, logit, yhat at least
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scatter_rows_matches_add_at(self, dtype):
