@@ -2,8 +2,8 @@
 
 Everything the model needs from a tensor library, and nothing more:
 stable softmax/sigmoid, a named-parameter store with gradient slots,
-the Adam update with decoupled weight decay, Xavier initialization, a
-central finite-difference gradient checker, and bit-exact snapshot IO.
+the Adam update with decoupled weight decay, Xavier initialization,
+and bit-exact snapshot IO.
 
 Gradients are hand-derived in :mod:`ripplerec.model`; this module only
 owns the buffers and the update rules.  A frozen ``ParamStore`` is safe
@@ -223,42 +223,6 @@ class ParamStore:
                     v *= 1.0 - lr * decay
                 v -= a
                 g.fill(0.0)
-
-
-def finite_diff_check(f, params, analytic=None, h=1e-5, max_coords=16, rng=None):
-    """Max relative error between analytic gradients and central differences.
-
-    ``f`` is a scalar function of ``params`` that must not touch the
-    gradient buffers.  ``analytic`` maps tensor name to gradient array;
-    by default a copy of the store's current gradient buffers is used.
-    Up to ``max_coords`` coordinates are sampled per tensor.  The
-    relative error denominator is floored at 1e-3 so that coordinates
-    with (near-)zero true gradient compare absolutely.
-
-    Meaningful in 64-bit mode only; float32 round-off swamps h = 1e-5.
-    """
-    if analytic is None:
-        analytic = {name: g.copy() for name, g in params.grads.items()}
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for name, value in params.values.items():
-        grad = analytic[name]
-        flat = value.reshape(-1)
-        gflat = grad.reshape(-1)
-        n = flat.size
-        coords = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + h
-            f_plus = f(params)
-            flat[idx] = orig - h
-            f_minus = f(params)
-            flat[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
-            err = abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), 1e-3)
-            worst = max(worst, err)
-    return worst
 
 
 # -- snapshot IO -------------------------------------------------------------

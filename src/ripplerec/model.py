@@ -39,19 +39,21 @@ relation r at column r + 1 and column 0 held at 0, and each tree edge
 takes its own at flat key b * (R + 1) + r + 1, so a ``NULL_RELATION``
 pad reads the zero column.
 
-Every backward term is a weight per bag row times a row of a small
-source -- a per-example gradient, R_r^T v, or the embedding table
-itself -- so no per-row gradient array is built: each term is an entry
-of one sparse (COO) matrix times that source.  The backward reduces
-S[b, r] = sum of g_score * h over the rows of example b with relation r
-(one sparse product with ``entity_emb`` per hop), after which the
-candidate and ``relation_mat`` gradients are one GEMM each.  Likewise
-G[b, r] sums the tree edges' score gradients with one ``bincount``
-over their keys, whose pad column is then dropped, after which the
-user-representation and ``relation_vec`` gradients are one GEMM each.
-Every ``entity_emb`` gradient term of a batch (hop heads and tails,
-tree levels, candidates) is collected and summed by one sparse product
-over the stacked sources at the end.
+The backward runs in two stages.  :func:`_row_grads` computes the
+per-example arrays, row b of each from example b alone, and writes
+nothing it did not allocate; :func:`_reduce` then runs every sum over
+the batch and is the one writer of ``params.grads``.  Every backward
+term is a weight per bag row times a row of a small source -- a
+per-example gradient, R_r^T v, or the embedding table itself -- so no
+per-row gradient array is built: each term is an entry of one sparse
+(COO) matrix times that source.  Per example, S[b, r] sums g_score * h
+over the hop rows of example b with relation r (one sparse product with
+``entity_emb`` per hop), and G[b, r] sums the tree edges' score
+gradients (one ``bincount`` over their keys, whose pad column is then
+dropped).  The reduce turns them into the ``relation_mat`` and
+``relation_vec`` gradients with one GEMM each, and sums every
+``entity_emb`` term of the batch (hop heads and tails, tree levels,
+candidates) with one sparse product over the stacked sources.
 
 Every stage that reads a gather of embedding rows per example (hop
 scores and responses, their attention gradient, the tree aggregation
@@ -60,8 +62,7 @@ one block's gather is alive at a time and the trace keeps none of
 these gathers: the backward gathers the tree's leaf rows again, block
 by block.
 A blocked op works row by row, so the bytes do not depend on the block
-size; every sum over rows (the sparse products, the ``bincount`` and
-the gradient GEMMs) runs over the whole batch.
+size, and every sum over rows runs in the reduce, over the whole batch.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .kg import INDEX_LIMIT, NULL_RELATION, NeighborTable, RippleTable, build_ri
 logger = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-7  # predictions are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] inside the loss
-SCORE_ROWS = 512  # examples per forward in score_batch: a hop gather of 512 x 32 rows of 16 f32 is 1 MiB
+SCORE_ROWS = 512  # examples per forward in score_batch: bounds the bags and trace one slice holds
 GATHER_ROWS = 256  # examples per block of an embedding gather: 256 x 64 leaf rows of 16 f32 is 1 MiB
 
 
@@ -319,11 +320,13 @@ def _relation_keys(rels, n_rel, lo=0):
     for.  A relation outside [lo, R) raises ``IndexError``: as a flat key
     it would read another example's row (r >= R) or wrap to the end of
     the row before (r < lo, e.g. ``NULL_RELATION`` on the user side).
+    Keys have the dtype of ``rels``, or int64 once B * (R - lo) reaches :data:`INDEX_LIMIT`.
     """
     low, high = rels.min(), rels.max()
     if low < lo or high >= n_rel:
         raise IndexError(f"relation {low if low < lo else high} outside [{lo}, {n_rel})")
-    return (np.arange(len(rels)) * (n_rel - lo) - lo)[:, None] + rels
+    index = np.int64 if len(rels) * (n_rel - lo) >= INDEX_LIMIT else rels.dtype
+    return (np.arange(len(rels), dtype=index) * (n_rel - lo) - lo)[:, None] + rels
 
 
 def _hop_forward(params, bag, rt_v_all, trace):
@@ -497,55 +500,24 @@ class _RowTerms:
         _add_rows(grad, rows, cols, weights, np.concatenate(self.sources))
 
 
-def _hop_backward(params, bag, trace, k, g_resp, s, terms, rt_col, g_col):
-    """Backward of one hop.
+@dataclass
+class _RowGrads:
+    """Per-example gradients of a batch (:func:`_row_grads`); a side the model skips leaves its fields unset."""
 
-    Adds the hop's ``entity_emb`` terms (tails against the rows of
-    ``g_resp`` stacked at column ``g_col``, then heads against the
-    R_r^T v rows stacked at column ``rt_col``) to ``terms`` and
-    g_score * h of each bag row into ``s`` (B * R, d) at row b * R + r,
-    leaving the candidate and relation gradients to the caller.
-    """
-    ent = params.values["entity_emb"]
-    heads, tails = bag[..., 0], bag[..., 2]
-    keys = _relation_keys(bag[..., 1], trace.rt_v_all.shape[1])
-    attn = trace.hop_attn[k]
-
-    # resp = sum_n attn_n * t_n
-    g_attn = _row_blocked(len(bag), lambda blk: np.matmul(ent.take(tails[blk], axis=0), g_resp[blk, :, None])[..., 0])
-    terms.add(tails, g_col + np.arange(len(bag))[:, None], attn)
-    # softmax jacobian within the bag
-    g_scores = attn * (g_attn - _last_axis_sum(attn * g_attn))
-    # score_n = h_n . (R_r^T v)[b, r]
-    terms.add(heads, rt_col + keys, g_scores)
-    _add_rows(s, keys, heads, g_scores, ent)
+    g_u: np.ndarray  # (B, d) dloss/du, the taste scores' share included
+    g_v: np.ndarray  # (B, d) dloss/dv, the candidate's own row gradient
+    g_fused: np.ndarray | None = None  # (B, d) gradient of fusion_in and of every hop response
+    g_scores: list[np.ndarray] = field(default_factory=list)  # per hop (B, n_p) attention score gradients
+    s: np.ndarray | None = None  # (B, R * d): S[b, r] sums g_score * h over example b's bag rows of relation r
+    g_pre: list[np.ndarray] = field(default_factory=list)  # per level (B, n, d) gradient before the activation
+    g_mixed: list[np.ndarray] = field(default_factory=list)  # per level (B, n, d) gradient of tree_in
+    g_taste: np.ndarray | None = None  # (B, R) taste score gradient G[b, r], pad edges dropped
 
 
-def _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms):
-    if hp.user_table:
-        _add_rows(grads["user_emb"], bags.users, np.arange(len(g_u)), np.ones(len(g_u), g_u.dtype), g_u)
-        return
-    grads["fusion_w"][0] += g_u.T @ trace.fusion_in
-    g_fused = g_u @ params.values["fusion_w"][0]
-    g_v += g_fused
-    rel_mat = params.values["relation_mat"]
-    n_rel, d, _ = rel_mat.shape
-    v = trace.v
-    # S[b, r]: sum of g_score * h over the bag rows of example b with relation r, all hops
-    s = np.zeros((len(v) * n_rel, d), dtype=v.dtype)
-    rt_col = terms.source(trace.rt_v_all)
-    g_col = terms.source(g_fused)  # every hop's response gradient is g_fused
-    for k in range(hp.hops):
-        _hop_backward(params, bags.hop_bags[k], trace, k, g_fused, s, terms, rt_col, g_col)
-    s = s.reshape(len(v), n_rel * d)
-    # score = v . (R_r h): dv = sum_r R_r S[b, r], dR_r = sum_b v_b S[b, r]^T
-    g_v += s @ rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d)
-    grads["relation_mat"] += (v.T @ s).reshape(d, n_rel, d).transpose(1, 0, 2)
-
-
-def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
+def _item_row_grads(params, bags, hp, trace, g_i, rows):
+    """Item half of :func:`_row_grads`: each level's ``g_pre`` and ``g_mixed``, ``g_taste`` and its share of g_u."""
     if hp.conv_layers == 0:
-        g_v += g_i
+        rows.g_v += g_i
         return
     ent = params.values["entity_emb"]
     rel_vec = params.values["relation_vec"]
@@ -554,21 +526,17 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
     depth = hp.conv_layers
     n_e = hp.neighbor_size
     n_rel = len(rel_vec)
-    d = u.shape[-1]
 
     key_levels = []
     g_score_levels = []
     g_z = g_i[:, None, :]  # gradient w.r.t. z[0] (B, 1, d)
     for level in range(depth):
         z_here = trace.tree_z[level]
-        if level == 0:
-            g_pre = g_z * (1.0 - z_here * z_here)
-        else:
-            g_pre = g_z * (z_here > 0.0)  # max(pre, 0) > 0 exactly where pre > 0, NaN included
-        grads["conv_w"][level] += g_pre.reshape(-1, d).T @ trace.tree_in[level].reshape(-1, d)
-        grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
+        # the ReLU levels' mask: max(pre, 0) > 0 exactly where pre > 0, NaN included
+        g_pre = g_z * (1.0 - z_here * z_here) if level == 0 else g_z * (z_here > 0.0)
         g_mixed = _nodes_matmul(g_pre, conv_w[level])
-        node_cols = terms.add_unit(bags.tree_ents[level], g_mixed)
+        rows.g_pre.append(g_pre)
+        rows.g_mixed.append(g_mixed)
 
         b, n = bags.tree_ents[level].shape
         alpha = trace.tree_alpha[level]
@@ -579,29 +547,91 @@ def _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
         # child c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
         if level + 1 < depth:
             g_z = (alpha[..., None] * g_mixed[:, :, None, :]).reshape(b, n * n_e, -1)
-        else:
-            terms.add(bags.tree_ents[depth], node_cols[..., None], alpha)
     # score = u[b] . rel_vec[r]: G[b, r] sums g_score over every tree edge of example b with relation r;
     # pad edges land in column 0, whose score is the constant 0, and are dropped
-    g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in key_levels]),
-                          weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
-                          minlength=len(u) * (n_rel + 1)).reshape(len(u), n_rel + 1)[:, 1:].astype(u.dtype)
-    g_u += g_taste @ rel_vec
-    grads["relation_vec"] += g_taste.T @ u
+    rows.g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in key_levels]),
+                               weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
+                               minlength=len(u) * (n_rel + 1)).reshape(len(u), n_rel + 1)[:, 1:].astype(u.dtype)
+    rows.g_u += _rows_matmul(rows.g_taste, rel_vec)
+
+
+def _user_row_grads(params, bags, hp, trace, rows):
+    """User half of :func:`_row_grads`: ``g_fused``, each hop's ``g_scores``, ``s``, and their share of g_v."""
+    if hp.user_table:
+        return
+    ent = params.values["entity_emb"]
+    rel_mat = params.values["relation_mat"]
+    n_rel, d, _ = rel_mat.shape
+    rows.g_fused = _rows_matmul(rows.g_u, params.values["fusion_w"][0])
+    rows.g_v += rows.g_fused
+    # S[b, r]: sum of g_score * h over the bag rows of example b with relation r, all hops
+    s = np.zeros((len(rows.g_u) * n_rel, d), dtype=rows.g_u.dtype)
+    for bag, attn in zip(bags.hop_bags, trace.hop_attn):
+        tails = bag[..., 2]
+        # resp = sum_n attn_n * t_n, and every hop's response gradient is g_fused
+        g_attn = _row_blocked(len(bag), lambda blk: np.matmul(ent.take(tails[blk], axis=0),
+                                                              rows.g_fused[blk, :, None])[..., 0])
+        # softmax jacobian within the bag; score_n = h_n . (R_r^T v)[b, r]
+        rows.g_scores.append(attn * (g_attn - _last_axis_sum(attn * g_attn)))
+        _add_rows(s, _relation_keys(bag[..., 1], n_rel), bag[..., 0], rows.g_scores[-1], ent)
+    rows.s = s.reshape(len(rows.g_u), n_rel * d)
+    # score = v . (R_r h): dv = sum_r R_r S[b, r] (and dR_r = sum_b v_b S[b, r]^T in the reduce)
+    rows.g_v += _rows_matmul(rows.s, rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d))
+
+
+def _row_grads(params, bags, hp, trace, g_logit):
+    """Per-example stage of the backward: the :class:`_RowGrads` of dloss/dlogit; writes nothing it did not allocate.
+
+    Row b of each array depends on example b alone, so a slice of the
+    rows gives the same slice of each array.
+    """
+    rows = _RowGrads(g_u=g_logit[:, None] * trace.i_rep, g_v=np.zeros_like(trace.v))
+    # item side first: it also feeds gradient into u (taste scores)
+    _item_row_grads(params, bags, hp, trace, g_logit[:, None] * trace.u_rep, rows)
+    _user_row_grads(params, bags, hp, trace, rows)
+    return rows
+
+
+def _reduce(params, bags, hp, trace, rows):
+    """Every sum over the batch of the backward, from its ``rows`` (:func:`_row_grads`), into ``params.grads``.
+
+    The parameter products run first; then ``rows`` drops ``s``, ``g_pre``
+    and ``g_taste``, which the entity scatter does not read.
+    """
+    grads = params.grads
+    u = trace.u_rep
+    n_rel, d, _ = params.values["relation_mat"].shape
+    for level in range(hp.conv_layers):
+        grads["conv_w"][level] += rows.g_pre[level].reshape(-1, d).T @ trace.tree_in[level].reshape(-1, d)
+        grads["conv_b"][level] += rows.g_pre[level].sum(axis=(0, 1))
+    if hp.conv_layers:
+        grads["relation_vec"] += rows.g_taste.T @ u
+    if hp.user_table:
+        _add_rows(grads["user_emb"], bags.users, np.arange(len(u)), np.ones(len(u), u.dtype), rows.g_u)
+    else:
+        grads["fusion_w"][0] += rows.g_u.T @ trace.fusion_in
+        grads["relation_mat"] += (trace.v.T @ rows.s).reshape(d, n_rel, d).transpose(1, 0, 2)
+    rows.s = rows.g_pre = rows.g_taste = None
+
+    terms = _RowTerms()
+    for level in range(hp.conv_layers):
+        node_cols = terms.add_unit(bags.tree_ents[level], rows.g_mixed[level])
+    if hp.conv_layers:  # leaf c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
+        terms.add(bags.tree_ents[-1], node_cols[..., None], trace.tree_alpha[-1])
+    if not hp.user_table:
+        rt_col = terms.source(trace.rt_v_all)
+        g_col = terms.source(rows.g_fused)
+        for bag, attn, g_scores in zip(bags.hop_bags, trace.hop_attn, rows.g_scores):
+            # tails against the rows of g_fused, then heads against the R_r^T v rows
+            terms.add(bag[..., 2], g_col + np.arange(len(bag))[:, None], attn)
+            terms.add(bag[..., 0], rt_col + _relation_keys(bag[..., 1], n_rel), g_scores)
+    terms.add_unit(bags.v_idx, rows.g_v)
+    terms.scatter(grads["entity_emb"])
 
 
 def _backward(params, bags, hp, trace, g_logit):
-    """Gradients of the batch into ``params.grads`` from dloss/dlogit."""
-    grads = params.grads
-    g_u = g_logit[:, None] * trace.i_rep
-    g_i = g_logit[:, None] * trace.u_rep
-    g_v = np.zeros_like(trace.v)
-    terms = _RowTerms()
-    # item side first: it also feeds gradient into u (taste scores)
-    _item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms)
-    _user_backward(params, bags, hp, trace, g_u, grads, g_v, terms)
-    terms.add_unit(bags.v_idx, g_v)
-    terms.scatter(grads["entity_emb"])
+    """Gradients of the batch into ``params.grads`` from dloss/dlogit: :func:`_row_grads`, then :func:`_reduce`."""
+    _reduce(params, bags, hp, trace, _row_grads(params, bags, hp, trace, g_logit))
 
 
 def forward_backward(params, bags, hp):
@@ -638,8 +668,8 @@ def score_batch(params, records, table, ripple_sets, hp, item_entities):
     """Predicted interaction probabilities for (user, item, ...) records.
 
     Assembly and the forward run over consecutive slices of at most
-    :data:`SCORE_ROWS` examples, so each hop gather of a slice stays at
-    1 MiB at the benchmark's sizes (32 rows of 16 f32 per example).
+    :data:`SCORE_ROWS` examples, so one slice's bags and trace are alive
+    at a time; its gathers run in :data:`GATHER_ROWS` blocks within.
     Bags are takes from the run's tables, so each example's score is the
     same as from one forward over all of ``records``, however they are cut.
     """

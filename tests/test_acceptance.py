@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 
 import ripplerec as rr
-from ripplerec.core import finite_diff_check, sigmoid, softmax
+from ripplerec.core import sigmoid, softmax
 from ripplerec.kg import build_ripple_table, sample_children
 from ripplerec.metrics import auc
 from ripplerec.model import Hyperparams, assemble_batch, batch_loss, fit, forward_backward, init_params
 
 from conftest import tables, train_seeds
+from gradcheck import finite_diff_check
 
 
 @contextlib.contextmanager

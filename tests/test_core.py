@@ -8,13 +8,14 @@ from ripplerec.core import (
     ParamStore,
     _last_axis_max,
     _last_axis_sum,
-    finite_diff_check,
     load_params,
     save_params,
     sigmoid,
     softmax,
     xavier_uniform,
 )
+
+from gradcheck import finite_diff_check
 
 
 class TestSoftmax:

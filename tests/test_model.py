@@ -9,7 +9,6 @@ from scipy import sparse
 import ripplerec as rr
 import ripplerec.model
 from ripplerec.cli import _table_sha256
-from ripplerec.core import finite_diff_check
 from ripplerec.kg import NULL_RELATION
 from ripplerec.metrics import evaluate
 from ripplerec.synthetic import SyntheticSpec, generate
@@ -27,6 +26,7 @@ from ripplerec.model import (
 )
 
 from conftest import adjacency, make_params, one_example, reference_ripple_bags, tables, train_seeds, write_kg
+from gradcheck import finite_diff_check
 
 
 def hp64(**kw):
@@ -763,7 +763,9 @@ class TestFusedBackwardOracle:
 
         loss, trace, got = run()
         monkeypatch.setattr(ripplerec.model, "_user_forward", _ref_user_forward)
-        monkeypatch.setattr(ripplerec.model, "_user_backward", _ref_user_backward)
+        # the reference user side inside the materialized-rows backward, in place of its user half
+        monkeypatch.setitem(globals(), "_rows_user_backward", _ref_user_backward)
+        monkeypatch.setattr(ripplerec.model, "_backward", _rows_backward)
         ref_loss, ref_trace, want = run()
         assert len(ref_trace.ref_rh) == hp.hops  # the reference path ran
         assert loss == pytest.approx(ref_loss, rel=1e-12)
@@ -915,20 +917,20 @@ def _where_item_forward(params, bags, hp, trace):
     return trace.i_rep
 
 
-def _where_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
+def _where_item_backward(params, bags, hp, trace, g_i, rows):
+    # the item half of the model's per-row backward stage: the model's reduce sums what it leaves in rows
     rel_vec = params.values["relation_vec"]
     conv_w = params.values["conv_w"]
     u = trace.u_rep
-    depth, n_e, d = hp.conv_layers, hp.neighbor_size, u.shape[-1]
+    depth, n_e = hp.conv_layers, hp.neighbor_size
     g_score_levels = []
     g_z = g_i[:, None, :]
     for level in range(depth):
         z_here, pre = trace.tree_z[level], trace.tree_pre[level]
         g_pre = g_z * (1.0 - z_here * z_here) if level == 0 else g_z * (pre > 0.0)
-        grads["conv_w"][level] += g_pre.reshape(-1, d).T @ trace.tree_in[level].reshape(-1, d)
-        grads["conv_b"][level] += g_pre.sum(axis=(0, 1))
         g_mixed = g_pre @ conv_w[level]
-        node_cols = terms.add_unit(bags.tree_ents[level], g_mixed)
+        rows.g_pre.append(g_pre)
+        rows.g_mixed.append(g_mixed)
         b, n = bags.tree_ents[level].shape
         alpha = trace.tree_alpha[level]
         g_alpha = np.einsum("bnd,bncd->bnc", g_mixed, trace.tree_z[level + 1].reshape(b, n, n_e, -1))
@@ -937,14 +939,11 @@ def _where_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, terms):
         g_score_levels.append(np.where(pad, 0.0, g_scores))
         if level + 1 < depth:
             g_z = (alpha[..., None] * g_mixed[:, :, None, :]).reshape(b, n * n_e, -1)
-        else:
-            terms.add(bags.tree_ents[depth], node_cols[..., None], alpha)
     n_rel = len(rel_vec)
-    g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in trace.tree_keys]),
-                          weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
-                          minlength=len(u) * n_rel).reshape(len(u), n_rel).astype(u.dtype)
-    g_u += g_taste @ rel_vec
-    grads["relation_vec"] += g_taste.T @ u
+    rows.g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in trace.tree_keys]),
+                               weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
+                               minlength=len(u) * n_rel).reshape(len(u), n_rel).astype(u.dtype)
+    rows.g_u += rows.g_taste @ rel_vec
 
 
 def _pad_heavy_batch(tmp_path, conv_layers, precision):
@@ -983,7 +982,7 @@ class TestPadColumn:
         calls = []
         monkeypatch.setattr(ripplerec.model, "_item_forward",
                             lambda *args: calls.append(1) or _where_item_forward(*args))
-        monkeypatch.setattr(ripplerec.model, "_item_backward",
+        monkeypatch.setattr(ripplerec.model, "_item_row_grads",
                             lambda *args: calls.append(1) or _where_item_backward(*args))
         want_yhat, want = run()
         assert len(calls) == 3, "the reference item side did not run"
@@ -1167,6 +1166,121 @@ class TestRowTermsScatter:
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (limit, name)
 
+
+
+# -- the backward's two stages: per row, then reduce -----------------------------
+# The cut and join helpers act on any of the model's dataclasses of batch arrays
+# (BatchBags, ForwardTrace, the per-row stage's _RowGrads), field by field.
+
+
+def _cut(obj, rows):
+    """A copy of ``obj`` whose arrays, also those in lists, keep only the slice ``rows``."""
+    def cut(value):
+        if isinstance(value, list):
+            return [cut(v) for v in value]
+        return None if value is None else value[rows]
+    return type(obj)(**{f.name: cut(getattr(obj, f.name)) for f in dataclasses.fields(obj)})
+
+
+def _join(parts):
+    """One object of the type of ``parts`` whose arrays are theirs, concatenated in order."""
+    def join(values):
+        if isinstance(values[0], list):
+            return [join(list(v)) for v in zip(*values)]
+        return None if values[0] is None else np.concatenate(values)
+    return type(parts[0])(**{f.name: join([getattr(p, f.name) for p in parts]) for f in dataclasses.fields(parts[0])})
+
+
+def _backward_args(params, bags, hp, monkeypatch):
+    """The gradients of ``forward_backward`` and the arguments its ``_backward`` ran on."""
+    real, seen = ripplerec.model._backward, []
+    monkeypatch.setattr(ripplerec.model, "_backward", lambda *args: seen.append(args) or real(*args))
+    grads = _grads(params, bags, hp)
+    (args,) = seen
+    return grads, args
+
+
+def _array_bytes(obj):
+    """The dtype and bytes of every array of a dataclass, also those in lists, in field order."""
+    out = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        for arr in value if isinstance(value, list) else [value]:
+            out.append(None if arr is None else (arr.dtype, arr.shape, arr.tobytes()))
+    return out
+
+
+# the variants of TestForwardBackward::test_gradients_match_finite_differences
+FD_VARIANTS = [dict(), dict(hops=1), dict(user_table=True), dict(conv_layers=0), dict(l2_weight=1e-3)]
+FD_IDS = ["fd_shared", "fd_hops1", "fd_user_table", "fd_conv0", "fd_l2"]
+
+
+class TestTwoStageBackward:
+    def _assert_halves_give_same_bytes(self, params, bags, hp, monkeypatch):
+        want, (_, _, _, trace, g_logit) = _backward_args(params, bags, hp, monkeypatch)
+        n = bags.size
+        for c in sorted({1, n // 2, n - 1}):
+            params.zero_grads()
+            halves = (slice(0, c), slice(c, n))
+            rows = _join([ripplerec.model._row_grads(params, _cut(bags, h), hp, _cut(trace, h), g_logit[h])
+                          for h in halves])
+            ripplerec.model._reduce(params, bags, hp, trace, rows)
+            for name in want:
+                got = params.grads[name]
+                assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), (c, name)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=ORACLE_IDS)
+    def test_halves_joined_give_one_pass_bytes(self, many_relation_data, variant, precision, monkeypatch):
+        hp, params, bags = _oracle_batch(many_relation_data, variant, precision)
+        self._assert_halves_give_same_bytes(params, bags, hp, monkeypatch)
+
+    @pytest.mark.parametrize("variant", FD_VARIANTS, ids=FD_IDS)
+    def test_halves_joined_give_one_pass_bytes_on_finite_difference_batches(self, tiny_data, variant, monkeypatch):
+        kw = dict(hops=2, ripple_size=4, neighbor_size=2, conv_layers=2, l2_weight=0.0)
+        kw.update(variant)
+        hp = hp64(**kw)
+        params, bags = _tiny_batch(tiny_data, hp, n=6)
+        self._assert_halves_give_same_bytes(params, bags, hp, monkeypatch)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=ORACLE_IDS)
+    def test_row_stage_writes_no_shared_state(self, many_relation_data, variant, precision):
+        hp, params, bags = _oracle_batch(many_relation_data, variant, precision)
+        trace = forward(params, bags, hp)
+        values = {name: v.tobytes() for name, v in params.values.items()}
+        held = (_array_bytes(trace), _array_bytes(bags))
+        params.zero_grads()
+        rows = ripplerec.model._row_grads(params, bags, hp, trace, trace.yhat - bags.labels.astype(hp.dtype))
+        assert np.any(rows.g_u != 0.0)
+        for name, grad in params.grads.items():
+            assert not np.any(grad), name
+        assert {name: v.tobytes() for name, v in params.values.items()} == values
+        assert (_array_bytes(trace), _array_bytes(bags)) == held
+
+    def test_relation_keys_int32_below_the_limit_int64_from_it(self, many_relation_data, monkeypatch):
+        hp, params, bags = _oracle_batch(many_relation_data, {}, "f64")
+        assert all(bag.dtype == np.int32 for bag in bags.hop_bags)
+        real_keys = ripplerec.model._relation_keys
+        seen = []  # (example count * relation columns, key dtype) of every call
+
+        def recording_keys(rels, n_rel, lo=0):
+            keys = real_keys(rels, n_rel, lo)
+            seen.append((len(rels) * (n_rel - lo), keys.dtype))
+            return keys
+
+        monkeypatch.setattr(ripplerec.model, "_relation_keys", recording_keys)
+        want = _grads(params, bags, hp)
+        counts = sorted({count for count, _ in seen})
+        assert len(counts) == 2 and {dtype for _, dtype in seen} == {np.dtype(np.int32)}  # hop and tree keys
+        for limit in (counts[0], counts[0] + 1, counts[1], counts[1] + 1):
+            seen.clear()
+            monkeypatch.setattr(ripplerec.model, "INDEX_LIMIT", limit)
+            got = _grads(params, bags, hp)
+            assert {dtype for count, dtype in seen if count >= limit} <= {np.dtype(np.int64)}, limit
+            assert {dtype for count, dtype in seen if count < limit} <= {np.dtype(np.int32)}, limit
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (limit, name)
 
 class TestFit:
     def _hp(self, **kw):
