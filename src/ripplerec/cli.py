@@ -329,6 +329,14 @@ def _write_epoch_log(path, history):
                              f"{row['val_auc']:.6f}", f"{row['val_acc']:.6f}"])
 
 
+def _write_report(path, report):
+    """Write ``report`` to ``path`` as the CSV header and its one row, then print the row."""
+    row = report.to_csv_row()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{metrics.MetricReport.CSV_HEADER}\n{row}\n")
+    print(row)
+
+
 def _save_snapshot(out_dir, params, cfg, meta):
     """Write ``model.npz`` atomically (write then rename), then ``model.manifest.txt`` in place."""
     snap = os.path.join(out_dir, "model.npz")
@@ -350,10 +358,7 @@ def cmd_train(cfg):
     _save_snapshot(cfg.out, result.params, cfg, meta)
     _write_epoch_log(os.path.join(cfg.out, "epochs.csv"), result.history)
     if result.test_report is not None:
-        with open(os.path.join(cfg.out, "test_report.csv"), "w", encoding="utf-8") as fh:
-            fh.write(metrics.MetricReport.CSV_HEADER + "\n")
-            fh.write(result.test_report.to_csv_row() + "\n")
-        print(result.test_report.to_csv_row())
+        _write_report(os.path.join(cfg.out, "test_report.csv"), result.test_report)
     if result.diverged:
         logger.error("training diverged; last good snapshot retained")
         return EXIT_DIVERGED
@@ -427,11 +432,7 @@ def cmd_eval(cfg, split):
     report = metrics.evaluate(params, dataset.split_named(split), neighbor_table, ripple_table, hp,
                               dataset.item_entities, split=split)
     report.seed = seed  # the run seed that drew both tables; scoring itself draws nothing
-    path = os.path.join(cfg.out, f"eval_{split}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(metrics.MetricReport.CSV_HEADER + "\n")
-        fh.write(report.to_csv_row() + "\n")
-    print(report.to_csv_row())
+    _write_report(os.path.join(cfg.out, f"eval_{split}.csv"), report)
     return 0
 
 

@@ -1,13 +1,13 @@
 """Minimal dense numeric kernel.
 
 Everything the model needs from a tensor library, and nothing more:
-stable softmax/sigmoid, a named-parameter store with gradient slots,
-the Adam update with decoupled weight decay, Xavier initialization,
-and bit-exact snapshot IO.
+stable softmax/sigmoid, a named-parameter store, the Adam update with
+decoupled weight decay, Xavier initialization, and bit-exact snapshot IO.
 
-Gradients are hand-derived in :mod:`ripplerec.model`; this module only
-owns the buffers and the update rules.  A frozen ``ParamStore`` is safe
-for concurrent reads; updates assume a single writer.
+Gradients are hand-derived in :mod:`ripplerec.model`, which returns them
+per step; this module owns the parameters, the optimizer state and the
+update rules.  A frozen ``ParamStore`` is safe for concurrent reads;
+updates assume a single writer.
 """
 
 from __future__ import annotations
@@ -129,17 +129,11 @@ def xavier_uniform(shape, rng, dtype=np.float64):
 
 
 class ParamStore:
-    """Named tensors, each with a value buffer and a same-shape gradient slot.
-
-    Shapes are fixed at creation.  Gradient buffers start at zero and
-    every ``adam_step`` zeroes them again; the first one creates the
-    Adam moment buffers.
-    """
+    """Named tensors of one dtype and fixed shapes, and the Adam moments the first ``adam_step`` creates."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self.values: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self._adam_t = 0
@@ -149,15 +143,10 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} already exists")
         arr = np.array(value, dtype=self.dtype, order="C")  # adam_step updates flat views
         self.values[name] = arr
-        self.grads[name] = np.zeros_like(arr)
         return arr
 
     def names(self):
         return list(self.values)
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g.fill(0.0)
 
     def copy(self):
         """Deep copy of values only (optimizer state is not carried over)."""
@@ -166,29 +155,32 @@ class ParamStore:
             out.add(name, v)  # add copies
         return out
 
-    def check_finite_grads(self):
-        for name, arr in self.grads.items():
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite grads in tensor {name!r}")
-
     # -- optimizer ----------------------------------------------------------
 
-    def adam_step(self, lr, decay):
-        """Bias-corrected Adam update with decoupled weight decay ``decay``.
+    def adam_step(self, grads, lr, decay):
+        """Bias-corrected Adam update by ``grads`` with decoupled weight decay ``decay``.
 
-        b1, b2 and eps are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
-        Every term is computed in place in two scratch arrays, in the
-        order of m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
+        ``grads`` maps every tensor name to a gradient of the tensor's
+        shape and dtype, and is only read.  b1, b2 and eps are
+        ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.  Every term is
+        computed in place in two scratch arrays, in the order of
+        m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
         v *= 1 - lr decay (AdamW: the decay bypasses Adam's scaling),
         v -= lr (m / c1) / (sqrt(s / c2) + eps).  Each tensor is updated
         in blocks of ``ADAM_BLOCK`` elements, so the scratch arrays, each
         one block or the largest tensor if that is smaller, stay small and
         in cache; each term is elementwise, so the bytes do not
-        depend on the block size.  Each gradient block is zeroed after its
-        update.  Raises if any gradient is non-finite, naming the
-        offending tensor.
+        depend on the block size.  Before any update, a missing or
+        misshaped gradient raises ValueError, and a non-finite one
+        FloatingPointError, naming the tensor.
         """
-        self.check_finite_grads()
+        for name, value in self.values.items():
+            grad, want = grads.get(name), f"shape {value.shape}, {value.dtype}"
+            got = "none" if grad is None else f"shape {grad.shape}, {grad.dtype}"
+            if got != want:
+                raise ValueError(f"gradient of tensor {name!r}: expected {want}, got {got}")
+            if not np.all(np.isfinite(grad)):
+                raise FloatingPointError(f"non-finite grads in tensor {name!r}")
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         self._adam_t += 1
         t = self._adam_t
@@ -199,8 +191,8 @@ class ParamStore:
             if name not in self._adam_m:
                 self._adam_m[name] = np.zeros_like(value)
                 self._adam_v[name] = np.zeros_like(value)
-            # every tensor is C-contiguous (``add`` makes it so), so these are views
-            V, G = value.reshape(-1), self.grads[name].reshape(-1)
+            # every tensor is C-contiguous (``add`` makes it so), so V, M and S are views
+            V, G = value.reshape(-1), grads[name].reshape(-1)
             M, S = self._adam_m[name].reshape(-1), self._adam_v[name].reshape(-1)
             for lo in range(0, value.size, ADAM_BLOCK):
                 hi = min(lo + ADAM_BLOCK, value.size)
@@ -222,7 +214,6 @@ class ParamStore:
                 if decay:
                     v *= 1.0 - lr * decay
                 v -= a
-                g.fill(0.0)
 
 
 # -- snapshot IO -------------------------------------------------------------

@@ -53,6 +53,11 @@ NULL_RELATION = -1
 INDEX_LIMIT = 2**31
 
 
+def index_dtype(*counts):
+    """Index dtype for arrays of ``counts`` rows: int32 while every count is below :data:`INDEX_LIMIT`, else int64."""
+    return np.int64 if max(counts) >= INDEX_LIMIT else np.int32
+
+
 class ParseError(ValueError):
     """Malformed input file; carries the 1-based line number."""
 
@@ -391,7 +396,7 @@ def load_kg(path, undirected=True):
         edge_keys = np.concatenate((edge_keys, pack(t[inv], r[inv], h[inv])))
         edge_keys.sort()  # by (source, relation, neighbor)
     src, rest = np.divmod(edge_keys, num_relations * num_entities)
-    index = np.int64 if max(len(src), num_entities) >= INDEX_LIMIT else np.int32
+    index = index_dtype(len(src), num_entities)
     rel, nbr = np.empty(len(src), dtype=index), np.empty(len(src), dtype=index)
     np.divmod(rest, num_entities, out=(rel, nbr))  # written in the index dtype, never held as int64
     indptr = np.zeros(num_entities + 1, dtype=index)

@@ -26,9 +26,9 @@ prediction -- in its :class:`ForwardTrace`.  The computation graph is
 small and static, so gradients are derived per operation against that
 trace instead of running autodiff.  Forward passes over frozen
 parameters are pure functions of (params, sampled bags) and safe to run
-concurrently; gradient accumulation and updates are single writer.
-Assembling a batch reads the run's two tables and draws no random
-number.
+concurrently; a train step returns its gradients as new arrays, and
+only the optimizer writes the parameters.  Assembling a batch reads
+the run's two tables and draws no random number.
 
 Both sides work per (example, relation), not per bag row or tree edge.
 On the user side, since (R_r h) . v = h . (R_r^T v), one GEMM gives
@@ -42,8 +42,8 @@ pad reads the zero column.
 The backward runs in two stages.  :func:`_row_grads` computes the
 per-example arrays, row b of each from example b alone, and writes
 nothing it did not allocate; :func:`_reduce` then runs every sum over
-the batch and is the one writer of ``params.grads``.  Every backward
-term is a weight per bag row times a row of a small source -- a
+the batch and returns every tensor's gradient as a new array.  Every
+backward term is a weight per bag row times a row of a small source -- a
 per-example gradient, R_r^T v, or the embedding table itself -- so no
 per-row gradient array is built: each term is an entry of one sparse
 (COO) matrix times that source.  Per example, S[b, r] sums g_score * h
@@ -74,7 +74,7 @@ import numpy as np
 
 from . import metrics
 from .core import ParamStore, _last_axis_sum, sigmoid, softmax, xavier_uniform
-from .kg import INDEX_LIMIT, NULL_RELATION, NeighborTable, RippleTable, build_ripple_table, sample_children
+from .kg import NULL_RELATION, NeighborTable, RippleTable, build_ripple_table, index_dtype, sample_children
 
 logger = logging.getLogger(__name__)
 
@@ -169,10 +169,7 @@ def init_params(num_entities, num_relations, hp, seed=0, num_users=0):
     rng = np.random.default_rng([seed, 11])
     params = ParamStore(dtype=hp.dtype)
     for name, shape in param_shapes(num_entities, num_relations, hp, num_users).items():
-        if name == "conv_b":
-            params.add(name, np.zeros(shape, dtype=hp.dtype))
-        else:
-            params.add(name, xavier_uniform(shape, rng, hp.dtype))
+        params.add(name, np.zeros(shape) if name == "conv_b" else xavier_uniform(shape, rng, hp.dtype))
     return params
 
 
@@ -317,16 +314,11 @@ def _relation_keys(rels, n_rel, lo=0):
     """Flat key b * (R - lo) + r - lo of each (example, relation) pair in ``rels`` (B, n), (B, n).
 
     ``lo`` is the lowest relation the row of an example holds a column
-    for.  A relation outside [lo, R) raises ``IndexError``: as a flat key
-    it would read another example's row (r >= R) or wrap to the end of
-    the row before (r < lo, e.g. ``NULL_RELATION`` on the user side).
-    Keys have the dtype of ``rels``, or int64 once B * (R - lo) reaches :data:`INDEX_LIMIT`.
+    for; :func:`forward` has checked that every relation lies in [lo, R).
+    Keys have the wider of the dtype of ``rels`` and
+    :func:`~ripplerec.kg.index_dtype` of B * (R - lo).
     """
-    low, high = rels.min(), rels.max()
-    if low < lo or high >= n_rel:
-        raise IndexError(f"relation {low if low < lo else high} outside [{lo}, {n_rel})")
-    index = np.int64 if len(rels) * (n_rel - lo) >= INDEX_LIMIT else rels.dtype
-    return (np.arange(len(rels), dtype=index) * (n_rel - lo) - lo)[:, None] + rels
+    return (np.arange(len(rels), dtype=index_dtype(len(rels) * (n_rel - lo))) * (n_rel - lo) - lo)[:, None] + rels
 
 
 def _hop_forward(params, bag, rt_v_all, trace):
@@ -381,16 +373,13 @@ def _item_forward(params, bags, hp, trace):
     conv_w = params.values["conv_w"]
     conv_b = params.values["conv_b"]
     u = trace.u_rep
-    depth = hp.conv_layers
-    n_e = hp.neighbor_size
+    depth, n_e = hp.conv_layers, hp.neighbor_size
 
     # taste score u . r_e of every (example, relation) at column r + 1; column 0 is a pad edge's score, 0
     taste = np.zeros((len(u), len(rel_vec) + 1), dtype=u.dtype)
     taste[:, 1:] = _rows_matmul(u, rel_vec.T)
     taste = taste.reshape(-1)
-    z = [None] * depth
-    trace.tree_alpha = [None] * depth
-    trace.tree_in = [None] * depth
+    z, trace.tree_alpha, trace.tree_in = ([None] * depth for _ in range(3))
     for level in range(depth - 1, -1, -1):
         b, n = bags.tree_ents[level].shape
         keys = _relation_keys(bags.tree_rels[level + 1].reshape(b, n * n_e), len(rel_vec), NULL_RELATION)
@@ -409,7 +398,18 @@ def _item_forward(params, bags, hp, trace):
 
 
 def forward(params, bags, hp):
-    """Full forward pass over frozen bags; returns a populated trace."""
+    """Full forward pass over frozen bags; returns a populated trace.
+
+    First, once per forward, a hop bag's relation outside [0, R) or a tree
+    level's outside [``NULL_RELATION``, R) raises ``IndexError``: as a key of
+    :func:`_relation_keys` it would read another example's row (r >= R)
+    or wrap to the end of the row before (r < lo).
+    """
+    n_rel = len(params.values["relation_vec"])
+    for rels, lo in [(bag[..., 1], 0) for bag in bags.hop_bags] + [(r, NULL_RELATION) for r in bags.tree_rels[1:]]:
+        low, high = rels.min(), rels.max()
+        if low < lo or high >= n_rel:
+            raise IndexError(f"relation {low if low < lo else high} outside [{lo}, {n_rel})")
     trace = ForwardTrace(v=params.values["entity_emb"].take(bags.v_idx, axis=0))
     _user_forward(params, bags, hp, trace)
     _item_forward(params, bags, hp, trace)
@@ -431,20 +431,20 @@ def batch_loss(params, bags, hp, trace=None):
 # -- backward ------------------------------------------------------------------
 
 
-def _add_rows(grad, rows, cols, weights, src):
-    """grad[rows[i]] += weights[i] * src[cols[i]] for every entry i, in entry order.
+def _sum_rows(num_rows, rows, cols, weights, src):
+    """A new (num_rows, d) array whose row r sums weights[i] * src[cols[i]] over the entries i with rows[i] = r.
 
     ``cols`` broadcasts against ``weights``; ``rows`` holds as many
     entries.  One sparse product: a COO matrix holding weight i at
     (rows[i], cols[i]) times the source table ``src``.  Duplicate rows
-    sum; rows no entry names receive exactly zero.
+    sum, in entry order; rows no entry names are exactly zero.
     """
     from scipy import sparse  # here, not at the top: only training scatters, so scoring never loads scipy
 
     cols = np.broadcast_to(cols, weights.shape)
     coo = sparse.coo_array((weights.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
-                           shape=(grad.shape[0], src.shape[0]))
-    grad += coo @ src
+                           shape=(num_rows, src.shape[0]))
+    return coo @ src
 
 
 class _RowTerms:
@@ -453,7 +453,7 @@ class _RowTerms:
     Backward stages stack the tables their terms read with
     :meth:`source` and add (row, column, weight) entries with
     :meth:`add`; :meth:`scatter` sums every entry into the gradient with
-    one :func:`_add_rows`, in the order added.  Sources are read at
+    one :func:`_sum_rows`, in the order added.  Sources are read at
     :meth:`scatter`, so they must not change after they are stacked.
     """
 
@@ -470,7 +470,7 @@ class _RowTerms:
         return self.size - len(flat)
 
     def add(self, rows, cols, weights):
-        """Entries as :func:`_add_rows` takes them, ``cols`` counted in the stack."""
+        """Entries as :func:`_sum_rows` takes them, ``cols`` counted in the stack."""
         self.entries.append((rows, cols, weights))
 
     def add_unit(self, rows, src):
@@ -479,14 +479,14 @@ class _RowTerms:
         self.add(rows, cols, np.ones(rows.shape, dtype=src.dtype))
         return cols
 
-    def scatter(self, grad):
-        """Every entry into ``grad``: one index array each for rows and columns, written in place.
+    def scatter(self, num_rows):
+        """The (num_rows, d) sum of every entry: one index array each for rows and columns, written in place.
 
-        The indices are int32, the type scipy would convert them to,
-        unless the row or column count reaches :data:`INDEX_LIMIT`.
+        The indices have the :func:`~ripplerec.kg.index_dtype` of the row
+        and column counts (int32, the type scipy would convert them to).
         """
         size = sum(weights.size for _, _, weights in self.entries)
-        index = np.int64 if max(len(grad), self.size) >= INDEX_LIMIT else np.int32
+        index = index_dtype(num_rows, self.size)
         rows = np.empty(size, dtype=index)
         cols = np.empty(size, dtype=index)
         weights = np.empty(size, dtype=np.result_type(*(entry[2] for entry in self.entries)))
@@ -497,7 +497,7 @@ class _RowTerms:
             cols[lo:hi].reshape(entry_weights.shape)[...] = entry_cols
             weights[lo:hi].reshape(entry_weights.shape)[...] = entry_weights
             lo = hi
-        _add_rows(grad, rows, cols, weights, np.concatenate(self.sources))
+        return _sum_rows(num_rows, rows, cols, weights, np.concatenate(self.sources))
 
 
 @dataclass
@@ -523,12 +523,10 @@ def _item_row_grads(params, bags, hp, trace, g_i, rows):
     rel_vec = params.values["relation_vec"]
     conv_w = params.values["conv_w"]
     u = trace.u_rep
-    depth = hp.conv_layers
-    n_e = hp.neighbor_size
+    depth, n_e = hp.conv_layers, hp.neighbor_size
     n_rel = len(rel_vec)
 
-    key_levels = []
-    g_score_levels = []
+    key_levels, g_score_levels = [], []
     g_z = g_i[:, None, :]  # gradient w.r.t. z[0] (B, 1, d)
     for level in range(depth):
         z_here = trace.tree_z[level]
@@ -573,7 +571,7 @@ def _user_row_grads(params, bags, hp, trace, rows):
                                                               rows.g_fused[blk, :, None])[..., 0])
         # softmax jacobian within the bag; score_n = h_n . (R_r^T v)[b, r]
         rows.g_scores.append(attn * (g_attn - _last_axis_sum(attn * g_attn)))
-        _add_rows(s, _relation_keys(bag[..., 1], n_rel), bag[..., 0], rows.g_scores[-1], ent)
+        s += _sum_rows(len(s), _relation_keys(bag[..., 1], n_rel), bag[..., 0], rows.g_scores[-1], ent)
     rows.s = s.reshape(len(rows.g_u), n_rel * d)
     # score = v . (R_r h): dv = sum_r R_r S[b, r] (and dR_r = sum_b v_b S[b, r]^T in the reduce)
     rows.g_v += _rows_matmul(rows.s, rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d))
@@ -593,24 +591,28 @@ def _row_grads(params, bags, hp, trace, g_logit):
 
 
 def _reduce(params, bags, hp, trace, rows):
-    """Every sum over the batch of the backward, from its ``rows`` (:func:`_row_grads`), into ``params.grads``.
+    """Every sum over the batch of the backward, from its ``rows`` (:func:`_row_grads`): the batch's gradients.
 
-    The parameter products run first; then ``rows`` drops ``s``, ``g_pre``
-    and ``g_taste``, which the entity scatter does not read.
+    A new array per tensor of ``params.values``, in its order, shape and
+    dtype; zeros for a tensor the mode does not reach.  The parameter
+    products run first; then ``rows`` drops ``s``, ``g_pre`` and
+    ``g_taste``, which the entity scatter does not read.
     """
-    grads = params.grads
+    values = params.values
     u = trace.u_rep
-    n_rel, d, _ = params.values["relation_mat"].shape
-    for level in range(hp.conv_layers):
-        grads["conv_w"][level] += rows.g_pre[level].reshape(-1, d).T @ trace.tree_in[level].reshape(-1, d)
-        grads["conv_b"][level] += rows.g_pre[level].sum(axis=(0, 1))
+    n_rel, d, _ = values["relation_mat"].shape
+    grads = {}
     if hp.conv_layers:
-        grads["relation_vec"] += rows.g_taste.T @ u
+        grads["conv_w"] = np.stack([g_pre.reshape(-1, d).T @ tree_in.reshape(-1, d)
+                                    for g_pre, tree_in in zip(rows.g_pre, trace.tree_in)])
+        grads["conv_b"] = np.stack([g_pre.sum(axis=(0, 1)) for g_pre in rows.g_pre])
+        grads["relation_vec"] = rows.g_taste.T @ u
     if hp.user_table:
-        _add_rows(grads["user_emb"], bags.users, np.arange(len(u)), np.ones(len(u), u.dtype), rows.g_u)
+        grads["user_emb"] = _sum_rows(len(values["user_emb"]), bags.users, np.arange(len(u)),
+                                      np.ones(len(u), u.dtype), rows.g_u)
     else:
-        grads["fusion_w"][0] += rows.g_u.T @ trace.fusion_in
-        grads["relation_mat"] += (trace.v.T @ rows.s).reshape(d, n_rel, d).transpose(1, 0, 2)
+        grads["fusion_w"] = (rows.g_u.T @ trace.fusion_in)[None]
+        grads["relation_mat"] = (trace.v.T @ rows.s).reshape(d, n_rel, d).transpose(1, 0, 2)
     rows.s = rows.g_pre = rows.g_taste = None
 
     terms = _RowTerms()
@@ -626,42 +628,42 @@ def _reduce(params, bags, hp, trace, rows):
             terms.add(bag[..., 2], g_col + np.arange(len(bag))[:, None], attn)
             terms.add(bag[..., 0], rt_col + _relation_keys(bag[..., 1], n_rel), g_scores)
     terms.add_unit(bags.v_idx, rows.g_v)
-    terms.scatter(grads["entity_emb"])
+    grads["entity_emb"] = terms.scatter(len(values["entity_emb"]))
+    return {name: grads[name] if name in grads else np.zeros_like(value) for name, value in values.items()}
 
 
 def _backward(params, bags, hp, trace, g_logit):
-    """Gradients of the batch into ``params.grads`` from dloss/dlogit: :func:`_row_grads`, then :func:`_reduce`."""
-    _reduce(params, bags, hp, trace, _row_grads(params, bags, hp, trace, g_logit))
+    """The batch's gradients from dloss/dlogit: :func:`_row_grads`, then :func:`_reduce`."""
+    return _reduce(params, bags, hp, trace, _row_grads(params, bags, hp, trace, g_logit))
 
 
 def forward_backward(params, bags, hp):
-    """Mean loss of the batch plus analytic gradients into ``params.grads``.
+    """``(loss, grads, trace)``: the batch's mean loss, its analytic gradients and its forward trace.
 
-    Gradient buffers must be zeroed beforehand (they accumulate).  Every
-    parameter reached by the batch receives its gradient, and embedding
-    rows the batch does not reach keep exactly zero gradient.  The
-    item-side contribution of the user representation (taste scores) is
-    chained back through the ripple path, so the user and item sides
-    train jointly.  The returned trace holds the batch's per-row state
-    (hop attention, every tree level's activations above the leaves), so
-    a training loop should drop it before its next batch.
+    ``grads`` maps every tensor name to a new array of the tensor's shape
+    and dtype (:func:`_reduce`); ``params`` is not written.  Embedding
+    rows the batch does not reach, and tensors the mode does not use,
+    have exactly zero gradient.  The item-side contribution of the user
+    representation (taste scores) is chained back through the ripple
+    path, so the user and item sides train jointly.  The trace holds the
+    batch's per-row state (hop attention, every tree level's activations
+    above the leaves), so a training loop should drop it, and the
+    gradients once it has stepped on them, before its next batch.
     """
     trace = forward(params, bags, hp)
     bad = ~np.isfinite(trace.yhat)
     if np.any(bad):
         first = int(np.argmax(bad))
-        raise FloatingPointError(
-            f"non-finite prediction for batch example {first} "
-            f"(user {bags.users[first]}, item {bags.items[first]})"
-        )
+        raise FloatingPointError(f"non-finite prediction for batch example {first} "
+                                 f"(user {bags.users[first]}, item {bags.items[first]})")
     loss = batch_loss(params, bags, hp, trace=trace)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite batch loss")
 
     y = bags.labels.astype(trace.yhat.dtype)
     inside = (trace.yhat > PROB_CLAMP) & (trace.yhat < 1.0 - PROB_CLAMP)
-    _backward(params, bags, hp, trace, (trace.yhat - y) * (1.0 / bags.size) * inside)
-    return loss, trace
+    grads = _backward(params, bags, hp, trace, (trace.yhat - y) * (1.0 / bags.size) * inside)
+    return loss, grads, trace
 
 
 def score_batch(params, records, table, ripple_sets, hp, item_entities):
@@ -782,9 +784,10 @@ def fit(dataset, kg, hp, seed=0):
             for start in range(0, len(shuffled), hp.batch_size):
                 batch = shuffled[start:start + hp.batch_size]
                 bags = assemble_batch(batch, neighbors, ripple_sets, hp, dataset.item_entities)
-                loss = forward_backward(params, bags, hp)[0]  # the trace dies here, before the next step
+                loss, grads = forward_backward(params, bags, hp)[:2]  # the trace dies here, before the next step
                 total += loss * len(batch)
-                params.adam_step(hp.lr, hp.l2_weight)
+                params.adam_step(grads, hp.lr, hp.l2_weight)
+                del grads  # and the gradients: one step's are alive at a time
         except FloatingPointError as err:
             logger.error("epoch %d diverged: %s", epoch, err)
             diverged = True
@@ -808,12 +811,11 @@ def fit(dataset, kg, hp, seed=0):
 
     # `best` is the best-validation snapshot, falling back to the initial
     # copy when no epoch completed -- the last good state in either case.
-    final = best
     test_report = None
     if len(dataset.test):
-        test_report = metrics.evaluate(final, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities,
+        test_report = metrics.evaluate(best, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities,
                                        split="test")
         test_report.seed = seed
-    return FitResult(params=final, history=history, best_epoch=best_epoch, test_report=test_report,
+    return FitResult(params=best, history=history, best_epoch=best_epoch, test_report=test_report,
                      ripple_table=ripple_sets, neighbor_table=neighbors, diverged=diverged,
                      skipped_users=skipped_users)

@@ -3,20 +3,18 @@
 import numpy as np
 
 
-def finite_diff_check(f, params, analytic=None, h=1e-5, max_coords=16, rng=None):
+def finite_diff_check(f, params, analytic, h=1e-5, max_coords=16, rng=None):
     """Max relative error between analytic gradients and central differences.
 
-    ``f`` is a scalar function of ``params`` that must not touch the
-    gradient buffers.  ``analytic`` maps tensor name to gradient array;
-    by default a copy of the store's current gradient buffers is used.
-    Up to ``max_coords`` coordinates are sampled per tensor.  The
-    relative error denominator is floored at 1e-3 so that coordinates
-    with (near-)zero true gradient compare absolutely.
+    ``f`` is a scalar function of ``params``.  ``analytic`` maps each
+    tensor name of ``params`` to its gradient array, as
+    ``forward_backward`` returns them.  Up to ``max_coords`` coordinates
+    are sampled per tensor.  The relative error denominator is floored
+    at 1e-3 so that coordinates with (near-)zero true gradient compare
+    absolutely.
 
     Meaningful in 64-bit mode only; float32 round-off swamps h = 1e-5.
     """
-    if analytic is None:
-        analytic = {name: g.copy() for name, g in params.grads.items()}
     if rng is None:
         rng = np.random.default_rng(0)
     worst = 0.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,32 +208,39 @@ def _store(**tensors):
     return store
 
 
+def _zero_grads(store):
+    return {name: np.zeros_like(value) for name, value in store.values.items()}
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
         store = _store(w=np.array([1.0, -2.0, 3.0]))
-        store.adam_step(lr=0.1, decay=0.0)
+        store.adam_step(_zero_grads(store), lr=0.1, decay=0.0)
         np.testing.assert_array_equal(store.values["w"], [1.0, -2.0, 3.0])
 
     def test_first_step_magnitude(self):
         store = _store(w=np.array([5.0]))
-        store.grads["w"][0] = 0.3
-        store.adam_step(lr=0.01, decay=0.0)
+        store.adam_step({"w": np.array([0.3])}, lr=0.01, decay=0.0)
         # bias-corrected first step moves by ~lr against the gradient sign
         assert store.values["w"][0] == pytest.approx(5.0 - 0.01, abs=1e-6)
 
-    def test_grads_zeroed_after_step(self):
-        store = _store(w=np.array([1.0]))
-        store.grads["w"][0] = 1.0
-        store.adam_step(lr=0.1, decay=0.0)
-        assert store.grads["w"][0] == 0.0
+    @pytest.mark.parametrize("beta, got", [
+        (None, "none"), (np.zeros(3), "shape (3,), float64"), (np.zeros((2, 1)), "shape (2, 1), float64"),
+        (np.zeros(2, np.float32), "shape (2,), float32"),
+    ], ids=["missing", "shape", "rank", "dtype"])
+    def test_bad_gradient_names_tensor_and_moves_nothing(self, beta, got):
+        store = _store(alpha=np.array([1.0]), beta=np.array([2.0, 3.0]))
+        grads = {"alpha": np.zeros(1)} if beta is None else {"alpha": np.zeros(1), "beta": beta}
+        with pytest.raises(ValueError, match=re.escape(f"'beta': expected shape (2,), float64, got {got}")):
+            store.adam_step(grads, lr=0.1, decay=0.5)
+        assert store.values["alpha"].tobytes() == np.array([1.0]).tobytes() and store._adam_t == 0
 
     def test_deterministic_trajectory(self):
         def run():
             store = _store(w=np.arange(4.0))
             rng = np.random.default_rng(5)
             for _ in range(20):
-                store.grads["w"][...] = rng.normal(size=4)
-                store.adam_step(lr=0.05, decay=0.0)
+                store.adam_step({"w": rng.normal(size=4)}, lr=0.05, decay=0.0)
             return store.values["w"].copy()
 
         np.testing.assert_array_equal(run(), run())
@@ -248,8 +256,9 @@ class TestAdam:
         start = store.values["emb"].copy()
         want = start[0::2].copy()
         for _ in range(k):
-            store.grads["emb"][1::2] = rng.normal(size=(3, 4))
-            store.adam_step(lr, decay)
+            grads = _zero_grads(store)
+            grads["emb"][1::2] = rng.normal(size=(3, 4))
+            store.adam_step(grads, lr, decay)
             want *= 1.0 - lr * decay
         got = store.values["emb"]
         assert got.dtype == dtype
@@ -258,9 +267,10 @@ class TestAdam:
 
     def test_nonfinite_gradient_names_tensor(self):
         store = _store(alpha=np.array([1.0]), beta=np.array([2.0]))
-        store.grads["beta"][0] = np.nan
+        grads = _zero_grads(store)
+        grads["beta"][0] = np.nan
         with pytest.raises(FloatingPointError, match="beta"):
-            store.adam_step(lr=0.1, decay=0.0)
+            store.adam_step(grads, lr=0.1, decay=0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_temporary_per_term_update(self, dtype):
@@ -283,10 +293,17 @@ class TestAdam:
         value, grad = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         stores = [_store(w=value), _store(w=np.asfortranarray(value))]
         for store in stores:
-            store.grads["w"][...] = grad
-            store.adam_step(lr=0.1, decay=0.0)
+            store.adam_step({"w": grad}, lr=0.1, decay=0.0)
         assert stores[1].values["w"].tobytes() == stores[0].values["w"].tobytes()
         assert not np.array_equal(stores[0].values["w"], value)
+
+    def test_strided_gradient_steps_like_contiguous(self):
+        rng = np.random.default_rng(6)
+        value, grad = rng.normal(size=(3, 4, 4)), rng.normal(size=(4, 3, 4))
+        stores = [_store(w=value), _store(w=value)]
+        stores[0].adam_step({"w": np.ascontiguousarray(grad.transpose(1, 0, 2))}, lr=0.1, decay=0.5)
+        stores[1].adam_step({"w": grad.transpose(1, 0, 2)}, lr=0.1, decay=0.5)
+        assert stores[1].values["w"].tobytes() == stores[0].values["w"].tobytes()
 
 
 class TestCopy:
@@ -295,35 +312,30 @@ class TestCopy:
         source = ParamStore(dtype=np.float32)
         source.add("emb", rng.normal(size=(6, 4)))
         source.add("bias", rng.normal(size=3))
-        for grad in source.grads.values():
-            grad[...] = rng.normal(size=grad.shape)
-        source.adam_step(lr=0.1, decay=0.5)  # the source now carries Adam moments and a step count
-        for grad in source.grads.values():
-            grad[...] = rng.normal(size=grad.shape)
+        grads = {name: rng.normal(size=v.shape).astype(np.float32) for name, v in source.values.items()}
+        source.adam_step(grads, lr=0.1, decay=0.5)  # the source now carries Adam moments and a step count
         copy = source.copy()
         fresh = ParamStore(dtype=np.float32)
         for name, value in source.values.items():
             fresh.add(name, value)
         assert copy.dtype == source.dtype and copy.names() == source.names()
+        assert not hasattr(copy, "grads")  # a snapshot holds values alone
         for name, value in source.values.items():
             assert copy.values[name].dtype == value.dtype
             assert copy.values[name].tobytes() == value.tobytes(), name
             assert not np.shares_memory(copy.values[name], value), name
-            assert not np.shares_memory(copy.grads[name], source.grads[name]), name
-            assert not np.any(copy.grads[name]), name
         # no Adam state: the copy's first step is a fresh store's first step
+        grads = {name: rng.normal(size=v.shape).astype(np.float32) for name, v in source.values.items()}
         for store in (copy, fresh):
-            for name, grad in store.grads.items():
-                grad[...] = source.grads[name]
-            store.adam_step(lr=0.1, decay=0.5)
+            store.adam_step(grads, lr=0.1, decay=0.5)
         for name in source.names():
             assert copy.values[name].tobytes() == fresh.values[name].tobytes(), name
 
 
-def _reference_adam_step(store, m, s, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
+def _reference_adam_step(store, grads, m, s, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
     """The update as one expression per line, every term a new array."""
     for name, v in store.values.items():
-        g = store.grads[name]
+        g = grads[name]
         m[name] *= b1
         m[name] += (1.0 - b1) * g
         s[name] *= b2
@@ -332,7 +344,6 @@ def _reference_adam_step(store, m, s, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
         s_hat = s[name] / (1.0 - b2 ** t)
         v *= 1.0 - lr * decay
         v -= lr * m_hat / (np.sqrt(s_hat) + eps)
-        g.fill(0.0)
 
 
 def _assert_steps_match_per_term_update(init, dtype, decay, steps, rng):
@@ -345,20 +356,21 @@ def _assert_steps_match_per_term_update(init, dtype, decay, steps, rng):
     m = {name: np.zeros_like(v) for name, v in want.values.items()}
     s = {name: np.zeros_like(v) for name, v in want.values.items()}
     for t in range(1, steps + 1):
+        grads = {}
         for name, v in want.values.items():
             g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape)
             if v.ndim > 1:
                 g[rng.random(len(g)) < 0.5] = 0.0  # rows the batch did not reach
-            got.grads[name][...] = g
-            want.grads[name][...] = g
-        got.adam_step(lr=0.03, decay=decay)
-        _reference_adam_step(want, m, s, t, lr=0.03, decay=decay)
+            grads[name] = g.astype(dtype)
+        sent = {name: g.tobytes() for name, g in grads.items()}
+        got.adam_step(grads, lr=0.03, decay=decay)
+        _reference_adam_step(want, grads, m, s, t, lr=0.03, decay=decay)
         for name in init:
             assert got.values[name].dtype == dtype
             assert got.values[name].tobytes() == want.values[name].tobytes(), (decay, t, name)
             assert got._adam_m[name].tobytes() == m[name].tobytes(), (decay, t, name)
             assert got._adam_v[name].tobytes() == s[name].tobytes(), (decay, t, name)
-            assert not got.grads[name].any()
+            assert grads[name].tobytes() == sent[name], (decay, t, name)
 
 
 class TestFiniteDiff:
@@ -368,8 +380,7 @@ class TestFiniteDiff:
         def f(p):
             return 0.5 * float(np.sum(p.values["x"] ** 2))
 
-        store.grads["x"][...] = store.values["x"]
-        assert finite_diff_check(f, store) < 1e-8
+        assert finite_diff_check(f, store, {"x": store.values["x"].copy()}) < 1e-8
 
     def test_sigmoid_at_zero_weight(self):
         x = np.array([0.4, -0.7, 1.1])
@@ -378,8 +389,7 @@ class TestFiniteDiff:
         def f(p):
             return float(sigmoid(float(p.values["w"] @ x)))
 
-        store.grads["w"][...] = x / 4.0  # logistic slope at 0 is 1/4
-        assert finite_diff_check(f, store) < 1e-8
+        assert finite_diff_check(f, store, {"w": x / 4.0}) < 1e-8  # logistic slope at 0 is 1/4
 
     def test_detects_wrong_gradient(self):
         store = _store(x=np.array([1.0, 2.0]))
@@ -387,8 +397,7 @@ class TestFiniteDiff:
         def f(p):
             return float(np.sum(p.values["x"] ** 2))
 
-        store.grads["x"][...] = store.values["x"]  # true gradient is 2x
-        assert finite_diff_check(f, store) > 0.1
+        assert finite_diff_check(f, store, {"x": store.values["x"].copy()}) > 0.1  # true gradient is 2x
 
 
 class TestSnapshotIO:

@@ -195,7 +195,6 @@ class TestEvaluate:
 
         # untraced first: the first step imports scipy.sparse, which is no part of a step's own peak
         ripplerec.model.forward_backward(params, bags, hp)
-        params.zero_grads()
         step = peak(lambda: ripplerec.model.forward_backward(params, bags, hp))
         scoring = peak(lambda: evaluate(params, records, neighbors, ripple_sets, hp, dataset.item_entities))
         assert scoring < 2.0 * step, f"evaluate peaked at {scoring / step:.2f}x one train step"

@@ -374,9 +374,7 @@ class TestForwardBackward:
         )
 
         def grads_for(bags):
-            params.zero_grads()
-            forward_backward(params, bags, hp)
-            return {k: v.copy() for k, v in params.grads.items()}
+            return forward_backward(params, bags, hp)[1]
 
         g1 = grads_for(single)
         g2 = grads_for(double)
@@ -387,15 +385,13 @@ class TestForwardBackward:
     def test_untouched_rows_zero_gradient(self, tiny_data, l2_weight):
         hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1, l2_weight=l2_weight)
         params, bags = _tiny_batch(tiny_data, hp, n=4)
-        params.zero_grads()
-        forward_backward(params, bags, hp)
+        grad = forward_backward(params, bags, hp)[1]["entity_emb"]
         touched = set(bags.v_idx.tolist())
         for bag in bags.hop_bags:
             touched |= set(bag[..., 0].reshape(-1).tolist())
             touched |= set(bag[..., 2].reshape(-1).tolist())
         for ents in bags.tree_ents:
             touched |= set(ents.reshape(-1).tolist())
-        grad = params.grads["entity_emb"]
         untouched = sorted(set(range(grad.shape[0])) - touched)
         assert untouched, "fixture too small: every entity was touched"
         np.testing.assert_array_equal(grad[untouched], 0.0)
@@ -431,9 +427,8 @@ class TestForwardBackward:
         kw.update(variant)
         hp = hp64(**kw)
         params, bags = _tiny_batch(tiny_data, hp, n=6)
-        params.zero_grads()
-        forward_backward(params, bags, hp)
-        err = finite_diff_check(lambda p: batch_loss(p, bags, hp), params,
+        analytic = forward_backward(params, bags, hp)[1]
+        err = finite_diff_check(lambda p: batch_loss(p, bags, hp), params, analytic,
                                 max_coords=8, rng=np.random.default_rng(0))
         assert err < 1e-4, f"variant {variant}: max rel err {err}"
 
@@ -441,9 +436,8 @@ class TestForwardBackward:
         hp = hp64(hops=1, ripple_size=4, neighbor_size=2, conv_layers=1, l2_weight=0.0)
         params, bags = _tiny_batch(tiny_data, hp, n=4)
         params.values["fusion_w"][...] = 0.0
-        params.zero_grads()
-        forward_backward(params, bags, hp)
-        err = finite_diff_check(lambda p: batch_loss(p, bags, hp), params,
+        analytic = forward_backward(params, bags, hp)[1]
+        err = finite_diff_check(lambda p: batch_loss(p, bags, hp), params, analytic,
                                 max_coords=8, rng=np.random.default_rng(1))
         assert err < 1e-4
 
@@ -622,7 +616,7 @@ def _rows_item_backward(params, bags, hp, trace, g_i, grads, g_v, g_u, ent_rows)
 
 
 def _rows_backward(params, bags, hp, trace, g_logit):
-    grads = params.grads
+    grads = {name: np.zeros_like(value) for name, value in params.values.items()}
     g_u = g_logit[:, None] * trace.i_rep
     g_i = g_logit[:, None] * trace.u_rep
     g_v = np.zeros_like(trace.v)
@@ -634,6 +628,7 @@ def _rows_backward(params, bags, hp, trace, g_logit):
     _rows_scatter(grads["entity_emb"],
                   np.concatenate([idx.reshape(-1) for idx, _ in ent_rows]),
                   np.concatenate([rows.reshape(-1, d) for _, rows in ent_rows]))
+    return grads
 
 
 # -- reference forward: einsum over gathered rows ------------------------------
@@ -701,9 +696,7 @@ def _grads_against_rows_backward(params, bags, hp, monkeypatch):
     """Gradients of the model's backward and of ``_rows_backward`` on the same forward."""
 
     def run():
-        params.zero_grads()
-        forward_backward(params, bags, hp)
-        return {name: g.copy() for name, g in params.grads.items()}
+        return forward_backward(params, bags, hp)[1]
 
     got = run()
     calls = []
@@ -757,9 +750,8 @@ class TestFusedBackwardOracle:
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
 
         def run():
-            params.zero_grads()
-            loss, trace = forward_backward(params, bags, hp)
-            return loss, trace, {name: g.copy() for name, g in params.grads.items()}
+            loss, grads, trace = forward_backward(params, bags, hp)
+            return loss, trace, grads
 
         loss, trace, got = run()
         monkeypatch.setattr(ripplerec.model, "_user_forward", _ref_user_forward)
@@ -848,8 +840,8 @@ class TestFusedBackwardOracle:
         src = rng.normal(size=(12, 5)).astype(dtype)
         got = np.zeros((50, 5), dtype=dtype)
         want = np.zeros((50, 5), dtype=dtype)
-        for _ in range(2):  # accumulates into what is there
-            ripplerec.model._add_rows(got, rows, cols, weights, src)
+        for _ in range(2):  # added to what is there, as the hop loop adds each hop's sum
+            got += ripplerec.model._sum_rows(len(got), rows, cols, weights, src)
             _ref_scatter_rows(want, rows, weights[..., None] * src[cols])
         assert got.dtype == dtype
         np.testing.assert_allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12)
@@ -974,9 +966,7 @@ class TestPadColumn:
 
         def run():
             yhat = forward(params, bags, hp).yhat
-            params.zero_grads()
-            forward_backward(params, bags, hp)
-            return yhat, {name: g.copy() for name, g in params.grads.items()}
+            return yhat, forward_backward(params, bags, hp)[1]
 
         got_yhat, got = run()
         calls = []
@@ -1020,9 +1010,7 @@ class TestPrecisionAgreement:
         grads = {}
         for precision in ("f32", "f64"):
             hp, params, bags = _oracle_batch(many_relation_data, variant, precision)
-            params.zero_grads()
-            forward_backward(params, bags, hp)
-            grads[precision] = params.grads
+            grads[precision] = forward_backward(params, bags, hp)[1]
         for name, g64 in grads["f64"].items():
             g32 = grads["f32"][name]
             assert g32.dtype == np.float32 and g64.dtype == np.float64, name
@@ -1100,17 +1088,15 @@ class TestScoreBatch:
 # concatenated them as int64 and left the int32 conversion to scipy.
 
 
-def _concatenating_scatter(terms, grad):
+def _concatenating_scatter(terms, num_rows):
     rows = np.concatenate([r.reshape(-1) for r, _, _ in terms.entries])
     cols = np.concatenate([np.broadcast_to(c, w.shape).reshape(-1) for _, c, w in terms.entries])
     weights = np.concatenate([w.reshape(-1) for _, _, w in terms.entries])
-    ripplerec.model._add_rows(grad, rows, cols, weights, np.concatenate(terms.sources))
+    return ripplerec.model._sum_rows(num_rows, rows, cols, weights, np.concatenate(terms.sources))
 
 
 def _grads(params, bags, hp):
-    params.zero_grads()
-    forward_backward(params, bags, hp)
-    return {name: g.copy() for name, g in params.grads.items()}
+    return forward_backward(params, bags, hp)[1]
 
 
 class TestRowTermsScatter:
@@ -1118,7 +1104,7 @@ class TestRowTermsScatter:
         got = _grads(params, bags, hp)
         calls = []
         monkeypatch.setattr(ripplerec.model._RowTerms, "scatter",
-                            lambda terms, grad: calls.append(1) or _concatenating_scatter(terms, grad))
+                            lambda terms, num_rows: calls.append(1) or _concatenating_scatter(terms, num_rows))
         want = _grads(params, bags, hp)
         assert calls, "the reference scatter did not run"
         assert np.any(want["entity_emb"] != 0.0)
@@ -1144,25 +1130,25 @@ class TestRowTermsScatter:
         hp = hp64(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0)
         bags = assemble_batch(dataset.train[:n], *tables(kg, dataset, hp), hp, dataset.item_entities)
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
-        real_add_rows = ripplerec.model._add_rows
-        seen = []
+        real_sum_rows = ripplerec.model._sum_rows
+        seen = []  # every sum of the step: the hop sums, then the entity scatter, the backward's last
 
-        def recording_add_rows(grad, rows, cols, weights, src):
-            if grad is params.grads["entity_emb"]:
-                seen.append((rows.dtype, cols.dtype, len(grad), len(src)))
-            real_add_rows(grad, rows, cols, weights, src)
+        def recording_sum_rows(num_rows, rows, cols, weights, src):
+            seen.append((rows.dtype, cols.dtype, num_rows, len(src)))
+            return real_sum_rows(num_rows, rows, cols, weights, src)
 
-        monkeypatch.setattr(ripplerec.model, "_add_rows", recording_add_rows)
+        monkeypatch.setattr(ripplerec.model, "_sum_rows", recording_sum_rows)
         want = _grads(params, bags, hp)
-        (rows_dtype, cols_dtype, grad_rows, src_rows), = seen
+        rows_dtype, cols_dtype, grad_rows, src_rows = seen[-1]
+        assert grad_rows == kg.num_entities
         assert rows_dtype == cols_dtype == np.int32
         assert (grad_rows > src_rows) == (n == 4)
         # the larger of the two counts reaching the limit switches both index arrays to int64
         for limit, index in ((max(grad_rows, src_rows) + 1, np.int32), (max(grad_rows, src_rows), np.int64)):
             seen.clear()
-            monkeypatch.setattr(ripplerec.model, "INDEX_LIMIT", limit)
+            monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", limit)
             got = _grads(params, bags, hp)
-            assert seen[0][:2] == (index, index), limit
+            assert seen[-1][:2] == (index, index), limit
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (limit, name)
 
@@ -1220,13 +1206,12 @@ class TestTwoStageBackward:
         want, (_, _, _, trace, g_logit) = _backward_args(params, bags, hp, monkeypatch)
         n = bags.size
         for c in sorted({1, n // 2, n - 1}):
-            params.zero_grads()
             halves = (slice(0, c), slice(c, n))
             rows = _join([ripplerec.model._row_grads(params, _cut(bags, h), hp, _cut(trace, h), g_logit[h])
                           for h in halves])
-            ripplerec.model._reduce(params, bags, hp, trace, rows)
+            grads = ripplerec.model._reduce(params, bags, hp, trace, rows)
             for name in want:
-                got = params.grads[name]
+                got = grads[name]
                 assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), (c, name)
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -1250,11 +1235,8 @@ class TestTwoStageBackward:
         trace = forward(params, bags, hp)
         values = {name: v.tobytes() for name, v in params.values.items()}
         held = (_array_bytes(trace), _array_bytes(bags))
-        params.zero_grads()
         rows = ripplerec.model._row_grads(params, bags, hp, trace, trace.yhat - bags.labels.astype(hp.dtype))
         assert np.any(rows.g_u != 0.0)
-        for name, grad in params.grads.items():
-            assert not np.any(grad), name
         assert {name: v.tobytes() for name, v in params.values.items()} == values
         assert (_array_bytes(trace), _array_bytes(bags)) == held
 
@@ -1275,12 +1257,48 @@ class TestTwoStageBackward:
         assert len(counts) == 2 and {dtype for _, dtype in seen} == {np.dtype(np.int32)}  # hop and tree keys
         for limit in (counts[0], counts[0] + 1, counts[1], counts[1] + 1):
             seen.clear()
-            monkeypatch.setattr(ripplerec.model, "INDEX_LIMIT", limit)
+            monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", limit)
             got = _grads(params, bags, hp)
             assert {dtype for count, dtype in seen if count >= limit} <= {np.dtype(np.int64)}, limit
             assert {dtype for count, dtype in seen if count < limit} <= {np.dtype(np.int32)}, limit
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (limit, name)
+
+class TestStepGradients:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=ORACLE_IDS)
+    def test_one_new_array_per_tensor(self, many_relation_data, variant, precision):
+        hp, params, bags = _oracle_batch(many_relation_data, variant, precision)
+        grads = forward_backward(params, bags, hp)[1]
+        assert list(grads) == list(params.values)
+        unreached = ({"relation_mat", "fusion_w"} if hp.user_table else set()) | (
+            set() if hp.conv_layers else {"relation_vec"})
+        for name, value in params.values.items():
+            assert grads[name].shape == value.shape and grads[name].dtype == value.dtype, name
+            assert not np.shares_memory(grads[name], value), name
+            assert np.any(grads[name] != 0.0) == (name not in unreached), name
+
+    @pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=ORACLE_IDS)
+    def test_two_calls_same_bytes_and_no_side_effect(self, many_relation_data, variant):
+        hp, params, bags = _oracle_batch(many_relation_data, variant, "f32")
+        values = {name: v.tobytes() for name, v in params.values.items()}
+        first = forward_backward(params, bags, hp)[1]
+        second = forward_backward(params, bags, hp)[1]
+        for name in values:
+            assert first[name].tobytes() == second[name].tobytes(), name
+            assert not np.shares_memory(first[name], second[name]), name
+        assert {name: v.tobytes() for name, v in params.values.items()} == values
+        assert not hasattr(params, "grads")
+
+    def test_entity_gradient_dies_with_the_callers_dict(self, many_relation_data):
+        hp, params, bags = _oracle_batch(many_relation_data, {}, "f32")
+        grads = forward_backward(params, bags, hp)[1]
+        ref = weakref.ref(grads["entity_emb"])
+        params.adam_step(grads, hp.lr, hp.l2_weight)
+        assert ref() is not None
+        del grads
+        assert ref() is None, "a step's entity gradient outlived the step"
+
 
 class TestFit:
     def _hp(self, **kw):
@@ -1323,15 +1341,15 @@ class TestFit:
         kg, dataset = tiny_data
         real_forward_backward = ripplerec.model.forward_backward
         real_evaluate = ripplerec.metrics.evaluate
-        traces = []  # a weak reference to every trace forward_backward returned
-        alive_at_step = []  # per call: traces still alive when it starts
+        traces = []  # a weak reference to every trace, and entity gradient, forward_backward returned
+        alive_at_step = []  # per call: traces and gradients still alive when it starts
         alive_at_evaluate = []
 
         def recording_forward_backward(*args, **kw):
             alive_at_step.append(sum(ref() is not None for ref in traces))
-            loss, trace = real_forward_backward(*args, **kw)
-            traces.append(weakref.ref(trace))
-            return loss, trace
+            loss, grads, trace = real_forward_backward(*args, **kw)
+            traces.extend([weakref.ref(trace), weakref.ref(grads["entity_emb"])])
+            return loss, grads, trace
 
         def recording_evaluate(*args, **kw):
             alive_at_evaluate.append(sum(ref() is not None for ref in traces))
@@ -1341,8 +1359,8 @@ class TestFit:
         monkeypatch.setattr(ripplerec.metrics, "evaluate", recording_evaluate)
         fit(dataset, kg, self._hp(batch_size=16, epochs=2), seed=3)
         assert len(alive_at_step) > 2 * 2 and len(alive_at_evaluate) == 2 + 1  # val per epoch, test
-        assert alive_at_step == [0] * len(alive_at_step), "a step started while an earlier trace was alive"
-        assert alive_at_evaluate == [0] * len(alive_at_evaluate), "evaluate ran while a step's trace was alive"
+        assert alive_at_step == [0] * len(alive_at_step), "a step started while an earlier step's arrays were alive"
+        assert alive_at_evaluate == [0] * len(alive_at_evaluate), "evaluate ran while a step's arrays were alive"
 
     def test_zero_epochs_snapshot_of_initialization(self, tiny_data):
         kg, dataset = tiny_data
