@@ -45,15 +45,17 @@ nothing it did not allocate; :func:`_reduce` then runs every sum over
 the batch and returns every tensor's gradient as a new array.  Every
 backward term is a weight per bag row times a row of a small source -- a
 per-example gradient, R_r^T v, or the embedding table itself -- so no
-per-row gradient array is built: each term is an entry of one sparse
-(COO) matrix times that source.  Per example, S[b, r] sums g_score * h
-over the hop rows of example b with relation r (one sparse product with
+per-row gradient array is built: each term is a (row, column, weight)
+entry of a sparse (COO) product with that source, added straight into
+its output (:func:`_add_rows`).  Per example, S[b, r] sums g_score * h
+over the hop rows of example b with relation r (one such sum with
 ``entity_emb`` per hop), and G[b, r] sums the tree edges' score
 gradients (one ``bincount`` over their keys, whose pad column is then
 dropped).  The reduce turns them into the ``relation_mat`` and
-``relation_vec`` gradients with one GEMM each, and sums every
-``entity_emb`` term of the batch (hop heads and tails, tree levels,
-candidates) with one sparse product over the stacked sources.
+``relation_vec`` gradients with one GEMM each, and zeroes the
+``entity_emb`` gradient once and adds each entry group of the batch
+(hop heads and tails, tree levels, candidates) into it from the group's
+own source, so no entry or source is copied into a stack.
 
 Every stage that reads a gather of embedding rows per example (hop
 scores and responses, their attention gradient, the tree aggregation
@@ -431,73 +433,84 @@ def batch_loss(params, bags, hp, trace=None):
 # -- backward ------------------------------------------------------------------
 
 
+def _add_rows(out, rows, cols, weights, src):
+    """Add weights[i] * src[cols[i]] into row rows[i] of ``out`` (num_rows, d), in entry order.
+
+    ``cols`` broadcasts against ``weights``; ``rows`` holds as many
+    entries, and ``src`` is a (n, d) table.  The kernel is the one that
+    ``coo_array((weights, (rows, cols))) @ src`` runs on a zeroed result:
+    scipy's ``coo_matmat_dense``, or on a scipy without it (1.10, say) one
+    ``coo_matvec`` per column.  So adding into zeros gives that product's
+    bytes, and adding two entry groups in turn gives the bytes of one
+    product over their concatenation.  The kernel reads contiguous
+    copies of the indices, in the :func:`~ripplerec.kg.index_dtype` of
+    ``len(out)`` and ``len(src)``, and of any weights or ``src`` that are
+    strided or not of ``out``'s dtype.  An entry outside ``out`` or
+    ``src`` raises ``ValueError``, as the COO array would.
+    """
+    from scipy.sparse import _sparsetools  # here, not at the top: only training scatters, so scoring never loads scipy
+
+    index = index_dtype(len(out), len(src))
+    rows = np.ascontiguousarray(rows, dtype=index).reshape(-1)
+    cols = np.ascontiguousarray(np.broadcast_to(cols, weights.shape), dtype=index).reshape(-1)
+    weights = np.ascontiguousarray(weights, dtype=out.dtype).reshape(-1)
+    src = np.ascontiguousarray(src, dtype=out.dtype)
+    nnz, d = len(weights), out.shape[1]
+    # the kernel reads and writes where the indices say, unchecked; a COO array checks them on construction
+    for name, idx, bound in (("row", rows, len(out)), ("column", cols, len(src))):
+        if nnz and (idx.min() < 0 or idx.max() >= bound):
+            raise ValueError(f"an entry's {name} lies outside [0, {bound})")
+    if hasattr(_sparsetools, "coo_matmat_dense"):
+        _sparsetools.coo_matmat_dense(nnz, d, rows, cols, weights, src, out)
+        return
+    # the COO product of a scipy without coo_matmat_dense: one coo_matvec per column, in entry order
+    for k in range(d):
+        column = out[:, k].copy()
+        _sparsetools.coo_matvec(nnz, rows, cols, weights, src[:, k].copy(), column)
+        out[:, k] = column
+
+
 def _sum_rows(num_rows, rows, cols, weights, src):
     """A new (num_rows, d) array whose row r sums weights[i] * src[cols[i]] over the entries i with rows[i] = r.
 
-    ``cols`` broadcasts against ``weights``; ``rows`` holds as many
-    entries.  One sparse product: a COO matrix holding weight i at
-    (rows[i], cols[i]) times the source table ``src``.  Duplicate rows
-    sum, in entry order; rows no entry names are exactly zero.
+    :func:`_add_rows` into zeros: duplicate rows sum, in entry order;
+    rows no entry names are exactly zero.
     """
-    from scipy import sparse  # here, not at the top: only training scatters, so scoring never loads scipy
-
-    cols = np.broadcast_to(cols, weights.shape)
-    coo = sparse.coo_array((weights.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
-                           shape=(num_rows, src.shape[0]))
-    return coo @ src
+    out = np.zeros((num_rows, src.shape[-1]), dtype=np.result_type(weights, src))
+    _add_rows(out, rows, cols, weights, src)
+    return out
 
 
 class _RowTerms:
-    """The ``entity_emb`` gradient of a batch as weighted rows of small sources.
+    """The ``entity_emb`` gradient of a batch as groups of weighted rows of small sources.
 
-    Backward stages stack the tables their terms read with
-    :meth:`source` and add (row, column, weight) entries with
-    :meth:`add`; :meth:`scatter` sums every entry into the gradient with
-    one :func:`_sum_rows`, in the order added.  Sources are read at
-    :meth:`scatter`, so they must not change after they are stacked.
+    Backward stages add each group of (row, column, weight) entries with
+    the table its columns index (:meth:`add`); :meth:`scatter` zeroes the
+    gradient once and adds every group into it from its own table with
+    :func:`_add_rows`, in the order added.  Tables are read at
+    :meth:`scatter`, so they must not change after they are added.
     """
 
     def __init__(self):
-        self.sources = []
-        self.entries = []
-        self.size = 0
+        self.groups = []
 
-    def source(self, src):
-        """Stack the rows of ``src`` (..., d); returns the column of its first row."""
-        flat = src.reshape(-1, src.shape[-1])
-        self.sources.append(flat)
-        self.size += len(flat)
-        return self.size - len(flat)
-
-    def add(self, rows, cols, weights):
-        """Entries as :func:`_sum_rows` takes them, ``cols`` counted in the stack."""
-        self.entries.append((rows, cols, weights))
+    def add(self, rows, cols, weights, src):
+        """Entries as :func:`_add_rows` takes them; ``cols`` index the rows of ``src`` (..., d)."""
+        self.groups.append((rows, cols, weights, src.reshape(-1, src.shape[-1])))
 
     def add_unit(self, rows, src):
         """Row i of ``src`` (rows.shape + (d,)) into rows[i]; returns its columns."""
-        cols = self.source(src) + np.arange(rows.size).reshape(rows.shape)
-        self.add(rows, cols, np.ones(rows.shape, dtype=src.dtype))
+        cols = np.arange(rows.size).reshape(rows.shape)
+        self.add(rows, cols, np.ones(rows.shape, dtype=src.dtype), src)
         return cols
 
     def scatter(self, num_rows):
-        """The (num_rows, d) sum of every entry: one index array each for rows and columns, written in place.
-
-        The indices have the :func:`~ripplerec.kg.index_dtype` of the row
-        and column counts (int32, the type scipy would convert them to).
-        """
-        size = sum(weights.size for _, _, weights in self.entries)
-        index = index_dtype(num_rows, self.size)
-        rows = np.empty(size, dtype=index)
-        cols = np.empty(size, dtype=index)
-        weights = np.empty(size, dtype=np.result_type(*(entry[2] for entry in self.entries)))
-        lo = 0
-        for entry_rows, entry_cols, entry_weights in self.entries:
-            hi = lo + entry_weights.size
-            rows[lo:hi].reshape(entry_rows.shape)[...] = entry_rows
-            cols[lo:hi].reshape(entry_weights.shape)[...] = entry_cols
-            weights[lo:hi].reshape(entry_weights.shape)[...] = entry_weights
-            lo = hi
-        return _sum_rows(num_rows, rows, cols, weights, np.concatenate(self.sources))
+        """The (num_rows, d) sum of every group: one zeroed array, each group added into it in turn."""
+        src = self.groups[0][3]
+        out = np.zeros((num_rows, src.shape[1]), dtype=src.dtype)
+        for group in self.groups:
+            _add_rows(out, *group)
+        return out
 
 
 @dataclass
@@ -619,14 +632,12 @@ def _reduce(params, bags, hp, trace, rows):
     for level in range(hp.conv_layers):
         node_cols = terms.add_unit(bags.tree_ents[level], rows.g_mixed[level])
     if hp.conv_layers:  # leaf c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
-        terms.add(bags.tree_ents[-1], node_cols[..., None], trace.tree_alpha[-1])
+        terms.add(bags.tree_ents[-1], node_cols[..., None], trace.tree_alpha[-1], rows.g_mixed[-1])
     if not hp.user_table:
-        rt_col = terms.source(trace.rt_v_all)
-        g_col = terms.source(rows.g_fused)
         for bag, attn, g_scores in zip(bags.hop_bags, trace.hop_attn, rows.g_scores):
             # tails against the rows of g_fused, then heads against the R_r^T v rows
-            terms.add(bag[..., 2], g_col + np.arange(len(bag))[:, None], attn)
-            terms.add(bag[..., 0], rt_col + _relation_keys(bag[..., 1], n_rel), g_scores)
+            terms.add(bag[..., 2], np.arange(len(bag))[:, None], attn, rows.g_fused)
+            terms.add(bag[..., 0], _relation_keys(bag[..., 1], n_rel), g_scores, trace.rt_v_all)
     terms.add_unit(bags.v_idx, rows.g_v)
     grads["entity_emb"] = terms.scatter(len(values["entity_emb"]))
     return {name: grads[name] if name in grads else np.zeros_like(value) for name, value in values.items()}

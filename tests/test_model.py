@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 import ripplerec as rr
 import ripplerec.model
@@ -1082,21 +1084,109 @@ class TestScoreBatch:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
-# -- reference entity scatter: entries flattened and concatenated ---------------
-# Before the entries were written into one preallocated int32 array each,
-# scatter flattened every entry (a copy for each broadcast or strided one),
-# concatenated them as int64 and left the int32 conversion to scipy.
+# -- reference entity scatter: every group stacked into one COO product --------
+# Before each entry group was added straight into the gradient, scatter wrote
+# every entry into one index array each, with its columns counted in one stack
+# of every group's table, and ran one public COO product over that stack.
 
 
 def _concatenating_scatter(terms, num_rows):
-    rows = np.concatenate([r.reshape(-1) for r, _, _ in terms.entries])
-    cols = np.concatenate([np.broadcast_to(c, w.shape).reshape(-1) for _, c, w in terms.entries])
-    weights = np.concatenate([w.reshape(-1) for _, _, w in terms.entries])
-    return ripplerec.model._sum_rows(num_rows, rows, cols, weights, np.concatenate(terms.sources))
+    lo = np.cumsum([0] + [len(src) for *_, src in terms.groups])
+    rows = np.concatenate([r.reshape(-1) for r, _, _, _ in terms.groups])
+    cols = np.concatenate([(np.broadcast_to(c, w.shape) + at).reshape(-1)
+                           for (_, c, w, _), at in zip(terms.groups, lo)])
+    weights = np.concatenate([w.reshape(-1) for _, _, w, _ in terms.groups])
+    coo = sparse.coo_array((weights, (rows, cols)), shape=(num_rows, lo[-1]))
+    return coo @ np.concatenate([src for *_, src in terms.groups])
 
 
 def _grads(params, bags, hp):
     return forward_backward(params, bags, hp)[1]
+
+
+def _record_kernel(monkeypatch):
+    """Wrap the scipy kernel ``_add_rows`` runs on; returns a list of (rows dtype, cols dtype, output rows, table rows) per call.
+
+    ``coo_matmat_dense`` takes (nnz, d, rows, cols, weights, src, out) and
+    the per-column fallback's ``coo_matvec`` (nnz, rows, cols, weights,
+    src column, out column), so both end in the same five arrays.
+    """
+    name = "coo_matmat_dense" if hasattr(_sparsetools, "coo_matmat_dense") else "coo_matvec"
+    real, seen = getattr(_sparsetools, name), []
+
+    def recording(*args):
+        rows, cols, _, src, out = args[-5:]
+        seen.append((rows.dtype, cols.dtype, len(out), len(src)))
+        return real(*args)
+
+    monkeypatch.setattr(_sparsetools, name, recording)
+    return seen
+
+
+@pytest.fixture(params=["coo_matmat_dense", "per_column"])
+def add_rows_kernel(request, monkeypatch):
+    """Run ``_add_rows`` on scipy's ``coo_matmat_dense`` or on its per-column fallback; returns the kernel record."""
+    if request.param == "per_column":
+        monkeypatch.delattr(_sparsetools, "coo_matmat_dense", raising=False)
+    elif not hasattr(_sparsetools, "coo_matmat_dense"):
+        pytest.skip("this scipy has no coo_matmat_dense")
+    return _record_kernel(monkeypatch)
+
+
+def _entries(seed, dtype, index, src_rows=12):
+    """210 entries into 40 of 50 rows (duplicates and untouched rows), each of ``src_rows`` read many times."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 40, size=(30, 7)).astype(index)
+    cols = rng.integers(0, src_rows, size=(30, 7)).astype(index)
+    return rows, cols, rng.normal(size=(30, 7)).astype(dtype), rng.normal(size=(src_rows, 5)).astype(dtype)
+
+
+def _coo_product(num_rows, rows, cols, weights, src):
+    return sparse.coo_array((weights.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
+                            shape=(num_rows, len(src))) @ src
+
+
+class TestAddRows:
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_one_coo_product(self, add_rows_kernel, dtype, index, monkeypatch):
+        rows, cols, weights, src = _entries(0, dtype, index)
+        want = _coo_product(50, rows, cols, weights, src)
+        if index == np.int64:  # every count at the limit: the kernel reads int64 indices
+            monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", 1)
+        got = np.zeros((50, 5), dtype=dtype)
+        ripplerec.model._add_rows(got, rows, cols, weights, src)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert add_rows_kernel and {dt for call in add_rows_kernel for dt in call[:2]} == {np.dtype(index)}
+        assert len(np.unique(rows)) < rows.size
+        untouched = sorted(set(range(50)) - set(rows.reshape(-1).tolist()))
+        assert len(untouched) >= 10
+        assert got[untouched].tobytes() == np.zeros((len(untouched), 5), dtype).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_groups_give_the_bytes_of_their_concatenation(self, add_rows_kernel, dtype):
+        first = _entries(1, dtype, np.int32)
+        second = _entries(2, dtype, np.int32, src_rows=9)
+        # one product over both groups, the second's columns counted after the first table
+        want = _coo_product(50, np.concatenate([first[0], second[0]]),
+                            np.concatenate([first[1], second[1] + len(first[3])]),
+                            np.concatenate([first[2], second[2]]), np.concatenate([first[3], second[3]]))
+        got = np.zeros((50, 5), dtype=dtype)
+        for group in (first, second):
+            ripplerec.model._add_rows(got, *group)
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(want, _coo_product(50, *first))
+
+    @pytest.mark.parametrize("where", ["row", "column"])
+    @pytest.mark.parametrize("bad", [-1, "len"])
+    def test_entry_outside_raises_and_adds_nothing(self, where, bad):
+        rows, cols, weights, src = _entries(0, np.float64, np.int32)
+        idx = rows if where == "row" else cols
+        idx[3, 2] = -1 if bad == -1 else (50 if where == "row" else len(src))
+        out = np.zeros((50, 5))
+        with pytest.raises(ValueError, match=f"{where} lies outside"):
+            ripplerec.model._add_rows(out, rows, cols, weights, src)
+        assert not np.any(out)
 
 
 class TestRowTermsScatter:
@@ -1123,35 +1213,67 @@ class TestRowTermsScatter:
         hp, params, bags = _pad_heavy_batch(tmp_path, conv_layers, precision)
         self._assert_same_bytes_as_concatenating(params, bags, hp, monkeypatch)
 
-    # 4 examples stack fewer source rows than the 192 entities; 64 examples stack more
+    @pytest.mark.parametrize("variant", SLICE_VARIANTS, ids=SLICE_IDS)
+    def test_per_column_fallback_same_bytes(self, many_relation_data, variant, monkeypatch):
+        hp, params, bags = _oracle_batch(many_relation_data, variant, "f32")
+        want = _grads(params, bags, hp)
+        monkeypatch.delattr(_sparsetools, "coo_matmat_dense", raising=False)
+        seen = _record_kernel(monkeypatch)
+        got = _grads(params, bags, hp)
+        assert seen, "the per-column fallback did not run"
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    # 4 examples: every table the step reads is smaller than the 192 entities; 64 examples: some are larger
     @pytest.mark.parametrize("n", [4, 64])
     def test_indices_int32_below_the_limit_int64_from_it(self, many_relation_data, n, monkeypatch):
         kg, dataset = many_relation_data
         hp = hp64(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0)
         bags = assemble_batch(dataset.train[:n], *tables(kg, dataset, hp), hp, dataset.item_entities)
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
-        real_sum_rows = ripplerec.model._sum_rows
-        seen = []  # every sum of the step: the hop sums, then the entity scatter, the backward's last
-
-        def recording_sum_rows(num_rows, rows, cols, weights, src):
-            seen.append((rows.dtype, cols.dtype, num_rows, len(src)))
-            return real_sum_rows(num_rows, rows, cols, weights, src)
-
-        monkeypatch.setattr(ripplerec.model, "_sum_rows", recording_sum_rows)
+        seen = _record_kernel(monkeypatch)  # every sum of the step: the hop sums, then the entity scatter's groups
         want = _grads(params, bags, hp)
-        rows_dtype, cols_dtype, grad_rows, src_rows = seen[-1]
-        assert grad_rows == kg.num_entities
-        assert rows_dtype == cols_dtype == np.int32
-        assert (grad_rows > src_rows) == (n == 4)
-        # the larger of the two counts reaching the limit switches both index arrays to int64
-        for limit, index in ((max(grad_rows, src_rows) + 1, np.int32), (max(grad_rows, src_rows), np.int64)):
+        assert {dt for call in seen for dt in call[:2]} == {np.dtype(np.int32)}
+        counts = sorted({max(num_rows, src_rows) for _, _, num_rows, src_rows in seen})
+        assert (counts[-1] > kg.num_entities) == (n == 64)
+        # each group's larger count reaching the limit switches that group's index arrays to int64
+        for limit in counts + [counts[-1] + 1]:
             seen.clear()
             monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", limit)
             got = _grads(params, bags, hp)
-            assert seen[-1][:2] == (index, index), limit
+            for rows_dtype, cols_dtype, num_rows, src_rows in seen:
+                index = np.dtype(np.int64 if max(num_rows, src_rows) >= limit else np.int32)
+                assert rows_dtype == cols_dtype == index, (limit, num_rows, src_rows)
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (limit, name)
 
+    def test_scatter_allocates_the_gradient_and_one_groups_copies(self, many_relation_data, monkeypatch):
+        # beyond what is live when it starts, the scatter holds the gradient and one group's
+        # contiguous index and weight copies at a time; the stacked design held every entry's
+        # indices and weights and every table at once (143 KiB beyond the gradient on this batch)
+        slack = 8 * 1024
+        hp, params, bags = _oracle_batch(many_relation_data, {}, "f32")
+        real, seen = ripplerec.model._RowTerms.scatter, []
+
+        def traced(terms, num_rows):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grad = real(terms, num_rows)
+            seen.append((tracemalloc.get_traced_memory()[1] - live, grad.nbytes, terms.groups))
+            return grad
+
+        _grads(params, bags, hp)  # untraced first: the first step imports scipy.sparse
+        monkeypatch.setattr(ripplerec.model._RowTerms, "scatter", traced)
+        tracemalloc.start()
+        try:
+            _grads(params, bags, hp)
+        finally:
+            tracemalloc.stop()
+        ((extra, grad_bytes, groups),) = seen
+        index = np.dtype(np.int32).itemsize
+        copies = max(w.size * (2 * index + w.itemsize) for _, _, w, _ in groups)
+        assert len(groups) >= 8
+        assert extra <= grad_bytes + copies + slack, (extra, grad_bytes, copies)
 
 
 # -- the backward's two stages: per row, then reduce -----------------------------
