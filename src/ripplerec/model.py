@@ -50,12 +50,15 @@ entry of a sparse (COO) product with that source, added straight into
 its output (:func:`_add_rows`).  Per example, S[b, r] sums g_score * h
 over the hop rows of example b with relation r (one such sum with
 ``entity_emb`` per hop), and G[b, r] sums the tree edges' score
-gradients (one ``bincount`` over their keys, whose pad column is then
-dropped).  The reduce turns them into the ``relation_mat`` and
-``relation_vec`` gradients with one GEMM each, and zeroes the
-``entity_emb`` gradient once and adds each entry group of the batch
-(hop heads and tails, tree levels, candidates) into it from the group's
-own source, so no entry or source is copied into a stack.
+gradients (each level added in turn into one f64 column by key, whose
+pad column is then dropped).  Every one of these sums runs one scipy
+kernel, loaded from its extension file alone, so a training step runs
+no ``scipy.sparse`` package init.  The reduce turns S and G into the
+``relation_mat`` and ``relation_vec`` gradients with one GEMM each,
+and zeroes the ``entity_emb`` gradient once and adds each entry group
+of the batch (hop heads and tails, tree levels, candidates) into it
+from the group's own source, so no entry or source is copied into a
+stack.
 
 Every stage that reads a gather of embedding rows per example (hop
 scores and responses, their attention gradient, the tree aggregation
@@ -69,7 +72,12 @@ size, and every sum over rows runs in the reduce, over the whole batch.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -433,6 +441,37 @@ def batch_loss(params, bags, hp, trace=None):
 # -- backward ------------------------------------------------------------------
 
 
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+@functools.cache
+def _load_sparsetools():
+    """scipy's compiled sparse kernels from their extension file alone, or through the package if the file is missing.
+
+    For a process that has not imported ``scipy.sparse`` (:func:`_sparsetools`).
+    ``find_spec("scipy")`` locates scipy without running any of it, so no
+    ``scipy.sparse`` init (some 300 modules, about 19 MiB) runs for one
+    extension.  A single-phase extension enters ``sys.modules`` as it
+    loads; it is taken back out, because a later ``import scipy.sparse``
+    that found it there would not bind it as the package's
+    ``_sparsetools`` attribute.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(path, "sparse") for path in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(_KERNELS, dirs)
+    if spec is None:
+        return importlib.import_module(_KERNELS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(_KERNELS, None)
+    return module
+
+
+def _sparsetools():
+    """The kernel module: ``scipy.sparse``'s own once that package is imported, else :func:`_load_sparsetools`'s."""
+    return sys.modules.get(_KERNELS) or _load_sparsetools()
+
+
 def _add_rows(out, rows, cols, weights, src):
     """Add weights[i] * src[cols[i]] into row rows[i] of ``out`` (num_rows, d), in entry order.
 
@@ -440,16 +479,16 @@ def _add_rows(out, rows, cols, weights, src):
     entries, and ``src`` is a (n, d) table.  The kernel is the one that
     ``coo_array((weights, (rows, cols))) @ src`` runs on a zeroed result:
     scipy's ``coo_matmat_dense``, or on a scipy without it (1.10, say) one
-    ``coo_matvec`` per column.  So adding into zeros gives that product's
-    bytes, and adding two entry groups in turn gives the bytes of one
-    product over their concatenation.  The kernel reads contiguous
+    ``coo_matvec`` per column, read from :func:`_sparsetools`, so a step
+    loads no ``scipy.sparse`` package.  So adding into zeros gives that
+    product's bytes, and adding two entry groups in turn gives the bytes
+    of one product over their concatenation.  The kernel reads contiguous
     copies of the indices, in the :func:`~ripplerec.kg.index_dtype` of
     ``len(out)`` and ``len(src)``, and of any weights or ``src`` that are
     strided or not of ``out``'s dtype.  An entry outside ``out`` or
     ``src`` raises ``ValueError``, as the COO array would.
     """
-    from scipy.sparse import _sparsetools  # here, not at the top: only training scatters, so scoring never loads scipy
-
+    kernels = _sparsetools()
     index = index_dtype(len(out), len(src))
     rows = np.ascontiguousarray(rows, dtype=index).reshape(-1)
     cols = np.ascontiguousarray(np.broadcast_to(cols, weights.shape), dtype=index).reshape(-1)
@@ -460,13 +499,13 @@ def _add_rows(out, rows, cols, weights, src):
     for name, idx, bound in (("row", rows, len(out)), ("column", cols, len(src))):
         if nnz and (idx.min() < 0 or idx.max() >= bound):
             raise ValueError(f"an entry's {name} lies outside [0, {bound})")
-    if hasattr(_sparsetools, "coo_matmat_dense"):
-        _sparsetools.coo_matmat_dense(nnz, d, rows, cols, weights, src, out)
+    if hasattr(kernels, "coo_matmat_dense"):
+        kernels.coo_matmat_dense(nnz, d, rows, cols, weights, src, out)
         return
     # the COO product of a scipy without coo_matmat_dense: one coo_matvec per column, in entry order
     for k in range(d):
         column = out[:, k].copy()
-        _sparsetools.coo_matvec(nnz, rows, cols, weights, src[:, k].copy(), column)
+        kernels.coo_matvec(nnz, rows, cols, weights, src[:, k].copy(), column)
         out[:, k] = column
 
 
@@ -539,7 +578,10 @@ def _item_row_grads(params, bags, hp, trace, g_i, rows):
     depth, n_e = hp.conv_layers, hp.neighbor_size
     n_rel = len(rel_vec)
 
-    key_levels, g_score_levels = [], []
+    # score = u[b] . rel_vec[r]: G[b, r] sums g_score over every tree edge of example b with relation r,
+    # in f64 and in entry order, level by level, as one bincount over the levels' keys would;
+    # pad edges land in column 0, whose score is the constant 0, and are dropped
+    taste, one = np.zeros((len(u) * (n_rel + 1), 1)), np.ones((1, 1))
     g_z = g_i[:, None, :]  # gradient w.r.t. z[0] (B, 1, d)
     for level in range(depth):
         z_here = trace.tree_z[level]
@@ -551,18 +593,14 @@ def _item_row_grads(params, bags, hp, trace, g_i, rows):
 
         b, n = bags.tree_ents[level].shape
         alpha = trace.tree_alpha[level]
-        key_levels.append(_relation_keys(bags.tree_rels[level + 1].reshape(b, n * n_e), n_rel, NULL_RELATION))
         g_alpha = _row_blocked(b, lambda blk: np.einsum("bnd,bncd->bnc", g_mixed[blk],
                                                         _child_rows(ent, bags, trace.tree_z, level, blk)))
-        g_score_levels.append(alpha * (g_alpha - _last_axis_sum(alpha * g_alpha)))
+        _add_rows(taste, _relation_keys(bags.tree_rels[level + 1].reshape(b, n * n_e), n_rel, NULL_RELATION), 0,
+                  alpha * (g_alpha - _last_axis_sum(alpha * g_alpha)), one)
         # child c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
         if level + 1 < depth:
             g_z = (alpha[..., None] * g_mixed[:, :, None, :]).reshape(b, n * n_e, -1)
-    # score = u[b] . rel_vec[r]: G[b, r] sums g_score over every tree edge of example b with relation r;
-    # pad edges land in column 0, whose score is the constant 0, and are dropped
-    rows.g_taste = np.bincount(np.concatenate([keys.reshape(-1) for keys in key_levels]),
-                               weights=np.concatenate([g.reshape(-1) for g in g_score_levels]),
-                               minlength=len(u) * (n_rel + 1)).reshape(len(u), n_rel + 1)[:, 1:].astype(u.dtype)
+    rows.g_taste = taste.reshape(len(u), n_rel + 1)[:, 1:].astype(u.dtype)
     rows.g_u += _rows_matmul(rows.g_taste, rel_vec)
 
 

@@ -175,8 +175,8 @@ class TestConfig:
 
 
 def test_import_leaves_scipy_unloaded():
-    # AUC ranks in numpy and only a training scatter imports scipy.sparse, so
-    # the CLI and scoring start without either
+    # AUC ranks in numpy and a training step loads scipy's sparse kernel
+    # alone, so the CLI and scoring start without scipy.stats or scipy.sparse
     import ripplerec
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ripplerec.__file__)))

@@ -193,7 +193,7 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
 
-        # untraced first: the first step imports scipy.sparse, which is no part of a step's own peak
+        # untraced first: the first step loads scipy's sparse kernel, which is no part of a step's own peak
         ripplerec.model.forward_backward(params, bags, hp)
         step = peak(lambda: ripplerec.model.forward_backward(params, bags, hp))
         scoring = peak(lambda: evaluate(params, records, neighbors, ripple_sets, hp, dataset.item_entities))

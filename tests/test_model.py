@@ -1,5 +1,9 @@
 import dataclasses
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -1189,6 +1193,82 @@ class TestAddRows:
         assert not np.any(out)
 
 
+# one forward_backward and adam_step on tiny data in a fresh interpreter, with scipy.sparse imported
+# before the step or only after it; then _add_rows against the public COO product
+_FRESH_STEP = """
+import hashlib, sys, tempfile
+import numpy as np
+import ripplerec as rr
+from ripplerec import model
+from ripplerec.synthetic import generate, tiny_spec
+
+if sys.argv[1] == "package_first":
+    import scipy.sparse
+paths = generate(tiny_spec(seed=1), tempfile.mkdtemp())
+kg = rr.load_kg(paths.kg)
+dataset = rr.build_dataset(rr.binarize(paths.ratings, 4.0, rr.load_item_map(paths.item_map, kg)), seed=3)
+hp = rr.Hyperparams(embed_dim=4, hops=2, ripple_size=4, neighbor_size=2, conv_layers=2)
+params = rr.init_params(kg.num_entities, kg.num_relations, hp, seed=0)
+bags = rr.assemble_batch(dataset.train[:32], rr.build_neighbor_table(kg, hp, 0), rr.build_ripple_sets(dataset, kg, hp, 0),
+                         hp, dataset.item_entities)
+_, grads, _ = model.forward_backward(params, bags, hp)
+params.adam_step(grads, hp.lr, hp.l2_weight)
+print(sorted(name for name in ("scipy.sparse", model._KERNELS) if name in sys.modules))
+print(hashlib.sha256(b"".join(g.tobytes() for g in grads.values())).hexdigest())
+import scipy.sparse
+rng = np.random.default_rng(0)
+rows, cols = rng.integers(0, 40, 300), rng.integers(0, 12, 300)
+weights, src = rng.normal(size=300).astype(np.float32), rng.normal(size=(12, 5)).astype(np.float32)
+got = np.zeros((50, 5), np.float32)
+model._add_rows(got, rows, cols, weights, src)
+want = scipy.sparse.coo_array((weights, (rows, cols)), shape=(50, 12)) @ src
+print(model._sparsetools() is scipy.sparse._sparsetools, got.tobytes() == want.tobytes())
+"""
+
+
+@pytest.fixture
+def kernel_loader():
+    """``model._load_sparsetools`` with its cache cleared before and after the test."""
+    ripplerec.model._load_sparsetools.cache_clear()
+    yield ripplerec.model._load_sparsetools
+    ripplerec.model._load_sparsetools.cache_clear()
+
+
+class TestKernelLoader:
+    def test_package_module_once_scipy_sparse_is_imported(self):
+        assert ripplerec.model._sparsetools() is _sparsetools is sys.modules[ripplerec.model._KERNELS]
+
+    def test_imports_through_the_package_when_the_file_is_missing(self, kernel_loader, monkeypatch):
+        looked_for = []
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, name, path=None, target=None: looked_for.append(name)))
+        assert kernel_loader() is _sparsetools
+        assert ripplerec.model._KERNELS in looked_for
+        monkeypatch.undo()
+        # with sys.modules not holding it, a step runs on the module the loader fell back to
+        rows, cols, weights, src = _entries(0, np.float32, np.int32)
+        want = _coo_product(50, rows, cols, weights, src)
+        seen = _record_kernel(monkeypatch)
+        monkeypatch.delitem(sys.modules, ripplerec.model._KERNELS)
+        got = np.zeros((50, 5), np.float32)
+        ripplerec.model._add_rows(got, rows, cols, weights, src)
+        assert seen and got.tobytes() == want.tobytes()
+
+    def test_fresh_step_loads_no_scipy_sparse_in_either_load_order(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ripplerec.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = {}
+        for order in ("step_first", "package_first"):
+            done = subprocess.run([sys.executable, "-c", _FRESH_STEP, order], env=env,
+                                  capture_output=True, text=True, check=True)
+            out[order] = done.stdout.split("\n")
+        assert out["step_first"][0] == "[]", out["step_first"]
+        assert out["package_first"][0] == str(["scipy.sparse", ripplerec.model._KERNELS])
+        assert out["step_first"][1] == out["package_first"][1]  # the step's gradient bytes
+        for order, lines in out.items():
+            assert lines[2] == "True True", (order, lines)
+
+
 class TestRowTermsScatter:
     def _assert_same_bytes_as_concatenating(self, params, bags, hp, monkeypatch):
         got = _grads(params, bags, hp)
@@ -1231,7 +1311,7 @@ class TestRowTermsScatter:
         hp = hp64(hops=3, ripple_size=16, neighbor_size=4, conv_layers=2, l2_weight=0.0)
         bags = assemble_batch(dataset.train[:n], *tables(kg, dataset, hp), hp, dataset.item_entities)
         params = init_params(kg.num_entities, kg.num_relations, hp, seed=0)
-        seen = _record_kernel(monkeypatch)  # every sum of the step: the hop sums, then the entity scatter's groups
+        seen = _record_kernel(monkeypatch)  # every sum of the step: taste levels, hop sums, the entity scatter's groups
         want = _grads(params, bags, hp)
         assert {dt for call in seen for dt in call[:2]} == {np.dtype(np.int32)}
         counts = sorted({max(num_rows, src_rows) for _, _, num_rows, src_rows in seen})
@@ -1262,7 +1342,7 @@ class TestRowTermsScatter:
             seen.append((tracemalloc.get_traced_memory()[1] - live, grad.nbytes, terms.groups))
             return grad
 
-        _grads(params, bags, hp)  # untraced first: the first step imports scipy.sparse
+        _grads(params, bags, hp)  # untraced first: the first step loads scipy's sparse kernel
         monkeypatch.setattr(ripplerec.model._RowTerms, "scatter", traced)
         tracemalloc.start()
         try:
@@ -1385,6 +1465,39 @@ class TestTwoStageBackward:
             assert {dtype for count, dtype in seen if count < limit} <= {np.dtype(np.int32)}, limit
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (limit, name)
+
+def _bincount_taste(params, bags, hp, trace, rows):
+    """G[b, r] as one f64 ``bincount`` over every tree level's edge keys and score gradients, concatenated."""
+    ent = params.values["entity_emb"]
+    n_rel, size = len(params.values["relation_vec"]), bags.size
+    keys, weights = [], []
+    for level in range(hp.conv_layers):
+        b, n = bags.tree_ents[level].shape
+        alpha = trace.tree_alpha[level]
+        g_alpha = np.einsum("bnd,bncd->bnc", rows.g_mixed[level],
+                            ripplerec.model._child_rows(ent, bags, trace.tree_z, level, slice(None)))
+        weights.append((alpha * (g_alpha - ripplerec.core._last_axis_sum(alpha * g_alpha))).reshape(-1))
+        rels = bags.tree_rels[level + 1].reshape(b, -1)
+        keys.append((np.arange(b)[:, None] * (n_rel + 1) + rels - NULL_RELATION).reshape(-1))
+    taste = np.bincount(np.concatenate(keys), weights=np.concatenate(weights), minlength=size * (n_rel + 1))
+    return taste.reshape(size, n_rel + 1)[:, 1:].astype(trace.u_rep.dtype)
+
+
+class TestTasteGradient:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("conv_layers", [1, 2])
+    @pytest.mark.parametrize("batch", ["many_relation", "pad_heavy"])
+    def test_same_bytes_as_one_bincount(self, many_relation_data, tmp_path, batch, conv_layers, precision):
+        if batch == "pad_heavy":
+            hp, params, bags = _pad_heavy_batch(tmp_path, conv_layers, precision)
+        else:
+            hp, params, bags = _oracle_batch(many_relation_data, dict(conv_layers=conv_layers), precision)
+        trace = forward(params, bags, hp)
+        rows = ripplerec.model._row_grads(params, bags, hp, trace, trace.yhat - bags.labels.astype(hp.dtype))
+        want = _bincount_taste(params, bags, hp, trace, rows)
+        assert np.any(want != 0.0)
+        assert rows.g_taste.dtype == want.dtype and rows.g_taste.tobytes() == want.tobytes()
+
 
 class TestStepGradients:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
