@@ -243,6 +243,7 @@ def cmd_prep(cfg):
         f"rows with unmapped items (dropped)\t{binarized.n_unmapped}",
         f"split sizes (train/validation/test)\t{len(dataset.train)}/{len(dataset.validation)}/{len(dataset.test)}",
         f"users without train positives (excluded from val/test scoring)\t{no_positive}",
+        f"users who rated every item (dropped: no negative to draw)\t{dataset.no_negative_users}",
         f"seed\t{cfg.seed}",
     ]
     with open(os.path.join(out, "prep_report.txt"), "w", encoding="utf-8") as fh:

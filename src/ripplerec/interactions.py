@@ -54,7 +54,7 @@ class BinarizeResult:
 
 @dataclass
 class InteractionDataset:
-    """What prep writes: the sizes, the three splits and the item -> entity map."""
+    """What prep writes: the sizes, the three splits, the item -> entity map and one count of its report."""
 
     num_users: int
     num_items: int
@@ -62,6 +62,7 @@ class InteractionDataset:
     validation: np.ndarray
     test: np.ndarray
     item_entities: np.ndarray  # item index -> KG entity index
+    no_negative_users: int = 0  # users build_dataset dropped: they rated every item, so no negative exists
 
     def split_named(self, name):
         return {"train": self.train, "validation": self.validation, "test": self.test}[name]
@@ -213,17 +214,30 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
     Negatives are drawn once (static, not per epoch).  Every positive is
     paired with one sampled negative and the pairs travel together
     through the split, which also makes the positive ratio per split
-    match ``ratios`` within rounding.
+    match ``ratios`` within rounding.  A user who rated every item has no
+    unobserved item to draw a negative from: their positives are dropped,
+    a warning names them by raw id, and ``no_negative_users`` counts them.
+    Such a user draws nothing, so every other user's negatives are those
+    drawn from the same ratings without that user.
     """
     rng = np.random.default_rng(seed)
-    grouped = binarized.positives[np.argsort(binarized.positives[:, 0], kind="stable")]
+    positives = binarized.positives
+    # only a user with as many positive rows as items can have rated every item
+    maybe = np.flatnonzero(np.bincount(positives[:, 0], minlength=binarized.num_users) >= binarized.num_items)
+    full = [u for u in maybe if len(np.unique(positives[positives[:, 0] == u, 1])) == binarized.num_items]
+    if full:
+        positives = positives[~np.isin(positives[:, 0], full)]
+        logger.warning("dropped the %d positives of %d users who rated every item (no negative to draw): %s",
+                       len(binarized.positives) - len(positives), len(full),
+                       ", ".join(binarized.user_names[u] for u in full))
+    grouped = positives[np.argsort(positives[:, 0], kind="stable")]
     paired = np.empty((2 * len(grouped), 3), dtype=np.int64)
     paired[0::2, :2] = grouped
     paired[0::2, 2] = 1
     paired[1::2] = negative_sample(grouped, binarized.num_items, rng)
     train, validation, test = split(paired, ratios=ratios, seed=seed)
     return InteractionDataset(binarized.num_users, binarized.num_items, train, validation, test,
-                              binarized.item_entities)
+                              binarized.item_entities, no_negative_users=len(full))
 
 
 def write_split(path, records):

@@ -56,9 +56,10 @@ kernel, loaded from its extension file alone, so a training step runs
 no ``scipy.sparse`` package init.  The reduce turns S and G into the
 ``relation_mat`` and ``relation_vec`` gradients with one GEMM each,
 and zeroes the ``entity_emb`` gradient once and adds each entry group
-of the batch (hop heads and tails, tree levels, candidates) into it
-from the group's own source, so no entry or source is copied into a
-stack.
+of the batch (tree levels, hop tails and heads, candidates) into it
+from the group's own source as it derives the group, so no entry or
+source is copied into a stack and one group's indices are alive at a
+time.
 
 Every stage that reads a gather of embedding rows per example (hop
 scores and responses, their attention gradient, the tree aggregation
@@ -475,8 +476,9 @@ def _sparsetools():
 def _add_rows(out, rows, cols, weights, src):
     """Add weights[i] * src[cols[i]] into row rows[i] of ``out`` (num_rows, d), in entry order.
 
-    ``cols`` broadcasts against ``weights``; ``rows`` holds as many
-    entries, and ``src`` is a (n, d) table.  The kernel is the one that
+    ``cols`` broadcasts against ``weights``; ``rows`` holds one entry per
+    weight, and ``src`` is a (..., d) table whose leading axes are read
+    flat.  The kernel is the one that
     ``coo_array((weights, (rows, cols))) @ src`` runs on a zeroed result:
     scipy's ``coo_matmat_dense``, or on a scipy without it (1.10, say) one
     ``coo_matvec`` per column, read from :func:`_sparsetools`, so a step
@@ -484,18 +486,23 @@ def _add_rows(out, rows, cols, weights, src):
     product's bytes, and adding two entry groups in turn gives the bytes
     of one product over their concatenation.  The kernel reads contiguous
     copies of the indices, in the :func:`~ripplerec.kg.index_dtype` of
-    ``len(out)`` and ``len(src)``, and of any weights or ``src`` that are
-    strided or not of ``out``'s dtype.  An entry outside ``out`` or
-    ``src`` raises ``ValueError``, as the COO array would.
+    ``len(out)`` and the flat row count of ``src``, and of any weights or
+    ``src`` that are strided or not of ``out``'s dtype.  A ``rows`` whose
+    count differs from the weights', or an entry outside ``out`` or
+    ``src``, raises ``ValueError`` before anything is added, as the COO
+    array would.
     """
     kernels = _sparsetools()
+    src = np.ascontiguousarray(src, dtype=out.dtype)
+    src = src.reshape(-1, src.shape[-1])
     index = index_dtype(len(out), len(src))
     rows = np.ascontiguousarray(rows, dtype=index).reshape(-1)
     cols = np.ascontiguousarray(np.broadcast_to(cols, weights.shape), dtype=index).reshape(-1)
     weights = np.ascontiguousarray(weights, dtype=out.dtype).reshape(-1)
-    src = np.ascontiguousarray(src, dtype=out.dtype)
     nnz, d = len(weights), out.shape[1]
     # the kernel reads and writes where the indices say, unchecked; a COO array checks them on construction
+    if len(rows) != nnz:
+        raise ValueError(f"{len(rows)} rows for {nnz} weights")
     for name, idx, bound in (("row", rows, len(out)), ("column", cols, len(src))):
         if nnz and (idx.min() < 0 or idx.max() >= bound):
             raise ValueError(f"an entry's {name} lies outside [0, {bound})")
@@ -509,6 +516,11 @@ def _add_rows(out, rows, cols, weights, src):
         out[:, k] = column
 
 
+def _add_unit(out, rows, src):
+    """Add row i of ``src`` (rows.shape + (d,), read flat) into row rows[i] of ``out``, at weight 1."""
+    _add_rows(out, rows, np.arange(rows.size), np.ones(rows.size, dtype=out.dtype), src)
+
+
 def _sum_rows(num_rows, rows, cols, weights, src):
     """A new (num_rows, d) array whose row r sums weights[i] * src[cols[i]] over the entries i with rows[i] = r.
 
@@ -518,38 +530,6 @@ def _sum_rows(num_rows, rows, cols, weights, src):
     out = np.zeros((num_rows, src.shape[-1]), dtype=np.result_type(weights, src))
     _add_rows(out, rows, cols, weights, src)
     return out
-
-
-class _RowTerms:
-    """The ``entity_emb`` gradient of a batch as groups of weighted rows of small sources.
-
-    Backward stages add each group of (row, column, weight) entries with
-    the table its columns index (:meth:`add`); :meth:`scatter` zeroes the
-    gradient once and adds every group into it from its own table with
-    :func:`_add_rows`, in the order added.  Tables are read at
-    :meth:`scatter`, so they must not change after they are added.
-    """
-
-    def __init__(self):
-        self.groups = []
-
-    def add(self, rows, cols, weights, src):
-        """Entries as :func:`_add_rows` takes them; ``cols`` index the rows of ``src`` (..., d)."""
-        self.groups.append((rows, cols, weights, src.reshape(-1, src.shape[-1])))
-
-    def add_unit(self, rows, src):
-        """Row i of ``src`` (rows.shape + (d,)) into rows[i]; returns its columns."""
-        cols = np.arange(rows.size).reshape(rows.shape)
-        self.add(rows, cols, np.ones(rows.shape, dtype=src.dtype), src)
-        return cols
-
-    def scatter(self, num_rows):
-        """The (num_rows, d) sum of every group: one zeroed array, each group added into it in turn."""
-        src = self.groups[0][3]
-        out = np.zeros((num_rows, src.shape[1]), dtype=src.dtype)
-        for group in self.groups:
-            _add_rows(out, *group)
-        return out
 
 
 @dataclass
@@ -647,7 +627,10 @@ def _reduce(params, bags, hp, trace, rows):
     A new array per tensor of ``params.values``, in its order, shape and
     dtype; zeros for a tensor the mode does not reach.  The parameter
     products run first; then ``rows`` drops ``s``, ``g_pre`` and
-    ``g_taste``, which the entity scatter does not read.
+    ``g_taste``, which the entity gradient does not read.  That gradient
+    is zeroed once, and each entry group is added into it with
+    :func:`_add_rows` where it is derived: each tree level's own rows,
+    the leaves, each hop's tails and heads, then the candidates.
     """
     values = params.values
     u = trace.u_rep
@@ -659,25 +642,26 @@ def _reduce(params, bags, hp, trace, rows):
         grads["conv_b"] = np.stack([g_pre.sum(axis=(0, 1)) for g_pre in rows.g_pre])
         grads["relation_vec"] = rows.g_taste.T @ u
     if hp.user_table:
-        grads["user_emb"] = _sum_rows(len(values["user_emb"]), bags.users, np.arange(len(u)),
-                                      np.ones(len(u), u.dtype), rows.g_u)
+        grads["user_emb"] = np.zeros_like(values["user_emb"])
+        _add_unit(grads["user_emb"], bags.users, rows.g_u)
     else:
         grads["fusion_w"] = (rows.g_u.T @ trace.fusion_in)[None]
         grads["relation_mat"] = (trace.v.T @ rows.s).reshape(d, n_rel, d).transpose(1, 0, 2)
     rows.s = rows.g_pre = rows.g_taste = None
 
-    terms = _RowTerms()
+    # each entry group of the entity gradient is added as it is derived, so its indices die before the next
+    g_ent = grads["entity_emb"] = np.zeros_like(values["entity_emb"])
     for level in range(hp.conv_layers):
-        node_cols = terms.add_unit(bags.tree_ents[level], rows.g_mixed[level])
+        _add_unit(g_ent, bags.tree_ents[level], rows.g_mixed[level])
     if hp.conv_layers:  # leaf c of node (b, n) receives alpha[b, n, c] * g_mixed[b, n]
-        terms.add(bags.tree_ents[-1], node_cols[..., None], trace.tree_alpha[-1], rows.g_mixed[-1])
+        alpha = trace.tree_alpha[-1].reshape(-1, hp.neighbor_size)
+        _add_rows(g_ent, bags.tree_ents[-1], np.arange(len(alpha))[:, None], alpha, rows.g_mixed[-1])
     if not hp.user_table:
         for bag, attn, g_scores in zip(bags.hop_bags, trace.hop_attn, rows.g_scores):
             # tails against the rows of g_fused, then heads against the R_r^T v rows
-            terms.add(bag[..., 2], np.arange(len(bag))[:, None], attn, rows.g_fused)
-            terms.add(bag[..., 0], _relation_keys(bag[..., 1], n_rel), g_scores, trace.rt_v_all)
-    terms.add_unit(bags.v_idx, rows.g_v)
-    grads["entity_emb"] = terms.scatter(len(values["entity_emb"]))
+            _add_rows(g_ent, bag[..., 2], np.arange(len(bag))[:, None], attn, rows.g_fused)
+            _add_rows(g_ent, bag[..., 0], _relation_keys(bag[..., 1], n_rel), g_scores, trace.rt_v_all)
+    _add_unit(g_ent, bags.v_idx, rows.g_v)
     return {name: grads[name] if name in grads else np.zeros_like(value) for name, value in values.items()}
 
 

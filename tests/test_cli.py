@@ -207,6 +207,28 @@ class TestPrep:
         for name in ("train.tsv", "validation.tsv", "test.tsv", "prep_report.txt"):
             assert (tmp_path / "again" / name).read_bytes() == (workdir / "run" / name).read_bytes()
 
+    def test_user_who_rated_every_item_skipped_and_counted(self, workdir, tmp_path, caplog):
+        # a user appended to the ratings who rated every item: prep drops and names them, counts them
+        # in the report, and every other user's rows in the splits are those of a prep without them
+        ratings = tmp_path / "ratings.tsv"
+        item_map = (workdir / "data" / "item_map.tsv").read_text(encoding="utf-8")
+        items = [line.split("\t")[0] for line in item_map.splitlines()]
+        ratings.write_text((workdir / "data" / "ratings.tsv").read_text(encoding="utf-8")
+                           + "".join(f"every-item user\t{item}\t5\n" for item in items), encoding="utf-8")
+        assert run_cli("prep", "--config", workdir / "cfg.txt", "--seed", 5, "--out", tmp_path / "without") == 0
+        with caplog.at_level("WARNING"):
+            rc = run_cli("prep", "--config", workdir / "cfg.txt", "--seed", 5, "--out", tmp_path / "with",
+                         "--set", f"ratings={ratings}")
+        assert rc == 0
+        assert "every-item user" in caplog.text
+        report = (tmp_path / "with" / "prep_report.txt").read_text(encoding="utf-8").splitlines()
+        assert "users who rated every item (dropped: no negative to draw)\t1" in report
+        without = (tmp_path / "without" / "prep_report.txt").read_text(encoding="utf-8").splitlines()
+        assert "users who rated every item (dropped: no negative to draw)\t0" in without
+        assert len(report) == len(without)
+        for name in ("train.tsv", "validation.tsv", "test.tsv"):
+            assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes(), name
+
     def test_missing_input_exit_2(self, workdir, tmp_path):
         rc = run_cli("prep", "--config", workdir / "cfg.txt", "--out", tmp_path / "x",
                      "--set", "item_map=/nonexistent/map.tsv")

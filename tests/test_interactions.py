@@ -292,6 +292,24 @@ class TestBuildDataset:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert rebuilt.item_entities is ds.item_entities
 
+    def test_user_who_rated_every_item_dropped_counted_and_named(self, tmp_path, caplog):
+        # "all" rated every item of ITEM_MAP, so no negative exists for them; user index 1 puts
+        # them between the others, whose negatives and splits are those drawn without "all"
+        others = [("a", "i0", 5), ("a", "i2", 5), ("b", "i1", 5), ("b", "i3", 5), ("c", "i2", 5), ("c", "i0", 5)]
+        every = [("all", f"i{k}", 5) for k in (3, 1, 0, 2)]
+        binarized = binarize(write_ratings(tmp_path / "r.tsv", others[:1] + every + others[1:]), 4.0, ITEM_MAP)
+        assert binarized.user_names == ["a", "all", "b", "c"]
+        with caplog.at_level("WARNING"):
+            ds = build_dataset(binarized, ratios=(0.5, 0.25, 0.25), seed=3)
+        assert ds.no_negative_users == 1
+        assert "1 users who rated every item" in caplog.text and ": all" in caplog.text
+        want_binarized = binarize(write_ratings(tmp_path / "o.tsv", others), 4.0, ITEM_MAP)
+        want = build_dataset(want_binarized, ratios=(0.5, 0.25, 0.25), seed=3)
+        assert want.no_negative_users == 0
+        for name in ("train", "validation", "test"):
+            got = [(binarized.user_names[u], i, l) for u, i, l in ds.split_named(name).tolist()]
+            assert got == [(want_binarized.user_names[u], i, l) for u, i, l in want.split_named(name).tolist()], name
+
 
 # -- reference: the object-based prep path that the array path replaced ---------------
 

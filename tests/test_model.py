@@ -1094,14 +1094,26 @@ class TestScoreBatch:
 # of every group's table, and ran one public COO product over that stack.
 
 
-def _concatenating_scatter(terms, num_rows):
-    lo = np.cumsum([0] + [len(src) for *_, src in terms.groups])
-    rows = np.concatenate([r.reshape(-1) for r, _, _, _ in terms.groups])
-    cols = np.concatenate([(np.broadcast_to(c, w.shape) + at).reshape(-1)
-                           for (_, c, w, _), at in zip(terms.groups, lo)])
-    weights = np.concatenate([w.reshape(-1) for _, _, w, _ in terms.groups])
+def _concatenating_scatter(groups, num_rows):
+    srcs = [src.reshape(-1, src.shape[-1]) for *_, src in groups]
+    lo = np.cumsum([0] + [len(src) for src in srcs])
+    rows = np.concatenate([np.reshape(r, -1) for r, _, _, _ in groups])
+    cols = np.concatenate([(np.broadcast_to(c, w.shape) + at).reshape(-1) for (_, c, w, _), at in zip(groups, lo)])
+    weights = np.concatenate([w.reshape(-1) for _, _, w, _ in groups])
     coo = sparse.coo_array((weights, (rows, cols)), shape=(num_rows, lo[-1]))
-    return coo @ np.concatenate([src for *_, src in terms.groups])
+    return coo @ np.concatenate(srcs)
+
+
+def _record_add_rows(monkeypatch):
+    """Wrap ``model._add_rows``; returns a list of (out, (rows, cols, weights, src)) per call, arrays held."""
+    real, seen = ripplerec.model._add_rows, []
+
+    def recording(out, *group):
+        seen.append((out, group))
+        return real(out, *group)
+
+    monkeypatch.setattr(ripplerec.model, "_add_rows", recording)
+    return seen
 
 
 def _grads(params, bags, hp):
@@ -1192,6 +1204,14 @@ class TestAddRows:
             ripplerec.model._add_rows(out, rows, cols, weights, src)
         assert not np.any(out)
 
+    def test_fewer_rows_than_weights_raise_and_add_nothing(self):
+        # unchecked, the kernel would read past the row indices and write at whatever rows it found there
+        rows, cols, weights, src = _entries(0, np.float64, np.int32)
+        out = np.zeros((50, 5))
+        with pytest.raises(ValueError, match="203 rows for 210 weights"):
+            ripplerec.model._add_rows(out, rows[:-1], cols, weights, src)
+        assert not np.any(out)
+
 
 # one forward_backward and adam_step on tiny data in a fresh interpreter, with scipy.sparse imported
 # before the step or only after it; then _add_rows against the public COO product
@@ -1270,16 +1290,17 @@ class TestKernelLoader:
 
 
 class TestRowTermsScatter:
+    """The entity gradient: each entry group added in turn gives the bytes of one product over all of them."""
+
     def _assert_same_bytes_as_concatenating(self, params, bags, hp, monkeypatch):
-        got = _grads(params, bags, hp)
-        calls = []
-        monkeypatch.setattr(ripplerec.model._RowTerms, "scatter",
-                            lambda terms, num_rows: calls.append(1) or _concatenating_scatter(terms, num_rows))
-        want = _grads(params, bags, hp)
-        assert calls, "the reference scatter did not run"
-        assert np.any(want["entity_emb"] != 0.0)
-        for name in want:
-            assert got[name].dtype == want[name].dtype and got[name].tobytes() == want[name].tobytes(), name
+        calls = _record_add_rows(monkeypatch)
+        got = _grads(params, bags, hp)["entity_emb"]
+        groups = [group for out, group in calls if out is got]
+        # each tree level's own rows and the leaves, each hop's tails and heads, the candidates
+        assert len(groups) == hp.conv_layers + (hp.conv_layers > 0) + (0 if hp.user_table else 2 * hp.hops) + 1
+        want = _concatenating_scatter(groups, len(got))
+        assert np.any(want != 0.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("variant", SLICE_VARIANTS, ids=SLICE_IDS)
@@ -1328,32 +1349,41 @@ class TestRowTermsScatter:
                 assert got[name].tobytes() == want[name].tobytes(), (limit, name)
 
     def test_scatter_allocates_the_gradient_and_one_groups_copies(self, many_relation_data, monkeypatch):
-        # beyond what is live when it starts, the scatter holds the gradient and one group's
-        # contiguous index and weight copies at a time; the stacked design held every entry's
-        # indices and weights and every table at once (143 KiB beyond the gradient on this batch)
+        # at each add into the entity gradient, what is live beyond the reduce's inputs (less the
+        # per-row arrays it drops first) and the step's gradients is that group's own index and
+        # weight arrays; while every group was held until one scatter at the end, each add had
+        # 13-25 KiB more on this batch
         slack = 8 * 1024
         hp, params, bags = _oracle_batch(many_relation_data, {}, "f32")
-        real, seen = ripplerec.model._RowTerms.scatter, []
+        real_reduce, real_add = ripplerec.model._reduce, ripplerec.model._add_rows
+        index = np.dtype(np.int32).itemsize
+        live, seen = [], []  # seen: (out, peak during the add, the group's own arrays) per add in the reduce
 
-        def traced(terms, num_rows):
-            live = tracemalloc.get_traced_memory()[0]
+        def traced_reduce(params, bags, hp, trace, rows):
+            dropped = rows.s.nbytes + rows.g_taste.nbytes + sum(g.nbytes for g in rows.g_pre)
+            live.append(tracemalloc.get_traced_memory()[0] - dropped)
+            return real_reduce(params, bags, hp, trace, rows)
+
+        def traced_add(out, rows, cols, weights, src):
+            if not live:
+                return real_add(out, rows, cols, weights, src)
+            own = weights.size * 2 * index + np.asarray(cols).nbytes + weights.nbytes
             tracemalloc.reset_peak()
-            grad = real(terms, num_rows)
-            seen.append((tracemalloc.get_traced_memory()[1] - live, grad.nbytes, terms.groups))
-            return grad
+            real_add(out, rows, cols, weights, src)
+            seen.append((weakref.ref(out), tracemalloc.get_traced_memory()[1], own))
 
         _grads(params, bags, hp)  # untraced first: the first step loads scipy's sparse kernel
-        monkeypatch.setattr(ripplerec.model._RowTerms, "scatter", traced)
+        monkeypatch.setattr(ripplerec.model, "_reduce", traced_reduce)
+        monkeypatch.setattr(ripplerec.model, "_add_rows", traced_add)
         tracemalloc.start()
         try:
-            _grads(params, bags, hp)
+            grads = _grads(params, bags, hp)
         finally:
             tracemalloc.stop()
-        ((extra, grad_bytes, groups),) = seen
-        index = np.dtype(np.int32).itemsize
-        copies = max(w.size * (2 * index + w.itemsize) for _, _, w, _ in groups)
-        assert len(groups) >= 8
-        assert extra <= grad_bytes + copies + slack, (extra, grad_bytes, copies)
+        gradients = sum(g.nbytes for g in grads.values())
+        assert len(seen) >= 8 and all(out() is grads["entity_emb"] for out, _, _ in seen)
+        for k, (_, peak, own) in enumerate(seen):
+            assert peak - live[0] <= gradients + own + slack, (k, peak - live[0], gradients, own)
 
 
 # -- the backward's two stages: per row, then reduce -----------------------------
@@ -1465,6 +1495,7 @@ class TestTwoStageBackward:
             assert {dtype for count, dtype in seen if count < limit} <= {np.dtype(np.int32)}, limit
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (limit, name)
+
 
 def _bincount_taste(params, bags, hp, trace, rows):
     """G[b, r] as one f64 ``bincount`` over every tree level's edge keys and score gradients, concatenated."""
