@@ -238,17 +238,22 @@ def load_params(path):
 
     Every tensor must have the first tensor's dtype (a store has one);
     a snapshot that mixes dtypes raises ValueError naming the tensor.  A
-    file that is no readable ``.npz`` archive (empty, cut short, a failed
-    CRC, not a zip, a lone ``.npy`` array) raises ValueError naming ``path``.
+    file that cannot be opened raises as ``open`` does (FileNotFoundError
+    when it is missing).  Once it is open, every failure to read it as an
+    ``.npz`` archive raises ValueError naming ``path``: an empty file, one
+    cut short or with a byte deleted or changed (zipfile's BadZipFile,
+    EOFError, OSError or NotImplementedError), not a zip, a lone ``.npy``
+    array.  A MemoryError or KeyboardInterrupt propagates.
     """
-    try:
-        data = np.load(path, allow_pickle=False)  # an array, not an archive, when the file is a lone .npy
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError(f"a {data.dtype} array of shape {data.shape}, not an .npz archive")
-        with data:
-            arrays = {name: data[name] for name in data.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as err:
-        raise ValueError(f"{path} is not a readable snapshot archive ({type(err).__name__}: {err})") from None
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)  # an array, not an archive, when the file is a lone .npy
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError(f"a {data.dtype} array of shape {data.shape}, not an .npz archive")
+            with data:
+                arrays = {name: data[name] for name in data.files}
+        except (zipfile.BadZipFile, EOFError, OSError, NotImplementedError, ValueError) as err:
+            raise ValueError(f"{path} is not a readable snapshot archive ({type(err).__name__}: {err})") from None
     if str(arrays.pop("__magic__", "")) != SNAPSHOT_MAGIC:
         raise ValueError(f"{path} is not a ripplerec parameter snapshot")
     names = list(arrays)

@@ -488,9 +488,9 @@ def _add_rows(out, rows, cols, weights, src):
     copies of the indices, in the :func:`~ripplerec.kg.index_dtype` of
     ``len(out)`` and the flat row count of ``src``, and of any weights or
     ``src`` that are strided or not of ``out``'s dtype.  A ``rows`` whose
-    count differs from the weights', or an entry outside ``out`` or
-    ``src``, raises ``ValueError`` before anything is added, as the COO
-    array would.
+    count differs from the weights', a ``src`` whose width is not
+    ``out``'s, or an entry outside ``out`` or ``src``, raises
+    ``ValueError`` before anything is added.
     """
     kernels = _sparsetools()
     src = np.ascontiguousarray(src, dtype=out.dtype)
@@ -503,6 +503,8 @@ def _add_rows(out, rows, cols, weights, src):
     # the kernel reads and writes where the indices say, unchecked; a COO array checks them on construction
     if len(rows) != nnz:
         raise ValueError(f"{len(rows)} rows for {nnz} weights")
+    if src.shape[1] != d:
+        raise ValueError(f"src rows of width {src.shape[1]} for out rows of width {d}")
     for name, idx, bound in (("row", rows, len(out)), ("column", cols, len(src))):
         if nnz and (idx.min() < 0 or idx.max() >= bound):
             raise ValueError(f"an entry's {name} lies outside [0, {bound})")
@@ -773,8 +775,12 @@ def fit(dataset, kg, hp, seed=0):
     and every scoring pass takes its bags and trees from them, and every
     batch ends in one Adam step.  Train rows of users the ripple table
     does not know (``RippleTable.known``) are dropped, and
-    ``skipped_users`` counts those users.  Divergence aborts the run and
-    returns the last good snapshot with ``diverged`` set.
+    ``skipped_users`` counts those users; each epoch steps on the
+    indices of the kept rows, shuffled.  The snapshot of the
+    parameters is copied only when a validation AUC improves.  If none
+    does (no epoch, divergence in the first, NaN AUCs), the result holds
+    the initial parameters, drawn again at the seed.  Divergence aborts
+    the run and returns the last good snapshot with ``diverged`` set.
     Single-threaded and deterministic for a fixed seed.  A split the
     run scores, none of whose users the ripple table knows, is rejected
     before any training: the validation split when ``hp.epochs >= 1``
@@ -789,12 +795,12 @@ def fit(dataset, kg, hp, seed=0):
     ripple_sets = build_ripple_sets(dataset, kg, hp, seed)
     neighbors = build_neighbor_table(kg, hp, seed)
     keep = ripple_sets.known(dataset.train[:, 0])
-    train = dataset.train[keep]
+    rows = np.flatnonzero(keep)  # the train rows the run steps on, as indices into dataset.train
     skipped_users = len(np.unique(dataset.train[~keep, 0]))
     if not keep.all():
         logger.warning("dropped %d train rows of %d users without a ripple set",
                        int((~keep).sum()), skipped_users)
-    if len(train) == 0:
+    if len(rows) == 0:
         raise ValueError("no train rows (empty train split, or every user lacks a ripple set)")
     # each split the run scores: validation after every epoch, test once at the end
     scored = [("validation", dataset.validation)] if hp.epochs >= 1 else []
@@ -803,19 +809,17 @@ def fit(dataset, kg, hp, seed=0):
             raise ValueError(f"{name} split has no scorable examples: the ripple table knows none of its users "
                              "(each needs a train positive whose entity has an outgoing triple)")
     history: list[dict] = []
-    best = params.copy()
+    best = None  # copied only when a validation improves
     best_auc = -np.inf
     best_epoch = 0
     diverged = False
-    stale = 0
 
     for epoch in range(1, hp.epochs + 1):
-        order = np.random.default_rng([seed, 2, epoch]).permutation(len(train))
-        shuffled = train[order]
+        order = rows[np.random.default_rng([seed, 2, epoch]).permutation(len(rows))]
         total = 0.0
         try:
-            for start in range(0, len(shuffled), hp.batch_size):
-                batch = shuffled[start:start + hp.batch_size]
+            for start in range(0, len(order), hp.batch_size):
+                batch = dataset.train[order[start:start + hp.batch_size]]
                 bags = assemble_batch(batch, neighbors, ripple_sets, hp, dataset.item_entities)
                 loss, grads = forward_backward(params, bags, hp)[:2]  # the trace dies here, before the next step
                 total += loss * len(batch)
@@ -825,7 +829,7 @@ def fit(dataset, kg, hp, seed=0):
             logger.error("epoch %d diverged: %s", epoch, err)
             diverged = True
             break
-        train_loss = total / len(shuffled)
+        train_loss = total / len(order)
 
         val = metrics.evaluate(params, dataset.validation, neighbors, ripple_sets, hp, dataset.item_entities,
                                split="validation")
@@ -835,15 +839,13 @@ def fit(dataset, kg, hp, seed=0):
             best_auc = val.auc
             best = params.copy()
             best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if hp.patience and stale >= hp.patience:
-                logger.info("early stop at epoch %d (no val improvement in %d epochs)", epoch, hp.patience)
-                break
+        elif hp.patience and epoch - best_epoch >= hp.patience:
+            logger.info("early stop at epoch %d (no val improvement in %d epochs)", epoch, hp.patience)
+            break
 
-    # `best` is the best-validation snapshot, falling back to the initial
-    # copy when no epoch completed -- the last good state in either case.
+    del params  # the trained tensors and their Adam moments: the run ends on `best`
+    if best is None:  # no validation improved: the initial parameters, drawn again, are the last good state
+        best = init_params(kg.num_entities, kg.num_relations, hp, seed=seed, num_users=dataset.num_users)
     test_report = None
     if len(dataset.test):
         test_report = metrics.evaluate(best, dataset.test, neighbors, ripple_sets, hp, dataset.item_entities,

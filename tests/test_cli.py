@@ -741,6 +741,19 @@ def _flip_tensor_byte(data, sep):
     return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:], None
 
 
+def _delete_byte(at):
+    """Defect that deletes byte ``at`` of a file."""
+    def defect(data, sep):
+        return data[:at] + data[at + 1:], None
+    return defect
+
+
+def _unknown_compression(data, sep):
+    """Defect that flips the compression-method byte of a snapshot's first central-directory entry."""
+    at = data.index(b"PK\x01\x02") + 10
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:], None
+
+
 def _npy(data, sep):
     """Defect that replaces a snapshot by a lone ``.npy`` array, as ``np.save`` writes one."""
     out = io.BytesIO()
@@ -774,7 +787,8 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "threshold_-inf": _only_key("threshold", "-inf"),
            "fusion_recursive": _add_key("fusion", "recursive"), "acc_threshold_0.4": _add_key("acc_threshold", "0.4"),
            "item_i0_again": _set_field(0, "i0"), "cut_in_half": _cut_in_half, "crc_flip": _flip_tensor_byte,
-           "text": lambda data, sep: (b"not a snapshot\n", None), "npy": _npy}
+           "text": lambda data, sep: (b"not a snapshot\n", None), "npy": _npy,
+           "byte_100_deleted": _delete_byte(100), "unknown_compression": _unknown_compression}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
@@ -840,6 +854,10 @@ INPUT_DEFECTS = [
     ("model", "crc_flip", EXIT_MALFORMED, "{path} is not a readable snapshot archive (BadZipFile: Bad CRC-32"),
     ("model", "text", EXIT_MALFORMED, "{path} is not a readable snapshot archive (ValueError"),
     ("model", "npy", EXIT_MALFORMED, "{path} is not a readable snapshot archive (ValueError: a float64 array"),
+    # zipfile seeks to an offset the shifted bytes give, or meets a compression method it lacks
+    ("model", "byte_100_deleted", EXIT_MALFORMED, "{path} is not a readable snapshot archive (OSError"),
+    ("model", "unknown_compression", EXIT_MALFORMED,
+     "{path} is not a readable snapshot archive (NotImplementedError"),
 ]
 
 

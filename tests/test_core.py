@@ -419,3 +419,21 @@ class TestSnapshotIO:
         np.savez(path, junk=np.zeros(3))
         with pytest.raises(ValueError):
             load_params(path)
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_params(tmp_path / "missing.npz")
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    def test_memory_error_and_interrupt_propagate(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "snap.npz"
+        store = ParamStore()
+        store.add("emb", np.zeros((2, 3)))
+        save_params(path, store)
+
+        def failing_load(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(np, "load", failing_load)
+        with pytest.raises(error):
+            load_params(path)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib.machinery
 import math
 import os
@@ -15,6 +16,7 @@ from scipy.sparse import _sparsetools
 import ripplerec as rr
 import ripplerec.model
 from ripplerec.cli import _table_sha256
+from ripplerec.core import ParamStore
 from ripplerec.kg import NULL_RELATION
 from ripplerec.metrics import evaluate
 from ripplerec.synthetic import SyntheticSpec, generate
@@ -1212,6 +1214,17 @@ class TestAddRows:
             ripplerec.model._add_rows(out, rows[:-1], cols, weights, src)
         assert not np.any(out)
 
+    @pytest.mark.parametrize("width", [6, 4])
+    def test_src_of_another_width_raises_and_adds_nothing(self, add_rows_kernel, width):
+        # unchecked, the kernel reads src as rows of out's width: a wider one sums the wrong
+        # values, a narrower one reads past its buffer
+        rows, cols, weights, _ = _entries(0, np.float64, np.int32)
+        src = np.random.default_rng(1).normal(size=(12, width))
+        out = np.zeros((50, 5))
+        with pytest.raises(ValueError, match=f"src rows of width {width} for out rows of width 5"):
+            ripplerec.model._add_rows(out, rows, cols, weights, src)
+        assert not np.any(out) and not add_rows_kernel
+
 
 # one forward_backward and adam_step on tiny data in a fresh interpreter, with scipy.sparse imported
 # before the step or only after it; then _add_rows against the public COO product
@@ -1636,6 +1649,87 @@ class TestFit:
         init = init_params(kg.num_entities, kg.num_relations, self._hp(epochs=0), seed=0,
                            num_users=dataset.num_users)
         np.testing.assert_array_equal(result.params.values["entity_emb"], init.values["entity_emb"])
+
+    def _init(self, kg, dataset, hp, seed):
+        return init_params(kg.num_entities, kg.num_relations, hp, seed=seed, num_users=dataset.num_users)
+
+    @staticmethod
+    def _assert_same_bytes(got, want):
+        assert list(got.values) == list(want.values)
+        for name, value in want.values.items():
+            assert got.values[name].dtype == value.dtype and got.values[name].tobytes() == value.tobytes(), name
+
+    @staticmethod
+    def _diverge_at_step(monkeypatch, step):
+        """Make forward_backward raise FloatingPointError from its ``step``-th call on; returns the call count."""
+        real, calls = ripplerec.model.forward_backward, []
+
+        def explode(params, bags, hp):
+            calls.append(1)
+            if len(calls) >= step:
+                raise FloatingPointError("synthetic blowup")
+            return real(params, bags, hp)
+
+        monkeypatch.setattr(ripplerec.model, "forward_backward", explode)
+        return calls
+
+    def test_step_starts_with_one_model_and_no_train_copy(self, tiny_data, monkeypatch):
+        kg, dataset = tiny_data
+        real = ripplerec.model.forward_backward
+        held = [o for o in gc.get_objects() if isinstance(o, ParamStore)]  # stores alive before the fit
+        at_first_step = []
+
+        def counting_forward_backward(*args, **kw):
+            if not at_first_step:
+                gc.collect()
+                stores = [o for o in gc.get_objects()
+                          if isinstance(o, ParamStore) and not any(o is h for h in held)]
+                arrays = {id(a): a for o in gc.get_objects() for a in gc.get_referents(o) if isinstance(a, np.ndarray)}
+                frame = sys._getframe()
+                while frame is not None:  # the locals of fit and of every caller
+                    arrays.update((id(a), a) for a in frame.f_locals.values() if isinstance(a, np.ndarray))
+                    frame = frame.f_back
+                same_shape = [a for a in arrays.values() if a.shape == dataset.train.shape and a is not dataset.train]
+                at_first_step.append((len(stores), len(same_shape)))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(ripplerec.model, "forward_backward", counting_forward_backward)
+        # every train row is kept, so a copy of the kept rows would have the split's shape
+        assert ripplerec.model.build_ripple_sets(dataset, kg, self._hp(), 3).known(dataset.train[:, 0]).all()
+        fit(dataset, kg, self._hp(batch_size=16, epochs=1), seed=3)
+        assert at_first_step == [(1, 0)], "(parameter stores, copies of the train split's shape) at the first step"
+
+    def test_divergence_in_epoch_one_returns_the_initial_bytes(self, tiny_data, monkeypatch):
+        kg, dataset = tiny_data
+        hp = self._hp(batch_size=16, epochs=3)
+        calls = self._diverge_at_step(monkeypatch, 3)  # two steps update the parameters first
+        result = fit(dataset, kg, hp, seed=2)
+        assert result.diverged and result.history == [] and result.best_epoch == 0 and len(calls) == 3
+        self._assert_same_bytes(result.params, self._init(kg, dataset, hp, 2))
+
+    def test_divergence_in_epoch_two_returns_the_bytes_of_one_epoch(self, tiny_data, monkeypatch):
+        kg, dataset = tiny_data
+        one = fit(dataset, kg, self._hp(batch_size=16, epochs=1), seed=2)
+        steps = -(-len(dataset.train) // 16)  # an epoch's steps: every train row is kept
+        self._diverge_at_step(monkeypatch, steps + 2)  # one step of epoch 2 updates the parameters first
+        result = fit(dataset, kg, self._hp(batch_size=16, epochs=3), seed=2)
+        assert result.diverged and result.best_epoch == 1 and result.history == one.history
+        self._assert_same_bytes(result.params, one.params)
+        assert result.test_report.auc == one.test_report.auc
+
+    def test_validation_that_never_improves_stops_at_patience_with_the_initial_bytes(self, tiny_data, monkeypatch):
+        kg, dataset = tiny_data
+
+        def nan_eval(*args, **kwargs):
+            from ripplerec.metrics import MetricReport
+            return MetricReport(split="validation", auc=float("nan"), acc=0.5, n_examples=1)
+
+        monkeypatch.setattr(ripplerec.model.metrics, "evaluate", nan_eval)
+        hp = self._hp(epochs=20, patience=2)
+        result = fit(dataset, kg, hp, seed=0)
+        assert [row["epoch"] for row in result.history] == [1, 2] and result.best_epoch == 0
+        assert not result.diverged
+        self._assert_same_bytes(result.params, self._init(kg, dataset, hp, 0))
 
     def test_early_stopping_respects_patience(self, tiny_data, monkeypatch):
         kg, dataset = tiny_data
