@@ -15,8 +15,9 @@ held in ``RunConfig.hp``.  All outputs are CSV/TSV plus key = value
 manifests, deterministic for a fixed seed.  Configs, ``prep_meta.txt``
 and manifests go through one line reader, and their values parse as
 config values do, so a bad one names its file and key.  Exit codes: 2
-missing input file, 3 malformed data (with ``file:line`` where a line
-is at fault), 4 training divergence.
+an input file that is missing or cannot be opened (a directory, say),
+3 malformed data (with ``file:line`` where a line is at fault; a
+snapshot that opens but does not read as one), 4 training divergence.
 
 Five-run averaging uses seeds base..base+4; sweep cells are independent
 and each cell's CSV row is traceable to a manifest (config hash + seed)
@@ -521,6 +522,9 @@ def main(argv=None):
         return cmd_sweep(cfg)
     except FileNotFoundError as err:
         print(f"error: missing file: {err}", file=sys.stderr)
+        return EXIT_MISSING_FILE
+    except OSError as err:  # a path that open() refuses: a directory, or no permission to read it
+        print(f"error: cannot open: {err}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ValueError as err:  # kg.ParseError included
         print(f"error: {err}", file=sys.stderr)

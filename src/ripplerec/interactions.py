@@ -109,7 +109,7 @@ def binarize(ratings_path, threshold, item_to_entity):
     positive = mapped & ~below
     user_names, users = _intern(buf, start[positive, 0], end[positive, 0])
     pairs = np.stack((users, items[positive]), axis=1)
-    _, kept = np.unique(users * len(item_names) + pairs[:, 1], return_index=True)
+    _, kept = np.unique(pairs[:, 0] * len(item_names) + pairs[:, 1], return_index=True)  # pairs are int64
     positives = pairs[np.sort(kept)]  # each (user, item) pair at its first row
     n_below, n_unmapped = int(below.sum()), int((~mapped).sum())
 

@@ -21,7 +21,10 @@ entity ``e``'s outgoing (relation, neighbor) edges are
 ``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
 The CSR arrays, and the two tables sampled from them, hold int32 indices,
 built in int32 rather than cast from int64; a graph whose edge or
-entity count reaches :data:`INDEX_LIMIT` keeps int64.
+entity count reaches :data:`INDEX_LIMIT` keeps int64.  Relation ids
+(the CSR's and the neighbor table's ``rel``) take :func:`relation_dtype`,
+int8 up to 128 relations; the scanner's field bounds, and the
+interner's arrays per field, are int32 for a file below 2 GiB.
 Both samplers draw uniformly with replacement from CSR ranges:
 :func:`sample_children` fixed-size neighbor bags for a whole array of
 entities (every entity at once gives a run's :class:`NeighborTable`),
@@ -56,6 +59,15 @@ INDEX_LIMIT = 2**31
 def index_dtype(*counts):
     """Index dtype for arrays of ``counts`` rows: int32 while every count is below :data:`INDEX_LIMIT`, else int64."""
     return np.int64 if max(counts) >= INDEX_LIMIT else np.int32
+
+
+def relation_dtype(num_relations):
+    """The narrowest signed dtype that holds :data:`NULL_RELATION` and every index of ``num_relations`` relations.
+
+    int8 up to 128 relations, then int16, int32 and int64.
+    """
+    return next(dtype for dtype in (np.int8, np.int16, np.int32, np.int64)
+                if num_relations - 1 <= np.iinfo(dtype).max)
 
 
 class ParseError(ValueError):
@@ -115,17 +127,21 @@ def _scan(path, arity):
     are copied once, into ``buf`` padded for every :func:`_intern` call.
     When every line has one field count and none is blank, the bounds
     are views of one reshape (a field starts one byte past the previous
-    field's end); otherwise they are gathered line by line.
+    field's end); otherwise they are gathered line by line.  Bounds and
+    line numbers are of :func:`index_dtype` of the buffer's length, so a
+    file below 2 GiB holds them in int32.
     """
     data = _read(path)
     if data and not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data + bytes(8), dtype=np.uint8)
     del data
+    bound = index_dtype(len(buf))
     is_end = buf == ord("\t")
     is_end |= buf == ord("\n")
     ends = np.flatnonzero(is_end)
     del is_end  # one bool per byte: gone before the gather below
+    ends = ends.astype(bound, copy=False)
     newline = buf[ends] == ord("\n")
     num_lines, count = np.count_nonzero(newline), min(arity)
     for n in arity:
@@ -134,7 +150,7 @@ def _scan(path, arity):
             start = np.zeros_like(ends)
             np.add(ends[:-1], 1, out=start[1:])
             return _Scan(buf, start.reshape(-1, n)[:, :count], ends.reshape(-1, n)[:, :count],
-                         np.arange(1, num_lines + 1), n)
+                         np.arange(1, num_lines + 1, dtype=bound), n)
     last = np.flatnonzero(newline)  # each line's last field
     first = np.zeros_like(last)
     first[1:] = last[:-1] + 1
@@ -151,7 +167,7 @@ def _scan(path, arity):
     index = first[lines, None] + np.arange(count)
     start = ends[index - 1] + 1
     start[index == 0] = 0
-    return _Scan(buf, start, ends[index], lines + 1, 0)
+    return _Scan(buf, start, ends[index], (lines + 1).astype(bound), 0)
 
 
 # _PAD[r]: the word whose first r bytes are 0 and whose others are 0xFF, in native byte order
@@ -171,8 +187,11 @@ def _intern(buf, start, end):
     one ``decode`` of their tab-joined bytes.  Each field ends at a tab
     or newline of ``buf``, as :func:`_scan` finds them, and ``buf`` holds
     8 bytes past the last one (:func:`_scan` pads it), so it is never copied.
+    Every array per field, ``indices`` included, is of the dtype of
+    ``start``: :func:`_scan`'s int32 bounds keep the sort orders in int32.
     """
     start, end = np.ascontiguousarray(start), np.ascontiguousarray(end)
+    index = start.dtype
     words = np.ndarray((len(buf) - 7,), dtype=np.uint64, buffer=buf, strides=(1,))  # the word at every byte
     width = end - start
     last = width - 1  # the index of each field's last word
@@ -181,12 +200,12 @@ def _intern(buf, start, end):
     sizes = np.bincount(last)
     runs, firsts = [], []  # per word count: its fields in key order and each group's size; each group's first field
     for k in np.flatnonzero(sizes).tolist():
-        rows = None if sizes[k] == len(start) else np.flatnonzero(last == k)
+        rows = None if sizes[k] == len(start) else np.flatnonzero(last == k).astype(index, copy=False)
         at, w = (start, width) if rows is None else (start[rows], width[rows])
         keys = [words[at + 8 * j] if j else words[at] for j in range(k + 1)]
         keys[-1] |= _PAD[w - 8 * k]  # only the last word holds bytes past the field
         del at, w
-        order = np.argsort(keys[0]) if k == 0 else np.lexsort(keys[::-1])
+        order = (np.argsort(keys[0]) if k == 0 else np.lexsort(keys[::-1])).astype(index, copy=False)
         new = np.zeros(len(order), dtype=bool)
         new[0] = True
         for key in keys:
@@ -199,14 +218,14 @@ def _intern(buf, start, end):
         firsts.append(np.minimum.reduceat(order, heads))
         runs.append((order, np.diff(heads, append=len(order))))
     del last
-    first = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.int64)
+    first = np.concatenate(firsts) if firsts else np.zeros(0, dtype=index)
     rank = np.argsort(first)
-    index = np.empty(len(first), dtype=np.int64)
-    index[rank] = np.arange(len(first))
-    indices = np.empty(len(start), dtype=np.int64)
+    label = np.empty(len(first), dtype=index)  # each group's index, in the groups' order
+    label[rank] = np.arange(len(first))
+    indices = np.empty(len(start), dtype=index)
     for order, size in runs:
-        indices[order] = np.repeat(index[:len(size)], size)
-        index = index[len(size):]
+        indices[order] = np.repeat(label[:len(size)], size)
+        label = label[len(size):]
     # the distinct fields, each with the byte that ends it, back to back; then tab for every end
     lo, size = start[first[rank]], width[first[rank]] + 1
     stop = np.cumsum(size)
@@ -254,9 +273,9 @@ class KnowledgeGraph:
     parallel arrays ``rel`` and ``nbr``; within an entity, edges are
     sorted by (relation, neighbor) for determinism.  Entity and relation
     indices are dense and assigned in first-appearance file order.
-    ``num_triples`` counts the file's distinct triples.  The three arrays
-    are int32, or int64 when the edge or entity count reaches
-    :data:`INDEX_LIMIT`.
+    ``num_triples`` counts the file's distinct triples.  ``indptr`` and
+    ``nbr`` are int32, or int64 when the edge or entity count reaches
+    :data:`INDEX_LIMIT`; ``rel`` is of :func:`relation_dtype`.
     """
 
     num_entities: int
@@ -346,7 +365,7 @@ class NeighborTable:
     """``n_e`` sampled (relation, neighbor) edges of every entity, drawn once per run.
 
     ``rel`` and ``nbr`` are read-only ``(num_entities, n_e)`` arrays of the
-    graph's index dtype (int32 below :data:`INDEX_LIMIT`):
+    graph's ``rel`` and ``nbr`` dtypes (see :class:`KnowledgeGraph`):
     row ``e`` is :func:`sample_children` of entity ``e`` (``n_e``
     ``NULL_RELATION`` self-loops for an entity without edges).  A
     snapshot's manifest checksums their bytes.
@@ -380,7 +399,7 @@ def load_kg(path, undirected=True):
         raise ValueError(f"{path}: {num_entities} entities and {num_relations} relations overflow int64 triple keys")
 
     def pack(src, rel, dst):
-        keys = src * num_relations
+        keys = np.multiply(src, num_relations, dtype=np.int64)  # interned indices are int32 below 2 GiB
         keys += rel
         keys *= num_entities
         keys += dst
@@ -397,8 +416,8 @@ def load_kg(path, undirected=True):
         edge_keys.sort()  # by (source, relation, neighbor)
     src, rest = np.divmod(edge_keys, num_relations * num_entities)
     index = index_dtype(len(src), num_entities)
-    rel, nbr = np.empty(len(src), dtype=index), np.empty(len(src), dtype=index)
-    np.divmod(rest, num_entities, out=(rel, nbr))  # written in the index dtype, never held as int64
+    rel, nbr = np.empty(len(src), dtype=relation_dtype(num_relations)), np.empty(len(src), dtype=index)
+    np.divmod(rest, num_entities, out=(rel, nbr))  # written in their own dtypes, never held as int64
     indptr = np.zeros(num_entities + 1, dtype=index)
     np.cumsum(np.bincount(src, minlength=num_entities), out=indptr[1:])
 
@@ -415,7 +434,7 @@ def sample_children(kg, ents, n_e, rng):
     """Uniform with-replacement draw of ``n_e`` edges for every entity of ``ents``.
 
     Returns (relations, neighbors), each of shape ``ents.shape + (n_e,)``
-    and of the graph's index dtype.
+    and of the dtype of the graph's ``rel`` and ``nbr``.
     An entity without edges yields ``n_e`` sentinel self-loops
     (NULL_RELATION, entity) so downstream shapes stay fixed.  The draws,
     and the generator state they leave, are those of one

@@ -66,9 +66,12 @@ scores and responses, their attention gradient, the tree aggregation
 and its gradient) runs over blocks of :data:`GATHER_ROWS` examples, so
 one block's gather is alive at a time and the trace keeps none of
 these gathers: the backward gathers the tree's leaf rows again, block
-by block.
+by block.  Each hop's S sum and the reduce's adds of each hop's tails
+and heads run over the same blocks, so one block's sum and index copies
+are alive at a time.
 A blocked op works row by row, so the bytes do not depend on the block
-size, and every sum over rows runs in the reduce, over the whole batch.
+size, and every sum over rows runs in the reduce, over the whole batch,
+in the batch's entry order.
 """
 
 from __future__ import annotations
@@ -305,19 +308,24 @@ def _relation_transpose_apply(rel_mat, v):
     return _rows_matmul(v, rel_mat.transpose(1, 0, 2).reshape(d, n_rel * d)).reshape(len(v), n_rel, d)
 
 
+def _blocks(rows):
+    """Consecutive slices of at most :data:`GATHER_ROWS` of ``rows`` rows, in order."""
+    return [slice(lo, lo + GATHER_ROWS) for lo in range(0, rows, GATHER_ROWS)]
+
+
 def _row_blocked(rows, block):
-    """The ``rows`` rows of ``block(blk)``, called on consecutive slices ``blk`` of at most :data:`GATHER_ROWS`.
+    """The ``rows`` rows of ``block(blk)``, called on each slice ``blk`` of :func:`_blocks`.
 
     ``block`` computes the rows of its slice row by row, so the bytes do
     not depend on where the slices are cut, and only one slice's gather
     is alive at a time.
     """
     out = None
-    for lo in range(0, rows, GATHER_ROWS):
-        part = block(slice(lo, lo + GATHER_ROWS))
+    for blk in _blocks(rows):
+        part = block(blk)
         if out is None:
             out = np.empty((rows,) + part.shape[1:], dtype=part.dtype)
-        out[lo:lo + len(part)] = part
+        out[blk] = part
     return out
 
 
@@ -596,15 +604,20 @@ def _user_row_grads(params, bags, hp, trace, rows):
     rows.g_fused = _rows_matmul(rows.g_u, params.values["fusion_w"][0])
     rows.g_v += rows.g_fused
     # S[b, r]: sum of g_score * h over the bag rows of example b with relation r, all hops
-    s = np.zeros((len(rows.g_u) * n_rel, d), dtype=rows.g_u.dtype)
+    s = np.zeros((len(rows.g_u), n_rel, d), dtype=rows.g_u.dtype)
     for bag, attn in zip(bags.hop_bags, trace.hop_attn):
         tails = bag[..., 2]
         # resp = sum_n attn_n * t_n, and every hop's response gradient is g_fused
         g_attn = _row_blocked(len(bag), lambda blk: np.matmul(ent.take(tails[blk], axis=0),
                                                               rows.g_fused[blk, :, None])[..., 0])
         # softmax jacobian within the bag; score_n = h_n . (R_r^T v)[b, r]
-        rows.g_scores.append(attn * (g_attn - _last_axis_sum(attn * g_attn)))
-        s += _sum_rows(len(s), _relation_keys(bag[..., 1], n_rel), bag[..., 0], rows.g_scores[-1], ent)
+        g_scores = attn * (g_attn - _last_axis_sum(attn * g_attn))
+        rows.g_scores.append(g_scores)
+        # the hop's sum, a block of examples at a time: rows of S read their own example's bag rows alone
+        for blk in _blocks(len(bag)):
+            part = bag[blk]
+            s[blk] += _sum_rows(len(part) * n_rel, _relation_keys(part[..., 1], n_rel), part[..., 0],
+                                g_scores[blk], ent).reshape(len(part), n_rel, d)
     rows.s = s.reshape(len(rows.g_u), n_rel * d)
     # score = v . (R_r h): dv = sum_r R_r S[b, r] (and dR_r = sum_b v_b S[b, r]^T in the reduce)
     rows.g_v += _rows_matmul(rows.s, rel_mat.transpose(0, 2, 1).reshape(n_rel * d, d))
@@ -660,9 +673,13 @@ def _reduce(params, bags, hp, trace, rows):
         _add_rows(g_ent, bags.tree_ents[-1], np.arange(len(alpha))[:, None], alpha, rows.g_mixed[-1])
     if not hp.user_table:
         for bag, attn, g_scores in zip(bags.hop_bags, trace.hop_attn, rows.g_scores):
-            # tails against the rows of g_fused, then heads against the R_r^T v rows
-            _add_rows(g_ent, bag[..., 2], np.arange(len(bag))[:, None], attn, rows.g_fused)
-            _add_rows(g_ent, bag[..., 0], _relation_keys(bag[..., 1], n_rel), g_scores, trace.rt_v_all)
+            # all tails against the rows of g_fused, then all heads against the R_r^T v rows, each a block
+            # of examples at a time: the entry order is the hop's, and one block's index copies are alive
+            for blk in _blocks(len(bag)):
+                _add_rows(g_ent, bag[blk, :, 2], np.arange(len(attn[blk]))[:, None], attn[blk], rows.g_fused[blk])
+            for blk in _blocks(len(bag)):
+                _add_rows(g_ent, bag[blk, :, 0], _relation_keys(bag[blk, :, 1], n_rel), g_scores[blk],
+                          trace.rt_v_all[blk])
     _add_unit(g_ent, bags.v_idx, rows.g_v)
     return {name: grads[name] if name in grads else np.zeros_like(value) for name, value in values.items()}
 
@@ -776,7 +793,8 @@ def fit(dataset, kg, hp, seed=0):
     batch ends in one Adam step.  Train rows of users the ripple table
     does not know (``RippleTable.known``) are dropped, and
     ``skipped_users`` counts those users; each epoch steps on the
-    indices of the kept rows, shuffled.  The snapshot of the
+    indices of the kept rows (in :func:`~ripplerec.kg.index_dtype` of the
+    split's length), shuffled.  The snapshot of the
     parameters is copied only when a validation AUC improves.  If none
     does (no epoch, divergence in the first, NaN AUCs), the result holds
     the initial parameters, drawn again at the seed.  Divergence aborts
@@ -795,7 +813,8 @@ def fit(dataset, kg, hp, seed=0):
     ripple_sets = build_ripple_sets(dataset, kg, hp, seed)
     neighbors = build_neighbor_table(kg, hp, seed)
     keep = ripple_sets.known(dataset.train[:, 0])
-    rows = np.flatnonzero(keep)  # the train rows the run steps on, as indices into dataset.train
+    # the train rows the run steps on, as indices into dataset.train in the index dtype of its length
+    rows = np.flatnonzero(keep).astype(index_dtype(len(dataset.train)))
     skipped_users = len(np.unique(dataset.train[~keep, 0]))
     if not keep.all():
         logger.warning("dropped %d train rows of %d users without a ripple set",

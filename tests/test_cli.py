@@ -788,7 +788,8 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "fusion_recursive": _add_key("fusion", "recursive"), "acc_threshold_0.4": _add_key("acc_threshold", "0.4"),
            "item_i0_again": _set_field(0, "i0"), "cut_in_half": _cut_in_half, "crc_flip": _flip_tensor_byte,
            "text": lambda data, sep: (b"not a snapshot\n", None), "npy": _npy,
-           "byte_100_deleted": _delete_byte(100), "unknown_compression": _unknown_compression}
+           "byte_100_deleted": _delete_byte(100), "unknown_compression": _unknown_compression,
+           "directory": lambda data, sep: (None, None)}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
 RUN_FILES = {"train": ("train.tsv", "\t", "train"), "prep_meta": ("prep_meta.txt", "=", "train"),
@@ -858,6 +859,10 @@ INPUT_DEFECTS = [
     ("model", "byte_100_deleted", EXIT_MALFORMED, "{path} is not a readable snapshot archive (OSError"),
     ("model", "unknown_compression", EXIT_MALFORMED,
      "{path} is not a readable snapshot archive (NotImplementedError"),
+    # a directory where an input file should be: open() refuses it before any reader sees a byte
+    ("kg", "directory", EXIT_MISSING_FILE, "error: cannot open: [Errno 21] Is a directory: '{path}'"),
+    ("test", "directory", EXIT_MISSING_FILE, "error: cannot open: [Errno 21] Is a directory: '{path}'"),
+    ("model", "directory", EXIT_MISSING_FILE, "error: cannot open: [Errno 21] Is a directory: '{path}'"),
 ]
 
 
@@ -890,7 +895,11 @@ def test_malformed_input_exit_code_and_location(workdir, untrained_run, tmp_path
                                                 name, defect, code, expect):
     path, sep, argv = _reader_of(name, workdir, untrained_run, tmp_path)
     data, line = DEFECTS[defect](path.read_bytes(), sep)
-    path.write_bytes(data)
+    if data is None:  # the file becomes a directory
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(data)
     if name == "set":
         argv += ["--set", data.decode("utf-8").strip()]
     capsys.readouterr()

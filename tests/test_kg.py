@@ -13,9 +13,11 @@ from ripplerec.kg import (
     load_item_map,
     load_kg,
     read_int_tsv,
+    relation_dtype,
     sample_children,
     write_vocab,
 )
+from ripplerec.cli import _table_sha256
 from ripplerec.model import Hyperparams, build_neighbor_table, sample_item_trees
 
 from conftest import adjacency, reference_load_kg, reference_ripple_bags, train_seeds, write_kg
@@ -77,7 +79,7 @@ class TestLoadKg:
     def test_index_dtype_follows_the_limit(self, chain_kg, tmp_path, monkeypatch, undirected, limit, index):
         monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", limit)
         kg = load_kg(write_kg(tmp_path / "chain.tsv", [("a", "r", "b"), ("b", "r", "c")]), undirected)
-        assert kg.indptr.dtype == kg.rel.dtype == kg.nbr.dtype == index
+        assert kg.indptr.dtype == kg.nbr.dtype == index and kg.rel.dtype == np.int8  # one relation
         if undirected:
             assert kg.indptr.tobytes() == chain_kg.indptr.astype(index).tobytes()
             assert kg.nbr.tobytes() == chain_kg.nbr.astype(index).tobytes()
@@ -313,6 +315,11 @@ def _int32_values(got, want):
     return got.dtype == np.int32 and _same_bytes(got.astype(np.int64), want)
 
 
+def _int8_values(got, want):
+    """``got`` is int8, the relation dtype of a graph of at most 128 relations, and holds the values of ``want``."""
+    return got.dtype == np.int8 and _same_bytes(got.astype(np.int64), want)
+
+
 @pytest.fixture(params=[(seed, undirected) for seed in range(3) for undirected in (False, True)],
                 ids=lambda p: f"seed{p[0]}-{'undirected' if p[1] else 'directed'}")
 def random_graph(request, tmp_path):
@@ -349,7 +356,7 @@ class TestCsrOracle:
         rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
         rels, nbrs = sample_children(kg, ents, 4, rng)
         want_rels, want_nbrs = _reference_children(adj, ents, 4, ref_rng)
-        assert _int32_values(rels, want_rels.reshape(7, 5, 4))
+        assert _int8_values(rels, want_rels.reshape(7, 5, 4))
         assert _int32_values(nbrs, want_nbrs.reshape(7, 5, 4))
         assert rng.random() == ref_rng.random()
 
@@ -360,7 +367,7 @@ class TestCsrOracle:
         for e in range(kg.num_entities):
             rels, nbrs = sample_children(kg, [e], 3, rng)
             want_rels, want_nbrs = _reference_children(adj, [e], 3, ref_rng)
-            assert _int32_values(rels, want_rels)
+            assert _int8_values(rels, want_rels)
             assert _int32_values(nbrs, want_nbrs)
         assert rng.random() == ref_rng.random()
 
@@ -370,7 +377,7 @@ class TestCsrOracle:
         table = build_neighbor_table(kg, Hyperparams(neighbor_size=3), seed=5)
         want_rels, want_nbrs = _reference_children(adj, np.arange(kg.num_entities), 3,
                                                    np.random.default_rng([5, 19]))
-        assert _int32_values(table.rel, want_rels) and _int32_values(table.nbr, want_nbrs)
+        assert _int8_values(table.rel, want_rels) and _int32_values(table.nbr, want_nbrs)
         v_idx = np.random.default_rng(1).integers(0, kg.num_entities, size=9)
         ents, rels = sample_item_trees(table, v_idx, 2)
         assert rels[0] is None and _same_bytes(ents[0], v_idx.reshape(-1, 1))
@@ -378,7 +385,7 @@ class TestCsrOracle:
             parents = ents[depth - 1]
             want_r = [[r for e in row for r in want_rels[e]] for row in parents.tolist()]
             want_e = [[c for e in row for c in want_nbrs[e]] for row in parents.tolist()]
-            assert _int32_values(rels[depth], np.array(want_r, dtype=np.int64))
+            assert _int8_values(rels[depth], np.array(want_r, dtype=np.int64))
             assert _int32_values(ents[depth], np.array(want_e, dtype=np.int64))
 
     def test_build_ripple_set_stream(self, random_graph):
@@ -518,7 +525,7 @@ def _assert_kg_equals(kg, want):
     assert kg.relation_names == relations
     assert kg.num_triples == len(triples)
     for got, expected in ((kg.indptr, indptr), (kg.rel, rel), (kg.nbr, nbr)):
-        assert _int32_values(got, expected)
+        assert (_int8_values if got is kg.rel else _int32_values)(got, expected)
         assert got.flags.c_contiguous
 
 
@@ -826,3 +833,86 @@ def test_read_int_tsv_matches_line_loop(tmp_path, seed):
         else:
             got = read_int_tsv(str(path), columns)
             assert got.dtype == np.int64 and got.shape == (len(want), len(columns)) and got.tolist() == want
+
+
+# -- the dtypes of the scanner's bounds and of relation ids ---------------------------
+
+
+def _dtype_files(tmp_path, gathered):
+    """A KG, a rating log and an integer TSV: one field count per file, or blank lines, CRLF and 3 or 4 fields."""
+    rng = np.random.default_rng(11)
+    kg = ["e%d\tr%d\te%d" % tuple(row) for row in rng.integers(0, (40, 5, 40), size=(120, 3))]
+    ratings = ["u%d\ti%d\t%d" % tuple(row) for row in rng.integers(0, (20, 30, 6), size=(90, 3))]
+    ints = ["%d\t%d" % tuple(row) for row in rng.integers(0, (10, 20), size=(60, 2))]
+    if gathered:  # a fourth (timestamp) field on some ratings, and blank lines in every file
+        ratings = [line + ("\t%d" % (10**9 + k) if k % 3 == 0 else "") for k, line in enumerate(ratings)]
+        kg, ratings, ints = ([""] + lines[:7] + ["", ""] + lines[7:] for lines in (kg, ratings, ints))
+    newline = "\r\n" if gathered else "\n"
+    paths = []
+    for name, lines in (("kg", kg), ("ratings", ratings), ("ints", ints)):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("gathered", [False, True], ids=["uniform", "gathered"])
+def test_int64_bounds_parse_as_int32_bounds(tmp_path, monkeypatch, gathered):
+    """At :data:`INDEX_LIMIT` the scanner's bounds turn int64; every reader gives what int32 bounds give."""
+    kg_path, ratings_path, ints_path = _dtype_files(tmp_path, gathered)
+    columns = (("user", 10), ("item", 20))
+    runs = []
+    for limit in (ripplerec.kg.INDEX_LIMIT, 1):
+        monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", limit)
+        scans = [_scan(kg_path, (3,)), _scan(ratings_path, (3, 4)), _scan(ints_path, (2,))]
+        interned = [_intern(scan.buf, scan.start[:, c], scan.end[:, c])
+                    for scan in scans for c in range(scan.start.shape[1])]
+        runs.append((scans, interned, read_int_tsv(ints_path, columns), load_kg(kg_path)))
+    (scans32, interned32, ints32, kg32), (scans64, interned64, ints64, kg64) = runs
+    for scan32, scan64, arity in zip(scans32, scans64, (3, 3, 2)):
+        assert scan32.arity == scan64.arity == (0 if gathered else arity)
+        assert scan32.buf.tobytes() == scan64.buf.tobytes()
+        for got32, got64 in zip(scan32[1:4], scan64[1:4]):  # start, end, linenos
+            assert (got32.dtype, got64.dtype) == (np.int32, np.int64)
+            assert got32.astype(np.int64).tobytes() == got64.tobytes()
+    for (names32, ids32), (names64, ids64) in zip(interned32, interned64):
+        assert names32 == names64
+        assert (ids32.dtype, ids64.dtype) == (np.int32, np.int64)
+        assert ids32.astype(np.int64).tobytes() == ids64.tobytes()
+    assert ints32.dtype == ints64.dtype == np.int64 and ints32.tobytes() == ints64.tobytes()
+    assert (kg32.entity_names, kg32.relation_names, kg32.num_triples) == (
+        kg64.entity_names, kg64.relation_names, kg64.num_triples)
+    for got32, got64 in ((kg32.indptr, kg64.indptr), (kg32.nbr, kg64.nbr)):
+        assert (got32.dtype, got64.dtype) == (np.int32, np.int64)
+        assert got32.astype(np.int64).tobytes() == got64.tobytes()
+    assert kg32.rel.dtype == kg64.rel.dtype == np.int8 and kg32.rel.tobytes() == kg64.rel.tobytes()
+
+
+@pytest.mark.parametrize("num_relations, dtype", [(127, np.int8), (128, np.int8), (129, np.int16)])
+def test_relation_dtype_follows_the_relation_count(tmp_path, num_relations, dtype):
+    """Relation ids take the narrowest signed dtype; values and table checksums are those of int64 ids."""
+    rng = np.random.default_rng(num_relations)
+    # every relation at least once; directed, so entities without edges pad with NULL_RELATION
+    rows = [(f"e{h}", f"r{k % num_relations}", f"e{t}")
+            for k, (h, t) in enumerate(rng.integers(0, (30, 60), size=(3 * num_relations, 2)))]
+    path = write_kg(tmp_path / "kg.tsv", rows)
+    kg = load_kg(path, undirected=False)
+    assert relation_dtype(num_relations) == dtype and kg.num_relations == num_relations
+    names, relations, triples, indptr, rel, nbr = reference_load_kg(path, False)
+    assert kg.rel.dtype == dtype and kg.rel.astype(np.int64).tobytes() == rel.tobytes()
+    assert _int32_values(kg.indptr, indptr) and _int32_values(kg.nbr, nbr)
+    neighbors = build_neighbor_table(kg, Hyperparams(neighbor_size=3), seed=2)
+    assert neighbors.rel.dtype == dtype and (neighbors.rel == NULL_RELATION).any()
+    assert (_table_sha256(neighbors.rel, neighbors.nbr)
+            == _table_sha256(neighbors.rel.astype(np.int64), neighbors.nbr.astype(np.int64)))
+    ripple = build_ripple_table(kg, np.arange(30), np.arange(30), 30, 2, 4, np.random.default_rng(3))
+    assert (_table_sha256(ripple.bags, ripple.has)
+            == _table_sha256(ripple.bags.astype(np.int64), ripple.has))
+
+
+def test_triple_keys_of_int32_indices_do_not_overflow(tmp_path):
+    """Interned indices are int32, but (head, relation, tail) keys past 2**31 are packed in int64."""
+    n = 30000  # n * 3 * n is about 2.7e9 > 2**31
+    rows = [(f"e{k}", f"r{k % 3}", f"e{k * 7919 % n}") for k in range(n)]
+    path = write_kg(tmp_path / "kg.tsv", rows)
+    _assert_kg_equals(load_kg(path, undirected=True), reference_load_kg(path, True))

@@ -1602,11 +1602,12 @@ class TestFit:
         monkeypatch.setattr(ripplerec.kg, "INDEX_LIMIT", min(kg32.num_entities, kg32.total_degree()))
         kg64 = rr.load_kg(tiny_files.kg)
         (neighbors32, ripple32), (neighbors64, ripple64) = tables(kg32, dataset, hp, 4), tables(kg64, dataset, hp, 4)
-        for got, want in ((kg64.indptr, kg32.indptr), (kg64.rel, kg32.rel), (kg64.nbr, kg32.nbr),
-                          (neighbors64.rel, neighbors32.rel), (neighbors64.nbr, neighbors32.nbr),
+        for got, want in ((kg64.indptr, kg32.indptr), (kg64.nbr, kg32.nbr), (neighbors64.nbr, neighbors32.nbr),
                           (ripple64.bags, ripple32.bags)):
             assert (got.dtype, want.dtype) == (np.int64, np.int32)
             assert got.tobytes() == want.astype(np.int64).tobytes()
+        for got, want in ((kg64.rel, kg32.rel), (neighbors64.rel, neighbors32.rel)):  # relations follow their count
+            assert (got.dtype, want.dtype) == (np.int8, np.int8) and got.tobytes() == want.tobytes()
         r32, r64 = fit(dataset, kg32, hp, seed=4), fit(dataset, kg64, hp, seed=4)
         assert r64.history == r32.history and len(r64.history) == 1
         for name in r32.params.values:
