@@ -14,10 +14,17 @@ settings are :class:`RunConfig` fields, and every
 held in ``RunConfig.hp``.  All outputs are CSV/TSV plus key = value
 manifests, deterministic for a fixed seed.  Configs, ``prep_meta.txt``
 and manifests go through one line reader, and their values parse as
-config values do, so a bad one names its file and key.  Exit codes: 2
-an input file that is missing or cannot be opened (a directory, say),
-3 malformed data (with ``file:line`` where a line is at fault; a
-snapshot that opens but does not read as one), 4 training divergence.
+config values do, so a bad one names its file and key.  ``prep_meta.txt``
+records the sha256 of both vocabulary files (``entity_vocab_sha256``,
+``relation_vocab_sha256``) and of the integer files prep writes
+(``train_sha256``, ``validation_sha256``, ``test_sha256``,
+``item_entities_sha256``); ``train``, ``eval`` and ``sweep`` check each
+file against it.  Exit codes: 2 an input file that is missing or cannot
+be opened (a directory, say), 3 malformed data (with ``file:line`` where
+a line is at fault; a run file that parses but does not match its
+checksum; a ``prep_meta.txt`` without one, from before prep recorded
+it; a snapshot that opens but does not read as one), 4 training
+divergence.
 
 Five-run averaging uses seeds base..base+4; sweep cells are independent
 and each cell's CSV row is traceable to a manifest (config hash + seed)
@@ -46,6 +53,8 @@ logger = logging.getLogger(__name__)
 EXIT_MISSING_FILE = 2
 EXIT_MALFORMED = 3
 EXIT_DIVERGED = 4
+# the integer files prep writes beside the vocabularies, each checksummed in prep_meta.txt as <name>_sha256
+RUN_FILES = ("train", "validation", "test", "item_entities")
 # keys that older manifests record and Hyperparams no longer has, with the one value the model now fixes
 RETIRED_KEYS = {"fusion": "shared", "acc_threshold": 0.5}
 
@@ -228,9 +237,8 @@ def cmd_prep(cfg):
     kgmod.write_vocab(os.path.join(out, "relation_vocab.tsv"), graph.relation_names)
     kgmod.write_vocab(os.path.join(out, "user_vocab.tsv"), binarized.user_names)
     kgmod.write_vocab(os.path.join(out, "item_vocab.tsv"), binarized.item_names)
-    entities = np.asarray(binarized.item_entities).tolist()
-    with open(os.path.join(out, "item_entities.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("".join(map("{}\t{}\n".format, range(len(entities)), entities)))
+    kgmod.write_int_tsv(os.path.join(out, "item_entities.tsv"),
+                        np.stack((np.arange(binarized.num_items), binarized.item_entities), axis=1))
 
     no_positive = dataset.num_users - len(np.unique(dataset.train[dataset.train[:, 2] == 1, 0]))
     report_lines = [
@@ -258,6 +266,7 @@ def cmd_prep(cfg):
         "seed": cfg.seed,
         "entity_vocab_sha256": _sha256(os.path.join(out, "entity_vocab.tsv")),
         "relation_vocab_sha256": _sha256(os.path.join(out, "relation_vocab.tsv")),
+        **{f"{name}_sha256": _sha256(os.path.join(out, f"{name}.tsv")) for name in RUN_FILES},
     })
     print("\n".join(report_lines[:4]))
     return 0
@@ -280,19 +289,35 @@ def _meta_value(meta, key, path, current):
 
 
 def load_prep(cfg):
-    """Rebuild (kg, dataset, prep meta) from prep artifacts in ``cfg.out``."""
+    """Rebuild (kg, dataset, prep meta) from prep artifacts in ``cfg.out``.
+
+    Each check raises ValueError naming the file at fault.  Both
+    vocabulary files must match ``prep_meta.txt`` and the vocabularies
+    rebuilt from the KG; when the file and the rebuilt vocabulary agree
+    but ``prep_meta.txt`` does not, the error names its key.  Each of
+    :data:`RUN_FILES` is parsed first, so a malformed line is named by
+    ``file:line``, and then must match its sha256 in ``prep_meta.txt``.
+    """
     meta_path = os.path.join(cfg.out, "prep_meta.txt")
     if not os.path.exists(meta_path):
         raise FileNotFoundError(meta_path)
     meta = _read_kv(meta_path)
     _require(meta, ("num_users", "num_items", "kg", "undirected", "entity_vocab_sha256", "relation_vocab_sha256"),
              meta_path)
+    for key in (f"{name}_sha256" for name in RUN_FILES):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: missing key {key!r} (written before prep checksummed its run files); "
+                             "re-run prep")
     graph = kgmod.load_kg(meta["kg"], undirected=_meta_value(meta, "undirected", meta_path, True))
     for kind, names in (("entity", graph.entity_names), ("relation", graph.relation_names)):
-        path = os.path.join(cfg.out, f"{kind}_vocab.tsv")
-        if _sha256(path) != meta[f"{kind}_vocab_sha256"]:
+        path, key = os.path.join(cfg.out, f"{kind}_vocab.tsv"), f"{kind}_vocab_sha256"
+        found, rebuilt = _sha256(path), hashlib.sha256(kgmod.vocab_bytes(names)).hexdigest()
+        if found == rebuilt != meta[key]:
+            raise ValueError(f"{meta_path}: {key} matches neither {path} nor the {kind} vocabulary of "
+                             f"{meta['kg']}, which agree with each other (prep_meta.txt changed?)")
+        if found != meta[key]:
             raise ValueError(f"{path} does not match the prep-time vocabulary (KG file changed?)")
-        if hashlib.sha256(kgmod.vocab_bytes(names)).hexdigest() != meta[f"{kind}_vocab_sha256"]:
+        if rebuilt != meta[key]:
             raise ValueError(f"{meta['kg']}: {kind} vocabulary differs from {path} written by prep "
                              "(KG file changed since prep?)")
     num_users, num_items = (_meta_value(meta, key, meta_path, 0) for key in ("num_users", "num_items"))
@@ -300,14 +325,15 @@ def load_prep(cfg):
     item_entities = kgmod.read_int_tsv(item_path, (("item", num_items), ("entity", graph.num_entities)))
     if not np.array_equal(item_entities[:, 0], np.arange(num_items)):
         raise ValueError(f"{item_path}: expected one row per item, items 0..{num_items - 1} in order")
-    dataset = interactions.dataset_from_files(
-        os.path.join(cfg.out, "train.tsv"),
-        os.path.join(cfg.out, "validation.tsv"),
-        os.path.join(cfg.out, "test.tsv"),
-        num_users=num_users,
-        num_items=num_items,
-        item_entities=item_entities[:, 1],
-    )
+    paths = {name: os.path.join(cfg.out, f"{name}.tsv") for name in RUN_FILES}
+    dataset = interactions.dataset_from_files(paths["train"], paths["validation"], paths["test"],
+                                              num_users=num_users, num_items=num_items,
+                                              item_entities=item_entities[:, 1])
+    if len(dataset.train) == 0:  # fit and the ripple table need train rows
+        raise ValueError(f"{paths['train']}: no train rows (empty train split)")
+    for name, path in paths.items():
+        if _sha256(path) != meta[f"{name}_sha256"]:
+            raise ValueError(f"{path} does not match {name}_sha256 in {meta_path} (changed since prep?)")
     return graph, dataset, meta
 
 

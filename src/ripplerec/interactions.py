@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import ParseError, _intern, _scan, read_int_tsv
+from .kg import ParseError, _intern, _scan, read_int_tsv, write_int_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -241,10 +241,8 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
 
 
 def write_split(path, records):
-    """Emit one split as TSV ``user<TAB>item<TAB>label``."""
-    text = "".join(map("{}\t{}\t{}\n".format, *np.asarray(records).reshape(-1, 3).T.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Emit one split as TSV ``user<TAB>item<TAB>label`` through :func:`~ripplerec.kg.write_int_tsv`."""
+    write_int_tsv(path, np.asarray(records).reshape(-1, 3))
 
 
 def read_split(path, num_users, num_items):

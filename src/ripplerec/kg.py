@@ -8,11 +8,14 @@ blank line is skipped but counted), and numpy finds the tabs and line
 breaks and checks every line's field count from them.  The scanner
 returns the byte bounds of the fields its caller reads: views of one
 reshape when every line has one field count, else gathered per line.
-Every field (KG names, the item map, a rating log's users, items and
-ratings, the integers of :func:`read_int_tsv`) goes through one
-interner, :func:`_intern`, over the scanner's one padded buffer: it
-sorts each field as padded 8-byte words and decodes only the distinct
-fields, so no input makes a Python str per field.  Triples are indexed
+Every name (KG names, the item map, a rating log's users, items and
+ratings) goes through one interner, :func:`_intern`, over the scanner's
+one padded buffer: it sorts each field as padded 8-byte words and
+decodes only the distinct fields.  The integers of the run's files are
+not interned: :func:`read_int_tsv` reads each field's digits straight
+from the buffer, and :func:`write_int_tsv`, its inverse, formats them
+with numpy digit arithmetic, both a block of rows at a time.  So no
+input or output makes a Python str per field.  Triples are indexed
 through those first-appearance vocabularies, held as name lists,
 deduplicated by one sort of packed (head, relation, tail) keys, and kept
 only as one compressed sparse row (CSR) layout built from one sort of
@@ -40,7 +43,6 @@ concurrent sampling requires independent generator instances.
 from __future__ import annotations
 
 import logging
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -235,34 +237,137 @@ def _intern(buf, start, end):
     return names, indices
 
 
+# Rows per block of write_int_tsv and read_int_tsv: their temporaries grow with the block, not the file.
+INT_BLOCK = 1 << 13
+# _DIGITS4[v]: the four ASCII digits of 0 <= v < 10**4, zero-padded, as one native-endian word;
+# _WIDTH4[v]: how many of them are left without leading zeros (none for 0)
+_DIGITS4 = (np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+_WIDTH4 = (np.arange(10**4)[:, None] >= 10 ** np.arange(4)).sum(axis=1)
+# the word that follows a field's digits: its separator, then three bytes that are never kept
+_TAB, _NEWLINE = np.frombuffer(b"\t\0\0\0\n\0\0\0", dtype=np.uint32)
+
+
+def _format_block(rows):
+    """The bytes of ``"{}\t{}\n".format`` over every row of the non-negative int64 array ``rows`` (b, k).
+
+    Each field is written zero-padded to whole 4-digit words from
+    :data:`_DIGITS4`, then one word led by its separator, and only its
+    digits without leading zeros (``0`` for 0) and its separator are kept.
+    """
+    words = -(-len(str(int(rows.max()))) // 4)
+    parts = []  # each field's 4-digit words, most significant first
+    rest = rows
+    for _ in range(words - 1):
+        rest, low = np.divmod(rest, 10**4)
+        parts.insert(0, low)
+    parts.insert(0, rest)
+    text = np.empty(rows.shape + (words + 1,), dtype=np.uint32)
+    text[..., -1] = _TAB
+    text[:, -1, -1] = _NEWLINE
+    for j, part in enumerate(parts):
+        text[..., j] = _DIGITS4[part]
+        # each field's digits from its leading nonzero word on
+        width = np.where(width > 0, width + 4, _WIDTH4[part]) if j else _WIDTH4[part]
+    column = np.arange(4 * words + 4)
+    # keep[w]: the bytes kept of a field of w digits, as one item the size of its words
+    keep = (column >= 4 * words - np.arange(4 * words + 1)[:, None]) & (column <= 4 * words)
+    keep = keep.view(f"V{len(column)}").ravel()[np.maximum(width, 1)]
+    return np.compress(keep.view(bool).ravel(), text.view(np.uint8).ravel()).tobytes()
+
+
+def write_int_tsv(path, rows):
+    """Write the ``(n, k)`` array of non-negative integers ``rows`` as TSV, the inverse of :func:`read_int_tsv`.
+
+    The bytes are those of ``"{}\t{}\t{}\n".format`` over every row (k
+    fields each).  Rows are formatted :data:`INT_BLOCK` at a time with
+    numpy digit arithmetic.  A negative value raises ``ValueError`` naming
+    its row before the file is opened.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise ValueError(f"{path}: expected a 2-D integer array, got {rows.ndim}-D {rows.dtype}")
+    rows = rows.astype(np.int64, copy=False)
+    if rows.size and rows.min() < 0:
+        i = int(np.argmax((rows < 0).any(axis=1)))
+        raise ValueError(f"{path}: row {i} holds a negative value: {rows[i].tolist()}")
+    with open(path, "wb") as fh:
+        for lo in range(0, len(rows), INT_BLOCK):
+            fh.write(_format_block(rows[lo:lo + INT_BLOCK]))
+
+
+def _parse_block(buf, start, end, high):
+    """(values, non-integer, out of range) of the fields ``buf[start:end]``, each ``(k, b)`` for bounds ``(b, k)``.
+
+    A field is an integer when it is ASCII digits after an optional
+    ``-``.  Its value is read from its last 19 digits at most, one digit
+    plane at a time (every field's last digit, then the one before it);
+    19 digits always fit uint64.  Digits before those (leading zeros, or
+    a value past int64) are only checked: any but ``0`` puts the field
+    out of range.  ``-0`` is 0; any other negative is out of range, as is
+    a value at or above its column's ``high`` (k, 1).
+    """
+    start, end = (np.array(bound.T, dtype=np.intp, order="C") for bound in (start, end))  # (k, b): a row per column
+    minus = buf[start] == ord("-")
+    first = start + minus
+    width = end - first  # digits, or a field of no digits when 0
+    window = min(int(width.max()), 19) if width.size else 0
+    plane = np.arange(window)[:, None, None]
+    digit = buf[end + (plane - window)]  # a position before the file wraps around: it is before the field too
+    digit -= ord("0")
+    keep = plane >= window - width  # the field's own digits
+    nondigit = np.logical_or.reduce((digit > 9) & keep, axis=0)
+    digit *= keep
+    value = np.zeros(width.shape, dtype=np.uint32 if window <= 9 else np.uint64)  # 9 digits fit uint32
+    for j in range(window):
+        value *= 10
+        value += digit[j]
+    big = np.zeros(width.shape, dtype=bool)
+    wide = np.flatnonzero(width > window)  # rare: each field's digits before its last 19
+    if len(wide):
+        lo, hi = first.ravel()[wide], end.ravel()[wide] - window
+        base = int(lo.min())
+        span = buf[base:int(hi.max())]
+        for counted, flags in ((big, span != ord("0")), (nondigit, span - ord("0") > 9)):
+            count = np.concatenate(([0], np.cumsum(flags)))
+            counted.ravel()[wide] |= count[hi - base] > count[lo - base]
+    nonint = nondigit | (width == 0)
+    outside = big | minus & (value != 0) | (value >= high)
+    return value, nonint, outside
+
+
 def read_int_tsv(path, columns):
     """``(n, len(columns))`` int64 array of a TSV file of non-negative integers.
 
     ``columns`` holds one ``(name, high)`` pair per field; the field must
     lie in ``[0, high)``.  A field is an integer when it is ASCII digits
-    with an optional leading ``-``; the fields are interned (:func:`_intern`)
-    and each distinct one is parsed once.  The first line holding a
-    non-integer or out-of-range field raises :class:`ParseError`.
+    after an optional ``-`` (leading zeros, ``-0`` and any number of
+    digits included).  Each field's digits are read straight from
+    :func:`_scan`'s buffer and bounds, :data:`INT_BLOCK` rows at a time,
+    with no str per field.  The first line holding a non-integer or
+    out-of-range field raises :class:`ParseError`, its message built from
+    that line's decoded fields.
     """
     scan = _scan(path, (len(columns),))
-    names, ids = _intern(scan.buf, scan.start.ravel(), scan.end.ravel())
-    ids = ids.reshape(scan.start.shape)
-    # each distinct field's sign and digits without leading zeros; None when it is no integer
-    matches = list(map(re.compile(r"(-?)0*([0-9]+)").fullmatch, names))
-    # not an integer or negative: below every range; int() gets 20 digits at most (more exceed int64, or its 4300 limit)
-    value = np.array([-1 if m is None or m[1] and m[2] != "0" else min(int(m[2][:20]), 2**63 - 1)
-                      for m in matches], dtype=np.int64)[ids]
-    bad = (value < 0) | (value >= np.array([high for _, high in columns], dtype=np.int64))
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        lineno, row = int(scan.linenos[i]), ids[i].tolist()
-        if not all(matches[k] for k in row):
-            raise ParseError(path, lineno, f"non-integer field in {[names[k] for k in row]}")
-        c = int(np.argmax(bad[i]))
-        name, high = columns[c]
-        sign, digits = matches[row[c]].groups()
-        raise ParseError(path, lineno, f"{name} {sign * (digits != '0')}{digits} outside [0, {high})")
-    return value
+    high = np.array([[high] for _, high in columns], dtype=np.uint64)
+    values = np.empty(scan.start.shape, dtype=np.int64)
+    for lo in range(0, len(values), INT_BLOCK):
+        rows = slice(lo, lo + INT_BLOCK)
+        value, nonint, outside = _parse_block(scan.buf, scan.start[rows], scan.end[rows], high)
+        values[rows].T[...] = value
+        bad = np.logical_or.reduce(nonint | outside, axis=0)
+        if bad.any():
+            i = lo + int(np.argmax(bad))
+            fields = [scan.buf[a:b].tobytes().decode("utf-8") for a, b in zip(scan.start[i].tolist(),
+                                                                               scan.end[i].tolist())]
+            if nonint[:, i - lo].any():
+                raise ParseError(path, int(scan.linenos[i]), f"non-integer field in {fields}")
+            c = int(np.argmax(outside[:, i - lo]))
+            name, limit = columns[c]
+            digits = fields[c].removeprefix("-").lstrip("0") or "0"
+            sign = "-" if fields[c].startswith("-") and digits != "0" else ""
+            raise ParseError(path, int(scan.linenos[i]), f"{name} {sign}{digits} outside [0, {limit})")
+    return values
 
 
 @dataclass

@@ -92,7 +92,7 @@ def evaluate(params, records, table, ripple_sets, hp, item_entities, split="test
         raise ValueError(f"cannot evaluate an empty {split} split")
     keep = ripple_sets.known(records[:, 0])
     skipped = int((~keep).sum())
-    kept = records[keep]
+    kept = records[keep] if skipped else records  # a copy only when a row is dropped
     if len(kept) == 0:
         raise ValueError(f"{split} split has no scorable examples (no user has a train positive)")
 

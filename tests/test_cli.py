@@ -18,6 +18,7 @@ from ripplerec.cli import (
     _hyperparams_from_manifest,
     _read_kv,
     _save_snapshot,
+    _sha256,
     _table_sha256,
     build_config,
     load_run,
@@ -70,6 +71,16 @@ def untrained_run(workdir, tmp_path_factory):
     assert run_cli("train", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out,
                    "--set", "epochs=0") == 0
     return out
+
+
+def _record_checksum(out, name):
+    """Record the sha256 of ``out``'s ``<name>.tsv`` in its prep_meta.txt, as a prep that wrote the file would."""
+    meta = out / "prep_meta.txt"
+    key = f"{name}_sha256"
+    lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert sum(line.startswith(f"{key} = ") for line in lines) == 1
+    meta.write_text("".join(f"{key} = {_sha256(out / f'{name}.tsv')}\n" if line.startswith(f"{key} = ") else line
+                            for line in lines), encoding="utf-8")
 
 
 def _to_f32(arrays, names):
@@ -512,6 +523,7 @@ class TestTrainEvalSweep:
             rows = train.read_text(encoding="utf-8").splitlines(keepends=True)
             first = next(i for i, row in enumerate(rows) if row.endswith("\t1\n"))
             train.write_text("".join(rows[:first] + rows[first + 1:]), encoding="utf-8")
+            _record_checksum(out, "train")
         manifest.write_text("".join(lines), encoding="utf-8")
         capsys.readouterr()
         rc = run_cli("eval", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out)
@@ -564,6 +576,7 @@ class TestTrainEvalSweep:
         kept = [line for line in lines if line.split("\t")[0] != "0" or line.split("\t")[2] != "1\n"]
         assert len(kept) < len(lines) and any(line.startswith("0\t") for line in kept)
         train.write_text("".join(kept), encoding="utf-8")
+        _record_checksum(out, "train")
         capsys.readouterr()
         rc = run_cli("train", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out, "--set", "epochs=1")
         err = capsys.readouterr().err
@@ -707,6 +720,18 @@ def _set_field(col, value):
     return defect
 
 
+def _other_digit(col):
+    """Defect that changes the last digit of field ``col`` of line 2 (0 and 1 swap, a larger digit drops by one)."""
+    def defect(data, sep):
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        parts = lines[1].rstrip("\n").split(sep)
+        last = int(parts[col][-1])
+        parts[col] = parts[col][:-1] + str(1 - last if last < 2 else last - 1)
+        lines[1] = sep.join(parts) + "\n"
+        return "".join(lines).encode("utf-8"), 2
+    return defect
+
+
 def _add_key(key, value):
     """Defect that adds a ``key = value`` line at the end of a key = value file."""
     def defect(data, sep):
@@ -789,6 +814,9 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "item_i0_again": _set_field(0, "i0"), "cut_in_half": _cut_in_half, "crc_flip": _flip_tensor_byte,
            "text": lambda data, sep: (b"not a snapshot\n", None), "npy": _npy,
            "byte_100_deleted": _delete_byte(100), "unknown_compression": _unknown_compression,
+           "label_digit_changed": _other_digit(2), "item_digit_changed": _other_digit(1),
+           "no_test_sha256": _drop_key("test_sha256"),
+           "entity_vocab_sha256_zeroed": _set_key("entity_vocab_sha256", "0" * 64),
            "directory": lambda data, sep: (None, None)}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
 # prep and train artifacts: (file, field separator, the command that reads it)
@@ -859,6 +887,14 @@ INPUT_DEFECTS = [
     ("model", "byte_100_deleted", EXIT_MALFORMED, "{path} is not a readable snapshot archive (OSError"),
     ("model", "unknown_compression", EXIT_MALFORMED,
      "{path} is not a readable snapshot archive (NotImplementedError"),
+    # a run file that parses but is not the one prep wrote: prep_meta.txt holds each one's sha256
+    ("test", "label_digit_changed", EXIT_MALFORMED, "error: {path} does not match test_sha256 in "),
+    ("train", "item_digit_changed", EXIT_MALFORMED, "error: {path} does not match train_sha256 in "),
+    ("prep_meta", "no_test_sha256", EXIT_MALFORMED,
+     "{path}: missing key 'test_sha256' (written before prep checksummed its run files); re-run prep"),
+    # the vocabulary file and the one rebuilt from the KG agree: the recorded value is at fault
+    ("prep_meta", "entity_vocab_sha256_zeroed", EXIT_MALFORMED,
+     "error: {path}: entity_vocab_sha256 matches neither "),
     # a directory where an input file should be: open() refuses it before any reader sees a byte
     ("kg", "directory", EXIT_MISSING_FILE, "error: cannot open: [Errno 21] Is a directory: '{path}'"),
     ("test", "directory", EXIT_MISSING_FILE, "error: cannot open: [Errno 21] Is a directory: '{path}'"),

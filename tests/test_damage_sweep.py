@@ -49,7 +49,8 @@ TARGETS = [("data/kg.tsv", "prep"), ("data/kg.tsv", "eval"), ("data/ratings.tsv"
            ("run/prep_report.txt", "eval"), ("run/prep_meta.txt", "train"), ("run/prep_meta.txt", "eval"),
            ("run/model.npz", "eval"), ("run/model.manifest.txt", "eval")]
 PATHS = list(dict.fromkeys(path for path, _ in TARGETS))  # a file read by two commands gets one damage
-CHECKSUMMED = {"data/kg.tsv", "run/entity_vocab.tsv", "run/relation_vocab.tsv", "run/model.npz"}
+CHECKSUMMED = {"data/kg.tsv", "run/entity_vocab.tsv", "run/relation_vocab.tsv", "run/model.npz", "run/train.tsv",
+               "run/validation.tsv", "run/test.tsv", "run/item_entities.tsv"}
 ARGV = {"prep": ["prep", "--config", "cfg.txt", "--out", "reprep"], "train": ["train", "--config", "cfg.txt"],
         "eval": ["eval", "--config", "cfg.txt"]}
 CSV = {"train": "run/test_report.csv", "eval": "run/eval_test.csv"}  # what a run that exits 0 writes

@@ -15,6 +15,7 @@ from ripplerec.kg import (
     read_int_tsv,
     relation_dtype,
     sample_children,
+    write_int_tsv,
     write_vocab,
 )
 from ripplerec.cli import _table_sha256
@@ -833,6 +834,129 @@ def test_read_int_tsv_matches_line_loop(tmp_path, seed):
         else:
             got = read_int_tsv(str(path), columns)
             assert got.dtype == np.int64 and got.shape == (len(want), len(columns)) and got.tolist() == want
+
+
+# -- the block kernels of write_int_tsv and read_int_tsv, against str.format and the line loop ---
+
+
+BLOCK = ripplerec.kg.INT_BLOCK
+# 0, 9, 10, 99, 100, each power of ten int64 holds and its neighbours, and int64's largest value
+EDGE_VALUES = sorted({0, 9, 10, 99, 100, 2**63 - 1} | {10**j + d for j in range(1, 19) for d in (-1, 0, 1)})
+
+
+def _format_rows(rows):
+    """The line loop of :func:`write_int_tsv`: ``str.format`` of every row."""
+    return "".join("\t".join(map("{}".format, row)) + "\n" for row in rows.tolist()).encode("ascii")
+
+
+def _mixed_rows(rng, n, k):
+    """``(n, k)`` int64 values of 1 to 19 decimal digits, below int64's largest value."""
+    digits = rng.integers(1, 20, size=(n, k))
+    return rng.integers(0, 10 ** np.minimum(digits, 18), dtype=np.int64) * np.where(digits == 19, 9, 1)
+
+
+class TestWriteIntTsv:
+    @pytest.mark.parametrize("shape", [(len(EDGE_VALUES), 1), (len(EDGE_VALUES), 3)], ids=["one_column", "three"])
+    def test_edge_values_match_str_format(self, tmp_path, shape):
+        rows = np.resize(np.array(EDGE_VALUES, dtype=np.int64), shape[::-1]).T.copy()
+        rows[:, 1:] = np.roll(rows[:, 1:], 5, axis=0)
+        path = tmp_path / "ints.tsv"
+        write_int_tsv(path, rows)
+        assert path.read_bytes() == _format_rows(rows)
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_row_counts_around_the_block_match_str_format(self, tmp_path, n, k):
+        rows = _mixed_rows(np.random.default_rng(n * 4 + k), n, k)
+        rows[BLOCK:2 * BLOCK] %= 10**4  # a block whose fields all fit one 4-digit word, between wider ones
+        path = tmp_path / "ints.tsv"
+        write_int_tsv(path, rows)
+        assert path.read_bytes() == _format_rows(rows)
+
+    def test_round_trip(self, tmp_path):
+        rows = _mixed_rows(np.random.default_rng(7), 2 * BLOCK + 5, 2)
+        path = tmp_path / "ints.tsv"
+        write_int_tsv(path, rows)
+        got = read_int_tsv(str(path), [("a", 2**63 - 1), ("b", 2**63 - 1)])
+        assert got.dtype == np.int64 and got.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("at", [0, BLOCK + 3])
+    def test_negative_value_raises_naming_its_row_before_writing(self, tmp_path, at):
+        rows = np.arange(3 * (BLOCK + 10), dtype=np.int64).reshape(-1, 3)
+        rows[at, 2] = -5
+        path = tmp_path / "ints.tsv"
+        with pytest.raises(ValueError, match=rf"ints\.tsv: row {at} holds a negative value"):
+            write_int_tsv(path, rows)
+        assert not path.exists()
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError):
+            write_int_tsv(path, rows)
+        assert path.read_bytes() == b"kept\n"
+
+
+def _ints_text(rng, n, columns, newline="\n"):
+    return [["\t".join(str(int(rng.integers(high))) for _, high in columns), newline] for _ in range(n)]
+
+
+def _assert_reads_as_line_loop(path, columns):
+    try:
+        want = _reference_read_int_tsv(str(path), columns)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            read_int_tsv(str(path), columns)
+        assert str(got.value) == str(err)
+        return str(err)
+    got = read_int_tsv(str(path), columns)
+    assert got.dtype == np.int64 and got.shape == (len(want), len(columns)) and got.tolist() == want
+    return None
+
+
+@pytest.mark.parametrize("block", [7, BLOCK])
+class TestReadIntTsvBlocks:
+    """Files of several blocks against the line loop, at a small block and at :data:`~ripplerec.kg.INT_BLOCK`."""
+
+    COLUMNS = (("user", 6040), ("item", 3706), ("label", 2))
+
+    def _lines(self, block, seed):
+        rng = np.random.default_rng(seed)
+        return rng, _ints_text(rng, 3 * block + 5, self.COLUMNS)
+
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "ints.tsv"
+        path.write_bytes("".join(text + end for text, end in lines).encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_bad_line_in_a_later_block(self, tmp_path, monkeypatch, block, seed):
+        monkeypatch.setattr(ripplerec.kg, "INT_BLOCK", block)
+        rng, lines = self._lines(block, seed)
+        bad = ["1\t2\t2", "1\tx\t0", "-3\t1\t0", "1\t3706\t1", "+1\t2\t0", "1\t" + "9" * 30 + "\t1"][seed::3]
+        rows = sorted(rng.choice(np.arange(block + 1, len(lines)), size=len(bad), replace=False))
+        for row, text in zip(rows, bad):
+            lines[row][0] = text
+        message = _assert_reads_as_line_loop(self._write(tmp_path, lines), self.COLUMNS)
+        assert message.split(":")[-2] == str(rows[0] + 1)
+
+    def test_blank_lines_and_crlf_at_a_block_edge(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(ripplerec.kg, "INT_BLOCK", block)
+        _, lines = self._lines(block, 3)
+        for edge in (block, 2 * block):  # the last row of a block and the first of the next end in CRLF
+            lines[edge - 1][1] = lines[edge][1] = "\r\n"
+            lines[edge - 1][1] += "\n\r\n"  # and two blank lines lie between them
+        path = self._write(tmp_path, lines)
+        assert _scan(str(path), (3,)).arity == 0
+        assert _assert_reads_as_line_loop(path, self.COLUMNS) is None
+
+    def test_long_field_with_leading_zeros_in_the_last_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(ripplerec.kg, "INT_BLOCK", block)
+        _, lines = self._lines(block, 4)
+        lines[-2][0] = "0" * 24 + "1\t" + "0" * 22 + "123\t" + "-" + "0" * 24
+        path = self._write(tmp_path, lines)
+        assert _assert_reads_as_line_loop(path, self.COLUMNS) is None
+        assert read_int_tsv(str(path), self.COLUMNS)[-2].tolist() == [1, 123, 0]
+        lines[-1][0] = "0" * 5 + "1" + "0" * 19 + "\t1\t1"  # the same 25 digits, one of them not a leading zero
+        message = _assert_reads_as_line_loop(self._write(tmp_path, lines), self.COLUMNS)
+        assert message.endswith(f":{len(lines)}: user 1{'0' * 19} outside [0, 6040)")
 
 
 # -- the dtypes of the scanner's bounds and of relation ids ---------------------------

@@ -137,6 +137,31 @@ class TestEvaluate:
         assert report.skipped == dropped
         assert report.n_examples == len(dataset.test) - dropped
 
+    def test_scores_the_records_themselves_when_no_user_is_skipped(self, tiny_data, monkeypatch):
+        kg, dataset = tiny_data
+        hp = Hyperparams()
+        scored = []
+
+        def oracle(params, records, *args, **kwargs):
+            scored.append(records)
+            return np.asarray(records)[:, 2].astype(float)
+
+        monkeypatch.setattr(ripplerec.model, "score_batch", oracle)
+        records = dataset.test.copy()
+        neighbors = rr.build_neighbor_table(kg, hp, 0)
+
+        def known_except(*users):
+            has = np.ones(dataset.num_users, dtype=bool)
+            has[list(users)] = False
+            return RippleTable(np.zeros((hp.hops, dataset.num_users, 1, 3), dtype=np.int64), has)
+
+        report = evaluate(None, records, neighbors, known_except(), hp, dataset.item_entities)
+        assert len(scored) == 1 and scored[0] is records
+        assert (report.skipped, report.n_examples, report.auc) == (0, len(records), 1.0)
+        # one user skipped: its rows are dropped from a copy
+        report = evaluate(None, records, neighbors, known_except(records[0, 0]), hp, dataset.item_entities)
+        assert scored[1] is not records and len(scored[1]) == len(records) - report.skipped > 0
+
     @pytest.mark.parametrize("user_table", [False, True], ids=["ripple", "user_table"])
     def test_out_of_range_users_skipped_and_counted(self, tiny_data, user_table):
         kg, dataset = tiny_data
