@@ -240,10 +240,12 @@ def _intern(buf, start, end):
 # Rows per block of write_int_tsv and read_int_tsv: their temporaries grow with the block, not the file.
 INT_BLOCK = 1 << 13
 # _DIGITS4[v]: the four ASCII digits of 0 <= v < 10**4, zero-padded, as one native-endian word;
-# _WIDTH4[v]: how many of them are left without leading zeros (none for 0)
-_DIGITS4 = (np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
-_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
-_WIDTH4 = (np.arange(10**4)[:, None] >= 10 ** np.arange(4)).sum(axis=1)
+# _WIDTH4[v]: how many of them are left without leading zeros (none for 0).  Built in uint16, whose
+# temporaries are a quarter of int64's.
+_DIGITS4 = np.arange(10**4, dtype=np.uint16)[:, None] // 10 ** np.arange(3, -1, -1, dtype=np.uint16) % 10
+_DIGITS4 = (_DIGITS4.astype(np.uint8) + ord("0")).view(np.uint32).ravel()
+_WIDTH4 = (np.arange(10**4, dtype=np.uint16)[:, None] >= 10 ** np.arange(4, dtype=np.uint16))
+_WIDTH4 = _WIDTH4.sum(axis=1, dtype=np.uint8)
 # the word that follows a field's digits: its separator, then three bytes that are never kept
 _TAB, _NEWLINE = np.frombuffer(b"\t\0\0\0\n\0\0\0", dtype=np.uint32)
 
