@@ -435,7 +435,8 @@ def load_run(cfg):
     vocab = ("truncated, or not written by ripplerec",
              f"differs from {os.path.join(cfg.out, 'prep_meta.txt')} (prep re-run since train?)")
     tables = {"ripple_table_sha256": ("trained before the hop-by-hop ripple builder, whose bags differ",
-                                      f"does not match the ripple table rebuilt from the train split in {cfg.out}"),
+                                      f"does not match the ripple table rebuilt from the train split in {cfg.out} "
+                                      f"and the graph in {prep_meta['kg']}"),
               "neighbor_table_sha256": ("trained before the per-run neighbor table, whose trees differ",
                                         f"does not match the neighbor table rebuilt from {prep_meta['kg']}")}
     for key, value in _run_checksums(prep_meta, ripple_table, neighbor_table).items():

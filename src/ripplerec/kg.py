@@ -14,9 +14,10 @@ one padded buffer: it sorts each field as padded 8-byte words and
 decodes only the distinct fields.  The integers of the run's files are
 not interned: :func:`read_int_tsv` reads each field's digits straight
 from the buffer, and :func:`write_int_tsv`, its inverse, formats them
-with numpy digit arithmetic, both a block of rows at a time.  So no
-input or output makes a Python str per field.  Triples are indexed
-through those first-appearance vocabularies, held as name lists,
+with numpy digit arithmetic, both a block of rows at a time, so
+neither makes a Python str per field; the vocabulary audit files
+(:func:`vocab_bytes`) are still formatted one str per row.  Triples are
+indexed through those first-appearance vocabularies, held as name lists,
 deduplicated by one sort of packed (head, relation, tail) keys, and kept
 only as one compressed sparse row (CSR) layout built from one sort of
 packed (source, relation, neighbor) keys:
@@ -43,7 +44,6 @@ concurrent sampling requires independent generator instances.
 from __future__ import annotations
 
 import logging
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -240,12 +240,11 @@ def _intern(buf, start, end):
 # Rows per block of write_int_tsv and read_int_tsv: their temporaries grow with the block, not the file.
 INT_BLOCK = 1 << 13
 # _DIGITS4[v]: the four ASCII digits of 0 <= v < 10**4, zero-padded, as one native-endian word;
-# _WIDTH4[v]: how many of them are left without leading zeros (none for 0).  Built in uint16, whose
-# temporaries are a quarter of int64's.
-_DIGITS4 = np.arange(10**4, dtype=np.uint16)[:, None] // 10 ** np.arange(3, -1, -1, dtype=np.uint16) % 10
-_DIGITS4 = (_DIGITS4.astype(np.uint8) + ord("0")).view(np.uint32).ravel()
-_WIDTH4 = (np.arange(10**4, dtype=np.uint16)[:, None] >= 10 ** np.arange(4, dtype=np.uint16))
-_WIDTH4 = _WIDTH4.sum(axis=1, dtype=np.uint8)
+# _WIDTH4[v]: how many of them are left without leading zeros (none for 0).  Row v of the uint8
+# grid of indices is v's digits, so neither table does any arithmetic on v.
+_DIGITS4 = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+_WIDTH4 = np.logical_or.accumulate(_DIGITS4 != 0, axis=1).sum(axis=1, dtype=np.uint8)
+_DIGITS4 = np.ascontiguousarray(_DIGITS4 + ord("0")).view(np.uint32).ravel()
 # the word that follows a field's digits: its separator, then three bytes that are never kept
 _TAB, _NEWLINE = np.frombuffer(b"\t\0\0\0\n\0\0\0", dtype=np.uint32)
 
@@ -409,7 +408,7 @@ class KnowledgeGraph:
 
 @dataclass
 class RippleSet:
-    """Per-user hop bags of triples seeded by the user's train positives.
+    """One user's hop bags as :meth:`RippleTable.values` yields them.
 
     ``hops[k]`` is an ``(n_p, 3)`` int array of (head, relation, tail)
     rows; hop-0 heads are seed entities, hop-k heads are hop-(k-1) tails.
@@ -419,7 +418,7 @@ class RippleSet:
     hops: list[np.ndarray]
 
 
-class RippleTable(Mapping):
+class RippleTable:
     """Every user's hop bags in one array, as :func:`build_ripple_table` draws them.
 
     ``bags`` is a ``(hops, num_users, n_p, 3)`` array of the graph's index
@@ -427,8 +426,8 @@ class RippleTable(Mapping):
     is user ``u``'s hop-k bag (zero hops under ``user_table``).  ``has``
     masks the users :meth:`known` accepts; the other rows are zero.  Both
     arrays are read-only; a snapshot's manifest checksums their bytes.
-    The table reads as a mapping user -> :class:`RippleSet` over ``has``,
-    ascending, whose hops are views of ``bags``.
+    :meth:`known` is the one membership test, and :meth:`take` (or
+    ``bags[:, u]``) the one read of a user's bags.
     """
 
     def __init__(self, bags, has):
@@ -437,19 +436,15 @@ class RippleTable(Mapping):
         self.bags = bags
         self.has = has
 
-    def __getitem__(self, user):
-        if user not in self:
-            raise KeyError(user)
-        return RippleSet(user=int(user), hops=list(self.bags[:, user]))
-
-    def __contains__(self, user):
-        return isinstance(user, (int, np.integer)) and 0 <= user < len(self.has) and bool(self.has[user])
-
-    def __iter__(self):
-        return iter(np.flatnonzero(self.has).tolist())
-
+    # __len__ and values() are the two reads perfbench's ripple counter makes (perfbench/trace.py,
+    # _count_ripple_sets); they go, with RippleSet, once that counter reads bags and has.
     def __len__(self):
+        """The number of users with bags: ``has.sum()``."""
         return int(self.has.sum())
+
+    def values(self):
+        """One :class:`RippleSet` per user of ``has``, users ascending, hops as views of ``bags``."""
+        return (RippleSet(user=user, hops=list(self.bags[:, user])) for user in np.flatnonzero(self.has).tolist())
 
     def known(self, users):
         """Bool mask of the int array ``users`` (B,) that ``has`` marks; out-of-range users are unknown."""

@@ -25,6 +25,7 @@ from ripplerec.cli import (
     main,
     parse_config_file,
 )
+from ripplerec.kg import load_kg
 from ripplerec.model import Hyperparams, init_params
 
 
@@ -117,9 +118,10 @@ class TestConfig:
             parse_config_file(str(path), RunConfig())
 
     @pytest.mark.parametrize("via", ["config", "set"])
-    @pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("resample_ripple", "False")])
+    @pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("resample_ripple", "False"),
+                                            ("fusion", "recursive")])
     def test_removed_training_keys_rejected(self, tmp_path, capsys, key, value, via):
-        # training is always Adam over ripple sets sampled once per run
+        # training is always Adam over ripple sets sampled once per run, with one user-side fusion
         path = tmp_path / "c.txt"
         path.write_text(f"{key} = {value}\n" if via == "config" else "", encoding="utf-8")
         argv = ["train", "--config", path, "--out", tmp_path / "run"]
@@ -446,6 +448,16 @@ class TestTrainEvalSweep:
         assert run_cli("eval", "--config", workdir / "cfg.txt", "--out", out) == 0
         assert (out / "eval_test.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_run_without_prep_exit_2(self, tmp_path, capsys, command):
+        # lr * l2_weight is checked on the final values, so either --set order gets past it to the missing prep
+        for order in (["l2_weight=200", "lr=0.001"], ["lr=0.001", "l2_weight=200"]):
+            capsys.readouterr()
+            rc = run_cli(command, "--out", tmp_path / "no-run", *(arg for kv in order for arg in ("--set", kv)))
+            err = capsys.readouterr().err
+            assert rc == EXIT_MISSING_FILE, err
+            assert f"missing file: {tmp_path / 'no-run' / 'prep_meta.txt'}" in err, err
+
     def test_eval_before_train_exit_2(self, workdir, tmp_path):
         out = tmp_path / "fresh"
         assert run_cli("prep", "--config", workdir / "cfg.txt", "--seed", 5, "--out", out) == 0
@@ -531,6 +543,31 @@ class TestTrainEvalSweep:
         assert rc == EXIT_MALFORMED, err
         assert f"{manifest}: {expect}" in err, err
         assert "retrain the snapshot" in err
+        assert not (out / "eval_test.csv").exists()
+
+    def test_eval_blames_a_kg_edited_since_train_on_the_kg_too(self, workdir, tmp_path, capsys):
+        # one triple's tail moves to an entity named earlier in the file, so the
+        # vocabularies (and their checksums) stay as trained, but the graph the
+        # tables are rebuilt from does not
+        kg = tmp_path / "kg.tsv"
+        shutil.copy(workdir / "data" / "kg.tsv", kg)
+        out = tmp_path / "run"
+        argv = ["--config", workdir / "cfg.txt", "--seed", 5, "--out", out, "--set", f"kg={kg}"]
+        assert run_cli("prep", *argv) == 0
+        assert run_cli("train", *argv, "--set", "epochs=0") == 0
+        names = load_kg(str(kg)).entity_names
+        rows = [line.split("\t") for line in kg.read_text(encoding="utf-8").splitlines()]
+        triples = {tuple(row) for row in rows}
+        head, relation, _ = rows[-1]
+        rows[-1][2] = next(name for name in names if name != rows[-1][2] and (head, relation, name) not in triples)
+        kg.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+        assert load_kg(str(kg)).entity_names == names
+        capsys.readouterr()
+        rc = run_cli("eval", *argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MALFORMED, err
+        assert (f"{out / 'model.manifest.txt'}: ripple_table_sha256 does not match the ripple table rebuilt from the "
+                f"train split in {out} and the graph in {kg}; retrain the snapshot") in err, err
         assert not (out / "eval_test.csv").exists()
 
     @pytest.mark.parametrize("edit, expect", [

@@ -1835,13 +1835,13 @@ class TestFit:
 
         with caplog.at_level("WARNING"):
             ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-        assert sorted(ripple_sets) == [1, 2]
+        assert np.flatnonzero(ripple_sets.has).tolist() == [1, 2]
         assert "1 users skipped" in caplog.text
         expected = reference_ripple_bags(adjacency(tmp_path / "kg.tsv", undirected=False), train_seeds(dataset),
                                          hp.hops, hp.ripple_size, np.random.default_rng([0, 17]))
         assert sorted(expected) == [1, 2]
         for user in (1, 2):
-            for got, want in zip(ripple_sets[user].hops, expected[user]):
+            for got, want in zip(ripple_sets.bags[:, user], expected[user]):
                 assert got.dtype == np.int32 and got.astype(np.int64).tobytes() == want.tobytes()
 
         caplog.clear()

@@ -1,20 +1,22 @@
 """The per-user ripple sets a run builds, and the hop bags a batch reads from them.
 
-The oracles are a dict of ``RippleSet`` filled by the hop-by-hop,
+The oracles are a dict of per-user hop bags filled by the hop-by-hop,
 user-by-user reference draw loop, and the per-example ``np.stack``
 batch assembly that the one-table layout replaced; the table must
-reproduce them bit for bit.
+reproduce them bit for bit.  The table is read only through ``bags``,
+``has``, ``known`` and ``take``, but for the two reads perfbench's
+tracer makes (``len`` and ``values``).
 """
 
 import dataclasses
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 import ripplerec as rr
 import ripplerec.model
-from ripplerec.kg import RippleSet, RippleTable
+from ripplerec.kg import RippleTable
 from ripplerec.metrics import evaluate
 from ripplerec.model import Hyperparams, assemble_batch
 
@@ -22,15 +24,14 @@ from conftest import adjacency, reference_ripple_bags, tables, train_seeds, writ
 
 
 def _dict_build_ripple_sets(dataset, adj, hp, seed):
-    """One ``RippleSet`` per user in a dict, dead-end users left out; ``adj`` is the graph's :func:`adjacency`."""
-    bags = reference_ripple_bags(adj, train_seeds(dataset), hp.hops, hp.ripple_size,
+    """Each user's list of hop bags in a dict, dead-end users left out; ``adj`` is the graph's :func:`adjacency`."""
+    return reference_ripple_bags(adj, train_seeds(dataset), hp.hops, hp.ripple_size,
                                  np.random.default_rng([seed, 17]))
-    return {user: RippleSet(user=user, hops=hops) for user, hops in bags.items()}
 
 
-def _stacked_hop_bags(ripple_sets, users, hops):
+def _stacked_hop_bags(oracle, users, hops):
     """Per hop, the bags of ``users`` stacked one example at a time: (B, n_p, 3)."""
-    return [np.stack([ripple_sets[int(u)].hops[k] for u in users], axis=0) for k in range(hops)]
+    return [np.stack([oracle[int(u)][k] for u in users], axis=0) for k in range(hops)]
 
 
 def _random_case(tmp_path, seed, directed):
@@ -107,13 +108,15 @@ def test_hop_bags_match_dict_oracle(tmp_path, seed, directed):
     kg, dataset, hp = _random_case(tmp_path, seed, directed)
     ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=seed)
     oracle = _dict_build_ripple_sets(dataset, adjacency(tmp_path / f"kg{seed}.tsv", not directed), hp, seed)
-    assert list(ripple_sets) == list(oracle)
+    assert np.flatnonzero(ripple_sets.has).tolist() == list(oracle)
+    everyone = np.arange(dataset.num_users)
+    assert everyone[ripple_sets.known(everyone)].tolist() == list(oracle)
     if directed:
-        assert 0 not in ripple_sets
+        assert not ripple_sets.known(np.array([0]))[0]
     for user, want in oracle.items():
-        got = ripple_sets[user].hops
-        assert len(got) == len(want.hops) == hp.hops
-        for g, w in zip(got, want.hops):
+        got = ripple_sets.take(np.array([user]))[:, 0]
+        assert len(got) == len(want) == hp.hops
+        for g, w in zip(got, want):
             assert (g.dtype, g.shape, g.astype(np.int64).tobytes()) == (np.int32, w.shape, w.tobytes())
 
     batch = dataset.train[np.isin(dataset.train[:, 0], list(oracle))]
@@ -217,34 +220,38 @@ def test_known_agrees_with_take(tmp_path, monkeypatch, user_table, user):
 
 
 def test_mapping_semantics(tmp_path):
+    """Which users the table knows, by ``has``, ``known`` and ``take``; and the two reads left of its old mapping."""
     kg, dataset, hp = _dead_end_case(tmp_path)
     ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-    assert len(ripple_sets) == 2
-    assert list(ripple_sets) == sorted(ripple_sets) == [1, 2]
-    assert list(ripple_sets.keys()) == [1, 2]
-    assert 1 in ripple_sets and np.int64(2) in ripple_sets
-    for absent in (0, 3, -1, np.int64(0), "1", 1.5, None):
-        assert absent not in ripple_sets
+    assert not isinstance(ripple_sets, Mapping)
+    assert np.flatnonzero(ripple_sets.has).tolist() == [1, 2]
+    assert ripple_sets.known(np.array([1, 2], dtype=np.int64)).all()
+    assert not ripple_sets.known(np.array([0, 3, -1])).any()
     for absent in (0, 3, -1):
         with pytest.raises(KeyError):
-            ripple_sets[absent]
-    assert ripple_sets.get(0) is None
+            ripple_sets.take(np.array([absent]))
     # the reads a tracer makes of the built sets
-    assert sum(len(rs.hops) for rs in ripple_sets.values()) == 2 * hp.hops
-    assert [rs.hops[0].shape for _, rs in ripple_sets.items()] == [(hp.ripple_size, 3)] * 2
+    assert len(ripple_sets) == 2
+    values = list(ripple_sets.values())
+    assert [rs.user for rs in values] == [1, 2]
+    assert sum(len(rs.hops) for rs in values) == 2 * hp.hops
+    assert [rs.hops[0].shape for rs in values] == [(hp.ripple_size, 3)] * 2
+    for rs in values:
+        for k, hop in enumerate(rs.hops):
+            assert np.shares_memory(hop, ripple_sets.bags) and np.array_equal(hop, ripple_sets.bags[k, rs.user])
 
 
 def test_table_layout_and_read_only(tmp_path):
     kg, dataset, hp = _dead_end_case(tmp_path)
     ripple_sets = rr.build_ripple_sets(dataset, kg, hp, seed=0)
-    assert isinstance(ripple_sets, RippleTable) and not isinstance(ripple_sets, MutableMapping)
+    assert isinstance(ripple_sets, RippleTable)
     assert ripple_sets.bags.shape == (hp.hops, dataset.num_users, hp.ripple_size, 3)
     assert ripple_sets.bags.dtype == np.int32
     assert ripple_sets.has.tolist() == [False, True, True]
     assert not ripple_sets.bags[:, 0].any()
-    with pytest.raises(TypeError):
-        ripple_sets[0] = ripple_sets[1]
     with pytest.raises(ValueError, match="read-only"):
-        ripple_sets[1].hops[0][0, 0] = 5
+        ripple_sets.bags[:, 0] = ripple_sets.bags[:, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        next(ripple_sets.values()).hops[0][0, 0] = 5
     with pytest.raises(ValueError, match="read-only"):
         ripple_sets.has[0] = True
