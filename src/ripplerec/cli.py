@@ -253,6 +253,7 @@ def cmd_prep(cfg):
         f"split sizes (train/validation/test)\t{len(dataset.train)}/{len(dataset.validation)}/{len(dataset.test)}",
         f"users without train positives (excluded from val/test scoring)\t{no_positive}",
         f"users who rated every item (dropped: no negative to draw)\t{dataset.no_negative_users}",
+        f"users whose negatives were drawn with replacement (pool smaller than positives)\t{dataset.replacement_users}",
         f"seed\t{cfg.seed}",
     ]
     with open(os.path.join(out, "prep_report.txt"), "w", encoding="utf-8") as fh:

@@ -54,7 +54,7 @@ class BinarizeResult:
 
 @dataclass
 class InteractionDataset:
-    """What prep writes: the sizes, the three splits, the item -> entity map and one count of its report."""
+    """What prep writes: the sizes, the three splits, the item -> entity map and two counts of its report."""
 
     num_users: int
     num_items: int
@@ -63,6 +63,7 @@ class InteractionDataset:
     test: np.ndarray
     item_entities: np.ndarray  # item index -> KG entity index
     no_negative_users: int = 0  # users build_dataset dropped: they rated every item, so no negative exists
+    replacement_users: int = 0  # users whose pool was smaller than their positives: negatives drawn with replacement
 
     def split_named(self, name):
         return {"train": self.train, "validation": self.validation, "test": self.test}[name]
@@ -128,42 +129,190 @@ def binarize(ratings_path, threshold, item_to_entity):
     )
 
 
+# Generator.choice(pool, t, replace=False) shuffles the tail of arange(pool) in place of
+# Floyd's algorithm when pool > _TAIL_SHUFFLE_POOL and t > pool // 50 (numpy >= 1.17)
+_TAIL_SHUFFLE_POOL = 10000
+NEGATIVE_BLOCK = 1 << 13  # draws per rng.integers call in negative_sample; bounds its transient arrays
+
+
 def negative_sample(positives, num_items, rng):
     """Draw per-user negatives at a 1:1 ratio with the positives.
 
     ``positives`` is an ``(n, 2)`` array of (user, item) rows sorted by
-    user.  For each user with T positives, in ascending user order, T
-    distinct items are drawn uniformly from the items that user never
-    interacted with.  If that pool is smaller than T the draw falls back
-    to with-replacement and a warning is logged.  Returns the ``(n, 3)``
-    (user, item, 0) rows, row k holding the negative drawn for row k of
-    ``positives``.
+    user, every item in ``[0, num_items)``.  For each user with T
+    positive rows, in ascending user order, T distinct items are drawn
+    uniformly from the pool of items that user never interacted with,
+    as ``rng.choice(pool, T, replace=False)`` draws them.  If that pool
+    is smaller than T the draw falls back to ``pool[rng.integers(0,
+    len(pool), size=T)]`` and a warning is logged.  Returns the ``(n,
+    3)`` (user, item, 0) rows, row k holding the negative drawn for row
+    k of ``positives``.  An unsorted user column, an item out of range
+    (naming its row) or an empty pool (naming its user) raises
+    ``ValueError`` before anything is drawn.
+
+    The draws are those of the per-user calls, and leave ``rng`` where
+    they would.  ``choice`` makes only bounded draws in ``[0, high)``,
+    whose highs depend on the pool size P and on T alone:
+
+    - Floyd's algorithm (P <= 10000 or T <= P // 50): highs P - T + 1,
+      ..., P, then a Fisher-Yates shuffle of the T picks with highs T,
+      T - 1, ..., 2;
+    - tail shuffle (P > 10000 and T > P // 50): highs P, P - 1, ...,
+      max(P - T, 1) + 1, swapping in ``arange(P)``, whose last T entries
+      are kept;
+    - with replacement (P < T): T draws with high P.
+
+    So one ``rng.integers(0, highs)`` call per block of about
+    :data:`NEGATIVE_BLOCK` draws makes every user's draws in order
+    (:func:`_draw_block`), and the shuffles run for all users at once
+    (:func:`_shuffle`).  The transient arrays are O(positives): no users
+    x items array is made.
     """
+    return _negative_sample(positives, num_items, rng)[0]
+
+
+def _negative_sample(positives, num_items, rng):
+    """:func:`negative_sample`'s rows, and the number of users whose negatives were drawn with replacement."""
     positives = np.asarray(positives, dtype=np.int64)
-    if np.any(np.diff(positives[:, 0]) < 0):
+    users, items = positives[:, 0], positives[:, 1]
+    if np.any(np.diff(users) < 0):
         raise ValueError("positives must be sorted by user")
-    users, starts = np.unique(positives[:, 0], return_index=True)
-    ends = np.append(starts[1:], len(positives))
+    outside = (items < 0) | (items >= num_items)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise ValueError(f"positives row {row}: item {items[row]} is not in [0, {num_items})")
+    starts = np.flatnonzero(np.diff(users, prepend=users[:1] - 1))
+    t = np.diff(starts, append=len(users))
+    # each user's distinct items, ascending, as u * num_items + item for the users u numbered from 0
+    gaps = np.sort(np.repeat(np.arange(len(starts)) * num_items, t) + items)
+    gaps = gaps[np.diff(gaps, prepend=-1) != 0]
+    gap_first = np.searchsorted(gaps, np.arange(len(starts)) * num_items)
+    seen = np.diff(gap_first, append=len(gaps))
+    pop = num_items - seen
+    if np.any(pop == 0):
+        raise ValueError(f"user {users[starts[np.argmax(pop == 0)]]}: no unobserved items to sample negatives from")
+    replaced = pop < t
+    for user, size, count in zip(users[starts[replaced]].tolist(), pop[replaced].tolist(), t[replaced].tolist()):
+        logger.warning("user %d: unobserved pool (%d) smaller than positive count (%d); sampling with replacement",
+                       user, size, count)
+    gaps -= _within(seen)  # u * num_items + s_j - j for u's j-th item s_j
+    tail = ~replaced & (pop > _TAIL_SHUFFLE_POOL) & (t > pop // 50)
+    floyd = ~replaced & ~tail
+
     negatives = np.zeros((len(positives), 3), dtype=np.int64)
-    negatives[:, 0] = positives[:, 0]
-    unseen = np.ones(num_items, dtype=bool)  # all True between users
-    for user, lo, hi in zip(users.tolist(), starts, ends):
-        t = hi - lo
-        unseen[positives[lo:hi, 1]] = False
-        pool = np.flatnonzero(unseen)  # ascending
-        unseen[positives[lo:hi, 1]] = True
-        if len(pool) == 0:
-            raise ValueError(f"user {user}: no unobserved items to sample negatives from")
-        if len(pool) < t:
-            logger.warning(
-                "user %d: unobserved pool (%d) smaller than positive count (%d); sampling with replacement",
-                user, len(pool), t,
-            )
-            draws = pool[rng.integers(0, len(pool), size=t)]
-        else:
-            draws = rng.choice(pool, size=t, replace=False)
-        negatives[lo:hi, 1] = draws
-    return negatives
+    negatives[:, 0] = users
+    picked = negatives[:, 1]
+    steps = np.empty(len(users), dtype=np.int64)  # each row's shuffle draw
+    draws = np.where(floyd, 2 * t, t)
+    block = (np.cumsum(draws) - draws) // NEGATIVE_BLOCK
+    bounds = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
+    row_end, gap_end = np.append(starts, len(users)), np.append(gap_first, len(gaps))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        rows = slice(row_end[a], row_end[b])
+        picked[rows], steps[rows] = _draw_block(rng, t[a:b], pop[a:b], floyd[a:b], tail[a:b],
+                                                gaps[gap_end[a]:gap_end[b]] - a * num_items,
+                                                gap_first[a:b] - gap_first[a], num_items)
+    _shuffle(picked, steps, np.where(floyd, t, 0), t, starts, starts)
+    pooled = np.flatnonzero(tail)
+    if len(pooled):  # a tail shuffle runs over the user's whole pool and keeps its last t items
+        size, count, first = pop[pooled], t[pooled], starts[pooled]
+        seg = np.cumsum(size) - size
+        pools = _pool_items(gaps, gap_first, np.repeat(pooled, size), _within(size), num_items)
+        _shuffle(pools, steps, count, size, seg, first)
+        kept = _within(count)
+        picked[np.repeat(first, count) + kept] = pools[np.repeat(seg + size - count, count) + kept]
+    return negatives, int(replaced.sum())
+
+
+def _within(lengths):
+    """Each element's place in its run, for runs of ``lengths`` laid end to end."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _pool_items(gaps, gap_first, user, p, span):
+    """The ``p``-th item of each ``user``'s pool: p plus the number of its ``gaps`` at most p.
+
+    ``gaps`` holds ``user * span + s_j - j`` for each user's seen items
+    s_0 < s_1 < ..., ascending, and ``gap_first`` each user's first.
+    """
+    return p + np.searchsorted(gaps, user * span + p, side="right") - gap_first[user]
+
+
+def _sorted_with_order(keys):
+    """Non-negative int64 ``keys`` sorted, and the stable order that sorts them."""
+    bits = max(len(keys) - 1, 0).bit_length()
+    if len(keys) and int(keys.max()) < 1 << (63 - bits):
+        tagged = np.sort(keys << bits | np.arange(len(keys)))  # ties broken by position
+        return tagged >> bits, tagged & ((1 << bits) - 1)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def _draw_block(rng, t, pop, floyd, tail, gaps, gap_first, span):
+    """One block of users' draws from one ``rng.integers`` call: each row's item and shuffle draw.
+
+    Users have ``t`` rows and pools of ``pop`` items, with ``gaps`` and
+    ``gap_first`` as in :func:`_pool_items`; ``floyd`` and ``tail`` mark
+    the users drawn by Floyd's algorithm and by the tail shuffle, the
+    rest draw with replacement.  A row's item is the one its Floyd step
+    picks or the one drawn with replacement (none for a tail shuffle);
+    its shuffle draw is the swap target of its user's shuffle step.
+    """
+    user = np.repeat(np.arange(len(t)), t)  # per row
+    k = _within(t)
+    tu, pu, fl = t[user], pop[user], floyd[user]
+    draws = np.where(floyd, 2 * t, t)  # a Floyd user's t picks, then its shuffle's t steps
+    draw = (np.cumsum(draws) - draws)[user] + k
+    second = (draw + tu)[fl]
+    highs = np.empty(int(draws.sum()), dtype=np.int64)
+    highs[draw] = np.where(fl, pu - tu + 1 + k, np.where(tail[user], pu - k, pu))
+    highs[second] = (tu - k)[fl]
+    x = rng.integers(0, highs)
+    v = x[draw]
+    steps = v.copy()
+    steps[fl] = x[second]
+
+    # Floyd: step k draws v in [0, j], j = pop - t + k, and picks v, or j if v was picked
+    # before.  v was picked before exactly when it repeats an earlier draw of the user, or
+    # equals j_i for an earlier step i that itself picked j_i in place of a repeat.
+    sorted_key, order = _sorted_with_order(user * span + v)
+    repeat = np.zeros(len(user), dtype=bool)
+    repeat[order[1:]] = sorted_key[1:] == sorted_key[:-1]
+    below = np.empty(len(user), dtype=np.int64)
+    below[order] = np.searchsorted(gaps, sorted_key, side="right")  # as _pool_items, on sorted keys
+    item = v + below - gap_first[user]
+    j = pu - tu + k
+    back = np.where(fl & (v >= pu - tu), v - j, 0)  # < 0: the row offset to step i with j_i == v
+    taken = repeat & fl
+    rows = np.flatnonzero((back < 0) & ~repeat)
+    at = rows + back[rows]
+    while len(rows):
+        hit = repeat[at]
+        taken[rows[hit]] = True
+        go = ~hit & (back[at] < 0)
+        rows, at = rows[go], at[go] + back[at[go]]
+    rows = np.flatnonzero(taken)
+    item[rows] = _pool_items(gaps, gap_first, user[rows], j[rows], span)
+    return item, steps
+
+
+def _shuffle(values, steps, t, size, seg, starts):
+    """Run each user's Fisher-Yates steps on its slice of ``values``, step s of every user at once.
+
+    A user's slice is ``values[seg:seg + size]``; its step s, for s below
+    its ``t``, swaps position size - 1 - s with position ``steps[start +
+    s]``.  Users are taken in descending ``t``, so those still stepping
+    are a prefix.
+    """
+    order = np.argsort(-t, kind="stable")
+    stepping = len(t) - np.cumsum(np.bincount(t))[:-1]  # the number of users with more than s steps
+    top, base, first = (seg + size - 1)[order], seg[order], starts[order]
+    for s, m in enumerate(stepping.tolist()):
+        i = top[:m] - s
+        j = base[:m] + steps[first[:m] + s]
+        moved = values[i]
+        values[i] = values[j]
+        values[j] = moved
 
 
 def check_threshold(threshold):
@@ -218,7 +367,9 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
     unobserved item to draw a negative from: their positives are dropped,
     a warning names them by raw id, and ``no_negative_users`` counts them.
     Such a user draws nothing, so every other user's negatives are those
-    drawn from the same ratings without that user.
+    drawn from the same ratings without that user.  ``replacement_users``
+    counts the users whose pool was smaller than their positives, read
+    from :func:`negative_sample`'s pool sizes.
     """
     rng = np.random.default_rng(seed)
     positives = binarized.positives
@@ -234,10 +385,11 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
     paired = np.empty((2 * len(grouped), 3), dtype=np.int64)
     paired[0::2, :2] = grouped
     paired[0::2, 2] = 1
-    paired[1::2] = negative_sample(grouped, binarized.num_items, rng)
+    paired[1::2], replacement_users = _negative_sample(grouped, binarized.num_items, rng)
     train, validation, test = split(paired, ratios=ratios, seed=seed)
     return InteractionDataset(binarized.num_users, binarized.num_items, train, validation, test,
-                              binarized.item_entities, no_negative_users=len(full))
+                              binarized.item_entities, no_negative_users=len(full),
+                              replacement_users=replacement_users)
 
 
 def write_split(path, records):

@@ -242,6 +242,19 @@ class TestPrep:
         for name in ("train.tsv", "validation.tsv", "test.tsv"):
             assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes(), name
 
+    def test_users_drawn_with_replacement_counted(self, workdir, tmp_path):
+        # a user appended who rated every item but one: a pool of one item, smaller than their positives
+        ratings = tmp_path / "ratings.tsv"
+        item_map = (workdir / "data" / "item_map.tsv").read_text(encoding="utf-8")
+        items = [line.split("\t")[0] for line in item_map.splitlines()]
+        ratings.write_text((workdir / "data" / "ratings.tsv").read_text(encoding="utf-8")
+                           + "".join(f"all-but-one user\t{item}\t5\n" for item in items[1:]), encoding="utf-8")
+        key = "users whose negatives were drawn with replacement (pool smaller than positives)"
+        for name, extra, count in (("without", (), 0), ("with", ("--set", f"ratings={ratings}"), 1)):
+            assert run_cli("prep", "--config", workdir / "cfg.txt", "--seed", 5, "--out", tmp_path / name, *extra) == 0
+            report = (tmp_path / name / "prep_report.txt").read_text(encoding="utf-8").splitlines()
+            assert f"{key}\t{count}" in report, name
+
     def test_missing_input_exit_2(self, workdir, tmp_path):
         rc = run_cli("prep", "--config", workdir / "cfg.txt", "--out", tmp_path / "x",
                      "--set", "item_map=/nonexistent/map.tsv")

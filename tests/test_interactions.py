@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from ripplerec import interactions
 from ripplerec.interactions import (
     InteractionDataset,
     binarize,
@@ -390,3 +391,87 @@ class TestArrayPrepOracle:
         assert rng.random() == want_rng.random()
         with pytest.raises(ValueError, match="sorted by user"):
             negative_sample(binarized.positives, binarized.num_items, np.random.default_rng(seed))
+
+
+# -- the whole-array sampler against the per-user oracle ------------------------------
+
+
+def _heavy_tailed_rows(seed=3, users=40, num_items=300):
+    rng = np.random.default_rng(seed)
+    counts = np.minimum((rng.pareto(1.3, users) * 4 + 1).astype(int), num_items - 1)
+    return {u: rng.choice(num_items, c, replace=False).tolist() for u, c in enumerate(counts)}, num_items
+
+
+SAMPLER_CASES = {
+    # every user draws by Floyd's algorithm: pools of 40-49 against at most 10 positives
+    "floyd": ({u: list(range(u, u + 1 + 2 * u)) for u in range(5)}, 50),
+    "t_equals_pool": ({0: [0, 2, 4], 1: [1]}, 6),
+    "t_is_one": ({u: [u % 3] for u in range(7)}, 3),
+    "pool_smaller_than_t": ({0: [2], 1: [0, 1, 2, 3, 4], 2: [5, 1]}, 6),
+    "duplicate_rows": ({0: [1, 1, 2, 2, 2], 1: [3, 3]}, 10),
+    "user_ids_with_gaps": ({3: [0, 1], 17: [4], 400: [2, 3, 5, 6]}, 8),
+    # one user: pool 10250 > 10000 and 250 positives > 10250 // 50, so choice shuffles arange(pool)
+    "tail_shuffle": ({0: list(range(0, 500, 2))}, 10500),
+    "heavy_tailed": _heavy_tailed_rows(),
+    "no_positives": ({}, 5),
+}
+
+
+@pytest.mark.parametrize("block", [7, interactions.NEGATIVE_BLOCK])
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_negative_sample_matches_per_user_oracle(case, block, monkeypatch, caplog):
+    # the same items, and the generator left in the same state, as one choice call per user;
+    # a block of 7 draws splits users' draws over many rng.integers calls
+    monkeypatch.setattr(interactions, "NEGATIVE_BLOCK", block)
+    per_user, num_items = SAMPLER_CASES[case]
+    rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    with caplog.at_level("WARNING"):
+        got = negative_sample(user_rows(per_user), num_items, rng)
+    want = _reference_negative_sample(per_user, num_items, want_rng)
+    assert got.shape == (len(want), 3) and got.dtype == np.int64
+    assert got.tolist() == [[rec.user, rec.item, rec.label] for rec in want]
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    if case == "pool_smaller_than_t":
+        assert caplog.messages == ["user 1: unobserved pool (1) smaller than positive count (5); "
+                                   "sampling with replacement"]
+    else:
+        assert caplog.messages == []
+
+
+@pytest.mark.parametrize("item", [-1, 6])
+def test_item_out_of_range_rejected_before_any_draw(item):
+    # -1 would mark the last item seen, 6 (num_items) would index past the end; the first such row is named
+    positives = user_rows({0: [1, 2], 1: [3, item, item], 2: [0]})
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"positives row 3: item {item} is not in \[0, 6\)"):
+        negative_sample(positives, 6, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_empty_pool_rejected_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="user 2: no unobserved items"):
+        negative_sample(user_rows({0: [1], 2: [0, 1, 2]}), 3, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_stable_order_of_keys_too_large_to_tag():
+    keys = np.array([2**62, 5, 2**62, 0, 5, 2**61], dtype=np.int64)
+    for values in (keys, keys[1:2], keys[:0]):
+        got_sorted, got_order = interactions._sorted_with_order(values)
+        want = np.argsort(values, kind="stable")
+        assert got_order.tolist() == want.tolist() and got_sorted.tolist() == values[want].tolist()
+    small = np.array([3, 1, 3, 0, 1], dtype=np.int64)
+    assert interactions._sorted_with_order(small)[1].tolist() == np.argsort(small, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_users_drawn_with_replacement_counted(tmp_path, seed):
+    # of TestArrayPrepOracle's users only "dense" (7 of 8 items rated) has a pool smaller than its positives
+    binarized = TestArrayPrepOracle()._binarized(tmp_path, seed)
+    assert build_dataset(binarized, seed=seed).replacement_users == 1
+    undense = binarized.positives[binarized.positives[:, 0] != binarized.user_names.index("dense")]
+    binarized.positives = undense
+    assert build_dataset(binarized, seed=seed).replacement_users == 0
