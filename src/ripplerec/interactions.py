@@ -130,8 +130,8 @@ def binarize(ratings_path, threshold, item_to_entity):
 
 
 # Generator.choice(pool, t, replace=False) shuffles the tail of arange(pool) in place of
-# Floyd's algorithm when pool > _TAIL_SHUFFLE_POOL and t > pool // 50 (numpy >= 1.17)
-_TAIL_SHUFFLE_POOL = 10000
+# Floyd's algorithm when pool > 10000 and t > pool // 50 (numpy >= 1.17), so only when t > 200
+OWN_CALL_ROWS = 200  # users with more positive rows than this draw by their own rng.choice call
 NEGATIVE_BLOCK = 1 << 13  # draws per rng.integers call in negative_sample; bounds its transient arrays
 
 
@@ -151,22 +151,26 @@ def negative_sample(positives, num_items, rng):
     ``ValueError`` before anything is drawn.
 
     The draws are those of the per-user calls, and leave ``rng`` where
-    they would.  ``choice`` makes only bounded draws in ``[0, high)``,
-    whose highs depend on the pool size P and on T alone:
+    they would.  A user with more than :data:`OWN_CALL_ROWS` positive
+    rows makes that call itself, over a pool built from an items-long
+    mask.  Every other user's draws come from one
+    ``rng.integers(0, highs)`` call per block of about
+    :data:`NEGATIVE_BLOCK` draws (:func:`_draw_block`): ``choice`` makes
+    only bounded draws in ``[0, high)``, whose highs depend on the pool
+    size P and on T alone.  With T <= 200 they are those of
 
-    - Floyd's algorithm (P <= 10000 or T <= P // 50): highs P - T + 1,
-      ..., P, then a Fisher-Yates shuffle of the T picks with highs T,
-      T - 1, ..., 2;
-    - tail shuffle (P > 10000 and T > P // 50): highs P, P - 1, ...,
-      max(P - T, 1) + 1, swapping in ``arange(P)``, whose last T entries
-      are kept;
+    - Floyd's algorithm (P >= T): highs P - T + 1, ..., P, then a
+      Fisher-Yates shuffle of the T picks with highs T, T - 1, ..., 2;
     - with replacement (P < T): T draws with high P.
 
-    So one ``rng.integers(0, highs)`` call per block of about
-    :data:`NEGATIVE_BLOCK` draws makes every user's draws in order
-    (:func:`_draw_block`), and the shuffles run for all users at once
-    (:func:`_shuffle`).  The transient arrays are O(positives): no users
-    x items array is made.
+    (``choice`` shuffles the tail of ``arange(P)`` instead of running
+    Floyd only when P > 10000 and T > P // 50, which needs T > 200.)
+    The shuffles then run one step for all those users at once
+    (:func:`_shuffle`), so the largest positive count below the
+    threshold, not the number of users, sets that loop's length: at most
+    :data:`OWN_CALL_ROWS` steps.  Apart from one items-long mask per
+    own-call user, the transient arrays are O(positives): no users x
+    items array is made.
     """
     return _negative_sample(positives, num_items, rng)[0]
 
@@ -196,32 +200,39 @@ def _negative_sample(positives, num_items, rng):
         logger.warning("user %d: unobserved pool (%d) smaller than positive count (%d); sampling with replacement",
                        user, size, count)
     gaps -= _within(seen)  # u * num_items + s_j - j for u's j-th item s_j
-    tail = ~replaced & (pop > _TAIL_SHUFFLE_POOL) & (t > pop // 50)
-    floyd = ~replaced & ~tail
+    own = t > OWN_CALL_ROWS
+    floyd = ~replaced & ~own
 
     negatives = np.zeros((len(positives), 3), dtype=np.int64)
     negatives[:, 0] = users
     picked = negatives[:, 1]
     steps = np.empty(len(users), dtype=np.int64)  # each row's shuffle draw
     draws = np.where(floyd, 2 * t, t)
-    block = (np.cumsum(draws) - draws) // NEGATIVE_BLOCK
-    bounds = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
+    cut = np.diff((np.cumsum(draws) - draws) // NEGATIVE_BLOCK, prepend=-1, append=-1) != 0
+    cut[:-1] |= own  # an own-call user is a block of its own
+    cut[1:] |= own
+    bounds = np.flatnonzero(cut).tolist()
     row_end, gap_end = np.append(starts, len(users)), np.append(gap_first, len(gaps))
     for a, b in zip(bounds[:-1], bounds[1:]):
         rows = slice(row_end[a], row_end[b])
-        picked[rows], steps[rows] = _draw_block(rng, t[a:b], pop[a:b], floyd[a:b], tail[a:b],
-                                                gaps[gap_end[a]:gap_end[b]] - a * num_items,
-                                                gap_first[a:b] - gap_first[a], num_items)
-    _shuffle(picked, steps, np.where(floyd, t, 0), t, starts, starts)
-    pooled = np.flatnonzero(tail)
-    if len(pooled):  # a tail shuffle runs over the user's whole pool and keeps its last t items
-        size, count, first = pop[pooled], t[pooled], starts[pooled]
-        seg = np.cumsum(size) - size
-        pools = _pool_items(gaps, gap_first, np.repeat(pooled, size), _within(size), num_items)
-        _shuffle(pools, steps, count, size, seg, first)
-        kept = _within(count)
-        picked[np.repeat(first, count) + kept] = pools[np.repeat(seg + size - count, count) + kept]
+        if own[a]:
+            picked[rows] = _own_call(rng, items[rows], num_items)
+        else:
+            picked[rows], steps[rows] = _draw_block(rng, t[a:b], pop[a:b], floyd[a:b],
+                                                    gaps[gap_end[a]:gap_end[b]] - a * num_items,
+                                                    gap_first[a:b] - gap_first[a], num_items)
+    _shuffle(picked, steps, np.where(floyd, t, 0), starts)
     return negatives, int(replaced.sum())
+
+
+def _own_call(rng, items, num_items):
+    """One user's negatives from its own call over the pool of items not in ``items``."""
+    unseen = np.ones(num_items, dtype=bool)
+    unseen[items] = False
+    pool = np.flatnonzero(unseen)  # ascending
+    if len(pool) < len(items):
+        return pool[rng.integers(0, len(pool), size=len(items))]
+    return rng.choice(pool, len(items), replace=False)
 
 
 def _within(lengths):
@@ -238,25 +249,15 @@ def _pool_items(gaps, gap_first, user, p, span):
     return p + np.searchsorted(gaps, user * span + p, side="right") - gap_first[user]
 
 
-def _sorted_with_order(keys):
-    """Non-negative int64 ``keys`` sorted, and the stable order that sorts them."""
-    bits = max(len(keys) - 1, 0).bit_length()
-    if len(keys) and int(keys.max()) < 1 << (63 - bits):
-        tagged = np.sort(keys << bits | np.arange(len(keys)))  # ties broken by position
-        return tagged >> bits, tagged & ((1 << bits) - 1)
-    order = np.argsort(keys, kind="stable")
-    return keys[order], order
-
-
-def _draw_block(rng, t, pop, floyd, tail, gaps, gap_first, span):
+def _draw_block(rng, t, pop, floyd, gaps, gap_first, span):
     """One block of users' draws from one ``rng.integers`` call: each row's item and shuffle draw.
 
     Users have ``t`` rows and pools of ``pop`` items, with ``gaps`` and
-    ``gap_first`` as in :func:`_pool_items`; ``floyd`` and ``tail`` mark
-    the users drawn by Floyd's algorithm and by the tail shuffle, the
-    rest draw with replacement.  A row's item is the one its Floyd step
-    picks or the one drawn with replacement (none for a tail shuffle);
-    its shuffle draw is the swap target of its user's shuffle step.
+    ``gap_first`` as in :func:`_pool_items`; ``floyd`` marks the users
+    drawn by Floyd's algorithm, the rest draw with replacement.  A row's
+    item is the one its Floyd step picks or the one drawn with
+    replacement; its shuffle draw is the swap target of its user's
+    shuffle step.
     """
     user = np.repeat(np.arange(len(t)), t)  # per row
     k = _within(t)
@@ -265,7 +266,7 @@ def _draw_block(rng, t, pop, floyd, tail, gaps, gap_first, span):
     draw = (np.cumsum(draws) - draws)[user] + k
     second = (draw + tu)[fl]
     highs = np.empty(int(draws.sum()), dtype=np.int64)
-    highs[draw] = np.where(fl, pu - tu + 1 + k, np.where(tail[user], pu - k, pu))
+    highs[draw] = np.where(fl, pu - tu + 1 + k, pu)
     highs[second] = (tu - k)[fl]
     x = rng.integers(0, highs)
     v = x[draw]
@@ -275,7 +276,9 @@ def _draw_block(rng, t, pop, floyd, tail, gaps, gap_first, span):
     # Floyd: step k draws v in [0, j], j = pop - t + k, and picks v, or j if v was picked
     # before.  v was picked before exactly when it repeats an earlier draw of the user, or
     # equals j_i for an earlier step i that itself picked j_i in place of a repeat.
-    sorted_key, order = _sorted_with_order(user * span + v)
+    key = user * span + v
+    order = np.argsort(key, kind="stable")  # a user's equal draws in step order
+    sorted_key = key[order]
     repeat = np.zeros(len(user), dtype=bool)
     repeat[order[1:]] = sorted_key[1:] == sorted_key[:-1]
     below = np.empty(len(user), dtype=np.int64)
@@ -296,20 +299,20 @@ def _draw_block(rng, t, pop, floyd, tail, gaps, gap_first, span):
     return item, steps
 
 
-def _shuffle(values, steps, t, size, seg, starts):
+def _shuffle(values, steps, t, starts):
     """Run each user's Fisher-Yates steps on its slice of ``values``, step s of every user at once.
 
-    A user's slice is ``values[seg:seg + size]``; its step s, for s below
-    its ``t``, swaps position size - 1 - s with position ``steps[start +
-    s]``.  Users are taken in descending ``t``, so those still stepping
-    are a prefix.
+    A user's slice is ``values[start:start + t]``; its step s, for s
+    below its ``t``, swaps position t - 1 - s with position ``steps[start
+    + s]``.  Users are taken in descending ``t``, so those still stepping
+    are a prefix, and the loop runs max(t) times.
     """
     order = np.argsort(-t, kind="stable")
     stepping = len(t) - np.cumsum(np.bincount(t))[:-1]  # the number of users with more than s steps
-    top, base, first = (seg + size - 1)[order], seg[order], starts[order]
+    top, first = (starts + t - 1)[order], starts[order]
     for s, m in enumerate(stepping.tolist()):
         i = top[:m] - s
-        j = base[:m] + steps[first[:m] + s]
+        j = first[:m] + steps[first[:m] + s]
         moved = values[i]
         values[i] = values[j]
         values[j] = moved

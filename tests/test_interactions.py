@@ -412,6 +412,10 @@ SAMPLER_CASES = {
     "user_ids_with_gaps": ({3: [0, 1], 17: [4], 400: [2, 3, 5, 6]}, 8),
     # one user: pool 10250 > 10000 and 250 positives > 10250 // 50, so choice shuffles arange(pool)
     "tail_shuffle": ({0: list(range(0, 500, 2))}, 10500),
+    # 201 positives, one over OWN_CALL_ROWS, between users drawn by the block call
+    "own_call_between_blocks": ({0: [1, 2], 1: list(range(0, 402, 2)), 2: [5], 3: list(range(3, 40))}, 420),
+    # 205 positives over 210 items: an own call drawing with replacement
+    "own_call_pool_smaller_than_t": ({0: [0], 1: list(range(205)), 2: [7, 8]}, 210),
     "heavy_tailed": _heavy_tailed_rows(),
     "no_positives": ({}, 5),
 }
@@ -431,11 +435,9 @@ def test_negative_sample_matches_per_user_oracle(case, block, monkeypatch, caplo
     assert got.shape == (len(want), 3) and got.dtype == np.int64
     assert got.tolist() == [[rec.user, rec.item, rec.label] for rec in want]
     assert rng.bit_generator.state == want_rng.bit_generator.state
-    if case == "pool_smaller_than_t":
-        assert caplog.messages == ["user 1: unobserved pool (1) smaller than positive count (5); "
-                                   "sampling with replacement"]
-    else:
-        assert caplog.messages == []
+    warned = {"pool_smaller_than_t": "user 1: unobserved pool (1) smaller than positive count (5)",
+              "own_call_pool_smaller_than_t": "user 1: unobserved pool (5) smaller than positive count (205)"}
+    assert caplog.messages == ([warned[case] + "; sampling with replacement"] if case in warned else [])
 
 
 @pytest.mark.parametrize("item", [-1, 6])
@@ -455,16 +457,6 @@ def test_empty_pool_rejected_before_any_draw():
     with pytest.raises(ValueError, match="user 2: no unobserved items"):
         negative_sample(user_rows({0: [1], 2: [0, 1, 2]}), 3, rng)
     assert rng.bit_generator.state == state
-
-
-def test_stable_order_of_keys_too_large_to_tag():
-    keys = np.array([2**62, 5, 2**62, 0, 5, 2**61], dtype=np.int64)
-    for values in (keys, keys[1:2], keys[:0]):
-        got_sorted, got_order = interactions._sorted_with_order(values)
-        want = np.argsort(values, kind="stable")
-        assert got_order.tolist() == want.tolist() and got_sorted.tolist() == values[want].tolist()
-    small = np.array([3, 1, 3, 0, 1], dtype=np.int64)
-    assert interactions._sorted_with_order(small)[1].tolist() == np.argsort(small, kind="stable").tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
