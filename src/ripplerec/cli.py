@@ -19,12 +19,13 @@ records the sha256 of both vocabulary files (``entity_vocab_sha256``,
 ``relation_vocab_sha256``) and of the integer files prep writes
 (``train_sha256``, ``validation_sha256``, ``test_sha256``,
 ``item_entities_sha256``); ``train``, ``eval`` and ``sweep`` check each
-file against it.  Exit codes: 2 an input file that is missing or cannot
-be opened (a directory, say), 3 malformed data (with ``file:line`` where
-a line is at fault; a run file that parses but does not match its
-checksum; a ``prep_meta.txt`` without one, from before prep recorded
-it; a snapshot that opens but does not read as one), 4 training
-divergence.
+file against it.  ``model.manifest.txt`` records the sha256 of
+``model.npz`` (``model_sha256``), and ``eval`` checks it.  Exit codes: 2
+an input file that is missing or cannot be opened (a directory, say), 3
+malformed data (with ``file:line`` where a line is at fault; a run file
+or snapshot that parses but does not match its checksum; a
+``prep_meta.txt`` or manifest without one, from before it was recorded;
+a snapshot that opens but does not read as one), 4 training divergence.
 
 Five-run averaging uses seeds base..base+4; sweep cells are independent
 and each cell's CSV row is traceable to a manifest (config hash + seed)
@@ -367,7 +368,7 @@ def _write_report(path, report):
 
 
 def _save_snapshot(out_dir, params, cfg, meta):
-    """Write ``model.npz`` atomically (write then rename), then ``model.manifest.txt`` in place."""
+    """Write ``model.npz`` atomically (write then rename), then ``model.manifest.txt`` in place, with its sha256."""
     snap = os.path.join(out_dir, "model.npz")
     tmp = snap + ".tmp"
     save_params(tmp, params)
@@ -375,6 +376,7 @@ def _save_snapshot(out_dir, params, cfg, meta):
     manifest = {"config_digest": cfg.digest(), "seed": cfg.seed}
     manifest.update({k: v for k, v in cfg.flat().items() if k not in ("sweep_param", "sweep_values", "sweep_seeds")})
     manifest.update(meta)
+    manifest["model_sha256"] = _sha256(snap)
     _write_kv(os.path.join(out_dir, "model.manifest.txt"), manifest)
     return snap
 
@@ -419,8 +421,11 @@ def load_run(cfg):
     both tables are rebuilt from them.  After :func:`load_prep`'s checks,
     each check raises ValueError naming the file at fault, in this order:
     the manifest's hyperparameters and seed, its :func:`_run_checksums`
-    against ``prep_meta.txt`` and the rebuilt tables, then the snapshot's
-    tensor names, shapes and dtype.
+    against ``prep_meta.txt`` and the rebuilt tables, the snapshot's
+    tensor names, shapes and dtype, then the snapshot's sha256 against
+    the manifest's ``model_sha256``: a snapshot replaced after the
+    manifest was written (a train that died between the two files)
+    would be scored under another run's seed and tables.
     """
     graph, dataset, prep_meta = load_prep(cfg)
     snap, manifest_path = (os.path.join(cfg.out, name) for name in ("model.npz", "model.manifest.txt"))
@@ -454,6 +459,11 @@ def load_run(cfg):
         want, got = expected.get(name, "none for the manifest's hyperparameters"), found.get(name, "none (missing)")
         if want != got:
             raise ValueError(f"{snap}: tensor {name!r} expected {want}; found {got}")
+    if "model_sha256" not in manifest:
+        raise ValueError(f"{manifest_path}: missing key 'model_sha256' (written before train checksummed "
+                         "its snapshot); retrain the snapshot")
+    if _sha256(snap) != manifest["model_sha256"]:
+        raise ValueError(f"{snap} does not match model_sha256 in {manifest_path} (changed since train?)")
     return params, hp, seed, dataset, graph, ripple_table, neighbor_table
 
 

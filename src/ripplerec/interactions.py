@@ -152,20 +152,16 @@ def negative_sample(positives, num_items, rng):
 
     The draws are those of the per-user calls, and leave ``rng`` where
     they would.  A user with more than :data:`OWN_CALL_ROWS` positive
-    rows makes that call itself, over a pool built from an items-long
-    mask.  Every other user's draws come from one
-    ``rng.integers(0, highs)`` call per block of about
-    :data:`NEGATIVE_BLOCK` draws (:func:`_draw_block`): ``choice`` makes
-    only bounded draws in ``[0, high)``, whose highs depend on the pool
-    size P and on T alone.  With T <= 200 they are those of
-
-    - Floyd's algorithm (P >= T): highs P - T + 1, ..., P, then a
-      Fisher-Yates shuffle of the T picks with highs T, T - 1, ..., 2;
-    - with replacement (P < T): T draws with high P.
-
-    (``choice`` shuffles the tail of ``arange(P)`` instead of running
-    Floyd only when P > 10000 and T > P // 50, which needs T > 200.)
-    The shuffles then run one step for all those users at once
+    rows, or with a pool smaller than its positives, makes that call
+    itself, over a pool built from an items-long mask.  Every other
+    user's draws come from one ``rng.integers(0, highs)`` call per block
+    of about :data:`NEGATIVE_BLOCK` draws (:func:`_draw_block`):
+    ``choice`` makes only bounded draws in ``[0, high)``, and with P >= T
+    and T <= 200 they are those of Floyd's algorithm, highs P - T + 1,
+    ..., P, then a Fisher-Yates shuffle of the T picks with highs T, T -
+    1, ..., 2.  (``choice`` shuffles the tail of ``arange(P)`` instead of
+    running Floyd only when P > 10000 and T > P // 50, which needs T >
+    200.)  The shuffles then run one step for all those users at once
     (:func:`_shuffle`), so the largest positive count below the
     threshold, not the number of users, sets that loop's length: at most
     :data:`OWN_CALL_ROWS` steps.  Apart from one items-long mask per
@@ -200,15 +196,13 @@ def _negative_sample(positives, num_items, rng):
         logger.warning("user %d: unobserved pool (%d) smaller than positive count (%d); sampling with replacement",
                        user, size, count)
     gaps -= _within(seen)  # u * num_items + s_j - j for u's j-th item s_j
-    own = t > OWN_CALL_ROWS
-    floyd = ~replaced & ~own
+    own = replaced | (t > OWN_CALL_ROWS)
 
     negatives = np.zeros((len(positives), 3), dtype=np.int64)
     negatives[:, 0] = users
     picked = negatives[:, 1]
     steps = np.empty(len(users), dtype=np.int64)  # each row's shuffle draw
-    draws = np.where(floyd, 2 * t, t)
-    cut = np.diff((np.cumsum(draws) - draws) // NEGATIVE_BLOCK, prepend=-1, append=-1) != 0
+    cut = np.diff(2 * (np.cumsum(t) - t) // NEGATIVE_BLOCK, prepend=-1, append=-1) != 0  # 2t draws a user
     cut[:-1] |= own  # an own-call user is a block of its own
     cut[1:] |= own
     bounds = np.flatnonzero(cut).tolist()
@@ -218,10 +212,10 @@ def _negative_sample(positives, num_items, rng):
         if own[a]:
             picked[rows] = _own_call(rng, items[rows], num_items)
         else:
-            picked[rows], steps[rows] = _draw_block(rng, t[a:b], pop[a:b], floyd[a:b],
+            picked[rows], steps[rows] = _draw_block(rng, t[a:b], pop[a:b],
                                                     gaps[gap_end[a]:gap_end[b]] - a * num_items,
                                                     gap_first[a:b] - gap_first[a], num_items)
-    _shuffle(picked, steps, np.where(floyd, t, 0), starts)
+    _shuffle(picked, steps, np.where(own, 0, t), starts)
     return negatives, int(replaced.sum())
 
 
@@ -249,29 +243,23 @@ def _pool_items(gaps, gap_first, user, p, span):
     return p + np.searchsorted(gaps, user * span + p, side="right") - gap_first[user]
 
 
-def _draw_block(rng, t, pop, floyd, gaps, gap_first, span):
-    """One block of users' draws from one ``rng.integers`` call: each row's item and shuffle draw.
+def _draw_block(rng, t, pop, gaps, gap_first, span):
+    """One block of users' Floyd draws from one ``rng.integers`` call: each row's item and shuffle draw.
 
-    Users have ``t`` rows and pools of ``pop`` items, with ``gaps`` and
-    ``gap_first`` as in :func:`_pool_items`; ``floyd`` marks the users
-    drawn by Floyd's algorithm, the rest draw with replacement.  A row's
-    item is the one its Floyd step picks or the one drawn with
-    replacement; its shuffle draw is the swap target of its user's
-    shuffle step.
+    Users have ``t`` rows and pools of ``pop`` >= ``t`` items, with
+    ``gaps`` and ``gap_first`` as in :func:`_pool_items`.  A row's item
+    is the one its Floyd step picks; its shuffle draw is the swap target
+    of its user's shuffle step.
     """
     user = np.repeat(np.arange(len(t)), t)  # per row
     k = _within(t)
-    tu, pu, fl = t[user], pop[user], floyd[user]
-    draws = np.where(floyd, 2 * t, t)  # a Floyd user's t picks, then its shuffle's t steps
-    draw = (np.cumsum(draws) - draws)[user] + k
-    second = (draw + tu)[fl]
-    highs = np.empty(int(draws.sum()), dtype=np.int64)
-    highs[draw] = np.where(fl, pu - tu + 1 + k, pu)
-    highs[second] = (tu - k)[fl]
+    tu, pu = t[user], pop[user]
+    draw = (2 * (np.cumsum(t) - t))[user] + k  # a user's t picks, then its shuffle's t steps
+    highs = np.empty(2 * len(user), dtype=np.int64)
+    highs[draw] = pu - tu + 1 + k
+    highs[draw + tu] = tu - k
     x = rng.integers(0, highs)
-    v = x[draw]
-    steps = v.copy()
-    steps[fl] = x[second]
+    v, steps = x[draw], x[draw + tu]
 
     # Floyd: step k draws v in [0, j], j = pop - t + k, and picks v, or j if v was picked
     # before.  v was picked before exactly when it repeats an earlier draw of the user, or
@@ -285,8 +273,8 @@ def _draw_block(rng, t, pop, floyd, gaps, gap_first, span):
     below[order] = np.searchsorted(gaps, sorted_key, side="right")  # as _pool_items, on sorted keys
     item = v + below - gap_first[user]
     j = pu - tu + k
-    back = np.where(fl & (v >= pu - tu), v - j, 0)  # < 0: the row offset to step i with j_i == v
-    taken = repeat & fl
+    back = np.where(v >= pu - tu, v - j, 0)  # < 0: the row offset to step i with j_i == v
+    taken = repeat.copy()
     rows = np.flatnonzero((back < 0) & ~repeat)
     at = rows + back[rows]
     while len(rows):

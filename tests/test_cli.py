@@ -89,6 +89,11 @@ def _to_f32(arrays, names):
         arrays[name] = arrays[name].astype(np.float32)
 
 
+def _add_one(arrays, name):
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[0] += 1.0
+
+
 # (defect, edit of the snapshot's arrays, text stderr must contain)
 SNAPSHOT_DEFECTS = [
     ("dropped_tensor", lambda a: a.pop("relation_vec"), ["'relation_vec'", "missing"]),
@@ -99,6 +104,10 @@ SNAPSHOT_DEFECTS = [
     ("mixed_dtype", lambda a: _to_f32(a, ["fusion_w"]), ["'fusion_w'", "float32"]),
     # only a user_table run has a user_emb tensor
     ("extra_tensor", lambda a: a.update(user_emb=np.zeros((2, 4), a["entity_emb"].dtype)), ["'user_emb'"]),
+    # the names, shapes and dtype the manifest gives, one value changed (a train that died between replacing
+    # model.npz and writing the manifest): only the snapshot's sha256 tells it from the one the manifest describes
+    ("value_changed", lambda a: _add_one(a, "entity_emb"), ["model.npz does not match model_sha256 in ",
+                                                            "model.manifest.txt (changed since train?)"]),
 ]
 
 
@@ -865,7 +874,7 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "text": lambda data, sep: (b"not a snapshot\n", None), "npy": _npy,
            "byte_100_deleted": _delete_byte(100), "unknown_compression": _unknown_compression,
            "label_digit_changed": _other_digit(2), "item_digit_changed": _other_digit(1),
-           "no_test_sha256": _drop_key("test_sha256"),
+           "no_test_sha256": _drop_key("test_sha256"), "no_model_sha256": _drop_key("model_sha256"),
            "entity_vocab_sha256_zeroed": _set_key("entity_vocab_sha256", "0" * 64),
            "directory": lambda data, sep: (None, None)}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
@@ -942,6 +951,8 @@ INPUT_DEFECTS = [
     ("train", "item_digit_changed", EXIT_MALFORMED, "error: {path} does not match train_sha256 in "),
     ("prep_meta", "no_test_sha256", EXIT_MALFORMED,
      "{path}: missing key 'test_sha256' (written before prep checksummed its run files); re-run prep"),
+    ("manifest", "no_model_sha256", EXIT_MALFORMED,
+     "{path}: missing key 'model_sha256' (written before train checksummed its snapshot); retrain the snapshot"),
     # the vocabulary file and the one rebuilt from the KG agree: the recorded value is at fault
     ("prep_meta", "entity_vocab_sha256_zeroed", EXIT_MALFORMED,
      "error: {path}: entity_vocab_sha256 matches neither "),

@@ -418,6 +418,9 @@ SAMPLER_CASES = {
     "own_call_pool_smaller_than_t": ({0: [0], 1: list(range(205)), 2: [7, 8]}, 210),
     "heavy_tailed": _heavy_tailed_rows(),
     "no_positives": ({}, 5),
+    # the first and the last user draw with replacement by their own call, the Floyd users between them by blocks
+    "pool_smaller_than_t_at_both_ends": ({0: list(range(9)), 1: [1, 2], 2: [3], 3: [0, 5, 9, 7],
+                                          4: [0, 1, 2, 3, 4, 5, 6, 6]}, 10),
 }
 
 
@@ -435,9 +438,11 @@ def test_negative_sample_matches_per_user_oracle(case, block, monkeypatch, caplo
     assert got.shape == (len(want), 3) and got.dtype == np.int64
     assert got.tolist() == [[rec.user, rec.item, rec.label] for rec in want]
     assert rng.bit_generator.state == want_rng.bit_generator.state
-    warned = {"pool_smaller_than_t": "user 1: unobserved pool (1) smaller than positive count (5)",
-              "own_call_pool_smaller_than_t": "user 1: unobserved pool (5) smaller than positive count (205)"}
-    assert caplog.messages == ([warned[case] + "; sampling with replacement"] if case in warned else [])
+    warned = {"pool_smaller_than_t": ["user 1: unobserved pool (1) smaller than positive count (5)"],
+              "own_call_pool_smaller_than_t": ["user 1: unobserved pool (5) smaller than positive count (205)"],
+              "pool_smaller_than_t_at_both_ends": ["user 0: unobserved pool (1) smaller than positive count (9)",
+                                                   "user 4: unobserved pool (3) smaller than positive count (8)"]}
+    assert caplog.messages == [message + "; sampling with replacement" for message in warned.get(case, [])]
 
 
 @pytest.mark.parametrize("item", [-1, 6])
