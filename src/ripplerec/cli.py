@@ -22,10 +22,10 @@ records the sha256 of both vocabulary files (``entity_vocab_sha256``,
 file against it.  ``model.manifest.txt`` records the sha256 of
 ``model.npz`` (``model_sha256``), and ``eval`` checks it.  Exit codes: 2
 an input file that is missing or cannot be opened (a directory, say), 3
-malformed data (with ``file:line`` where a line is at fault; a run file
-or snapshot that parses but does not match its checksum; a
-``prep_meta.txt`` or manifest without one, from before it was recorded;
-a snapshot that opens but does not read as one), 4 training divergence.
+malformed data (with ``file:line`` where a line is at fault; a
+``prep_meta.txt`` or manifest that lacks a key its reader reads; a run
+file or snapshot that parses but does not match its checksum; a
+snapshot that opens but does not read as one), 4 training divergence.
 
 Five-run averaging uses seeds base..base+4; sweep cells are independent
 and each cell's CSV row is traceable to a manifest (config hash + seed)
@@ -56,8 +56,6 @@ EXIT_MALFORMED = 3
 EXIT_DIVERGED = 4
 # the integer files prep writes beside the vocabularies, each checksummed in prep_meta.txt as <name>_sha256
 RUN_FILES = ("train", "validation", "test", "item_entities")
-# keys that older manifests record and Hyperparams no longer has, with the one value the model now fixes
-RETIRED_KEYS = {"fusion": "shared", "acc_threshold": 0.5}
 
 
 @dataclass
@@ -128,10 +126,6 @@ def _kv_lines(path, comments=False):
             raise kgmod.ParseError(path, lineno, "expected 'key = value'")
         key, value = line.split("=", 1)
         yield lineno, key.strip(), value.strip()
-
-
-def parse_config_file(path, cfg):
-    return _configure(cfg, _config_lines(path))
 
 
 def _config_lines(path):
@@ -274,16 +268,15 @@ def cmd_prep(cfg):
     return 0
 
 
-def _require(meta, keys, path):
-    """Raise ValueError naming the first of ``keys`` that the key = value file at ``path`` lacks."""
+def _require(meta, keys, path, remedy):
+    """Raise ValueError naming the first of ``keys`` that the key = value file at ``path`` lacks; ``remedy`` ends it."""
     for key in keys:
         if key not in meta:
-            raise ValueError(f"{path}: missing key {key!r} (truncated, or not written by ripplerec)")
+            raise ValueError(f"{path}: missing key {key!r} (truncated, or written by an older ripplerec); {remedy}")
 
 
 def _meta_value(meta, key, path, current):
     """``meta[key]`` of the key = value file at ``path``, coerced to ``current``'s type like a config value."""
-    _require(meta, [key], path)
     try:
         return _coerce(key, meta[key], current)
     except ValueError as err:
@@ -293,7 +286,9 @@ def _meta_value(meta, key, path, current):
 def load_prep(cfg):
     """Rebuild (kg, dataset, prep meta) from prep artifacts in ``cfg.out``.
 
-    Each check raises ValueError naming the file at fault.  Both
+    Each check raises ValueError naming the file at fault.  First
+    ``prep_meta.txt`` must hold every key read here, the sha256 of each of
+    :data:`RUN_FILES` included; one it lacks says to re-run prep.  Both
     vocabulary files must match ``prep_meta.txt`` and the vocabularies
     rebuilt from the KG; when the file and the rebuilt vocabulary agree
     but ``prep_meta.txt`` does not, the error names its key.  Each of
@@ -304,12 +299,8 @@ def load_prep(cfg):
     if not os.path.exists(meta_path):
         raise FileNotFoundError(meta_path)
     meta = _read_kv(meta_path)
-    _require(meta, ("num_users", "num_items", "kg", "undirected", "entity_vocab_sha256", "relation_vocab_sha256"),
-             meta_path)
-    for key in (f"{name}_sha256" for name in RUN_FILES):
-        if key not in meta:
-            raise ValueError(f"{meta_path}: missing key {key!r} (written before prep checksummed its run files); "
-                             "re-run prep")
+    _require(meta, ("num_users", "num_items", "kg", "undirected", "entity_vocab_sha256", "relation_vocab_sha256",
+                    *(f"{name}_sha256" for name in RUN_FILES)), meta_path, "re-run prep")
     graph = kgmod.load_kg(meta["kg"], undirected=_meta_value(meta, "undirected", meta_path, True))
     for kind, names in (("entity", graph.entity_names), ("relation", graph.relation_names)):
         path, key = os.path.join(cfg.out, f"{kind}_vocab.tsv"), f"{kind}_vocab_sha256"
@@ -399,33 +390,28 @@ def cmd_train(cfg):
 def _hyperparams_from_manifest(manifest, path):
     """Rebuild the training-time Hyperparams recorded in the manifest at ``path``.
 
-    Every field must be recorded: a default in place of a missing one
-    would score the snapshot under hyperparameters it was not trained with.
-    For the same reason a :data:`RETIRED_KEYS` key, if recorded, must hold
-    its fixed value.  Values parse as config values do, so an error names
-    ``path`` and the key.
+    The caller has checked that every field is recorded: a default in place
+    of a missing one would score the snapshot under hyperparameters it was
+    not trained with.  A key that is no field is not read.  Values parse as
+    config values do, so an error names ``path`` and the key.
     """
-    for key, fixed in RETIRED_KEYS.items():
-        if key in manifest and _meta_value(manifest, key, path, fixed) != fixed:
-            raise ValueError(f"{path}: {key} = {manifest[key]!r} is no longer supported "
-                             f"(the model fixes {fixed}); retrain the snapshot")
-    names = [f.name for f in fields(model.Hyperparams)]
-    _require(manifest, names, path)
-    return _configure(RunConfig(), [(path, name, manifest[name]) for name in names]).hp
+    return _configure(RunConfig(), [(path, f.name, manifest[f.name]) for f in fields(model.Hyperparams)]).hp
 
 
 def load_run(cfg):
     """``(params, hp, seed, dataset, graph, ripple_table, neighbor_table)`` of the trained run in ``cfg.out``.
 
     ``hp`` and the seed are the manifest's, not the current config's, and
-    both tables are rebuilt from them.  After :func:`load_prep`'s checks,
-    each check raises ValueError naming the file at fault, in this order:
-    the manifest's hyperparameters and seed, its :func:`_run_checksums`
-    against ``prep_meta.txt`` and the rebuilt tables, the snapshot's
-    tensor names, shapes and dtype, then the snapshot's sha256 against
-    the manifest's ``model_sha256``: a snapshot replaced after the
-    manifest was written (a train that died between the two files)
-    would be scored under another run's seed and tables.
+    both tables are rebuilt from them.  After :func:`load_prep`'s checks
+    and the snapshot's archive read, each check raises ValueError naming
+    the file at fault, in this order: the manifest holds every key read
+    here (one it lacks says to retrain), the values of its hyperparameters
+    and seed, its :func:`_run_checksums` against ``prep_meta.txt`` and the
+    rebuilt tables, the snapshot's tensor names, shapes and dtype, then
+    the snapshot's sha256 against the manifest's ``model_sha256``: a
+    snapshot replaced after the manifest was written (a train that died
+    between the two files) would be scored under another run's seed and
+    tables.
     """
     graph, dataset, prep_meta = load_prep(cfg)
     snap, manifest_path = (os.path.join(cfg.out, name) for name in ("model.npz", "model.manifest.txt"))
@@ -433,24 +419,22 @@ def load_run(cfg):
         raise FileNotFoundError(snap)
     manifest = _read_kv(manifest_path)
     params = load_params(snap)
+    _require(manifest, [*(f.name for f in fields(model.Hyperparams)), "seed",
+                        *(f"{name}_sha256" for name in ("entity_vocab", "relation_vocab", "ripple_table",
+                                                        "neighbor_table", "model"))],
+             manifest_path, "retrain the snapshot")
     hp = _hyperparams_from_manifest(manifest, manifest_path)
     seed = _meta_value(manifest, "seed", manifest_path, 0)
     ripple_table = model.build_ripple_sets(dataset, graph, hp, seed)
     neighbor_table = model.build_neighbor_table(graph, hp, seed)
-    # each checksum's (why a manifest may lack it, what a value that differs means)
-    vocab = ("truncated, or not written by ripplerec",
-             f"differs from {os.path.join(cfg.out, 'prep_meta.txt')} (prep re-run since train?)")
-    tables = {"ripple_table_sha256": ("trained before the hop-by-hop ripple builder, whose bags differ",
-                                      f"does not match the ripple table rebuilt from the train split in {cfg.out} "
-                                      f"and the graph in {prep_meta['kg']}"),
-              "neighbor_table_sha256": ("trained before the per-run neighbor table, whose trees differ",
-                                        f"does not match the neighbor table rebuilt from {prep_meta['kg']}")}
+    # what a checksum that differs from the rebuilt one means
+    vocab = f"differs from {os.path.join(cfg.out, 'prep_meta.txt')} (prep re-run since train?)"
+    tables = {"ripple_table_sha256": f"does not match the ripple table rebuilt from the train split in {cfg.out} "
+                                     f"and the graph in {prep_meta['kg']}",
+              "neighbor_table_sha256": f"does not match the neighbor table rebuilt from {prep_meta['kg']}"}
     for key, value in _run_checksums(prep_meta, ripple_table, neighbor_table).items():
-        missing, differs = tables.get(key, vocab)
-        if key not in manifest:
-            raise ValueError(f"{manifest_path}: missing key {key!r} ({missing}); retrain the snapshot")
         if manifest[key] != value:
-            raise ValueError(f"{manifest_path}: {key} {differs}; retrain the snapshot")
+            raise ValueError(f"{manifest_path}: {key} {tables.get(key, vocab)}; retrain the snapshot")
     # each tensor's (shape, dtype), compared as the text the error shows
     shapes = model.param_shapes(graph.num_entities, graph.num_relations, hp, dataset.num_users)
     expected = {name: f"shape {shape}, {np.dtype(hp.dtype)}" for name, shape in shapes.items()}
@@ -459,9 +443,6 @@ def load_run(cfg):
         want, got = expected.get(name, "none for the manifest's hyperparameters"), found.get(name, "none (missing)")
         if want != got:
             raise ValueError(f"{snap}: tensor {name!r} expected {want}; found {got}")
-    if "model_sha256" not in manifest:
-        raise ValueError(f"{manifest_path}: missing key 'model_sha256' (written before train checksummed "
-                         "its snapshot); retrain the snapshot")
     if _sha256(snap) != manifest["model_sha256"]:
         raise ValueError(f"{snap} does not match model_sha256 in {manifest_path} (changed since train?)")
     return params, hp, seed, dataset, graph, ripple_table, neighbor_table

@@ -15,6 +15,8 @@ from ripplerec.cli import (
     EXIT_MALFORMED,
     EXIT_MISSING_FILE,
     RunConfig,
+    _config_lines,
+    _configure,
     _hyperparams_from_manifest,
     _read_kv,
     _save_snapshot,
@@ -23,7 +25,6 @@ from ripplerec.cli import (
     build_config,
     load_run,
     main,
-    parse_config_file,
 )
 from ripplerec.kg import load_kg
 from ripplerec.model import Hyperparams, init_params
@@ -115,7 +116,7 @@ class TestConfig:
     def test_key_value_parsing_with_comments(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("seed = 7  # comment\nundirected = false\nsweep_values = 8, 16\n", encoding="utf-8")
-        cfg = parse_config_file(str(path), RunConfig())
+        cfg = _configure(RunConfig(), _config_lines(str(path)))
         assert cfg.seed == 7
         assert cfg.undirected is False
         assert cfg.sweep_values == ("8", "16")
@@ -124,7 +125,7 @@ class TestConfig:
         path = tmp_path / "c.txt"
         path.write_text("not_a_key = 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config key"):
-            parse_config_file(str(path), RunConfig())
+            _configure(RunConfig(), _config_lines(str(path)))
 
     @pytest.mark.parametrize("via", ["config", "set"])
     @pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("resample_ripple", "False"),
@@ -158,7 +159,7 @@ class TestConfig:
 
         path = tmp_path / "c.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        from_file = parse_config_file(str(path), RunConfig()).hp
+        from_file = _configure(RunConfig(), _config_lines(str(path))).hp
         args = argparse.Namespace(config=None, set=[line.replace(" = ", "=") for line in lines],
                                   seed=None, out=None)
         from_set = build_config(args).hp
@@ -181,7 +182,7 @@ class TestConfig:
         path = tmp_path / "c.txt"
         for text in ("l2_weight = 200\nlr = 0.001\n", "lr = 0.001\nl2_weight = 200\n"):
             path.write_text(text, encoding="utf-8")
-            assert parse_config_file(str(path), RunConfig()).hp == expected, text
+            assert _configure(RunConfig(), _config_lines(str(path))).hp == expected, text
         # the config file and --set are checked together too
         path.write_text("l2_weight = 200\n", encoding="utf-8")
         args = argparse.Namespace(config=str(path), set=["lr=0.001"], seed=None, out=None)
@@ -537,7 +538,7 @@ class TestTrainEvalSweep:
         assert not (out / "eval_test.csv").exists()
 
     @pytest.mark.parametrize("edit, expect", [
-        ("missing", "missing key 'ripple_table_sha256' (trained before the hop-by-hop ripple builder"),
+        ("missing", "missing key 'ripple_table_sha256' (truncated, or written by an older ripplerec)"),
         ("altered", "ripple_table_sha256 does not match the ripple table rebuilt"),
         ("train_edited", "ripple_table_sha256 does not match the ripple table rebuilt"),
     ])
@@ -593,7 +594,7 @@ class TestTrainEvalSweep:
         assert not (out / "eval_test.csv").exists()
 
     @pytest.mark.parametrize("edit, expect", [
-        ("missing", "missing key 'neighbor_table_sha256' (trained before the per-run neighbor table"),
+        ("missing", "missing key 'neighbor_table_sha256' (truncated, or written by an older ripplerec)"),
         ("altered", "neighbor_table_sha256 does not match the neighbor table rebuilt"),
     ])
     def test_eval_checks_the_neighbor_table_checksum(self, workdir, untrained_run, tmp_path, capsys, edit, expect):
@@ -791,13 +792,6 @@ def _other_digit(col):
     return defect
 
 
-def _add_key(key, value):
-    """Defect that adds a ``key = value`` line at the end of a key = value file."""
-    def defect(data, sep):
-        return data + f"{key} = {value}\n".encode("utf-8"), None
-    return defect
-
-
 def _only_key(key, value):
     """Defect that replaces a key = value file by the one line ``key = value``."""
     def defect(data, sep):
@@ -811,6 +805,13 @@ def _drop_key(key):
         lines = data.decode("utf-8").splitlines(keepends=True)
         return "".join(line for line in lines if line.split(sep, 1)[0].strip() != key).encode("utf-8"), None
     return defect
+
+
+def _fusion_era(data, sep):
+    """Defect that makes a manifest as train wrote it while ``fusion`` was a key: no ``model_sha256`` yet."""
+    lines = _drop_key("model_sha256")(data, sep)[0].decode("utf-8").splitlines(keepends=True)
+    return "".join(line + "fusion = recursive\n" * line.startswith("user_table = ")
+                   for line in lines).encode("utf-8"), None
 
 
 def _cut_in_half(data, sep):
@@ -869,7 +870,7 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "undirected_maybe": _set_key("undirected", "maybe"), "batch_size_0": _set_key("batch_size", "0"),
            "lr_nan": _only_key("lr", "nan"), "threshold_nan": _only_key("threshold", "nan"),
            "threshold_-inf": _only_key("threshold", "-inf"),
-           "fusion_recursive": _add_key("fusion", "recursive"), "acc_threshold_0.4": _add_key("acc_threshold", "0.4"),
+           "fusion_recursive_no_model_sha256": _fusion_era,
            "item_i0_again": _set_field(0, "i0"), "cut_in_half": _cut_in_half, "crc_flip": _flip_tensor_byte,
            "text": lambda data, sep: (b"not a snapshot\n", None), "npy": _npy,
            "byte_100_deleted": _delete_byte(100), "unknown_compression": _unknown_compression,
@@ -913,10 +914,9 @@ INPUT_DEFECTS = [
     # a hyperparameter value is read as a config value is, and its error names the manifest
     ("manifest", "hops_two", EXIT_MALFORMED, "{path}: hops = 'two' is not an integer"),
     ("manifest", "hops_0", EXIT_MALFORMED, "{path}: hops must be >= 1"),
-    # a key that left Hyperparams is accepted only at the value the model now fixes: a one-hop
-    # recursive snapshot has the tensor shapes of a shared one, so only its manifest tells them apart
-    ("manifest", "fusion_recursive", EXIT_MALFORMED, "{path}: fusion = 'recursive' is no longer supported"),
-    ("manifest", "acc_threshold_0.4", EXIT_MALFORMED, "{path}: acc_threshold = '0.4' is no longer supported"),
+    # a one-hop recursive snapshot has the tensor shapes of a shared one, but every manifest written while
+    # fusion was a key lacks model_sha256, so the key check refuses it before its fusion could matter
+    ("manifest", "fusion_recursive_no_model_sha256", EXIT_MALFORMED, "{path}: missing key 'model_sha256' (truncated"),
     ("set", "batch_size_0", EXIT_MALFORMED, "--set: batch_size must be >= 1"),
     ("set", "lr_nan", EXIT_MALFORMED, "--set: lr must be finite and > 0"),  # nan <= 0 is false
     # a rating is never < nan and never < -inf: either threshold would make every mapped rating a positive
@@ -950,9 +950,9 @@ INPUT_DEFECTS = [
     ("test", "label_digit_changed", EXIT_MALFORMED, "error: {path} does not match test_sha256 in "),
     ("train", "item_digit_changed", EXIT_MALFORMED, "error: {path} does not match train_sha256 in "),
     ("prep_meta", "no_test_sha256", EXIT_MALFORMED,
-     "{path}: missing key 'test_sha256' (written before prep checksummed its run files); re-run prep"),
+     "{path}: missing key 'test_sha256' (truncated, or written by an older ripplerec); re-run prep"),
     ("manifest", "no_model_sha256", EXIT_MALFORMED,
-     "{path}: missing key 'model_sha256' (written before train checksummed its snapshot); retrain the snapshot"),
+     "{path}: missing key 'model_sha256' (truncated, or written by an older ripplerec); retrain the snapshot"),
     # the vocabulary file and the one rebuilt from the KG agree: the recorded value is at fault
     ("prep_meta", "entity_vocab_sha256_zeroed", EXIT_MALFORMED,
      "error: {path}: entity_vocab_sha256 matches neither "),
