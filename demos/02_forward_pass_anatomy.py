@@ -25,7 +25,7 @@ params.values["entity_emb"][...] = [
 ]
 params.values["relation_mat"][0] = np.eye(2)
 params.values["relation_vec"][...] = [[2.0, 0.0], [0.0, 2.0]]
-params.values["fusion_w"][0] = np.eye(2)
+params.values["fusion_w"][...] = np.eye(2)
 params.values["conv_w"][0] = np.eye(2)
 params.values["conv_b"][0] = 0.0
 

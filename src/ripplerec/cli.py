@@ -15,15 +15,15 @@ held in ``RunConfig.hp``.  All outputs are CSV/TSV plus key = value
 manifests, deterministic for a fixed seed.  Configs, ``prep_meta.txt``
 and manifests go through one line reader, and their values parse as
 config values do, so a bad one names its file and key.  ``prep_meta.txt``
-records the sha256 of both vocabulary files (``entity_vocab_sha256``,
-``relation_vocab_sha256``) and of the integer files prep writes
-(``train_sha256``, ``validation_sha256``, ``test_sha256``,
-``item_entities_sha256``); ``train``, ``eval`` and ``sweep`` check each
-file against it.  ``model.manifest.txt`` records the sha256 of
-``model.npz`` (``model_sha256``), and ``eval`` checks it.  Exit codes: 2
-an input file that is missing or cannot be opened (a directory, say), 3
-malformed data (with ``file:line`` where a line is at fault; a
-``prep_meta.txt`` or manifest that lacks a key its reader reads; a run
+records :data:`PREP_CHECKSUMS`, the sha256 of both vocabulary files and
+of the integer files prep writes; ``train``, ``eval`` and ``sweep``
+check each file against it.  ``model.manifest.txt`` copies them and
+records the sha256 of ``model.npz`` (``model_sha256``); ``eval`` checks
+both.  Both files are written as ``model.npz`` is: to ``<path>.tmp``,
+then renamed.  Exit codes: 2 an input file that is missing or cannot be
+opened (a directory, say), 3 malformed data (with ``file:line`` where a
+line is at fault; a ``prep_meta.txt`` or manifest that lacks a key its
+reader reads or holds a ``*_sha256`` value that is no sha256; a run
 file or snapshot that parses but does not match its checksum; a
 snapshot that opens but does not read as one), 4 training divergence.
 
@@ -36,6 +36,7 @@ an NA row without one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import logging
@@ -56,6 +57,8 @@ EXIT_MALFORMED = 3
 EXIT_DIVERGED = 4
 # the integer files prep writes beside the vocabularies, each checksummed in prep_meta.txt as <name>_sha256
 RUN_FILES = ("train", "validation", "test", "item_entities")
+# the prep_meta.txt keys that identify a prep, each the sha256 of <name>.tsv; the manifest copies them
+PREP_CHECKSUMS = tuple(f"{name}_sha256" for name in ("entity_vocab", "relation_vocab", *RUN_FILES))
 
 
 @dataclass
@@ -183,8 +186,16 @@ def build_config(args):
     return _configure(RunConfig(), items)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield ``<path>.tmp`` to write, then rename it over ``path``: a writer that dies leaves ``path`` as it was."""
+    tmp = path + ".tmp"
+    yield tmp
+    os.replace(tmp, path)
+
+
 def _write_kv(path, mapping):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for key, value in mapping.items():
             fh.write(f"{key} = {value}\n")
 
@@ -260,19 +271,21 @@ def cmd_prep(cfg):
         "undirected": cfg.undirected,
         "threshold": cfg.threshold,
         "seed": cfg.seed,
-        "entity_vocab_sha256": _sha256(os.path.join(out, "entity_vocab.tsv")),
-        "relation_vocab_sha256": _sha256(os.path.join(out, "relation_vocab.tsv")),
-        **{f"{name}_sha256": _sha256(os.path.join(out, f"{name}.tsv")) for name in RUN_FILES},
+        **{key: _sha256(os.path.join(out, key.removesuffix("_sha256") + ".tsv")) for key in PREP_CHECKSUMS},
     })
     print("\n".join(report_lines[:4]))
     return 0
 
 
 def _require(meta, keys, path, remedy):
-    """Raise ValueError naming the first of ``keys`` that the key = value file at ``path`` lacks; ``remedy`` ends it."""
+    """Raise ValueError naming the first of ``keys`` that the key = value file at ``path`` lacks, or whose
+    ``*_sha256`` value is no sha256 (a file cut inside one blames itself); ``remedy`` ends it."""
     for key in keys:
         if key not in meta:
             raise ValueError(f"{path}: missing key {key!r} (truncated, or written by an older ripplerec); {remedy}")
+        if key.endswith("_sha256") and not re.fullmatch("[0-9a-f]{64}", meta[key]):
+            raise ValueError(f"{path}: {key} is not a sha256 (64 lowercase hex digits; truncated?): "
+                             f"{meta[key]!r}; {remedy}")
 
 
 def _meta_value(meta, key, path, current):
@@ -287,20 +300,20 @@ def load_prep(cfg):
     """Rebuild (kg, dataset, prep meta) from prep artifacts in ``cfg.out``.
 
     Each check raises ValueError naming the file at fault.  First
-    ``prep_meta.txt`` must hold every key read here, the sha256 of each of
-    :data:`RUN_FILES` included; one it lacks says to re-run prep.  Both
-    vocabulary files must match ``prep_meta.txt`` and the vocabularies
-    rebuilt from the KG; when the file and the rebuilt vocabulary agree
-    but ``prep_meta.txt`` does not, the error names its key.  Each of
-    :data:`RUN_FILES` is parsed first, so a malformed line is named by
-    ``file:line``, and then must match its sha256 in ``prep_meta.txt``.
+    ``prep_meta.txt`` must hold every key read here, :data:`PREP_CHECKSUMS`
+    included, each a sha256; one it lacks or holds badly says to re-run
+    prep.  Both vocabulary files must match ``prep_meta.txt`` and the
+    vocabularies rebuilt from the KG; when the file and the rebuilt
+    vocabulary agree but ``prep_meta.txt`` does not, the error names its
+    key.  Each of :data:`RUN_FILES` is parsed first, so a malformed line
+    is named by ``file:line``, and then must match its sha256 in
+    ``prep_meta.txt``.
     """
     meta_path = os.path.join(cfg.out, "prep_meta.txt")
     if not os.path.exists(meta_path):
         raise FileNotFoundError(meta_path)
     meta = _read_kv(meta_path)
-    _require(meta, ("num_users", "num_items", "kg", "undirected", "entity_vocab_sha256", "relation_vocab_sha256",
-                    *(f"{name}_sha256" for name in RUN_FILES)), meta_path, "re-run prep")
+    _require(meta, ("num_users", "num_items", "kg", "undirected", *PREP_CHECKSUMS), meta_path, "re-run prep")
     graph = kgmod.load_kg(meta["kg"], undirected=_meta_value(meta, "undirected", meta_path, True))
     for kind, names in (("entity", graph.entity_names), ("relation", graph.relation_names)):
         path, key = os.path.join(cfg.out, f"{kind}_vocab.tsv"), f"{kind}_vocab_sha256"
@@ -334,9 +347,8 @@ def load_prep(cfg):
 
 
 def _run_checksums(prep_meta, ripple_table, neighbor_table):
-    """The four sha256 values that identify a run, in manifest order; train records them, load_run checks them."""
-    return {"entity_vocab_sha256": prep_meta["entity_vocab_sha256"],
-            "relation_vocab_sha256": prep_meta["relation_vocab_sha256"],
+    """:data:`PREP_CHECKSUMS` and both tables' sha256, in manifest order; train records them, load_run checks them."""
+    return {**{key: prep_meta[key] for key in PREP_CHECKSUMS},
             "ripple_table_sha256": _table_sha256(ripple_table.bags, ripple_table.has),
             "neighbor_table_sha256": _table_sha256(neighbor_table.rel, neighbor_table.nbr)}
 
@@ -359,11 +371,10 @@ def _write_report(path, report):
 
 
 def _save_snapshot(out_dir, params, cfg, meta):
-    """Write ``model.npz`` atomically (write then rename), then ``model.manifest.txt`` in place, with its sha256."""
+    """Write ``model.npz``, then ``model.manifest.txt`` with its sha256, each atomically (write then rename)."""
     snap = os.path.join(out_dir, "model.npz")
-    tmp = snap + ".tmp"
-    save_params(tmp, params)
-    os.replace(tmp, snap)
+    with _replacing(snap) as tmp:
+        save_params(tmp, params)
     manifest = {"config_digest": cfg.digest(), "seed": cfg.seed}
     manifest.update({k: v for k, v in cfg.flat().items() if k not in ("sweep_param", "sweep_values", "sweep_seeds")})
     manifest.update(meta)
@@ -405,8 +416,9 @@ def load_run(cfg):
     both tables are rebuilt from them.  After :func:`load_prep`'s checks
     and the snapshot's archive read, each check raises ValueError naming
     the file at fault, in this order: the manifest holds every key read
-    here (one it lacks says to retrain), the values of its hyperparameters
-    and seed, its :func:`_run_checksums` against ``prep_meta.txt`` and the
+    here, each ``*_sha256`` a sha256 (else it says to retrain), the values
+    of its hyperparameters and seed, its :func:`_run_checksums` against
+    ``prep_meta.txt`` (a prep re-run since train, in every mode) and the
     rebuilt tables, the snapshot's tensor names, shapes and dtype, then
     the snapshot's sha256 against the manifest's ``model_sha256``: a
     snapshot replaced after the manifest was written (a train that died
@@ -419,22 +431,21 @@ def load_run(cfg):
         raise FileNotFoundError(snap)
     manifest = _read_kv(manifest_path)
     params = load_params(snap)
-    _require(manifest, [*(f.name for f in fields(model.Hyperparams)), "seed",
-                        *(f"{name}_sha256" for name in ("entity_vocab", "relation_vocab", "ripple_table",
-                                                        "neighbor_table", "model"))],
+    _require(manifest, [*(f.name for f in fields(model.Hyperparams)), "seed", *PREP_CHECKSUMS,
+                        "ripple_table_sha256", "neighbor_table_sha256", "model_sha256"],
              manifest_path, "retrain the snapshot")
     hp = _hyperparams_from_manifest(manifest, manifest_path)
     seed = _meta_value(manifest, "seed", manifest_path, 0)
     ripple_table = model.build_ripple_sets(dataset, graph, hp, seed)
     neighbor_table = model.build_neighbor_table(graph, hp, seed)
-    # what a checksum that differs from the rebuilt one means
-    vocab = f"differs from {os.path.join(cfg.out, 'prep_meta.txt')} (prep re-run since train?)"
+    # what a checksum that differs from prep_meta.txt's or the rebuilt table's means
+    prep = f"differs from {os.path.join(cfg.out, 'prep_meta.txt')} (prep re-run since train?)"
     tables = {"ripple_table_sha256": f"does not match the ripple table rebuilt from the train split in {cfg.out} "
                                      f"and the graph in {prep_meta['kg']}",
               "neighbor_table_sha256": f"does not match the neighbor table rebuilt from {prep_meta['kg']}"}
     for key, value in _run_checksums(prep_meta, ripple_table, neighbor_table).items():
         if manifest[key] != value:
-            raise ValueError(f"{manifest_path}: {key} {tables.get(key, vocab)}; retrain the snapshot")
+            raise ValueError(f"{manifest_path}: {key} {tables.get(key, prep)}; retrain the snapshot")
     # each tensor's (shape, dtype), compared as the text the error shows
     shapes = model.param_shapes(graph.num_entities, graph.num_relations, hp, dataset.num_users)
     expected = {name: f"shape {shape}, {np.dtype(hp.dtype)}" for name, shape in shapes.items()}

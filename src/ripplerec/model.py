@@ -153,7 +153,7 @@ def param_shapes(num_entities, num_relations, hp, num_users=0):
     """Name -> shape of every tensor of the model, in creation order.
 
     ``entity_emb`` (E, d), ``relation_mat`` (R, d, d) for hop attention,
-    ``relation_vec`` (R, d) for taste scores, ``fusion_w`` (1, d, d),
+    ``relation_vec`` (R, d) for taste scores, ``fusion_w`` (d, d),
     ``conv_w``/``conv_b`` per item layer, and ``user_emb`` (U, d) only
     under ``user_table``.
     """
@@ -162,7 +162,7 @@ def param_shapes(num_entities, num_relations, hp, num_users=0):
         "entity_emb": (num_entities, d),
         "relation_mat": (num_relations, d, d),
         "relation_vec": (num_relations, d),
-        "fusion_w": (1, d, d),  # kept 3-D: model.npz bytes and earlier snapshots stay valid
+        "fusion_w": (d, d),
     }
     if hp.conv_layers >= 1:
         shapes["conv_w"] = (hp.conv_layers, d, d)
@@ -366,7 +366,7 @@ def _user_forward(params, bags, hp, trace):
     trace.rt_v_all = _relation_transpose_apply(params.values["relation_mat"], v)
     responses = [_hop_forward(params, bags.hop_bags[k], trace.rt_v_all, trace) for k in range(hp.hops)]
     trace.fusion_in = np.sum(responses, axis=0) + v
-    trace.u_rep = _rows_matmul(trace.fusion_in, params.values["fusion_w"][0].T)
+    trace.u_rep = _rows_matmul(trace.fusion_in, params.values["fusion_w"].T)
     return trace.u_rep
 
 
@@ -601,7 +601,7 @@ def _user_row_grads(params, bags, hp, trace, rows):
     ent = params.values["entity_emb"]
     rel_mat = params.values["relation_mat"]
     n_rel, d, _ = rel_mat.shape
-    rows.g_fused = _rows_matmul(rows.g_u, params.values["fusion_w"][0])
+    rows.g_fused = _rows_matmul(rows.g_u, params.values["fusion_w"])
     rows.g_v += rows.g_fused
     # S[b, r]: sum of g_score * h over the bag rows of example b with relation r, all hops
     s = np.zeros((len(rows.g_u), n_rel, d), dtype=rows.g_u.dtype)
@@ -660,7 +660,7 @@ def _reduce(params, bags, hp, trace, rows):
         grads["user_emb"] = np.zeros_like(values["user_emb"])
         _add_unit(grads["user_emb"], bags.users, rows.g_u)
     else:
-        grads["fusion_w"] = (rows.g_u.T @ trace.fusion_in)[None]
+        grads["fusion_w"] = rows.g_u.T @ trace.fusion_in
         grads["relation_mat"] = (trace.v.T @ rows.s).reshape(d, n_rel, d).transpose(1, 0, 2)
     rows.s = rows.g_pre = rows.g_taste = None
 

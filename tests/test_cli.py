@@ -22,6 +22,7 @@ from ripplerec.cli import (
     _save_snapshot,
     _sha256,
     _table_sha256,
+    _write_kv,
     build_config,
     load_run,
     main,
@@ -210,6 +211,23 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]", done.stdout
 
 
+def test_write_kv_that_dies_leaves_the_previous_file(tmp_path):
+    # prep_meta.txt and model.manifest.txt are written to <path>.tmp and renamed,
+    # so a writer that dies mid-file cannot leave either cut short
+    class DiesAfterOneLine(dict):
+        def items(self):
+            yield "num_users", 3
+            raise RuntimeError("died mid-write")
+
+    path = tmp_path / "prep_meta.txt"
+    _write_kv(str(path), {"num_users": 2, "num_items": 5})
+    before = path.read_bytes()
+    assert before == b"num_users = 2\nnum_items = 5\n"
+    with pytest.raises(RuntimeError, match="died mid-write"):
+        _write_kv(str(path), DiesAfterOneLine())
+    assert path.read_bytes() == before
+
+
 class TestPrep:
     def test_prep_emits_artifacts(self, workdir):
         assert run_cli("prep", "--config", workdir / "cfg.txt", "--seed", 5) == 0
@@ -345,8 +363,13 @@ class TestTrainEvalSweep:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_auc", "val_acc"]
         assert len(rows) == 4  # header + 3 epochs
-        manifest = (out / "model.manifest.txt").read_text(encoding="utf-8")
-        assert "config_digest" in manifest and "entity_vocab_sha256" in manifest
+        manifest = (out / "model.manifest.txt").read_text(encoding="utf-8").splitlines()
+        assert "config_digest" in manifest[0]
+        # the manifest copies every checksum that identifies the prep
+        prep_checksums = [line for line in (out / "prep_meta.txt").read_text(encoding="utf-8").splitlines()
+                          if line.split(" = ")[0].endswith("_sha256")]
+        assert len(prep_checksums) == 6
+        assert all(line in manifest for line in prep_checksums), (prep_checksums, manifest)
 
     def test_zero_epochs_header_only_log(self, workdir, tmp_path):
         out = tmp_path / "zero"
@@ -522,25 +545,31 @@ class TestTrainEvalSweep:
         kg = tmp_path / "kg.tsv"
         shutil.copy(workdir / "data" / "kg.tsv", kg)
         out = tmp_path / "run"
-        argv = ["--config", workdir / "cfg.txt", "--seed", 5, "--out", out, "--set", f"kg={kg}",
+        argv = ["--config", workdir / "cfg.txt", "--out", out, "--set", f"kg={kg}",
                 "--set", f"user_table={user_table}"]
-        assert run_cli("prep", *argv) == 0
-        assert run_cli("train", *argv, "--set", "epochs=1") == 0
+        assert run_cli("prep", *argv, "--seed", 5) == 0
+        assert run_cli("train", *argv, "--seed", 5, "--set", "epochs=1") == 0
         lines = kg.read_text(encoding="utf-8").splitlines(keepends=True)
         kg.write_text("".join(reversed(lines)), encoding="utf-8")
-        assert run_cli("prep", *argv) == 0
-        capsys.readouterr()
-        rc = run_cli("eval", *argv)
-        err = capsys.readouterr().err
-        assert rc == EXIT_MALFORMED, err
-        assert f"{out / 'model.manifest.txt'}: entity_vocab_sha256 differs from {out / 'prep_meta.txt'}" in err, err
-        assert "Traceback" not in err
-        assert not (out / "eval_test.csv").exists()
+        # the same KG with another seed splits the ratings anew: under user_table
+        # neither table depends on the split, so only the copied split checksums
+        # tell that the test split may hold rows the snapshot trained on
+        for rerun, key in (("reordered_kg", "entity_vocab_sha256"), ("other_seed", "train_sha256")):
+            if rerun == "other_seed":
+                assert run_cli("train", *argv, "--seed", 5, "--set", "epochs=1") == 0
+            assert run_cli("prep", *argv, "--seed", 6 if rerun == "other_seed" else 5) == 0
+            capsys.readouterr()
+            rc = run_cli("eval", *argv, "--seed", 5)
+            err = capsys.readouterr().err
+            assert rc == EXIT_MALFORMED, (rerun, err)
+            assert f"{out / 'model.manifest.txt'}: {key} differs from {out / 'prep_meta.txt'}" in err, (rerun, err)
+            assert "Traceback" not in err
+            assert not (out / "eval_test.csv").exists()
 
     @pytest.mark.parametrize("edit, expect", [
         ("missing", "missing key 'ripple_table_sha256' (truncated, or written by an older ripplerec)"),
         ("altered", "ripple_table_sha256 does not match the ripple table rebuilt"),
-        ("train_edited", "ripple_table_sha256 does not match the ripple table rebuilt"),
+        ("train_edited", "train_sha256 differs from "),
     ])
     def test_eval_checks_the_ripple_table_checksum(self, workdir, untrained_run, tmp_path, capsys, edit, expect):
         out = tmp_path / "run"
@@ -818,6 +847,11 @@ def _cut_in_half(data, sep):
     return data[:len(data) // 2], None
 
 
+def _cut_last_20_bytes(data, sep):
+    """Defect that cuts a key = value file inside the sha256 of its last line."""
+    return data[:-20], None
+
+
 def _flip_tensor_byte(data, sep):
     """Defect that flips one byte of a snapshot's ``entity_emb`` values, so its member fails its CRC-32."""
     with np.load(io.BytesIO(data), allow_pickle=False) as arrays:
@@ -876,6 +910,7 @@ DEFECTS = {"wrong_arity": _no_separators, "truncated": _cut_mid_line, "not_utf8"
            "byte_100_deleted": _delete_byte(100), "unknown_compression": _unknown_compression,
            "label_digit_changed": _other_digit(2), "item_digit_changed": _other_digit(1),
            "no_test_sha256": _drop_key("test_sha256"), "no_model_sha256": _drop_key("model_sha256"),
+           "no_train_sha256": _drop_key("train_sha256"), "last_20_bytes_cut": _cut_last_20_bytes,
            "entity_vocab_sha256_zeroed": _set_key("entity_vocab_sha256", "0" * 64),
            "directory": lambda data, sep: (None, None)}
 DATA_FILES = {"kg": "kg.tsv", "ratings": "ratings.tsv", "item_map": "item_map.tsv"}
@@ -953,6 +988,14 @@ INPUT_DEFECTS = [
      "{path}: missing key 'test_sha256' (truncated, or written by an older ripplerec); re-run prep"),
     ("manifest", "no_model_sha256", EXIT_MALFORMED,
      "{path}: missing key 'model_sha256' (truncated, or written by an older ripplerec); retrain the snapshot"),
+    # the manifest copies every prep checksum; one written before it did lacks train_sha256
+    ("manifest", "no_train_sha256", EXIT_MALFORMED,
+     "{path}: missing key 'train_sha256' (truncated, or written by an older ripplerec); retrain the snapshot"),
+    # a file cut inside a checksum's value is blamed, not the file that value describes
+    ("manifest", "last_20_bytes_cut", EXIT_MALFORMED,
+     "{path}: model_sha256 is not a sha256 (64 lowercase hex digits; truncated?): '"),
+    ("prep_meta", "last_20_bytes_cut", EXIT_MALFORMED,
+     "{path}: item_entities_sha256 is not a sha256 (64 lowercase hex digits; truncated?): '"),
     # the vocabulary file and the one rebuilt from the KG agree: the recorded value is at fault
     ("prep_meta", "entity_vocab_sha256_zeroed", EXIT_MALFORMED,
      "error: {path}: entity_vocab_sha256 matches neither "),

@@ -522,13 +522,13 @@ def _ref_user_forward(params, bags, hp, trace):
     trace.ref_rh = []
     responses = [_ref_hop_forward(params, bags.hop_bags[k], v, trace) for k in range(hp.hops)]
     trace.fusion_in = np.sum(responses, axis=0) + v
-    trace.u_rep = trace.fusion_in @ params.values["fusion_w"][0].T
+    trace.u_rep = trace.fusion_in @ params.values["fusion_w"].T
     return trace.u_rep
 
 
 def _ref_user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
-    grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
-    g_fused = g_u @ params.values["fusion_w"][0]
+    grads["fusion_w"] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
+    g_fused = g_u @ params.values["fusion_w"]
     g_v += g_fused
     for k in range(hp.hops):
         _ref_hop_backward(params, bags.hop_bags[k], trace.v, trace, k, g_fused, grads, g_v)
@@ -567,8 +567,8 @@ def _rows_user_backward(params, bags, hp, trace, g_u, grads, g_v, ent_rows):
     if hp.user_table:
         _rows_scatter(grads["user_emb"], bags.users, g_u)
         return
-    grads["fusion_w"][0] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
-    g_fused = g_u @ params.values["fusion_w"][0]
+    grads["fusion_w"] += np.einsum("bi,bj->ij", g_u, trace.fusion_in)
+    g_fused = g_u @ params.values["fusion_w"]
     g_v += g_fused
     rel_mat = params.values["relation_mat"]
     n_rel, d, _ = rel_mat.shape
