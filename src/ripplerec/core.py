@@ -166,8 +166,12 @@ class ParamStore:
         computed in place in two scratch arrays, in the order of
         m = b1 m + (1 - b1) g, s = b2 s + (1 - b2) g^2,
         v *= 1 - lr decay (AdamW: the decay bypasses Adam's scaling),
-        v -= lr (m / c1) / (sqrt(s / c2) + eps).  Each tensor is updated
-        in blocks of ``ADAM_BLOCK`` elements, so the scratch arrays, each
+        v -= lr (m / c1) / (sqrt(s / c2) + eps).  The decay factor is
+        taken in the store's dtype, and no pass multiplies by it when it
+        rounds to 1 there: in f32 that is every lr decay up to 2**-25
+        (about 2.98e-8), the defaults' 1e-9 included, so f32 decay acts
+        only above that.  Each tensor is updated in blocks of
+        ``ADAM_BLOCK`` elements, so the scratch arrays, each
         one block or the largest tensor if that is smaller, stay small and
         in cache; each term is elementwise, so the bytes do not
         depend on the block size.  Before any update, a missing or
@@ -185,6 +189,7 @@ class ParamStore:
         self._adam_t += 1
         t = self._adam_t
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        shrink = self.dtype.type(1.0 - lr * decay)  # the factor v is multiplied by, as v holds it
         block = min(ADAM_BLOCK, max((v.size for v in self.values.values()), default=0))
         scratch = np.empty(2 * block, dtype=self.dtype)
         for name, value in self.values.items():
@@ -211,8 +216,8 @@ class ParamStore:
                 np.sqrt(b, out=b)
                 b += eps
                 a /= b
-                if decay:
-                    v *= 1.0 - lr * decay
+                if shrink != 1:
+                    v *= shrink
                 v -= a
 
 

@@ -12,8 +12,13 @@ Records are int arrays from end to end: :func:`binarize` yields
 ``(n, 3)`` (user, item, 0) rows, and :func:`build_dataset` interleaves
 the two into the ``(2n, 3)`` (user, item, label) array that
 :func:`split` partitions into three arrays and :func:`write_split`
-emits.  Each positive and its sampled negative land in the same split,
-so per-user label balance is exact everywhere.  An
+emits.  The positives and the sampler's rows are int64; the
+interleaved records, the three splits (also as :func:`read_split`
+reads them back) and the item -> entity map take
+:func:`~ripplerec.kg.index_dtype` of what they index, int32 below
+2**31 users, items and entities, as the graph's arrays do.  Each
+positive and its sampled negative land in the same split, so per-user
+label balance is exact everywhere.  An
 :class:`InteractionDataset` holds only what prep writes: the sizes, the
 three splits and the item -> entity map; ripple seeds are read from the
 train split's label-1 rows where the ripple table is built.
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import ParseError, _intern, _scan, read_int_tsv, write_int_tsv
+from .kg import ParseError, _intern, _scan, index_dtype, read_int_tsv, write_int_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +43,7 @@ class BinarizeResult:
     positives: np.ndarray  # (n, 2) int64 of (user index, item index), label-1 rows in file order
     user_names: list[str]
     item_names: list[str]
-    item_entities: np.ndarray  # item index -> KG entity index
+    item_entities: np.ndarray  # item index -> KG entity index, in index_dtype of the largest entity index
     n_rows: int = 0
     n_below_threshold: int = 0
     n_unmapped: int = 0
@@ -86,7 +91,8 @@ def binarize(ratings_path, threshold, item_to_entity):
     check_threshold(threshold)
     item_names = list(item_to_entity)
     item_index = {raw: i for i, raw in enumerate(item_names)}
-    item_entities = np.array([item_to_entity[raw] for raw in item_names], dtype=np.int64)
+    entities = list(item_to_entity.values())  # in item_names order
+    item_entities = np.array(entities, dtype=index_dtype(max(entities, default=0) + 1))
 
     buf, start, end, linenos, _ = _scan(ratings_path, (3, 4))
     n_rows = len(linenos)
@@ -335,8 +341,9 @@ def split(records, ratios=(0.6, 0.2, 0.2), seed=0):
     2k + 1 move as one unit, so each positive stays next to its negative
     and per-user label balance stays exact within every split.  Rounding
     floors every split's pair count and assigns the remainder to train.
+    The splits keep the dtype of ``records``.
     """
-    records = np.asarray(records, dtype=np.int64)
+    records = np.asarray(records)
     if len(records) == 0:
         raise ValueError("cannot split an empty interaction list")
     rng = np.random.default_rng(seed)
@@ -360,7 +367,9 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
     Such a user draws nothing, so every other user's negatives are those
     drawn from the same ratings without that user.  ``replacement_users``
     counts the users whose pool was smaller than their positives, read
-    from :func:`negative_sample`'s pool sizes.
+    from :func:`negative_sample`'s pool sizes.  The records are built in
+    :func:`~ripplerec.kg.index_dtype` of the user and item counts, and
+    :func:`split` keeps that dtype.
     """
     rng = np.random.default_rng(seed)
     positives = binarized.positives
@@ -373,7 +382,7 @@ def build_dataset(binarized, ratios=(0.6, 0.2, 0.2), seed=0):
                        len(binarized.positives) - len(positives), len(full),
                        ", ".join(binarized.user_names[u] for u in full))
     grouped = positives[np.argsort(positives[:, 0], kind="stable")]
-    paired = np.empty((2 * len(grouped), 3), dtype=np.int64)
+    paired = np.empty((2 * len(grouped), 3), dtype=index_dtype(binarized.num_users, binarized.num_items))
     paired[0::2, :2] = grouped
     paired[0::2, 2] = 1
     paired[1::2], replacement_users = _negative_sample(grouped, binarized.num_items, rng)
@@ -389,7 +398,11 @@ def write_split(path, records):
 
 
 def read_split(path, num_users, num_items):
-    """Inverse of :func:`write_split`: an ``(n, 3)`` int array, every field in range."""
+    """Inverse of :func:`write_split`: an ``(n, 3)`` array, every field in range.
+
+    Its dtype is :func:`~ripplerec.kg.index_dtype` of the user and item
+    counts, as :func:`build_dataset` built the split.
+    """
     return read_int_tsv(path, (("user", num_users), ("item", num_items), ("label", 2)))
 
 

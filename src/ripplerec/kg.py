@@ -25,10 +25,14 @@ entity ``e``'s outgoing (relation, neighbor) edges are
 ``rel[indptr[e]:indptr[e + 1]]`` and ``nbr[indptr[e]:indptr[e + 1]]``.
 The CSR arrays, and the two tables sampled from them, hold int32 indices,
 built in int32 rather than cast from int64; a graph whose edge or
-entity count reaches :data:`INDEX_LIMIT` keeps int64.  Relation ids
-(the CSR's and the neighbor table's ``rel``) take :func:`relation_dtype`,
-int8 up to 128 relations; the scanner's field bounds, and the
-interner's arrays per field, are int32 for a file below 2 GiB.
+entity count reaches :data:`INDEX_LIMIT` keeps int64.  The integers
+:func:`read_int_tsv` reads (a run's splits and item -> entity map)
+take :func:`index_dtype` of their columns' bounds the same way, and
+the item map is resolved without a name -> index dict of the graph.
+Relation ids (the CSR's and the neighbor table's ``rel``) take
+:func:`relation_dtype`, int8 up to 128 relations; the scanner's field
+bounds, and the interner's arrays per field, are int32 for a file
+below 2 GiB.
 Both samplers draw uniformly with replacement from CSR ranges:
 :func:`sample_children` fixed-size neighbor bags for a whole array of
 entities (every entity at once gives a run's :class:`NeighborTable`),
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -338,10 +343,12 @@ def _parse_block(buf, start, end, high):
 
 
 def read_int_tsv(path, columns):
-    """``(n, len(columns))`` int64 array of a TSV file of non-negative integers.
+    """``(n, len(columns))`` integer array of a TSV file of non-negative integers.
 
     ``columns`` holds one ``(name, high)`` pair per field; the field must
-    lie in ``[0, high)``.  A field is an integer when it is ASCII digits
+    lie in ``[0, high)``.  The array's dtype is :func:`index_dtype` of the
+    highs: int32 while every high is below :data:`INDEX_LIMIT`, else
+    int64.  A field is an integer when it is ASCII digits
     after an optional ``-`` (leading zeros, ``-0`` and any number of
     digits included).  Each field's digits are read straight from
     :func:`_scan`'s buffer and bounds, :data:`INT_BLOCK` rows at a time,
@@ -351,7 +358,7 @@ def read_int_tsv(path, columns):
     """
     scan = _scan(path, (len(columns),))
     high = np.array([[high] for _, high in columns], dtype=np.uint64)
-    values = np.empty(scan.start.shape, dtype=np.int64)
+    values = np.empty(scan.start.shape, dtype=index_dtype(*(limit for _, limit in columns)))
     for lo in range(0, len(values), INT_BLOCK):
         rows = slice(lo, lo + INT_BLOCK)
         value, nonint, outside = _parse_block(scan.buf, scan.start[rows], scan.end[rows], high)
@@ -627,7 +634,10 @@ def load_item_map(path, kg):
     counted in a warning; the returned dict, in first-appearance order,
     only contains resolvable items.  A repeated row is stored once; an
     item listed again with another entity raises :class:`ParseError`
-    naming the later line.
+    naming the later line.  Entities are resolved in one pass over
+    ``kg.entity_names`` against a dict of the map's own distinct entity
+    names (at most one per item), so no name -> index dict of the whole
+    graph is built.
     """
     buf, start, end, linenos, _ = _scan(path, (2,))
     item_names, items = _intern(buf, start[:, 0], end[:, 0])
@@ -640,8 +650,13 @@ def load_item_map(path, kg):
         item, earlier, later = item_names[items[i]], entity_names[item_entity[items[i]]], entity_names[entities[i]]
         raise ParseError(path, int(linenos[i]),
                          f"item {item!r} maps to entity {later!r}, but an earlier line maps it to {earlier!r}")
-    entity_index = dict(zip(kg.entity_names, range(kg.num_entities)))
-    lookup = np.array([entity_index.get(name, -1) for name in entity_names], dtype=np.int64)[item_entity]
+    wanted = dict(zip(entity_names, range(len(entity_names))))
+    found = np.fromiter(map(wanted.get, kg.entity_names, repeat(-1)), dtype=index_dtype(len(entity_names)),
+                        count=kg.num_entities)
+    hit = np.flatnonzero(found >= 0)
+    lookup = np.full(len(entity_names), -1, dtype=np.int64)
+    lookup[found[hit]] = hit
+    lookup = lookup[item_entity]
     skipped = int(np.count_nonzero(lookup[items] < 0))
     if skipped:
         logger.warning("%s: %d item map rows referenced unknown entities", path, skipped)

@@ -105,8 +105,11 @@ class Hyperparams:
     enhancement (ablation).  ``precision`` is ``"f32"`` by default;
     finite-difference gradient checks need ``"f64"``.  Training always
     uses Adam at ``lr`` on the batch-mean cross-entropy, with decoupled
-    weight decay: each step multiplies every tensor by ``1 - lr * l2_weight``.
-    It draws the ripple and neighbor tables once per run; ACC cuts at 0.5.
+    weight decay: each step multiplies every tensor by ``1 - lr * l2_weight``
+    in the precision's dtype.  In f32 that factor is 1 whenever
+    ``lr * l2_weight <= 2**-25`` (about 2.98e-8), so the defaults (1e-9)
+    decay nothing there; in f64 they do.  It draws the ripple and
+    neighbor tables once per run; ACC cuts at 0.5.
     """
 
     embed_dim: int = 8

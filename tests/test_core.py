@@ -265,6 +265,24 @@ class TestAdam:
         assert got[0::2].tobytes() == want.tobytes()
         assert not np.allclose(got[1::2], start[1::2] * (1.0 - lr * decay) ** k)
 
+    @pytest.mark.parametrize("dtype, lr, decay, decays", [
+        (np.float32, 1e-2, 1e-7, False),  # lr * decay = 1e-9: 1 - 1e-9 rounds to 1 in f32
+        (np.float32, 2.0**-4, 2.0**-20, True),  # lr * decay = 2**-24: 1 - 2**-24 is an f32 below 1
+        (np.float64, 1e-2, 1e-7, True),  # the defaults decay in f64
+    ], ids=["f32_defaults", "f32_2**-24", "f64_defaults"])
+    def test_decay_acts_only_where_its_factor_is_below_one_in_the_dtype(self, dtype, lr, decay, decays):
+        rng = np.random.default_rng(8)
+        init = rng.normal(size=(10, 5))
+        grads = [rng.normal(size=init.shape).astype(dtype) for _ in range(5)]
+        runs = []
+        for d in (decay, 0.0):
+            store = ParamStore(dtype=dtype)
+            store.add("emb", init)
+            for grad in grads:
+                store.adam_step({"emb": grad}, lr, d)
+            runs.append(store.values["emb"].tobytes())
+        assert (runs[0] != runs[1]) == decays
+
     def test_nonfinite_gradient_names_tensor(self):
         store = _store(alpha=np.array([1.0]), beta=np.array([2.0]))
         grads = _zero_grads(store)

@@ -381,7 +381,9 @@ class TestArrayPrepOracle:
         want, want_rng = _reference_build_dataset(binarized, seed=seed)
         for name in ("train", "validation", "test"):
             a, b = got.split_named(name), want.split_named(name)
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            # the splits are int32 (users and items below 2**31); the object path's are int64
+            assert (a.dtype, b.dtype) == (np.int32, np.int64), name
+            assert a.shape == b.shape and a.astype(np.int64).tobytes() == b.tobytes(), name
 
         # the negative draws leave the generator where the object path left it;
         # positives not sorted by user are refused rather than regrouped

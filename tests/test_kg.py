@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,38 @@ class TestVocabAndItemMap:
         with pytest.raises(ParseError):
             load_item_map(str(path), chain_kg)
 
+    def test_item_map_resolves_the_last_name_and_a_tail_only_entity(self, tmp_path, caplog):
+        kg = load_kg(write_kg(tmp_path / "kg.tsv", [("a", "r", "b"), ("b", "s", "c"), ("d", "r", "a")]))
+        names = kg.entity_names
+        assert names[-1] == "d"  # the graph's last name; "c" appears only as a tail
+        path = tmp_path / "map.tsv"
+        path.write_text("i0\tc\ni1\tzz\ni2\td\ni1\tzz\ni3\tb\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            mapping = load_item_map(str(path), kg)
+        assert list(mapping.items()) == [("i0", names.index("c")), ("i2", names.index("d")), ("i3", names.index("b"))]
+        assert "2 item map rows referenced unknown entities" in caplog.text
+
+    def test_item_map_holds_no_graph_wide_dict(self, tmp_path):
+        # a 50,000-entity chain e -> e + 1 (names are the entity numbers) and 1,000 items, the last
+        # on the graph's last entity: the traced peak stays under 16 bytes per graph entity, where a
+        # name -> index dict of the graph needs about 90
+        num_entities = 50_000
+        heads = np.arange(num_entities - 1)
+        kg_path, map_path = tmp_path / "kg.tsv", tmp_path / "map.tsv"
+        write_int_tsv(kg_path, np.stack((heads, heads % 4, heads + 1), axis=1))
+        entities = np.linspace(0, num_entities - 1, 1000).astype(np.int64)
+        write_int_tsv(map_path, np.stack((np.arange(1000), entities), axis=1))
+        kg = load_kg(str(kg_path), undirected=False)
+        assert kg.entity_names == [str(e) for e in range(num_entities)]  # entity e is named "e"
+        tracemalloc.start()
+        try:
+            mapping = load_item_map(str(map_path), kg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mapping == {str(i): e for i, e in enumerate(entities.tolist())}
+        assert peak < 16 * num_entities, peak
+
 
 # -- the byte-level interner, pinned against dict.fromkeys ---------------------------
 
@@ -735,11 +768,18 @@ class TestReadIntTsv:
     def test_formats(self, tmp_path, data):
         got = self._read(tmp_path, data)
         want = [[1, 2], [3, 4]] if "-0" not in data else [[1, 2], [3, 0]]
-        assert got.dtype == np.int64 and got.tolist() == want
+        assert got.dtype == np.int32 and got.tolist() == want  # every column's high is below 2**31
 
     def test_empty(self, tmp_path):
         got = self._read(tmp_path, "\n\n")
-        assert got.dtype == np.int64 and got.shape == (0, 2)
+        assert got.dtype == np.int32 and got.shape == (0, 2)
+
+    @pytest.mark.parametrize("high, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_dtype_is_the_index_dtype_of_the_highs(self, tmp_path, high, dtype):
+        path = tmp_path / "ints.tsv"
+        path.write_bytes(b"1\t2147483646\n3\t4\n")
+        got = read_int_tsv(str(path), (("user", 10), ("entity", high)))
+        assert got.dtype == dtype and got.tolist() == [[1, 2**31 - 2], [3, 4]]
 
     @pytest.mark.parametrize("data, message", [
         ("1\t2\n\n3\t99999999999999999999\n", ":3: item 99999999999999999999 outside [0, 20)"),
@@ -833,7 +873,7 @@ def test_read_int_tsv_matches_line_loop(tmp_path, seed):
             assert str(got.value) == str(err)
         else:
             got = read_int_tsv(str(path), columns)
-            assert got.dtype == np.int64 and got.shape == (len(want), len(columns)) and got.tolist() == want
+            assert got.dtype == np.int32 and got.shape == (len(want), len(columns)) and got.tolist() == want
 
 
 # -- the block kernels of write_int_tsv and read_int_tsv, against str.format and the line loop ---
@@ -907,7 +947,7 @@ def _assert_reads_as_line_loop(path, columns):
         assert str(got.value) == str(err)
         return str(err)
     got = read_int_tsv(str(path), columns)
-    assert got.dtype == np.int64 and got.shape == (len(want), len(columns)) and got.tolist() == want
+    assert got.dtype == np.int32 and got.shape == (len(want), len(columns)) and got.tolist() == want
     return None
 
 
@@ -1003,7 +1043,8 @@ def test_int64_bounds_parse_as_int32_bounds(tmp_path, monkeypatch, gathered):
         assert names32 == names64
         assert (ids32.dtype, ids64.dtype) == (np.int32, np.int64)
         assert ids32.astype(np.int64).tobytes() == ids64.tobytes()
-    assert ints32.dtype == ints64.dtype == np.int64 and ints32.tobytes() == ints64.tobytes()
+    assert (ints32.dtype, ints64.dtype) == (np.int32, np.int64)  # read_int_tsv's values follow INDEX_LIMIT too
+    assert ints32.astype(np.int64).tobytes() == ints64.tobytes()
     assert (kg32.entity_names, kg32.relation_names, kg32.num_triples) == (
         kg64.entity_names, kg64.relation_names, kg64.num_triples)
     for got32, got64 in ((kg32.indptr, kg64.indptr), (kg32.nbr, kg64.nbr)):
